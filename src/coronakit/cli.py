@@ -6,7 +6,9 @@ closed forms and/or the brute-force oracle, and ``suite`` runs the seeded
 cross-validation battery.
 
 Exit codes: 0 on success, 1 when the suite verdict is "fail", 2 on any
-input problem (unreadable files, malformed spec, out-of-range vertices).
+input problem (unreadable files, malformed spec, out-of-range vertices),
+3 on an internal numerical fault (a Schur or complement defect, Jacobi
+non-convergence): those are the program's failures, not the input's.
 """
 
 from __future__ import annotations
@@ -20,14 +22,10 @@ import numpy as np
 
 from . import __version__, closed_form
 from .corona import CoronaResult
-from .graphs import EdgeListError, empty_graph, serialize_edge_list
-from .linalg import max_abs
-from .resistance import (
-    DisconnectedGraphError,
-    kirchhoff_index,
-    resistance_matrix,
-)
-from .specfile import CoronaSpec, SpecFileError, build_from_spec, load_corona_spec
+from .graphs import empty_graph, serialize_edge_list
+from .linalg import MatrixError
+from .resistance import kirchhoff_index, resistance_matrix
+from .specfile import CoronaSpec, build_from_spec, load_corona_spec
 from .suite import (
     INSTANCE_TOLERANCES,
     IDENTITY_TOLERANCES,
@@ -341,13 +339,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, EdgeListError, CliInputError, DisconnectedGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except MatrixError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

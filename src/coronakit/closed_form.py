@@ -3,15 +3,18 @@
 Partition either corona Laplacian with the original vertices of G first.
 The Schur complement of the remaining block collapses to (3/2) L(G), so
 the standard block {1}-inverse assembles out of the group inverse of L(G)
-plus small per-crown inverses; no matrix larger than the base graph ever
-needs pseudo-inverting.  Resistances then fall into five cases (both ends
-original, both in one crown, both in the R-graph skeleton, crown against
-skeleton, crown against crown) with the crown cases reduced to the host's
-skeleton resistance plus apex resistances inside one small crown join.
+plus one small inverse per crown; no matrix larger than the base graph
+ever needs pseudo-inverting.  The two corona kinds share every formula and
+differ only in where the crowns attach (see ``CoronaBlocks``).
 
-The per-crown apex resistances in the cut-vertex cases are deliberately
-computed by the brute-force oracle on the small joined graph, keeping the
-closed forms honest where the algebra gives no shortcut.
+Each crown hangs off a single anchor vertex of the R-graph skeleton, and
+that anchor is a cut vertex, so resistances add across it: a crown vertex
+sits at its apex resistance from the anchor and reaches everything outside
+its crown through it.  The apex resistance of a crown H is the diagonal of
+the grounded-Laplacian inverse (L(H) + I)^{-1} (Bapat, Graphs and
+Matrices), the same crown inverse the blocks already hold, so the full
+resistance matrix is the skeleton's, broadcast through the anchors, plus
+the apex vector, with each same-crown block read off that crown's inverse.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resistance
-from .corona import CoronaResult, VertexPartition, apex_join, r_edge_corona, r_vertex_corona
 from .graphs import Graph, incidence, is_connected, laplacian
 from .linalg import (
     MatrixError,
@@ -38,44 +40,37 @@ IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RVertexBlocks:
-    """Ingredients of the R-vertex corona's structured {1}-inverse.
+class CoronaBlocks:
+    """Ingredients of either corona's structured {1}-inverse.
 
-    ``q`` is the crown-host indicator (one 1 per column, in row i for crown
-    i's vertices); ``t_inv`` is the block diagonal of (L(H_i) + I)^{-1};
+    ``ind`` is the crown indicator (one 1 per column, in the row of the
+    crown's host: original vertex i for R-vertex, edge k for R-edge).  The
+    kinds differ in three pieces of data only:
+
+    - ``u``, the anchor column: I_n for R-vertex, B/2 for R-edge, so the
+      crown coupling of the assembled inverse is W = u @ ind;
+    - ``f``, the edge-to-crown block: 0 for R-vertex, ind/2 for R-edge;
+    - ``crown_inv``, the crown corner: block diagonal of (L(H_i) + I)^{-1}
+      for R-vertex, of the shifted (L(H_k) + I - (1/(2+t_k))J)^{-1} for
+      R-edge.
+
+    ``grounded`` is the block diagonal of (L(H) + I)^{-1} for both kinds.
     ``schur`` is the numerically assembled Schur complement, which equals
-    (3/2) L(G) to working precision.
+    (3/2) L(G) to working precision; ``complement_defect`` is the distance
+    of the edge-block complement from 2I (exactly 0 for R-vertex).
     """
 
+    kind: str
     base: Graph
     crowns: tuple[Graph, ...]
     sizes: tuple[int, ...]
     l_sharp: np.ndarray
     b: np.ndarray
-    q: np.ndarray
-    t_inv: np.ndarray
-    schur: np.ndarray
-    schur_defect: float
-
-
-@dataclass(frozen=True)
-class REdgeBlocks:
-    """Ingredients of the R-edge corona's structured {1}-inverse.
-
-    ``m_ind`` marks which crown vertices hang off which edge-vertex; ``f``
-    is the off-diagonal block of the inverted non-original corner, equal to
-    +(1/2) m_ind; ``s_inv`` is the block diagonal of the shifted crown
-    inverses (L(H_k) + I - (1/(2+t_k))J)^{-1}.
-    """
-
-    base: Graph
-    crowns: tuple[Graph, ...]
-    sizes: tuple[int, ...]
-    l_sharp: np.ndarray
-    b: np.ndarray
-    m_ind: np.ndarray
+    ind: np.ndarray
+    u: np.ndarray
     f: np.ndarray
-    s_inv: np.ndarray
+    crown_inv: np.ndarray
+    grounded: np.ndarray
     schur: np.ndarray
     schur_defect: float
     complement_defect: float
@@ -90,11 +85,10 @@ def _require_closed_form_input(g: Graph) -> None:
         )
 
 
-def _crown_indicator(rows: int, hosts: range, crowns: tuple[Graph, ...]) -> np.ndarray:
-    total = sum(c.n for c in crowns)
-    ind = np.zeros((rows, total))
+def _crown_indicator(rows: int, crowns: tuple[Graph, ...]) -> np.ndarray:
+    ind = np.zeros((rows, sum(c.n for c in crowns)))
     col = 0
-    for host, crown in zip(hosts, crowns):
+    for host, crown in enumerate(crowns):
         ind[host, col : col + crown.n] = 1.0
         col += crown.n
     return ind
@@ -110,119 +104,97 @@ def _block_diag(blocks: list[np.ndarray], size: int) -> np.ndarray:
     return out
 
 
-def rv_blocks(g: Graph, crowns: tuple[Graph, ...]) -> RVertexBlocks:
-    """Compute and sanity-check the R-vertex corona's block ingredients."""
+def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
+    """Compute and sanity-check either corona's block ingredients."""
     _require_closed_form_input(g)
     crowns = tuple(crowns)
-    if len(crowns) != g.n:
-        raise ValueError(f"need {g.n} crowns (one per vertex), got {len(crowns)}")
+    vertex = kind == "r_vertex"
+    hosts, per = (g.n, "vertex") if vertex else (g.m, "edge")
+    if len(crowns) != hosts:
+        raise ValueError(f"need {hosts} crowns (one per {per}), got {len(crowns)}")
     sizes = tuple(c.n for c in crowns)
     total = sum(sizes)
     l_g = laplacian(g)
     l_sharp = pseudo_group_inverse(l_g)
     b = incidence(g)
-    q = _crown_indicator(g.n, range(g.n), crowns)
-    t_inv = _block_diag(
-        [sym_inverse(laplacian(c) + np.eye(c.n), "crown block") for c in crowns if c.n],
-        total,
-    )
-    degrees = g.degrees().astype(float)
-    a_block = np.diag(degrees + np.array(sizes, dtype=float)) + l_g
-    schur = a_block - (0.5 * b @ b.T + q @ t_inv @ q.T)
-    defect = max_abs(schur - 1.5 * l_g)
-    if defect > IDENTITY_TOL:
-        raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
-    return RVertexBlocks(g, crowns, sizes, l_sharp, b, q, t_inv, schur, defect)
-
-
-def re_blocks(g: Graph, crowns: tuple[Graph, ...]) -> REdgeBlocks:
-    """Compute and sanity-check the R-edge corona's block ingredients."""
-    _require_closed_form_input(g)
-    crowns = tuple(crowns)
-    if len(crowns) != g.m:
-        raise ValueError(f"need {g.m} crowns (one per edge), got {len(crowns)}")
-    sizes = tuple(c.n for c in crowns)
-    total = sum(sizes)
-    l_g = laplacian(g)
-    l_sharp = pseudo_group_inverse(l_g)
-    b = incidence(g)
-    m_ind = _crown_indicator(g.m, range(g.m), crowns)
-    f = 0.5 * m_ind
-    s_inv = _block_diag(
-        [
-            shifted_rank_one_inverse(laplacian(c), 1.0, 2.0 + c.n)
-            for c in crowns
-            if c.n
-        ],
-        total,
-    )
+    ind = _crown_indicator(hosts, crowns)
+    # One inverse per crown.  The shifted R-edge block is (L(H) + I)^{-1} + J/2,
+    # so the grounded inverse follows from it by subtracting 1/2.
+    if vertex:
+        corners = [sym_inverse(laplacian(c) + np.eye(c.n), "crown block") for c in crowns if c.n]
+        grounded = corners
+    else:
+        corners = [shifted_rank_one_inverse(laplacian(c), 1.0, 2.0 + c.n) for c in crowns if c.n]
+        grounded = [s - 0.5 for s in corners]
+    crown_inv = _block_diag(corners, total)
+    grounded_inv = _block_diag(grounded, total)
+    # Crown columns joined to original vertices, and to edge-vertices.
+    at_original = ind if vertex else np.zeros((g.n, total))
+    at_edge = np.zeros((g.m, total)) if vertex else ind
     # The edge-block complement P - M Q^{-1} M^T collapses to 2I because each
     # crown block satisfies (L(H) + I)^{-1} 1 = 1.
-    q_inv = _block_diag(
-        [sym_inverse(laplacian(c) + np.eye(c.n), "crown block") for c in crowns if c.n],
-        total,
-    )
-    p_diag = np.diag(2.0 + np.array(sizes, dtype=float))
-    complement = p_diag - m_ind @ q_inv @ m_ind.T
+    complement = np.diag(2.0 + at_edge.sum(axis=1)) - at_edge @ grounded_inv @ at_edge.T
     complement_defect = max_abs(complement - 2.0 * np.eye(g.m))
     if complement_defect > IDENTITY_TOL:
         raise MatrixError(
             f"edge-block complement defect {complement_defect:.3e} exceeds {IDENTITY_TOL}"
         )
     degrees = g.degrees().astype(float)
-    schur = (l_g + np.diag(degrees)) - 0.5 * b @ b.T
+    a_block = np.diag(degrees + at_original.sum(axis=1)) + l_g
+    schur = a_block - (0.5 * b @ b.T + at_original @ grounded_inv @ at_original.T)
     defect = max_abs(schur - 1.5 * l_g)
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
-    return REdgeBlocks(
-        g, crowns, sizes, l_sharp, b, m_ind, f, s_inv, schur, defect, complement_defect
+    u = np.eye(g.n) if vertex else 0.5 * b
+    return CoronaBlocks(
+        kind, g, crowns, sizes, l_sharp, b, ind, u, 0.5 * at_edge,
+        crown_inv, grounded_inv, schur, defect, complement_defect,
     )
+
+
+def rv_blocks(g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
+    """Compute and sanity-check the R-vertex corona's block ingredients."""
+    return _blocks("r_vertex", g, crowns)
+
+
+def re_blocks(g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
+    """Compute and sanity-check the R-edge corona's block ingredients."""
+    return _blocks("r_edge", g, crowns)
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _assemble_rv(blocks: RVertexBlocks) -> np.ndarray:
-    n = blocks.base.n
-    m = blocks.base.m
-    st = sum(blocks.sizes)
-    nm = n + m
-    ls = blocks.l_sharp
-    lb = ls @ blocks.b
-    lq = ls @ blocks.q
-    x = np.zeros((nm + st, nm + st))
+def _skeleton_corner(ls: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The R-graph skeleton's corner of the structured inverse.
+
+    It is the same for plain R(G) and for both corona products (the crown
+    blocks never touch it): (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B.
+    """
+    n, m = b.shape
+    lb = ls @ b
+    x = np.zeros((n + m, n + m))
     x[:n, :n] = (2.0 / 3.0) * ls
-    x[:n, n:nm] = (1.0 / 3.0) * lb
-    x[n:nm, :n] = x[:n, n:nm].T
-    x[:n, nm:] = (2.0 / 3.0) * lq
-    x[nm:, :n] = x[:n, nm:].T
-    x[n:nm, n:nm] = 0.5 * np.eye(m) + (1.0 / 6.0) * _symmetrized(blocks.b.T @ lb)
-    x[n:nm, nm:] = (1.0 / 3.0) * blocks.b.T @ lq
-    x[nm:, n:nm] = x[n:nm, nm:].T
-    x[nm:, nm:] = blocks.t_inv + (2.0 / 3.0) * _symmetrized(blocks.q.T @ lq)
+    x[:n, n:] = (1.0 / 3.0) * lb
+    x[n:, :n] = x[:n, n:].T
+    x[n:, n:] = 0.5 * np.eye(m) + (1.0 / 6.0) * _symmetrized(b.T @ lb)
     return x
 
 
-def _assemble_re(blocks: REdgeBlocks) -> np.ndarray:
+def _assemble(blocks: CoronaBlocks) -> np.ndarray:
     n = blocks.base.n
-    m = blocks.base.m
+    nm = n + blocks.base.m
     st = sum(blocks.sizes)
-    nm = n + m
-    ls = blocks.l_sharp
-    lb = ls @ blocks.b
-    bf = blocks.b @ blocks.f
-    lbf = ls @ bf
+    w = blocks.u @ blocks.ind
+    lw = blocks.l_sharp @ w
     x = np.zeros((nm + st, nm + st))
-    x[:n, :n] = (2.0 / 3.0) * ls
-    x[:n, n:nm] = (1.0 / 3.0) * lb
-    x[n:nm, :n] = x[:n, n:nm].T
-    x[:n, nm:] = (2.0 / 3.0) * lbf
+    x[:nm, :nm] = _skeleton_corner(blocks.l_sharp, blocks.b)
+    x[:n, nm:] = (2.0 / 3.0) * lw
     x[nm:, :n] = x[:n, nm:].T
-    x[n:nm, n:nm] = 0.5 * np.eye(m) + (1.0 / 6.0) * _symmetrized(blocks.b.T @ lb)
-    x[n:nm, nm:] = blocks.f + (1.0 / 3.0) * blocks.b.T @ lbf
+    x[n:nm, nm:] = blocks.f + (1.0 / 3.0) * blocks.b.T @ lw
     x[nm:, n:nm] = x[n:nm, nm:].T
-    x[nm:, nm:] = blocks.s_inv + (2.0 / 3.0) * _symmetrized(bf.T @ lbf)
+    x[nm:, nm:] = blocks.crown_inv + (2.0 / 3.0) * _symmetrized(w.T @ lw)
     return x
 
 
@@ -234,158 +206,60 @@ def rv_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     and the crown corner is the block-diagonal crown inverse plus a 2/3
     crown-host correction.  Vertex order matches the builder's layout.
     """
-    return _assemble_rv(rv_blocks(g, crowns))
+    return _assemble(rv_blocks(g, crowns))
 
 
 def re_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """Symmetric {1}-inverse of the R-edge corona Laplacian, by blocks."""
-    return _assemble_re(re_blocks(g, crowns))
+    return _assemble(re_blocks(g, crowns))
 
 
 # ---------------------------------------------------------------------------
-# Resistance dispatch
+# Resistances
 
 
-@dataclass(frozen=True)
-class _Dispatch:
-    """Everything a per-pair resistance lookup needs, precomputed."""
-
-    partition: VertexPartition
-    r_skeleton: np.ndarray
-    crown_pairs: tuple[np.ndarray, ...]
-    apex_r: tuple[np.ndarray, ...]
-    anchors: tuple[int, ...]
-
-
-def _skeleton_resistances(ls: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Closed-form resistances among the n + m vertices of the R-graph skeleton.
-
-    These come from the skeleton corner of the structured inverse, which is
-    identical for plain R(G) and for both corona products (the crown blocks
-    never touch it): (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B.  For two
-    original vertices the combination reduces to (2/3) of the base-graph
-    resistance.
-    """
-    n, m = b.shape
-    lb = ls @ b
-    x = np.zeros((n + m, n + m))
-    x[:n, :n] = (2.0 / 3.0) * ls
-    x[:n, n:] = (1.0 / 3.0) * lb
-    x[n:, :n] = x[:n, n:].T
-    x[n:, n:] = 0.5 * np.eye(m) + (1.0 / 6.0) * _symmetrized(b.T @ lb)
-    d = np.diag(x)
-    r = d[:, None] + d[None, :] - 2.0 * x
-    np.fill_diagonal(r, 0.0)
-    return _symmetrized(r)
-
-
-def _combo_matrix(inv: np.ndarray) -> np.ndarray:
-    d = np.diag(inv)
-    r = d[:, None] + d[None, :] - 2.0 * inv
-    np.fill_diagonal(r, 0.0)
-    return _symmetrized(r)
-
-
-def _apex_resistances(crown: Graph) -> np.ndarray:
-    """Oracle resistances from the join apex to each crown vertex."""
-    joined = apex_join(crown)
-    r = resistance.resistance_matrix(joined.graph)
-    return r[crown.n, : crown.n].copy()
-
-
-def _rv_dispatch(g: Graph, crowns: tuple[Graph, ...]) -> _Dispatch:
-    blocks = rv_blocks(g, crowns)
-    built = r_vertex_corona(g, blocks.crowns)
-    crown_pairs = []
-    off = 0
-    for c in blocks.crowns:
-        crown_pairs.append(_combo_matrix(blocks.t_inv[off : off + c.n, off : off + c.n]))
-        off += c.n
-    return _Dispatch(
-        partition=built.partition,
-        r_skeleton=_skeleton_resistances(blocks.l_sharp, blocks.b),
-        crown_pairs=tuple(crown_pairs),
-        apex_r=tuple(_apex_resistances(c) for c in blocks.crowns),
-        anchors=tuple(range(g.n)),
+def _resistance_map(blocks: CoronaBlocks) -> np.ndarray:
+    """All pairwise resistances, by broadcasting through the crown anchors."""
+    nm = blocks.base.n + blocks.base.m
+    owner = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
+    first_anchor = 0 if blocks.kind == "r_vertex" else blocks.base.n
+    anchor = np.concatenate([np.arange(nm), first_anchor + owner])
+    apex = np.concatenate([np.zeros(nm), np.diag(blocks.grounded)])
+    skeleton = resistance.resistances_from_inverse(
+        _skeleton_corner(blocks.l_sharp, blocks.b)
     )
-
-
-def _re_dispatch(g: Graph, crowns: tuple[Graph, ...]) -> _Dispatch:
-    blocks = re_blocks(g, crowns)
-    built = r_edge_corona(g, blocks.crowns)
-    crown_pairs = []
-    off = 0
-    for c in blocks.crowns:
-        crown_pairs.append(_combo_matrix(blocks.s_inv[off : off + c.n, off : off + c.n]))
-        off += c.n
-    return _Dispatch(
-        partition=built.partition,
-        r_skeleton=_skeleton_resistances(blocks.l_sharp, blocks.b),
-        crown_pairs=tuple(crown_pairs),
-        apex_r=tuple(_apex_resistances(c) for c in blocks.crowns),
-        anchors=tuple(range(g.n, g.n + g.m)),
-    )
-
-
-def _pair_resistance(dp: _Dispatch, u: int, v: int) -> float:
-    """Case dispatch on the two endpoints' roles.
-
-    Crown-involved cases reduce through the crown's anchor, which is a cut
-    vertex, so resistances add: crown vertex to anywhere outside its crown
-    is apex-to-vertex inside the crown join plus a skeleton resistance.
-    """
-    if u == v:
-        return 0.0
-    role_u = dp.partition.role_of(u)
-    role_v = dp.partition.role_of(v)
-    u_crown = role_u[0] == "crown"
-    v_crown = role_v[0] == "crown"
-    if not u_crown and not v_crown:
-        return float(dp.r_skeleton[u, v])
-    if u_crown and v_crown:
-        _, k, a = role_u
-        _, l, c = role_v
-        if k == l:
-            return float(dp.crown_pairs[k][a, c])
-        return float(
-            dp.apex_r[k][a]
-            + dp.r_skeleton[dp.anchors[k], dp.anchors[l]]
-            + dp.apex_r[l][c]
-        )
-    if u_crown:
-        (_, k, a), other = role_u, v
-    else:
-        (_, k, a), other = role_v, u
-    return float(dp.apex_r[k][a] + dp.r_skeleton[dp.anchors[k], other])
-
-
-def _full_matrix(dp: _Dispatch) -> np.ndarray:
-    total = dp.partition.total()
-    r = np.zeros((total, total))
-    for u in range(total):
-        for v in range(u + 1, total):
-            r[u, v] = r[v, u] = _pair_resistance(dp, u, v)
+    r = skeleton[np.ix_(anchor, anchor)]
+    r += apex[:, None] + apex[None, :]
+    same_crown = owner[:, None] == owner[None, :]
+    crown_r = resistance.resistances_from_inverse(blocks.grounded)
+    r[nm:, nm:] = np.where(same_crown, crown_r, r[nm:, nm:])
     return r
 
 
-def rv_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
-    """Closed-form resistance between two R-vertex corona vertices."""
-    return _pair_resistance(_rv_dispatch(g, crowns), u, v)
-
-
-def re_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
-    """Closed-form resistance between two R-edge corona vertices."""
-    return _pair_resistance(_re_dispatch(g, crowns), u, v)
+def _entry(r: np.ndarray, u: int, v: int) -> float:
+    if not (0 <= u < len(r) and 0 <= v < len(r)):
+        raise IndexError(f"vertex pair ({u}, {v}) out of range for a {len(r)}-vertex product")
+    return float(r[u, v])
 
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """All closed-form pairwise resistances of the R-vertex corona."""
-    return _full_matrix(_rv_dispatch(g, crowns))
+    return _resistance_map(rv_blocks(g, crowns))
 
 
 def re_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """All closed-form pairwise resistances of the R-edge corona."""
-    return _full_matrix(_re_dispatch(g, crowns))
+    return _resistance_map(re_blocks(g, crowns))
+
+
+def rv_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
+    """Closed-form resistance between two R-vertex corona vertices."""
+    return _entry(rv_resistance_matrix(g, crowns), u, v)
+
+
+def re_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
+    """Closed-form resistance between two R-edge corona vertices."""
+    return _entry(re_resistance_matrix(g, crowns), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -417,75 +291,58 @@ def crown_eigen_sum(crown: Graph) -> float:
     return float(np.sum(1.0 / (values + 1.0)))
 
 
-def rv_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
-    """Kirchhoff index of the R-vertex corona with its term breakdown."""
-    blocks = rv_blocks(g, crowns)
-    x = _assemble_rv(blocks)
-    value = resistance.kirchhoff_from_one_inverse(x)
-    n, m = g.n, g.m
-    st = sum(blocks.sizes)
-    total = n + m + st
-    ls = blocks.l_sharp
-    pi = g.degrees().astype(float)
-    delta = np.array(blocks.sizes, dtype=float)
-    terms = {
-        "trace_base": (2.0 / 3.0) * float(np.trace(ls)),
-        "trace_edge_const": m / 2.0,
-        "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
-        "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(crown_eigen_sum(c) for c in blocks.crowns),
-        "trace_crown_host": (2.0 / 3.0) * float(delta @ np.diag(ls)),
-        "ones_edge_const": m / 2.0,
-        "ones_degree_quad": (1.0 / 6.0) * float(pi @ ls @ pi),
-        "ones_degree_crown": (2.0 / 3.0) * float(pi @ ls @ delta),
-        "ones_crown_count": float(st),
-        "ones_crown_quad": (2.0 / 3.0) * float(delta @ ls @ delta),
-    }
-    trace_part = sum(v for k, v in terms.items() if k.startswith("trace_"))
-    ones_part = sum(v for k, v in terms.items() if k.startswith("ones_"))
-    expanded = total * trace_part - ones_part
-    return KirchhoffBreakdown(value, expanded, terms, abs(value - expanded))
+def _kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
+    """Kirchhoff index with its term breakdown, for either kind.
 
-
-def re_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
-    """Kirchhoff index of the R-edge corona with its term breakdown.
-
-    The crown spectral term carries a +t/2 per crown on top of the bare
-    sum of 1/(mu + 1): the rank-one shift in each crown block moves the
-    all-ones eigenvalue from 1 to 2/(2+t), and the trace of the inverse
-    picks up exactly t/2 from that swap.
+    With tau the crown sizes per host, the crown terms are (2/3) tau .
+    diag(U^T Lg U), (2/3) pi^T Lg U tau and (2/3) (U tau)^T Lg (U tau).
+    For R-edge the crown spectral term carries a +t/2 per crown on top of
+    the bare sum of 1/(mu + 1): the rank-one shift in each crown block
+    moves the all-ones eigenvalue from 1 to 2/(2+t), and the trace of the
+    inverse picks up exactly t/2 from that swap; ones_crown_shift is the
+    matching all-ones quadratic form.
     """
-    blocks = re_blocks(g, crowns)
-    x = _assemble_re(blocks)
-    value = resistance.kirchhoff_from_one_inverse(x)
+    value = resistance.kirchhoff_from_one_inverse(_assemble(blocks))
+    g = blocks.base
     n, m = g.n, g.m
     st = sum(blocks.sizes)
-    total = n + m + st
+    edge = blocks.kind == "r_edge"
     ls = blocks.l_sharp
     pi = g.degrees().astype(float)
     tau = np.array(blocks.sizes, dtype=float)
-    btlb = blocks.b.T @ ls @ blocks.b
-    btau = blocks.b @ tau
+    u_tau = blocks.u @ tau
+    shift = 0.5 if edge else 0.0
+    crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
     terms = {
         "trace_base": (2.0 / 3.0) * float(np.trace(ls)),
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(
-            crown_eigen_sum(c) + c.n / 2.0 for c in blocks.crowns
-        ),
-        "trace_crown_edge": (1.0 / 6.0) * float(tau @ np.diag(btlb)),
+        "trace_crown_eigen": sum(crown_eigen_sum(c) + shift * c.n for c in blocks.crowns),
+        crown_trace: (2.0 / 3.0) * float(tau @ np.diag(blocks.u.T @ ls @ blocks.u)),
         "ones_edge_const": m / 2.0,
         "ones_degree_quad": (1.0 / 6.0) * float(pi @ ls @ pi),
-        "ones_degree_crown": (1.0 / 3.0) * float(pi @ ls @ btau),
+        "ones_degree_crown": (2.0 / 3.0) * float(pi @ ls @ u_tau),
         "ones_crown_count": float(st),
-        "ones_crown_shift": 0.5 * float(np.sum(tau * (2.0 + tau))),
-        "ones_crown_quad": (1.0 / 6.0) * float(btau @ ls @ btau),
     }
+    # Insertion order is summation order below, so keep it fixed per kind.
+    if edge:
+        terms["ones_crown_shift"] = 0.5 * float(np.sum(tau * (2.0 + tau)))
+    terms["ones_crown_quad"] = (2.0 / 3.0) * float(u_tau @ ls @ u_tau)
     trace_part = sum(v for k, v in terms.items() if k.startswith("trace_"))
     ones_part = sum(v for k, v in terms.items() if k.startswith("ones_"))
-    expanded = total * trace_part - ones_part
+    expanded = (n + m + st) * trace_part - ones_part
     return KirchhoffBreakdown(value, expanded, terms, abs(value - expanded))
+
+
+def rv_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
+    """Kirchhoff index of the R-vertex corona with its term breakdown."""
+    return _kirchhoff_terms(rv_blocks(g, crowns))
+
+
+def re_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
+    """Kirchhoff index of the R-edge corona with its term breakdown."""
+    return _kirchhoff_terms(re_blocks(g, crowns))
 
 
 def rv_kirchhoff(g: Graph, crowns: tuple[Graph, ...]) -> float:

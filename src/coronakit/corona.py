@@ -134,7 +134,8 @@ def apex_join(h: Graph) -> CoronaResult:
     """Join a single new apex vertex to every vertex of h.
 
     This is the crown-plus-anchor fragment that the corona products repeat;
-    resistances from the apex into h are what the cut-vertex dispatch needs.
+    resistances from the apex into h are what a crown vertex adds across
+    its anchor, a cut vertex.
     """
     apex = h.n
     edges = list(h.edges) + [(v, apex) for v in range(h.n)]

@@ -34,7 +34,16 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     zero diagonal.
     """
     _require_connected(g)
-    x = pseudo_group_inverse(laplacian(g))
+    return resistances_from_inverse(pseudo_group_inverse(laplacian(g)))
+
+
+def resistances_from_inverse(x: np.ndarray) -> np.ndarray:
+    """Every pairwise resistance read out of X: X_uu + X_vv - X_uv - X_vu.
+
+    X may be any {1}-inverse of a connected graph's Laplacian, or a
+    grounded-Laplacian inverse for resistances within the grounded graph.
+    The result is symmetric with a zero diagonal.
+    """
     d = np.diag(x)
     r = d[:, None] + d[None, :] - 2.0 * x
     r = 0.5 * (r + r.T)

@@ -39,6 +39,7 @@ from .resistance import (
     kirchhoff_index,
     neighbor_recursion_check,
     resistance_matrix,
+    resistances_from_inverse,
 )
 
 SCHEMA = "corona-suite-report/1"
@@ -243,9 +244,10 @@ def check_corona_instance(
 
     Checks, in order: the assembled {1}-inverse really inverts (M X M = M),
     resistances read off that inverse match the oracle entrywise, the
-    per-pair dispatch matches the oracle entrywise, the internal Schur and
-    crown-block identities hold, and the Kirchhoff index agrees between the
-    assembled inverse, the expanded invariant formula, and the oracle.
+    closed resistance matrix matches the oracle entrywise, the internal
+    Schur and crown-block identities hold, and the Kirchhoff index agrees
+    between the assembled inverse, the expanded invariant formula, and the
+    oracle.
     """
     if kind == "r_vertex":
         built = r_vertex_corona(g, crowns)
@@ -253,7 +255,7 @@ def check_corona_instance(
         x = closed_form.rv_one_inverse(g, crowns)
         closed_r = closed_form.rv_resistance_matrix(g, crowns)
         breakdown = closed_form.rv_kirchhoff_terms(g, crowns)
-        crown_trace = float(np.trace(blocks.t_inv))
+        crown_trace = float(np.trace(blocks.crown_inv))
         crown_trace_target = sum(
             closed_form.crown_eigen_sum(c) for c in blocks.crowns
         )
@@ -266,12 +268,13 @@ def check_corona_instance(
         x = closed_form.re_one_inverse(g, crowns)
         closed_r = closed_form.re_resistance_matrix(g, crowns)
         breakdown = closed_form.re_kirchhoff_terms(g, crowns)
-        crown_trace = float(np.trace(blocks.s_inv))
+        crown_trace = float(np.trace(blocks.crown_inv))
         crown_trace_target = sum(
             closed_form.crown_eigen_sum(c) + c.n / 2.0 for c in blocks.crowns
         )
         sizes = np.array(blocks.sizes, dtype=float)
-        ones_quad = float(np.ones(blocks.s_inv.shape[0]) @ blocks.s_inv @ np.ones(blocks.s_inv.shape[0]))
+        ones = np.ones(blocks.crown_inv.shape[0])
+        ones_quad = float(ones @ blocks.crown_inv @ ones)
         residual_extra = {
             "crown_trace_defect": abs(crown_trace - crown_trace_target),
             "complement_defect": blocks.complement_defect,
@@ -282,9 +285,7 @@ def check_corona_instance(
 
     lap_c = laplacian(built.graph)
     oracle_r = resistance_matrix(built.graph)
-    diag = np.diag(x)
-    inverse_r = diag[:, None] + diag[None, :] - 2.0 * x
-    np.fill_diagonal(inverse_r, 0.0)
+    inverse_r = resistances_from_inverse(x)
 
     kf_closed = kirchhoff_from_one_inverse(x)
     kf_oracle = kirchhoff_index(built.graph)

@@ -306,7 +306,7 @@ def test_criterion_5_kirchhoff_adjudication():
     # rejected variant 3: bare crown spectral sum, missing the +t/2 shift
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
-    true_trace = float(np.trace(blocks.s_inv))
+    true_trace = float(np.trace(blocks.crown_inv))
     bare = cf.crown_eigen_sum(crown)
     if abs(true_trace - 3.0) > 1e-10 or abs(bare - 2.0) > 1e-10:
         problems.append(f"shift counterexample drifted: trace {true_trace}, bare {bare}")
@@ -393,7 +393,7 @@ def test_criterion_7_mutation_sensitivity(capsys):
     def crown_quarter_to_sixth(g, crowns):
         x = real_re(g, crowns).copy()
         blocks = cf.re_blocks(g, crowns)
-        m_full = blocks.b @ blocks.m_ind
+        m_full = blocks.b @ blocks.ind
         delta = (2.0 / 3.0) * (1.0 / 6.0 - 0.25) * (
             m_full.T @ blocks.l_sharp @ m_full
         )

@@ -1,15 +1,19 @@
 """End-to-end command line behavior via in-process main() calls."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import coronakit
 from coronakit import closed_form
 from coronakit.cli import main
 from coronakit.graphs import complete_graph, parse_edge_list, path_graph, serialize_edge_list
+from coronakit.linalg import MatrixError
 
 
 @pytest.fixture
@@ -167,6 +171,16 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     assert "kind must be one of" in capsys.readouterr().err
 
 
+def test_internal_matrix_fault_exits_3(rv_spec, capsys):
+    # a numerical fault inside the closed route is the program's, not the
+    # input's: it must not be reported as exit 2, "bad input"
+    fault = MatrixError("Schur complement defect 1.000e-03 exceeds 1e-12")
+    with mock.patch.object(closed_form, "rv_resistance_matrix", side_effect=fault):
+        code = main(["resist", str(rv_spec), "--pair", "0", "1", "--method", "closed"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("internal error: Schur complement defect")
+
+
 def test_resist_requires_pair_or_all(rv_spec, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resist", str(rv_spec)])
@@ -175,10 +189,15 @@ def test_resist_requires_pair_or_all(rv_spec, capsys):
 
 
 def test_installed_entry_point_reports_version():
+    # the child imports the same coronakit as this process, installed or
+    # put on the path by pytest's ``pythonpath`` setting
+    package_root = str(Path(coronakit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "coronakit.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "corona" in proc.stdout

@@ -1,13 +1,16 @@
 """Closed-form blocks, dispatch, and Kirchhoff formulas against the oracle."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coronakit import closed_form as cf
-from coronakit.corona import r_edge_corona, r_vertex_corona
+from coronakit import resistance
+from coronakit.corona import apex_join, r_edge_corona, r_vertex_corona
 from coronakit.graphs import (
     Graph,
     complete_graph,
@@ -114,16 +117,16 @@ def test_crown_block_spectral_traces():
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
     want = sum(cf.crown_eigen_sum(c) for c in crowns)
-    assert np.trace(blocks_v.t_inv) == pytest.approx(want, abs=1e-10)
+    assert np.trace(blocks_v.crown_inv) == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
     want_e = sum(cf.crown_eigen_sum(c) + c.n / 2.0 for c in crowns)
-    assert np.trace(blocks_e.s_inv) == pytest.approx(want_e, abs=1e-10)
+    assert np.trace(blocks_e.crown_inv) == pytest.approx(want_e, abs=1e-10)
 
     # all-ones quadratic form of each shifted crown inverse is t(2+t)/2
     off = 0
     for c in crowns:
-        block = blocks_e.s_inv[off : off + c.n, off : off + c.n]
+        block = blocks_e.crown_inv[off : off + c.n, off : off + c.n]
         ones = np.ones(c.n)
         assert ones @ block @ ones == pytest.approx(
             c.n * (2.0 + c.n) / 2.0, abs=1e-10
@@ -136,7 +139,7 @@ def test_empty_crown_trace_needs_the_shift():
     # trace of the shifted inverse is 3.
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
-    assert np.trace(blocks.s_inv) == pytest.approx(3.0, abs=1e-12)
+    assert np.trace(blocks.crown_inv) == pytest.approx(3.0, abs=1e-12)
     assert cf.crown_eigen_sum(crown) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -177,6 +180,9 @@ def test_single_pair_entry_points():
     g, crowns = pendant_pair_example()
     assert cf.rv_resistance(g, crowns, 3, 4) == pytest.approx(8.0 / 3.0, abs=1e-12)
     assert cf.rv_resistance(g, crowns, 2, 2) == 0.0
+    for u, v in ((-1, 0), (0, 5)):
+        with pytest.raises(IndexError):
+            cf.rv_resistance(g, crowns, u, v)
     ge, crowns_e = K2, (Graph(2, ()),)
     built = r_edge_corona(ge, crowns_e)
     a, b = built.partition.crowns[0]
@@ -294,3 +300,80 @@ def test_input_validation():
         cf.re_blocks(path_graph(3), (K1,) * 3)
     with pytest.raises(ValueError):
         cf.rv_blocks(empty_graph(0), ())
+
+
+def _crown_zoo_instances():
+    """Both kinds over a triangle, crowns empty, disconnected and complete."""
+    crowns = (empty_graph(0), Graph(3, ((0, 1),)), complete_graph(4))
+    g = complete_graph(3)
+    return [("rv", g, crowns), ("re", g, crowns)]
+
+
+def test_closed_route_never_calls_the_oracle():
+    entry_points = (
+        "blocks", "one_inverse", "resistance_matrix", "kirchhoff_terms", "kirchhoff"
+    )
+    oracle_called = AssertionError("the closed route called the oracle")
+    with (
+        mock.patch.object(resistance, "resistance_matrix", side_effect=oracle_called),
+        mock.patch.object(resistance, "kirchhoff_index", side_effect=oracle_called),
+    ):
+        for prefix, g, crowns in _crown_zoo_instances():
+            for name in entry_points:
+                getattr(cf, f"{prefix}_{name}")(g, crowns)
+            getattr(cf, f"{prefix}_resistance")(g, crowns, 0, g.n + g.m)
+
+
+def test_apex_resistance_is_the_grounded_inverse_diagonal():
+    # diag((L(H) + I)^{-1}) equals the oracle's apex row on the joined crown,
+    # for the blocks of both kinds
+    for prefix, g, crowns in _crown_zoo_instances():
+        grounded = getattr(cf, f"{prefix}_blocks")(g, crowns).grounded
+        off = 0
+        for crown in crowns:
+            oracle = resistance_matrix(apex_join(crown).graph)[crown.n, : crown.n]
+            npt.assert_allclose(
+                np.diag(grounded)[off : off + crown.n], oracle, atol=1e-12
+            )
+            off += crown.n
+
+
+@st.composite
+def near_degenerate_coronas(draw):
+    """Long paths, stars, dense complete crowns and all-empty crowns.
+
+    Corona orders stay under about 60 so that the oracle's Jacobi solve
+    keeps each example fast.
+    """
+    kind = draw(st.sampled_from(("r_vertex", "r_edge")))
+    if draw(st.booleans()):
+        g = path_graph(draw(st.integers(2, 25)))
+    else:
+        g = star_graph(draw(st.integers(1, 8)))
+    hosts = g.n if kind == "r_vertex" else g.m
+    if g.n > 9:
+        # a long path: all crowns empty but at most one dense K_t
+        crowns = [empty_graph(0)] * hosts
+        if draw(st.booleans()):
+            crowns[draw(st.integers(0, hosts - 1))] = complete_graph(draw(st.integers(1, 6)))
+    else:
+        crowns = [complete_graph(draw(st.integers(0, 4))) for _ in range(hosts)]
+    return kind, g, tuple(crowns)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(near_degenerate_coronas())
+def test_near_degenerate_families_match_the_oracle(instance):
+    kind, g, crowns = instance
+    if kind == "r_vertex":
+        closed = cf.rv_resistance_matrix(g, crowns)
+        kf = cf.rv_kirchhoff(g, crowns)
+        built = r_vertex_corona(g, crowns)
+    else:
+        closed = cf.re_resistance_matrix(g, crowns)
+        kf = cf.re_kirchhoff(g, crowns)
+        built = r_edge_corona(g, crowns)
+    oracle = resistance_matrix(built.graph)
+    assert max_abs(closed - oracle) <= PAIR_TOL
+    kf_oracle = float(np.triu(oracle).sum())
+    assert abs(kf - kf_oracle) <= 1e-6 * kf_oracle
