@@ -8,8 +8,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from coronakit import linalg
 from coronakit.corona import r_edge_corona
-from coronakit.graphs import Graph, complete_graph, laplacian, path_graph
+from coronakit.graphs import Graph, complete_graph, laplacian, path_graph, star_graph
 from coronakit.linalg import (
     EigenDecomposition,
     MatrixError,
@@ -30,17 +31,72 @@ def test_path3_spectrum_by_hand():
     npt.assert_allclose(dec.values, [3.0, 1.0, 0.0], atol=1e-12)
 
 
+def _assert_matches_numpy(a):
+    n = a.shape[0]
+    dec = sym_eigendecompose(a)
+    ref = np.linalg.eigvalsh(a)[::-1]
+    npt.assert_allclose(dec.values, ref, atol=1e-10 * max(1.0, max_abs(a)))
+    npt.assert_allclose(dec.vectors @ dec.vectors.T, np.eye(n), atol=1e-10)
+    npt.assert_allclose(dec.reconstruct(), a, atol=1e-10 * max(1.0, max_abs(a)))
+    return dec
+
+
 def test_eigendecompose_matches_numpy_and_reconstructs():
     rng = np.random.default_rng(42)
     for _ in range(25):
         n = int(rng.integers(1, 20))
         a = rng.normal(size=(n, n))
         a = 0.5 * (a + a.T)
+        _assert_matches_numpy(a)
+    # larger odd and even orders: an odd order runs with one dummy index
+    for n in (60, 61, 120):
+        a = rng.normal(size=(n, n))
+        a = 0.5 * (a + a.T)
+        dec = _assert_matches_numpy(a)
+        assert dec.sweeps >= 2 and dec.rotations > 0
+        assert dec.off_norm <= linalg.JACOBI_OFF_TOL * np.linalg.norm(a)
+
+
+def test_eigendecompose_degenerate_spectra():
+    # K_n: eigenvalue n with multiplicity n-1, plus 0
+    for n in (5, 8):
+        dec = _assert_matches_numpy(laplacian(complete_graph(n)))
+        npt.assert_allclose(dec.values, [float(n)] * (n - 1) + [0.0], atol=1e-12)
+    # already-diagonal input needs no rotation and keeps index order on ties
+    for a in (np.zeros((4, 4)), np.eye(5), np.diag([1.0, 3.0, -2.0, 3.0, 0.0, 1.0, 7.0])):
         dec = sym_eigendecompose(a)
-        ref = np.linalg.eigvalsh(a)[::-1]
-        npt.assert_allclose(dec.values, ref, atol=1e-10 * max(1.0, max_abs(a)))
-        npt.assert_allclose(dec.vectors @ dec.vectors.T, np.eye(n), atol=1e-10)
-        npt.assert_allclose(dec.reconstruct(), a, atol=1e-10 * max(1.0, max_abs(a)))
+        assert (dec.sweeps, dec.rotations, dec.off_norm) == (0, 0, 0.0)
+        order = np.argsort(-np.diag(a), kind="stable")
+        npt.assert_array_equal(dec.values, np.diag(a)[order])
+        npt.assert_array_equal(dec.vectors, np.eye(a.shape[0])[:, order])
+
+
+def test_eigendecompose_reports_its_work():
+    dec = sym_eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert (dec.sweeps, dec.rotations, dec.off_norm) == (1, 1, 0.0)
+    npt.assert_allclose(dec.values, [3.0, 1.0], atol=1e-15)
+
+
+def test_eigendecompose_is_deterministic():
+    rng = np.random.default_rng(9)
+    for n in (7, 30):
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        first, second = sym_eigendecompose(a), sym_eigendecompose(a.copy())
+        npt.assert_array_equal(first.values, second.values)
+        npt.assert_array_equal(first.vectors, second.vectors)
+        assert (first.sweeps, first.rotations, first.off_norm) == (
+            second.sweeps,
+            second.rotations,
+            second.off_norm,
+        )
+
+
+def test_eigendecompose_raises_when_sweeps_run_out(monkeypatch):
+    a = np.random.default_rng(4).normal(size=(10, 10))
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(MatrixError, match="did not converge in 1 sweeps"):
+        sym_eigendecompose(a + a.T)
 
 
 def test_eigendecompose_nearly_diagonal_regression():
@@ -99,6 +155,17 @@ def test_sym_inverse_matches_numpy():
     a = rng.normal(size=(6, 6))
     a = a @ a.T + np.eye(6)
     npt.assert_allclose(sym_inverse(a), np.linalg.inv(a), atol=1e-9)
+
+
+def test_crown_inverse_is_accurate_to_roundoff():
+    # (L(H) + I)^-1 of small crowns; its diagonal is read out as apex
+    # resistances, so the solver's stopping rule must not leave its
+    # off-diagonal tolerance in the eigenvectors.
+    graphs = [f(n) for n in range(1, 7) for f in (path_graph, complete_graph)]
+    graphs += [star_graph(leaves) for leaves in range(1, 6)]
+    for g in graphs:
+        m = laplacian(g) + np.eye(g.n)
+        npt.assert_allclose(sym_inverse(m), np.linalg.inv(m), rtol=0, atol=1e-14)
 
 
 def test_sym_inverse_rejects_singular():
