@@ -101,79 +101,59 @@ def cmd_build(args: argparse.Namespace) -> int:
 # resist
 
 
-def _resist_rows(
-    spec: CoronaSpec, built: CoronaResult, pairs: list[tuple[int, int]], method: str
-) -> list[dict]:
-    closed = _closed_resistance_matrix(spec) if method in ("closed", "both") else None
-    oracle = resistance_matrix(built.graph) if method in ("oracle", "both") else None
-    rows = []
-    for u, v in pairs:
-        row: dict = {"u": u, "v": v}
-        if closed is not None:
-            row["closed"] = float(closed[u, v])
-        if oracle is not None:
-            row["oracle"] = float(oracle[u, v])
-        if closed is not None and oracle is not None:
-            row["abs_diff"] = abs(float(closed[u, v]) - float(oracle[u, v]))
-        rows.append(row)
-    return rows
+# Text-format label of each resist column.
+_TEXT_CELLS = {"closed": "closed={:.10g}", "oracle": "oracle={:.10g}", "abs_diff": "|diff|={:.3e}"}
 
 
 def cmd_resist(args: argparse.Namespace) -> int:
     spec, built = _load(args.spec)
     total = built.partition.total()
     if args.pair is not None:
-        u, v = args.pair
-        for w in (u, v):
+        for w in args.pair:
             if not 0 <= w < total:
                 raise CliInputError(
                     f"vertex {w} out of range for a {total}-vertex corona"
                 )
-        pairs = [(u, v)]
+        us, vs = [args.pair[0]], [args.pair[1]]
     else:
-        pairs = [(u, v) for u in range(total) for v in range(u + 1, total)]
-    rows = _resist_rows(spec, built, pairs, args.method)
+        us, vs = (side.tolist() for side in np.triu_indices(total, 1))
+    columns = {}
+    if args.method in ("closed", "both"):
+        columns["closed"] = _closed_resistance_matrix(spec)[us, vs]
+    if args.method in ("oracle", "both"):
+        columns["oracle"] = resistance_matrix(built.graph)[us, vs]
+    if args.method == "both":
+        columns["abs_diff"] = np.abs(columns["closed"] - columns["oracle"])
+    values = {name: col.tolist() for name, col in columns.items()}
 
     if args.format == "json":
+        names = ("u", "v", *values)
         doc = {
             "schema": "corona-resist/1",
             "kind": built.kind,
             "vertices": total,
             "method": args.method,
-            "pairs": rows,
+            "pairs": [dict(zip(names, row)) for row in zip(us, vs, *values.values())],
         }
         print(json.dumps(round_floats(doc), indent=2, sort_keys=True))
-    elif args.format == "csv":
-        cols = ["u", "v"]
-        if args.method in ("closed", "both"):
-            cols.append("closed")
-        if args.method in ("oracle", "both"):
-            cols.append("oracle")
-        if args.method == "both":
-            cols.append("abs_diff")
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(_format_cell(row[c]) for c in cols))
+        return 0
+    if args.format == "csv":
+        lines = [",".join(["u", "v", *values])]
+        cells = [map(str, us), map(str, vs)]
+        cells += [[f"{x:.12g}" for x in col] for col in values.values()]
+        sep = ","
     else:
-        for row in rows:
-            bits = [f"r({row['u']}, {row['v']})"]
-            if "closed" in row:
-                bits.append(f"closed={row['closed']:.10g}")
-            if "oracle" in row:
-                bits.append(f"oracle={row['oracle']:.10g}")
-            if "abs_diff" in row:
-                bits.append(f"|diff|={row['abs_diff']:.3e}")
-            print("  ".join(bits))
-        if args.method == "both" and len(rows) > 1:
-            worst = max(row["abs_diff"] for row in rows)
-            print(f"max |closed - oracle| over {len(rows)} pairs: {worst:.3e}")
+        lines = []
+        cells = [[f"r({u}, {v})" for u, v in zip(us, vs)]]
+        cells += [list(map(_TEXT_CELLS[name].format, col)) for name, col in values.items()]
+        sep = "  "
+    lines += map(sep.join, zip(*cells))
+    if args.format == "text" and args.method == "both" and len(us) > 1:
+        lines.append(
+            f"max |closed - oracle| over {len(us)} pairs: {max(values['abs_diff']):.3e}"
+        )
+    sys.stdout.writelines(line + "\n" for line in lines)
     return 0
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,14 @@ def re_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
 # Resistances
 
 
-def _resistance_map(blocks: CoronaBlocks) -> np.ndarray:
-    """All pairwise resistances, by broadcasting through the crown anchors."""
+def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
+    """All pairwise resistances of the corona ``blocks`` describe.
+
+    Broadcast through the crown anchors: the skeleton resistance between
+    the two anchors plus each vertex's apex resistance, with every
+    same-crown block read off that crown's grounded inverse.  Takes blocks
+    already built, so a caller holding them pays for no second build.
+    """
     nm = blocks.base.n + blocks.base.m
     owner = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
     first_anchor = 0 if blocks.kind == "r_vertex" else blocks.base.n
@@ -244,12 +250,12 @@ def _entry(r: np.ndarray, u: int, v: int) -> float:
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """All closed-form pairwise resistances of the R-vertex corona."""
-    return _resistance_map(rv_blocks(g, crowns))
+    return resistance_map(rv_blocks(g, crowns))
 
 
 def re_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """All closed-form pairwise resistances of the R-edge corona."""
-    return _resistance_map(re_blocks(g, crowns))
+    return resistance_map(re_blocks(g, crowns))
 
 
 def rv_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
@@ -291,8 +297,11 @@ def crown_eigen_sum(crown: Graph) -> float:
     return float(np.sum(1.0 / (values + 1.0)))
 
 
-def _kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
-    """Kirchhoff index with its term breakdown, for either kind.
+def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
+    """Kirchhoff index with its term breakdown, from blocks already built.
+
+    Works for either kind.  ``terms["trace_crown_eigen"]`` is the crown
+    spectral sum that tr(crown_inv) must equal.
 
     With tau the crown sizes per host, the crown terms are (2/3) tau .
     diag(U^T Lg U), (2/3) pi^T Lg U tau and (2/3) (U tau)^T Lg (U tau).
@@ -337,12 +346,12 @@ def _kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
 
 def rv_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
     """Kirchhoff index of the R-vertex corona with its term breakdown."""
-    return _kirchhoff_terms(rv_blocks(g, crowns))
+    return kirchhoff_terms(rv_blocks(g, crowns))
 
 
 def re_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
     """Kirchhoff index of the R-edge corona with its term breakdown."""
-    return _kirchhoff_terms(re_blocks(g, crowns))
+    return kirchhoff_terms(re_blocks(g, crowns))
 
 
 def rv_kirchhoff(g: Graph, crowns: tuple[Graph, ...]) -> float:

@@ -66,6 +66,10 @@ def _as_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixError(f"{what} must be square, got shape {a.shape}")
+    # NaN compares false against every bound, so the checks below would let
+    # it through and the solver would return garbage instead of failing.
+    if not np.isfinite(a).all():
+        raise MatrixError(f"{what} has non-finite entries")
     if a.size and max_abs(a - a.T) > SYMMETRY_RTOL * max(1.0, max_abs(a)):
         raise MatrixError(f"{what} is not symmetric")
     return 0.5 * (a + a.T)

@@ -92,6 +92,32 @@ def test_resist_csv_columns_follow_method(rv_spec, capsys):
     assert float(first[2]) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
+RESIST_ALL_BOTH_TEXT = """\
+r(0, 1)  closed=0.6666666667  oracle=0.6666666667  |diff|=1.110e-16
+r(0, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=4.441e-16
+r(0, 3)  closed=1  oracle=1  |diff|=6.661e-16
+r(0, 4)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
+r(1, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=2.220e-16
+r(1, 3)  closed=1.666666667  oracle=1.666666667  |diff|=8.882e-16
+r(1, 4)  closed=1  oracle=1  |diff|=0.000e+00
+r(2, 3)  closed=1.666666667  oracle=1.666666667  |diff|=1.332e-15
+r(2, 4)  closed=1.666666667  oracle=1.666666667  |diff|=4.441e-16
+r(3, 4)  closed=2.666666667  oracle=2.666666667  |diff|=4.441e-16
+max |closed - oracle| over 10 pairs: 1.332e-15
+"""
+
+
+def test_resist_text_output_is_pinned(rv_spec, capsys):
+    # Exact stdout, with the closing max-difference line; a reversed --pair
+    # is printed in the order it was given.
+    assert main(["resist", str(rv_spec), "--all", "--method", "both"]) == 0
+    assert capsys.readouterr().out == RESIST_ALL_BOTH_TEXT
+    assert main(["resist", str(rv_spec), "--pair", "4", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "r(4, 3)  closed=2.666666667  oracle=2.666666667  |diff|=4.441e-16\n"
+    )
+
+
 def test_resist_rejects_out_of_range_vertex(rv_spec, capsys):
     assert main(["resist", str(rv_spec), "--pair", "0", "9"]) == 2
     err = capsys.readouterr().err

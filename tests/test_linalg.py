@@ -228,3 +228,10 @@ def test_verify_one_inverse_reports_defect():
 def test_eigendecomposition_reconstruct_api():
     dec = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
     npt.assert_allclose(dec.reconstruct(), np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("solver", [sym_eigendecompose, pseudo_group_inverse, sym_inverse])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(solver, bad):
+    with pytest.raises(MatrixError, match="non-finite"):
+        solver(np.array([[bad, 1.0], [1.0, 2.0]]))

@@ -7,8 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from coronakit import closed_form, suite
-from coronakit.graphs import complete_graph, is_connected
+from coronakit import closed_form, linalg, resistance, suite
+from coronakit.graphs import Graph, complete_graph, is_connected, path_graph
 
 
 def test_random_connected_graph_bounds():
@@ -67,6 +67,28 @@ def test_instance_report_shape():
         suite.check_corona_instance("r_total", g, crowns)
 
 
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_instance_does_each_piece_of_work_once(kind):
+    # Blocks twice (the suite's own, and the one-inverse hook's), the
+    # corona Laplacian pseudo-inverted once, and each crown spectrum once.
+    g = path_graph(4)
+    hosts = g.n if kind == "r_vertex" else g.m
+    crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
+    order = g.n + g.m + sum(c.n for c in crowns)
+    pinv = mock.Mock(wraps=linalg.pseudo_group_inverse)
+    with (
+        mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
+        mock.patch.object(closed_form, "crown_eigen_sum", wraps=closed_form.crown_eigen_sum) as eigen,
+        mock.patch.object(suite, "pseudo_group_inverse", pinv),
+        mock.patch.object(resistance, "pseudo_group_inverse", pinv),
+    ):
+        report = suite.check_corona_instance(kind, g, crowns)
+    assert report.passed
+    assert blocks.call_count == 2
+    assert [c.args[0].shape for c in pinv.call_args_list].count((order, order)) == 1
+    assert [c.args[0] for c in eigen.call_args_list] == list(crowns)
+
+
 def test_run_suite_passes_and_counts():
     report = suite.run_suite(seed=3, cases=4, n_max=4)
     assert report.verdict == "pass"
@@ -89,6 +111,8 @@ def test_run_suite_rejects_bad_parameters():
         suite.run_suite(cases=-1)
     with pytest.raises(ValueError):
         suite.run_suite(n_max=1)
+    with pytest.raises(ValueError, match="t_max"):
+        suite.run_suite(t_max=-1)
 
 
 def test_report_json_is_byte_stable():
