@@ -182,7 +182,17 @@ def _skeleton_corner(ls: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _assemble(blocks: CoronaBlocks) -> np.ndarray:
+def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
+    """Symmetric {1}-inverse of the corona Laplacian ``blocks`` describe.
+
+    The one assembler for both kinds.  Every block is a small transform of
+    the group inverse of L(G): the original corner is (2/3) Lg, the
+    skeleton couplings carry 1/3 and 1/6, the crown coupling is
+    W = u @ ind, and the crown corner is the block-diagonal crown inverse
+    plus a (2/3) W^T Lg W correction.  Vertex order matches the builder's
+    layout.  Takes blocks already built, so a caller holding them pays for
+    no second build.
+    """
     n = blocks.base.n
     nm = n + blocks.base.m
     st = sum(blocks.sizes)
@@ -199,19 +209,13 @@ def _assemble(blocks: CoronaBlocks) -> np.ndarray:
 
 
 def rv_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
-    """Symmetric {1}-inverse of the R-vertex corona Laplacian, by blocks.
-
-    Every block is a small transform of the group inverse of L(G): the
-    original corner is (2/3) Lg, the skeleton couplings carry 1/3 and 1/6,
-    and the crown corner is the block-diagonal crown inverse plus a 2/3
-    crown-host correction.  Vertex order matches the builder's layout.
-    """
-    return _assemble(rv_blocks(g, crowns))
+    """Symmetric {1}-inverse of the R-vertex corona Laplacian, by blocks."""
+    return one_inverse(rv_blocks(g, crowns))
 
 
 def re_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """Symmetric {1}-inverse of the R-edge corona Laplacian, by blocks."""
-    return _assemble(re_blocks(g, crowns))
+    return one_inverse(re_blocks(g, crowns))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     inverse picks up exactly t/2 from that swap; ones_crown_shift is the
     matching all-ones quadratic form.
     """
-    value = resistance.kirchhoff_from_one_inverse(_assemble(blocks))
+    value = resistance.kirchhoff_from_one_inverse(one_inverse(blocks))
     g = blocks.base
     n, m = g.n, g.m
     st = sum(blocks.sizes)

@@ -7,6 +7,7 @@ is the edge order every matrix builder in this package indexes by.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -166,12 +167,14 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ASCII decimal integers only: int() would also read "1_0" as 10 and
+# accept digits from other scripts.  The sign stays, so negative counts and
+# endpoints get their own messages.
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def _is_int(s: str) -> bool:
-    try:
-        int(s)
-    except ValueError:
-        return False
-    return True
+    return _INT.fullmatch(s) is not None
 
 
 def empty_graph(n: int) -> Graph:

@@ -82,17 +82,21 @@ def kirchhoff_from_one_inverse(x: np.ndarray) -> float:
     return float(n * np.trace(x) - ones @ x @ ones)
 
 
-def edge_sum_check(g: Graph) -> float:
-    """|sum of r(u, v) over edges - (n - 1)|: zero on every connected graph."""
-    r = resistance_matrix(g)
+def edge_sum_check(g: Graph, r: np.ndarray) -> float:
+    """|sum of r(u, v) over edges - (n - 1)|: zero on every connected graph.
+
+    ``r`` is the resistance matrix of ``g``, for example from
+    ``resistance_matrix(g)``.
+    """
     total = sum(r[u, v] for u, v in g.edges)
     return abs(float(total) - (g.n - 1))
 
 
-def neighbor_recursion_check(g: Graph, i: int, j: int) -> float:
+def neighbor_recursion_check(g: Graph, r: np.ndarray, i: int, j: int) -> float:
     """Residual of the neighborhood recursion for r(i, j), i != j.
 
-    With T the neighbors of i and d = |T|, the recursion is
+    ``r`` is the resistance matrix of ``g``.  With T the neighbors of i and
+    d = |T|, the recursion is
 
         r(i, j) = (1 + sum_{k in T} r(k, j) - (1/d) * P) / d
 
@@ -102,7 +106,6 @@ def neighbor_recursion_check(g: Graph, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("recursion needs two distinct vertices")
-    r = resistance_matrix(g)
     nbrs = g.neighbors(i)
     d = len(nbrs)
     if d == 0:
@@ -113,11 +116,10 @@ def neighbor_recursion_check(g: Graph, i: int, j: int) -> float:
     return abs(estimate - float(r[i, j]))
 
 
-def cut_vertex_check(g: Graph, i: int, k: int, j: int) -> float:
-    """|r(i, j) - (r(i, k) + r(k, j))|.
+def cut_vertex_check(r: np.ndarray, i: int, k: int, j: int) -> float:
+    """|r(i, j) - (r(i, k) + r(k, j))| on a resistance matrix ``r``.
 
     Zero whenever k is a cut vertex separating i from j; a plain residual
     otherwise (no attempt is made to verify the separation).
     """
-    r = resistance_matrix(g)
     return abs(float(r[i, j]) - (float(r[i, k]) + float(r[k, j])))

@@ -34,8 +34,6 @@ class CoronaSpec:
     kind: str
     base: Graph
     crowns: tuple[Graph, ...]
-    base_path: str
-    crown_paths: tuple[str, ...]
 
 
 def _load_graph(path: Path, context: str) -> Graph:
@@ -84,7 +82,7 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
             base_rel = value
         elif key.startswith("crown."):
             suffix = key[len("crown.") :]
-            if not suffix.isdigit():
+            if not (suffix.isascii() and suffix.isdigit()):
                 raise SpecFileError(
                     f"{spec_path}:{lineno}: crown index must be a nonnegative integer, got {key!r}"
                 )
@@ -103,7 +101,7 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
     if kind == "r_graph":
         if crown_rel:
             raise SpecFileError(f"{spec_path}: kind r_graph takes no crown.* keys")
-        return CoronaSpec(kind, base, (), base_rel, ())
+        return CoronaSpec(kind, base, ())
     slots = base.n if kind == "r_vertex" else base.m
     unit = "vertex" if kind == "r_vertex" else "edge"
     for index in sorted(crown_rel):
@@ -111,17 +109,13 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
             raise SpecFileError(
                 f"{spec_path}: crown.{index} out of range (base has {slots} {unit} slots)"
             )
-    crowns: list[Graph] = []
-    crown_paths: list[str] = []
-    for index in range(slots):
-        rel = crown_rel.get(index)
-        if rel is None:
-            crowns.append(empty_graph(0))
-            crown_paths.append("")
-        else:
-            crowns.append(_load_graph(root / rel, f"{spec_path}: crown.{index}"))
-            crown_paths.append(rel)
-    return CoronaSpec(kind, base, tuple(crowns), base_rel, tuple(crown_paths))
+    crowns = tuple(
+        _load_graph(root / crown_rel[index], f"{spec_path}: crown.{index}")
+        if index in crown_rel
+        else empty_graph(0)
+        for index in range(slots)
+    )
+    return CoronaSpec(kind, base, crowns)
 
 
 def build_from_spec(spec: CoronaSpec) -> CoronaResult:

@@ -381,47 +381,53 @@ def test_criterion_7_mutation_sensitivity(capsys):
     suite_args = ["suite", "--seed", "0", "--cases", "8", "--nmax", "5"]
     problems = []
 
-    real_rv = cf.rv_one_inverse
-    real_re = cf.re_one_inverse
+    # Each mutant wraps the one assembler and moves one coefficient of the
+    # corona kind it targets, leaving the other kind's inverse untouched.
+    real = cf.one_inverse
 
-    def corner_two_thirds_to_half(g, crowns):
-        x = real_rv(g, crowns).copy()
-        blocks = cf.rv_blocks(g, crowns)
-        x[: g.n, : g.n] += (0.5 - 2.0 / 3.0) * blocks.l_sharp
+    def corner_two_thirds_to_half(blocks):
+        x = real(blocks).copy()
+        if blocks.kind == "r_vertex":
+            n = blocks.base.n
+            x[:n, :n] += (0.5 - 2.0 / 3.0) * blocks.l_sharp
         return x
 
-    def crown_quarter_to_sixth(g, crowns):
-        x = real_re(g, crowns).copy()
-        blocks = cf.re_blocks(g, crowns)
-        m_full = blocks.b @ blocks.ind
-        delta = (2.0 / 3.0) * (1.0 / 6.0 - 0.25) * (
-            m_full.T @ blocks.l_sharp @ m_full
-        )
-        x[g.n + g.m :, g.n + g.m :] += delta
+    def crown_quarter_to_sixth(blocks):
+        x = real(blocks).copy()
+        if blocks.kind == "r_edge":
+            nm = blocks.base.n + blocks.base.m
+            m_full = blocks.b @ blocks.ind
+            delta = (2.0 / 3.0) * (1.0 / 6.0 - 0.25) * (
+                m_full.T @ blocks.l_sharp @ m_full
+            )
+            x[nm:, nm:] += delta
         return x
 
-    def edge_quad_sixth_to_quarter(g, crowns):
-        x = real_rv(g, crowns).copy()
-        blocks = cf.rv_blocks(g, crowns)
-        quad = blocks.b.T @ blocks.l_sharp @ blocks.b
-        x[g.n : g.n + g.m, g.n : g.n + g.m] += (0.25 - 1.0 / 6.0) * quad
+    def edge_quad_sixth_to_quarter(blocks):
+        x = real(blocks).copy()
+        if blocks.kind == "r_vertex":
+            n, m = blocks.base.n, blocks.base.m
+            quad = blocks.b.T @ blocks.l_sharp @ blocks.b
+            x[n : n + m, n : n + m] += (0.25 - 1.0 / 6.0) * quad
         return x
 
     mutations = [
-        ("rv_one_inverse", corner_two_thirds_to_half, "2/3 -> 1/2 original corner"),
-        ("re_one_inverse", crown_quarter_to_sixth, "1/4 -> 1/6 crown-corner weight"),
-        ("rv_one_inverse", edge_quad_sixth_to_quarter, "1/6 -> 1/4 edge-block quadratic"),
+        (corner_two_thirds_to_half, "2/3 -> 1/2 original corner"),
+        (crown_quarter_to_sixth, "1/4 -> 1/6 crown-corner weight"),
+        (edge_quad_sixth_to_quarter, "1/6 -> 1/4 edge-block quadratic"),
     ]
 
     if cli_main(list(suite_args)) != 0:
         problems.append("clean suite run did not pass")
     capsys.readouterr()
-    for target, mutant, label in mutations:
-        with mock.patch.object(cf, target, side_effect=mutant):
+    for mutant, label in mutations:
+        with mock.patch.object(cf, "one_inverse", side_effect=mutant):
             code = cli_main(list(suite_args))
         out = capsys.readouterr().out
         if code != 1:
             problems.append(f"mutation {label!r} left the suite passing (exit {code})")
         elif "verdict: fail" not in out:
             problems.append(f"mutation {label!r} exit code 1 but no failing verdict line")
+        elif "pair_inverse_max" not in out:
+            problems.append(f"mutation {label!r} not caught by the suite's one-inverse readout")
     _finish(7, problems, "3 single-coefficient mutations all flip the suite verdict")

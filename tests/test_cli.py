@@ -170,19 +170,22 @@ def test_suite_json_output_is_deterministic(tmp_path, capsys):
 
 
 def test_suite_failure_exit_code(capsys):
-    real = closed_form.rv_one_inverse
+    real = closed_form.one_inverse
 
-    def skewed(g, crowns):
-        x = real(g, crowns).copy()
-        x[: g.n, : g.n] *= 0.75
+    def skewed(blocks):
+        x = real(blocks).copy()
+        if blocks.kind == "r_vertex":
+            n = blocks.base.n
+            x[:n, :n] *= 0.75
         return x
 
-    with mock.patch.object(closed_form, "rv_one_inverse", side_effect=skewed):
+    with mock.patch.object(closed_form, "one_inverse", side_effect=skewed):
         code = main(["suite", "--seed", "4", "--cases", "2", "--nmax", "4"])
     out = capsys.readouterr().out
     assert code == 1
     assert "verdict: fail" in out
     assert "FAIL case" in out
+    assert "pair_inverse_max" in out
 
 
 def test_missing_spec_file_exits_2(tmp_path, capsys):

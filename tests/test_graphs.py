@@ -103,6 +103,21 @@ def test_parse_reports_line_numbers():
         parse_edge_list("2\n1 1\n")
     with pytest.raises(EdgeListError, match="vertex count"):
         parse_edge_list("#only comments\n")
+    # int() would read "1_0" as 10 and Arabic-Indic digits as numbers.
+    with pytest.raises(EdgeListError, match="line 1.*vertex count"):
+        parse_edge_list("1_0\n")
+    with pytest.raises(EdgeListError, match="line 2.*expected an edge"):
+        parse_edge_list("11\n0 1_0\n")
+    with pytest.raises(EdgeListError, match="line 3.*expected an edge"):
+        parse_edge_list("3\n0 1\n\u0661 2\n")
+
+
+def test_parse_keeps_sign_specific_messages():
+    with pytest.raises(EdgeListError, match="line 1.*nonnegative"):
+        parse_edge_list("-2\n")
+    with pytest.raises(EdgeListError, match="line 2.*out of range"):
+        parse_edge_list("3\n-1 2\n")
+    assert parse_edge_list("+2\n0 +1\n") == complete_graph(2)
 
 
 def test_serialize_round_trip_fixed():

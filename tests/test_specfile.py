@@ -27,7 +27,6 @@ def test_r_vertex_spec_round_trip(tmp_path):
     assert len(spec.crowns) == 3
     assert spec.crowns[0] == complete_graph(2)
     assert spec.crowns[1].n == 0 and spec.crowns[2].n == 0
-    assert spec.crown_paths == ("h0.edges", "", "")
     built = build_from_spec(spec)
     expected = r_vertex_corona(path_graph(3), spec.crowns)
     assert built.graph == expected.graph
@@ -112,6 +111,18 @@ def test_errors_carry_spec_path_and_line(tmp_path):
     with pytest.raises(SpecFileError) as exc:
         load_corona_spec(bad)
     assert f"{bad}:3" in str(exc.value)
+
+
+def test_crown_index_is_ascii_decimal(tmp_path):
+    # str.isdigit() accepts superscripts, which int() then rejects, and other
+    # scripts' digits, which int() reads as numbers; neither is a crown index.
+    write(tmp_path, "base.edges", serialize_edge_list(path_graph(3)))
+    for suffix in ("\u00b2", "\u0661"):
+        body = f"kind = r_vertex\nbase = base.edges\ncrown.{suffix} = base.edges\n"
+        bad = write(tmp_path, "bad.spec", body)
+        with pytest.raises(SpecFileError, match="crown index") as exc:
+            load_corona_spec(bad)
+        assert f"{bad}:3" in str(exc.value)
 
 
 def test_missing_files_reported_with_context(tmp_path):

@@ -69,8 +69,8 @@ def test_instance_report_shape():
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
-    # Blocks twice (the suite's own, and the one-inverse hook's), the
-    # corona Laplacian pseudo-inverted once, and each crown spectrum once.
+    # Blocks once (the one-inverse hook assembles from them), the corona
+    # Laplacian pseudo-inverted once, and each crown spectrum once.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
@@ -84,9 +84,24 @@ def test_instance_does_each_piece_of_work_once(kind):
     ):
         report = suite.check_corona_instance(kind, g, crowns)
     assert report.passed
-    assert blocks.call_count == 2
+    assert blocks.call_count == 1
     assert [c.args[0].shape for c in pinv.call_args_list].count((order, order)) == 1
     assert [c.args[0] for c in eigen.call_args_list] == list(crowns)
+
+
+def test_identity_battery_solves_its_graph_once():
+    # The edge-sum, neighbor-recursion and cut-vertex checks read resistance
+    # matrices already built; only the battery graph's own pseudo-inverse is
+    # n x n (the cut-vertex corona is larger).
+    g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)))
+    pinv = mock.Mock(wraps=linalg.pseudo_group_inverse)
+    with (
+        mock.patch.object(suite, "pseudo_group_inverse", pinv),
+        mock.patch.object(resistance, "pseudo_group_inverse", pinv),
+    ):
+        out = suite.identity_residuals(g, random.Random(4))
+    assert {"edge_resistance_sum", "neighbor_recursion"} <= set(out)
+    assert [c.args[0].shape for c in pinv.call_args_list].count((g.n, g.n)) == 1
 
 
 def test_run_suite_passes_and_counts():
@@ -143,16 +158,22 @@ def test_round_floats_normalizes_numpy_scalars():
 def test_tampered_coefficient_flips_verdict():
     # scaling the original-vertex block of the {1}-inverse emulates getting
     # the leading 2/3 coefficient wrong; the suite must notice.
-    real = closed_form.rv_one_inverse
+    real = closed_form.one_inverse
 
-    def skewed(g, crowns):
-        x = real(g, crowns).copy()
-        x[: g.n, : g.n] *= 0.75
+    def skewed(blocks):
+        x = real(blocks).copy()
+        if blocks.kind == "r_vertex":
+            n = blocks.base.n
+            x[:n, :n] *= 0.75
         return x
 
-    with mock.patch.object(closed_form, "rv_one_inverse", side_effect=skewed):
+    with mock.patch.object(closed_form, "one_inverse", side_effect=skewed):
         report = suite.run_suite(seed=1, cases=2, n_max=4)
     assert report.verdict == "fail"
+    # The suite's own readout of the hooked inverse must catch it, not only
+    # the Kirchhoff breakdown that assembles through the same hook.
+    tol = suite.INSTANCE_TOLERANCES["pair_inverse_max"]
+    assert any(inst.residuals["pair_inverse_max"] > tol for inst in report.instances)
     assert suite.run_suite(seed=1, cases=2, n_max=4).verdict == "pass"
 
 
