@@ -3,9 +3,15 @@
 Partition either corona Laplacian with the original vertices of G first.
 The Schur complement of the remaining block collapses to (3/2) L(G), so
 the standard block {1}-inverse assembles out of the group inverse of L(G)
-plus one small inverse per crown; no matrix larger than the base graph
-ever needs pseudo-inverting.  The two corona kinds share every formula and
-differ only in where the crowns attach (see ``CoronaBlocks``).
+plus one small inverse (L(H) + I)^{-1} per crown.  Both are Cholesky
+solves: the group inverse deflates the all-ones null vector as
+(L(G) + J/n)^{-1} - J/n, and the crowns of each order are inverted as one
+stack.  No matrix larger than the base graph is ever inverted, and none is
+pseudo-inverted.  The one eigensolve left is in ``crown_eigen_sum``: the
+expanded Kirchhoff index reads the crown spectra on purpose, so that it
+checks the Cholesky inverses against a second kernel.  The two corona
+kinds share every formula and differ only in where the crowns attach (see
+``CoronaBlocks``).
 
 Each crown hangs off a single anchor vertex of the R-graph skeleton, and
 that anchor is a cut vertex, so resistances add across it: a crown vertex
@@ -27,8 +33,8 @@ from . import resistance
 from .graphs import Graph, incidence, is_connected, laplacian
 from .linalg import (
     MatrixError,
+    laplacian_group_inverse,
     max_abs,
-    pseudo_group_inverse,
     shifted_rank_one_inverse,
     sym_eigendecompose,
     sym_inverse,
@@ -94,14 +100,32 @@ def _crown_indicator(rows: int, crowns: tuple[Graph, ...]) -> np.ndarray:
     return ind
 
 
-def _block_diag(blocks: list[np.ndarray], size: int) -> np.ndarray:
-    out = np.zeros((size, size))
-    off = 0
-    for blk in blocks:
-        t = blk.shape[0]
-        out[off : off + t, off : off + t] = blk
-        off += t
-    return out
+def _crown_corners(vertex: bool, crowns: tuple[Graph, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal crown corner and grounded inverse, one solve per order.
+
+    The crowns of each order t are inverted together as one (k, t, t)
+    stack.  The R-vertex corner is the grounded inverse (L(H) + I)^{-1}
+    itself; the shifted R-edge corner is (L(H) + I)^{-1} + J/2, so the
+    grounded inverse follows from it by subtracting 1/2.
+    """
+    sizes = np.array([c.n for c in crowns], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    corner = np.zeros((total, total))
+    grounded = corner if vertex else np.zeros((total, total))
+    for t in sorted(set(sizes.tolist()) - {0}):
+        of_order = np.flatnonzero(sizes == t)
+        laps = np.stack([laplacian(crowns[i]) for i in of_order])
+        if vertex:
+            inv = sym_inverse(laps + np.eye(t), "crown block")
+        else:
+            inv = shifted_rank_one_inverse(laps, 1.0, 2.0 + t)
+        rows = offsets[of_order][:, None] + np.arange(t)
+        block = (rows[:, :, None], rows[:, None, :])
+        corner[block] = inv
+        if not vertex:
+            grounded[block] = inv - 0.5
+    return corner, grounded
 
 
 def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
@@ -115,19 +139,10 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     sizes = tuple(c.n for c in crowns)
     total = sum(sizes)
     l_g = laplacian(g)
-    l_sharp = pseudo_group_inverse(l_g)
+    l_sharp = laplacian_group_inverse(l_g)
     b = incidence(g)
     ind = _crown_indicator(hosts, crowns)
-    # One inverse per crown.  The shifted R-edge block is (L(H) + I)^{-1} + J/2,
-    # so the grounded inverse follows from it by subtracting 1/2.
-    if vertex:
-        corners = [sym_inverse(laplacian(c) + np.eye(c.n), "crown block") for c in crowns if c.n]
-        grounded = corners
-    else:
-        corners = [shifted_rank_one_inverse(laplacian(c), 1.0, 2.0 + c.n) for c in crowns if c.n]
-        grounded = [s - 0.5 for s in corners]
-    crown_inv = _block_diag(corners, total)
-    grounded_inv = _block_diag(grounded, total)
+    crown_inv, grounded_inv = _crown_corners(vertex, crowns)
     # Crown columns joined to original vertices, and to edge-vertices.
     at_original = ind if vertex else np.zeros((g.n, total))
     at_edge = np.zeros((g.m, total)) if vertex else ind

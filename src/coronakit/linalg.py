@@ -1,13 +1,22 @@
-"""Dense symmetric eigendecomposition and the inverses built on it.
+"""Dense symmetric kernels: a Jacobi eigensolver and a Cholesky inverse.
 
-Everything numeric downstream (the resistance oracle and the structured
-block inverses) funnels through this one kernel so there is a single
-tolerance story.  The eigensolver is Jacobi in the round-robin parallel
-ordering of Brent and Luk: each of the n-1 rounds of a sweep rotates n/2
-disjoint pairs at once as one vectorised update.  It is unconditionally
-stable on symmetric input, deterministic for a fixed input because the
-ordering is fixed, and entirely adequate at the matrix orders this package
-works at (a few hundred at most).
+Two kernels, split by what they compute.  Spectra and the oracle's
+pseudo-inverse go through ``sym_eigendecompose``, Jacobi in the
+round-robin parallel ordering of Brent and Luk: each of the n-1 rounds of
+a sweep rotates n/2 disjoint pairs at once as one vectorised update.  It
+is unconditionally stable on symmetric input, deterministic for a fixed
+input because the ordering is fixed, and entirely adequate at the matrix
+orders this package works at (a few hundred at most).
+
+Inverses of nonsingular matrices go through ``sym_inverse``, a Cholesky
+factorisation that requires symmetric positive definite input and works
+on one matrix or a stack of equal-order ones at once.  The closed route
+uses only this kernel for its inverses: the base graph's group inverse
+is ``laplacian_group_inverse``, which deflates the known null vector of a
+connected Laplacian instead of zeroing an eigenvalue by threshold.  Both
+kernels share the input checks of ``_as_symmetric`` and raise
+``MatrixError`` (``SingularMatrixError`` for singular input) instead of
+returning an answer they cannot vouch for.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ JACOBI_OFF_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
 # Eigenvalues with |lam| <= ZERO_EIGENVALUE_RTOL * max(1, |lam|_max) are
-# treated as exact zeros when inverting.
+# treated as exact zeros by the pseudo-inverse, and a Cholesky pivot at or
+# below ZERO_EIGENVALUE_RTOL * max(1, max|A|) makes sym_inverse raise.
 ZERO_EIGENVALUE_RTOL = 1e-10
 
 # A matrix must be symmetric to within this (relative to max(1, ||.||_max))
@@ -62,17 +72,25 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _as_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _as_symmetric(m: np.ndarray, what: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Float copy of a square symmetric matrix, symmetrised exactly.
+
+    With ``stacked``, a (k, t, t) stack of such matrices is accepted too,
+    and every member is checked against its own scale.
+    """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stacked else (2,)) or a.shape[-1] != a.shape[-2]:
         raise MatrixError(f"{what} must be square, got shape {a.shape}")
     # NaN compares false against every bound, so the checks below would let
     # it through and the solver would return garbage instead of failing.
     if not np.isfinite(a).all():
         raise MatrixError(f"{what} has non-finite entries")
-    if a.size and max_abs(a - a.T) > SYMMETRY_RTOL * max(1.0, max_abs(a)):
-        raise MatrixError(f"{what} is not symmetric")
-    return 0.5 * (a + a.T)
+    at = np.swapaxes(a, -1, -2)
+    if a.size:
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if np.any(np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+            raise MatrixError(f"{what} is not symmetric")
+    return 0.5 * (a + at)
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -234,11 +252,6 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values[order], vectors[:, order], sweeps, rotations, off)
 
 
-def _zero_threshold(values: np.ndarray) -> float:
-    lam_max = max_abs(values)
-    return ZERO_EIGENVALUE_RTOL * max(1.0, lam_max)
-
-
 def pseudo_group_inverse(m: np.ndarray) -> np.ndarray:
     """Group inverse of a symmetric matrix (equals Moore-Penrose here).
 
@@ -247,7 +260,7 @@ def pseudo_group_inverse(m: np.ndarray) -> np.ndarray:
     inverse whose row sums vanish.
     """
     dec = sym_eigendecompose(m)
-    thresh = _zero_threshold(dec.values)
+    thresh = ZERO_EIGENVALUE_RTOL * max(1.0, max_abs(dec.values))
     inv = np.zeros_like(dec.values)
     keep = np.abs(dec.values) > thresh
     inv[keep] = 1.0 / dec.values[keep]
@@ -256,19 +269,72 @@ def pseudo_group_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Exact inverse of a symmetric nonsingular matrix via the eigen route."""
-    dec = sym_eigendecompose(_as_symmetric(m, what))
-    if dec.values.size == 0:
-        return np.zeros((0, 0))
-    thresh = _zero_threshold(dec.values)
-    if np.min(np.abs(dec.values)) <= thresh:
-        raise SingularMatrixError(f"{what} is singular to working precision")
-    x = (dec.vectors / dec.values) @ dec.vectors.T
-    return 0.5 * (x + x.T)
+    """Inverse of a symmetric positive definite matrix, by Cholesky.
+
+    Takes one (n, n) matrix or a (k, t, t) stack of them and returns the
+    inverses in the same shape.  Factors A = R^T R with R upper triangular
+    (Golub & Van Loan 4.2), inverts R by back substitution and returns
+    R^{-1} R^{-T}; each stage is one loop over the order, vectorised across
+    the stack.  Every member gets the square, finite and symmetric checks
+    of a single matrix.  A pivot at or below ZERO_EIGENVALUE_RTOL *
+    max(1, max|A|) of its member means A is singular or not positive
+    definite to working precision, and raises SingularMatrixError naming
+    ``what``; nothing is zeroed.
+    """
+    a = _as_symmetric(m, what, stacked=True)
+    if a.size == 0:
+        return a
+    stack = a.reshape((-1,) + a.shape[-2:])
+    floor = ZERO_EIGENVALUE_RTOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    order = stack.shape[1]
+    # Right-looking factorisation: row j of R, then the rank-one update of
+    # the trailing block, which holds the next Schur complement.
+    r = np.zeros_like(stack)
+    for j in range(order):
+        pivot = stack[:, j, j]
+        low = pivot <= floor
+        if low.any():
+            raise SingularMatrixError(
+                f"{what} is singular or not positive definite to working precision "
+                f"(pivot {float(np.min(pivot[low])):.3e} at row {j})"
+            )
+        row = stack[:, j, j:] / np.sqrt(pivot)[:, None]
+        r[:, j, j:] = row
+        stack[:, j + 1 :, j + 1 :] -= row[:, 1:, None] * row[:, None, 1:]
+    # Back substitution for U = R^{-1}, upper triangular, bottom row first.
+    u = np.zeros_like(r)
+    for j in range(order - 1, -1, -1):
+        u[:, j, j] = 1.0 / r[:, j, j]
+        below = r[:, j : j + 1, j + 1 :] @ u[:, j + 1 :, j + 1 :]
+        u[:, j, j + 1 :] = -below[:, 0] * u[:, j, j, None]
+    x = u @ np.swapaxes(u, 1, 2)
+    return (0.5 * (x + np.swapaxes(x, 1, 2))).reshape(a.shape)
+
+
+def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
+    """Group inverse of a connected graph's Laplacian, by deflation.
+
+    L 1 = 0, and a connected graph's Laplacian has no other null vector,
+    so L + J/n is positive definite: it keeps every other eigenpair of L
+    and moves the all-ones eigenvalue from 0 to 1.  Hence
+    L# = (L + J/n)^{-1} - J/n exactly, through one Cholesky inverse; the
+    Kirchhoff index is then n tr(L#) (Klein & Randic, J. Math. Chem. 12
+    (1993)).
+    Rows that do not sum to zero raise MatrixError; a disconnected graph
+    leaves L + J/n singular and raises SingularMatrixError.
+    """
+    lap = _as_symmetric(l, "Laplacian")
+    n = lap.shape[0]
+    if n == 0:
+        return lap
+    if max_abs(lap.sum(axis=1)) > SYMMETRY_RTOL * max(1.0, max_abs(lap)):
+        raise MatrixError("Laplacian rows must sum to zero")
+    j = np.full((n, n), 1.0 / n)
+    return sym_inverse(lap + j, "L + J/n") - j
 
 
 def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Symmetric {1}-inverse of [[A, B], [B^T, D]] for nonsingular D.
+    """Symmetric {1}-inverse of [[A, B], [B^T, D]] for positive definite D.
 
     Forms the Schur complement H = A - B D^{-1} B^T, takes its group inverse
     Hg, and assembles
@@ -277,7 +343,10 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
          [-D^{-1} B^T Hg, D^{-1} + D^{-1} B^T Hg B D^{-1}]]
 
     which satisfies M X M = M for the full matrix M regardless of whether M
-    itself is singular.
+    itself is singular.  D goes through the Cholesky ``sym_inverse``, so it
+    must be symmetric positive definite, as every proper trailing block of
+    a connected graph's Laplacian is; H goes through the Jacobi
+    ``pseudo_group_inverse``.
     """
     a = _as_symmetric(a, "block A")
     d = _as_symmetric(d, "block D")
@@ -300,12 +369,14 @@ def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
     """Inverse of L + aI - (a/b)J for a graph Laplacian L, via rank-one shift.
 
     Because L J = 0, the inverse is (L + aI)^{-1} + (1/(a(b - n)))J with
-    n the order of L.  Requires a > 0 and b outside {0, n}; the computed
-    product is checked against the identity and a failure (for instance a
-    non-Laplacian input) raises SingularMatrixError.
+    n the order of L.  L may also be a (k, n, n) stack of Laplacians of one
+    order, inverted in one call.  Requires a > 0 and b outside {0, n}; the
+    computed product is checked against the identity, over the whole
+    stack, and a failure (for instance a non-Laplacian input) raises
+    SingularMatrixError.
     """
-    lap = _as_symmetric(l, "Laplacian")
-    n = lap.shape[0]
+    lap = _as_symmetric(l, "Laplacian", stacked=True)
+    n = lap.shape[-1]
     if not a > 0.0:
         raise MatrixError(f"shift a must be positive, got {a}")
     if b == 0.0 or b == float(n):

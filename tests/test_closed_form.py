@@ -1,5 +1,6 @@
 """Closed-form blocks, dispatch, and Kirchhoff formulas against the oracle."""
 
+import contextlib
 import random
 from unittest import mock
 
@@ -8,8 +9,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coronakit
 from coronakit import closed_form as cf
-from coronakit import resistance
+from coronakit import linalg, resistance
 from coronakit.corona import apex_join, r_edge_corona, r_vertex_corona
 from coronakit.graphs import (
     Graph,
@@ -322,6 +324,42 @@ def test_closed_route_never_calls_the_oracle():
             for name in entry_points:
                 getattr(cf, f"{prefix}_{name}")(g, crowns)
             getattr(cf, f"{prefix}_resistance")(g, crowns, 0, g.n + g.m)
+
+
+def test_closed_route_inverts_without_the_eigensolver():
+    # Every inverse of the closed route is a Cholesky solve; only the
+    # Kirchhoff expansion's crown spectra (crown_eigen_sum) reach Jacobi.
+    g = cycle_graph(4)
+    crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), Graph(2, ()))
+    eig_called = AssertionError("the closed route called the eigensolver")
+    bindings = [
+        (module, name)
+        for module in vars(coronakit).values()
+        if getattr(module, "__name__", "").startswith("coronakit.")
+        for name, obj in vars(module).items()
+        if obj is linalg.sym_eigendecompose
+    ]
+    assert (cf, "sym_eigendecompose") in bindings
+
+    def spectral_sum(crown):
+        return float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(crown)) + 1.0)))
+
+    for kind, make_corona in (("rv", r_vertex_corona), ("re", r_edge_corona)):
+        with contextlib.ExitStack() as patches:
+            for module, name in bindings:
+                patches.enter_context(mock.patch.object(module, name, side_effect=eig_called))
+            blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
+            x = cf.one_inverse(blocks)
+            r = cf.resistance_map(blocks)
+            with pytest.raises(AssertionError, match="eigensolver"):
+                cf.kirchhoff_terms(blocks)
+            with mock.patch.object(cf, "crown_eigen_sum", side_effect=spectral_sum):
+                breakdown = cf.kirchhoff_terms(blocks)
+        built = make_corona(g, crowns)
+        lap = laplacian(built.graph)
+        assert verify_one_inverse(lap, x) <= 1e-10 * max(1.0, max_abs(lap))
+        assert max_abs(r - resistance_matrix(built.graph)) <= PAIR_TOL
+        assert breakdown.deviation <= 1e-9
 
 
 def test_apex_resistance_is_the_grounded_inverse_diagonal():

@@ -10,12 +10,13 @@ import pytest
 
 from coronakit import linalg
 from coronakit.corona import r_edge_corona
-from coronakit.graphs import Graph, complete_graph, laplacian, path_graph, star_graph
+from coronakit.graphs import Graph, complete_graph, cycle_graph, laplacian, path_graph, star_graph
 from coronakit.linalg import (
     EigenDecomposition,
     MatrixError,
     SingularMatrixError,
     block_one_inverse,
+    laplacian_group_inverse,
     max_abs,
     pseudo_group_inverse,
     shifted_rank_one_inverse,
@@ -131,19 +132,21 @@ def test_eigendecompose_rejects_bad_input():
 
 def test_group_inverse_of_triangle_is_known():
     # Lg of the triangle's Laplacian is (3I - J)/9
-    lg = pseudo_group_inverse(laplacian(complete_graph(3)))
-    npt.assert_allclose(lg, (3.0 * np.eye(3) - np.ones((3, 3))) / 9.0, atol=1e-12)
+    for group_inverse in (pseudo_group_inverse, laplacian_group_inverse):
+        lg = group_inverse(laplacian(complete_graph(3)))
+        npt.assert_allclose(lg, (3.0 * np.eye(3) - np.ones((3, 3))) / 9.0, atol=1e-12)
 
 
 def test_group_inverse_equations():
     rng = np.random.default_rng(7)
     for g in (path_graph(5), complete_graph(4), Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)))):
         lap = laplacian(g)
-        lg = pseudo_group_inverse(lap)
-        npt.assert_allclose(lap @ lg @ lap, lap, atol=1e-10)
-        npt.assert_allclose(lg @ lap @ lg, lg, atol=1e-10)
-        npt.assert_allclose(lap @ lg, lg @ lap, atol=1e-10)
-        npt.assert_allclose(lg @ np.ones(g.n), np.zeros(g.n), atol=1e-10)
+        for group_inverse in (pseudo_group_inverse, laplacian_group_inverse):
+            lg = group_inverse(lap)
+            npt.assert_allclose(lap @ lg @ lap, lap, atol=1e-10)
+            npt.assert_allclose(lg @ lap @ lg, lg, atol=1e-10)
+            npt.assert_allclose(lap @ lg, lg @ lap, atol=1e-10)
+            npt.assert_allclose(lg @ np.ones(g.n), np.zeros(g.n), atol=1e-10)
     # full rank: group inverse is the plain inverse
     a = rng.normal(size=(4, 4))
     a = a @ a.T + np.eye(4)
@@ -159,18 +162,61 @@ def test_sym_inverse_matches_numpy():
 
 def test_crown_inverse_is_accurate_to_roundoff():
     # (L(H) + I)^-1 of small crowns; its diagonal is read out as apex
-    # resistances, so the solver's stopping rule must not leave its
-    # off-diagonal tolerance in the eigenvectors.
+    # resistances, so it must match to roundoff, one at a time and as the
+    # stacks of equal order that the closed route inverts in one call.
     graphs = [f(n) for n in range(1, 7) for f in (path_graph, complete_graph)]
     graphs += [star_graph(leaves) for leaves in range(1, 6)]
     for g in graphs:
         m = laplacian(g) + np.eye(g.n)
         npt.assert_allclose(sym_inverse(m), np.linalg.inv(m), rtol=0, atol=1e-14)
+    for order in sorted({g.n for g in graphs}):
+        stack = np.stack([laplacian(g) + np.eye(order) for g in graphs if g.n == order])
+        npt.assert_allclose(sym_inverse(stack), np.linalg.inv(stack), rtol=0, atol=1e-14)
 
 
 def test_sym_inverse_rejects_singular():
     with pytest.raises(SingularMatrixError, match="crown block"):
         sym_inverse(laplacian(path_graph(3)), "crown block")
+    # one singular member fails the whole stack
+    stack = np.stack([np.eye(3), laplacian(path_graph(3)), 2.0 * np.eye(3)])
+    with pytest.raises(SingularMatrixError, match="crown block"):
+        sym_inverse(stack, "crown block")
+
+
+@pytest.mark.parametrize(
+    "entry, value, message", [((2, 1, 1), np.nan, "non-finite"), ((1, 0, 2), 0.5, "symmetric")]
+)
+def test_sym_inverse_checks_every_stack_member(entry, value, message):
+    stack = np.stack([np.eye(3)] * 3)
+    stack[entry] = value
+    with pytest.raises(MatrixError, match=message):
+        sym_inverse(stack, "crown block")
+
+
+def test_sym_inverse_of_empty_shapes():
+    for shape in ((0, 0), (4, 0, 0)):
+        out = sym_inverse(np.zeros(shape))
+        assert out.shape == shape
+    with pytest.raises(MatrixError, match="square"):
+        sym_inverse(np.zeros((2, 3, 3, 3)))
+
+
+def test_laplacian_group_inverse_on_long_path_matches_pinv():
+    # P_240 has Fiedler value about 1.7e-4, the ill-conditioned end of the
+    # graphs the closed route inverts.
+    lap = laplacian(path_graph(240))
+    npt.assert_allclose(
+        laplacian_group_inverse(lap), np.linalg.pinv(lap), rtol=0, atol=1e-9
+    )
+
+
+def test_laplacian_group_inverse_fails_loudly():
+    disconnected = laplacian(Graph(4, ((0, 1), (2, 3))))
+    with pytest.raises(SingularMatrixError, match="L \\+ J/n"):
+        laplacian_group_inverse(disconnected)
+    with pytest.raises(MatrixError, match="sum to zero"):
+        laplacian_group_inverse(laplacian(cycle_graph(4)) + np.eye(4))
+    assert laplacian_group_inverse(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_block_one_inverse_on_laplacian_splits():
@@ -204,6 +250,12 @@ def test_shifted_rank_one_inverse_matches_direct():
         npt.assert_allclose(
             shifted_rank_one_inverse(lap, a, b), np.linalg.inv(target), atol=1e-8
         )
+    # a stack of one order with one shift, as the R-edge crowns use it
+    laps = np.stack([laplacian(g) for g in (path_graph(3), complete_graph(3), Graph(3, ()))])
+    target = laps + np.eye(3) - np.ones((3, 3)) / 5.0
+    npt.assert_allclose(
+        shifted_rank_one_inverse(laps, 1.0, 5.0), np.linalg.inv(target), atol=1e-12
+    )
 
 
 def test_shifted_rank_one_inverse_error_paths():
@@ -230,7 +282,9 @@ def test_eigendecomposition_reconstruct_api():
     npt.assert_allclose(dec.reconstruct(), np.diag([2.0, 1.0]))
 
 
-@pytest.mark.parametrize("solver", [sym_eigendecompose, pseudo_group_inverse, sym_inverse])
+@pytest.mark.parametrize(
+    "solver", [sym_eigendecompose, pseudo_group_inverse, sym_inverse, laplacian_group_inverse]
+)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_is_rejected(solver, bad):
     with pytest.raises(MatrixError, match="non-finite"):
