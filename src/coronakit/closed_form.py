@@ -1,26 +1,25 @@
 """Structured {1}-inverses and closed-form resistances for corona products.
 
-Partition either corona Laplacian with the original vertices of G first.
-The Schur complement of the remaining block collapses to (3/2) L(G), so
-the standard block {1}-inverse assembles out of the group inverse of L(G)
-plus one small inverse (L(H) + I)^{-1} per crown.  Both are Cholesky
-solves: the group inverse deflates the all-ones null vector as
-(L(G) + J/n)^{-1} - J/n, and the crowns of each order are inverted as one
-stack.  No matrix larger than the base graph is ever inverted, and none is
-pseudo-inverted.  The one eigensolve left is in ``crown_eigen_sum``: the
-expanded Kirchhoff index reads the crown spectra on purpose, so that it
-checks the Cholesky inverses against a second kernel.  The two corona
-kinds share every formula and differ only in where the crowns attach (see
-``CoronaBlocks``).
+Both corona kinds are the R-graph skeleton R(G) with crowns hung off it.
+They differ only in each crown's anchor, the skeleton vertex it hangs
+from: original vertex i (R-vertex) or edge-vertex n + k (R-edge).  The
+anchor is a cut vertex, and a crown vertex couples to the rest of the
+corona exactly as its anchor does.  So the {1}-inverse is the skeleton's
+corner read through the anchors, plus each crown's grounded inverse
+(L(H) + I)^{-1} on the crown corner.  A resistance is the skeleton's
+between the two anchors plus each end's apex resistance, the diagonal of
+its grounded inverse (Bapat, Graphs and Matrices), except within one
+crown, where it is read off that crown's grounded inverse.
 
-Each crown hangs off a single anchor vertex of the R-graph skeleton, and
-that anchor is a cut vertex, so resistances add across it: a crown vertex
-sits at its apex resistance from the anchor and reaches everything outside
-its crown through it.  The apex resistance of a crown H is the diagonal of
-the grounded-Laplacian inverse (L(H) + I)^{-1} (Bapat, Graphs and
-Matrices), the same crown inverse the blocks already hold, so the full
-resistance matrix is the skeleton's, broadcast through the anchors, plus
-the apex vector, with each same-crown block read off that crown's inverse.
+The skeleton corner is a small transform of the group inverse of L(G),
+because the Schur complement of the original vertices collapses to
+(3/2) L(G).  Every inverse is a Cholesky solve: the group inverse deflates
+the all-ones null vector as (L(G) + J/n)^{-1} - J/n, and the crowns of
+each order are inverted as one stack.  No matrix larger than the base
+graph is ever inverted, and none is pseudo-inverted.  The one eigensolve
+left is in ``crown_eigen_sum``: the expanded Kirchhoff index reads the
+crown spectra on purpose, so that it checks the Cholesky inverses against
+a second kernel.
 """
 
 from __future__ import annotations
@@ -49,21 +48,15 @@ IDENTITY_TOL = 1e-12
 class CoronaBlocks:
     """Ingredients of either corona's structured {1}-inverse.
 
-    ``ind`` is the crown indicator (one 1 per column, in the row of the
-    crown's host: original vertex i for R-vertex, edge k for R-edge).  The
-    kinds differ in three pieces of data only:
-
-    - ``u``, the anchor column: I_n for R-vertex, B/2 for R-edge, so the
-      crown coupling of the assembled inverse is W = u @ ind;
-    - ``f``, the edge-to-crown block: 0 for R-vertex, ind/2 for R-edge;
-    - ``crown_inv``, the crown corner: block diagonal of (L(H_i) + I)^{-1}
-      for R-vertex, of the shifted (L(H_k) + I - (1/(2+t_k))J)^{-1} for
-      R-edge.
-
-    ``grounded`` is the block diagonal of (L(H) + I)^{-1} for both kinds.
-    ``schur`` is the numerically assembled Schur complement, which equals
-    (3/2) L(G) to working precision; ``complement_defect`` is the distance
-    of the edge-block complement from 2I (exactly 0 for R-vertex).
+    ``skeleton`` is the R-graph skeleton's (n + m)-square corner of the
+    inverse, the same for both kinds.  ``anchor`` gives, for each crown
+    vertex in layout order, the skeleton vertex its crown hangs from:
+    original vertex i for R-vertex, edge-vertex n + k for R-edge.  It is
+    the only piece of data in which the kinds differ.  ``grounded`` is the
+    block diagonal of the crown inverses (L(H) + I)^{-1}.  ``schur_defect``
+    is the distance of the numerically assembled Schur complement from
+    (3/2) L(G); ``complement_defect`` is that of the edge-block complement
+    from 2I (exactly 0 for R-vertex).
     """
 
     kind: str
@@ -72,12 +65,9 @@ class CoronaBlocks:
     sizes: tuple[int, ...]
     l_sharp: np.ndarray
     b: np.ndarray
-    ind: np.ndarray
-    u: np.ndarray
-    f: np.ndarray
-    crown_inv: np.ndarray
+    skeleton: np.ndarray
+    anchor: np.ndarray
     grounded: np.ndarray
-    schur: np.ndarray
     schur_defect: float
     complement_defect: float
 
@@ -91,41 +81,44 @@ def _require_closed_form_input(g: Graph) -> None:
         )
 
 
-def _crown_indicator(rows: int, crowns: tuple[Graph, ...]) -> np.ndarray:
-    ind = np.zeros((rows, sum(c.n for c in crowns)))
-    col = 0
-    for host, crown in enumerate(crowns):
-        ind[host, col : col + crown.n] = 1.0
-        col += crown.n
-    return ind
-
-
-def _crown_corners(vertex: bool, crowns: tuple[Graph, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal crown corner and grounded inverse, one solve per order.
+def _grounded_inverse(vertex: bool, crowns: tuple[Graph, ...]) -> np.ndarray:
+    """Block diagonal of the crown inverses (L(H) + I)^{-1}, one solve per order.
 
     The crowns of each order t are inverted together as one (k, t, t)
-    stack.  The R-vertex corner is the grounded inverse (L(H) + I)^{-1}
-    itself; the shifted R-edge corner is (L(H) + I)^{-1} + J/2, so the
-    grounded inverse follows from it by subtracting 1/2.
+    stack.  R-edge crowns go through the checked shifted inverse
+    (L(H) + I - J/(2+t))^{-1} = (L(H) + I)^{-1} + J/2, less 1/2.
     """
     sizes = np.array([c.n for c in crowns], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
-    corner = np.zeros((total, total))
-    grounded = corner if vertex else np.zeros((total, total))
+    grounded = np.zeros((total, total))
     for t in sorted(set(sizes.tolist()) - {0}):
         of_order = np.flatnonzero(sizes == t)
         laps = np.stack([laplacian(crowns[i]) for i in of_order])
         if vertex:
             inv = sym_inverse(laps + np.eye(t), "crown block")
         else:
-            inv = shifted_rank_one_inverse(laps, 1.0, 2.0 + t)
+            inv = shifted_rank_one_inverse(laps, 1.0, 2.0 + t) - 0.5
         rows = offsets[of_order][:, None] + np.arange(t)
-        block = (rows[:, :, None], rows[:, None, :])
-        corner[block] = inv
-        if not vertex:
-            grounded[block] = inv - 0.5
-    return corner, grounded
+        grounded[rows[:, :, None], rows[:, None, :]] = inv
+    return grounded
+
+
+def _skeleton_corner(ls: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The R-graph skeleton's corner of the structured inverse.
+
+    It is the same for plain R(G) and for both corona products (the crown
+    blocks never touch it): (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B.
+    """
+    n, m = b.shape
+    lb = ls @ b
+    btlb = b.T @ lb
+    x = np.zeros((n + m, n + m))
+    x[:n, :n] = (2.0 / 3.0) * ls
+    x[:n, n:] = (1.0 / 3.0) * lb
+    x[n:, :n] = x[:n, n:].T
+    x[n:, n:] = 0.5 * np.eye(m) + (1.0 / 6.0) * (0.5 * (btlb + btlb.T))
+    return x
 
 
 def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
@@ -137,33 +130,32 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     if len(crowns) != hosts:
         raise ValueError(f"need {hosts} crowns (one per {per}), got {len(crowns)}")
     sizes = tuple(c.n for c in crowns)
-    total = sum(sizes)
     l_g = laplacian(g)
     l_sharp = laplacian_group_inverse(l_g)
     b = incidence(g)
-    ind = _crown_indicator(hosts, crowns)
-    crown_inv, grounded_inv = _crown_corners(vertex, crowns)
-    # Crown columns joined to original vertices, and to edge-vertices.
-    at_original = ind if vertex else np.zeros((g.n, total))
-    at_edge = np.zeros((g.m, total)) if vertex else ind
-    # The edge-block complement P - M Q^{-1} M^T collapses to 2I because each
-    # crown block satisfies (L(H) + I)^{-1} 1 = 1.
-    complement = np.diag(2.0 + at_edge.sum(axis=1)) - at_edge @ grounded_inv @ at_edge.T
-    complement_defect = max_abs(complement - 2.0 * np.eye(g.m))
+    grounded = _grounded_inverse(vertex, crowns)
+    owner = np.repeat(np.arange(hosts), sizes)
+    anchor = owner if vertex else g.n + owner
+    # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
+    # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
+    excess = np.asarray(sizes, dtype=float) - np.bincount(
+        owner, weights=grounded.sum(axis=1), minlength=hosts
+    )
+    # So the edge-block complement 2I + diag(excess) collapses to 2I ...
+    complement_defect = 0.0 if vertex else max_abs(excess)
     if complement_defect > IDENTITY_TOL:
         raise MatrixError(
             f"edge-block complement defect {complement_defect:.3e} exceeds {IDENTITY_TOL}"
         )
-    degrees = g.degrees().astype(float)
-    a_block = np.diag(degrees + at_original.sum(axis=1)) + l_g
-    schur = a_block - (0.5 * b @ b.T + at_original @ grounded_inv @ at_original.T)
+    # ... and the Schur complement D + diag(excess) + L(G) - BB^T/2 to (3/2) L(G).
+    at_original = excess if vertex else np.zeros(g.n)
+    schur = np.diag(g.degrees() + at_original) + l_g - 0.5 * b @ b.T
     defect = max_abs(schur - 1.5 * l_g)
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
-    u = np.eye(g.n) if vertex else 0.5 * b
+    skeleton = _skeleton_corner(l_sharp, b)
     return CoronaBlocks(
-        kind, g, crowns, sizes, l_sharp, b, ind, u, 0.5 * at_edge,
-        crown_inv, grounded_inv, schur, defect, complement_defect,
+        kind, g, crowns, sizes, l_sharp, b, skeleton, anchor, grounded, defect, complement_defect
     )
 
 
@@ -177,60 +169,21 @@ def re_blocks(g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     return _blocks("r_edge", g, crowns)
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-def _skeleton_corner(ls: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The R-graph skeleton's corner of the structured inverse.
-
-    It is the same for plain R(G) and for both corona products (the crown
-    blocks never touch it): (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B.
-    """
-    n, m = b.shape
-    lb = ls @ b
-    x = np.zeros((n + m, n + m))
-    x[:n, :n] = (2.0 / 3.0) * ls
-    x[:n, n:] = (1.0 / 3.0) * lb
-    x[n:, :n] = x[:n, n:].T
-    x[n:, n:] = 0.5 * np.eye(m) + (1.0 / 6.0) * _symmetrized(b.T @ lb)
-    return x
-
-
 def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
     """Symmetric {1}-inverse of the corona Laplacian ``blocks`` describe.
 
-    The one assembler for both kinds.  Every block is a small transform of
-    the group inverse of L(G): the original corner is (2/3) Lg, the
-    skeleton couplings carry 1/3 and 1/6, the crown coupling is
-    W = u @ ind, and the crown corner is the block-diagonal crown inverse
-    plus a (2/3) W^T Lg W correction.  Vertex order matches the builder's
+    The one assembler for both kinds.  A crown vertex couples to the rest
+    of the corona exactly as its anchor does, so X is the skeleton corner
+    read through the anchors, X = S[a, a], plus the grounded crown
+    inverses on the crown corner.  Vertex order matches the builder's
     layout.  Takes blocks already built, so a caller holding them pays for
     no second build.
     """
-    n = blocks.base.n
-    nm = n + blocks.base.m
-    st = sum(blocks.sizes)
-    w = blocks.u @ blocks.ind
-    lw = blocks.l_sharp @ w
-    x = np.zeros((nm + st, nm + st))
-    x[:nm, :nm] = _skeleton_corner(blocks.l_sharp, blocks.b)
-    x[:n, nm:] = (2.0 / 3.0) * lw
-    x[nm:, :n] = x[:n, nm:].T
-    x[n:nm, nm:] = blocks.f + (1.0 / 3.0) * blocks.b.T @ lw
-    x[nm:, n:nm] = x[n:nm, nm:].T
-    x[nm:, nm:] = blocks.crown_inv + (2.0 / 3.0) * _symmetrized(w.T @ lw)
+    nm = len(blocks.skeleton)
+    ext = np.concatenate([np.arange(nm), blocks.anchor])
+    x = blocks.skeleton[np.ix_(ext, ext)]
+    x[nm:, nm:] += blocks.grounded
     return x
-
-
-def rv_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
-    """Symmetric {1}-inverse of the R-vertex corona Laplacian, by blocks."""
-    return one_inverse(rv_blocks(g, crowns))
-
-
-def re_one_inverse(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
-    """Symmetric {1}-inverse of the R-edge corona Laplacian, by blocks."""
-    return one_inverse(re_blocks(g, crowns))
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +195,20 @@ def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
 
     Broadcast through the crown anchors: the skeleton resistance between
     the two anchors plus each vertex's apex resistance, with every
-    same-crown block read off that crown's grounded inverse.  Takes blocks
-    already built, so a caller holding them pays for no second build.
+    same-crown block (equal anchors) read off that crown's grounded
+    inverse.  Takes blocks already built, so a caller holding them pays for
+    no second build.
     """
-    nm = blocks.base.n + blocks.base.m
-    owner = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
-    first_anchor = 0 if blocks.kind == "r_vertex" else blocks.base.n
-    anchor = np.concatenate([np.arange(nm), first_anchor + owner])
+    nm = len(blocks.skeleton)
+    ext = np.concatenate([np.arange(nm), blocks.anchor])
     apex = np.concatenate([np.zeros(nm), np.diag(blocks.grounded)])
-    skeleton = resistance.resistances_from_inverse(
-        _skeleton_corner(blocks.l_sharp, blocks.b)
-    )
-    r = skeleton[np.ix_(anchor, anchor)]
+    skeleton = resistance.resistances_from_inverse(blocks.skeleton)
+    r = skeleton[np.ix_(ext, ext)]
     r += apex[:, None] + apex[None, :]
-    same_crown = owner[:, None] == owner[None, :]
+    same_crown = blocks.anchor[:, None] == blocks.anchor[None, :]
     crown_r = resistance.resistances_from_inverse(blocks.grounded)
     r[nm:, nm:] = np.where(same_crown, crown_r, r[nm:, nm:])
     return r
-
-
-def _entry(r: np.ndarray, u: int, v: int) -> float:
-    if not (0 <= u < len(r) and 0 <= v < len(r)):
-        raise IndexError(f"vertex pair ({u}, {v}) out of range for a {len(r)}-vertex product")
-    return float(r[u, v])
 
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
@@ -277,16 +221,6 @@ def re_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     return resistance_map(re_blocks(g, crowns))
 
 
-def rv_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
-    """Closed-form resistance between two R-vertex corona vertices."""
-    return _entry(rv_resistance_matrix(g, crowns), u, v)
-
-
-def re_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
-    """Closed-form resistance between two R-edge corona vertices."""
-    return _entry(re_resistance_matrix(g, crowns), u, v)
-
-
 # ---------------------------------------------------------------------------
 # Kirchhoff index
 
@@ -295,11 +229,15 @@ def re_resistance(g: Graph, crowns: tuple[Graph, ...], u: int, v: int) -> float:
 class KirchhoffBreakdown:
     """Kirchhoff index of a corona product, two closed ways.
 
-    ``value`` is vertices * tr(X) - 1^T X 1 on the assembled {1}-inverse;
-    ``expanded`` evaluates the same quantity term by term from base-graph
-    invariants and crown spectra; ``terms`` holds the named summands
-    (trace_* terms are multiplied by the vertex count, ones_* terms are
-    subtracted).  ``deviation`` is their absolute difference.
+    ``value`` is vertices * tr(X) - 1^T X 1 for the {1}-inverse X, read off
+    the blocks without assembling X.  With c_j = 1 + (the number of crown
+    vertices anchored at skeleton vertex j), tr X = c . diag(S) + tr G and
+    1^T X 1 = c^T S c + 1^T G 1 (S the skeleton corner, G the grounded
+    crown inverses).  ``expanded`` evaluates the same quantity term by
+    term from base-graph invariants and crown spectra; ``terms`` holds the
+    named summands (trace_* terms are multiplied by the vertex count,
+    ones_* terms are subtracted).  ``deviation`` is their absolute
+    difference.
     """
 
     value: float
@@ -320,9 +258,11 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     """Kirchhoff index with its term breakdown, from blocks already built.
 
     Works for either kind.  ``terms["trace_crown_eigen"]`` is the crown
-    spectral sum that tr(crown_inv) must equal.
+    spectral sum that the trace of the crown corner must equal: tr G for
+    R-vertex, tr G + sum t/2 for R-edge.
 
-    With tau the crown sizes per host, the crown terms are (2/3) tau .
+    With tau the crown sizes per host and U the anchor columns (I_n for
+    R-vertex, B/2 for R-edge), the crown terms are (2/3) tau .
     diag(U^T Lg U), (2/3) pi^T Lg U tau and (2/3) (U tau)^T Lg (U tau).
     For R-edge the crown spectral term carries a +t/2 per crown on top of
     the bare sum of 1/(mu + 1): the rank-one shift in each crown block
@@ -330,15 +270,20 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     inverse picks up exactly t/2 from that swap; ones_crown_shift is the
     matching all-ones quadratic form.
     """
-    value = resistance.kirchhoff_from_one_inverse(one_inverse(blocks))
     g = blocks.base
     n, m = g.n, g.m
     st = sum(blocks.sizes)
     edge = blocks.kind == "r_edge"
     ls = blocks.l_sharp
+    # X = S[a, a] + G holds skeleton vertex j's row and column reps[j] times.
+    reps = 1.0 + np.bincount(blocks.anchor, minlength=n + m)
+    trace_x = float(reps @ np.diag(blocks.skeleton)) + float(np.trace(blocks.grounded))
+    ones_x = float(reps @ blocks.skeleton @ reps) + float(blocks.grounded.sum())
+    value = (n + m + st) * trace_x - ones_x
+    u = 0.5 * blocks.b if edge else np.eye(n)
     pi = g.degrees().astype(float)
     tau = np.array(blocks.sizes, dtype=float)
-    u_tau = blocks.u @ tau
+    u_tau = u @ tau
     shift = 0.5 if edge else 0.0
     crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
     terms = {
@@ -347,7 +292,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
         "trace_crown_eigen": sum(crown_eigen_sum(c) + shift * c.n for c in blocks.crowns),
-        crown_trace: (2.0 / 3.0) * float(tau @ np.diag(blocks.u.T @ ls @ blocks.u)),
+        crown_trace: (2.0 / 3.0) * float(tau @ np.diag(u.T @ ls @ u)),
         "ones_edge_const": m / 2.0,
         "ones_degree_quad": (1.0 / 6.0) * float(pi @ ls @ pi),
         "ones_degree_crown": (2.0 / 3.0) * float(pi @ ls @ u_tau),
@@ -371,13 +316,3 @@ def rv_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdow
 def re_kirchhoff_terms(g: Graph, crowns: tuple[Graph, ...]) -> KirchhoffBreakdown:
     """Kirchhoff index of the R-edge corona with its term breakdown."""
     return kirchhoff_terms(re_blocks(g, crowns))
-
-
-def rv_kirchhoff(g: Graph, crowns: tuple[Graph, ...]) -> float:
-    """Kirchhoff index of the R-vertex corona (assembled-inverse route)."""
-    return rv_kirchhoff_terms(g, crowns).value
-
-
-def re_kirchhoff(g: Graph, crowns: tuple[Graph, ...]) -> float:
-    """Kirchhoff index of the R-edge corona (assembled-inverse route)."""
-    return re_kirchhoff_terms(g, crowns).value

@@ -274,6 +274,10 @@ def check_corona_instance(
 
     kf_closed = kirchhoff_from_one_inverse(x)
     kf_oracle = float(built.graph.n * np.trace(oracle_x))
+    # The crown corner of X is the grounded inverse G, plus J/2 on each
+    # crown block for R-edge.
+    shift = 0.5 if kind == "r_edge" else 0.0
+    sizes = np.array(blocks.sizes, dtype=float)
 
     residuals = {
         "one_inverse_scaled": verify_one_inverse(lap_c, x) / max(1.0, max_abs(lap_c)),
@@ -283,14 +287,15 @@ def check_corona_instance(
         "kf_rel_err": abs(kf_closed - kf_oracle) / max(1.0, abs(kf_oracle)),
         "kf_expanded_dev": breakdown.deviation,
         "crown_trace_defect": abs(
-            float(np.trace(blocks.crown_inv)) - breakdown.terms["trace_crown_eigen"]
+            float(np.trace(blocks.grounded)) + shift * float(sizes.sum())
+            - breakdown.terms["trace_crown_eigen"]
         ),
     }
     if kind == "r_edge":
-        ones = np.ones(blocks.crown_inv.shape[0])
         residuals["complement_defect"] = blocks.complement_defect
         residuals["ones_shift_defect"] = abs(
-            float(ones @ blocks.crown_inv @ ones) - breakdown.terms["ones_crown_shift"]
+            float(blocks.grounded.sum()) + shift * float(np.sum(sizes**2))
+            - breakdown.terms["ones_crown_shift"]
         )
 
     return InstanceReport(

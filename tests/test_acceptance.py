@@ -105,16 +105,16 @@ def _evaluate(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> InstanceEval:
     if kind == "r_vertex":
         built = r_vertex_corona(g, crowns)
         blocks = cf.rv_blocks(g, crowns)
-        x = cf.rv_one_inverse(g, crowns)
+        x = cf.one_inverse(blocks)
         closed = cf.rv_resistance_matrix(g, crowns)
-        kf_closed = cf.rv_kirchhoff(g, crowns)
+        kf_closed = cf.rv_kirchhoff_terms(g, crowns).value
         complement_defect = 0.0
     else:
         built = r_edge_corona(g, crowns)
         blocks = cf.re_blocks(g, crowns)
-        x = cf.re_one_inverse(g, crowns)
+        x = cf.one_inverse(blocks)
         closed = cf.re_resistance_matrix(g, crowns)
-        kf_closed = cf.re_kirchhoff(g, crowns)
+        kf_closed = cf.re_kirchhoff_terms(g, crowns).value
         complement_defect = blocks.complement_defect
     oracle = resistance_matrix(built.graph)
     diff = np.abs(closed - oracle)
@@ -306,7 +306,8 @@ def test_criterion_5_kirchhoff_adjudication():
     # rejected variant 3: bare crown spectral sum, missing the +t/2 shift
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
-    true_trace = float(np.trace(blocks.crown_inv))
+    # the shifted crown corner is the grounded inverse plus J/2
+    true_trace = float(np.trace(blocks.grounded)) + crown.n / 2.0
     bare = cf.crown_eigen_sum(crown)
     if abs(true_trace - 3.0) > 1e-10 or abs(bare - 2.0) > 1e-10:
         problems.append(f"shift counterexample drifted: trace {true_trace}, bare {bare}")
@@ -395,8 +396,9 @@ def test_criterion_7_mutation_sensitivity(capsys):
     def crown_quarter_to_sixth(blocks):
         x = real(blocks).copy()
         if blocks.kind == "r_edge":
-            nm = blocks.base.n + blocks.base.m
-            m_full = blocks.b @ blocks.ind
+            n = blocks.base.n
+            nm = n + blocks.base.m
+            m_full = blocks.b[:, blocks.anchor - n]
             delta = (2.0 / 3.0) * (1.0 / 6.0 - 0.25) * (
                 m_full.T @ blocks.l_sharp @ m_full
             )

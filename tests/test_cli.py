@@ -12,7 +12,13 @@ import pytest
 import coronakit
 from coronakit import closed_form
 from coronakit.cli import main
-from coronakit.graphs import complete_graph, parse_edge_list, path_graph, serialize_edge_list
+from coronakit.graphs import (
+    complete_graph,
+    cycle_graph,
+    parse_edge_list,
+    path_graph,
+    serialize_edge_list,
+)
 from coronakit.linalg import MatrixError
 
 
@@ -24,6 +30,21 @@ def rv_spec(tmp_path):
     spec = tmp_path / "build.spec"
     spec.write_text(
         "kind = r_vertex\nbase = base.edges\ncrown.0 = k1.edges\ncrown.1 = k1.edges\n"
+    )
+    return spec
+
+
+@pytest.fixture
+def re_spec(tmp_path):
+    """C_4 base with R-edge crowns of orders 0, 1, 2 and 3 (empty, K1, K2, P3)."""
+    (tmp_path / "c4.edges").write_text(serialize_edge_list(cycle_graph(4)))
+    (tmp_path / "k1.edges").write_text("1\n")
+    (tmp_path / "k2.edges").write_text(serialize_edge_list(complete_graph(2)))
+    (tmp_path / "p3.edges").write_text(serialize_edge_list(path_graph(3)))
+    spec = tmp_path / "edge.spec"
+    spec.write_text(
+        "kind = r_edge\nbase = c4.edges\n"
+        "crown.1 = k1.edges\ncrown.2 = k2.edges\ncrown.3 = p3.edges\n"
     )
     return spec
 
@@ -116,6 +137,136 @@ def test_resist_text_output_is_pinned(rv_spec, capsys):
     assert capsys.readouterr().out == (
         "r(4, 3)  closed=2.666666667  oracle=2.666666667  |diff|=4.441e-16\n"
     )
+
+
+RE_KF_CLOSED_JSON = """\
+{
+  "closed": 128.666666667,
+  "expanded": 128.666666667,
+  "kind": "r_edge",
+  "method": "closed",
+  "schema": "corona-kf/1",
+  "terms": {
+    "ones_crown_count": 6.0,
+    "ones_crown_quad": 0.833333333333,
+    "ones_crown_shift": 13.0,
+    "ones_degree_crown": 6.47630097698e-16,
+    "ones_degree_quad": 1.85037170771e-16,
+    "ones_edge_const": 2.0,
+    "trace_base": 0.833333333333,
+    "trace_crown_edge": 0.5,
+    "trace_crown_eigen": 7.08333333333,
+    "trace_degree": 0.833333333333,
+    "trace_edge_const": 2.0,
+    "trace_tree_const": -0.5
+  },
+  "vertices": 14
+}
+"""
+
+RE_RESIST_ALL_CSV = """\
+u,v,closed
+0,1,0.5
+0,2,0.666666666667
+0,3,0.5
+0,4,0.625
+0,5,0.625
+0,6,0.958333333333
+0,7,0.958333333333
+0,8,1.625
+0,9,1.625
+0,10,1.625
+0,11,1.58333333333
+0,12,1.45833333333
+0,13,1.58333333333
+1,2,0.5
+1,3,0.666666666667
+1,4,0.625
+1,5,0.958333333333
+1,6,0.625
+1,7,0.958333333333
+1,8,1.95833333333
+1,9,1.29166666667
+1,10,1.29166666667
+1,11,1.58333333333
+1,12,1.45833333333
+1,13,1.58333333333
+2,3,0.5
+2,4,0.958333333333
+2,5,0.958333333333
+2,6,0.625
+2,7,0.625
+2,8,1.95833333333
+2,9,1.29166666667
+2,10,1.29166666667
+2,11,1.25
+2,12,1.125
+2,13,1.25
+3,4,0.958333333333
+3,5,0.625
+3,6,0.958333333333
+3,7,0.625
+3,8,1.625
+3,9,1.625
+3,10,1.625
+3,11,1.25
+3,12,1.125
+3,13,1.25
+4,5,1.16666666667
+4,6,1.16666666667
+4,7,1.33333333333
+4,8,2.16666666667
+4,9,1.83333333333
+4,10,1.83333333333
+4,11,1.95833333333
+4,12,1.83333333333
+4,13,1.95833333333
+5,6,1.33333333333
+5,7,1.16666666667
+5,8,1
+5,9,2
+5,10,2
+5,11,1.79166666667
+5,12,1.66666666667
+5,13,1.79166666667
+6,7,1.16666666667
+6,8,2.33333333333
+6,9,0.666666666667
+6,10,0.666666666667
+6,11,1.79166666667
+6,12,1.66666666667
+6,13,1.79166666667
+7,8,2.16666666667
+7,9,1.83333333333
+7,10,1.83333333333
+7,11,0.625
+7,12,0.5
+7,13,0.625
+8,9,3
+8,10,3
+8,11,2.79166666667
+8,12,2.66666666667
+8,13,2.79166666667
+9,10,0.666666666667
+9,11,2.45833333333
+9,12,2.33333333333
+9,13,2.45833333333
+10,11,2.45833333333
+10,12,2.33333333333
+10,13,2.45833333333
+11,12,0.625
+11,13,1
+12,13,0.625
+"""
+
+
+def test_r_edge_closed_output_is_pinned(re_spec, capsys):
+    # Exact stdout of the closed R-edge route: the Kirchhoff value with its
+    # term table, and every pairwise resistance.
+    assert main(["kf", str(re_spec), "--method", "closed", "--format", "json", "--terms"]) == 0
+    assert capsys.readouterr().out == RE_KF_CLOSED_JSON
+    assert main(["resist", str(re_spec), "--all", "--method", "closed", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == RE_RESIST_ALL_CSV
 
 
 def test_resist_rejects_out_of_range_vertex(rv_spec, capsys):

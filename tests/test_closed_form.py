@@ -36,6 +36,12 @@ K2 = complete_graph(2)
 PAIR_TOL = 1e-8
 
 
+def _shifted_corner(blocks):
+    """The R-edge crown corner of X: the grounded inverse plus J/2 per crown."""
+    same_crown = blocks.anchor[:, None] == blocks.anchor[None, :]
+    return blocks.grounded + 0.5 * same_crown
+
+
 def pendant_pair_example():
     """K2 with one pendant crown vertex on each host: 5 vertices, 5 edges."""
     return K2, (K1, K1)
@@ -87,10 +93,10 @@ def test_one_inverse_on_named_instances():
     ]
     for kind, g, crowns in named:
         if kind == "r_vertex":
-            x = cf.rv_one_inverse(g, crowns)
+            x = cf.one_inverse(cf.rv_blocks(g, crowns))
             built = r_vertex_corona(g, crowns)
         else:
-            x = cf.re_one_inverse(g, crowns)
+            x = cf.one_inverse(cf.re_blocks(g, crowns))
             built = r_edge_corona(g, crowns)
         lap = laplacian(built.graph)
         assert verify_one_inverse(lap, x) <= 1e-10 * max(1.0, max_abs(lap))
@@ -102,12 +108,39 @@ def test_internal_identities():
     crowns_v = (K1, Graph(2, ((0, 1),)), empty_graph(0), Graph(3, ()))
     blocks_v = cf.rv_blocks(g, crowns_v)
     assert blocks_v.schur_defect <= 1e-12
-    npt.assert_allclose(blocks_v.schur, 1.5 * laplacian(g), atol=1e-12)
+    # the Schur complement of the non-original block, formed on the corona
+    lap = laplacian(r_vertex_corona(g, crowns_v).graph)
+    a, c, rest = lap[: g.n, : g.n], lap[: g.n, g.n :], lap[g.n :, g.n :]
+    schur = a - c @ np.linalg.solve(rest, c.T)
+    npt.assert_allclose(schur, 1.5 * laplacian(g), atol=1e-12)
 
     crowns_e = (Graph(2, ()), K1, Graph(3, ((0, 1), (1, 2))))
     blocks_e = cf.re_blocks(g, crowns_e)
     assert blocks_e.schur_defect <= 1e-12
     assert blocks_e.complement_defect <= 1e-12
+
+
+def _off_in_one_entry(invert):
+    """Wrap a crown-stack inverse so its first entry comes back 1e-6 off."""
+
+    def wrapped(*args, **kwargs):
+        inv = invert(*args, **kwargs).copy()
+        inv[0, 0, 0] += 1e-6
+        return inv
+
+    return wrapped
+
+
+def test_crown_inverse_error_trips_the_identity_checks():
+    g = path_graph(3)
+    crowns = (complete_graph(2), K1, empty_graph(0))
+    with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse)):
+        with pytest.raises(linalg.MatrixError, match="Schur complement defect"):
+            cf.rv_blocks(g, crowns)
+    bad_shift = _off_in_one_entry(cf.shifted_rank_one_inverse)
+    with mock.patch.object(cf, "shifted_rank_one_inverse", bad_shift):
+        with pytest.raises(linalg.MatrixError, match="edge-block complement defect"):
+            cf.re_blocks(g, crowns[:2])
 
 
 def test_crown_block_spectral_traces():
@@ -119,16 +152,17 @@ def test_crown_block_spectral_traces():
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
     want = sum(cf.crown_eigen_sum(c) for c in crowns)
-    assert np.trace(blocks_v.crown_inv) == pytest.approx(want, abs=1e-10)
+    assert np.trace(blocks_v.grounded) == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
+    shifted = _shifted_corner(blocks_e)
     want_e = sum(cf.crown_eigen_sum(c) + c.n / 2.0 for c in crowns)
-    assert np.trace(blocks_e.crown_inv) == pytest.approx(want_e, abs=1e-10)
+    assert np.trace(shifted) == pytest.approx(want_e, abs=1e-10)
 
     # all-ones quadratic form of each shifted crown inverse is t(2+t)/2
     off = 0
     for c in crowns:
-        block = blocks_e.crown_inv[off : off + c.n, off : off + c.n]
+        block = shifted[off : off + c.n, off : off + c.n]
         ones = np.ones(c.n)
         assert ones @ block @ ones == pytest.approx(
             c.n * (2.0 + c.n) / 2.0, abs=1e-10
@@ -141,7 +175,7 @@ def test_empty_crown_trace_needs_the_shift():
     # trace of the shifted inverse is 3.
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
-    assert np.trace(blocks.crown_inv) == pytest.approx(3.0, abs=1e-12)
+    assert np.trace(_shifted_corner(blocks)) == pytest.approx(3.0, abs=1e-12)
     assert cf.crown_eigen_sum(crown) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -168,7 +202,7 @@ def test_dispatch_matches_oracle_on_structured_instances():
 def test_dispatch_matches_one_inverse_readout():
     g = path_graph(3)
     crowns = (Graph(2, ((0, 1),)), K1, empty_graph(0))
-    x = cf.rv_one_inverse(g, crowns)
+    x = cf.one_inverse(cf.rv_blocks(g, crowns))
     r = cf.rv_resistance_matrix(g, crowns)
     total = r.shape[0]
     for u in range(total):
@@ -180,15 +214,12 @@ def test_dispatch_matches_one_inverse_readout():
 
 def test_single_pair_entry_points():
     g, crowns = pendant_pair_example()
-    assert cf.rv_resistance(g, crowns, 3, 4) == pytest.approx(8.0 / 3.0, abs=1e-12)
-    assert cf.rv_resistance(g, crowns, 2, 2) == 0.0
-    for u, v in ((-1, 0), (0, 5)):
-        with pytest.raises(IndexError):
-            cf.rv_resistance(g, crowns, u, v)
+    assert cf.rv_resistance_matrix(g, crowns)[3, 4] == pytest.approx(8.0 / 3.0, abs=1e-12)
+    assert cf.rv_resistance_matrix(g, crowns)[2, 2] == 0.0
     ge, crowns_e = K2, (Graph(2, ()),)
     built = r_edge_corona(ge, crowns_e)
     a, b = built.partition.crowns[0]
-    assert cf.re_resistance(ge, crowns_e, a, b) == pytest.approx(2.0, abs=1e-12)
+    assert cf.re_resistance_matrix(ge, crowns_e)[a, b] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_original_pairs_scale_base_resistance_by_two_thirds():
@@ -273,7 +304,7 @@ def test_random_sweep_both_kinds():
         g = random_connected_graph(rng, 2, 5, m_max=8)
         crowns_v = random_crowns(rng, g.n, 3)
         built_v = r_vertex_corona(g, crowns_v)
-        x_v = cf.rv_one_inverse(g, crowns_v)
+        x_v = cf.one_inverse(cf.rv_blocks(g, crowns_v))
         lap_v = laplacian(built_v.graph)
         assert verify_one_inverse(lap_v, x_v) <= PAIR_TOL * max(1.0, max_abs(lap_v))
         assert (
@@ -283,7 +314,7 @@ def test_random_sweep_both_kinds():
 
         crowns_e = random_crowns(rng, g.m, 3)
         built_e = r_edge_corona(g, crowns_e)
-        x_e = cf.re_one_inverse(g, crowns_e)
+        x_e = cf.one_inverse(cf.re_blocks(g, crowns_e))
         lap_e = laplacian(built_e.graph)
         assert verify_one_inverse(lap_e, x_e) <= PAIR_TOL * max(1.0, max_abs(lap_e))
         assert (
@@ -312,18 +343,18 @@ def _crown_zoo_instances():
 
 
 def test_closed_route_never_calls_the_oracle():
-    entry_points = (
-        "blocks", "one_inverse", "resistance_matrix", "kirchhoff_terms", "kirchhoff"
-    )
     oracle_called = AssertionError("the closed route called the oracle")
     with (
         mock.patch.object(resistance, "resistance_matrix", side_effect=oracle_called),
         mock.patch.object(resistance, "kirchhoff_index", side_effect=oracle_called),
     ):
         for prefix, g, crowns in _crown_zoo_instances():
-            for name in entry_points:
+            for name in ("resistance_matrix", "kirchhoff_terms"):
                 getattr(cf, f"{prefix}_{name}")(g, crowns)
-            getattr(cf, f"{prefix}_resistance")(g, crowns, 0, g.n + g.m)
+            blocks = getattr(cf, f"{prefix}_blocks")(g, crowns)
+            cf.one_inverse(blocks)
+            cf.resistance_map(blocks)
+            cf.kirchhoff_terms(blocks)
 
 
 def test_closed_route_inverts_without_the_eigensolver():
@@ -405,11 +436,11 @@ def test_near_degenerate_families_match_the_oracle(instance):
     kind, g, crowns = instance
     if kind == "r_vertex":
         closed = cf.rv_resistance_matrix(g, crowns)
-        kf = cf.rv_kirchhoff(g, crowns)
+        kf = cf.rv_kirchhoff_terms(g, crowns).value
         built = r_vertex_corona(g, crowns)
     else:
         closed = cf.re_resistance_matrix(g, crowns)
-        kf = cf.re_kirchhoff(g, crowns)
+        kf = cf.re_kirchhoff_terms(g, crowns).value
         built = r_edge_corona(g, crowns)
     oracle = resistance_matrix(built.graph)
     assert max_abs(closed - oracle) <= PAIR_TOL
