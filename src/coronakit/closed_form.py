@@ -17,13 +17,14 @@ because the Schur complement of the original vertices collapses to
 the all-ones null vector as (L(G) + J/n)^{-1} - J/n, and the crowns of
 each order are inverted as one stack.  No matrix larger than the base
 graph is ever inverted, and none is pseudo-inverted.  The one eigensolve
-left is in ``crown_eigen_sum``: the expanded Kirchhoff index reads the
-crown spectra on purpose, so that it checks the Cholesky inverses against
-a second kernel.
+left is in ``crown_eigen_sums``, one stacked Jacobi call per crown order:
+the expanded Kirchhoff index reads the crown spectra on purpose, so that
+it checks the Cholesky inverses against a second kernel.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,14 @@ def _require_closed_form_input(g: Graph) -> None:
         )
 
 
+def _crown_laplacians(crowns: tuple[Graph, ...]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per nonempty crown order t: the crowns' indices and Laplacians as one (k, t, t) stack."""
+    sizes = np.array([c.n for c in crowns], dtype=np.intp)
+    for t in sorted(set(sizes.tolist()) - {0}):
+        of_order = np.flatnonzero(sizes == t)
+        yield t, of_order, np.stack([laplacian(crowns[i]) for i in of_order])
+
+
 def _grounded_inverse(vertex: bool, crowns: tuple[Graph, ...]) -> np.ndarray:
     """Block diagonal of the crown inverses (L(H) + I)^{-1}, one solve per order.
 
@@ -92,9 +101,7 @@ def _grounded_inverse(vertex: bool, crowns: tuple[Graph, ...]) -> np.ndarray:
     offsets = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
     grounded = np.zeros((total, total))
-    for t in sorted(set(sizes.tolist()) - {0}):
-        of_order = np.flatnonzero(sizes == t)
-        laps = np.stack([laplacian(crowns[i]) for i in of_order])
+    for t, of_order, laps in _crown_laplacians(crowns):
         if vertex:
             inv = sym_inverse(laps + np.eye(t), "crown block")
         else:
@@ -246,12 +253,17 @@ class KirchhoffBreakdown:
     deviation: float
 
 
-def crown_eigen_sum(crown: Graph) -> float:
-    """sum over the crown's Laplacian spectrum of 1/(mu + 1)."""
-    if crown.n == 0:
-        return 0.0
-    values = sym_eigendecompose(laplacian(crown)).values
-    return float(np.sum(1.0 / (values + 1.0)))
+def crown_eigen_sums(crowns: tuple[Graph, ...]) -> np.ndarray:
+    """Per crown, the sum over its Laplacian spectrum of 1/(mu + 1).
+
+    The crowns of each order are eigendecomposed together as one stack; an
+    empty crown sums to 0.
+    """
+    sums = np.zeros(len(crowns))
+    for _, of_order, laps in _crown_laplacians(crowns):
+        values = sym_eigendecompose(laps).values
+        sums[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
+    return sums
 
 
 def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
@@ -284,24 +296,30 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     pi = g.degrees().astype(float)
     tau = np.array(blocks.sizes, dtype=float)
     u_tau = u @ tau
+    # Lg 1 = 0, so the quadratic forms in Lg take the vectors centred: the
+    # same values, and exactly 0 where a vector is constant (pi on a
+    # regular base) instead of roundoff.
+    pi_c = pi - pi.mean()
+    u_tau_c = u_tau - u_tau.mean()
     shift = 0.5 if edge else 0.0
+    sums = crown_eigen_sums(blocks.crowns)
     crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
     terms = {
         "trace_base": (2.0 / 3.0) * float(np.trace(ls)),
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(crown_eigen_sum(c) + shift * c.n for c in blocks.crowns),
+        "trace_crown_eigen": sum(float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)),
         crown_trace: (2.0 / 3.0) * float(tau @ np.diag(u.T @ ls @ u)),
         "ones_edge_const": m / 2.0,
-        "ones_degree_quad": (1.0 / 6.0) * float(pi @ ls @ pi),
-        "ones_degree_crown": (2.0 / 3.0) * float(pi @ ls @ u_tau),
+        "ones_degree_quad": (1.0 / 6.0) * float(pi_c @ ls @ pi_c),
+        "ones_degree_crown": (2.0 / 3.0) * float(pi_c @ ls @ u_tau_c),
         "ones_crown_count": float(st),
     }
     # Insertion order is summation order below, so keep it fixed per kind.
     if edge:
         terms["ones_crown_shift"] = 0.5 * float(np.sum(tau * (2.0 + tau)))
-    terms["ones_crown_quad"] = (2.0 / 3.0) * float(u_tau @ ls @ u_tau)
+    terms["ones_crown_quad"] = (2.0 / 3.0) * float(u_tau_c @ ls @ u_tau_c)
     trace_part = sum(v for k, v in terms.items() if k.startswith("trace_"))
     ones_part = sum(v for k, v in terms.items() if k.startswith("ones_"))
     expanded = (n + m + st) * trace_part - ones_part

@@ -1,22 +1,23 @@
 """Dense symmetric kernels: a Jacobi eigensolver and a Cholesky inverse.
 
-Two kernels, split by what they compute.  Spectra and the oracle's
+Two kernels, split by what they compute, and both take one matrix or a
+(k, t, t) stack of equal-order ones.  Spectra and the oracle's
 pseudo-inverse go through ``sym_eigendecompose``, Jacobi in the
 round-robin parallel ordering of Brent and Luk: each of the n-1 rounds of
-a sweep rotates n/2 disjoint pairs at once as one vectorised update.  It
-is unconditionally stable on symmetric input, deterministic for a fixed
+a sweep rotates n/2 disjoint pairs of every stack member at once as one
+vectorised update, and each member stops on its own.  It is
+unconditionally stable on symmetric input, deterministic for a fixed
 input because the ordering is fixed, and entirely adequate at the matrix
 orders this package works at (a few hundred at most).
 
 Inverses of nonsingular matrices go through ``sym_inverse``, a Cholesky
-factorisation that requires symmetric positive definite input and works
-on one matrix or a stack of equal-order ones at once.  The closed route
-uses only this kernel for its inverses: the base graph's group inverse
-is ``laplacian_group_inverse``, which deflates the known null vector of a
-connected Laplacian instead of zeroing an eigenvalue by threshold.  Both
-kernels share the input checks of ``_as_symmetric`` and raise
-``MatrixError`` (``SingularMatrixError`` for singular input) instead of
-returning an answer they cannot vouch for.
+factorisation that requires symmetric positive definite input.  The
+closed route uses only this kernel for its inverses: the base graph's
+group inverse is ``laplacian_group_inverse``, which deflates the known
+null vector of a connected Laplacian instead of zeroing an eigenvalue by
+threshold.  Both kernels share the input checks of ``_as_symmetric`` and
+raise ``MatrixError`` (``SingularMatrixError`` for singular input)
+instead of returning an answer they cannot vouch for.
 """
 
 from __future__ import annotations
@@ -51,18 +52,23 @@ class SingularMatrixError(MatrixError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending) and the matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and the matching orthonormal eigenvector columns.
+
+    For a stack, ``values`` is (k, t) and ``vectors`` (k, t, t), one row and
+    one matrix per member.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
     # Solver diagnostics: Jacobi sweeps run, rotations applied, and the
-    # off-diagonal Frobenius norm left at exit.
+    # off-diagonal Frobenius norm left at exit (for a stack: the most sweeps
+    # any member ran, the total rotations, the worst member's norm).
     sweeps: int = 0
     rotations: int = 0
     off_norm: float = 0.0
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
+        return (self.vectors * self.values[..., None, :]) @ np.swapaxes(self.vectors, -1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -93,21 +99,23 @@ def _as_symmetric(m: np.ndarray, what: str = "matrix", stacked: bool = False) ->
     return 0.5 * (a + at)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part, summed directly.
+def _off_norms(w: np.ndarray, m: int) -> np.ndarray:
+    """Frobenius norm of each member's off-diagonal part, summed directly.
 
+    w is a sweep layout of _jacobi_sweep; only the working matrices count.
     Subtracting the diagonal's norm from the full norm looks equivalent but
     cancels catastrophically once the matrix is nearly diagonal, reporting
     phantom residuals around sqrt(eps * ||A||^2); summing the off-diagonal
     entries themselves stays accurate all the way down.
     """
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.sqrt(np.sum(b * b)))
+    b = w[:, :m].reshape(-1, m * m)  # a copy: the slice is not contiguous
+    b[:, :: m + 1] = 0.0
+    b *= b
+    return np.sqrt(np.add.reduce(b, axis=1))
 
 
 @functools.lru_cache(maxsize=64)
-def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Slot tables of the round-robin parallel ordering at even order m.
 
     Jacobi runs on a matrix whose indices are laid out in slots, and each
@@ -117,9 +125,10 @@ def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rounds of a sweep pair every two indices exactly once and leave the
     layout where it started.
 
-    Returns the starting layout (slot -> index), the move applied after each
-    round (new slot -> old slot) and the flat positions of the just-rotated
-    pairs' entries after the move.
+    Returns the slot of each index in the starting layout, the eigenvector
+    accumulator in that layout (the identity with its rows in slots), the
+    move applied after each round (new slot -> old slot) and the (row,
+    column) slots of the just-rotated pairs' entries after the move.
     """
     k = m // 2
     start = [x for i in range(1, k) for x in (i, m - 1 - i)] + [0, m - 1]
@@ -129,46 +138,75 @@ def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     move = slot[after]
     moved = np.argsort(move)
     p, q = moved[0::2], moved[1::2]
-    pairs = np.concatenate((p * m + q, q * m + p))
-    for table in (start, move, pairs):
+    pairs = np.array((np.concatenate((p, q)), np.concatenate((q, p))))
+    tables = (slot, np.eye(m)[start], move, pairs)
+    for table in tables:
         table.setflags(write=False)
-    return start, move, pairs
+    return tables
 
 
-def _jacobi_sweep(a: np.ndarray, vt: np.ndarray, zero_negligible: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """One parallel Jacobi sweep over a slot-ordered matrix of even order m.
+@functools.lru_cache(maxsize=256)
+def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of _round_robin(m) for the sweep layout of k members.
 
-    a is the working matrix and vt the transposed eigenvector accumulator,
-    both in the layout of _round_robin(m).  Each round computes the
-    rotations of its m/2 disjoint pairs together, applies them to the rows
-    of a, to its columns (as rows of the transpose, a being symmetric), and
-    to the rows of vt, then moves every index to its next slot and zeroes
-    the rotated pairs' entries.  A pair with a_pq == 0, or (with
-    zero_negligible) one whose a_pq is negligible against both its diagonal
-    entries, gets the identity, so it is zeroed without counting as a
-    rotation.  Returns the new a, the new vt and the rotations applied.
+    Returns the move as row indices, the flat positions of the rotated slot
+    pairs' (p, p), (p, q) and (q, q) entries, and the flat positions of the
+    entries to zero after the move.
     """
-    m = a.shape[0]
-    k = m // 2
-    _, move, pairs = _round_robin(m)
-    step = 2 * m + 2  # flat stride from slot pair (2i, 2i+1) to (2i+2, 2i+3)
+    _, _, move, (rows, cols) = _round_robin(m)
+    base = np.arange(k)[:, None] * m
+    firsts = np.arange(0, m, 2)
+    diag = [
+        ((base + firsts + dp) * 2 * m + firsts + dq).reshape(-1)
+        for dp, dq in ((0, 0), (0, 1), (1, 1))
+    ]
+    tables = (
+        (base + move).reshape(-1),
+        np.array(diag),
+        ((base + rows) * 2 * m + cols).reshape(-1),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndarray, int]:
+    """One parallel Jacobi sweep over a stack of slot-ordered matrices of even order m.
+
+    w is the sweep layout of k members: a (k m, 2m) array whose rows i m to
+    (i + 1) m hold member i's working matrix a beside its transposed
+    eigenvector accumulator vt, both in the layout of _round_robin(m).
+    Each round computes the rotations of the m/2 disjoint pairs of every
+    member together and applies them to the rows of a and vt at once, moves
+    every index to its next slot, does the same to the columns of a (as
+    rows of the transpose, a being symmetric), and zeroes the rotated
+    pairs' entries.  A pair with a_pq == 0, or (with zero_negligible) one
+    whose a_pq is negligible against both its diagonal entries, gets the
+    identity, so it is zeroed without counting as a rotation.  A round
+    that rotates nothing still moves and transposes, so members never mix
+    and each comes out exactly as it would alone.  A member that no round
+    rotates leaves the sweep with every off-diagonal entry zeroed.  Returns
+    the new w and the rotations applied.
+    """
+    size = len(w) // m
+    rows, diag, zero = _sweep_tables(m, size)
     applied = 0
     for _ in range(m - 1):
-        flat = a.reshape(-1)
-        apq = flat[1::step]
+        pp, apq, qq = w.reshape(-1)[diag]
         rotate = apq != 0.0
         if zero_negligible:
             # Entries already negligible against their diagonal pair are
             # zeroed outright once the early sweeps have done the bulk work.
-            abs_pp = np.abs(flat[0::step])
-            abs_qq = np.abs(flat[m + 1 :: step])
+            abs_pp = np.abs(pp)
+            abs_qq = np.abs(qq)
             g = 100.0 * np.abs(apq)
             rotate &= (abs_pp + g != abs_pp) | (abs_qq + g != abs_qq)
         count = int(np.count_nonzero(rotate))
         if count:
+            applied += count
             # identity pairs get a_pq := 1 so that nothing divides by zero
-            x = apq if count == k else np.where(rotate, apq, 1.0)
-            h = flat[m + 1 :: step] - flat[0::step]
+            x = apq if count == rotate.size else np.where(rotate, apq, 1.0)
+            h = qq - pp
             theta = 0.5 * h / x
             t = 1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
             t = np.where(theta < 0.0, -t, t)
@@ -176,24 +214,24 @@ def _jacobi_sweep(a: np.ndarray, vt: np.ndarray, zero_negligible: bool) -> tuple
             small = ah + 100.0 * np.abs(x) == ah
             if small.any():
                 t[small] = x[small] / h[small]
-            if count < k:
+            if count < rotate.size:
                 t[~rotate] = 0.0
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             r = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
-            a = (r @ a.reshape(k, 2, m)).reshape(m, m)[move]
-            a = (r @ a.T.reshape(k, 2, m)).reshape(m, m)[move]
-            vt = (r @ vt.reshape(k, 2, m)).reshape(m, m)[move]
-            applied += count
-        else:
-            a = a[move][:, move]
-            vt = vt[move]
-        a.reshape(-1)[pairs] = 0.0
-    return a, vt, applied
+            w = r @ w.reshape(-1, 2, 2 * m)
+        w = w.reshape(-1, 2 * m)[rows]
+        # The columns of a, as rows of its transpose; a view for one member.
+        at = w[:, :m].reshape(size, m, m).transpose(0, 2, 1).reshape(-1, 2, m)
+        if count:
+            at = r @ at
+        w[:, :m] = at.reshape(-1, m)[rows]
+        w.reshape(-1)[zero] = 0.0
+    return w, applied
 
 
 def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by parallel-order Jacobi.
+    """Full eigendecomposition of symmetric matrices by parallel-order Jacobi.
 
     Each sweep visits every off-diagonal pair once in the round-robin
     parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985;
@@ -206,50 +244,89 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     to roundoff instead of leaving up to the tolerance in the eigenvectors.
     The ordering is fixed, so the result is deterministic.
 
+    Takes one (n, n) matrix or a (k, t, t) stack of equal-order ones.  A
+    stack is swept together, round by round, but every member keeps its own
+    tolerance, polishing sweep and stop; a member that has stopped is taken
+    out of later sweeps, so it comes out bit for bit as it would alone.
+
     Returns eigenvalues sorted descending (stable in the index order) with
     eigenvector columns aligned, so that V @ diag(w) @ V.T reconstructs the
-    input, together with the sweeps run, the rotations applied and the
-    final off-diagonal norm.
+    input, shaped (..., t) and (..., t, t), together with the sweeps run,
+    the rotations applied and the final off-diagonal norm; for a stack
+    these are the most sweeps any member ran, the total rotations and the
+    worst member's norm.  Any member that does not converge raises
+    MatrixError.
     """
-    sym = _as_symmetric(m)
-    n = sym.shape[0]
-    if n < 2:
-        return EigenDecomposition(np.diag(sym).copy(), np.eye(n))
+    sym = _as_symmetric(m, stacked=True)
+    n = sym.shape[-1]
+    stack = sym if sym.ndim == 3 else sym[None]
+    size = len(stack)
+    if n < 2 or size == 0:
+        values = np.diagonal(sym, axis1=-2, axis2=-1).copy()
+        return EigenDecomposition(values, np.zeros(sym.shape) + np.eye(n))
 
-    tol = JACOBI_OFF_TOL * max(1.0, float(np.sqrt(np.sum(sym * sym))))
-    size = n + n % 2
-    start, _, _ = _round_robin(size)
-    a = np.zeros((size, size))
-    a[:n, :n] = sym
-    a = a[start][:, start]
-    vt = np.eye(size)[start]
-    sweeps = rotations = 0
-    off = _off_norm(a)
-    polishing = False
+    norms = np.sqrt(np.add.reduce((stack * stack).reshape(size, -1), axis=1))
+    tol = JACOBI_OFF_TOL * np.maximum(1.0, norms)
+    order = n + n % 2
+    slot, vt, _, _ = _round_robin(order)
+    slot = slot[:n]
+    w = np.zeros((size, order, 2 * order))
+    w[:, slot[:, None], slot] = stack
+    w[:, :, order:] = vt
+    w = w.reshape(-1, 2 * order)
+    # State of the members still sweeping, in ``live`` order.  A member
+    # stops once its norm is at most ``limit``: 0 until the norm first drops
+    # under its tolerance, the tolerance from then on, so that the stop
+    # comes one polishing sweep later.  A sweep that rotates nothing in a
+    # member leaves its norm 0, so that stops it too.  Stopped members are
+    # frozen into done_w and done_off.
+    live = np.arange(size)
+    live_tol = tol
+    off = done_off = _off_norms(w, order)
+    limit = np.zeros(size)
+    done_w = w.reshape(size, order, 2 * order)
+    sweep = rotations = 0
     # theta * theta overflows only for pairs that the |h| + g == |h| branch
     # then rotates by t = a_pq / h instead.
     with np.errstate(over="ignore"):
-        while off > 0.0 and sweeps < JACOBI_MAX_SWEEPS:
-            if off <= tol:
-                if polishing:
+        while True:
+            stop = off <= limit
+            if sweep == JACOBI_MAX_SWEEPS:
+                stop[:] = True
+            if stop.any():
+                if live.size == size and stop.all():
+                    done_w, done_off = w.reshape(size, order, 2 * order), off
                     break
-                polishing = True
-            a, vt, applied = _jacobi_sweep(a, vt, zero_negligible=sweeps > 3)
-            sweeps += 1
+                lay = w.reshape(-1, order, 2 * order)
+                done_w[live[stop]], done_off[live[stop]] = lay[stop], off[stop]
+                if stop.all():
+                    break
+                kept = ~stop
+                w = lay[kept].reshape(-1, 2 * order)
+                live, off, limit, live_tol = live[kept], off[kept], limit[kept], live_tol[kept]
+            limit = np.where(off <= live_tol, live_tol, limit)
+            w, applied = _jacobi_sweep(w, order, zero_negligible=sweep > 3)
+            sweep += 1
             rotations += applied
-            off = _off_norm(a)
-            if applied == 0:
-                break
-    if off > tol:
+            off = _off_norms(w, order)
+    if (done_off > tol).any():
         raise MatrixError(
             f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {off:.3e})"
+            f"(off-diagonal norm {float(done_off.max()):.3e})"
         )
-    slot = np.argsort(start)[:n]
-    values = np.diagonal(a)[slot]
-    vectors = vt[slot, :n].T
-    order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], vectors[:, order], sweeps, rotations, off)
+    values = done_w[:, slot, slot]
+    ranked = slot[(-values).argsort(axis=1, kind="stable")]
+    member = np.arange(size)[:, None]
+    # Rows of vt are the eigenvectors; a single matrix's columns come out
+    # as the transposed view, the layout the matmuls downstream expect.
+    vectors = done_w[member, ranked, order : order + n].transpose(0, 2, 1)
+    return EigenDecomposition(
+        done_w[member, ranked, ranked].reshape(sym.shape[:-1]),
+        vectors.reshape(sym.shape),
+        sweep,
+        rotations,
+        float(done_off.max()),
+    )
 
 
 def pseudo_group_inverse(m: np.ndarray) -> np.ndarray:

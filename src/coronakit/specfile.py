@@ -109,12 +109,15 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
             raise SpecFileError(
                 f"{spec_path}: crown.{index} out of range (base has {slots} {unit} slots)"
             )
-    crowns = tuple(
-        _load_graph(root / crown_rel[index], f"{spec_path}: crown.{index}")
-        if index in crown_rel
-        else empty_graph(0)
-        for index in range(slots)
-    )
+    # Crowns that name one file share one parse; loading in index order
+    # means a bad file is reported under the lowest crown.k naming it.
+    loaded: dict[str, Graph] = {}
+    for index in sorted(crown_rel):
+        rel = crown_rel[index]
+        if rel not in loaded:
+            loaded[rel] = _load_graph(root / rel, f"{spec_path}: crown.{index}")
+    empty = empty_graph(0)
+    crowns = tuple(loaded[crown_rel[i]] if i in crown_rel else empty for i in range(slots))
     return CoronaSpec(kind, base, crowns)
 
 

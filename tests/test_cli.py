@@ -150,8 +150,8 @@ RE_KF_CLOSED_JSON = """\
     "ones_crown_count": 6.0,
     "ones_crown_quad": 0.833333333333,
     "ones_crown_shift": 13.0,
-    "ones_degree_crown": 6.47630097698e-16,
-    "ones_degree_quad": 1.85037170771e-16,
+    "ones_degree_crown": 0.0,
+    "ones_degree_quad": 0.0,
     "ones_edge_const": 2.0,
     "trace_base": 0.833333333333,
     "trace_crown_edge": 0.5,
@@ -284,6 +284,28 @@ def test_kf_json_with_terms(rv_spec, capsys):
     assert doc["oracle"] == pytest.approx(40.0 / 3.0, abs=1e-6)
     assert doc["abs_diff"] <= 1e-9
     assert "trace_base" in doc["terms"]
+
+
+def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
+    # 40 crowns of orders 0-4 on C_40: the crown spectra take one stacked
+    # Jacobi call per nonempty order, not one per crown.
+    (tmp_path / "c40.edges").write_text(serialize_edge_list(cycle_graph(40)))
+    lines = ["kind = r_vertex", "base = c40.edges"]
+    for i in range(40):
+        t = i % 5
+        if t:
+            name = f"{'p' if i % 2 else 'k'}{t}.edges"
+            crown = path_graph(t) if i % 2 else complete_graph(t)
+            (tmp_path / name).write_text(serialize_edge_list(crown))
+            lines.append(f"crown.{i} = {name}")
+    spec = tmp_path / "c40.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    eig = mock.Mock(wraps=closed_form.sym_eigendecompose)
+    with mock.patch.object(closed_form, "sym_eigendecompose", eig):
+        assert main(["kf", str(spec), "--method", "closed", "--format", "json", "--terms"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closed"] == pytest.approx(doc["expanded"], rel=1e-9)
+    assert eig.call_count <= 4
 
 
 def test_kf_text_terms_flag(rg_spec, capsys):

@@ -151,12 +151,12 @@ def test_crown_block_spectral_traces():
     crowns = (Graph(2, ()), Graph(3, ((0, 1), (0, 2))), K1)
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
-    want = sum(cf.crown_eigen_sum(c) for c in crowns)
+    want = sum(cf.crown_eigen_sums(crowns))
     assert np.trace(blocks_v.grounded) == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
     shifted = _shifted_corner(blocks_e)
-    want_e = sum(cf.crown_eigen_sum(c) + c.n / 2.0 for c in crowns)
+    want_e = sum(cf.crown_eigen_sums(crowns) + [c.n / 2.0 for c in crowns])
     assert np.trace(shifted) == pytest.approx(want_e, abs=1e-10)
 
     # all-ones quadratic form of each shifted crown inverse is t(2+t)/2
@@ -176,7 +176,7 @@ def test_empty_crown_trace_needs_the_shift():
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
     assert np.trace(_shifted_corner(blocks)) == pytest.approx(3.0, abs=1e-12)
-    assert cf.crown_eigen_sum(crown) == pytest.approx(2.0, abs=1e-12)
+    assert cf.crown_eigen_sums((crown,))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_dispatch_matches_oracle_on_structured_instances():
@@ -359,7 +359,7 @@ def test_closed_route_never_calls_the_oracle():
 
 def test_closed_route_inverts_without_the_eigensolver():
     # Every inverse of the closed route is a Cholesky solve; only the
-    # Kirchhoff expansion's crown spectra (crown_eigen_sum) reach Jacobi.
+    # Kirchhoff expansion's crown spectra (crown_eigen_sums) reach Jacobi.
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), Graph(2, ()))
     eig_called = AssertionError("the closed route called the eigensolver")
@@ -372,8 +372,10 @@ def test_closed_route_inverts_without_the_eigensolver():
     ]
     assert (cf, "sym_eigendecompose") in bindings
 
-    def spectral_sum(crown):
-        return float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(crown)) + 1.0)))
+    def spectral_sums(crowns):
+        return np.array(
+            [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in crowns]
+        )
 
     for kind, make_corona in (("rv", r_vertex_corona), ("re", r_edge_corona)):
         with contextlib.ExitStack() as patches:
@@ -384,7 +386,7 @@ def test_closed_route_inverts_without_the_eigensolver():
             r = cf.resistance_map(blocks)
             with pytest.raises(AssertionError, match="eigensolver"):
                 cf.kirchhoff_terms(blocks)
-            with mock.patch.object(cf, "crown_eigen_sum", side_effect=spectral_sum):
+            with mock.patch.object(cf, "crown_eigen_sums", side_effect=spectral_sums):
                 breakdown = cf.kirchhoff_terms(blocks)
         built = make_corona(g, crowns)
         lap = laplacian(built.graph)

@@ -130,6 +130,69 @@ def test_eigendecompose_rejects_bad_input():
         sym_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _mixed_stack(t, rng):
+    # Members that finish at different sweeps: a diagonal one (0 sweeps),
+    # K_t, a path and a random weighted symmetric matrix.
+    weighted = rng.normal(size=(t, t))
+    return np.stack(
+        [
+            np.diag(np.arange(t, 0.0, -1.0)),
+            laplacian(complete_graph(t)),
+            laplacian(path_graph(t)),
+            weighted + weighted.T,
+        ]
+    )
+
+
+@pytest.mark.parametrize("t", [5, 6])
+def test_stacked_eigendecompose_matches_single_calls(t):
+    stack = _mixed_stack(t, np.random.default_rng(t))
+    dec = sym_eigendecompose(stack)
+    assert dec.values.shape == (4, t) and dec.vectors.shape == (4, t, t)
+    singles = [sym_eigendecompose(member) for member in stack]
+    assert len({single.sweeps for single in singles}) > 1
+    assert singles[0].sweeps == 0
+    for i, single in enumerate(singles):
+        npt.assert_array_equal(dec.values[i], single.values)
+        npt.assert_array_equal(dec.vectors[i], single.vectors)
+        npt.assert_allclose(dec.values[i], np.linalg.eigvalsh(stack[i])[::-1], rtol=0, atol=1e-12)
+    assert dec.sweeps == max(single.sweeps for single in singles)
+    assert dec.rotations == sum(single.rotations for single in singles)
+    assert dec.off_norm == max(single.off_norm for single in singles)
+    npt.assert_allclose(dec.reconstruct(), stack, rtol=0, atol=1e-12)
+    # a stack of one is the single call
+    one = sym_eigendecompose(stack[3:])
+    npt.assert_array_equal(one.values[0], singles[3].values)
+    npt.assert_array_equal(one.vectors[0], singles[3].vectors)
+
+
+def test_stacked_eigendecompose_trivial_shapes():
+    for shape in ((0, 3, 3), (4, 0, 0)):
+        dec = sym_eigendecompose(np.zeros(shape))
+        assert dec.values.shape == shape[:-1] and dec.vectors.shape == shape
+    stack = np.array([[[4.0]], [[-1.0]], [[0.0]]])
+    dec = sym_eigendecompose(stack)
+    npt.assert_array_equal(dec.values, [[4.0], [-1.0], [0.0]])
+    npt.assert_array_equal(dec.vectors, np.ones((3, 1, 1)))
+    npt.assert_array_equal(dec.reconstruct(), stack)
+
+
+def test_stacked_eigendecompose_rejects_an_asymmetric_member():
+    # (non-finite members are a case of test_non_finite_input_is_rejected)
+    stack = np.stack([laplacian(path_graph(3))] * 3)
+    stack[1, 0, 2] = 0.5
+    with pytest.raises(MatrixError, match="symmetric"):
+        sym_eigendecompose(stack)
+
+
+def test_stacked_eigendecompose_raises_if_any_member_does_not_converge(monkeypatch):
+    a = np.random.default_rng(4).normal(size=(10, 10))
+    stack = np.stack([np.eye(10), a + a.T])
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(MatrixError, match="did not converge in 1 sweeps"):
+        sym_eigendecompose(stack)
+
+
 def test_group_inverse_of_triangle_is_known():
     # Lg of the triangle's Laplacian is (3I - J)/9
     for group_inverse in (pseudo_group_inverse, laplacian_group_inverse):
@@ -282,8 +345,19 @@ def test_eigendecomposition_reconstruct_api():
     npt.assert_allclose(dec.reconstruct(), np.diag([2.0, 1.0]))
 
 
+def _stacked_eigendecompose(a):
+    return sym_eigendecompose(np.stack([np.eye(2), a]))
+
+
 @pytest.mark.parametrize(
-    "solver", [sym_eigendecompose, pseudo_group_inverse, sym_inverse, laplacian_group_inverse]
+    "solver",
+    [
+        sym_eigendecompose,
+        _stacked_eigendecompose,
+        pseudo_group_inverse,
+        sym_inverse,
+        laplacian_group_inverse,
+    ],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_is_rejected(solver, bad):

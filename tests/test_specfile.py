@@ -1,9 +1,12 @@
 """Corona spec document parsing and the build dispatch."""
 
+from unittest import mock
+
 import pytest
 
+from coronakit import specfile
 from coronakit.corona import r_vertex_corona
-from coronakit.graphs import complete_graph, path_graph, serialize_edge_list
+from coronakit.graphs import complete_graph, parse_edge_list, path_graph, serialize_edge_list
 from coronakit.specfile import SpecFileError, build_from_spec, load_corona_spec
 
 
@@ -138,3 +141,22 @@ def test_bad_referenced_edge_list(tmp_path):
     spec_path = write(tmp_path, "s.spec", "kind = r_graph\nbase = base.edges\n")
     with pytest.raises(SpecFileError, match="base.edges"):
         load_corona_spec(spec_path)
+
+
+def test_shared_crown_file_is_parsed_once(tmp_path):
+    write(tmp_path, "base.edges", serialize_edge_list(path_graph(4)))
+    write(tmp_path, "k2.edges", serialize_edge_list(complete_graph(2)))
+    body = "kind = r_vertex\nbase = base.edges\n" + "".join(
+        f"crown.{i} = k2.edges\n" for i in (3, 0, 2)
+    )
+    spec_path = write(tmp_path, "s.spec", body)
+    with mock.patch.object(specfile, "parse_edge_list", wraps=parse_edge_list) as parse:
+        spec = load_corona_spec(spec_path)
+    assert parse.call_count == 2  # the base and the one crown file
+    assert [c.n for c in spec.crowns] == [2, 0, 2, 2]
+    # A shared bad file is reported under the lowest crown index naming it.
+    write(tmp_path, "k2.edges", "2\n0 zero\n")
+    with mock.patch.object(specfile, "parse_edge_list", wraps=parse_edge_list) as parse:
+        with pytest.raises(SpecFileError, match=r"crown\.0: .*k2\.edges"):
+            load_corona_spec(spec_path)
+    assert parse.call_count == 2

@@ -71,7 +71,7 @@ def test_instance_report_shape():
 def test_instance_does_each_piece_of_work_once(kind):
     # Blocks once, the {1}-inverse assembled once (the Kirchhoff value reads
     # the blocks, not X), the corona Laplacian pseudo-inverted once, and
-    # each crown spectrum once.
+    # the crown spectra in one call.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
@@ -80,7 +80,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
         mock.patch.object(closed_form, "one_inverse", wraps=closed_form.one_inverse) as assemble,
-        mock.patch.object(closed_form, "crown_eigen_sum", wraps=closed_form.crown_eigen_sum) as eigen,
+        mock.patch.object(closed_form, "crown_eigen_sums", wraps=closed_form.crown_eigen_sums) as eigen,
         mock.patch.object(suite, "pseudo_group_inverse", pinv),
         mock.patch.object(resistance, "pseudo_group_inverse", pinv),
     ):
@@ -89,7 +89,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert blocks.call_count == 1
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in pinv.call_args_list].count((order, order)) == 1
-    assert [c.args[0] for c in eigen.call_args_list] == list(crowns)
+    assert [c.args[0] for c in eigen.call_args_list] == [tuple(crowns)]
 
 
 def test_identity_battery_solves_its_graph_once():
