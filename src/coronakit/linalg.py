@@ -1,23 +1,22 @@
 """Dense symmetric kernels: a Jacobi eigensolver and a Cholesky inverse.
 
 Two kernels, split by what they compute, and both take one matrix or a
-(k, t, t) stack of equal-order ones.  Spectra and the oracle's
-pseudo-inverse go through ``sym_eigendecompose``, Jacobi in the
-round-robin parallel ordering of Brent and Luk: each of the n-1 rounds of
-a sweep rotates n/2 disjoint pairs of every stack member at once as one
-vectorised update, and each member stops on its own.  It is
-unconditionally stable on symmetric input, deterministic for a fixed
-input because the ordering is fixed, and entirely adequate at the matrix
-orders this package works at (a few hundred at most).
+(k, t, t) stack of equal-order ones.  Spectra go through
+``sym_eigendecompose``, Jacobi in the round-robin parallel ordering of
+Brent and Luk: each of the n-1 rounds of a sweep rotates n/2 disjoint
+pairs of every stack member at once as one vectorised update, and each
+member stops on its own.  It is unconditionally stable on symmetric
+input, deterministic for a fixed input because the ordering is fixed, and
+entirely adequate at the matrix orders this package works at (a few
+hundred at most).
 
-Inverses of nonsingular matrices go through ``sym_inverse``, a Cholesky
-factorisation that requires symmetric positive definite input.  The
-closed route uses only this kernel for its inverses: the base graph's
-group inverse is ``laplacian_group_inverse``, which deflates the known
-null vector of a connected Laplacian instead of zeroing an eigenvalue by
-threshold.  Both kernels share the input checks of ``_as_symmetric`` and
-raise ``MatrixError`` (``SingularMatrixError`` for singular input)
-instead of returning an answer they cannot vouch for.
+Inverses go through ``sym_inverse``, a Cholesky factorisation that
+requires symmetric positive definite input.  Every group inverse in the
+package, the oracle's included, is ``laplacian_group_inverse``: it
+deflates the known null vector of a connected Laplacian instead of
+zeroing an eigenvalue by threshold.  Both kernels share the input checks
+of ``_as_symmetric`` and raise ``MatrixError`` (``SingularMatrixError``
+for singular input) instead of returning an answer they cannot vouch for.
 """
 
 from __future__ import annotations
@@ -32,13 +31,13 @@ import numpy as np
 JACOBI_OFF_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
-# Eigenvalues with |lam| <= ZERO_EIGENVALUE_RTOL * max(1, |lam|_max) are
-# treated as exact zeros by the pseudo-inverse, and a Cholesky pivot at or
-# below ZERO_EIGENVALUE_RTOL * max(1, max|A|) makes sym_inverse raise.
-ZERO_EIGENVALUE_RTOL = 1e-10
+# Cholesky pivot floor: a pivot at or below PIVOT_RTOL * max(1, max|A|)
+# makes sym_inverse raise instead of dividing by a roundoff-sized number.
+PIVOT_RTOL = 1e-10
 
 # A matrix must be symmetric to within this (relative to max(1, ||.||_max))
-# before we will eigendecompose it; float products are allowed last-ulp slack.
+# before we will eigendecompose or invert it; float products are allowed
+# last-ulp slack.
 SYMMETRY_RTOL = 1e-10
 
 
@@ -329,22 +328,6 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     )
 
 
-def pseudo_group_inverse(m: np.ndarray) -> np.ndarray:
-    """Group inverse of a symmetric matrix (equals Moore-Penrose here).
-
-    Inverts eigenvalues above the zero threshold and zeroes the rest, then
-    reassembles.  For a connected graph's Laplacian this is the generalized
-    inverse whose row sums vanish.
-    """
-    dec = sym_eigendecompose(m)
-    thresh = ZERO_EIGENVALUE_RTOL * max(1.0, max_abs(dec.values))
-    inv = np.zeros_like(dec.values)
-    keep = np.abs(dec.values) > thresh
-    inv[keep] = 1.0 / dec.values[keep]
-    x = (dec.vectors * inv) @ dec.vectors.T
-    return 0.5 * (x + x.T)
-
-
 def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, by Cholesky.
 
@@ -353,16 +336,16 @@ def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     (Golub & Van Loan 4.2), inverts R by back substitution and returns
     R^{-1} R^{-T}; each stage is one loop over the order, vectorised across
     the stack.  Every member gets the square, finite and symmetric checks
-    of a single matrix.  A pivot at or below ZERO_EIGENVALUE_RTOL *
-    max(1, max|A|) of its member means A is singular or not positive
-    definite to working precision, and raises SingularMatrixError naming
-    ``what``; nothing is zeroed.
+    of a single matrix.  A pivot at or below PIVOT_RTOL * max(1, max|A|)
+    of its member means A is singular or not positive definite to working
+    precision, and raises SingularMatrixError naming ``what``; nothing is
+    zeroed.
     """
     a = _as_symmetric(m, what, stacked=True)
     if a.size == 0:
         return a
     stack = a.reshape((-1,) + a.shape[-2:])
-    floor = ZERO_EIGENVALUE_RTOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    floor = PIVOT_RTOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     order = stack.shape[1]
     # Right-looking factorisation: row j of R, then the rank-one update of
     # the trailing block, which holds the next Schur complement.
@@ -411,7 +394,7 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
 
 
 def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Symmetric {1}-inverse of [[A, B], [B^T, D]] for positive definite D.
+    """Symmetric {1}-inverse of a Laplacian split as [[A, B], [B^T, D]].
 
     Forms the Schur complement H = A - B D^{-1} B^T, takes its group inverse
     Hg, and assembles
@@ -419,11 +402,13 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
         [[Hg,            -Hg B D^{-1}                    ],
          [-D^{-1} B^T Hg, D^{-1} + D^{-1} B^T Hg B D^{-1}]]
 
-    which satisfies M X M = M for the full matrix M regardless of whether M
-    itself is singular.  D goes through the Cholesky ``sym_inverse``, so it
-    must be symmetric positive definite, as every proper trailing block of
-    a connected graph's Laplacian is; H goes through the Jacobi
-    ``pseudo_group_inverse``.
+    which satisfies M X M = M for the full, singular Laplacian M.  D goes
+    through the Cholesky ``sym_inverse``, so it must be symmetric positive
+    definite, as every proper trailing block of a connected graph's
+    Laplacian is.  H is then the Kron-reduced Laplacian, connected again
+    (Dorfler & Bullo, IEEE TCAS-I 60(1), 2013), and Hg is its deflated
+    ``laplacian_group_inverse``; a disconnected H raises
+    SingularMatrixError.
     """
     a = _as_symmetric(a, "block A")
     d = _as_symmetric(d, "block D")
@@ -435,7 +420,7 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
     d_inv = sym_inverse(d, "block D")
     bd = b @ d_inv
     h = a - bd @ b.T
-    hg = pseudo_group_inverse(h)
+    hg = laplacian_group_inverse(h)
     top_right = -hg @ bd
     bottom_right = d_inv + bd.T @ hg @ bd
     x = np.block([[hg, top_right], [top_right.T, 0.5 * (bottom_right + bottom_right.T)]])

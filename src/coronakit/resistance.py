@@ -1,8 +1,9 @@
 """Brute-force resistance distances through the Laplacian group inverse.
 
 This is the oracle side of the package: no structure is assumed beyond
-connectivity.  Every closed-form result elsewhere is validated against
-these routines.
+connectivity, and the whole Laplacian goes through the deflated Cholesky
+``laplacian_group_inverse``.  Every closed-form result elsewhere is
+validated against these routines.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
-from .linalg import pseudo_group_inverse
+from .linalg import laplacian_group_inverse
 
 
 class DisconnectedGraphError(ValueError):
@@ -34,7 +35,7 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     zero diagonal.
     """
     _require_connected(g)
-    return resistances_from_inverse(pseudo_group_inverse(laplacian(g)))
+    return resistances_from_inverse(laplacian_group_inverse(laplacian(g)))
 
 
 def resistances_from_inverse(x: np.ndarray) -> np.ndarray:
@@ -51,21 +52,10 @@ def resistances_from_inverse(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def resistance_from_one_inverse(x: np.ndarray, u: int, v: int) -> float:
-    """r(u, v) read out of any {1}-inverse X of the Laplacian.
-
-    The combination X[u, u] + X[v, v] - X[u, v] - X[v, u] takes the same
-    value for every {1}-inverse, which is what makes the structured block
-    inverses elsewhere usable for resistances at all.
-    """
-    x = np.asarray(x, dtype=float)
-    return float(x[u, u] + x[v, v] - x[u, v] - x[v, u])
-
-
 def kirchhoff_index(g: Graph) -> float:
     """Sum of resistances over all unordered vertex pairs: n * tr(Lg)."""
     _require_connected(g)
-    x = pseudo_group_inverse(laplacian(g))
+    x = laplacian_group_inverse(laplacian(g))
     return float(g.n * np.trace(x))
 
 

@@ -1,18 +1,18 @@
 """Randomized cross-validation of the closed forms against the oracle.
 
 Two independent routes to every number: structured block assembly on one
-side, eigendecomposition of the full corona Laplacian on the other.  The
-suite draws seeded random bases and crowns, runs both routes, and reports
-worst-case residuals per named check.  All randomness flows from one
-``random.Random(seed)``, and the JSON report is byte-stable for a given
-parameter set.
+side, the deflated Cholesky group inverse of the full corona Laplacian on
+the other.  The suite draws seeded random bases and crowns, runs both
+routes, and reports worst-case residuals per named check.  All randomness
+flows from one ``random.Random(seed)``, and the JSON report is byte-stable
+for a given parameter set.
 
 Closed-form entry points are looked up on the module object at call time,
 so a test harness can monkeypatch a deliberately wrong one and watch the
 verdict flip.  The hooks are ``closed_form.rv_blocks``/``re_blocks``,
 which an instance calls once, and ``closed_form.one_inverse``, which
 assembles the {1}-inverse from those blocks.  Every graph the suite touches
-has its Laplacian pseudo-inverted once.
+has its Laplacian group inverse taken once.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .corona import r_edge_corona, r_vertex_corona
 from .graphs import Graph, laplacian, serialize_edge_list
 from .linalg import (
     block_one_inverse,
+    laplacian_group_inverse,
     max_abs,
-    pseudo_group_inverse,
     shifted_rank_one_inverse,
     verify_one_inverse,
 )
@@ -47,7 +47,8 @@ SCHEMA = "corona-suite-report/1"
 
 # Residual tolerances, one entry per named check.  Identity-level checks are
 # exact linear algebra and sit at machine precision; pair and Kirchhoff
-# comparisons go through two eigendecompositions and get more headroom.
+# comparisons set two independently built inverses side by side and get
+# more headroom.
 IDENTITY_TOLERANCES: dict[str, float] = {
     "group_inverse_nullvector": 1e-9,
     "block_one_inverse_scaled": 1e-8,
@@ -136,7 +137,7 @@ def identity_residuals(g: Graph, rng: random.Random) -> dict[str, float]:
     """
     n = g.n
     lap = laplacian(g)
-    ls = pseudo_group_inverse(lap)
+    ls = laplacian_group_inverse(lap)
     out: dict[str, float] = {}
 
     out["group_inverse_nullvector"] = max_abs(ls @ np.ones(n))
@@ -268,7 +269,7 @@ def check_corona_instance(
     breakdown = closed_form.kirchhoff_terms(blocks)
 
     lap_c = laplacian(built.graph)
-    oracle_x = pseudo_group_inverse(lap_c)
+    oracle_x = laplacian_group_inverse(lap_c)
     oracle_r = resistances_from_inverse(oracle_x)
     inverse_r = resistances_from_inverse(x)
 

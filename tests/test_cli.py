@@ -114,17 +114,17 @@ def test_resist_csv_columns_follow_method(rv_spec, capsys):
 
 
 RESIST_ALL_BOTH_TEXT = """\
-r(0, 1)  closed=0.6666666667  oracle=0.6666666667  |diff|=2.220e-16
-r(0, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=5.551e-16
-r(0, 3)  closed=1  oracle=1  |diff|=6.661e-16
-r(0, 4)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
-r(1, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=2.220e-16
-r(1, 3)  closed=1.666666667  oracle=1.666666667  |diff|=8.882e-16
-r(1, 4)  closed=1  oracle=1  |diff|=0.000e+00
-r(2, 3)  closed=1.666666667  oracle=1.666666667  |diff|=1.332e-15
+r(0, 1)  closed=0.6666666667  oracle=0.6666666667  |diff|=0.000e+00
+r(0, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=0.000e+00
+r(0, 3)  closed=1  oracle=1  |diff|=0.000e+00
+r(0, 4)  closed=1.666666667  oracle=1.666666667  |diff|=4.441e-16
+r(1, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=1.110e-16
+r(1, 3)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
+r(1, 4)  closed=1  oracle=1  |diff|=4.441e-16
+r(2, 3)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
 r(2, 4)  closed=1.666666667  oracle=1.666666667  |diff|=4.441e-16
 r(3, 4)  closed=2.666666667  oracle=2.666666667  |diff|=4.441e-16
-max |closed - oracle| over 10 pairs: 1.332e-15
+max |closed - oracle| over 10 pairs: 4.441e-16
 """
 
 

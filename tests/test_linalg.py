@@ -18,7 +18,6 @@ from coronakit.linalg import (
     block_one_inverse,
     laplacian_group_inverse,
     max_abs,
-    pseudo_group_inverse,
     shifted_rank_one_inverse,
     sym_eigendecompose,
     sym_inverse,
@@ -195,25 +194,18 @@ def test_stacked_eigendecompose_raises_if_any_member_does_not_converge(monkeypat
 
 def test_group_inverse_of_triangle_is_known():
     # Lg of the triangle's Laplacian is (3I - J)/9
-    for group_inverse in (pseudo_group_inverse, laplacian_group_inverse):
-        lg = group_inverse(laplacian(complete_graph(3)))
-        npt.assert_allclose(lg, (3.0 * np.eye(3) - np.ones((3, 3))) / 9.0, atol=1e-12)
+    lg = laplacian_group_inverse(laplacian(complete_graph(3)))
+    npt.assert_allclose(lg, (3.0 * np.eye(3) - np.ones((3, 3))) / 9.0, atol=1e-12)
 
 
 def test_group_inverse_equations():
-    rng = np.random.default_rng(7)
     for g in (path_graph(5), complete_graph(4), Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)))):
         lap = laplacian(g)
-        for group_inverse in (pseudo_group_inverse, laplacian_group_inverse):
-            lg = group_inverse(lap)
-            npt.assert_allclose(lap @ lg @ lap, lap, atol=1e-10)
-            npt.assert_allclose(lg @ lap @ lg, lg, atol=1e-10)
-            npt.assert_allclose(lap @ lg, lg @ lap, atol=1e-10)
-            npt.assert_allclose(lg @ np.ones(g.n), np.zeros(g.n), atol=1e-10)
-    # full rank: group inverse is the plain inverse
-    a = rng.normal(size=(4, 4))
-    a = a @ a.T + np.eye(4)
-    npt.assert_allclose(pseudo_group_inverse(a), np.linalg.inv(a), atol=1e-9)
+        lg = laplacian_group_inverse(lap)
+        npt.assert_allclose(lap @ lg @ lap, lap, atol=1e-10)
+        npt.assert_allclose(lg @ lap @ lg, lg, atol=1e-10)
+        npt.assert_allclose(lap @ lg, lg @ lap, atol=1e-10)
+        npt.assert_allclose(lg @ np.ones(g.n), np.zeros(g.n), atol=1e-10)
 
 
 def test_sym_inverse_matches_numpy():
@@ -293,6 +285,15 @@ def test_block_one_inverse_on_laplacian_splits():
             npt.assert_allclose(x, x.T, atol=1e-12)
 
 
+def test_block_one_inverse_fails_loudly_on_disconnected_input():
+    # D = [1] is positive definite, but eliminating vertex 3 leaves vertex 2
+    # isolated, so the Schur complement is a disconnected Laplacian.
+    lap = laplacian(Graph(4, ((0, 1), (2, 3))))
+    k = 3
+    with pytest.raises(SingularMatrixError, match="L \\+ J/n"):
+        block_one_inverse(lap[:k, :k], lap[:k, k:], lap[k:, k:])
+
+
 def test_block_one_inverse_shape_check():
     with pytest.raises(MatrixError, match="block B"):
         block_one_inverse(np.eye(2), np.ones((3, 2)), np.eye(2))
@@ -333,7 +334,7 @@ def test_shifted_rank_one_inverse_error_paths():
 
 def test_verify_one_inverse_reports_defect():
     lap = laplacian(path_graph(3))
-    lg = pseudo_group_inverse(lap)
+    lg = laplacian_group_inverse(lap)
     assert verify_one_inverse(lap, lg) <= 1e-12
     assert verify_one_inverse(lap, np.zeros((3, 3))) == pytest.approx(2.0)
     with pytest.raises(MatrixError):
@@ -354,7 +355,6 @@ def _stacked_eigendecompose(a):
     [
         sym_eigendecompose,
         _stacked_eigendecompose,
-        pseudo_group_inverse,
         sym_inverse,
         laplacian_group_inverse,
     ],

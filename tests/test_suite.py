@@ -70,41 +70,41 @@ def test_instance_report_shape():
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
     # Blocks once, the {1}-inverse assembled once (the Kirchhoff value reads
-    # the blocks, not X), the corona Laplacian pseudo-inverted once, and
+    # the blocks, not X), the corona Laplacian's group inverse taken once, and
     # the crown spectra in one call.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
     order = g.n + g.m + sum(c.n for c in crowns)
-    pinv = mock.Mock(wraps=linalg.pseudo_group_inverse)
+    ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
         mock.patch.object(closed_form, "one_inverse", wraps=closed_form.one_inverse) as assemble,
         mock.patch.object(closed_form, "crown_eigen_sums", wraps=closed_form.crown_eigen_sums) as eigen,
-        mock.patch.object(suite, "pseudo_group_inverse", pinv),
-        mock.patch.object(resistance, "pseudo_group_inverse", pinv),
+        mock.patch.object(suite, "laplacian_group_inverse", ginv),
+        mock.patch.object(resistance, "laplacian_group_inverse", ginv),
     ):
         report = suite.check_corona_instance(kind, g, crowns)
     assert report.passed
     assert blocks.call_count == 1
     assert assemble.call_count == 1
-    assert [c.args[0].shape for c in pinv.call_args_list].count((order, order)) == 1
+    assert [c.args[0].shape for c in ginv.call_args_list].count((order, order)) == 1
     assert [c.args[0] for c in eigen.call_args_list] == [tuple(crowns)]
 
 
 def test_identity_battery_solves_its_graph_once():
     # The edge-sum, neighbor-recursion and cut-vertex checks read resistance
-    # matrices already built; only the battery graph's own pseudo-inverse is
+    # matrices already built; only the battery graph's own group inverse is
     # n x n (the cut-vertex corona is larger).
     g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)))
-    pinv = mock.Mock(wraps=linalg.pseudo_group_inverse)
+    ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
     with (
-        mock.patch.object(suite, "pseudo_group_inverse", pinv),
-        mock.patch.object(resistance, "pseudo_group_inverse", pinv),
+        mock.patch.object(suite, "laplacian_group_inverse", ginv),
+        mock.patch.object(resistance, "laplacian_group_inverse", ginv),
     ):
         out = suite.identity_residuals(g, random.Random(4))
     assert {"edge_resistance_sum", "neighbor_recursion"} <= set(out)
-    assert [c.args[0].shape for c in pinv.call_args_list].count((g.n, g.n)) == 1
+    assert [c.args[0].shape for c in ginv.call_args_list].count((g.n, g.n)) == 1
 
 
 def test_run_suite_passes_and_counts():
