@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closed_form
-from .corona import CoronaResult
 from .graphs import empty_graph, serialize_edge_list
 from .linalg import MatrixError
 from .resistance import kirchhoff_index, resistance_matrix
@@ -63,17 +62,12 @@ def _closed_kirchhoff(spec: CoronaSpec) -> closed_form.KirchhoffBreakdown:
     return closed_form.rv_kirchhoff_terms(base, crowns)
 
 
-def _load(spec_path: str) -> tuple[CoronaSpec, CoronaResult]:
-    spec = load_corona_spec(spec_path)
-    return spec, build_from_spec(spec)
-
-
 # ---------------------------------------------------------------------------
 # build
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    spec, built = _load(args.spec)
+    built = build_from_spec(load_corona_spec(args.spec))
     text = serialize_edge_list(built.graph)
     part = built.partition
     sidecar = {
@@ -101,58 +95,83 @@ def cmd_build(args: argparse.Namespace) -> int:
 # resist
 
 
-# Text-format label of each resist column.
-_TEXT_CELLS = {"closed": "closed={:.10g}", "oracle": "oracle={:.10g}", "abs_diff": "|diff|={:.3e}"}
+# Text-format cell of each resist column, a %-template of one float.
+_TEXT_CELLS = {"closed": "closed=%.10g", "oracle": "oracle=%.10g", "abs_diff": "|diff|=%.3e"}
+
+
+def _distinct_cells(col: np.ndarray, template: str) -> np.ndarray:
+    """``template % x`` for every float x of ``col``, formatting each distinct x once.
+
+    Values are keyed by their bits, so -0.0 stays apart from 0.0 (they
+    print differently) and every cell is exactly its own float's rendering.
+    The distinct values go through one %-pass over the repeated template.
+    """
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = (template + "\n") * len(keys) % tuple(keys.view(np.float64).tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[inverse]
+
+
+def _table(rows: int, layout: list) -> str:
+    """The ``rows`` rows of a table, concatenated in one join.
+
+    ``layout`` lists each row's pieces left to right: a string that every
+    row shares (a separator), or a column holding one cell per row.
+    """
+    table = np.empty((rows, len(layout)), dtype=object)
+    for j, piece in enumerate(layout):
+        table[:, j] = piece
+    return "".join(table.ravel().tolist())
 
 
 def cmd_resist(args: argparse.Namespace) -> int:
-    spec, built = _load(args.spec)
-    total = built.partition.total()
+    spec = load_corona_spec(args.spec)
+    total = spec.order()
     if args.pair is not None:
         for w in args.pair:
             if not 0 <= w < total:
                 raise CliInputError(
                     f"vertex {w} out of range for a {total}-vertex corona"
                 )
-        us, vs = [args.pair[0]], [args.pair[1]]
+        us, vs = np.array(args.pair)[:, None]
     else:
-        us, vs = (side.tolist() for side in np.triu_indices(total, 1))
+        us, vs = np.triu_indices(total, 1)
     columns = {}
     if args.method in ("closed", "both"):
         columns["closed"] = _closed_resistance_matrix(spec)[us, vs]
     if args.method in ("oracle", "both"):
-        columns["oracle"] = resistance_matrix(built.graph)[us, vs]
+        columns["oracle"] = resistance_matrix(build_from_spec(spec).graph)[us, vs]
     if args.method == "both":
         columns["abs_diff"] = np.abs(columns["closed"] - columns["oracle"])
-    values = {name: col.tolist() for name, col in columns.items()}
 
     if args.format == "json":
-        names = ("u", "v", *values)
+        names = ("u", "v", *columns)
+        rows = zip(us.tolist(), vs.tolist(), *(col.tolist() for col in columns.values()))
         doc = {
             "schema": "corona-resist/1",
-            "kind": built.kind,
+            "kind": spec.kind,
             "vertices": total,
             "method": args.method,
-            "pairs": [dict(zip(names, row)) for row in zip(us, vs, *values.values())],
+            "pairs": [dict(zip(names, row)) for row in rows],
         }
         print(json.dumps(round_floats(doc), indent=2, sort_keys=True))
         return 0
+    labels = np.array([str(w) for w in range(total)], dtype=object)
     if args.format == "csv":
-        lines = [",".join(["u", "v", *values])]
-        cells = [map(str, us), map(str, vs)]
-        cells += [[f"{x:.12g}" for x in col] for col in values.values()]
-        sep = ","
+        head = ",".join(["u", "v", *columns]) + "\n"
+        layout = [labels[us], ",", labels[vs]]
+        for col in columns.values():
+            layout += [",", _distinct_cells(col, "%.12g")]
     else:
-        lines = []
-        cells = [[f"r({u}, {v})" for u, v in zip(us, vs)]]
-        cells += [list(map(_TEXT_CELLS[name].format, col)) for name, col in values.items()]
-        sep = "  "
-    lines += map(sep.join, zip(*cells))
+        head = ""
+        layout = ["r(", labels[us], ", ", labels[vs], ")"]
+        for name, col in columns.items():
+            layout += ["  ", _distinct_cells(col, _TEXT_CELLS[name])]
+    text = head + _table(len(us), layout + ["\n"])
     if args.format == "text" and args.method == "both" and len(us) > 1:
-        lines.append(
-            f"max |closed - oracle| over {len(us)} pairs: {max(values['abs_diff']):.3e}"
+        text += "max |closed - oracle| over %d pairs: %.3e\n" % (
+            len(us), columns["abs_diff"].max()
         )
-    sys.stdout.writelines(line + "\n" for line in lines)
+    sys.stdout.write(text)
     return 0
 
 
@@ -161,11 +180,11 @@ def cmd_resist(args: argparse.Namespace) -> int:
 
 
 def cmd_kf(args: argparse.Namespace) -> int:
-    spec, built = _load(args.spec)
+    spec = load_corona_spec(args.spec)
     doc: dict = {
         "schema": "corona-kf/1",
-        "kind": built.kind,
-        "vertices": built.partition.total(),
+        "kind": spec.kind,
+        "vertices": spec.order(),
         "method": args.method,
     }
     if args.method in ("closed", "both"):
@@ -174,7 +193,7 @@ def cmd_kf(args: argparse.Namespace) -> int:
         doc["expanded"] = breakdown.expanded
         doc["terms"] = dict(breakdown.terms)
     if args.method in ("oracle", "both"):
-        doc["oracle"] = kirchhoff_index(built.graph)
+        doc["oracle"] = kirchhoff_index(build_from_spec(spec).graph)
     if args.method == "both":
         doc["abs_diff"] = abs(doc["closed"] - doc["oracle"])
 

@@ -24,7 +24,6 @@ it checks the Cholesky inverses against a second kernel.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,11 @@ class CoronaBlocks:
     inverse, the same for both kinds.  ``anchor`` gives, for each crown
     vertex in layout order, the skeleton vertex its crown hangs from:
     original vertex i for R-vertex, edge-vertex n + k for R-edge.  It is
-    the only piece of data in which the kinds differ.  ``grounded`` is the
-    block diagonal of the crown inverses (L(H) + I)^{-1}.  ``schur_defect``
+    the only piece of data in which the kinds differ.  ``crown_laplacians``
+    holds, per nonempty crown order, the crowns' indices and their
+    Laplacians as one (k, t, t) stack; it is built once and read by both
+    the crown inverses and the crown spectra.  ``grounded`` is the block
+    diagonal of the crown inverses (L(H) + I)^{-1}.  ``schur_defect``
     is the distance of the numerically assembled Schur complement from
     (3/2) L(G); ``complement_defect`` is that of the edge-block complement
     from 2I (exactly 0 for R-vertex).
@@ -68,6 +70,7 @@ class CoronaBlocks:
     b: np.ndarray
     skeleton: np.ndarray
     anchor: np.ndarray
+    crown_laplacians: tuple[tuple[np.ndarray, np.ndarray], ...]
     grounded: np.ndarray
     schur_defect: float
     complement_defect: float
@@ -82,26 +85,32 @@ def _require_closed_form_input(g: Graph) -> None:
         )
 
 
-def _crown_laplacians(crowns: tuple[Graph, ...]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Per nonempty crown order t: the crowns' indices and Laplacians as one (k, t, t) stack."""
+def _crown_laplacians(crowns: tuple[Graph, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per nonempty crown order: the crowns' indices and Laplacians as one (k, t, t) stack."""
     sizes = np.array([c.n for c in crowns], dtype=np.intp)
+    stacks = []
     for t in sorted(set(sizes.tolist()) - {0}):
         of_order = np.flatnonzero(sizes == t)
-        yield t, of_order, np.stack([laplacian(crowns[i]) for i in of_order])
+        stacks.append((of_order, np.stack([laplacian(crowns[i]) for i in of_order])))
+    return tuple(stacks)
 
 
-def _grounded_inverse(vertex: bool, crowns: tuple[Graph, ...]) -> np.ndarray:
+def _grounded_inverse(
+    vertex: bool,
+    sizes: tuple[int, ...],
+    crown_laplacians: tuple[tuple[np.ndarray, np.ndarray], ...],
+) -> np.ndarray:
     """Block diagonal of the crown inverses (L(H) + I)^{-1}, one solve per order.
 
     The crowns of each order t are inverted together as one (k, t, t)
     stack.  R-edge crowns go through the checked shifted inverse
     (L(H) + I - J/(2+t))^{-1} = (L(H) + I)^{-1} + J/2, less 1/2.
     """
-    sizes = np.array([c.n for c in crowns], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
+    total = sum(sizes)
     grounded = np.zeros((total, total))
-    for t, of_order, laps in _crown_laplacians(crowns):
+    for of_order, laps in crown_laplacians:
+        t = laps.shape[-1]
         if vertex:
             inv = sym_inverse(laps + np.eye(t), "crown block")
         else:
@@ -140,7 +149,8 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     l_g = laplacian(g)
     l_sharp = laplacian_group_inverse(l_g)
     b = incidence(g)
-    grounded = _grounded_inverse(vertex, crowns)
+    crown_laplacians = _crown_laplacians(crowns)
+    grounded = _grounded_inverse(vertex, sizes, crown_laplacians)
     owner = np.repeat(np.arange(hosts), sizes)
     anchor = owner if vertex else g.n + owner
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
@@ -162,7 +172,8 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
     skeleton = _skeleton_corner(l_sharp, b)
     return CoronaBlocks(
-        kind, g, crowns, sizes, l_sharp, b, skeleton, anchor, grounded, defect, complement_defect
+        kind, g, crowns, sizes, l_sharp, b, skeleton, anchor, crown_laplacians, grounded,
+        defect, complement_defect,
     )
 
 
@@ -253,14 +264,14 @@ class KirchhoffBreakdown:
     deviation: float
 
 
-def crown_eigen_sums(crowns: tuple[Graph, ...]) -> np.ndarray:
-    """Per crown, the sum over its Laplacian spectrum of 1/(mu + 1).
+def crown_eigen_sums(blocks: CoronaBlocks) -> np.ndarray:
+    """Per crown of ``blocks``, the sum over its Laplacian spectrum of 1/(mu + 1).
 
-    The crowns of each order are eigendecomposed together as one stack; an
-    empty crown sums to 0.
+    The crowns of each order are eigendecomposed together as one stack,
+    the Laplacian stack the blocks already hold; an empty crown sums to 0.
     """
-    sums = np.zeros(len(crowns))
-    for _, of_order, laps in _crown_laplacians(crowns):
+    sums = np.zeros(len(blocks.crowns))
+    for of_order, laps in blocks.crown_laplacians:
         values = sym_eigendecompose(laps).values
         sums[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
     return sums
@@ -302,7 +313,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     pi_c = pi - pi.mean()
     u_tau_c = u_tau - u_tau.mean()
     shift = 0.5 if edge else 0.0
-    sums = crown_eigen_sums(blocks.crowns)
+    sums = crown_eigen_sums(blocks)
     crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
     terms = {
         "trace_base": (2.0 / 3.0) * float(np.trace(ls)),

@@ -35,6 +35,14 @@ class CoronaSpec:
     base: Graph
     crowns: tuple[Graph, ...]
 
+    def order(self) -> int:
+        """Vertex count of the corona this spec describes, without building it.
+
+        The builders' layout is the base's n vertices, its m edge-vertices
+        and then every crown's vertices; r_graph has no crowns.
+        """
+        return self.base.n + self.base.m + sum(c.n for c in self.crowns)
+
 
 def _load_graph(path: Path, context: str) -> Graph:
     try:

@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import coronakit
-from coronakit import closed_form
+from coronakit import cli, closed_form
 from coronakit.cli import main
+from coronakit.corona import r_vertex_corona
 from coronakit.graphs import (
     complete_graph,
     cycle_graph,
@@ -20,6 +22,7 @@ from coronakit.graphs import (
     serialize_edge_list,
 )
 from coronakit.linalg import MatrixError
+from coronakit.resistance import resistance_matrix
 
 
 @pytest.fixture
@@ -258,6 +261,79 @@ u,v,closed
 11,13,1
 12,13,0.625
 """
+
+
+def test_distinct_cells_keep_bit_distinct_values_apart():
+    # The writer formats each distinct bit pattern once: 0.0 and -0.0 print
+    # differently, and two neighbouring floats that print alike at 12 digits
+    # are still two keys; repeats share one string.
+    tiny = 0.1
+    neighbour = float(np.nextafter(tiny, 1.0))
+    assert neighbour != tiny and f"{neighbour:.12g}" == f"{tiny:.12g}"
+    col = np.array(
+        [0.0, -0.0, tiny, neighbour, np.inf, -np.inf, np.nan, 2.5, 2.5, -0.0, 1e-300, 1e16, tiny]
+    )
+    cells = cli._distinct_cells(col, "%.12g")
+    assert cells.tolist() == [f"{x:.12g}" for x in col.tolist()]
+    assert cells[0] == "0" and cells[1] == "-0"
+    # per-cell str.format rendering of each text column, the reference
+    text_cells = {"closed": "closed={:.10g}", "oracle": "oracle={:.10g}", "abs_diff": "|diff|={:.3e}"}
+    for name, reference in text_cells.items():
+        cells = cli._distinct_cells(col, cli._TEXT_CELLS[name])
+        assert cells.tolist() == [reference.format(x) for x in col.tolist()]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_resist_all_table_matches_per_cell_rendering(tmp_path, capsys, fmt):
+    # C_30 with a K2 crown on every vertex (N = 120): many crown rows repeat
+    # bit for bit, so deduplication fires on every column.
+    g, crowns = cycle_graph(30), (complete_graph(2),) * 30
+    (tmp_path / "c30.edges").write_text(serialize_edge_list(g))
+    (tmp_path / "k2.edges").write_text(serialize_edge_list(crowns[0]))
+    spec = tmp_path / "c30.spec"
+    spec.write_text(
+        "kind = r_vertex\nbase = c30.edges\n"
+        + "".join(f"crown.{i} = k2.edges\n" for i in range(30))
+    )
+    closed = closed_form.rv_resistance_matrix(g, crowns)
+    oracle = resistance_matrix(r_vertex_corona(g, crowns).graph)
+    order = len(closed)
+    assert order == 120
+    rows = []
+    diffs = []
+    for u in range(order):
+        for v in range(u + 1, order):
+            c, o = float(closed[u, v]), float(oracle[u, v])
+            diffs.append(abs(c - o))
+            if fmt == "csv":
+                rows.append(f"{u},{v},{c:.12g},{o:.12g},{abs(c - o):.12g}\n")
+            else:
+                rows.append(
+                    f"r({u}, {v})  closed={c:.10g}  oracle={o:.10g}  |diff|={abs(c - o):.3e}\n"
+                )
+    if fmt == "csv":
+        want = "u,v,closed,oracle,abs_diff\n" + "".join(rows)
+    else:
+        want = "".join(rows) + f"max |closed - oracle| over {len(rows)} pairs: {max(diffs):.3e}\n"
+    assert main(["resist", str(spec), "--all", "--method", "both", "--format", fmt]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_closed_only_commands_build_no_corona(re_spec, capsys):
+    # --method closed reads the vertex count and kind off the spec; only the
+    # oracle builds the corona graph.
+    no_build = AssertionError("the closed route built the corona")
+    with mock.patch.object(cli, "build_from_spec", side_effect=no_build):
+        assert main(["resist", str(re_spec), "--all", "--method", "closed", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == RE_RESIST_ALL_CSV
+        assert main(["kf", str(re_spec), "--method", "closed", "--format", "json", "--terms"]) == 0
+        assert capsys.readouterr().out == RE_KF_CLOSED_JSON
+    build = mock.Mock(wraps=cli.build_from_spec)
+    with mock.patch.object(cli, "build_from_spec", build):
+        assert main(["resist", str(re_spec), "--pair", "0", "1", "--method", "oracle"]) == 0
+        assert main(["kf", str(re_spec), "--method", "both"]) == 0
+    assert build.call_count == 2
+    capsys.readouterr()
 
 
 def test_r_edge_closed_output_is_pinned(re_spec, capsys):

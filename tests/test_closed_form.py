@@ -151,12 +151,12 @@ def test_crown_block_spectral_traces():
     crowns = (Graph(2, ()), Graph(3, ((0, 1), (0, 2))), K1)
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
-    want = sum(cf.crown_eigen_sums(crowns))
+    want = sum(cf.crown_eigen_sums(blocks_v))
     assert np.trace(blocks_v.grounded) == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
     shifted = _shifted_corner(blocks_e)
-    want_e = sum(cf.crown_eigen_sums(crowns) + [c.n / 2.0 for c in crowns])
+    want_e = sum(cf.crown_eigen_sums(blocks_e) + [c.n / 2.0 for c in crowns])
     assert np.trace(shifted) == pytest.approx(want_e, abs=1e-10)
 
     # all-ones quadratic form of each shifted crown inverse is t(2+t)/2
@@ -176,7 +176,7 @@ def test_empty_crown_trace_needs_the_shift():
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
     assert np.trace(_shifted_corner(blocks)) == pytest.approx(3.0, abs=1e-12)
-    assert cf.crown_eigen_sums((crown,))[0] == pytest.approx(2.0, abs=1e-12)
+    assert cf.crown_eigen_sums(blocks)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_dispatch_matches_oracle_on_structured_instances():
@@ -371,9 +371,9 @@ def test_closed_route_inverts_without_the_eigensolver():
     ]
     assert (cf, "sym_eigendecompose") in bindings
 
-    def spectral_sums(crowns):
+    def spectral_sums(blocks):
         return np.array(
-            [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in crowns]
+            [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in blocks.crowns]
         )
 
     for kind, make_corona in (("rv", r_vertex_corona), ("re", r_edge_corona)):
@@ -392,6 +392,21 @@ def test_closed_route_inverts_without_the_eigensolver():
         assert verify_one_inverse(lap, x) <= 1e-10 * max(1.0, max_abs(lap))
         assert max_abs(r - resistance_matrix(built.graph)) <= PAIR_TOL
         assert breakdown.deviation <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["rv", "re"])
+def test_each_crown_laplacian_is_built_once(kind):
+    # The blocks hold the per-order Laplacian stacks; the crown inverses and
+    # the Kirchhoff expansion's crown spectra both read them, so a closed
+    # Kirchhoff evaluation builds the base's Laplacian and each nonempty
+    # crown's once.
+    g = cycle_graph(4)
+    crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), path_graph(2))
+    lap = mock.Mock(wraps=laplacian)
+    with mock.patch.object(cf, "laplacian", lap):
+        breakdown = cf.kirchhoff_terms(getattr(cf, f"{kind}_blocks")(g, crowns))
+    assert breakdown.deviation <= 1e-9
+    assert lap.call_count == 1 + sum(1 for c in crowns if c.n)
 
 
 def test_apex_resistance_is_the_grounded_inverse_diagonal():

@@ -34,6 +34,7 @@ def test_r_vertex_spec_round_trip(tmp_path):
     expected = r_vertex_corona(path_graph(3), spec.crowns)
     assert built.graph == expected.graph
     assert built.partition == expected.partition
+    assert spec.order() == built.partition.total()
 
 
 def test_r_edge_spec_counts_edges(tmp_path):
@@ -48,6 +49,7 @@ def test_r_edge_spec_counts_edges(tmp_path):
     assert spec.crowns[1].n == 1
     built = build_from_spec(spec)
     assert built.graph.n == 3 + 2 + 1
+    assert spec.order() == built.partition.total()
 
 
 def test_r_graph_spec_takes_no_crowns(tmp_path):
@@ -55,6 +57,7 @@ def test_r_graph_spec_takes_no_crowns(tmp_path):
     spec = load_corona_spec(write(tmp_path, "g.spec", "kind = r_graph\nbase = base.edges\n"))
     assert spec.crowns == ()
     assert build_from_spec(spec).graph == complete_graph(3)
+    assert spec.order() == 3
 
     bad = write(
         tmp_path,

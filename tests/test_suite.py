@@ -89,7 +89,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert blocks.call_count == 1
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list].count((order, order)) == 1
-    assert [c.args[0] for c in eigen.call_args_list] == [tuple(crowns)]
+    assert [c.args[0].crowns for c in eigen.call_args_list] == [tuple(crowns)]
 
 
 def test_identity_battery_solves_its_graph_once():
