@@ -48,6 +48,13 @@ def _closed_ingredients(spec: CoronaSpec) -> tuple:
     return spec.base, spec.crowns
 
 
+def _closed_blocks(spec: CoronaSpec) -> closed_form.CoronaBlocks:
+    base, crowns = _closed_ingredients(spec)
+    if spec.kind == "r_edge":
+        return closed_form.re_blocks(base, crowns)
+    return closed_form.rv_blocks(base, crowns)
+
+
 def _closed_resistance_matrix(spec: CoronaSpec) -> np.ndarray:
     base, crowns = _closed_ingredients(spec)
     if spec.kind == "r_edge":
@@ -137,7 +144,11 @@ def cmd_resist(args: argparse.Namespace) -> int:
         us, vs = np.triu_indices(total, 1)
     columns = {}
     if args.method in ("closed", "both"):
-        columns["closed"] = _closed_resistance_matrix(spec)[us, vs]
+        if args.pair is not None:
+            cell = closed_form.pair_resistance(_closed_blocks(spec), *args.pair)
+            columns["closed"] = np.array([cell])
+        else:
+            columns["closed"] = _closed_resistance_matrix(spec)[us, vs]
     if args.method in ("oracle", "both"):
         columns["oracle"] = resistance_matrix(build_from_spec(spec).graph)[us, vs]
     if args.method == "both":

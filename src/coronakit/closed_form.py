@@ -229,6 +229,29 @@ def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
     return r
 
 
+def _cell_resistance(x: np.ndarray, i: int, j: int) -> float:
+    """Cell (i, j) of ``resistance.resistances_from_inverse(x)``, from the 2 x 2 block it reads."""
+    ij = [i, j]
+    return resistance.resistances_from_inverse(x[np.ix_(ij, ij)])[0, 1]
+
+
+def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
+    """The resistance between corona vertices u and v, read off the blocks.
+
+    The (u, v) cell of ``resistance_map(blocks)``, bit for bit, in the same
+    arithmetic order and with nothing of corona order built: the skeleton
+    resistance between the two anchors plus the two apex values, or, for
+    two vertices of one crown, the resistance within that crown's grounded
+    inverse.
+    """
+    nm = len(blocks.skeleton)
+    if u >= nm and v >= nm and blocks.anchor[u - nm] == blocks.anchor[v - nm]:
+        return float(_cell_resistance(blocks.grounded, u - nm, v - nm))
+    a, b = (w if w < nm else int(blocks.anchor[w - nm]) for w in (u, v))
+    apex_u, apex_v = (0.0 if w < nm else blocks.grounded[w - nm, w - nm] for w in (u, v))
+    return float(_cell_resistance(blocks.skeleton, a, b) + (apex_u + apex_v))
+
+
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
     """All closed-form pairwise resistances of the R-vertex corona."""
     return resistance_map(rv_blocks(g, crowns))

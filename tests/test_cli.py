@@ -117,15 +117,15 @@ def test_resist_csv_columns_follow_method(rv_spec, capsys):
 
 
 RESIST_ALL_BOTH_TEXT = """\
-r(0, 1)  closed=0.6666666667  oracle=0.6666666667  |diff|=0.000e+00
-r(0, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=0.000e+00
-r(0, 3)  closed=1  oracle=1  |diff|=0.000e+00
-r(0, 4)  closed=1.666666667  oracle=1.666666667  |diff|=4.441e-16
+r(0, 1)  closed=0.6666666667  oracle=0.6666666667  |diff|=1.110e-16
+r(0, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=1.110e-16
+r(0, 3)  closed=1  oracle=1  |diff|=1.110e-16
+r(0, 4)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
 r(1, 2)  closed=0.6666666667  oracle=0.6666666667  |diff|=1.110e-16
 r(1, 3)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
-r(1, 4)  closed=1  oracle=1  |diff|=4.441e-16
-r(2, 3)  closed=1.666666667  oracle=1.666666667  |diff|=2.220e-16
-r(2, 4)  closed=1.666666667  oracle=1.666666667  |diff|=4.441e-16
+r(1, 4)  closed=1  oracle=1  |diff|=1.110e-16
+r(2, 3)  closed=1.666666667  oracle=1.666666667  |diff|=0.000e+00
+r(2, 4)  closed=1.666666667  oracle=1.666666667  |diff|=0.000e+00
 r(3, 4)  closed=2.666666667  oracle=2.666666667  |diff|=4.441e-16
 max |closed - oracle| over 10 pairs: 4.441e-16
 """
@@ -140,6 +140,29 @@ def test_resist_text_output_is_pinned(rv_spec, capsys):
     assert capsys.readouterr().out == (
         "r(4, 3)  closed=2.666666667  oracle=2.666666667  |diff|=4.441e-16\n"
     )
+
+
+@pytest.mark.parametrize("fixture", ["rv_spec", "re_spec", "rg_spec"])
+def test_resist_pair_closed_is_its_all_row(fixture, request, capsys):
+    # A closed --pair is read off the blocks, never from the full map, and
+    # prints byte for byte its row of --all: either order, and 0 for u == v.
+    spec = str(request.getfixturevalue(fixture))
+    assert main(["resist", spec, "--all", "--method", "closed"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cells = {}
+    for line in lines:
+        pair, cell = line[2:].split(")  ")
+        u, v = map(int, pair.split(", "))
+        cells[u, v] = cells[v, u] = cell
+    total = max(u for u, _ in cells) + 1
+    assert len(lines) == total * (total - 1) // 2
+    never = mock.Mock(side_effect=AssertionError("built the full resistance map"))
+    with mock.patch.object(closed_form, "resistance_map", never):
+        for u in range(total):
+            for v in range(total):
+                assert main(["resist", spec, "--pair", str(u), str(v), "--method", "closed"]) == 0
+                cell = cells.get((u, v), "closed=0")
+                assert capsys.readouterr().out == f"r({u}, {v})  {cell}\n"
 
 
 RE_KF_CLOSED_JSON = """\
@@ -453,7 +476,7 @@ def test_internal_matrix_fault_exits_3(rv_spec, capsys):
     # a numerical fault inside the closed route is the program's, not the
     # input's: it must not be reported as exit 2, "bad input"
     fault = MatrixError("Schur complement defect 1.000e-03 exceeds 1e-12")
-    with mock.patch.object(closed_form, "rv_resistance_matrix", side_effect=fault):
+    with mock.patch.object(closed_form, "rv_blocks", side_effect=fault):
         code = main(["resist", str(rv_spec), "--pair", "0", "1", "--method", "closed"])
     assert code == 3
     assert capsys.readouterr().err.startswith("internal error: Schur complement defect")

@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import coronakit
 from coronakit import closed_form as cf
 from coronakit import linalg, resistance
-from coronakit.corona import apex_join, r_edge_corona, r_vertex_corona
+from coronakit.corona import apex_join, r_edge_corona, r_graph, r_vertex_corona
 from coronakit.graphs import (
     Graph,
     complete_graph,
@@ -219,6 +220,23 @@ def test_single_pair_entry_points():
     built = r_edge_corona(ge, crowns_e)
     a, b = built.partition.crowns[0]
     assert cf.re_resistance_matrix(ge, crowns_e)[a, b] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_pair_resistance_is_the_map_cell_bit_for_bit(kind):
+    # Crowns of orders 0-3: pairs within one crown, across two crowns,
+    # between skeleton vertices, from a crown to its own anchor, and u == v.
+    rng = random.Random(29)
+    g = random_connected_graph(rng, 4, 6)
+    if kind == "r_vertex":
+        blocks = cf.rv_blocks(g, random_crowns(rng, g.n, 3))
+    else:
+        blocks = cf.re_blocks(g, random_crowns(rng, g.m, 3))
+    r = cf.resistance_map(blocks)
+    assert any(size > 1 for size in blocks.sizes)
+    for u in range(len(r)):
+        for v in range(len(r)):
+            assert cf.pair_resistance(blocks, u, v).hex() == float(r[u, v]).hex()
 
 
 def test_original_pairs_scale_base_resistance_by_two_thirds():
@@ -462,3 +480,50 @@ def test_near_degenerate_families_match_the_oracle(instance):
     assert max_abs(closed - oracle) <= PAIR_TOL
     kf_oracle = float(np.triu(oracle).sum())
     assert abs(kf - kf_oracle) <= 1e-6 * kf_oracle
+
+
+def _kirchhoff_of_r_path(n):
+    """Exact Kirchhoff index of R(P_n), a chain of n - 1 triangles.
+
+    With base vertices 0..n-1 and edge vertex k on triangle k, every
+    resistance is 2/3 times the number of triangles crossed: j - i between
+    base vertices i < j; k - i + 1 from edge vertex k to a base vertex
+    i <= k, and i - k to one i > k; l - k + 1 between edge vertices k < l.
+    """
+    m = n - 1
+    # n - d base pairs and m - d edge pairs lie d apart; edge vertex k
+    # crosses 1..k+1 triangles to the base vertices up to k, 1..n-1-k to
+    # the rest.
+    base = sum(d * (n - d) for d in range(1, n))
+    mixed = sum((k + 1) * (k + 2) // 2 + (n - 1 - k) * (n - k) // 2 for k in range(m))
+    edge = sum((d + 1) * (m - d) for d in range(1, m))
+    return Fraction(2, 3) * (base + mixed + edge)
+
+
+def test_exact_r_path_references():
+    assert [_kirchhoff_of_r_path(n) for n in (10, 100, 600)] == [434, 444334, 95999334]
+
+
+@pytest.mark.parametrize("n", [10, 100, 600])
+def test_kirchhoff_of_paths_is_exact(n):
+    # Exact rationals, which the value/expanded cross-check cannot stand in
+    # for: both read the same group inverse of the base.  At n = 600 the
+    # oracle solves R(P_600) at order 1199.
+    empties = tuple(empty_graph(0) for _ in range(n))
+    blocks = cf.rv_blocks(path_graph(n), empties)
+    exact_path = Fraction(n * (n * n - 1), 6)
+    for value in (n * float(np.trace(blocks.l_sharp)), kirchhoff_index(path_graph(n))):
+        assert abs(Fraction(value) - exact_path) <= Fraction(1e-11) * exact_path
+    exact = _kirchhoff_of_r_path(n)
+    for value in (cf.kirchhoff_terms(blocks).value, kirchhoff_index(r_graph(path_graph(n)).graph)):
+        assert abs(Fraction(value) - exact) <= Fraction(1e-11) * exact
+
+
+def test_closed_and_oracle_kirchhoff_agree_at_corona_order_599():
+    # P_150 with a K2 crown on every vertex: N = 150 + 149 + 300, the
+    # ill-conditioned end the oracle reaches.
+    g = path_graph(150)
+    crowns = tuple(K2 for _ in range(150))
+    closed = cf.rv_kirchhoff_terms(g, crowns).value
+    oracle = kirchhoff_index(r_vertex_corona(g, crowns).graph)
+    assert abs(closed - oracle) <= 1e-12 * oracle

@@ -265,6 +265,54 @@ def test_laplacian_group_inverse_on_long_path_matches_pinv():
     )
 
 
+def test_sym_inverse_above_the_schur_leaf_matches_numpy():
+    # Order 200 splits twice before reaching the one-loop leaves.
+    assert 200 > 2 * linalg.SCHUR_LEAF_ORDER
+    rng = np.random.default_rng(17)
+    b = rng.normal(size=(200, 200))
+    a = b @ b.T + 200.0 * np.eye(200)
+    ref = np.linalg.inv(a)
+    assert max_abs(sym_inverse(a) - ref) <= 1e-12 * max_abs(ref)
+    # a stack goes through the same split, member by member
+    stack = np.stack([a, 2.0 * a])
+    out = sym_inverse(stack)
+    assert max_abs(out[0] - ref) <= 1e-12 * max_abs(ref)
+    assert max_abs(out[1] - 0.5 * ref) <= 1e-12 * max_abs(ref)
+
+
+def _two_paths_laplacian():
+    # Two disjoint paths on 0-119 and 120-199.  Their L + J/n is singular
+    # and its leading blocks are all positive definite, so the zero pivot
+    # is the last row, in the second half of the Schur split.
+    edges = [(i, i + 1) for i in range(119)] + [(i, i + 1) for i in range(120, 199)]
+    return laplacian(Graph(200, tuple(edges)))
+
+
+def test_singular_pivot_past_the_schur_split_is_reported():
+    with pytest.raises(SingularMatrixError, match=r"L \+ J/n .*at row 199\)"):
+        laplacian_group_inverse(_two_paths_laplacian())
+    # one singular member fails a stack, with the row of its failing pivot;
+    # an indefinite one fails at its first non-positive pivot
+    shifted = _two_paths_laplacian() + np.full((200, 200), 1.0 / 200)
+    stack = np.stack([2.0 * np.eye(200), shifted, np.eye(200)])
+    with pytest.raises(SingularMatrixError, match=r"crown block .*at row 199\)"):
+        sym_inverse(stack, "crown block")
+    indefinite = np.eye(150)
+    indefinite[100, 100] = -1.0
+    with pytest.raises(SingularMatrixError, match=r"pivot -1.000e\+00 at row 100\)"):
+        sym_inverse(np.stack([np.eye(150), indefinite]))
+
+
+def test_group_inverse_refinement_does_not_raise_the_residual():
+    # One refinement step on L(P_240) + J/n leaves a residual no larger
+    # than the kernel's own inverse has.
+    lap = laplacian(path_graph(240))
+    shifted = lap + np.full((240, 240), 1.0 / 240)
+    before = max_abs(np.eye(240) - shifted @ sym_inverse(shifted))
+    after = max_abs(np.eye(240) - shifted @ (laplacian_group_inverse(lap) + 1.0 / 240))
+    assert after <= before
+
+
 def test_laplacian_group_inverse_fails_loudly():
     disconnected = laplacian(Graph(4, ((0, 1), (2, 3))))
     with pytest.raises(SingularMatrixError, match="L \\+ J/n"):
