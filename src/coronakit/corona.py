@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 
-Role = tuple[str, int, int]
-"""(kind, index, offset) of one vertex: ("original", i, 0), ("edge", k, 0),
-("crown", k, a) for crown k's vertex a, or ("apex", 0, 0)."""
-
 
 @dataclass(frozen=True)
 class VertexPartition:
@@ -41,24 +37,6 @@ class VertexPartition:
             + sum(len(c) for c in self.crowns)
             + (0 if self.apex is None else 1)
         )
-
-    def role_of(self, v: int) -> Role:
-        """Classify one product-graph vertex id; IndexError if out of range."""
-        if not 0 <= v < self.total():
-            raise IndexError(f"vertex {v} out of range for a {self.total()}-vertex product")
-        if v == self.apex:
-            return ("apex", 0, 0)
-        if 0 <= v < len(self.original):
-            return ("original", v, 0)
-        first_crown = len(self.original) + len(self.edge_vertices)
-        if v < first_crown:
-            return ("edge", v - len(self.original), 0)
-        off = first_crown
-        for k, crown in enumerate(self.crowns):
-            if v < off + len(crown):
-                return ("crown", k, v - off)
-            off += len(crown)
-        raise IndexError(f"vertex {v} not covered by this partition")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Brent and Luk: each of the n-1 rounds of a sweep rotates n/2 disjoint
 pairs of every stack member at once as one vectorised update, and each
 member stops on its own.  It is unconditionally stable on symmetric
 input and deterministic for a fixed input because the ordering is fixed;
-the package asks it only for the spectra of crowns.
+the package asks it only for crown spectra, so it returns eigenvalues alone.
 
 Inverses go through ``sym_inverse``, which requires symmetric positive
 definite input.  Up to SCHUR_LEAF_ORDER it is a bordered Cholesky: one
@@ -63,23 +63,18 @@ class SingularMatrixError(MatrixError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending) and the matching orthonormal eigenvector columns.
+    """Eigenvalues (descending) of a symmetric matrix, with solver diagnostics.
 
-    For a stack, ``values`` is (k, t) and ``vectors`` (k, t, t), one row and
-    one matrix per member.
+    For a stack, ``values`` is (k, t), one row per member.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
     # Solver diagnostics: Jacobi sweeps run, rotations applied, and the
     # off-diagonal Frobenius norm left at exit (for a stack: the most sweeps
     # any member ran, the total rotations, the worst member's norm).
     sweeps: int = 0
     rotations: int = 0
     off_norm: float = 0.0
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values[..., None, :]) @ np.swapaxes(self.vectors, -1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -113,20 +108,20 @@ def _as_symmetric(m: np.ndarray, what: str = "matrix", stacked: bool = False) ->
 def _off_norms(w: np.ndarray, m: int) -> np.ndarray:
     """Frobenius norm of each member's off-diagonal part, summed directly.
 
-    w is a sweep layout of _jacobi_sweep; only the working matrices count.
-    Subtracting the diagonal's norm from the full norm looks equivalent but
-    cancels catastrophically once the matrix is nearly diagonal, reporting
-    phantom residuals around sqrt(eps * ||A||^2); summing the off-diagonal
-    entries themselves stays accurate all the way down.
+    w is a sweep layout of _jacobi_sweep.  Subtracting the diagonal's norm
+    from the full norm looks equivalent but cancels catastrophically once
+    the matrix is nearly diagonal, reporting phantom residuals around
+    sqrt(eps * ||A||^2); summing the off-diagonal entries themselves stays
+    accurate all the way down.
     """
-    b = w[:, :m].reshape(-1, m * m)  # a copy: the slice is not contiguous
+    b = w.reshape(-1, m * m).copy()  # the reshape alone is a view of w
     b[:, :: m + 1] = 0.0
     b *= b
     return np.sqrt(np.add.reduce(b, axis=1))
 
 
 @functools.lru_cache(maxsize=64)
-def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot tables of the round-robin parallel ordering at even order m.
 
     Jacobi runs on a matrix whose indices are laid out in slots, and each
@@ -136,10 +131,9 @@ def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     rounds of a sweep pair every two indices exactly once and leave the
     layout where it started.
 
-    Returns the slot of each index in the starting layout, the eigenvector
-    accumulator in that layout (the identity with its rows in slots), the
-    move applied after each round (new slot -> old slot) and the (row,
-    column) slots of the just-rotated pairs' entries after the move.
+    Returns the slot of each index in the starting layout, the move
+    applied after each round (new slot -> old slot) and the (row, column)
+    slots of the just-rotated pairs' entries after the move.
     """
     k = m // 2
     start = [x for i in range(1, k) for x in (i, m - 1 - i)] + [0, m - 1]
@@ -150,7 +144,7 @@ def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     moved = np.argsort(move)
     p, q = moved[0::2], moved[1::2]
     pairs = np.array((np.concatenate((p, q)), np.concatenate((q, p))))
-    tables = (slot, np.eye(m)[start], move, pairs)
+    tables = (slot, move, pairs)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -164,17 +158,17 @@ def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs' (p, p), (p, q) and (q, q) entries, and the flat positions of the
     entries to zero after the move.
     """
-    _, _, move, (rows, cols) = _round_robin(m)
+    _, move, (rows, cols) = _round_robin(m)
     base = np.arange(k)[:, None] * m
     firsts = np.arange(0, m, 2)
     diag = [
-        ((base + firsts + dp) * 2 * m + firsts + dq).reshape(-1)
+        ((base + firsts + dp) * m + firsts + dq).reshape(-1)
         for dp, dq in ((0, 0), (0, 1), (1, 1))
     ]
     tables = (
         (base + move).reshape(-1),
         np.array(diag),
-        ((base + rows) * 2 * m + cols).reshape(-1),
+        ((base + rows) * m + cols).reshape(-1),
     )
     for table in tables:
         table.setflags(write=False)
@@ -184,13 +178,12 @@ def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndarray, int]:
     """One parallel Jacobi sweep over a stack of slot-ordered matrices of even order m.
 
-    w is the sweep layout of k members: a (k m, 2m) array whose rows i m to
-    (i + 1) m hold member i's working matrix a beside its transposed
-    eigenvector accumulator vt, both in the layout of _round_robin(m).
-    Each round computes the rotations of the m/2 disjoint pairs of every
-    member together and applies them to the rows of a and vt at once, moves
-    every index to its next slot, does the same to the columns of a (as
-    rows of the transpose, a being symmetric), and zeroes the rotated
+    w is the sweep layout of k members: a contiguous (k m, m) array whose
+    rows i m to (i + 1) m hold member i's working matrix a in the layout of
+    _round_robin(m).  Each round computes the rotations of the m/2 disjoint
+    pairs of every member together and applies them to the rows of a,
+    moves every index to its next slot, does the same to the columns of a
+    (as rows of the transpose, a being symmetric), and zeroes the rotated
     pairs' entries.  A pair with a_pq == 0, or (with zero_negligible) one
     whose a_pq is negligible against both its diagonal entries, gets the
     identity, so it is zeroed without counting as a rotation.  A round
@@ -230,19 +223,19 @@ def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndar
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             r = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
-            w = r @ w.reshape(-1, 2, 2 * m)
-        w = w.reshape(-1, 2 * m)[rows]
+            w = r @ w.reshape(-1, 2, m)
+        w = w.reshape(-1, m)[rows]
         # The columns of a, as rows of its transpose; a view for one member.
-        at = w[:, :m].reshape(size, m, m).transpose(0, 2, 1).reshape(-1, 2, m)
+        at = w.reshape(size, m, m).transpose(0, 2, 1).reshape(-1, 2, m)
         if count:
             at = r @ at
-        w[:, :m] = at.reshape(-1, m)[rows]
+        w = at.reshape(-1, m)[rows]
         w.reshape(-1)[zero] = 0.0
     return w, applied
 
 
 def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of symmetric matrices by parallel-order Jacobi.
+    """Eigenvalues of symmetric matrices by parallel-order Jacobi.
 
     Each sweep visits every off-diagonal pair once in the round-robin
     parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985;
@@ -251,40 +244,36 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     dummy index whose pairs are always the identity.  Sweeps stop when a
     sweep applies no rotation, or once the off-diagonal Frobenius norm is
     under JACOBI_OFF_TOL * max(1, ||A||_F) and one more polishing sweep has
-    run: Jacobi converges quadratically, so that sweep takes the norm down
-    to roundoff instead of leaving up to the tolerance in the eigenvectors.
-    The ordering is fixed, so the result is deterministic.
+    run: the diagonal is within the off-diagonal norm of the eigenvalues
+    (Weyl), and Jacobi converges quadratically, so that sweep takes them
+    from up to the tolerance off down to roundoff.  The ordering is fixed,
+    so the result is deterministic.
 
     Takes one (n, n) matrix or a (k, t, t) stack of equal-order ones.  A
     stack is swept together, round by round, but every member keeps its own
     tolerance, polishing sweep and stop; a member that has stopped is taken
     out of later sweeps, so it comes out bit for bit as it would alone.
 
-    Returns eigenvalues sorted descending (stable in the index order) with
-    eigenvector columns aligned, so that V @ diag(w) @ V.T reconstructs the
-    input, shaped (..., t) and (..., t, t), together with the sweeps run,
-    the rotations applied and the final off-diagonal norm; for a stack
-    these are the most sweeps any member ran, the total rotations and the
-    worst member's norm.  Any member that does not converge raises
-    MatrixError.
+    Returns eigenvalues sorted descending (stable in the index order),
+    shaped (..., t), together with the sweeps run, the rotations applied
+    and the final off-diagonal norm; for a stack these are the most sweeps
+    any member ran, the total rotations and the worst member's norm.  Any
+    member that does not converge raises MatrixError.
     """
     sym = _as_symmetric(m, stacked=True)
     n = sym.shape[-1]
     stack = sym if sym.ndim == 3 else sym[None]
     size = len(stack)
     if n < 2 or size == 0:
-        values = np.diagonal(sym, axis1=-2, axis2=-1).copy()
-        return EigenDecomposition(values, np.zeros(sym.shape) + np.eye(n))
+        return EigenDecomposition(np.diagonal(sym, axis1=-2, axis2=-1).copy())
 
     norms = np.sqrt(np.add.reduce((stack * stack).reshape(size, -1), axis=1))
     tol = JACOBI_OFF_TOL * np.maximum(1.0, norms)
     order = n + n % 2
-    slot, vt, _, _ = _round_robin(order)
-    slot = slot[:n]
-    w = np.zeros((size, order, 2 * order))
+    slot = _round_robin(order)[0][:n]
+    w = np.zeros((size, order, order))
     w[:, slot[:, None], slot] = stack
-    w[:, :, order:] = vt
-    w = w.reshape(-1, 2 * order)
+    w = w.reshape(-1, order)
     # State of the members still sweeping, in ``live`` order.  A member
     # stops once its norm is at most ``limit``: 0 until the norm first drops
     # under its tolerance, the tolerance from then on, so that the stop
@@ -295,7 +284,7 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     live_tol = tol
     off = done_off = _off_norms(w, order)
     limit = np.zeros(size)
-    done_w = w.reshape(size, order, 2 * order)
+    done_w = w.reshape(size, order, order)
     sweep = rotations = 0
     # theta * theta overflows only for pairs that the |h| + g == |h| branch
     # then rotates by t = a_pq / h instead.
@@ -306,14 +295,14 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
                 stop[:] = True
             if stop.any():
                 if live.size == size and stop.all():
-                    done_w, done_off = w.reshape(size, order, 2 * order), off
+                    done_w, done_off = w.reshape(size, order, order), off
                     break
-                lay = w.reshape(-1, order, 2 * order)
+                lay = w.reshape(-1, order, order)
                 done_w[live[stop]], done_off[live[stop]] = lay[stop], off[stop]
                 if stop.all():
                     break
                 kept = ~stop
-                w = lay[kept].reshape(-1, 2 * order)
+                w = lay[kept].reshape(-1, order)
                 live, off, limit, live_tol = live[kept], off[kept], limit[kept], live_tol[kept]
             limit = np.where(off <= live_tol, live_tol, limit)
             w, applied = _jacobi_sweep(w, order, zero_negligible=sweep > 3)
@@ -326,14 +315,9 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
             f"(off-diagonal norm {float(done_off.max()):.3e})"
         )
     values = done_w[:, slot, slot]
-    ranked = slot[(-values).argsort(axis=1, kind="stable")]
-    member = np.arange(size)[:, None]
-    # Rows of vt are the eigenvectors; a single matrix's columns come out
-    # as the transposed view, the layout the matmuls downstream expect.
-    vectors = done_w[member, ranked, order : order + n].transpose(0, 2, 1)
+    ranked = (-values).argsort(axis=1, kind="stable")
     return EigenDecomposition(
-        done_w[member, ranked, ranked].reshape(sym.shape[:-1]),
-        vectors.reshape(sym.shape),
+        np.take_along_axis(values, ranked, axis=1).reshape(sym.shape[:-1]),
         sweep,
         rotations,
         float(done_off.max()),

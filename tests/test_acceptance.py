@@ -68,17 +68,26 @@ def _finish(num: int, problems: list[str], detail: str) -> None:
     assert not problems, f"criterion {num}: " + "; ".join(problems)
 
 
-def _classify(partition, u: int, v: int) -> str:
-    role_u = partition.role_of(u)
-    role_v = partition.role_of(v)
-    u_crown = role_u[0] == "crown"
-    v_crown = role_v[0] == "crown"
-    if not u_crown and not v_crown:
-        if role_u[0] == "original" and role_v[0] == "original":
-            return "original-original"
-        return "skeleton-edge"
-    if u_crown and v_crown:
-        return "same-crown" if role_u[1] == role_v[1] else "crown-crown"
+# Vertex classes outside the crowns; a crown vertex's class is its crown index.
+ORIGINAL, SKELETON = -1, -2
+
+
+def _vertex_classes(partition) -> list[int]:
+    """Crown index of every vertex; ORIGINAL or SKELETON (edge-vertex, apex) otherwise."""
+    classes = [SKELETON] * partition.total()
+    for v in partition.original:
+        classes[v] = ORIGINAL
+    for k, crown in enumerate(partition.crowns):
+        for v in crown:
+            classes[v] = k
+    return classes
+
+
+def _classify(class_u: int, class_v: int) -> str:
+    if class_u < 0 and class_v < 0:
+        return "original-original" if class_u == class_v == ORIGINAL else "skeleton-edge"
+    if class_u >= 0 and class_v >= 0:
+        return "same-crown" if class_u == class_v else "crown-crown"
     return "crown-skeleton"
 
 
@@ -120,10 +129,11 @@ def _evaluate(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> InstanceEval:
     diff = np.abs(closed - oracle)
     counts = {name: 0 for name in CASE_TYPES}
     errs = {name: 0.0 for name in CASE_TYPES}
-    total = built.partition.total()
+    classes = _vertex_classes(built.partition)
+    total = len(classes)
     for u in range(total):
         for v in range(u + 1, total):
-            name = _classify(built.partition, u, v)
+            name = _classify(classes[u], classes[v])
             counts[name] += 1
             errs[name] = max(errs[name], float(diff[u, v]))
     return InstanceEval(
