@@ -2,7 +2,8 @@
 
 Both corona kinds are the R-graph skeleton R(G) with crowns hung off it.
 They differ only in each crown's anchor, the skeleton vertex it hangs
-from: original vertex i (R-vertex) or edge-vertex n + k (R-edge).  The
+from: original vertex i (R-vertex) or edge-vertex n + k (R-edge), whose
+column joins base vertices (i, i) or edge k's endpoints (u_k, v_k).  The
 anchor is a cut vertex, and a crown vertex couples to the rest of the
 corona exactly as its anchor does.  So the {1}-inverse is the skeleton's
 corner read through the anchors, plus each crown's grounded inverse
@@ -15,11 +16,12 @@ The skeleton corner is a small transform of the group inverse of L(G),
 because the Schur complement of the original vertices collapses to
 (3/2) L(G).  Every inverse is a Cholesky solve: the group inverse deflates
 the all-ones null vector as (L(G) + J/n)^{-1} - J/n, and the crowns of
-each order are inverted as one stack.  No matrix larger than the base
-graph is ever inverted, and none is pseudo-inverted.  The one eigensolve
-left is in ``crown_eigen_sums``, one stacked Jacobi call per crown order:
-the expanded Kirchhoff index reads the crown spectra on purpose, so that
-it checks the Cholesky inverses against a second kernel.
+each order are inverted as one stack, for either kind.  Products with the
+incidence matrix are gathers over the base edge list.  No matrix larger
+than the base graph is ever inverted, and none is pseudo-inverted.  The
+one eigensolve left is in ``crown_eigen_sums``, one stacked Jacobi call
+per crown order: the expanded Kirchhoff index reads the crown spectra on
+purpose, so that it checks the Cholesky inverses against a second kernel.
 """
 
 from __future__ import annotations
@@ -29,15 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resistance
-from .graphs import Graph, incidence, is_connected, laplacian
-from .linalg import (
-    MatrixError,
-    laplacian_group_inverse,
-    max_abs,
-    shifted_rank_one_inverse,
-    sym_eigendecompose,
-    sym_inverse,
-)
+from .graphs import Graph, adjacency, is_connected, laplacian
+from .linalg import MatrixError, laplacian_group_inverse, max_abs, sym_eigendecompose, sym_inverse
 
 # The two internally-asserted structural identities: the Schur complement
 # must equal (3/2) L(G) and the edge-block complement must equal 2I.
@@ -51,15 +46,17 @@ class CoronaBlocks:
     ``skeleton`` is the R-graph skeleton's (n + m)-square corner of the
     inverse, the same for both kinds.  ``anchor`` gives, for each crown
     vertex in layout order, the skeleton vertex its crown hangs from:
-    original vertex i for R-vertex, edge-vertex n + k for R-edge.  It is
-    the only piece of data in which the kinds differ.  ``crown_laplacians``
-    holds, per nonempty crown order, the crowns' indices and their
-    Laplacians as one (k, t, t) stack; it is built once and read by both
-    the crown inverses and the crown spectra.  ``grounded`` is the block
-    diagonal of the crown inverses (L(H) + I)^{-1}.  ``schur_defect``
-    is the distance of the numerically assembled Schur complement from
-    (3/2) L(G); ``complement_defect`` is that of the edge-block complement
-    from 2I (exactly 0 for R-vertex).
+    original vertex i for R-vertex, edge-vertex n + k for R-edge.  ``ends``
+    gives, per crown host, the two base vertices (p, q) its anchor joins:
+    (i, i) for R-vertex, edge k's endpoints for R-edge.  These two are the
+    only data in which the kinds differ.  ``crown_laplacians`` holds, per
+    nonempty crown order, the crowns' indices and their Laplacians as one
+    (k, t, t) stack; it is built once and read by both the crown inverses
+    and the crown spectra.  ``grounded`` is the block diagonal of the crown
+    inverses (L(H) + I)^{-1}.  ``schur_defect`` is the distance of the
+    numerically assembled Schur complement from (3/2) L(G);
+    ``complement_defect`` is that of the edge-block complement from 2I
+    (exactly 0 for R-vertex).
     """
 
     kind: str
@@ -67,9 +64,9 @@ class CoronaBlocks:
     crowns: tuple[Graph, ...]
     sizes: tuple[int, ...]
     l_sharp: np.ndarray
-    b: np.ndarray
     skeleton: np.ndarray
     anchor: np.ndarray
+    ends: tuple[np.ndarray, np.ndarray]
     crown_laplacians: tuple[tuple[np.ndarray, np.ndarray], ...]
     grounded: np.ndarray
     schur_defect: float
@@ -96,39 +93,35 @@ def _crown_laplacians(crowns: tuple[Graph, ...]) -> tuple[tuple[np.ndarray, np.n
 
 
 def _grounded_inverse(
-    vertex: bool,
     sizes: tuple[int, ...],
     crown_laplacians: tuple[tuple[np.ndarray, np.ndarray], ...],
 ) -> np.ndarray:
     """Block diagonal of the crown inverses (L(H) + I)^{-1}, one solve per order.
 
     The crowns of each order t are inverted together as one (k, t, t)
-    stack.  R-edge crowns go through the checked shifted inverse
-    (L(H) + I - J/(2+t))^{-1} = (L(H) + I)^{-1} + J/2, less 1/2.
+    stack, whichever kind of corona they crown.
     """
     offsets = np.cumsum(sizes) - sizes
     total = sum(sizes)
     grounded = np.zeros((total, total))
     for of_order, laps in crown_laplacians:
         t = laps.shape[-1]
-        if vertex:
-            inv = sym_inverse(laps + np.eye(t), "crown block")
-        else:
-            inv = shifted_rank_one_inverse(laps, 1.0, 2.0 + t) - 0.5
+        inv = sym_inverse(laps + np.eye(t), "crown block")
         rows = offsets[of_order][:, None] + np.arange(t)
         grounded[rows[:, :, None], rows[:, None, :]] = inv
     return grounded
 
 
-def _skeleton_corner(ls: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _skeleton_corner(ls: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """The R-graph skeleton's corner of the structured inverse.
 
     It is the same for plain R(G) and for both corona products (the crown
     blocks never touch it): (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B.
+    Column k of B is 1 at rows eu[k] and ev[k], so each product is a gather.
     """
-    n, m = b.shape
-    lb = ls @ b
-    btlb = b.T @ lb
+    n, m = len(ls), len(eu)
+    lb = ls[:, eu] + ls[:, ev]
+    btlb = lb[eu] + lb[ev]
     x = np.zeros((n + m, n + m))
     x[:n, :n] = (2.0 / 3.0) * ls
     x[:n, n:] = (1.0 / 3.0) * lb
@@ -141,38 +134,41 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     """Compute and sanity-check either corona's block ingredients."""
     _require_closed_form_input(g)
     crowns = tuple(crowns)
-    vertex = kind == "r_vertex"
-    hosts, per = (g.n, "vertex") if vertex else (g.m, "edge")
+    eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+    # A host vertex i anchors at skeleton vertex i and joins (i, i); edge k at n + k, its ends.
+    i = np.arange(g.n)
+    p, q, first, per = (i, i, 0, "vertex") if kind == "r_vertex" else (eu, ev, g.n, "edge")
+    hosts = len(p)
     if len(crowns) != hosts:
         raise ValueError(f"need {hosts} crowns (one per {per}), got {len(crowns)}")
     sizes = tuple(c.n for c in crowns)
     l_g = laplacian(g)
     l_sharp = laplacian_group_inverse(l_g)
-    b = incidence(g)
     crown_laplacians = _crown_laplacians(crowns)
-    grounded = _grounded_inverse(vertex, sizes, crown_laplacians)
+    grounded = _grounded_inverse(sizes, crown_laplacians)
     owner = np.repeat(np.arange(hosts), sizes)
-    anchor = owner if vertex else g.n + owner
+    anchor = first + owner
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
-    excess = np.asarray(sizes, dtype=float) - np.bincount(
+    excess = np.zeros(g.n + g.m)
+    excess[first : first + hosts] = np.asarray(sizes, dtype=float) - np.bincount(
         owner, weights=grounded.sum(axis=1), minlength=hosts
     )
     # So the edge-block complement 2I + diag(excess) collapses to 2I ...
-    complement_defect = 0.0 if vertex else max_abs(excess)
+    complement_defect = max_abs(excess[g.n :])
     if complement_defect > IDENTITY_TOL:
         raise MatrixError(
             f"edge-block complement defect {complement_defect:.3e} exceeds {IDENTITY_TOL}"
         )
-    # ... and the Schur complement D + diag(excess) + L(G) - BB^T/2 to (3/2) L(G).
-    at_original = excess if vertex else np.zeros(g.n)
-    schur = np.diag(g.degrees() + at_original) + l_g - 0.5 * b @ b.T
+    # ... and the Schur complement D + diag(excess) + L(G) - BB^T/2 (BB^T = D + A) to 3/2 L(G).
+    degrees = g.degrees()
+    schur = np.diag(degrees + excess[: g.n]) + l_g - 0.5 * (np.diag(degrees) + adjacency(g))
     defect = max_abs(schur - 1.5 * l_g)
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
-    skeleton = _skeleton_corner(l_sharp, b)
+    skeleton = _skeleton_corner(l_sharp, eu, ev)
     return CoronaBlocks(
-        kind, g, crowns, sizes, l_sharp, b, skeleton, anchor, crown_laplacians, grounded,
+        kind, g, crowns, sizes, l_sharp, skeleton, anchor, (p, q), crown_laplacians, grounded,
         defect, complement_defect,
     )
 
@@ -307,9 +303,9 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     spectral sum that the trace of the crown corner must equal: tr G for
     R-vertex, tr G + sum t/2 for R-edge.
 
-    With tau the crown sizes per host and U the anchor columns (I_n for
-    R-vertex, B/2 for R-edge), the crown terms are (2/3) tau .
-    diag(U^T Lg U), (2/3) pi^T Lg U tau and (2/3) (U tau)^T Lg (U tau).
+    With tau the crown sizes per host and U the anchor columns, (e_p + e_q)/2
+    for host ends (p, q), the crown terms are (2/3) tau . diag(U^T Lg U),
+    (2/3) pi^T Lg U tau and (2/3) (U tau)^T Lg (U tau), read by gathers.
     For R-edge the crown spectral term carries a +t/2 per crown on top of
     the bare sum of 1/(mu + 1): the rank-one shift in each crown block
     moves the all-ones eigenvalue from 1 to 2/(2+t), and the trace of the
@@ -326,10 +322,11 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     trace_x = float(reps @ np.diag(blocks.skeleton)) + float(np.trace(blocks.grounded))
     ones_x = float(reps @ blocks.skeleton @ reps) + float(blocks.grounded.sum())
     value = (n + m + st) * trace_x - ones_x
-    u = 0.5 * blocks.b if edge else np.eye(n)
+    p, q = blocks.ends
     pi = g.degrees().astype(float)
     tau = np.array(blocks.sizes, dtype=float)
-    u_tau = u @ tau
+    u_tau = 0.5 * (np.bincount(p, tau, minlength=n) + np.bincount(q, tau, minlength=n))
+    u_diag = 0.25 * (ls[p, p] + ls[q, q] + 2.0 * ls[p, q])
     # Lg 1 = 0, so the quadratic forms in Lg take the vectors centred: the
     # same values, and exactly 0 where a vector is constant (pi on a
     # regular base) instead of roundoff.
@@ -344,7 +341,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
         "trace_crown_eigen": sum(float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)),
-        crown_trace: (2.0 / 3.0) * float(tau @ np.diag(u.T @ ls @ u)),
+        crown_trace: (2.0 / 3.0) * float(tau @ u_diag),
         "ones_edge_const": m / 2.0,
         "ones_degree_quad": (1.0 / 6.0) * float(pi_c @ ls @ pi_c),
         "ones_degree_crown": (2.0 / 3.0) * float(pi_c @ ls @ u_tau_c),

@@ -275,8 +275,10 @@ def check_corona_instance(
 
     kf_closed = kirchhoff_from_one_inverse(x)
     kf_oracle = float(built.graph.n * np.trace(oracle_x))
-    # The crown corner of X is the grounded inverse G, plus J/2 on each
-    # crown block for R-edge.
+    # The crown corner of X is the grounded inverse G for both kinds.  The
+    # R-edge terms (trace_crown_edge, ones_crown_shift) are defined on the
+    # shifted corner G + J/2 per crown, so the checks below add shift * t to
+    # each crown's trace and shift * t^2 to its all-ones sum.
     shift = 0.5 if kind == "r_edge" else 0.0
     sizes = np.array(blocks.sizes, dtype=float)
 

@@ -35,6 +35,7 @@ from coronakit.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    incidence,
     laplacian,
     path_graph,
     star_graph,
@@ -408,7 +409,7 @@ def test_criterion_7_mutation_sensitivity(capsys):
         if blocks.kind == "r_edge":
             n = blocks.base.n
             nm = n + blocks.base.m
-            m_full = blocks.b[:, blocks.anchor - n]
+            m_full = incidence(blocks.base)[:, blocks.anchor - n]
             delta = (2.0 / 3.0) * (1.0 / 6.0 - 0.25) * (
                 m_full.T @ blocks.l_sharp @ m_full
             )
@@ -419,7 +420,8 @@ def test_criterion_7_mutation_sensitivity(capsys):
         x = real(blocks).copy()
         if blocks.kind == "r_vertex":
             n, m = blocks.base.n, blocks.base.m
-            quad = blocks.b.T @ blocks.l_sharp @ blocks.b
+            b = incidence(blocks.base)
+            quad = b.T @ blocks.l_sharp @ b
             x[n : n + m, n : n + m] += (0.25 - 1.0 / 6.0) * quad
         return x
 

@@ -368,6 +368,37 @@ def test_r_edge_closed_output_is_pinned(re_spec, capsys):
     assert capsys.readouterr().out == RE_RESIST_ALL_CSV
 
 
+@pytest.mark.parametrize(
+    "kind, crown_line, vertices, r, kf",
+    [
+        # K1 with a K2 crown is a triangle: every resistance 2/3, Kf = 2.
+        ("r_vertex", "crown.0 = k2.edges\n", 3, 2.0 / 3.0, 2.0),
+        # K1 has no edges, so no edge-vertex and no crown: one vertex.
+        ("r_edge", "", 1, None, 0.0),
+        ("r_graph", "", 1, None, 0.0),
+    ],
+    ids=["r_vertex", "r_edge", "r_graph"],
+)
+def test_single_vertex_base(tmp_path, capsys, kind, crown_line, vertices, r, kf):
+    # m = 0: the base edge list, and with it every endpoint gather, is empty.
+    (tmp_path / "k1.edges").write_text("1\n")
+    (tmp_path / "k2.edges").write_text(serialize_edge_list(complete_graph(2)))
+    spec = tmp_path / "k1.spec"
+    spec.write_text(f"kind = {kind}\nbase = k1.edges\n{crown_line}")
+    assert main(["resist", str(spec), "--all", "--method", "both", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["vertices"] == vertices
+    assert len(doc["pairs"]) == vertices * (vertices - 1) // 2
+    for row in doc["pairs"]:
+        assert row["closed"] == pytest.approx(r, abs=1e-12)
+        assert row["abs_diff"] <= 1e-12
+    assert main(["kf", str(spec), "--method", "both", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closed"] == pytest.approx(kf, abs=1e-12)
+    assert doc["oracle"] == pytest.approx(kf, abs=1e-12)
+    assert doc["abs_diff"] <= 1e-12
+
+
 def test_resist_rejects_out_of_range_vertex(rv_spec, capsys):
     assert main(["resist", str(rv_spec), "--pair", "0", "9"]) == 2
     err = capsys.readouterr().err

@@ -19,6 +19,7 @@ from coronakit.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    incidence,
     laplacian,
     path_graph,
     star_graph,
@@ -38,7 +39,7 @@ PAIR_TOL = 1e-8
 
 
 def _shifted_corner(blocks):
-    """The R-edge crown corner of X: the grounded inverse plus J/2 per crown."""
+    """The shifted crown corner the R-edge terms are defined on: G plus J/2 per crown."""
     same_crown = blocks.anchor[:, None] == blocks.anchor[None, :]
     return blocks.grounded + 0.5 * same_crown
 
@@ -138,8 +139,8 @@ def test_crown_inverse_error_trips_the_identity_checks():
     with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse)):
         with pytest.raises(linalg.MatrixError, match="Schur complement defect"):
             cf.rv_blocks(g, crowns)
-    bad_shift = _off_in_one_entry(cf.shifted_rank_one_inverse)
-    with mock.patch.object(cf, "shifted_rank_one_inverse", bad_shift):
+    # Both kinds invert their crowns through the same kernel.
+    with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse)):
         with pytest.raises(linalg.MatrixError, match="edge-block complement defect"):
             cf.re_blocks(g, crowns[:2])
 
@@ -313,6 +314,71 @@ def test_kirchhoff_term_names_are_stable():
         "ones_crown_shift",
         "ones_crown_quad",
     }
+
+
+def _incidence_reference(blocks):
+    """The skeleton corner and every Kirchhoff term, by matmuls with the incidence matrix.
+
+    B is the dense incidence matrix of the base and U the anchor columns:
+    I_n for R-vertex, B/2 for R-edge.  The arithmetic otherwise follows
+    ``kirchhoff_terms`` term for term.
+    """
+    g, ls = blocks.base, blocks.l_sharp
+    n, m = g.n, g.m
+    b = incidence(g)
+    lb = ls @ b
+    btlb = b.T @ lb
+    skeleton = np.block(
+        [[(2.0 / 3.0) * ls, lb / 3.0], [lb.T / 3.0, 0.5 * np.eye(m) + (btlb + btlb.T) / 12.0]]
+    )
+    edge = blocks.kind == "r_edge"
+    u = 0.5 * b if edge else np.eye(n)
+    pi = g.degrees().astype(float)
+    tau = np.array(blocks.sizes, dtype=float)
+    u_tau = u @ tau
+    pi_c, u_tau_c = pi - pi.mean(), u_tau - u_tau.mean()
+    shift = 0.5 if edge else 0.0
+    sums = cf.crown_eigen_sums(blocks)
+    terms = {
+        "trace_base": (2.0 / 3.0) * float(np.trace(ls)),
+        "trace_edge_const": m / 2.0,
+        "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
+        "trace_tree_const": -(n - 1) / 6.0,
+        "trace_crown_eigen": sum(float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)),
+        # diag(U^T Lg U), one column sum per host
+        ("trace_crown_edge" if edge else "trace_crown_host"): (2.0 / 3.0)
+        * float(tau @ (u * (ls @ u)).sum(axis=0)),
+        "ones_edge_const": m / 2.0,
+        "ones_degree_quad": (1.0 / 6.0) * float(pi_c @ ls @ pi_c),
+        "ones_degree_crown": (2.0 / 3.0) * float(pi_c @ ls @ u_tau_c),
+        "ones_crown_count": float(sum(blocks.sizes)),
+        "ones_crown_quad": (2.0 / 3.0) * float(u_tau_c @ ls @ u_tau_c),
+    }
+    if edge:
+        terms["ones_crown_shift"] = 0.5 * float(np.sum(tau * (2.0 + tau)))
+    return skeleton, terms
+
+
+def test_edge_list_gathers_match_the_incidence_matrix():
+    # The closed route reads B only through the base edge list.  Random
+    # bases, a star, a tree and K1 (no edges at all) against the dense
+    # matmuls; R-vertex anchors join (i, i), and the gathers read e_i
+    # exactly, so its terms come out bit for bit.
+    rng = random.Random(1313)
+    tree = Graph(8, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (0, 7)))
+    bases = [random_connected_graph(rng, 2, 9) for _ in range(6)] + [star_graph(7), tree, K1]
+    for g in bases:
+        for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
+            blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3))
+            skeleton, want = _incidence_reference(blocks)
+            scale = max(1.0, max_abs(blocks.l_sharp))
+            assert max_abs(blocks.skeleton - skeleton) <= 1e-13 * scale
+            got = cf.kirchhoff_terms(blocks).terms
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                if kind == "r_vertex":
+                    assert float(got[name]).hex() == float(value).hex(), name
+                assert abs(got[name] - value) <= 1e-13 * max(1.0, abs(value)), name
 
 
 def test_random_sweep_both_kinds():
