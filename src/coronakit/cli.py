@@ -14,6 +14,7 @@ non-convergence): those are the program's failures, not the input's.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -275,7 +276,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``corona`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="corona",
         description="Corona graph construction, resistance distances, Kirchhoff indices.",
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge-list output path; a .partition.json sidecar lands next to it "
         "(omit to print the edge list to stdout)",
     )
-    p_build.set_defaults(func=cmd_build)
 
     p_resist = sub.add_parser(
         "resist", help="resistance distances on the corona a spec file describes"
@@ -312,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_resist.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
-    p_resist.set_defaults(func=cmd_resist)
 
     p_kf = sub.add_parser(
         "kf", help="Kirchhoff index of the corona a spec file describes"
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the named summands of the expanded closed form",
     )
-    p_kf.set_defaults(func=cmd_kf)
 
     p_suite = sub.add_parser(
         "suite", help="seeded closed-form versus oracle cross-validation"
@@ -340,15 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text"
     )
     p_suite.add_argument("-o", "--output", help="write the report here instead of stdout")
-    p_suite.set_defaults(func=cmd_suite)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The handler is looked up at call time, so a patched or wrapped one runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except MatrixError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

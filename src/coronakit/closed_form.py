@@ -18,20 +18,27 @@ because the Schur complement of the original vertices collapses to
 the all-ones null vector as (L(G) + J/n)^{-1} - J/n, and the crowns of
 each order are inverted as one stack, for either kind.  Products with the
 incidence matrix are gathers over the base edge list.  No matrix larger
-than the base graph is ever inverted, and none is pseudo-inverted.  The
-one eigensolve left is in ``crown_eigen_sums``, one stacked Jacobi call
-per crown order: the expanded Kirchhoff index reads the crown spectra on
-purpose, so that it checks the Cholesky inverses against a second kernel.
+than the base graph is ever inverted, and none is pseudo-inverted.
+
+The blocks hold only base-order data and the per-order crown stacks.  The
+Kirchhoff index is read from those alone, so its cost follows n and the
+crown orders, not the corona order; the (n + m)-square skeleton corner and
+the dense crown corner are built only when a resistance or the assembled
+{1}-inverse asks for them.  The one eigensolve left is in
+``crown_eigen_sums``, one stacked Jacobi call per Jacobi layout order: the
+expanded Kirchhoff index reads the crown spectra on purpose, so that it
+checks the Cholesky inverses against a second kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import resistance
-from .graphs import Graph, adjacency, is_connected, laplacian
+from .graphs import Graph, is_connected, laplacian
 from .linalg import MatrixError, laplacian_group_inverse, max_abs, sym_eigendecompose, sym_inverse
 
 # The two internally-asserted structural identities: the Schur complement
@@ -43,20 +50,25 @@ IDENTITY_TOL = 1e-12
 class CoronaBlocks:
     """Ingredients of either corona's structured {1}-inverse.
 
-    ``skeleton`` is the R-graph skeleton's (n + m)-square corner of the
-    inverse, the same for both kinds.  ``anchor`` gives, for each crown
-    vertex in layout order, the skeleton vertex its crown hangs from:
-    original vertex i for R-vertex, edge-vertex n + k for R-edge.  ``ends``
-    gives, per crown host, the two base vertices (p, q) its anchor joins:
-    (i, i) for R-vertex, edge k's endpoints for R-edge.  These two are the
-    only data in which the kinds differ.  ``crown_laplacians`` holds, per
-    nonempty crown order, the crowns' indices and their Laplacians as one
-    (k, t, t) stack; it is built once and read by both the crown inverses
-    and the crown spectra.  ``grounded`` is the block diagonal of the crown
-    inverses (L(H) + I)^{-1}.  ``schur_defect`` is the distance of the
-    numerically assembled Schur complement from (3/2) L(G);
-    ``complement_defect`` is that of the edge-block complement from 2I
-    (exactly 0 for R-vertex).
+    Everything stored is of base or crown order.  ``l_sharp`` is the group
+    inverse of L(G), and ``edge_ends`` the base edge list as two endpoint
+    arrays.  ``anchor`` gives, for each crown vertex in layout order, the
+    skeleton vertex its crown hangs from: original vertex i for R-vertex,
+    edge-vertex n + k for R-edge.  ``ends`` gives, per crown host, the two
+    base vertices (p, q) its anchor joins: (i, i) for R-vertex, edge k's
+    endpoints for R-edge.  These two are the only data in which the kinds
+    differ.  ``crown_stacks`` holds, per nonempty crown order t, the
+    crowns' indices, their Laplacians as one (k, t, t) stack and the
+    grounded inverses (L(H) + I)^{-1} as another; the Laplacians are built
+    once and read by both the crown inverses and the crown spectra.
+    ``schur_defect`` is the distance of the numerically assembled Schur
+    complement from (3/2) L(G); ``complement_defect`` is that of the
+    edge-block complement from 2I (exactly 0 for R-vertex).
+
+    ``skeleton``, the R-graph skeleton's (n + m)-square corner of the
+    inverse (the same for both kinds), and ``grounded``, the block diagonal
+    of the crown inverses, are built on first use, at most once per blocks
+    object.  The Kirchhoff index reads neither.
     """
 
     kind: str
@@ -64,13 +76,20 @@ class CoronaBlocks:
     crowns: tuple[Graph, ...]
     sizes: tuple[int, ...]
     l_sharp: np.ndarray
-    skeleton: np.ndarray
+    edge_ends: tuple[np.ndarray, np.ndarray]
     anchor: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
-    crown_laplacians: tuple[tuple[np.ndarray, np.ndarray], ...]
-    grounded: np.ndarray
+    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     schur_defect: float
     complement_defect: float
+
+    @functools.cached_property
+    def skeleton(self) -> np.ndarray:
+        return _skeleton_corner(self.l_sharp, *self.edge_ends)
+
+    @functools.cached_property
+    def grounded(self) -> np.ndarray:
+        return _dense_grounded(self.sizes, self.crown_stacks)
 
 
 def _require_closed_form_input(g: Graph) -> None:
@@ -82,32 +101,33 @@ def _require_closed_form_input(g: Graph) -> None:
         )
 
 
-def _crown_laplacians(crowns: tuple[Graph, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per nonempty crown order: the crowns' indices and Laplacians as one (k, t, t) stack."""
+def _crown_stacks(
+    crowns: tuple[Graph, ...],
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per nonempty crown order t: the crowns' indices, Laplacians and inverses of L(H) + I.
+
+    The crowns of each order are inverted together as one (k, t, t) stack,
+    whichever kind of corona they crown.
+    """
     sizes = np.array([c.n for c in crowns], dtype=np.intp)
     stacks = []
     for t in sorted(set(sizes.tolist()) - {0}):
         of_order = np.flatnonzero(sizes == t)
-        stacks.append((of_order, np.stack([laplacian(crowns[i]) for i in of_order])))
+        laps = np.stack([laplacian(crowns[i]) for i in of_order])
+        stacks.append((of_order, laps, sym_inverse(laps + np.eye(t), "crown block")))
     return tuple(stacks)
 
 
-def _grounded_inverse(
+def _dense_grounded(
     sizes: tuple[int, ...],
-    crown_laplacians: tuple[tuple[np.ndarray, np.ndarray], ...],
+    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
 ) -> np.ndarray:
-    """Block diagonal of the crown inverses (L(H) + I)^{-1}, one solve per order.
-
-    The crowns of each order t are inverted together as one (k, t, t)
-    stack, whichever kind of corona they crown.
-    """
+    """Block diagonal of the crown inverses (L(H) + I)^{-1}, in crown layout order."""
     offsets = np.cumsum(sizes) - sizes
     total = sum(sizes)
     grounded = np.zeros((total, total))
-    for of_order, laps in crown_laplacians:
-        t = laps.shape[-1]
-        inv = sym_inverse(laps + np.eye(t), "crown block")
-        rows = offsets[of_order][:, None] + np.arange(t)
+    for of_order, _, inv in crown_stacks:
+        rows = offsets[of_order][:, None] + np.arange(inv.shape[-1])
         grounded[rows[:, :, None], rows[:, None, :]] = inv
     return grounded
 
@@ -130,6 +150,18 @@ def _skeleton_corner(ls: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarr
     return x
 
 
+def _crown_totals(
+    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per crown of ``count``, tr G_k and 1^T G_k 1 of its grounded inverse, read off the stacks."""
+    traces = np.zeros(count)
+    ones = np.zeros(count)
+    for of_order, _, inv in crown_stacks:
+        traces[of_order] = np.trace(inv, axis1=1, axis2=2)
+        ones[of_order] = inv.sum(axis=(1, 2))
+    return traces, ones
+
+
 def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     """Compute and sanity-check either corona's block ingredients."""
     _require_closed_form_input(g)
@@ -142,18 +174,13 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     if len(crowns) != hosts:
         raise ValueError(f"need {hosts} crowns (one per {per}), got {len(crowns)}")
     sizes = tuple(c.n for c in crowns)
-    l_g = laplacian(g)
-    l_sharp = laplacian_group_inverse(l_g)
-    crown_laplacians = _crown_laplacians(crowns)
-    grounded = _grounded_inverse(sizes, crown_laplacians)
-    owner = np.repeat(np.arange(hosts), sizes)
-    anchor = first + owner
+    l_sharp = laplacian_group_inverse(laplacian(g))
+    crown_stacks = _crown_stacks(crowns)
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
     excess = np.zeros(g.n + g.m)
-    excess[first : first + hosts] = np.asarray(sizes, dtype=float) - np.bincount(
-        owner, weights=grounded.sum(axis=1), minlength=hosts
-    )
+    crown_ones = _crown_totals(crown_stacks, hosts)[1]
+    excess[first : first + hosts] = np.asarray(sizes, dtype=float) - crown_ones
     # So the edge-block complement 2I + diag(excess) collapses to 2I ...
     complement_defect = max_abs(excess[g.n :])
     if complement_defect > IDENTITY_TOL:
@@ -161,14 +188,16 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
             f"edge-block complement defect {complement_defect:.3e} exceeds {IDENTITY_TOL}"
         )
     # ... and the Schur complement D + diag(excess) + L(G) - BB^T/2 (BB^T = D + A) to 3/2 L(G).
-    degrees = g.degrees()
-    schur = np.diag(degrees + excess[: g.n]) + l_g - 0.5 * (np.diag(degrees) + adjacency(g))
-    defect = max_abs(schur - 1.5 * l_g)
+    # Off the diagonal it is L(G) - A/2 = 3/2 L(G) exactly (-1 - 1/2 on an edge,
+    # 0 elsewhere), so its defect is read on the diagonal, entry by entry as the
+    # dense difference would form it.
+    d = g.degrees().astype(float)
+    defect = max_abs((d + excess[: g.n]) + d - 0.5 * d - 1.5 * d)
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
-    skeleton = _skeleton_corner(l_sharp, eu, ev)
+    anchor = first + np.repeat(np.arange(hosts), sizes)
     return CoronaBlocks(
-        kind, g, crowns, sizes, l_sharp, skeleton, anchor, (p, q), crown_laplacians, grounded,
+        kind, g, crowns, sizes, l_sharp, (eu, ev), anchor, (p, q), crown_stacks,
         defect, complement_defect,
     )
 
@@ -235,7 +264,7 @@ def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
     """The resistance between corona vertices u and v, read off the blocks.
 
     The (u, v) cell of ``resistance_map(blocks)``, bit for bit, in the same
-    arithmetic order and with nothing of corona order built: the skeleton
+    arithmetic order and without forming the full map: the skeleton
     resistance between the two anchors plus the two apex values, or, for
     two vertices of one crown, the resistance within that crown's grounded
     inverse.
@@ -270,11 +299,12 @@ class KirchhoffBreakdown:
     the blocks without assembling X.  With c_j = 1 + (the number of crown
     vertices anchored at skeleton vertex j), tr X = c . diag(S) + tr G and
     1^T X 1 = c^T S c + 1^T G 1 (S the skeleton corner, G the grounded
-    crown inverses).  ``expanded`` evaluates the same quantity term by
-    term from base-graph invariants and crown spectra; ``terms`` holds the
-    named summands (trace_* terms are multiplied by the vertex count,
-    ones_* terms are subtracted).  ``deviation`` is their absolute
-    difference.
+    crown inverses), with S expanded through Lg and the base edge list and
+    G read per crown off the stacks, so neither is formed.  ``expanded``
+    evaluates the same quantity term by term from base-graph invariants
+    and crown spectra; ``terms`` holds the named summands (trace_* terms
+    are multiplied by the vertex count, ones_* terms are subtracted).
+    ``deviation`` is their absolute difference.
     """
 
     value: float
@@ -286,14 +316,49 @@ class KirchhoffBreakdown:
 def crown_eigen_sums(blocks: CoronaBlocks) -> np.ndarray:
     """Per crown of ``blocks``, the sum over its Laplacian spectrum of 1/(mu + 1).
 
-    The crowns of each order are eigendecomposed together as one stack,
-    the Laplacian stack the blocks already hold; an empty crown sums to 0.
+    One stacked Jacobi call per layout order t + t % 2, on the Laplacian
+    stacks the blocks already hold: Jacobi pads an odd order with a zero
+    dummy index anyway, so an order-t stack padded with a zero row and
+    column starts from the same layout as alone and shares the call with
+    order t + 1 (stack members never mix).  Every eigenvalue is bit for bit
+    that of the per-order call, and the dummy's is an exact 0.0, which is
+    dropped before the sum.  An empty crown sums to 0.
     """
     sums = np.zeros(len(blocks.crowns))
-    for of_order, laps in blocks.crown_laplacians:
-        values = sym_eigendecompose(laps).values
-        sums[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
+    layouts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for of_order, laps, _ in blocks.crown_stacks:
+        t = laps.shape[-1]
+        layouts.setdefault(t + t % 2, []).append((of_order, laps))
+    for order, members in layouts.items():
+        stack = np.zeros((sum(len(laps) for _, laps in members), order, order))
+        start = 0
+        for _, laps in members:
+            t = laps.shape[-1]
+            stack[start : start + len(laps), :t, :t] = laps
+            start += len(laps)
+        values = sym_eigendecompose(stack).values
+        for of_order, laps in members:
+            part, values = values[: len(laps)], values[len(laps) :]
+            if laps.shape[-1] < order:
+                part = _drop_dummy_zero(part)
+            sums[of_order] = np.add.reduce(1.0 / (part + 1.0), axis=1)
     return sums
+
+
+def _drop_dummy_zero(values: np.ndarray) -> np.ndarray:
+    """The (k, t) spectra left once one exact 0.0 is taken from each row of (k, t + 1).
+
+    The rows are sorted, so removing any one exact zero (a true zero
+    eigenvalue or the dummy's) leaves the same sequence of values.
+    """
+    zero = values == 0.0
+    rows = np.arange(len(values))
+    first = zero.argmax(axis=1)
+    if not zero[rows, first].all():
+        raise MatrixError("a padded crown spectrum has no exact zero for its dummy index")
+    keep = np.ones(values.shape, dtype=bool)
+    keep[rows, first] = False
+    return values[keep].reshape(len(values), -1)
 
 
 def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
@@ -317,10 +382,22 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     st = sum(blocks.sizes)
     edge = blocks.kind == "r_edge"
     ls = blocks.l_sharp
-    # X = S[a, a] + G holds skeleton vertex j's row and column reps[j] times.
+    eu, ev = blocks.edge_ends
+    # X = S[a, a] + G holds skeleton vertex j's row and column reps[j]
+    # times, and the skeleton corner is S = (2/3) P^T Lg P + diag(0, I/2)
+    # with P = [I, B/2].  So tr X and 1^T X 1 are read off Lg through the
+    # edge endpoints: diag(B^T Lg B) is d below, and P reps = r_n + B r_m / 2
+    # takes two bincounts (centred, as the quadratic forms below are).
     reps = 1.0 + np.bincount(blocks.anchor, minlength=n + m)
-    trace_x = float(reps @ np.diag(blocks.skeleton)) + float(np.trace(blocks.grounded))
-    ones_x = float(reps @ blocks.skeleton @ reps) + float(blocks.grounded.sum())
+    r_n, r_m = reps[:n], reps[n:]
+    c = r_n + 0.5 * (np.bincount(eu, r_m, minlength=n) + np.bincount(ev, r_m, minlength=n))
+    c -= c.mean()
+    d = ls[eu, eu] + ls[ev, ev] + 2.0 * ls[eu, ev]
+    traces, ones = _crown_totals(blocks.crown_stacks, len(blocks.crowns))
+    trace_x = (
+        (2.0 / 3.0) * float(r_n @ np.diag(ls)) + float(r_m @ (0.5 + d / 6.0)) + float(traces.sum())
+    )
+    ones_x = (2.0 / 3.0) * float(c @ ls @ c) + 0.5 * float(r_m @ r_m) + float(ones.sum())
     value = (n + m + st) * trace_x - ones_x
     p, q = blocks.ends
     pi = g.degrees().astype(float)
@@ -332,6 +409,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     # regular base) instead of roundoff.
     pi_c = pi - pi.mean()
     u_tau_c = u_tau - u_tau.mean()
+    pi_ls = pi_c @ ls
     shift = 0.5 if edge else 0.0
     sums = crown_eigen_sums(blocks)
     crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
@@ -340,11 +418,13 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)),
+        "trace_crown_eigen": sum(
+            (float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)), 0.0
+        ),
         crown_trace: (2.0 / 3.0) * float(tau @ u_diag),
         "ones_edge_const": m / 2.0,
-        "ones_degree_quad": (1.0 / 6.0) * float(pi_c @ ls @ pi_c),
-        "ones_degree_crown": (2.0 / 3.0) * float(pi_c @ ls @ u_tau_c),
+        "ones_degree_quad": (1.0 / 6.0) * float(pi_ls @ pi_c),
+        "ones_degree_crown": (2.0 / 3.0) * float(pi_ls @ u_tau_c),
         "ones_crown_count": float(st),
     }
     # Insertion order is summation order below, so keep it fixed per kind.

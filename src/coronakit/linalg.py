@@ -400,7 +400,11 @@ def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     raises SingularMatrixError naming ``what``, that row and its pivot;
     nothing is zeroed.
     """
-    a = _as_symmetric(m, what, stacked=True)
+    return _checked_inverse(_as_symmetric(m, what, stacked=True), what)
+
+
+def _checked_inverse(a: np.ndarray, what: str) -> np.ndarray:
+    """``sym_inverse`` of a float array that is already exactly symmetric."""
     if a.size == 0:
         return a
     floor = PIVOT_RTOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
@@ -445,8 +449,9 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
     if max_abs(lap.sum(axis=1)) > SYMMETRY_RTOL * max(1.0, max_abs(lap)):
         raise MatrixError("Laplacian rows must sum to zero")
     j = np.full((n, n), 1.0 / n)
+    # lap is exactly symmetric and J/n constant, so the sum needs no second check.
     shifted = lap + j
-    x = sym_inverse(shifted, "L + J/n")
+    x = _checked_inverse(shifted, "L + J/n")
     residual = -(shifted @ x)
     residual.flat[:: n + 1] += 1.0
     x += x @ residual

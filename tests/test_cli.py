@@ -435,7 +435,37 @@ def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
         assert main(["kf", str(spec), "--method", "closed", "--format", "json", "--terms"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["closed"] == pytest.approx(doc["expanded"], rel=1e-9)
-    assert eig.call_count <= 4
+    # Orders 1 and 2 share the order-2 Jacobi layout, 3 and 4 the order-4 one.
+    assert eig.call_count == 2
+
+
+def test_r_edge_over_k1_prints_every_term_as_a_float(tmp_path, capsys):
+    # K1 has no edges, so an R-edge corona over it has no crown host; the
+    # empty crown spectral sum is 0.0 like every other term, not the int 0.
+    (tmp_path / "k1.edges").write_text("1\n")
+    spec = tmp_path / "k1.spec"
+    spec.write_text("kind = r_edge\nbase = k1.edges\n")
+    assert main(["kf", str(spec), "--method", "closed", "--format", "json", "--terms"]) == 0
+    out = capsys.readouterr().out
+    assert '"trace_crown_eigen": 0.0,' in out
+    terms = json.loads(out)["terms"]
+    assert all(type(value) is float for value in terms.values()), terms
+
+
+def test_parser_is_built_once_and_handlers_are_looked_up_per_call(rv_spec, capsys):
+    argv = ["kf", str(rv_spec), "--method", "closed", "--format", "json"]
+    cli.build_parser.cache_clear()
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with mock.patch.object(cli, "cmd_kf", return_value=0) as handler:
+        assert main(argv) == 0
+    assert handler.call_count == 1
+    assert handler.call_args.args[0].spec == str(rv_spec)
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_kf_text_terms_flag(rg_spec, capsys):

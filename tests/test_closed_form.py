@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -593,3 +594,104 @@ def test_closed_and_oracle_kirchhoff_agree_at_corona_order_599():
     closed = cf.rv_kirchhoff_terms(g, crowns).value
     oracle = kirchhoff_index(r_vertex_corona(g, crowns).graph)
     assert abs(closed - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("kind", ["rv", "re"])
+def test_kirchhoff_terms_build_nothing_of_corona_order(kind):
+    # The Kirchhoff value and its terms read l_sharp, the edge endpoints and
+    # the crown stacks; the (n + m)-square skeleton corner and the dense
+    # crown corner are never built on that path.
+    rng = random.Random(5)
+    cases = [(g, crowns) for prefix, g, crowns in _crown_zoo_instances() if prefix == kind]
+    for _ in range(5):
+        g = random_connected_graph(rng, 2, 7)
+        cases.append((g, random_crowns(rng, g.n if kind == "rv" else g.m, 4)))
+    built_corner = AssertionError("the Kirchhoff path built a corona-order matrix")
+    for g, crowns in cases:
+        blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
+        with (
+            mock.patch.object(cf, "_skeleton_corner", side_effect=built_corner),
+            mock.patch.object(cf, "_dense_grounded", side_effect=built_corner),
+        ):
+            breakdown = cf.kirchhoff_terms(blocks)
+        assert "skeleton" not in vars(blocks) and "grounded" not in vars(blocks)
+        x = cf.one_inverse(blocks)
+        vertices = len(x)
+        assert breakdown.value == pytest.approx(
+            vertices * np.trace(x) - x.sum(), rel=1e-12, abs=1e-12
+        )
+        assert breakdown.deviation <= 1e-9
+
+
+def _sparse_base(rng, n, m):
+    """Connected graph on n vertices with m edges: a random tree plus random chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("kind", ["rv", "re"])
+def test_kirchhoff_peak_memory_stays_at_base_order(kind):
+    # n = 300 with crowns of order 0-4: the corona has about 1000-1400
+    # vertices, but the Kirchhoff path holds only base-order matrices (the
+    # group inverse's own work is about 6.25 n^2 floats).
+    n = 300
+    rng = random.Random(11)
+    g = _sparse_base(rng, n, n + n // 5)
+    crowns = random_crowns(rng, g.n if kind == "rv" else g.m, 4)
+    make_blocks = getattr(cf, f"{kind}_blocks")
+    tracemalloc.start()
+    try:
+        breakdown = cf.kirchhoff_terms(make_blocks(g, crowns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert breakdown.deviation <= 1e-8 * breakdown.value
+    assert peak < 9 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2 floats"
+
+
+def test_crown_eigen_sums_take_one_call_per_layout_order():
+    # Orders 1-9 share five Jacobi layouts (2, 4, 6, 8, 10): an odd order is
+    # padded with a zero row and column and swept with the next even order.
+    # Every sum is == the per-order call's, including crowns with several
+    # exact zero eigenvalues (edgeless and disconnected crowns).
+    rng = random.Random(3)
+    crowns = [empty_graph(0)]
+    for t in range(1, 10):
+        pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
+        sampled = Graph(t, tuple(e for e in pairs if rng.random() < 0.5))
+        crowns += [Graph(t, ()), complete_graph(t), path_graph(t), sampled]
+    crowns = tuple(crowns)
+    blocks = cf.rv_blocks(path_graph(len(crowns)), crowns)
+    want = np.zeros(len(crowns))
+    for of_order, laps, _ in blocks.crown_stacks:
+        values = linalg.sym_eigendecompose(laps).values
+        want[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
+    eig = mock.Mock(wraps=linalg.sym_eigendecompose)
+    with mock.patch.object(cf, "sym_eigendecompose", eig):
+        got = cf.crown_eigen_sums(blocks)
+    assert eig.call_count == 5
+    assert [c.args[0].shape[-1] for c in eig.call_args_list] == [2, 4, 6, 8, 10]
+    assert (got == want).all()
+    with pytest.raises(linalg.MatrixError, match="exact zero"):
+        cf._drop_dummy_zero(np.array([[2.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("kind", ["rv", "re"])
+def test_blocks_build_each_corona_order_matrix_once(kind):
+    g = cycle_graph(4)
+    crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), path_graph(2))
+    blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
+    corner = mock.Mock(wraps=cf._skeleton_corner)
+    dense = mock.Mock(wraps=cf._dense_grounded)
+    with mock.patch.object(cf, "_skeleton_corner", corner), mock.patch.object(cf, "_dense_grounded", dense):
+        x = cf.one_inverse(blocks)
+        r = cf.resistance_map(blocks)
+        cell = cf.pair_resistance(blocks, 0, len(x) - 1)
+        cf.one_inverse(blocks)
+        cf.kirchhoff_terms(blocks)
+    assert corner.call_count == 1
+    assert dense.call_count == 1
+    assert cell == r[0, -1]

@@ -4,6 +4,8 @@ numpy.linalg serves as the independent oracle here; the library's own code
 never calls it.
 """
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -202,6 +204,29 @@ def test_group_inverse_of_triangle_is_known():
     # Lg of the triangle's Laplacian is (3I - J)/9
     lg = laplacian_group_inverse(laplacian(complete_graph(3)))
     npt.assert_allclose(lg, (3.0 * np.eye(3) - np.ones((3, 3))) / 9.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 150])
+def test_group_inverse_checks_its_input_once(monkeypatch, n):
+    # L + J/n is exactly symmetric by construction, so only L is checked,
+    # and the result is bit for bit that of checking L + J/n a second time
+    # (n = 150 also runs the Schur split of the Cholesky kernel).
+    rng = np.random.default_rng(n)
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(n // 3)}
+    lap = laplacian(Graph(n, tuple(edges)))
+    checks = mock.Mock(wraps=linalg._as_symmetric)
+    monkeypatch.setattr(linalg, "_as_symmetric", checks)
+    got = laplacian_group_inverse(lap)
+    assert checks.call_count == 1
+    j = np.full((n, n), 1.0 / n)
+    shifted = lap + j
+    x = sym_inverse(shifted, "L + J/n")
+    residual = -(shifted @ x)
+    residual.flat[:: n + 1] += 1.0
+    x += x @ residual
+    want = 0.5 * (x + x.T) - j
+    assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 def test_group_inverse_equations():
