@@ -22,12 +22,14 @@ than the base graph is ever inverted, and none is pseudo-inverted.
 
 The blocks hold only base-order data and the per-order crown stacks.  The
 Kirchhoff index is read from those alone, so its cost follows n and the
-crown orders, not the corona order; the (n + m)-square skeleton corner and
-the dense crown corner are built only when a resistance or the assembled
-{1}-inverse asks for them.  The one eigensolve left is in
-``crown_eigen_sums``, one stacked Jacobi call per Jacobi layout order: the
-expanded Kirchhoff index reads the crown spectra on purpose, so that it
-checks the Cholesky inverses against a second kernel.
+crown orders, not the corona order, and so is a single-pair resistance,
+whose few skeleton cells are gathers from L(G)#; the (n + m)-square
+skeleton corner and the dense crown corner are built only when the full
+resistance map or the assembled {1}-inverse asks for them.  The one
+eigensolve left is in ``crown_eigen_sums``, one stacked Jacobi call per
+Jacobi layout order: the expanded Kirchhoff index reads the crown spectra
+on purpose, so that it checks the Cholesky inverses against a second
+kernel.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ class CoronaBlocks:
     endpoints for R-edge.  These two are the only data in which the kinds
     differ.  ``crown_stacks`` holds, per nonempty crown order t, the
     crowns' indices, their Laplacians as one (k, t, t) stack and the
-    grounded inverses (L(H) + I)^{-1} as another; the Laplacians are built
-    once and read by both the crown inverses and the crown spectra.
+    grounded inverses (L(H) + I)^{-1} as another; each Laplacian stack is
+    built once, in one scatter, and read by both the crown inverses and
+    the crown spectra.
     ``schur_defect`` is the distance of the numerically assembled Schur
     complement from (3/2) L(G); ``complement_defect`` is that of the
     edge-block complement from 2I (exactly 0 for R-vertex).
@@ -68,7 +71,7 @@ class CoronaBlocks:
     ``skeleton``, the R-graph skeleton's (n + m)-square corner of the
     inverse (the same for both kinds), and ``grounded``, the block diagonal
     of the crown inverses, are built on first use, at most once per blocks
-    object.  The Kirchhoff index reads neither.
+    object.  The Kirchhoff index and ``pair_resistance`` read neither.
     """
 
     kind: str
@@ -106,14 +109,29 @@ def _crown_stacks(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per nonempty crown order t: the crowns' indices, Laplacians and inverses of L(H) + I.
 
-    The crowns of each order are inverted together as one (k, t, t) stack,
-    whichever kind of corona they crown.
+    Each order's (k, t, t) Laplacian stack is built in one scatter over its
+    crowns' edges, as ``laplacian`` builds one: the adjacency negated, then
+    the degrees on the diagonal, so every member is bit for bit
+    ``laplacian(crown)``.  The crowns of each order are inverted together
+    as one stack, whichever kind of corona they crown.
     """
     sizes = np.array([c.n for c in crowns], dtype=np.intp)
+    owner = np.repeat(np.arange(len(crowns)), [c.m for c in crowns])
+    ends = np.array([e for c in crowns for e in c.edges], dtype=np.intp).reshape(-1, 2)
     stacks = []
     for t in sorted(set(sizes.tolist()) - {0}):
         of_order = np.flatnonzero(sizes == t)
-        laps = np.stack([laplacian(crowns[i]) for i in of_order])
+        mine = sizes[owner] == t
+        # Flat positions of (member, u, v) and (member, v, u) in the stack.
+        at = np.searchsorted(of_order, owner[mine]) * (t * t)
+        u, v = ends[mine].T
+        adjacency = np.zeros((len(of_order), t, t))
+        flat = adjacency.reshape(-1)
+        flat[at + u * t + v] = 1.0
+        flat[at + v * t + u] = 1.0
+        laps = -adjacency
+        diag = np.arange(t)
+        laps[:, diag, diag] = adjacency.sum(axis=2)
         stacks.append((of_order, laps, sym_inverse(laps + np.eye(t), "crown block")))
     return tuple(stacks)
 
@@ -260,21 +278,51 @@ def _cell_resistance(x: np.ndarray, i: int, j: int) -> float:
     return resistance.resistances_from_inverse(x[np.ix_(ij, ij)])[0, 1]
 
 
+def _skeleton_cell(ls: np.ndarray, eu: np.ndarray, ev: np.ndarray, i: int, j: int) -> float:
+    """Entry (i, j) of ``_skeleton_corner(ls, eu, ev)``, by gathers in its arithmetic order."""
+    n = len(ls)
+    if i < n and j < n:
+        return (2.0 / 3.0) * ls[i, j]
+    if i >= n and j >= n:
+        k, l = i - n, j - n
+        kl = (ls[eu[k], eu[l]] + ls[eu[k], ev[l]]) + (ls[ev[k], eu[l]] + ls[ev[k], ev[l]])
+        lk = (ls[eu[l], eu[k]] + ls[eu[l], ev[k]]) + (ls[ev[l], eu[k]] + ls[ev[l], ev[k]])
+        return 0.5 * float(k == l) + (1.0 / 6.0) * (0.5 * (kl + lk))
+    a, k = (i, j - n) if i < n else (j, i - n)
+    return (1.0 / 3.0) * (ls[a, eu[k]] + ls[a, ev[k]])
+
+
+def _crown_inverse(blocks: CoronaBlocks, c: int) -> tuple[np.ndarray, int]:
+    """Grounded inverse of the crown holding crown-layout vertex c, and c's index within it."""
+    ends = np.cumsum(blocks.sizes)
+    crown = int(np.searchsorted(ends, c, side="right"))
+    t = blocks.sizes[crown]
+    of_order, _, inv = next(stack for stack in blocks.crown_stacks if stack[2].shape[-1] == t)
+    return inv[np.searchsorted(of_order, crown)], c - int(ends[crown] - t)
+
+
 def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
     """The resistance between corona vertices u and v, read off the blocks.
 
     The (u, v) cell of ``resistance_map(blocks)``, bit for bit, in the same
-    arithmetic order and without forming the full map: the skeleton
-    resistance between the two anchors plus the two apex values, or, for
-    two vertices of one crown, the resistance within that crown's grounded
-    inverse.
+    arithmetic order and at base cost: the skeleton resistance between the
+    two anchors, from the four skeleton-corner entries it reads, each
+    gathered from ``l_sharp`` through the edge endpoints, plus the two apex
+    values read off the crown stacks; or, for two vertices of one crown,
+    the resistance within that crown's grounded inverse.  Neither the
+    skeleton corner nor the dense crown corner is built.
     """
-    nm = len(blocks.skeleton)
-    if u >= nm and v >= nm and blocks.anchor[u - nm] == blocks.anchor[v - nm]:
-        return float(_cell_resistance(blocks.grounded, u - nm, v - nm))
-    a, b = (w if w < nm else int(blocks.anchor[w - nm]) for w in (u, v))
-    apex_u, apex_v = (0.0 if w < nm else blocks.grounded[w - nm, w - nm] for w in (u, v))
-    return float(_cell_resistance(blocks.skeleton, a, b) + (apex_u + apex_v))
+    nm = blocks.base.n + blocks.base.m
+    crown_u, crown_v = (_crown_inverse(blocks, w - nm) if w >= nm else None for w in (u, v))
+    if crown_u is not None and crown_v is not None:
+        if blocks.anchor[u - nm] == blocks.anchor[v - nm]:
+            (inv, i), (_, j) = crown_u, crown_v
+            return float(_cell_resistance(inv, i, j))
+    ij = [w if w < nm else int(blocks.anchor[w - nm]) for w in (u, v)]
+    ls, (eu, ev) = blocks.l_sharp, blocks.edge_ends
+    x = np.array([[_skeleton_cell(ls, eu, ev, p, q) for q in ij] for p in ij])
+    apex_u, apex_v = (0.0 if c is None else c[0][c[1], c[1]] for c in (crown_u, crown_v))
+    return float(resistance.resistances_from_inverse(x)[0, 1] + (apex_u + apex_v))
 
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:

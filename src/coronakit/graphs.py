@@ -53,16 +53,20 @@ class Graph:
             canon.append(pair)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
+    @classmethod
+    def _checked(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on edges already canonical, distinct and in range, not validated again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(sorted(pairs)))
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(np.array(self.edges, dtype=np.intp).reshape(-1), minlength=self.n)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
@@ -73,9 +77,9 @@ class Graph:
 
 def adjacency(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    u, v = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+    a[u, v] = 1.0
+    a[v, u] = 1.0
     return a
 
 
@@ -123,29 +127,37 @@ def parse_edge_list(text: str) -> Graph:
 
     First significant line is the vertex count; each following line is one
     edge ``u v``.  ``#`` starts a comment, blank lines are skipped, and both
-    LF and CRLF are accepted.  Endpoints may appear in either order; the
+    LF and CRLF are accepted.  Fields are split as ``str.split()`` splits
+    them, on any Unicode whitespace, and each is an ASCII decimal integer
+    with an optional sign.  Endpoints may appear in either order; the
     stored graph is canonical.  Raises EdgeListError with the 1-based line
     number for malformed lines, out-of-range or repeated endpoints, and
     self-loops.
+
+    An edge line is read by one match of a compiled pattern; any other
+    line after the count is blank, a comment or malformed.  The edges are
+    checked here, line by line, so the Graph is built without checking
+    them a second time.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
+        match = None if n is None else _EDGE_LINE.fullmatch(raw)
+        if match is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if n is not None:
+                raise EdgeListError(lineno, f"expected an edge 'u v', got {line!r}")
+            fields = line.split()
             if len(fields) != 1 or not _is_int(fields[0]):
                 raise EdgeListError(lineno, f"expected a vertex count, got {line!r}")
             n = int(fields[0])
             if n < 0:
                 raise EdgeListError(lineno, f"vertex count must be nonnegative, got {n}")
             continue
-        if len(fields) != 2 or not all(_is_int(f) for f in fields):
-            raise EdgeListError(lineno, f"expected an edge 'u v', got {line!r}")
-        u, v = int(fields[0]), int(fields[1])
+        u, v = int(match[1]), int(match[2])
         if u == v:
             raise EdgeListError(lineno, f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -157,7 +169,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append(pair)
     if n is None:
         raise EdgeListError(1, "empty document: missing vertex count")
-    return Graph(n, tuple(edges))
+    return Graph._checked(n, edges)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -171,6 +183,10 @@ def serialize_edge_list(g: Graph) -> str:
 # accept digits from other scripts.  The sign stays, so negative counts and
 # endpoints get their own messages.
 _INT = re.compile(r"[+-]?[0-9]+")
+# A whole edge line: two such integers, whitespace as str.split() knows it
+# (``\s`` matches exactly the characters of str.isspace), then an optional
+# comment.
+_EDGE_LINE = re.compile(r"\s*([+-]?[0-9]+)\s+([+-]?[0-9]+)\s*(?:#.*)?")
 
 
 def _is_int(s: str) -> bool:

@@ -4,20 +4,24 @@ Two kernels, split by what they compute, and both take one matrix or a
 (k, t, t) stack of equal-order ones.  Spectra go through
 ``sym_eigendecompose``, Jacobi in the round-robin parallel ordering of
 Brent and Luk: each of the n-1 rounds of a sweep rotates n/2 disjoint
-pairs of every stack member at once as one vectorised update, and each
-member stops on its own.  It is unconditionally stable on symmetric
-input and deterministic for a fixed input because the ordering is fixed;
-the package asks it only for crown spectra, so it returns eigenvalues alone.
+pairs of every stack member at once as one vectorised update, with the
+rotations from ``hypot`` and ``copysign`` and the move and transpose as
+one gather, and each member stops on its own.  It is unconditionally
+stable on symmetric input and deterministic for a fixed input because
+the ordering is fixed; the package asks it only for crown spectra, so it
+returns eigenvalues alone.
 
 Inverses go through ``sym_inverse``, which requires symmetric positive
 definite input.  Up to SCHUR_LEAF_ORDER it is a bordered Cholesky: one
 loop factors A = L L^T row by row and grows L^{-1} in the same step, so
-there is no back substitution, and a single matrix and a stack run the
-same loop body.  A larger matrix is split in half and inverted through
-its Schur complement by recursion, so most of its work runs as matmuls.
-The loop records every pivot, and the pivots are checked once the inverse
-is formed: the first row whose pivot is not above its member's floor
-raises.  Every group inverse in the package, the oracle's included, is
+there is no back substitution.  A stack runs it on column views, a
+single matrix on 1-D vectors and numpy scalars with half the numpy calls
+per row, and the two bodies agree bit for bit on one matrix.  A larger
+matrix is split in half and inverted through its Schur complement by
+recursion, so most of its work runs as matmuls.  The loop records every
+pivot, and the pivots are checked once the inverse is formed: the first
+row whose pivot is not above its member's floor raises.  Every group
+inverse in the package, the oracle's included, is
 ``laplacian_group_inverse``: it deflates the known null vector of a
 connected Laplacian instead of zeroing an eigenvalue by threshold, and
 takes one step of iterative refinement.  Both kernels share the input
@@ -151,12 +155,14 @@ def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of _round_robin(m) for the sweep layout of k members.
 
-    Returns the move as row indices, the flat positions of the rotated slot
-    pairs' (p, p), (p, q) and (q, q) entries, and the flat positions of the
-    entries to zero after the move.
+    Returns the move as row indices; the move followed by the transpose of
+    every member as one flat gather (entry (i, j) of a member's result is
+    entry (move[j], i) of its input); the flat positions of the rotated
+    slot pairs' (p, p), (p, q) and (q, q) entries; and the flat positions
+    of the entries to zero after the move.
     """
     _, move, (rows, cols) = _round_robin(m)
     base = np.arange(k)[:, None] * m
@@ -167,6 +173,7 @@ def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ]
     tables = (
         (base + move).reshape(-1),
+        (base[:, :, None] * m + move * m + np.arange(m)[:, None]).reshape(-1),
         np.array(diag),
         ((base + rows) * m + cols).reshape(-1),
     )
@@ -182,9 +189,14 @@ def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndar
     rows i m to (i + 1) m hold member i's working matrix a in the layout of
     _round_robin(m).  Each round computes the rotations of the m/2 disjoint
     pairs of every member together and applies them to the rows of a,
-    moves every index to its next slot, does the same to the columns of a
-    (as rows of the transpose, a being symmetric), and zeroes the rotated
-    pairs' entries.  A pair with a_pq == 0, or (with zero_negligible) one
+    moves every index to its next slot and transposes in one gather, does
+    the same rotation to the rows of the transpose (the columns of a, a
+    being symmetric), moves again, and zeroes the rotated pairs' entries.
+    With theta = (a_qq - a_pp) / (2 a_pq), the rotation is
+    t = sign(theta) / (|theta| + hypot(1, theta)), c = 1 / hypot(1, t),
+    s = t c (Golub & Van Loan 8.5.2), with the sign taken by copysign, so
+    a theta of -0.0 takes the other root, t = -1; hypot does not overflow
+    where theta^2 would.  A pair with a_pq == 0, or (with zero_negligible) one
     whose a_pq is negligible against both its diagonal entries, gets the
     identity, so it is zeroed without counting as a rotation.  A round
     that rotates nothing still moves and transposes, so members never mix
@@ -193,7 +205,7 @@ def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndar
     the new w and the rotations applied.
     """
     size = len(w) // m
-    rows, diag, zero = _sweep_tables(m, size)
+    rows, flip, diag, zero = _sweep_tables(m, size)
     applied = 0
     for _ in range(m - 1):
         pp, apq, qq = w.reshape(-1)[diag]
@@ -210,23 +222,16 @@ def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndar
             applied += count
             # identity pairs get a_pq := 1 so that nothing divides by zero
             x = apq if count == rotate.size else np.where(rotate, apq, 1.0)
-            h = qq - pp
-            theta = 0.5 * h / x
-            t = 1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-            t = np.where(theta < 0.0, -t, t)
-            ah = np.abs(h)
-            small = ah + 100.0 * np.abs(x) == ah
-            if small.any():
-                t[small] = x[small] / h[small]
+            theta = 0.5 * (qq - pp) / x
+            t = np.copysign(1.0 / (np.abs(theta) + np.hypot(1.0, theta)), theta)
             if count < rotate.size:
                 t[~rotate] = 0.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
+            c = 1.0 / np.hypot(1.0, t)
             s = t * c
             r = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
             w = r @ w.reshape(-1, 2, m)
-        w = w.reshape(-1, m)[rows]
-        # The columns of a, as rows of its transpose; a view for one member.
-        at = w.reshape(size, m, m).transpose(0, 2, 1).reshape(-1, 2, m)
+        # The columns of a, moved, as rows of its transpose.
+        at = w.reshape(-1)[flip].reshape(-1, 2, m)
         if count:
             at = r @ at
         w = at.reshape(-1, m)[rows]
@@ -286,8 +291,8 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     limit = np.zeros(size)
     done_w = w.reshape(size, order, order)
     sweep = rotations = 0
-    # theta * theta overflows only for pairs that the |h| + g == |h| branch
-    # then rotates by t = a_pq / h instead.
+    # theta overflows to inf only for an a_pq far below its diagonal gap;
+    # hypot then gives t = 0, the identity.
     with np.errstate(over="ignore"):
         while True:
             stop = off <= limit
@@ -363,11 +368,32 @@ def _bordered_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only the leading block already factored: x = W[:j, :j] A[:j, j] is row
     j of L left of the diagonal, the pivot is p = A_jj - x^T x, and row j
     of L^{-1} is (-(x^T W[:j, :j]) / sqrt(p), 1 / sqrt(p)).  So one loop
-    both factors and inverts, with no back substitution.  The ``...``
-    indexing runs a single matrix and a (k, t, t) stack through the same
-    body.  A pivot that is not positive leaves NaN or inf in W and in the
-    later pivots; the caller checks the pivots.
+    both factors and inverts, with no back substitution.  A (k, t, t) stack
+    runs ``_bordered_stack``, the loop on (..., j, 1) column views.  A
+    single matrix runs the same row on 1-D vectors and numpy scalars, half
+    the numpy calls per row, and every result is bit for bit that of
+    ``_bordered_stack`` on the same matrix (where a 0-d pivot is a numpy
+    scalar too).  A pivot that is not positive leaves NaN or inf in W and
+    in the later pivots; the caller checks the pivots.
     """
+    if a.ndim != 2:
+        return _bordered_stack(a)
+    n = len(a)
+    w = np.zeros_like(a)
+    pivots = np.empty(n)
+    for j in range(n):
+        head = w[:j, :j]
+        x = head @ a[:j, j]
+        pivot = a[j, j] - x @ x
+        pivots[j] = pivot
+        r = pivot**-0.5
+        w[j, :j] = (x @ head) * -r
+        w[j, j] = r
+    return w.T @ w, pivots
+
+
+def _bordered_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_bordered_inverse`` on any leading shape, through ``...`` indexing; the reference body."""
     n = a.shape[-1]
     w = np.zeros_like(a)
     pivots = np.empty(a.shape[:-1])
@@ -448,14 +474,17 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
         return lap
     if max_abs(lap.sum(axis=1)) > SYMMETRY_RTOL * max(1.0, max_abs(lap)):
         raise MatrixError("Laplacian rows must sum to zero")
-    j = np.full((n, n), 1.0 / n)
-    # lap is exactly symmetric and J/n constant, so the sum needs no second check.
-    shifted = lap + j
-    x = _checked_inverse(shifted, "L + J/n")
-    residual = -(shifted @ x)
+    # From here lap holds L + J/n: J/n enters only as the scalar 1/n, added
+    # in place to our own copy of L.  Every entry is the sum a dense J/n
+    # would give, and the sum stays exactly symmetric, so it needs no
+    # second check.  It is dropped once the refinement residual is formed.
+    lap += 1.0 / n
+    x = _checked_inverse(lap, "L + J/n")
+    residual = -(lap @ x)
+    del lap
     residual.flat[:: n + 1] += 1.0
     x += x @ residual
-    return 0.5 * (x + x.T) - j
+    return 0.5 * (x + x.T) - 1.0 / n
 
 
 def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -226,19 +226,33 @@ def test_single_pair_entry_points():
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_pair_resistance_is_the_map_cell_bit_for_bit(kind):
-    # Crowns of orders 0-3: pairs within one crown, across two crowns,
-    # between skeleton vertices, from a crown to its own anchor, and u == v.
+    # Pairs within one crown, across two crowns, between skeleton vertices,
+    # from a crown to its own anchor, and u == v, over the crown zoo and
+    # random coronas with crowns of orders 0-4.  Every cell is read with the
+    # skeleton corner and the dense crown corner patched to raise, so a
+    # pair reads base- and crown-order data only.
+    prefix = "rv" if kind == "r_vertex" else "re"
+    make_blocks = getattr(cf, f"{prefix}_blocks")
     rng = random.Random(29)
-    g = random_connected_graph(rng, 4, 6)
-    if kind == "r_vertex":
-        blocks = cf.rv_blocks(g, random_crowns(rng, g.n, 3))
-    else:
-        blocks = cf.re_blocks(g, random_crowns(rng, g.m, 3))
-    r = cf.resistance_map(blocks)
-    assert any(size > 1 for size in blocks.sizes)
-    for u in range(len(r)):
-        for v in range(len(r)):
-            assert cf.pair_resistance(blocks, u, v).hex() == float(r[u, v]).hex()
+    hosts = (lambda g: g.n) if kind == "r_vertex" else (lambda g: g.m)
+    cases = [(g, crowns, None) for p, g, crowns in _crown_zoo_instances() if p == prefix]
+    for _ in range(4):
+        g = random_connected_graph(rng, 3, 6)
+        cases.append((g, random_crowns(rng, hosts(g), 4), None))
+    # On a larger base the grouping of the edge-block sums shows in the
+    # last bit; there every pair of skeleton vertices is read.
+    g = random_connected_graph(rng, 30, 30)
+    cases.append((g, random_crowns(rng, hosts(g), 2), g.n + g.m))
+    built = AssertionError("pair_resistance built a corona-order matrix")
+    for g, crowns, span in cases:
+        r = cf.resistance_map(make_blocks(g, crowns))[:span, :span]
+        blocks = make_blocks(g, crowns)
+        with (
+            mock.patch.object(cf, "_skeleton_corner", side_effect=built),
+            mock.patch.object(cf, "_dense_grounded", side_effect=built),
+        ):
+            cells = [cf.pair_resistance(blocks, u, v).hex() for u, v in np.ndindex(r.shape)]
+        assert cells == [float(x).hex() for x in r.reshape(-1)]
 
 
 def test_original_pairs_scale_base_resistance_by_two_thirds():
@@ -481,17 +495,39 @@ def test_closed_route_inverts_without_the_eigensolver():
 
 @pytest.mark.parametrize("kind", ["rv", "re"])
 def test_each_crown_laplacian_is_built_once(kind):
-    # The blocks hold the per-order Laplacian stacks; the crown inverses and
-    # the Kirchhoff expansion's crown spectra both read them, so a closed
-    # Kirchhoff evaluation builds the base's Laplacian and each nonempty
-    # crown's once.
+    # The blocks hold the per-order Laplacian stacks, each built in one
+    # scatter over its crowns' edges; the crown inverses and the Kirchhoff
+    # expansion's crown spectra both read them, so a closed Kirchhoff
+    # evaluation calls ``laplacian`` for the base alone.
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), path_graph(2))
     lap = mock.Mock(wraps=laplacian)
     with mock.patch.object(cf, "laplacian", lap):
         breakdown = cf.kirchhoff_terms(getattr(cf, f"{kind}_blocks")(g, crowns))
     assert breakdown.deviation <= 1e-9
-    assert lap.call_count == 1 + sum(1 for c in crowns if c.n)
+    assert lap.call_count == 1
+
+
+def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
+    # Orders 1-9 mixed in one corona, edgeless and disconnected crowns
+    # among them: every stack member is laplacian(crown), signed zeros
+    # included.
+    rng = random.Random(17)
+    crowns = [empty_graph(0)]
+    for t in range(1, 10):
+        pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
+        sampled = Graph(t, tuple(e for e in pairs if rng.random() < 0.5))
+        crowns += [Graph(t, ()), complete_graph(t), path_graph(t), sampled, empty_graph(0)]
+    rng.shuffle(crowns)
+    crowns = tuple(crowns)
+    seen = []
+    for of_order, laps, _ in cf._crown_stacks(crowns):
+        assert laps.shape == (len(of_order), crowns[of_order[0]].n, crowns[of_order[0]].n)
+        for i, lap in zip(of_order, laps):
+            want = laplacian(crowns[i])
+            assert lap.tobytes() == want.tobytes()
+        seen += of_order.tolist()
+    assert sorted(seen) == [i for i, c in enumerate(crowns) if c.n]
 
 
 def test_apex_resistance_is_the_grounded_inverse_diagonal():
@@ -635,21 +671,30 @@ def _sparse_base(rng, n, m):
 @pytest.mark.parametrize("kind", ["rv", "re"])
 def test_kirchhoff_peak_memory_stays_at_base_order(kind):
     # n = 300 with crowns of order 0-4: the corona has about 1000-1400
-    # vertices, but the Kirchhoff path holds only base-order matrices (the
-    # group inverse's own work is about 6.25 n^2 floats).
+    # vertices, but the Kirchhoff path and single-pair resistances hold
+    # only base-order matrices (the group inverse's own work, with the
+    # caller's L, is under 5 n^2 floats; the (n + m)-square skeleton corner
+    # alone would be about 4.8 n^2).
     n = 300
     rng = random.Random(11)
     g = _sparse_base(rng, n, n + n // 5)
     crowns = random_crowns(rng, g.n if kind == "rv" else g.m, 4)
+    nm = n + g.m
+    total = nm + sum(c.n for c in crowns)
+    pairs = ((0, 1), (0, nm), (n, total - 1), (total - 1, total - 2))
     make_blocks = getattr(cf, f"{kind}_blocks")
     tracemalloc.start()
     try:
-        breakdown = cf.kirchhoff_terms(make_blocks(g, crowns))
+        blocks = make_blocks(g, crowns)
+        breakdown = cf.kirchhoff_terms(blocks)
+        cells = [cf.pair_resistance(blocks, u, v) for u, v in pairs]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert breakdown.deviation <= 1e-8 * breakdown.value
-    assert peak < 9 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2 floats"
+    assert all(cell > 0.0 for cell in cells)
+    assert "skeleton" not in vars(blocks) and "grounded" not in vars(blocks)
+    assert peak < 5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2 floats"
 
 
 def test_crown_eigen_sums_take_one_call_per_layout_order():

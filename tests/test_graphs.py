@@ -112,6 +112,26 @@ def test_parse_reports_line_numbers():
         parse_edge_list("3\n0 1\n\u0661 2\n")
 
 
+def test_parse_splits_fields_as_str_split_does():
+    # Tabs, CRLF, signed ints, trailing comments and Unicode separators
+    # (str.isspace, as str.split() uses) all read as the same graph, with
+    # plain int endpoints.
+    want = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    docs = [
+        "4\n0 1\n1 2\n2 3\n",
+        "4\r\n0\t1\r\n\t2 \t1\r\n2\t\t3 # c\r\n",
+        "+4\n+0 +1\n1 +2\n+3 2#\n",
+        "4\n0\u00a01\n1\u20032\n2\u30003\u2028\n",
+        "\u00a04\n\x0b0\x0c1\x1c\n1\x1f2\n2\u00853\n",
+    ]
+    for doc in docs:
+        g = parse_edge_list(doc)
+        assert g == want
+        assert all(type(v) is int for edge in g.edges for v in edge)
+    with pytest.raises(EdgeListError, match="line 3.*expected an edge"):
+        parse_edge_list("4\n0 1\n1\u200b2\n")  # a zero-width space is not whitespace
+
+
 def test_parse_keeps_sign_specific_messages():
     with pytest.raises(EdgeListError, match="line 1.*nonnegative"):
         parse_edge_list("-2\n")

@@ -4,6 +4,7 @@ numpy.linalg serves as the independent oracle here; the library's own code
 never calls it.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -332,6 +333,71 @@ def test_singular_pivot_past_the_schur_split_is_reported():
     indefinite[100, 100] = -1.0
     with pytest.raises(SingularMatrixError, match=r"pivot -1.000e\+00 at row 100\)"):
         sym_inverse(np.stack([np.eye(150), indefinite]))
+
+
+def _spd(rng, n):
+    b = rng.normal(size=(n, n))
+    return b @ b.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("orders", [range(1, 65), range(65, 131)], ids=["leaf", "schur"])
+def test_one_matrix_rows_match_the_reference_body(orders, monkeypatch):
+    # A single matrix runs its Cholesky rows on 1-D vectors and numpy
+    # scalars; every inverse and pivot is bit for bit what the (..., j, 1)
+    # body gives on the same matrix, through the Schur split too.  A
+    # 1-member stack agrees to roundoff: its 1 / sqrt(p) is an array power,
+    # which numpy may round differently from the scalar power.
+    rng = np.random.default_rng(23)
+    mats = [_spd(rng, n) for n in orders]
+    got = [linalg._spd_inverse(a) for a in mats]
+    stacked = [linalg._spd_inverse(a[None]) for a in mats]
+    monkeypatch.setattr(linalg, "_bordered_inverse", linalg._bordered_stack)
+    for a, (x, pivots), (xs, ps) in zip(mats, got, stacked):
+        ref_x, ref_pivots = linalg._spd_inverse(a)
+        npt.assert_array_equal(x, ref_x)
+        npt.assert_array_equal(pivots, ref_pivots)
+        npt.assert_allclose(xs[0], x, rtol=0, atol=1e-14 * max_abs(x))
+        npt.assert_allclose(ps[0], pivots, rtol=1e-13)
+
+
+def _singular_message(m):
+    with pytest.raises(SingularMatrixError) as err:
+        sym_inverse(m, "block")
+    return str(err.value)
+
+
+def test_singular_input_fails_alike_as_one_matrix_and_as_a_stack(monkeypatch):
+    # The first failing row and its pivot (exact here) are reported the
+    # same for one matrix, a 1-member stack and the reference body, below
+    # and past the Schur split.
+    cases = []
+    for n, row in ((5, 2), (100, 70)):
+        a = np.diag(np.arange(1.0, n + 1.0))
+        a[row, row] = 0.0
+        cases.append((a, row, "0.000e+00"))
+    indefinite = np.eye(3)
+    indefinite[0, 1] = indefinite[1, 0] = 2.0
+    cases.append((indefinite, 1, "-3.000e+00"))
+    for a, row, pivot in cases:
+        one = _singular_message(a)
+        assert one.endswith(f"(pivot {pivot} at row {row})")
+        assert _singular_message(a[None]) == one
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "_bordered_inverse", linalg._bordered_stack)
+            assert _singular_message(a) == one
+
+
+def test_jacobi_rotates_a_tiny_pair_without_warnings():
+    # theta = (a_qq - a_pp) / (2 a_pq) is about 5e299 at a_pq = 1e-300:
+    # its square overflows, hypot does not.  At a subnormal a_pq theta
+    # itself is inf, and the pair gets the identity.
+    for apq in (1e-300, -1e-300, 5e-324):
+        a = np.array([[1.0, apq, 0.0], [apq, 2.0, apq], [0.0, apq, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = sym_eigendecompose(a)
+        npt.assert_array_equal(dec.values, [3.0, 2.0, 1.0])
+        assert dec.off_norm == 0.0
 
 
 def test_group_inverse_refinement_does_not_raise_the_residual():
