@@ -1,35 +1,30 @@
 """Structured {1}-inverses and closed-form resistances for corona products.
 
 Both corona kinds are the R-graph skeleton R(G) with crowns hung off it.
-They differ only in each crown's anchor, the skeleton vertex it hangs
-from: original vertex i (R-vertex) or edge-vertex n + k (R-edge), whose
-column joins base vertices (i, i) or edge k's endpoints (u_k, v_k).  The
-anchor is a cut vertex, and a crown vertex couples to the rest of the
-corona exactly as its anchor does.  So the {1}-inverse is the skeleton's
-corner read through the anchors, plus each crown's grounded inverse
-(L(H) + I)^{-1} on the crown corner.  A resistance is the skeleton's
-between the two anchors plus each end's apex resistance, the diagonal of
-its grounded inverse (Bapat, Graphs and Matrices), except within one
-crown, where it is read off that crown's grounded inverse.
+Each skeleton vertex joins a pair of base vertices: (i, i) for original
+vertex i, edge k's endpoints for edge-vertex n + k.  The kinds differ
+only in each crown's anchor, the skeleton vertex it hangs from: i
+(R-vertex) or n + k (R-edge).  The anchor is a cut vertex, and a crown
+vertex couples to the rest of the corona exactly as its anchor does.  So
+the {1}-inverse is the skeleton's corner read through the anchors, plus
+each crown's grounded inverse (L(H) + I)^{-1} on the crown corner.  A
+resistance is the skeleton's between the two anchors plus each end's apex
+resistance, the diagonal of its grounded inverse (Bapat, Graphs and
+Matrices); within one crown the skeleton part is 0 and the crown's cross
+term is taken off.
 
-The skeleton corner is a small transform of the group inverse of L(G),
-because the Schur complement of the original vertices collapses to
-(3/2) L(G).  Every inverse is a Cholesky solve: the group inverse deflates
-the all-ones null vector as (L(G) + J/n)^{-1} - J/n, and the crowns of
-each order are inverted as one stack, for either kind.  Products with the
-incidence matrix are gathers over the base edge list.  No matrix larger
-than the base graph is ever inverted, and none is pseudo-inverted.
-
-The blocks hold only base-order data and the per-order crown stacks.  The
-Kirchhoff index is read from those alone, so its cost follows n and the
-crown orders, not the corona order, and so is a single-pair resistance,
-whose few skeleton cells are gathers from L(G)#; the (n + m)-square
-skeleton corner and the dense crown corner are built only when the full
-resistance map or the assembled {1}-inverse asks for them.  The one
-eigensolve left is in ``crown_eigen_sums``, one stacked Jacobi call per
-Jacobi layout order: the expanded Kirchhoff index reads the crown spectra
-on purpose, so that it checks the Cholesky inverses against a second
-kernel.
+Through the pairs its vertices join, every cell of the skeleton corner is
+one gather from the group inverse of L(G), because the Schur complement
+of the original vertices collapses to (3/2) L(G).  Every inverse is a
+Cholesky solve: the group inverse deflates the all-ones null vector as
+(L(G) + J/n)^{-1} - J/n, and the crowns of each order are inverted as one
+stack.  No matrix larger than the base graph is inverted, and none is
+pseudo-inverted.  The blocks hold only base- and crown-order data.  The
+Kirchhoff index reads them alone; the map, a single pair and the
+{1}-inverse read skeleton cells through one gather, at most two for a
+pair.  The one eigensolve left is in ``crown_eigen_sums``: the expanded
+Kirchhoff index reads the crown spectra on purpose, as a second kernel
+against the Cholesky inverses.
 """
 
 from __future__ import annotations
@@ -53,25 +48,23 @@ class CoronaBlocks:
     """Ingredients of either corona's structured {1}-inverse.
 
     Everything stored is of base or crown order.  ``l_sharp`` is the group
-    inverse of L(G), and ``edge_ends`` the base edge list as two endpoint
-    arrays.  ``anchor`` gives, for each crown vertex in layout order, the
-    skeleton vertex its crown hangs from: original vertex i for R-vertex,
-    edge-vertex n + k for R-edge.  ``ends`` gives, per crown host, the two
-    base vertices (p, q) its anchor joins: (i, i) for R-vertex, edge k's
-    endpoints for R-edge.  These two are the only data in which the kinds
-    differ.  ``crown_stacks`` holds, per nonempty crown order t, the
-    crowns' indices, their Laplacians as one (k, t, t) stack and the
-    grounded inverses (L(H) + I)^{-1} as another; each Laplacian stack is
-    built once, in one scatter, and read by both the crown inverses and
-    the crown spectra.
+    inverse of L(G).  ``ends`` gives, for each of the n + m skeleton
+    vertices, the two base vertices (p, q) it joins: (i, i) for original
+    vertex i, edge k's endpoints for edge-vertex n + k.  ``hosts`` gives
+    each crown's anchor, the skeleton vertex it hangs from: original vertex
+    i for R-vertex, edge-vertex n + k for R-edge; this is the only datum in
+    which the kinds differ.  ``anchor`` repeats it for each crown vertex in
+    layout order.  ``crown_stacks`` holds, per nonempty crown order t, the
+    crowns' indices, their Laplacians as one (k, t, t) stack, built in one
+    scatter and read by the crown inverses and spectra alike, and the
+    grounded inverses (L(H) + I)^{-1} as another.
     ``schur_defect`` is the distance of the numerically assembled Schur
     complement from (3/2) L(G); ``complement_defect`` is that of the
     edge-block complement from 2I (exactly 0 for R-vertex).
 
-    ``skeleton``, the R-graph skeleton's (n + m)-square corner of the
-    inverse (the same for both kinds), and ``grounded``, the block diagonal
-    of the crown inverses, are built on first use, at most once per blocks
-    object.  The Kirchhoff index and ``pair_resistance`` read neither.
+    ``grounded``, the block diagonal of the crown inverses, is built on
+    first use, at most once per blocks object; neither the resistances nor
+    the Kirchhoff index read it.
     """
 
     kind: str
@@ -79,16 +72,12 @@ class CoronaBlocks:
     crowns: tuple[Graph, ...]
     sizes: tuple[int, ...]
     l_sharp: np.ndarray
-    edge_ends: tuple[np.ndarray, np.ndarray]
-    anchor: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
+    hosts: np.ndarray
+    anchor: np.ndarray
     crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     schur_defect: float
     complement_defect: float
-
-    @functools.cached_property
-    def skeleton(self) -> np.ndarray:
-        return _skeleton_corner(self.l_sharp, *self.edge_ends)
 
     @functools.cached_property
     def grounded(self) -> np.ndarray:
@@ -150,24 +139,6 @@ def _dense_grounded(
     return grounded
 
 
-def _skeleton_corner(ls: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """The R-graph skeleton's corner of the structured inverse.
-
-    It is the same for plain R(G) and for both corona products (the crown
-    blocks never touch it): (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B.
-    Column k of B is 1 at rows eu[k] and ev[k], so each product is a gather.
-    """
-    n, m = len(ls), len(eu)
-    lb = ls[:, eu] + ls[:, ev]
-    btlb = lb[eu] + lb[ev]
-    x = np.zeros((n + m, n + m))
-    x[:n, :n] = (2.0 / 3.0) * ls
-    x[:n, n:] = (1.0 / 3.0) * lb
-    x[n:, :n] = x[:n, n:].T
-    x[n:, n:] = 0.5 * np.eye(m) + (1.0 / 6.0) * (0.5 * (btlb + btlb.T))
-    return x
-
-
 def _crown_totals(
     crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,20 +156,20 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     _require_closed_form_input(g)
     crowns = tuple(crowns)
     eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
-    # A host vertex i anchors at skeleton vertex i and joins (i, i); edge k at n + k, its ends.
+    # Skeleton vertex i joins (i, i), edge-vertex n + k edge k's ends; a crown hangs from i or n + k.
     i = np.arange(g.n)
-    p, q, first, per = (i, i, 0, "vertex") if kind == "r_vertex" else (eu, ev, g.n, "edge")
-    hosts = len(p)
-    if len(crowns) != hosts:
-        raise ValueError(f"need {hosts} crowns (one per {per}), got {len(crowns)}")
+    ends = (np.concatenate([i, eu]), np.concatenate([i, ev]))
+    first, per, count = (0, "vertex", g.n) if kind == "r_vertex" else (g.n, "edge", g.m)
+    hosts = first + np.arange(count)
+    if len(crowns) != count:
+        raise ValueError(f"need {count} crowns (one per {per}), got {len(crowns)}")
     sizes = tuple(c.n for c in crowns)
     l_sharp = laplacian_group_inverse(laplacian(g))
     crown_stacks = _crown_stacks(crowns)
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
     excess = np.zeros(g.n + g.m)
-    crown_ones = _crown_totals(crown_stacks, hosts)[1]
-    excess[first : first + hosts] = np.asarray(sizes, dtype=float) - crown_ones
+    excess[hosts] = np.asarray(sizes, dtype=float) - _crown_totals(crown_stacks, count)[1]
     # So the edge-block complement 2I + diag(excess) collapses to 2I ...
     complement_defect = max_abs(excess[g.n :])
     if complement_defect > IDENTITY_TOL:
@@ -213,9 +184,8 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     defect = max_abs((d + excess[: g.n]) + d - 0.5 * d - 1.5 * d)
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
-    anchor = first + np.repeat(np.arange(hosts), sizes)
     return CoronaBlocks(
-        kind, g, crowns, sizes, l_sharp, (eu, ev), anchor, (p, q), crown_stacks,
+        kind, g, crowns, sizes, l_sharp, ends, hosts, np.repeat(hosts, sizes), crown_stacks,
         defect, complement_defect,
     )
 
@@ -230,19 +200,35 @@ def re_blocks(g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     return _blocks("r_edge", g, crowns)
 
 
+def _skeleton_block(blocks: CoronaBlocks, at: np.ndarray) -> np.ndarray:
+    """S[at][:, at] of the R-graph skeleton's corner S, for distinct skeleton vertices ``at``.
+
+    S is the same for R(G) and both coronas: (2/3) Lg, (1/3) Lg B and
+    (1/2)I + (1/6) B^T Lg B.  With P the columns e_p + e_q of the pairs the
+    vertices join, it is (1/6) P^T Lg P plus I/2 on the edge-vertex block,
+    one gather.  An original vertex's column is 2e_i, and 1/6, 1/3 and 2/3
+    differ by powers of two, so every cell is the blockwise formula's bit
+    for bit.
+    """
+    p, q = (e[at] for e in blocks.ends)
+    c = blocks.l_sharp[:, p] + blocks.l_sharp[:, q]
+    four = c[p] + c[q]
+    s = (1.0 / 6.0) * (0.5 * (four + four.T))
+    edge = np.flatnonzero(at >= blocks.base.n)
+    s[edge, edge] += 0.5
+    return s
+
+
 def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
     """Symmetric {1}-inverse of the corona Laplacian ``blocks`` describe.
 
-    The one assembler for both kinds.  A crown vertex couples to the rest
-    of the corona exactly as its anchor does, so X is the skeleton corner
-    read through the anchors, X = S[a, a], plus the grounded crown
-    inverses on the crown corner.  Vertex order matches the builder's
-    layout.  Takes blocks already built, so a caller holding them pays for
-    no second build.
+    The one assembler for both kinds, in the builder's vertex order: the
+    skeleton corner read through the anchors, X = S[a, a], plus the
+    grounded crown inverses on the crown corner.
     """
-    nm = len(blocks.skeleton)
+    nm = len(blocks.ends[0])
     ext = np.concatenate([np.arange(nm), blocks.anchor])
-    x = blocks.skeleton[np.ix_(ext, ext)]
+    x = _skeleton_block(blocks, np.arange(nm))[np.ix_(ext, ext)]
     x[nm:, nm:] += blocks.grounded
     return x
 
@@ -251,78 +237,62 @@ def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
 # Resistances
 
 
-def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
-    """All pairwise resistances of the corona ``blocks`` describe.
+def _crown_cells(blocks: CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Entries (c_i, d_i) of the grounded crown corner, c_i and d_i in one crown, off the stacks."""
+    sizes = np.array(blocks.sizes, dtype=np.intp)
+    start = np.cumsum(sizes) - sizes
+    crown = np.searchsorted(start + sizes, c, side="right")
+    t, i, j = sizes[crown], c - start[crown], d - start[crown]
+    cells = np.empty(len(c))
+    for of_order, _, inv in blocks.crown_stacks:
+        mine = t == inv.shape[-1]
+        cells[mine] = inv[np.searchsorted(of_order, crown[mine]), i[mine], j[mine]]
+    return cells
 
-    Broadcast through the crown anchors: the skeleton resistance between
-    the two anchors plus each vertex's apex resistance, with every
-    same-crown block (equal anchors) read off that crown's grounded
-    inverse.  Takes blocks already built, so a caller holding them pays for
-    no second build.
+
+def _resistances(blocks: CoronaBlocks, w: np.ndarray) -> np.ndarray:
+    """Resistances among corona vertices ``w``: the map's rows and columns at w.
+
+    The skeleton resistance between the anchors, from the skeleton cells
+    of w's distinct anchors, plus each crown vertex's apex value off the
+    crown stacks; within one crown the skeleton part is exactly 0 and the
+    cross term 2 G_uv is taken off, leaving G_uu + G_vv - 2 G_uv.
     """
-    nm = len(blocks.skeleton)
-    ext = np.concatenate([np.arange(nm), blocks.anchor])
-    apex = np.concatenate([np.zeros(nm), np.diag(blocks.grounded)])
-    skeleton = resistance.resistances_from_inverse(blocks.skeleton)
-    r = skeleton[np.ix_(ext, ext)]
+    nm = len(blocks.ends[0])
+    crown = np.flatnonzero(w >= nm)
+    c = w[crown] - nm
+    anchors = w.copy()
+    anchors[crown] = hung = blocks.anchor[c]
+    at = np.flatnonzero(np.bincount(anchors))
+    back = np.searchsorted(at, anchors)
+    r = resistance.resistances_from_inverse(_skeleton_block(blocks, at))[np.ix_(back, back)]
+    # Every same-crown pair, each crown vertex with itself included.
+    i, j = np.nonzero(hung[:, None] == hung[None, :])
+    cells = _crown_cells(blocks, c[i], c[j])
+    apex = np.zeros(len(w))
+    apex[crown] = cells[i == j]
     r += apex[:, None] + apex[None, :]
-    same_crown = blocks.anchor[:, None] == blocks.anchor[None, :]
-    crown_r = resistance.resistances_from_inverse(blocks.grounded)
-    r[nm:, nm:] = np.where(same_crown, crown_r, r[nm:, nm:])
+    r[crown[i], crown[j]] -= 2.0 * cells
     return r
 
 
-def _cell_resistance(x: np.ndarray, i: int, j: int) -> float:
-    """Cell (i, j) of ``resistance.resistances_from_inverse(x)``, from the 2 x 2 block it reads."""
-    ij = [i, j]
-    return resistance.resistances_from_inverse(x[np.ix_(ij, ij)])[0, 1]
-
-
-def _skeleton_cell(ls: np.ndarray, eu: np.ndarray, ev: np.ndarray, i: int, j: int) -> float:
-    """Entry (i, j) of ``_skeleton_corner(ls, eu, ev)``, by gathers in its arithmetic order."""
-    n = len(ls)
-    if i < n and j < n:
-        return (2.0 / 3.0) * ls[i, j]
-    if i >= n and j >= n:
-        k, l = i - n, j - n
-        kl = (ls[eu[k], eu[l]] + ls[eu[k], ev[l]]) + (ls[ev[k], eu[l]] + ls[ev[k], ev[l]])
-        lk = (ls[eu[l], eu[k]] + ls[eu[l], ev[k]]) + (ls[ev[l], eu[k]] + ls[ev[l], ev[k]])
-        return 0.5 * float(k == l) + (1.0 / 6.0) * (0.5 * (kl + lk))
-    a, k = (i, j - n) if i < n else (j, i - n)
-    return (1.0 / 3.0) * (ls[a, eu[k]] + ls[a, ev[k]])
-
-
-def _crown_inverse(blocks: CoronaBlocks, c: int) -> tuple[np.ndarray, int]:
-    """Grounded inverse of the crown holding crown-layout vertex c, and c's index within it."""
-    ends = np.cumsum(blocks.sizes)
-    crown = int(np.searchsorted(ends, c, side="right"))
-    t = blocks.sizes[crown]
-    of_order, _, inv = next(stack for stack in blocks.crown_stacks if stack[2].shape[-1] == t)
-    return inv[np.searchsorted(of_order, crown)], c - int(ends[crown] - t)
+def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
+    """All pairwise resistances of the corona ``blocks`` describe, from blocks already built."""
+    return _resistances(blocks, np.arange(len(blocks.ends[0]) + len(blocks.anchor)))
 
 
 def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
     """The resistance between corona vertices u and v, read off the blocks.
 
-    The (u, v) cell of ``resistance_map(blocks)``, bit for bit, in the same
-    arithmetic order and at base cost: the skeleton resistance between the
-    two anchors, from the four skeleton-corner entries it reads, each
-    gathered from ``l_sharp`` through the edge endpoints, plus the two apex
-    values read off the crown stacks; or, for two vertices of one crown,
-    the resistance within that crown's grounded inverse.  Neither the
-    skeleton corner nor the dense crown corner is built.
+    The (u, v) cell of ``resistance_map(blocks)`` bit for bit, by the same
+    readout over w = [u, v]: at base cost, from at most two anchors'
+    skeleton cells.  Raises ``IndexError`` for a vertex outside [0, N).
     """
-    nm = blocks.base.n + blocks.base.m
-    crown_u, crown_v = (_crown_inverse(blocks, w - nm) if w >= nm else None for w in (u, v))
-    if crown_u is not None and crown_v is not None:
-        if blocks.anchor[u - nm] == blocks.anchor[v - nm]:
-            (inv, i), (_, j) = crown_u, crown_v
-            return float(_cell_resistance(inv, i, j))
-    ij = [w if w < nm else int(blocks.anchor[w - nm]) for w in (u, v)]
-    ls, (eu, ev) = blocks.l_sharp, blocks.edge_ends
-    x = np.array([[_skeleton_cell(ls, eu, ev, p, q) for q in ij] for p in ij])
-    apex_u, apex_v = (0.0 if c is None else c[0][c[1], c[1]] for c in (crown_u, crown_v))
-    return float(resistance.resistances_from_inverse(x)[0, 1] + (apex_u + apex_v))
+    total = len(blocks.ends[0]) + len(blocks.anchor)
+    for w in (u, v):
+        if not 0 <= w < total:
+            raise IndexError(f"vertex {w} is out of range for a corona of {total} vertices")
+    return float(_resistances(blocks, np.array([u, v], dtype=np.intp))[0, 1])
 
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:
@@ -430,7 +400,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     st = sum(blocks.sizes)
     edge = blocks.kind == "r_edge"
     ls = blocks.l_sharp
-    eu, ev = blocks.edge_ends
+    eu, ev = (e[n:] for e in blocks.ends)
     # X = S[a, a] + G holds skeleton vertex j's row and column reps[j]
     # times, and the skeleton corner is S = (2/3) P^T Lg P + diag(0, I/2)
     # with P = [I, B/2].  So tr X and 1^T X 1 are read off Lg through the
@@ -447,7 +417,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     )
     ones_x = (2.0 / 3.0) * float(c @ ls @ c) + 0.5 * float(r_m @ r_m) + float(ones.sum())
     value = (n + m + st) * trace_x - ones_x
-    p, q = blocks.ends
+    p, q = (e[blocks.hosts] for e in blocks.ends)
     pi = g.degrees().astype(float)
     tau = np.array(blocks.sizes, dtype=float)
     u_tau = 0.5 * (np.bincount(p, tau, minlength=n) + np.bincount(q, tau, minlength=n))

@@ -224,13 +224,25 @@ def test_single_pair_entry_points():
     assert cf.re_resistance_matrix(ge, crowns_e)[a, b] == pytest.approx(2.0, abs=1e-12)
 
 
+def _skeleton_gathers():
+    """A wrapper of ``_skeleton_block`` and the list of how many skeleton vertices each call read."""
+    sizes = []
+    real = cf._skeleton_block
+
+    def gather(blocks, at):
+        sizes.append(len(at))
+        return real(blocks, at)
+
+    return mock.patch.object(cf, "_skeleton_block", gather), sizes
+
+
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_pair_resistance_is_the_map_cell_bit_for_bit(kind):
     # Pairs within one crown, across two crowns, between skeleton vertices,
     # from a crown to its own anchor, and u == v, over the crown zoo and
     # random coronas with crowns of orders 0-4.  Every cell is read with the
-    # skeleton corner and the dense crown corner patched to raise, so a
-    # pair reads base- and crown-order data only.
+    # skeleton gather watched and the dense crown corner patched to raise,
+    # so a pair reads at most two skeleton vertices and crown-order data.
     prefix = "rv" if kind == "r_vertex" else "re"
     make_blocks = getattr(cf, f"{prefix}_blocks")
     rng = random.Random(29)
@@ -247,12 +259,24 @@ def test_pair_resistance_is_the_map_cell_bit_for_bit(kind):
     for g, crowns, span in cases:
         r = cf.resistance_map(make_blocks(g, crowns))[:span, :span]
         blocks = make_blocks(g, crowns)
-        with (
-            mock.patch.object(cf, "_skeleton_corner", side_effect=built),
-            mock.patch.object(cf, "_dense_grounded", side_effect=built),
-        ):
+        watch, gathered = _skeleton_gathers()
+        with watch, mock.patch.object(cf, "_dense_grounded", side_effect=built):
             cells = [cf.pair_resistance(blocks, u, v).hex() for u, v in np.ndindex(r.shape)]
         assert cells == [float(x).hex() for x in r.reshape(-1)]
+        assert len(gathered) == r.size and max(gathered) <= 2
+
+
+@pytest.mark.parametrize("kind", ["rv", "re"])
+def test_pair_resistance_rejects_vertices_out_of_range(kind):
+    g = cycle_graph(4)
+    crowns = (K2, K1, empty_graph(0), empty_graph(0))
+    blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
+    total = len(cf.resistance_map(blocks))
+    assert cf.pair_resistance(blocks, total - 1, 0) > 0.0
+    for u, v in ((-1, 0), (0, -1), (-total, 1), (total, 0), (0, total), (total + 5, -7)):
+        bad = u if not 0 <= u < total else v
+        with pytest.raises(IndexError, match=f"vertex {bad} .* {total} vertices"):
+            cf.pair_resistance(blocks, u, v)
 
 
 def test_original_pairs_scale_base_resistance_by_two_thirds():
@@ -387,13 +411,49 @@ def test_edge_list_gathers_match_the_incidence_matrix():
             blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3))
             skeleton, want = _incidence_reference(blocks)
             scale = max(1.0, max_abs(blocks.l_sharp))
-            assert max_abs(blocks.skeleton - skeleton) <= 1e-13 * scale
+            nm = len(skeleton)
+            assert max_abs(cf.one_inverse(blocks)[:nm, :nm] - skeleton) <= 1e-13 * scale
             got = cf.kirchhoff_terms(blocks).terms
             assert got.keys() == want.keys()
             for name, value in want.items():
                 if kind == "r_vertex":
                     assert float(got[name]).hex() == float(value).hex(), name
                 assert abs(got[name] - value) <= 1e-13 * max(1.0, abs(value)), name
+
+
+def _skeleton_corner(ls, eu, ev):
+    """The R-graph skeleton's corner, block by block, with slices and edge-endpoint gathers.
+
+    (2/3) Lg, (1/3) Lg B, (1/2)I + (1/6) B^T Lg B; column k of B is 1 at
+    rows eu[k] and ev[k], so each product is a gather.
+    """
+    n, m = len(ls), len(eu)
+    lb = ls[:, eu] + ls[:, ev]
+    btlb = lb[eu] + lb[ev]
+    x = np.zeros((n + m, n + m))
+    x[:n, :n] = (2.0 / 3.0) * ls
+    x[:n, n:] = (1.0 / 3.0) * lb
+    x[n:, :n] = x[:n, n:].T
+    x[n:, n:] = 0.5 * np.eye(m) + (1.0 / 6.0) * (0.5 * (btlb + btlb.T))
+    return x
+
+
+def test_skeleton_gather_is_the_blockwise_corner_bit_for_bit():
+    # One gather through the pairs each skeleton vertex joins scales every
+    # block by 1/6: an original vertex's column is 2e_i, so the factors 4
+    # and 2 it brings are powers of two and 1/6 times them rounds as 2/3
+    # and 1/3 do.  Random bases up to n = 30, a star, a tree and K1.
+    rng = random.Random(1616)
+    tree = Graph(8, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (0, 7)))
+    bases = [random_connected_graph(rng, 2, 30) for _ in range(12)] + [star_graph(9), tree, K1]
+    for g in bases:
+        for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
+            blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3))
+            eu, ev = (e[g.n :] for e in blocks.ends)
+            want = _skeleton_corner(blocks.l_sharp, eu, ev)
+            got = cf._skeleton_block(blocks, np.arange(g.n + g.m))
+            assert got.shape == want.shape
+            assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 def test_random_sweep_both_kinds():
@@ -635,8 +695,8 @@ def test_closed_and_oracle_kirchhoff_agree_at_corona_order_599():
 @pytest.mark.parametrize("kind", ["rv", "re"])
 def test_kirchhoff_terms_build_nothing_of_corona_order(kind):
     # The Kirchhoff value and its terms read l_sharp, the edge endpoints and
-    # the crown stacks; the (n + m)-square skeleton corner and the dense
-    # crown corner are never built on that path.
+    # the crown stacks; no skeleton cell is gathered and the dense crown
+    # corner is never built on that path.
     rng = random.Random(5)
     cases = [(g, crowns) for prefix, g, crowns in _crown_zoo_instances() if prefix == kind]
     for _ in range(5):
@@ -646,11 +706,11 @@ def test_kirchhoff_terms_build_nothing_of_corona_order(kind):
     for g, crowns in cases:
         blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
         with (
-            mock.patch.object(cf, "_skeleton_corner", side_effect=built_corner),
+            mock.patch.object(cf, "_skeleton_block", side_effect=built_corner),
             mock.patch.object(cf, "_dense_grounded", side_effect=built_corner),
         ):
             breakdown = cf.kirchhoff_terms(blocks)
-        assert "skeleton" not in vars(blocks) and "grounded" not in vars(blocks)
+        assert "grounded" not in vars(blocks)
         x = cf.one_inverse(blocks)
         vertices = len(x)
         assert breakdown.value == pytest.approx(
@@ -674,7 +734,8 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
     # vertices, but the Kirchhoff path and single-pair resistances hold
     # only base-order matrices (the group inverse's own work, with the
     # caller's L, is under 5 n^2 floats; the (n + m)-square skeleton corner
-    # alone would be about 4.8 n^2).
+    # alone would be about 4.8 n^2).  The Kirchhoff path gathers no skeleton
+    # cell and a pair gathers at most two skeleton vertices.
     n = 300
     rng = random.Random(11)
     g = _sparse_base(rng, n, n + n // 5)
@@ -683,17 +744,21 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
     total = nm + sum(c.n for c in crowns)
     pairs = ((0, 1), (0, nm), (n, total - 1), (total - 1, total - 2))
     make_blocks = getattr(cf, f"{kind}_blocks")
+    watch, gathered = _skeleton_gathers()
     tracemalloc.start()
     try:
-        blocks = make_blocks(g, crowns)
-        breakdown = cf.kirchhoff_terms(blocks)
-        cells = [cf.pair_resistance(blocks, u, v) for u, v in pairs]
+        with watch:
+            blocks = make_blocks(g, crowns)
+            breakdown = cf.kirchhoff_terms(blocks)
+            kf_gathers = len(gathered)
+            cells = [cf.pair_resistance(blocks, u, v) for u, v in pairs]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert breakdown.deviation <= 1e-8 * breakdown.value
     assert all(cell > 0.0 for cell in cells)
-    assert "skeleton" not in vars(blocks) and "grounded" not in vars(blocks)
+    assert kf_gathers == 0 and len(gathered) == len(pairs) and max(gathered) <= 2
+    assert "grounded" not in vars(blocks)
     assert peak < 5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2 floats"
 
 
@@ -729,14 +794,18 @@ def test_blocks_build_each_corona_order_matrix_once(kind):
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), path_graph(2))
     blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
-    corner = mock.Mock(wraps=cf._skeleton_corner)
+    nm = g.n + g.m
+    watch, gathered = _skeleton_gathers()
     dense = mock.Mock(wraps=cf._dense_grounded)
-    with mock.patch.object(cf, "_skeleton_corner", corner), mock.patch.object(cf, "_dense_grounded", dense):
+    with watch, mock.patch.object(cf, "_dense_grounded", dense):
         x = cf.one_inverse(blocks)
         r = cf.resistance_map(blocks)
+        assert gathered == [nm, nm]
+        cf.resistance_map(blocks)
+        assert gathered == [nm, nm, nm]
         cell = cf.pair_resistance(blocks, 0, len(x) - 1)
         cf.one_inverse(blocks)
         cf.kirchhoff_terms(blocks)
-    assert corner.call_count == 1
     assert dense.call_count == 1
+    assert gathered == [nm, nm, nm, 2, nm]
     assert cell == r[0, -1]
