@@ -106,34 +106,125 @@ def cmd_build(args: argparse.Namespace) -> int:
 # Text-format cell of each resist column, a %-template of one float.
 _TEXT_CELLS = {"closed": "closed=%.10g", "oracle": "oracle=%.10g", "abs_diff": "|diff|=%.3e"}
 
+# Pairs per streamed block of ``resist --all``: each block is gathered,
+# formatted and written before the next one starts.
+_BLOCK_PAIRS = 1 << 16
 
-def _distinct_cells(col: np.ndarray, template: str) -> np.ndarray:
+
+def _json_floats(values: list) -> list:
+    """How ``json.dumps(round_floats(x))`` prints each float x of ``values``.
+
+    The 12-digit rounding, then the JSON encoder's own float text: the
+    ``repr`` of the rounded float, or NaN, Infinity and -Infinity.
+    """
+    rounded = ("%.12g\0" * len(values) % tuple(values)).split("\0")[:-1]
+    return json.dumps(list(map(float, rounded)))[1:-1].split(", ")
+
+
+def _distinct_cells(col: np.ndarray, template: str, as_json: bool = False) -> np.ndarray:
     """``template % x`` for every float x of ``col``, formatting each distinct x once.
 
     Values are keyed by their bits, so -0.0 stays apart from 0.0 (they
     print differently) and every cell is exactly its own float's rendering.
-    The distinct values go through one %-pass over the repeated template.
+    The distinct values go through one %-pass over the repeated template,
+    split on NUL since a template may hold a newline.  With ``as_json`` the
+    template takes each value's JSON text (``%s``) instead of the float.
     """
     keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = (template + "\n") * len(keys) % tuple(keys.view(np.float64).tolist())
-    return np.array(text.split("\n")[:-1], dtype=object)[inverse]
+    values = keys.view(np.float64).tolist()
+    if as_json:
+        values = _json_floats(values)
+    text = (template + "\0") * len(values) % tuple(values)
+    return np.array(text.split("\0")[:-1], dtype=object)[inverse]
 
 
-def _table(rows: int, layout: list) -> str:
-    """The ``rows`` rows of a table, concatenated in one join.
+def _labels(template: str, total: int) -> np.ndarray:
+    """``template % w`` for every vertex w."""
+    text = (template + "\0") * total % tuple(range(total))
+    return np.array(text.split("\0")[:-1], dtype=object)
 
-    ``layout`` lists each row's pieces left to right: a string that every
-    row shares (a separator), or a column holding one cell per row.
+
+def _pair_blocks(total: int):
+    """(us, vs) of the pairs u < v in row-major order, ``_BLOCK_PAIRS`` at a time."""
+    rows = np.arange(total)
+    starts = rows * (2 * total - rows - 1) // 2  # index of row u's first pair
+    count = total * (total - 1) // 2
+    for lo in range(0, count, _BLOCK_PAIRS):
+        hi = min(lo + _BLOCK_PAIRS, count)
+        first, last = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
+        spans = np.diff(np.clip(starts[first : last + 2], lo, hi))
+        us = np.repeat(rows[first : last + 1], spans)
+        yield us, np.arange(lo + 1, hi + 1) - starts[us] + us
+
+
+def _write_pairs(args: argparse.Namespace, kind: str, total: int, blocks) -> None:
+    """Print the resist rows that ``blocks`` yields, one block at a time.
+
+    ``blocks`` yields (us, vs, cells): the pairs' vertices and one float
+    column per method.  A row is its pieces left to right, each a (key,
+    %-template) with the row's separators and fixed text folded in: key
+    "u" or "v" prints that vertex's label, any other key that column's
+    float.  Each block's table is joined and written before the next block
+    is drawn.
     """
-    table = np.empty((rows, len(layout)), dtype=object)
-    for j, piece in enumerate(layout):
-        table[:, j] = piece
-    return "".join(table.ravel().tolist())
+    names = [name for name in ("closed", "oracle") if args.method in (name, "both")]
+    if args.method == "both":
+        names.append("abs_diff")
+    as_json = args.format == "json"
+    if args.format == "csv":
+        head = ",".join(["u", "v", *names]) + "\n"
+        pieces = [("u", "%d,"), ("v", "%d,")] + [(name, "%.12g,") for name in names]
+        pieces[-1] = (names[-1], "%.12g\n")
+    elif args.format == "text":
+        head = ""
+        pieces = [("u", "r(%d, "), ("v", "%d)")]
+        pieces += [(name, "  " + _TEXT_CELLS[name]) for name in names]
+        pieces[-1] = (names[-1], pieces[-1][1] + "\n")
+    else:
+        # corona-resist/1 as json.dumps(..., indent=2, sort_keys=True) lays it out.
+        head = '{\n  "kind": %s,\n  "method": %s,\n  "pairs": [' % (
+            json.dumps(kind), json.dumps(args.method)
+        )
+        pieces = [(name, ',\n      "%s": %%s' % name) for name in sorted(names)]
+        pieces[0] = (pieces[0][0], ",\n    {" + pieces[0][1][1:])
+        pieces += [("u", ',\n      "u": %d'), ("v", ',\n      "v": %d\n    }')]
+    # A JSON row opens with the "," that parts it from the row before, so
+    # the table's first row drops its first character.
+    lead = int(as_json)
+    labels = {t: _labels(t, total) for key, t in pieces if key in ("u", "v")}
+    out = sys.stdout
+    out.write(head)
+    count, worst = 0, None
+    for us, vs, cells in blocks:
+        count += len(us)
+        cells.update(u=us, v=vs)
+        if args.method == "both":
+            cells["abs_diff"] = np.abs(cells["closed"] - cells["oracle"])
+            top = cells["abs_diff"].max()
+            worst = top if worst is None else np.maximum(worst, top)
+        table = np.empty((len(us), len(pieces)), dtype=object)
+        for j, (key, template) in enumerate(pieces):
+            if key in ("u", "v"):
+                table[:, j] = labels[template][cells[key]]
+            else:
+                table[:, j] = _distinct_cells(cells[key], template, as_json)
+        table[0, 0] = table[0, 0][lead:]
+        lead = 0
+        out.write("".join(table.ravel().tolist()))
+    if as_json:
+        out.write(
+            '%s],\n  "schema": "corona-resist/1",\n  "vertices": %d\n}\n'
+            % ("\n  " if count else "", total)
+        )
+    elif args.format == "text" and args.method == "both" and count > 1:
+        out.write("max |closed - oracle| over %d pairs: %.3e\n" % (count, worst))
 
 
 def cmd_resist(args: argparse.Namespace) -> int:
     spec = load_corona_spec(args.spec)
     total = spec.order()
+    closed = args.method in ("closed", "both")
+    oracle = args.method in ("oracle", "both")
     if args.pair is not None:
         for w in args.pair:
             if not 0 <= w < total:
@@ -141,49 +232,24 @@ def cmd_resist(args: argparse.Namespace) -> int:
                     f"vertex {w} out of range for a {total}-vertex corona"
                 )
         us, vs = np.array(args.pair)[:, None]
-    else:
-        us, vs = np.triu_indices(total, 1)
-    columns = {}
-    if args.method in ("closed", "both"):
-        if args.pair is not None:
+        cells = {}
+        if closed:
             cell = closed_form.pair_resistance(_closed_blocks(spec), *args.pair)
-            columns["closed"] = np.array([cell])
-        else:
-            columns["closed"] = _closed_resistance_matrix(spec)[us, vs]
-    if args.method in ("oracle", "both"):
-        columns["oracle"] = resistance_matrix(build_from_spec(spec).graph)[us, vs]
-    if args.method == "both":
-        columns["abs_diff"] = np.abs(columns["closed"] - columns["oracle"])
-
-    if args.format == "json":
-        names = ("u", "v", *columns)
-        rows = zip(us.tolist(), vs.tolist(), *(col.tolist() for col in columns.values()))
-        doc = {
-            "schema": "corona-resist/1",
-            "kind": spec.kind,
-            "vertices": total,
-            "method": args.method,
-            "pairs": [dict(zip(names, row)) for row in rows],
-        }
-        print(json.dumps(round_floats(doc), indent=2, sort_keys=True))
+            cells["closed"] = np.array([cell])
+        if oracle:
+            cells["oracle"] = resistance_matrix(build_from_spec(spec).graph)[us, vs]
+        _write_pairs(args, spec.kind, total, [(us, vs, cells)])
         return 0
-    labels = np.array([str(w) for w in range(total)], dtype=object)
-    if args.format == "csv":
-        head = ",".join(["u", "v", *columns]) + "\n"
-        layout = [labels[us], ",", labels[vs]]
-        for col in columns.values():
-            layout += [",", _distinct_cells(col, "%.12g")]
-    else:
-        head = ""
-        layout = ["r(", labels[us], ", ", labels[vs], ")"]
-        for name, col in columns.items():
-            layout += ["  ", _distinct_cells(col, _TEXT_CELLS[name])]
-    text = head + _table(len(us), layout + ["\n"])
-    if args.format == "text" and args.method == "both" and len(us) > 1:
-        text += "max |closed - oracle| over %d pairs: %.3e\n" % (
-            len(us), columns["abs_diff"].max()
-        )
-    sys.stdout.write(text)
+    maps = {}
+    if closed:
+        maps["closed"] = _closed_resistance_matrix(spec)
+    if oracle:
+        maps["oracle"] = resistance_matrix(build_from_spec(spec).graph)
+    blocks = (
+        (us, vs, {name: m[us, vs] for name, m in maps.items()})
+        for us, vs in _pair_blocks(total)
+    )
+    _write_pairs(args, spec.kind, total, blocks)
     return 0
 
 

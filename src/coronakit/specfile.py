@@ -14,6 +14,7 @@ r_graph takes no crowns at all.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,15 +45,27 @@ class CoronaSpec:
         return self.base.n + self.base.m + sum(c.n for c in self.crowns)
 
 
-def _load_graph(path: Path, context: str) -> Graph:
+def _load_graph(root: str, rel: str, context: str) -> Graph:
+    """Parse the edge list at ``rel``, relative to the directory ``root``.
+
+    The file is opened at the plain string join; messages name it as
+    ``Path(root, rel)`` does.  A path that only the normalised spelling
+    reads (a trailing ``/`` or ``/.`` after a file name) is read there.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise SpecFileError(f"{context}: cannot read {path}: {err.strerror}") from err
+        with open(os.path.join(root, rel), encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        try:
+            text = Path(root, rel).read_text(encoding="utf-8")
+        except OSError as err:
+            raise SpecFileError(
+                f"{context}: cannot read {Path(root, rel)}: {err.strerror}"
+            ) from err
     try:
         return parse_edge_list(text)
     except EdgeListError as err:
-        raise SpecFileError(f"{context}: {path}: {err}") from err
+        raise SpecFileError(f"{context}: {Path(root, rel)}: {err}") from err
 
 
 def load_corona_spec(path: str | Path) -> CoronaSpec:
@@ -104,8 +117,8 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
         raise SpecFileError(f"{spec_path}: missing required key 'kind'")
     if base_rel is None:
         raise SpecFileError(f"{spec_path}: missing required key 'base'")
-    root = spec_path.parent
-    base = _load_graph(root / base_rel, f"{spec_path}: base")
+    root = os.fspath(spec_path.parent)
+    base = _load_graph(root, base_rel, f"{spec_path}: base")
     if kind == "r_graph":
         if crown_rel:
             raise SpecFileError(f"{spec_path}: kind r_graph takes no crown.* keys")
@@ -123,7 +136,7 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
     for index in sorted(crown_rel):
         rel = crown_rel[index]
         if rel not in loaded:
-            loaded[rel] = _load_graph(root / rel, f"{spec_path}: crown.{index}")
+            loaded[rel] = _load_graph(root, rel, f"{spec_path}: crown.{index}")
     empty = empty_graph(0)
     crowns = tuple(loaded[crown_rel[i]] if i in crown_rel else empty for i in range(slots))
     return CoronaSpec(kind, base, crowns)

@@ -23,6 +23,7 @@ from coronakit.graphs import (
 )
 from coronakit.linalg import MatrixError
 from coronakit.resistance import resistance_matrix
+from coronakit.suite import round_floats
 
 
 @pytest.fixture
@@ -304,6 +305,22 @@ def test_distinct_cells_keep_bit_distinct_values_apart():
     for name, reference in text_cells.items():
         cells = cli._distinct_cells(col, cli._TEXT_CELLS[name])
         assert cells.tolist() == [reference.format(x) for x in col.tolist()]
+    # Folded templates carry a row's separators, newlines included.
+    for template, reference in [
+        ("%.12g,", "{:.12g},"),
+        ("%.12g\n", "{:.12g}\n"),
+        ("  closed=%.10g\n", "  closed={:.10g}\n"),
+        ("\n%.3e\n\n", "\n{:.3e}\n\n"),
+    ]:
+        cells = cli._distinct_cells(col, template)
+        assert cells.tolist() == [reference.format(x) for x in col.tolist()]
+    # JSON cells print each float as json.dumps(round_floats(x)) does; the
+    # integer-valued 1234567890123.0 rounds to 1234567890120.0, which repr
+    # prints without the exponent that %.12g uses.
+    col = np.append(col, [1234567890123.0, 1e12, 9999999999999998.0])
+    cells = cli._distinct_cells(col, ',\n  "x": %s', as_json=True)
+    assert cells.tolist() == [',\n  "x": ' + json.dumps(round_floats(x)) for x in col.tolist()]
+    assert cells[-3] == ',\n  "x": 1234567890120.0'
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
@@ -340,6 +357,114 @@ def test_resist_all_table_matches_per_cell_rendering(tmp_path, capsys, fmt):
         want = "".join(rows) + f"max |closed - oracle| over {len(rows)} pairs: {max(diffs):.3e}\n"
     assert main(["resist", str(spec), "--all", "--method", "both", "--format", fmt]) == 0
     assert capsys.readouterr().out == want
+
+
+# Floats that the JSON rendering must print as json.dumps(round_floats(x)):
+# signed zeros, infinities, nan, 1e16, an integer-valued float whose repr
+# and %.12g disagree on the exponent form, and two neighbours that print
+# alike at 12 digits.
+_AWKWARD = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1234567890123.0,
+    0.1, float(np.nextafter(0.1, 1.0)), 2.5,
+]
+
+
+def _resist_json_reference(kind, order, method, pairs, closed, oracle):
+    """corona-resist/1 as the encoder prints it, built pair by pair."""
+    rows = []
+    for u, v in pairs:
+        row = {"u": u, "v": v}
+        if method in ("closed", "both"):
+            row["closed"] = float(closed[u, v])
+        if method in ("oracle", "both"):
+            row["oracle"] = float(oracle[u, v])
+        if method == "both":
+            row["abs_diff"] = abs(row["closed"] - row["oracle"])
+        rows.append(row)
+    doc = {"schema": "corona-resist/1", "kind": kind, "vertices": order, "method": method}
+    doc["pairs"] = rows
+    return json.dumps(round_floats(doc), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle", "both"])
+@pytest.mark.parametrize(
+    "kind, crown, order", [("r_graph", 0, 1), ("r_vertex", 1, 2), ("r_vertex", 10, 11)]
+)
+def test_resist_json_is_the_encoders_bytes(tmp_path, capsys, method, kind, crown, order):
+    # The JSON writer prints what json.dumps(round_floats(doc), indent=2,
+    # sort_keys=True) prints for the same pairs: no pairs (N = 1), one pair
+    # (N = 2), and at N = 11 every awkward float, repeated, in both columns
+    # and in abs_diff; then a reversed --pair.
+    (tmp_path / "k1.edges").write_text("1\n")
+    (tmp_path / "crown.edges").write_text(f"{crown}\n")
+    spec = tmp_path / "s.spec"
+    crown_line = "crown.0 = crown.edges\n" if crown else ""
+    spec.write_text(f"kind = {kind}\nbase = k1.edges\n{crown_line}")
+    # Cell (u, v) is _AWKWARD[(u + v) % 10] closed and the one before it
+    # oracle, so no column meets inf - inf.
+    closed = np.resize(np.array(_AWKWARD), (order, order))
+    oracle = np.resize(np.roll(_AWKWARD, 1), (order, order))
+    with (
+        mock.patch.object(cli, "_closed_resistance_matrix", lambda spec: closed),
+        mock.patch.object(cli, "resistance_matrix", lambda graph: oracle),
+        mock.patch.object(closed_form, "pair_resistance", lambda blocks, u, v: closed[u, v]),
+    ):
+        argv = ["resist", str(spec), "--method", method, "--format", "json"]
+        assert main(argv + ["--all"]) == 0
+        pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+        want = _resist_json_reference(kind, order, method, pairs, closed, oracle)
+        assert capsys.readouterr().out == want
+        if order > 1:
+            u, v = order - 1, order - 2
+            assert main(argv + ["--pair", str(u), str(v)]) == 0
+            want = _resist_json_reference(kind, order, method, [(u, v)], closed, oracle)
+            assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle", "both"])
+def test_resist_json_matches_the_encoder_on_real_maps(re_spec, capsys, method):
+    # Unpatched, on the R-edge fixture (N = 14): --all and --pair 4 3.
+    spec = cli.load_corona_spec(re_spec)
+    closed = cli._closed_resistance_matrix(spec)
+    oracle = resistance_matrix(cli.build_from_spec(spec).graph)
+    order = len(closed)
+    argv = ["resist", str(re_spec), "--method", method, "--format", "json"]
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    for tail, pairs in ((["--all"], pairs), (["--pair", "4", "3"], [(4, 3)])):
+        assert main(argv + tail) == 0
+        want = _resist_json_reference("r_edge", order, method, pairs, closed, oracle)
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("total", [0, 1, 2, 3, 14, 40])
+def test_pair_blocks_walk_the_upper_triangle_in_row_major_order(total):
+    want = np.triu_indices(total, 1)
+    for size in (1, 2, 5, 13, 1 << 16):
+        with mock.patch.object(cli, "_BLOCK_PAIRS", size):
+            blocks = list(cli._pair_blocks(total))
+        assert all(0 < len(us) <= size for us, _ in blocks)
+        us = np.concatenate([np.zeros(0, int), *(us for us, _ in blocks)])
+        vs = np.concatenate([np.zeros(0, int), *(vs for _, vs in blocks)])
+        assert np.array_equal(us, want[0]) and np.array_equal(vs, want[1])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_resist_streams_blocks_that_split_rows(re_spec, capsys, fmt):
+    # Blocks of a few pairs print the single-block bytes, whether a block
+    # edge falls inside a row or at its end: the text footer takes its max
+    # over all blocks and JSON rows keep their separators across blocks.
+    order = 14
+    row_starts = {u * (2 * order - u - 1) // 2 for u in range(order)}
+    for method in ("closed", "oracle", "both"):
+        argv = ["resist", str(re_spec), "--all", "--method", method, "--format", fmt]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        for size in (1, 5, 13):
+            edges = set(range(size, order * (order - 1) // 2, size))
+            assert edges & row_starts and edges - row_starts
+            with mock.patch.object(cli, "_BLOCK_PAIRS", size):
+                assert main(argv) == 0
+            assert capsys.readouterr().out == whole, (method, size)
 
 
 def test_closed_only_commands_build_no_corona(re_spec, capsys):

@@ -163,3 +163,30 @@ def test_shared_crown_file_is_parsed_once(tmp_path):
         with pytest.raises(SpecFileError, match=r"crown\.0: .*k2\.edges"):
             load_corona_spec(spec_path)
     assert parse.call_count == 2
+
+
+def test_crown_paths_are_named_as_pathlib_joins_them(tmp_path):
+    # Files open at the plain join of the spec's directory and the written
+    # path; messages name them in pathlib's normalised spelling, with "./"
+    # and "//" folded away, exactly as a Path join prints them.
+    (tmp_path / "sub").mkdir()
+    write(tmp_path, "base.edges", serialize_edge_list(path_graph(2)))
+    write(tmp_path, "sub/k2.edges", serialize_edge_list(complete_graph(2)))
+    spec_path = write(
+        tmp_path,
+        "s.spec",
+        "kind = r_vertex\nbase = ./base.edges\n"
+        "crown.0 = ./sub//k2.edges\ncrown.1 = sub//./k2.edges/\n",
+    )
+    spec = load_corona_spec(spec_path)
+    assert spec.crowns == (complete_graph(2), complete_graph(2))
+    write(tmp_path, "s.spec", "kind = r_vertex\nbase = base.edges\ncrown.1 = ./sub//gone.edges\n")
+    with pytest.raises(SpecFileError) as exc:
+        load_corona_spec(spec_path)
+    assert str(exc.value) == (
+        f"{spec_path}: crown.1: cannot read {tmp_path}/sub/gone.edges: No such file or directory"
+    )
+    write(tmp_path, "sub/bad.edges", "2\n0 zero\n")
+    write(tmp_path, "s.spec", "kind = r_vertex\nbase = base.edges\ncrown.0 = .//sub/./bad.edges\n")
+    with pytest.raises(SpecFileError, match=rf"^{spec_path}: crown\.0: {tmp_path}/sub/bad\.edges: "):
+        load_corona_spec(spec_path)
