@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closed_form
+from .corona import crown_slots
 from .graphs import empty_graph, serialize_edge_list
 from .linalg import MatrixError
 from .resistance import kirchhoff_index, resistance_matrix
@@ -38,36 +39,19 @@ class CliInputError(ValueError):
     """Anything wrong with what the user handed us; maps to exit code 2."""
 
 
-def _closed_ingredients(spec: CoronaSpec) -> tuple:
-    """(base, crowns) to feed the closed forms, folding r_graph into r_vertex.
+def _closed(what: str, spec: CoronaSpec):
+    """``closed_form.rv_<what>`` or ``re_<what>`` on the spec's base and crowns.
 
-    A plain R-graph is the R-vertex corona with every crown empty, so one
-    code path serves both.
+    The function is looked up by name at call time, so a patched or
+    wrapped one runs.  A plain R-graph is the R-vertex corona with every
+    crown empty, so it takes the R-vertex route.
     """
-    if spec.kind == "r_graph":
-        return spec.base, tuple(empty_graph(0) for _ in range(spec.base.n))
-    return spec.base, spec.crowns
-
-
-def _closed_blocks(spec: CoronaSpec) -> closed_form.CoronaBlocks:
-    base, crowns = _closed_ingredients(spec)
-    if spec.kind == "r_edge":
-        return closed_form.re_blocks(base, crowns)
-    return closed_form.rv_blocks(base, crowns)
-
-
-def _closed_resistance_matrix(spec: CoronaSpec) -> np.ndarray:
-    base, crowns = _closed_ingredients(spec)
-    if spec.kind == "r_edge":
-        return closed_form.re_resistance_matrix(base, crowns)
-    return closed_form.rv_resistance_matrix(base, crowns)
-
-
-def _closed_kirchhoff(spec: CoronaSpec) -> closed_form.KirchhoffBreakdown:
-    base, crowns = _closed_ingredients(spec)
-    if spec.kind == "r_edge":
-        return closed_form.re_kirchhoff_terms(base, crowns)
-    return closed_form.rv_kirchhoff_terms(base, crowns)
+    kind, crowns = spec.kind, spec.crowns
+    if kind == "r_graph":
+        kind = "r_vertex"
+        crowns = tuple(empty_graph(0) for _ in crown_slots(kind, spec.base)[1])
+    prefix = "re" if kind == "r_edge" else "rv"
+    return getattr(closed_form, f"{prefix}_{what}")(spec.base, crowns)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
         us, vs = np.array(args.pair)[:, None]
         cells = {}
         if closed:
-            cell = closed_form.pair_resistance(_closed_blocks(spec), *args.pair)
+            cell = closed_form.pair_resistance(_closed("blocks", spec), *args.pair)
             cells["closed"] = np.array([cell])
         if oracle:
             cells["oracle"] = resistance_matrix(build_from_spec(spec).graph)[us, vs]
@@ -242,7 +226,7 @@ def cmd_resist(args: argparse.Namespace) -> int:
         return 0
     maps = {}
     if closed:
-        maps["closed"] = _closed_resistance_matrix(spec)
+        maps["closed"] = _closed("resistance_matrix", spec)
     if oracle:
         maps["oracle"] = resistance_matrix(build_from_spec(spec).graph)
     blocks = (
@@ -266,7 +250,7 @@ def cmd_kf(args: argparse.Namespace) -> int:
         "method": args.method,
     }
     if args.method in ("closed", "both"):
-        breakdown = _closed_kirchhoff(spec)
+        breakdown = _closed("kirchhoff_terms", spec)
         doc["closed"] = breakdown.value
         doc["expanded"] = breakdown.expanded
         doc["terms"] = dict(breakdown.terms)

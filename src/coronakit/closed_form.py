@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resistance
+from .corona import crown_anchors
 from .graphs import Graph, is_connected, laplacian
 from .linalg import MatrixError, laplacian_group_inverse, max_abs, sym_eigendecompose, sym_inverse
 
@@ -52,12 +53,13 @@ class CoronaBlocks:
     vertices, the two base vertices (p, q) it joins: (i, i) for original
     vertex i, edge k's endpoints for edge-vertex n + k.  ``hosts`` gives
     each crown's anchor, the skeleton vertex it hangs from: original vertex
-    i for R-vertex, edge-vertex n + k for R-edge; this is the only datum in
-    which the kinds differ.  ``anchor`` repeats it for each crown vertex in
-    layout order.  ``crown_stacks`` holds, per nonempty crown order t, the
-    crowns' indices, their Laplacians as one (k, t, t) stack, built in one
-    scatter and read by the crown inverses and spectra alike, and the
-    grounded inverses (L(H) + I)^{-1} as another.
+    i for R-vertex, edge-vertex n + k for R-edge, as ``corona.crown_anchors``
+    gives it; this is the only datum in which the kinds differ.  ``anchor``
+    repeats it for each crown vertex in layout order.  ``crown_stacks``
+    holds, per nonempty crown order t, the crowns' indices, their
+    Laplacians as one (k, t, t) stack, built in one scatter and read by the
+    crown inverses and spectra alike, and the grounded inverses
+    (L(H) + I)^{-1} as another.
     ``schur_defect`` is the distance of the numerically assembled Schur
     complement from (3/2) L(G); ``complement_defect`` is that of the
     edge-block complement from 2I (exactly 0 for R-vertex).
@@ -156,20 +158,17 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     _require_closed_form_input(g)
     crowns = tuple(crowns)
     eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
-    # Skeleton vertex i joins (i, i), edge-vertex n + k edge k's ends; a crown hangs from i or n + k.
+    # Skeleton vertex i joins (i, i), edge-vertex n + k edge k's ends.
     i = np.arange(g.n)
     ends = (np.concatenate([i, eu]), np.concatenate([i, ev]))
-    first, per, count = (0, "vertex", g.n) if kind == "r_vertex" else (g.n, "edge", g.m)
-    hosts = first + np.arange(count)
-    if len(crowns) != count:
-        raise ValueError(f"need {count} crowns (one per {per}), got {len(crowns)}")
+    hosts = np.array(crown_anchors(kind, g, crowns), dtype=np.intp)
     sizes = tuple(c.n for c in crowns)
     l_sharp = laplacian_group_inverse(laplacian(g))
     crown_stacks = _crown_stacks(crowns)
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
     excess = np.zeros(g.n + g.m)
-    excess[hosts] = np.asarray(sizes, dtype=float) - _crown_totals(crown_stacks, count)[1]
+    excess[hosts] = np.asarray(sizes, dtype=float) - _crown_totals(crown_stacks, len(crowns))[1]
     # So the edge-block complement 2I + diag(excess) collapses to 2I ...
     complement_defect = max_abs(excess[g.n :])
     if complement_defect > IDENTITY_TOL:

@@ -1,9 +1,11 @@
-"""Builders for R-graphs, their corona products, and apex joins.
+"""The one builder of R-graphs and their corona products, and the crown-slot rule.
 
 The R-graph of G adds one new vertex per edge, adjacent to that edge's two
 endpoints.  The two corona products then hang an arbitrary "crown" graph
 off each original vertex (R-vertex corona) or off each added edge-vertex
-(R-edge corona), joining the anchor to every crown vertex.
+(R-edge corona), joining the anchor to every crown vertex.  The kinds
+differ only in which skeleton vertex anchors each crown, and
+``crown_slots`` is the one place that says so.
 
 Vertex numbering is frozen as [original vertices of G; edge-vertices in
 canonical edge order; crown 0's vertices; crown 1's; ...], all 0-indexed.
@@ -15,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
+
+KINDS = ("r_graph", "r_vertex", "r_edge")
 
 
 @dataclass(frozen=True)
@@ -28,15 +32,9 @@ class VertexPartition:
     original: tuple[int, ...]
     edge_vertices: tuple[int, ...]
     crowns: tuple[tuple[int, ...], ...]
-    apex: int | None = None
 
     def total(self) -> int:
-        return (
-            len(self.original)
-            + len(self.edge_vertices)
-            + sum(len(c) for c in self.crowns)
-            + (0 if self.apex is None else 1)
-        )
+        return len(self.original) + len(self.edge_vertices) + sum(len(c) for c in self.crowns)
 
 
 @dataclass(frozen=True)
@@ -48,80 +46,48 @@ class CoronaResult:
     kind: str
 
 
-def r_graph(g: Graph) -> CoronaResult:
-    """R(G): subdivide-and-keep.  One new vertex per edge, adjacent to both ends."""
+def crown_slots(kind: str, g: Graph) -> tuple[str | None, range]:
+    """What a crown slot of the ``kind`` corona over g counts, and each slot's anchor.
+
+    Crown i of an R-vertex corona hangs from original vertex i, crown k of
+    an R-edge corona from edge-vertex n + k; an R-graph has no slots.
+    """
+    if kind == "r_graph":
+        return None, range(0)
+    if kind == "r_vertex":
+        return "vertex", range(g.n)
+    if kind == "r_edge":
+        return "edge", range(g.n, g.n + g.m)
+    raise ValueError(f"unknown corona kind {kind!r}")
+
+
+def crown_anchors(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> range:
+    """Each crown's anchor in the ``kind`` corona over g; needs one crown per slot."""
+    unit, anchors = crown_slots(kind, g)
+    if len(crowns) != len(anchors):
+        per = f"one per {unit}" if unit else f"{kind} takes none"
+        raise ValueError(f"need {len(anchors)} crowns ({per}), got {len(crowns)}")
+    return anchors
+
+
+def build(kind: str, g: Graph, crowns: tuple[Graph, ...] = ()) -> CoronaResult:
+    """The ``kind`` corona of g: R(G) with each crown joined to its slot's anchor.
+
+    Needs exactly one crown per slot; empty crowns are fine (all empty
+    reduces either corona to plain R(G)).  An apex join, H plus one vertex
+    adjacent to all of H, is ``build("r_vertex", Graph(1), (H,))``.
+    """
+    crowns = tuple(crowns)
+    anchors = crown_anchors(kind, g, crowns)
     edges = list(g.edges)
     for e, (u, v) in enumerate(g.edges):
-        w = g.n + e
-        edges.append((u, w))
-        edges.append((v, w))
-    graph = Graph(g.n + g.m, tuple(edges))
-    part = VertexPartition(
-        original=tuple(range(g.n)),
-        edge_vertices=tuple(range(g.n, g.n + g.m)),
-        crowns=(),
-    )
-    return CoronaResult(graph, part, "r_graph")
-
-
-def _with_crowns(base: CoronaResult, anchors: tuple[int, ...], crowns: tuple[Graph, ...], kind: str) -> CoronaResult:
-    edges = list(base.graph.edges)
-    offset = base.graph.n
+        edges += ((u, g.n + e), (v, g.n + e))
+    offset = g.n + g.m
     crown_ids: list[tuple[int, ...]] = []
     for anchor, crown in zip(anchors, crowns):
-        ids = tuple(range(offset, offset + crown.n))
-        crown_ids.append(ids)
-        for a, b in crown.edges:
-            edges.append((offset + a, offset + b))
-        for a in range(crown.n):
-            edges.append((anchor, offset + a))
+        edges += [(offset + a, offset + b) for a, b in crown.edges]
+        edges += [(anchor, offset + a) for a in range(crown.n)]
+        crown_ids.append(tuple(range(offset, offset + crown.n)))
         offset += crown.n
-    graph = Graph(offset, tuple(edges))
-    part = VertexPartition(
-        original=base.partition.original,
-        edge_vertices=base.partition.edge_vertices,
-        crowns=tuple(crown_ids),
-    )
-    return CoronaResult(graph, part, kind)
-
-
-def r_vertex_corona(g: Graph, crowns: tuple[Graph, ...]) -> CoronaResult:
-    """R-vertex corona: crown i is joined to original vertex i of R(G).
-
-    Needs exactly one crown per vertex of g; empty crowns are fine (all
-    empty reduces the product to plain R(G)).
-    """
-    crowns = tuple(crowns)
-    if len(crowns) != g.n:
-        raise ValueError(f"need {g.n} crowns (one per vertex), got {len(crowns)}")
-    base = r_graph(g)
-    return _with_crowns(base, tuple(range(g.n)), crowns, "r_vertex")
-
-
-def r_edge_corona(g: Graph, crowns: tuple[Graph, ...]) -> CoronaResult:
-    """R-edge corona: crown k is joined to edge-vertex k of R(G)."""
-    crowns = tuple(crowns)
-    if len(crowns) != g.m:
-        raise ValueError(f"need {g.m} crowns (one per edge), got {len(crowns)}")
-    base = r_graph(g)
-    anchors = tuple(range(g.n, g.n + g.m))
-    return _with_crowns(base, anchors, crowns, "r_edge")
-
-
-def apex_join(h: Graph) -> CoronaResult:
-    """Join a single new apex vertex to every vertex of h.
-
-    This is the crown-plus-anchor fragment that the corona products repeat;
-    resistances from the apex into h are what a crown vertex adds across
-    its anchor, a cut vertex.
-    """
-    apex = h.n
-    edges = list(h.edges) + [(v, apex) for v in range(h.n)]
-    graph = Graph(h.n + 1, tuple(edges))
-    part = VertexPartition(
-        original=(),
-        edge_vertices=(),
-        crowns=(tuple(range(h.n)),),
-        apex=apex,
-    )
-    return CoronaResult(graph, part, "apex_join")
+    part = VertexPartition(tuple(range(g.n)), tuple(range(g.n, g.n + g.m)), tuple(crown_ids))
+    return CoronaResult(Graph(offset, tuple(edges)), part, kind)

@@ -525,13 +525,11 @@ def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
     """Inverse of L + aI - (a/b)J for a graph Laplacian L, via rank-one shift.
 
     Because L J = 0, the inverse is (L + aI)^{-1} + (1/(a(b - n)))J with
-    n the order of L.  L may also be a (k, n, n) stack of Laplacians of one
-    order, inverted in one call.  Requires a > 0 and b outside {0, n}; the
-    computed product is checked against the identity, over the whole
-    stack, and a failure (for instance a non-Laplacian input) raises
-    SingularMatrixError.
+    n the order of L.  Requires a > 0 and b outside {0, n}; the computed
+    product is checked against the identity, and a failure (for instance a
+    non-Laplacian input) raises SingularMatrixError.
     """
-    lap = _as_symmetric(l, "Laplacian", stacked=True)
+    lap = _as_symmetric(l, "Laplacian")
     n = lap.shape[-1]
     if not a > 0.0:
         raise MatrixError(f"shift a must be positive, got {a}")

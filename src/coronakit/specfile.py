@@ -18,10 +18,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corona import CoronaResult, r_edge_corona, r_graph, r_vertex_corona
+from .corona import KINDS, CoronaResult, build, crown_slots
 from .graphs import EdgeListError, Graph, empty_graph, parse_edge_list
-
-KINDS = ("r_graph", "r_vertex", "r_edge")
 
 
 class SpecFileError(ValueError):
@@ -39,7 +37,7 @@ class CoronaSpec:
     def order(self) -> int:
         """Vertex count of the corona this spec describes, without building it.
 
-        The builders' layout is the base's n vertices, its m edge-vertices
+        The builder's layout is the base's n vertices, its m edge-vertices
         and then every crown's vertices; r_graph has no crowns.
         """
         return self.base.n + self.base.m + sum(c.n for c in self.crowns)
@@ -119,12 +117,10 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
         raise SpecFileError(f"{spec_path}: missing required key 'base'")
     root = os.fspath(spec_path.parent)
     base = _load_graph(root, base_rel, f"{spec_path}: base")
-    if kind == "r_graph":
-        if crown_rel:
-            raise SpecFileError(f"{spec_path}: kind r_graph takes no crown.* keys")
-        return CoronaSpec(kind, base, ())
-    slots = base.n if kind == "r_vertex" else base.m
-    unit = "vertex" if kind == "r_vertex" else "edge"
+    unit, anchors = crown_slots(kind, base)
+    if unit is None and crown_rel:
+        raise SpecFileError(f"{spec_path}: kind {kind} takes no crown.* keys")
+    slots = len(anchors)
     for index in sorted(crown_rel):
         if index >= slots:
             raise SpecFileError(
@@ -143,11 +139,5 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
 
 
 def build_from_spec(spec: CoronaSpec) -> CoronaResult:
-    """Run the builder named by the spec's kind."""
-    if spec.kind == "r_graph":
-        return r_graph(spec.base)
-    if spec.kind == "r_vertex":
-        return r_vertex_corona(spec.base, spec.crowns)
-    if spec.kind == "r_edge":
-        return r_edge_corona(spec.base, spec.crowns)
-    raise SpecFileError(f"unknown kind {spec.kind!r}")
+    """Build the corona the spec describes."""
+    return build(spec.kind, spec.base, spec.crowns)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form
-from .corona import r_edge_corona, r_vertex_corona
+from .corona import build
 from .graphs import Graph, laplacian, serialize_edge_list
 from .linalg import (
     block_one_inverse,
@@ -167,7 +167,7 @@ def identity_residuals(g: Graph, rng: random.Random) -> dict[str, float]:
         crowns = tuple(
             Graph(1, ()) if v in hosts else Graph(0, ()) for v in range(n)
         )
-        built = r_vertex_corona(g, crowns)
+        built = build("r_vertex", g, crowns)
         first, second = sorted(hosts)
         pendant = built.partition.crowns[first][0]
         out["cut_vertex_additivity"] = cut_vertex_check(
@@ -240,11 +240,8 @@ def _instance_passed(residuals: dict[str, float]) -> bool:
     )
 
 
-# Per kind: the corona builder and the name of its closed_form block hook.
-_KINDS = {
-    "r_vertex": (r_vertex_corona, "rv_blocks"),
-    "r_edge": (r_edge_corona, "re_blocks"),
-}
+# Per crowned kind, the name of its closed_form block hook.
+_KINDS = {"r_vertex": "rv_blocks", "r_edge": "re_blocks"}
 
 
 def check_corona_instance(
@@ -259,11 +256,10 @@ def check_corona_instance(
     between the assembled inverse, the expanded invariant formula, and the
     oracle.
     """
+    built = build(kind, g, crowns)
     if kind not in _KINDS:
-        raise ValueError(f"unknown corona kind {kind!r}")
-    builder, blocks_name = _KINDS[kind]
-    built = builder(g, crowns)
-    blocks = getattr(closed_form, blocks_name)(g, crowns)
+        raise ValueError(f"the suite checks r_vertex and r_edge coronas, got {kind!r}")
+    blocks = getattr(closed_form, _KINDS[kind])(g, crowns)
     x = closed_form.one_inverse(blocks)
     closed_r = closed_form.resistance_map(blocks)
     breakdown = closed_form.kirchhoff_terms(blocks)

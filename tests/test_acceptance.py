@@ -29,7 +29,7 @@ import numpy as np
 from coronakit import closed_form as cf
 from coronakit import suite
 from coronakit.cli import main as cli_main
-from coronakit.corona import r_edge_corona, r_graph, r_vertex_corona
+from coronakit.corona import build
 from coronakit.graphs import (
     Graph,
     complete_graph,
@@ -113,14 +113,14 @@ class InstanceEval:
 
 def _evaluate(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> InstanceEval:
     if kind == "r_vertex":
-        built = r_vertex_corona(g, crowns)
+        built = build("r_vertex", g, crowns)
         blocks = cf.rv_blocks(g, crowns)
         x = cf.one_inverse(blocks)
         closed = cf.rv_resistance_matrix(g, crowns)
         kf_closed = cf.rv_kirchhoff_terms(g, crowns).value
         complement_defect = 0.0
     else:
-        built = r_edge_corona(g, crowns)
+        built = build("r_edge", g, crowns)
         blocks = cf.re_blocks(g, crowns)
         x = cf.one_inverse(blocks)
         closed = cf.re_resistance_matrix(g, crowns)
@@ -297,7 +297,7 @@ def test_criterion_5_kirchhoff_adjudication():
     bd = cf.rv_kirchhoff_terms(K2, (K1, K1))
     trace_part = sum(v for k, v in bd.terms.items() if k.startswith("trace_"))
     ones_part = sum(v for k, v in bd.terms.items() if k.startswith("ones_"))
-    oracle_a = kirchhoff_index(r_vertex_corona(K2, (K1, K1)).graph)
+    oracle_a = kirchhoff_index(build("r_vertex", K2, (K1, K1)).graph)
     shipped_a = 5 * trace_part - ones_part
     variant_a = 6 * trace_part - ones_part
     if abs(shipped_a - oracle_a) > 1e-9:
@@ -307,7 +307,7 @@ def test_criterion_5_kirchhoff_adjudication():
 
     # rejected variant 2: tree constant -(n-1)/4 instead of -(n-1)/6
     bde = cf.re_kirchhoff_terms(K2, (K1,))
-    oracle_b = kirchhoff_index(r_edge_corona(K2, (K1,)).graph)
+    oracle_b = kirchhoff_index(build("r_edge", K2, (K1,)).graph)
     variant_b = bde.expanded - 4 * (2 - 1) / 12.0
     if abs(bde.expanded - oracle_b) > 1e-9:
         problems.append(f"shipped tree constant drifted: {bde.expanded} vs {oracle_b}")
@@ -323,7 +323,7 @@ def test_criterion_5_kirchhoff_adjudication():
     if abs(true_trace - 3.0) > 1e-10 or abs(bare - 2.0) > 1e-10:
         problems.append(f"shift counterexample drifted: trace {true_trace}, bare {bare}")
     bdc = cf.re_kirchhoff_terms(K2, (crown,))
-    oracle_c = kirchhoff_index(r_edge_corona(K2, (crown,)).graph)
+    oracle_c = kirchhoff_index(build("r_edge", K2, (crown,)).graph)
     variant_c = bdc.expanded - 5 * (true_trace - bare)
     if abs(bdc.expanded - oracle_c) > 1e-9:
         problems.append(f"shipped crown trace drifted: {bdc.expanded} vs {oracle_c}")
@@ -359,11 +359,11 @@ def test_criterion_6_empty_crown_degeneracy():
     problems = []
     worst = 0.0
     for g in (path_graph(4), complete_graph(3), star_graph(3), cycle_graph(5)):
-        plain = r_graph(g)
+        plain = build("r_graph", g)
         crowns_v = tuple(empty_graph(0) for _ in range(g.n))
         crowns_e = tuple(empty_graph(0) for _ in range(g.m))
-        built_v = r_vertex_corona(g, crowns_v)
-        built_e = r_edge_corona(g, crowns_e)
+        built_v = build("r_vertex", g, crowns_v)
+        built_e = build("r_edge", g, crowns_e)
         if built_v.graph != plain.graph:
             problems.append(f"empty-crown R-vertex corona of {g.n}-vertex base != R(G)")
         if built_e.graph != plain.graph:

@@ -13,7 +13,7 @@ import pytest
 import coronakit
 from coronakit import cli, closed_form
 from coronakit.cli import main
-from coronakit.corona import r_vertex_corona
+from coronakit.corona import build
 from coronakit.graphs import (
     complete_graph,
     cycle_graph,
@@ -81,6 +81,79 @@ def test_build_writes_edge_list_and_sidecar(rv_spec, tmp_path, capsys):
     assert sidecar["crowns"] == [[3], [4]]
     stdout = capsys.readouterr().out
     assert "wrote" in stdout
+
+
+RE_BUILD_EDGES = """\
+14
+0 1
+0 3
+0 4
+0 5
+1 2
+1 4
+1 6
+2 3
+2 6
+2 7
+3 5
+3 7
+5 8
+6 9
+6 10
+7 11
+7 12
+7 13
+9 10
+11 12
+12 13
+"""
+
+RE_BUILD_SIDECAR = """\
+{
+  "crowns": [
+    [],
+    [
+      8
+    ],
+    [
+      9,
+      10
+    ],
+    [
+      11,
+      12,
+      13
+    ]
+  ],
+  "edge_vertices": [
+    4,
+    5,
+    6,
+    7
+  ],
+  "kind": "r_edge",
+  "original": [
+    0,
+    1,
+    2,
+    3
+  ],
+  "vertices": 14
+}
+"""
+
+
+def test_r_edge_build_output_is_pinned(re_spec, tmp_path, capsys):
+    # Exact bytes of the edge list and the sidecar: crown k hangs from
+    # edge-vertex 4 + k, and the empty crown 0 keeps its (empty) slot.
+    out_path = tmp_path / "corona.edges"
+    assert main(["build", str(re_spec), "-o", str(out_path)]) == 0
+    side_path = tmp_path / "corona.edges.partition.json"
+    assert out_path.read_bytes() == RE_BUILD_EDGES.encode("ascii")
+    assert side_path.read_bytes() == RE_BUILD_SIDECAR.encode("ascii")
+    assert capsys.readouterr().out == (
+        f"wrote {out_path} (14 vertices, 21 edges)\nwrote {side_path}\n"
+    )
 
 
 def test_resist_single_pair_text(rv_spec, capsys):
@@ -336,7 +409,7 @@ def test_resist_all_table_matches_per_cell_rendering(tmp_path, capsys, fmt):
         + "".join(f"crown.{i} = k2.edges\n" for i in range(30))
     )
     closed = closed_form.rv_resistance_matrix(g, crowns)
-    oracle = resistance_matrix(r_vertex_corona(g, crowns).graph)
+    oracle = resistance_matrix(build("r_vertex", g, crowns).graph)
     order = len(closed)
     assert order == 120
     rows = []
@@ -405,7 +478,7 @@ def test_resist_json_is_the_encoders_bytes(tmp_path, capsys, method, kind, crown
     closed = np.resize(np.array(_AWKWARD), (order, order))
     oracle = np.resize(np.roll(_AWKWARD, 1), (order, order))
     with (
-        mock.patch.object(cli, "_closed_resistance_matrix", lambda spec: closed),
+        mock.patch.object(closed_form, "rv_resistance_matrix", lambda g, crowns: closed),
         mock.patch.object(cli, "resistance_matrix", lambda graph: oracle),
         mock.patch.object(closed_form, "pair_resistance", lambda blocks, u, v: closed[u, v]),
     ):
@@ -425,7 +498,7 @@ def test_resist_json_is_the_encoders_bytes(tmp_path, capsys, method, kind, crown
 def test_resist_json_matches_the_encoder_on_real_maps(re_spec, capsys, method):
     # Unpatched, on the R-edge fixture (N = 14): --all and --pair 4 3.
     spec = cli.load_corona_spec(re_spec)
-    closed = cli._closed_resistance_matrix(spec)
+    closed = cli._closed("resistance_matrix", spec)
     oracle = resistance_matrix(cli.build_from_spec(spec).graph)
     order = len(closed)
     argv = ["resist", str(re_spec), "--method", method, "--format", "json"]
@@ -476,11 +549,11 @@ def test_closed_only_commands_build_no_corona(re_spec, capsys):
         assert capsys.readouterr().out == RE_RESIST_ALL_CSV
         assert main(["kf", str(re_spec), "--method", "closed", "--format", "json", "--terms"]) == 0
         assert capsys.readouterr().out == RE_KF_CLOSED_JSON
-    build = mock.Mock(wraps=cli.build_from_spec)
-    with mock.patch.object(cli, "build_from_spec", build):
+    wrapped = mock.Mock(wraps=cli.build_from_spec)
+    with mock.patch.object(cli, "build_from_spec", wrapped):
         assert main(["resist", str(re_spec), "--pair", "0", "1", "--method", "oracle"]) == 0
         assert main(["kf", str(re_spec), "--method", "both"]) == 0
-    assert build.call_count == 2
+    assert wrapped.call_count == 2
     capsys.readouterr()
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import coronakit
 from coronakit import closed_form as cf
 from coronakit import linalg, resistance
-from coronakit.corona import apex_join, r_edge_corona, r_graph, r_vertex_corona
+from coronakit.corona import build
 from coronakit.graphs import (
     Graph,
     complete_graph,
@@ -58,7 +58,7 @@ def test_worked_example_resistances():
     assert r[0, 3] == pytest.approx(1.0, abs=1e-12)
     assert r[0, 4] == pytest.approx(5.0 / 3.0, abs=1e-12)
     assert r[3, 4] == pytest.approx(8.0 / 3.0, abs=1e-12)
-    oracle = resistance_matrix(r_vertex_corona(g, crowns).graph)
+    oracle = resistance_matrix(build("r_vertex", g, crowns).graph)
     npt.assert_allclose(r, oracle, atol=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_worked_example_kirchhoff():
     assert breakdown.value == pytest.approx(40.0 / 3.0, abs=1e-9)
     assert breakdown.expanded == pytest.approx(40.0 / 3.0, abs=1e-9)
     assert breakdown.deviation <= 1e-9
-    oracle = kirchhoff_index(r_vertex_corona(g, crowns).graph)
+    oracle = kirchhoff_index(build("r_vertex", g, crowns).graph)
     assert breakdown.value == pytest.approx(oracle, abs=1e-9)
 
 
@@ -78,7 +78,7 @@ def test_edge_corona_crown_pair_resistance():
     # series pair of unit edges meeting at the anchor).
     g = K2
     crowns = (Graph(2, ()),)
-    built = r_edge_corona(g, crowns)
+    built = build("r_edge", g, crowns)
     r = cf.re_resistance_matrix(g, crowns)
     a, b = built.partition.crowns[0]
     assert r[a, b] == pytest.approx(2.0, abs=1e-12)
@@ -97,10 +97,10 @@ def test_one_inverse_on_named_instances():
     for kind, g, crowns in named:
         if kind == "r_vertex":
             x = cf.one_inverse(cf.rv_blocks(g, crowns))
-            built = r_vertex_corona(g, crowns)
+            built = build("r_vertex", g, crowns)
         else:
             x = cf.one_inverse(cf.re_blocks(g, crowns))
-            built = r_edge_corona(g, crowns)
+            built = build("r_edge", g, crowns)
         lap = laplacian(built.graph)
         assert verify_one_inverse(lap, x) <= 1e-10 * max(1.0, max_abs(lap))
         npt.assert_allclose(x, x.T, atol=1e-12)
@@ -112,7 +112,7 @@ def test_internal_identities():
     blocks_v = cf.rv_blocks(g, crowns_v)
     assert blocks_v.schur_defect <= 1e-12
     # the Schur complement of the non-original block, formed on the corona
-    lap = laplacian(r_vertex_corona(g, crowns_v).graph)
+    lap = laplacian(build("r_vertex", g, crowns_v).graph)
     a, c, rest = lap[: g.n, : g.n], lap[: g.n, g.n :], lap[g.n :, g.n :]
     schur = a - c @ np.linalg.solve(rest, c.T)
     npt.assert_allclose(schur, 1.5 * laplacian(g), atol=1e-12)
@@ -194,10 +194,10 @@ def test_dispatch_matches_oracle_on_structured_instances():
     for kind, g, crowns in instances:
         if kind == "r_vertex":
             closed = cf.rv_resistance_matrix(g, crowns)
-            built = r_vertex_corona(g, crowns)
+            built = build("r_vertex", g, crowns)
         else:
             closed = cf.re_resistance_matrix(g, crowns)
-            built = r_edge_corona(g, crowns)
+            built = build("r_edge", g, crowns)
         oracle = resistance_matrix(built.graph)
         assert max_abs(closed - oracle) <= PAIR_TOL
 
@@ -219,7 +219,7 @@ def test_single_pair_entry_points():
     assert cf.rv_resistance_matrix(g, crowns)[3, 4] == pytest.approx(8.0 / 3.0, abs=1e-12)
     assert cf.rv_resistance_matrix(g, crowns)[2, 2] == 0.0
     ge, crowns_e = K2, (Graph(2, ()),)
-    built = r_edge_corona(ge, crowns_e)
+    built = build("r_edge", ge, crowns_e)
     a, b = built.partition.crowns[0]
     assert cf.re_resistance_matrix(ge, crowns_e)[a, b] == pytest.approx(2.0, abs=1e-12)
 
@@ -299,7 +299,7 @@ def test_all_empty_crowns_reduce_to_skeleton():
     for g in (path_graph(4), complete_graph(3), star_graph(3)):
         crowns_v = tuple(empty_graph(0) for _ in range(g.n))
         crowns_e = tuple(empty_graph(0) for _ in range(g.m))
-        built = r_vertex_corona(g, crowns_v)
+        built = build("r_vertex", g, crowns_v)
         oracle = resistance_matrix(built.graph)
         npt.assert_allclose(cf.rv_resistance_matrix(g, crowns_v), oracle, atol=PAIR_TOL)
         npt.assert_allclose(cf.re_resistance_matrix(g, crowns_e), oracle, atol=PAIR_TOL)
@@ -311,13 +311,13 @@ def test_kirchhoff_three_way_agreement_random():
         g = random_connected_graph(rng, 2, 5)
         crowns_v = random_crowns(rng, g.n, 3)
         breakdown = cf.rv_kirchhoff_terms(g, crowns_v)
-        oracle = kirchhoff_index(r_vertex_corona(g, crowns_v).graph)
+        oracle = kirchhoff_index(build("r_vertex", g, crowns_v).graph)
         assert breakdown.value == pytest.approx(oracle, rel=1e-9, abs=1e-9)
         assert breakdown.deviation <= 1e-9
 
         crowns_e = random_crowns(rng, g.m, 3)
         breakdown_e = cf.re_kirchhoff_terms(g, crowns_e)
-        oracle_e = kirchhoff_index(r_edge_corona(g, crowns_e).graph)
+        oracle_e = kirchhoff_index(build("r_edge", g, crowns_e).graph)
         assert breakdown_e.value == pytest.approx(oracle_e, rel=1e-9, abs=1e-9)
         assert breakdown_e.deviation <= 1e-9
 
@@ -461,7 +461,7 @@ def test_random_sweep_both_kinds():
     for _ in range(10):
         g = random_connected_graph(rng, 2, 5, m_max=8)
         crowns_v = random_crowns(rng, g.n, 3)
-        built_v = r_vertex_corona(g, crowns_v)
+        built_v = build("r_vertex", g, crowns_v)
         x_v = cf.one_inverse(cf.rv_blocks(g, crowns_v))
         lap_v = laplacian(built_v.graph)
         assert verify_one_inverse(lap_v, x_v) <= PAIR_TOL * max(1.0, max_abs(lap_v))
@@ -471,7 +471,7 @@ def test_random_sweep_both_kinds():
         )
 
         crowns_e = random_crowns(rng, g.m, 3)
-        built_e = r_edge_corona(g, crowns_e)
+        built_e = build("r_edge", g, crowns_e)
         x_e = cf.one_inverse(cf.re_blocks(g, crowns_e))
         lap_e = laplacian(built_e.graph)
         assert verify_one_inverse(lap_e, x_e) <= PAIR_TOL * max(1.0, max_abs(lap_e))
@@ -535,7 +535,7 @@ def test_closed_route_inverts_without_the_eigensolver():
             [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in blocks.crowns]
         )
 
-    for kind, make_corona in (("rv", r_vertex_corona), ("re", r_edge_corona)):
+    for kind, corona_kind in (("rv", "r_vertex"), ("re", "r_edge")):
         with contextlib.ExitStack() as patches:
             for module, name in bindings:
                 patches.enter_context(mock.patch.object(module, name, side_effect=eig_called))
@@ -546,7 +546,7 @@ def test_closed_route_inverts_without_the_eigensolver():
                 cf.kirchhoff_terms(blocks)
             with mock.patch.object(cf, "crown_eigen_sums", side_effect=spectral_sums):
                 breakdown = cf.kirchhoff_terms(blocks)
-        built = make_corona(g, crowns)
+        built = build(corona_kind, g, crowns)
         lap = laplacian(built.graph)
         assert verify_one_inverse(lap, x) <= 1e-10 * max(1.0, max_abs(lap))
         assert max_abs(r - resistance_matrix(built.graph)) <= PAIR_TOL
@@ -590,6 +590,20 @@ def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
     assert sorted(seen) == [i for i, c in enumerate(crowns) if c.n]
 
 
+def test_blocks_take_the_crown_slot_rule_from_corona():
+    # The blocks once read every kind but r_vertex as R-edge: an r_graph
+    # with crowns got R-edge anchors under the r_graph label, and its
+    # expanded Kirchhoff index dropped the R-edge shift.
+    g = path_graph(3)
+    with pytest.raises(ValueError, match=r"^need 0 crowns \(r_graph takes none\), got 2$"):
+        cf._blocks("r_graph", g, (Graph(1), complete_graph(2)))
+    with pytest.raises(ValueError, match="^unknown corona kind 'bogus'$"):
+        cf._blocks("bogus", g, ())
+    breakdown = cf.kirchhoff_terms(cf._blocks("r_graph", g, ()))
+    assert abs(breakdown.value - kirchhoff_index(build("r_graph", g).graph)) <= 1e-9
+    assert breakdown.deviation <= 1e-9
+
+
 def test_apex_resistance_is_the_grounded_inverse_diagonal():
     # diag((L(H) + I)^{-1}) equals the oracle's apex row on the joined crown,
     # for the blocks of both kinds
@@ -597,7 +611,7 @@ def test_apex_resistance_is_the_grounded_inverse_diagonal():
         grounded = getattr(cf, f"{prefix}_blocks")(g, crowns).grounded
         off = 0
         for crown in crowns:
-            oracle = resistance_matrix(apex_join(crown).graph)[crown.n, : crown.n]
+            oracle = resistance_matrix(build("r_vertex", Graph(1), (crown,)).graph)[0, 1:]
             npt.assert_allclose(
                 np.diag(grounded)[off : off + crown.n], oracle, atol=1e-12
             )
@@ -634,11 +648,11 @@ def test_near_degenerate_families_match_the_oracle(instance):
     if kind == "r_vertex":
         closed = cf.rv_resistance_matrix(g, crowns)
         kf = cf.rv_kirchhoff_terms(g, crowns).value
-        built = r_vertex_corona(g, crowns)
+        built = build("r_vertex", g, crowns)
     else:
         closed = cf.re_resistance_matrix(g, crowns)
         kf = cf.re_kirchhoff_terms(g, crowns).value
-        built = r_edge_corona(g, crowns)
+        built = build("r_edge", g, crowns)
     oracle = resistance_matrix(built.graph)
     assert max_abs(closed - oracle) <= PAIR_TOL
     kf_oracle = float(np.triu(oracle).sum())
@@ -678,7 +692,8 @@ def test_kirchhoff_of_paths_is_exact(n):
     for value in (n * float(np.trace(blocks.l_sharp)), kirchhoff_index(path_graph(n))):
         assert abs(Fraction(value) - exact_path) <= Fraction(1e-11) * exact_path
     exact = _kirchhoff_of_r_path(n)
-    for value in (cf.kirchhoff_terms(blocks).value, kirchhoff_index(r_graph(path_graph(n)).graph)):
+    oracle = kirchhoff_index(build("r_graph", path_graph(n)).graph)
+    for value in (cf.kirchhoff_terms(blocks).value, oracle):
         assert abs(Fraction(value) - exact) <= Fraction(1e-11) * exact
 
 
@@ -688,7 +703,7 @@ def test_closed_and_oracle_kirchhoff_agree_at_corona_order_599():
     g = path_graph(150)
     crowns = tuple(K2 for _ in range(150))
     closed = cf.rv_kirchhoff_terms(g, crowns).value
-    oracle = kirchhoff_index(r_vertex_corona(g, crowns).graph)
+    oracle = kirchhoff_index(build("r_vertex", g, crowns).graph)
     assert abs(closed - oracle) <= 1e-12 * oracle
 
 

@@ -4,13 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coronakit.corona import (
-    VertexPartition,
-    apex_join,
-    r_edge_corona,
-    r_graph,
-    r_vertex_corona,
-)
+from coronakit import closed_form, suite
+from coronakit.corona import VertexPartition, build
 from coronakit.graphs import (
     Graph,
     adjacency,
@@ -20,10 +15,11 @@ from coronakit.graphs import (
     laplacian,
     path_graph,
 )
+from coronakit.specfile import CoronaSpec, build_from_spec
 
 
 def test_r_graph_of_an_edge_is_a_triangle():
-    built = r_graph(complete_graph(2))
+    built = build("r_graph", complete_graph(2))
     assert built.kind == "r_graph"
     assert built.graph == complete_graph(3)
     assert built.partition.original == (0, 1)
@@ -31,7 +27,7 @@ def test_r_graph_of_an_edge_is_a_triangle():
 
 
 def test_r_graph_of_path3():
-    built = r_graph(path_graph(3))
+    built = build("r_graph", path_graph(3))
     assert built.graph.n == 5
     assert built.graph.edges == (
         (0, 1),
@@ -45,7 +41,7 @@ def test_r_graph_of_path3():
 
 def test_r_vertex_corona_layout_and_adjacency():
     g = complete_graph(2)
-    built = r_vertex_corona(g, (Graph(1, ()), Graph(1, ())))
+    built = build("r_vertex", g, (Graph(1, ()), Graph(1, ())))
     assert built.kind == "r_vertex"
     part = built.partition
     assert part.original == (0, 1)
@@ -61,7 +57,7 @@ def test_r_vertex_corona_laplacian_block_structure():
     # degrees: original vertex carries old degree + edge-vertex degree + crown
     g = path_graph(3)
     crowns = (Graph(2, ((0, 1),)), Graph(0, ()), Graph(1, ()))
-    built = r_vertex_corona(g, crowns)
+    built = build("r_vertex", g, crowns)
     lap = laplacian(built.graph)
     n, m = g.n, g.m
     d = g.degrees()
@@ -74,7 +70,7 @@ def test_r_vertex_corona_laplacian_block_structure():
 
 def test_r_edge_corona_layout_and_degrees():
     g = complete_graph(2)
-    built = r_edge_corona(g, (Graph(1, ()),))
+    built = build("r_edge", g, (Graph(1, ()),))
     assert built.kind == "r_edge"
     assert built.graph.edges == ((0, 1), (0, 2), (1, 2), (2, 3))
     # edge-vertex degree is 2 + crown size
@@ -85,7 +81,7 @@ def test_r_edge_corona_layout_and_degrees():
 def test_r_edge_corona_crowns_attach_to_edge_vertices_only():
     g = path_graph(3)
     crowns = (Graph(2, ()), Graph(1, ()))
-    built = r_edge_corona(g, crowns)
+    built = build("r_edge", g, crowns)
     part = built.partition
     adj = adjacency(built.graph)
     for k, crown_ids in enumerate(part.crowns):
@@ -98,42 +94,81 @@ def test_r_edge_corona_crowns_attach_to_edge_vertices_only():
 def test_corona_connectivity_inherited():
     g = complete_graph(3)
     crowns = (Graph(2, ()), Graph(0, ()), Graph(3, ((0, 2),)))
-    assert is_connected(r_vertex_corona(g, crowns).graph)
-    assert is_connected(r_edge_corona(g, crowns).graph)
+    assert is_connected(build("r_vertex", g, crowns).graph)
+    assert is_connected(build("r_edge", g, crowns).graph)
 
 
 def test_crown_count_must_match():
     g = path_graph(3)
     with pytest.raises(ValueError, match="crowns"):
-        r_vertex_corona(g, (empty_graph(0),))
+        build("r_vertex", g, (empty_graph(0),))
     with pytest.raises(ValueError, match="crowns"):
-        r_edge_corona(g, (empty_graph(0),) * 3)
+        build("r_edge", g, (empty_graph(0),) * 3)
 
 
 def test_partition_roles_cover_every_vertex():
     g = path_graph(4)
     crowns = (Graph(1, ()), Graph(2, ((0, 1),)), Graph(0, ()), Graph(3, ()))
-    built = r_vertex_corona(g, crowns)
+    built = build("r_vertex", g, crowns)
     part = built.partition
     assert part.total() == built.graph.n
     ids = list(part.original) + list(part.edge_vertices)
     for crown in part.crowns:
         ids += crown
-    assert part.apex is None
     # every id in 0..N-1 exactly once, in the frozen layout order
     assert ids == list(range(built.graph.n))
 
 
 def test_apex_join():
-    built = apex_join(Graph(2, ()))
-    assert built.kind == "apex_join"
-    assert built.partition.apex == 2
-    assert built.graph.edges == ((0, 2), (1, 2))
-    lonely = apex_join(empty_graph(0))
+    # An apex join is the R-vertex corona over K1 with one crown: the apex
+    # is vertex 0, and the crown's vertices follow it.
+    built = build("r_vertex", Graph(1), (Graph(2, ()),))
+    assert built.kind == "r_vertex"
+    assert built.partition.original == (0,)
+    assert built.partition.crowns == ((1, 2),)
+    assert built.graph.edges == ((0, 1), (0, 2))
+    lonely = build("r_vertex", Graph(1), (empty_graph(0),))
     assert lonely.graph.n == 1
-    assert lonely.partition.apex == 0
+    assert lonely.partition.crowns == ((),)
 
 
 def test_vertex_partition_total():
     part = VertexPartition(original=(0, 1), edge_vertices=(2,), crowns=((3, 4), ()))
     assert part.total() == 5
+
+
+# Every entry point that takes a kind and crowns, called alike.
+RULE_ENTRY_POINTS = {
+    "build": build,
+    "build_from_spec": lambda kind, g, crowns: build_from_spec(CoronaSpec(kind, g, crowns)),
+    "check_corona_instance": suite.check_corona_instance,
+    "rv_blocks": lambda kind, g, crowns: closed_form.rv_blocks(g, crowns),
+    "re_blocks": lambda kind, g, crowns: closed_form.re_blocks(g, crowns),
+}
+
+# (entry points, kind, crown count, message) over the base P3 (n = 3, m = 2).
+RULE_CASES = [
+    (("build", "build_from_spec", "check_corona_instance", "rv_blocks"),
+     "r_vertex", 1, "need 3 crowns (one per vertex), got 1"),
+    (("build", "build_from_spec", "check_corona_instance", "re_blocks"),
+     "r_edge", 3, "need 2 crowns (one per edge), got 3"),
+    (("build", "build_from_spec", "check_corona_instance"),
+     "r_graph", 1, "need 0 crowns (r_graph takes none), got 1"),
+    (("build", "build_from_spec", "check_corona_instance"),
+     "bogus", 0, "unknown corona kind 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, kind, count, message",
+    [
+        pytest.param(entry, kind, count, message, id=f"{entry}-{kind}")
+        for entries, kind, count, message in RULE_CASES
+        for entry in entries
+    ],
+)
+def test_every_entry_point_reports_the_crown_slot_rule_alike(entry, kind, count, message):
+    with pytest.raises(ValueError) as exc:
+        RULE_ENTRY_POINTS[entry](kind, path_graph(3), (Graph(1),) * count)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from coronakit import linalg
-from coronakit.corona import r_edge_corona
+from coronakit.corona import build
 from coronakit.graphs import Graph, complete_graph, cycle_graph, laplacian, path_graph, star_graph
 from coronakit.linalg import (
     MatrixError,
@@ -106,7 +106,7 @@ def test_eigendecompose_nearly_diagonal_regression():
         Graph(3, ((0, 1), (0, 2))),
         Graph(3, ((0, 1),)),
     )
-    lap = laplacian(r_edge_corona(base, crowns).graph)
+    lap = laplacian(build("r_edge", base, crowns).graph)
     dec = sym_eigendecompose(lap)
     npt.assert_allclose(dec.values, np.linalg.eigvalsh(lap)[::-1], atol=1e-9)
 
@@ -459,12 +459,6 @@ def test_shifted_rank_one_inverse_matches_direct():
         npt.assert_allclose(
             shifted_rank_one_inverse(lap, a, b), np.linalg.inv(target), atol=1e-8
         )
-    # a stack of one order with one shift, as the R-edge crowns use it
-    laps = np.stack([laplacian(g) for g in (path_graph(3), complete_graph(3), Graph(3, ()))])
-    target = laps + np.eye(3) - np.ones((3, 3)) / 5.0
-    npt.assert_allclose(
-        shifted_rank_one_inverse(laps, 1.0, 5.0), np.linalg.inv(target), atol=1e-12
-    )
 
 
 def test_shifted_rank_one_inverse_error_paths():

@@ -5,8 +5,14 @@ from unittest import mock
 import pytest
 
 from coronakit import specfile
-from coronakit.corona import r_vertex_corona
-from coronakit.graphs import complete_graph, parse_edge_list, path_graph, serialize_edge_list
+from coronakit.corona import build
+from coronakit.graphs import (
+    complete_graph,
+    parse_edge_list,
+    path_graph,
+    serialize_edge_list,
+    star_graph,
+)
 from coronakit.specfile import SpecFileError, build_from_spec, load_corona_spec
 
 
@@ -31,7 +37,7 @@ def test_r_vertex_spec_round_trip(tmp_path):
     assert spec.crowns[0] == complete_graph(2)
     assert spec.crowns[1].n == 0 and spec.crowns[2].n == 0
     built = build_from_spec(spec)
-    expected = r_vertex_corona(path_graph(3), spec.crowns)
+    expected = build("r_vertex", path_graph(3), spec.crowns)
     assert built.graph == expected.graph
     assert built.partition == expected.partition
     assert spec.order() == built.partition.total()
@@ -66,6 +72,23 @@ def test_r_graph_spec_takes_no_crowns(tmp_path):
     )
     with pytest.raises(SpecFileError, match="takes no crown"):
         load_corona_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "kind, crown, message",
+    [
+        ("r_vertex", 9, "crown.9 out of range (base has 5 vertex slots)"),
+        ("r_edge", 4, "crown.4 out of range (base has 4 edge slots)"),
+        ("r_graph", 0, "kind r_graph takes no crown.* keys"),
+    ],
+)
+def test_crown_slot_messages_are_pinned(tmp_path, kind, crown, message):
+    write(tmp_path, "base.edges", serialize_edge_list(star_graph(4)))
+    body = f"kind = {kind}\nbase = base.edges\ncrown.{crown} = base.edges\n"
+    bad = write(tmp_path, "bad.spec", body)
+    with pytest.raises(SpecFileError) as exc:
+        load_corona_spec(bad)
+    assert str(exc.value) == f"{bad}: {message}"
 
 
 def test_paths_resolve_relative_to_spec_file(tmp_path):

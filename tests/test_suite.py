@@ -65,6 +65,9 @@ def test_instance_report_shape():
 
     with pytest.raises(ValueError, match="kind"):
         suite.check_corona_instance("r_total", g, crowns)
+    # A plain R-graph is a valid corona kind but has no crowns to check.
+    with pytest.raises(ValueError, match="^the suite checks r_vertex and r_edge coronas"):
+        suite.check_corona_instance("r_graph", g, ())
 
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
