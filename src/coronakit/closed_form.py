@@ -17,14 +17,15 @@ Through the pairs its vertices join, every cell of the skeleton corner is
 one gather from the group inverse of L(G), because the Schur complement
 of the original vertices collapses to (3/2) L(G).  Every inverse is a
 Cholesky solve: the group inverse deflates the all-ones null vector as
-(L(G) + J/n)^{-1} - J/n, and the crowns of each order are inverted as one
-stack.  No matrix larger than the base graph is inverted, and none is
-pseudo-inverted.  The blocks hold only base- and crown-order data.  The
-Kirchhoff index reads them alone; the map, a single pair and the
-{1}-inverse read skeleton cells through one gather, at most two for a
-pair.  The one eigensolve left is in ``crown_eigen_sums``: the expanded
-Kirchhoff index reads the crown spectra on purpose, as a second kernel
-against the Cholesky inverses.
+(L(G) + J/n)^{-1} - J/n, and the crowns of each layout order t + t % 2
+are inverted as one stack.  No matrix larger than the base graph is
+inverted, and none is pseudo-inverted.  The blocks hold only base- and
+crown-order data.  The Kirchhoff index reads them alone; the map, a
+single pair and the {1}-inverse read skeleton cells through one gather,
+at most two for a pair.  The one eigensolve left is in
+``crown_eigen_sums``: the expanded Kirchhoff index reads the crown
+spectra on purpose, as a second kernel against the Cholesky inverses, on
+the Laplacian stacks the inverses read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import resistance
 from .corona import crown_anchors
 from .graphs import Graph, is_connected, laplacian
-from .linalg import MatrixError, laplacian_group_inverse, max_abs, sym_eigendecompose, sym_inverse
+from .linalg import MatrixError, _jacobi_eigenvalues, laplacian_group_inverse, max_abs, sym_inverse
 
 # The two internally-asserted structural identities: the Schur complement
 # must equal (3/2) L(G) and the edge-block complement must equal 2I.
@@ -56,10 +57,13 @@ class CoronaBlocks:
     i for R-vertex, edge-vertex n + k for R-edge, as ``corona.crown_anchors``
     gives it; this is the only datum in which the kinds differ.  ``anchor``
     repeats it for each crown vertex in layout order.  ``crown_stacks``
-    holds, per nonempty crown order t, the crowns' indices, their
-    Laplacians as one (k, t, t) stack, built in one scatter and read by the
-    crown inverses and spectra alike, and the grounded inverses
-    (L(H) + I)^{-1} as another.
+    holds, per nonempty layout order o = t + t % 2 (crown orders o - 1 and
+    o together), the crowns' indices, their Laplacians as one (k, o, o)
+    stack, built in one scatter and read by the crown inverses and spectra
+    alike, and the grounded inverses (L(H) + I)^{-1} as another; a crown
+    of order t is each member's leading t x t block.  ``crown_totals``
+    holds each crown's tr G_k and 1^T G_k 1, read off the inverses once for
+    the defects below and the Kirchhoff index.
     ``schur_defect`` is the distance of the numerically assembled Schur
     complement from (3/2) L(G); ``complement_defect`` is that of the
     edge-block complement from 2I (exactly 0 for R-vertex).
@@ -78,6 +82,7 @@ class CoronaBlocks:
     hosts: np.ndarray
     anchor: np.ndarray
     crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    crown_totals: tuple[np.ndarray, np.ndarray]
     schur_defect: float
     complement_defect: float
 
@@ -98,32 +103,43 @@ def _require_closed_form_input(g: Graph) -> None:
 def _crown_stacks(
     crowns: tuple[Graph, ...],
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per nonempty crown order t: the crowns' indices, Laplacians and inverses of L(H) + I.
+    """Per nonempty layout order o = t + t % 2: crown indices, Laplacians, inverses of L(H) + I.
 
-    Each order's (k, t, t) Laplacian stack is built in one scatter over its
-    crowns' edges, as ``laplacian`` builds one: the adjacency negated, then
-    the degrees on the diagonal, so every member is bit for bit
-    ``laplacian(crown)``.  The crowns of each order are inverted together
-    as one stack, whichever kind of corona they crown.
+    A layout holds the crowns of orders o - 1 and o, in index order, as one
+    (k, o, o) stack built in one scatter over their edges, as ``laplacian``
+    builds one: the adjacency negated, then the degrees on the diagonal, so
+    each member's leading t x t block is bit for bit ``laplacian(crown)``.
+    An odd member's pad row and column are +0.0, the zero dummy index that
+    Jacobi pads an odd order with, so L + I is padded with the identity.
+    Each layout is inverted as one stack, whichever kind of corona the
+    crowns crown; a member's leading block is the inverse of L(H) + I and
+    its pad is exactly the identity.  That one ``sym_inverse`` call checks
+    the Laplacians for both crown kernels: ``crown_eigen_sums`` sweeps them
+    unchecked.
     """
     sizes = np.array([c.n for c in crowns], dtype=np.intp)
+    layout = sizes + sizes % 2
     owner = np.repeat(np.arange(len(crowns)), [c.m for c in crowns])
     ends = np.array([e for c in crowns for e in c.edges], dtype=np.intp).reshape(-1, 2)
     stacks = []
-    for t in sorted(set(sizes.tolist()) - {0}):
-        of_order = np.flatnonzero(sizes == t)
-        mine = sizes[owner] == t
+    for o in sorted(set(layout.tolist()) - {0}):
+        members = np.flatnonzero(layout == o)
+        mine = layout[owner] == o
         # Flat positions of (member, u, v) and (member, v, u) in the stack.
-        at = np.searchsorted(of_order, owner[mine]) * (t * t)
+        at = np.searchsorted(members, owner[mine]) * (o * o)
         u, v = ends[mine].T
-        adjacency = np.zeros((len(of_order), t, t))
+        adjacency = np.zeros((len(members), o, o))
         flat = adjacency.reshape(-1)
-        flat[at + u * t + v] = 1.0
-        flat[at + v * t + u] = 1.0
+        flat[at + u * o + v] = 1.0
+        flat[at + v * o + u] = 1.0
         laps = -adjacency
-        diag = np.arange(t)
+        diag = np.arange(o)
         laps[:, diag, diag] = adjacency.sum(axis=2)
-        stacks.append((of_order, laps, sym_inverse(laps + np.eye(t), "crown block")))
+        # Negated, the pad reads -0.0.
+        padded = sizes[members] < o
+        laps[padded, -1] = 0.0
+        laps[padded, :, -1] = 0.0
+        stacks.append((members, laps, sym_inverse(laps + np.eye(o), "crown block")))
     return tuple(stacks)
 
 
@@ -132,24 +148,42 @@ def _dense_grounded(
     crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
 ) -> np.ndarray:
     """Block diagonal of the crown inverses (L(H) + I)^{-1}, in crown layout order."""
-    offsets = np.cumsum(sizes) - sizes
+    orders = np.array(sizes, dtype=np.intp)
+    offsets = np.cumsum(orders) - orders
     total = sum(sizes)
     grounded = np.zeros((total, total))
-    for of_order, _, inv in crown_stacks:
-        rows = offsets[of_order][:, None] + np.arange(inv.shape[-1])
-        grounded[rows[:, :, None], rows[:, None, :]] = inv
+    for members, _, inv in crown_stacks:
+        o = inv.shape[-1]
+        rows = offsets[members][:, None] + np.arange(o)
+        # Each member's leading t x t block; an odd member's pad is no crown's.
+        keep = np.arange(o) < orders[members][:, None]
+        cells = keep[:, :, None] & keep[:, None, :]
+        r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
+        grounded[r[cells], c[cells]] = inv[cells]
     return grounded
 
 
 def _crown_totals(
-    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], count: int
+    sizes: tuple[int, ...],
+    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per crown of ``count``, tr G_k and 1^T G_k 1 of its grounded inverse, read off the stacks."""
-    traces = np.zeros(count)
-    ones = np.zeros(count)
-    for of_order, _, inv in crown_stacks:
-        traces[of_order] = np.trace(inv, axis1=1, axis2=2)
-        ones[of_order] = inv.sum(axis=(1, 2))
+    """Per crown, tr G_k and 1^T G_k 1 of its grounded inverse, read off the stacks.
+
+    Each crown order's leading blocks are summed on their own, as an
+    order-t stack sums them: numpy's pairwise summation groups terms by
+    their count, so a padded block summed whole would round otherwise.
+    """
+    orders = np.array(sizes, dtype=np.intp)
+    traces = np.zeros(len(orders))
+    ones = np.zeros(len(orders))
+    for members, _, inv in crown_stacks:
+        o = inv.shape[-1]
+        padded = orders[members] < o
+        for part, t in ((~padded, o), (padded, o - 1)):
+            block = inv[part, :t, :t]
+            at = members[part]
+            traces[at] = np.trace(block, axis1=1, axis2=2)
+            ones[at] = block.sum(axis=(1, 2))
     return traces, ones
 
 
@@ -165,10 +199,11 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     sizes = tuple(c.n for c in crowns)
     l_sharp = laplacian_group_inverse(laplacian(g))
     crown_stacks = _crown_stacks(crowns)
+    crown_totals = _crown_totals(sizes, crown_stacks)
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
     excess = np.zeros(g.n + g.m)
-    excess[hosts] = np.asarray(sizes, dtype=float) - _crown_totals(crown_stacks, len(crowns))[1]
+    excess[hosts] = np.asarray(sizes, dtype=float) - crown_totals[1]
     # So the edge-block complement 2I + diag(excess) collapses to 2I ...
     complement_defect = max_abs(excess[g.n :])
     if complement_defect > IDENTITY_TOL:
@@ -185,7 +220,7 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
     return CoronaBlocks(
         kind, g, crowns, sizes, l_sharp, ends, hosts, np.repeat(hosts, sizes), crown_stacks,
-        defect, complement_defect,
+        crown_totals, defect, complement_defect,
     )
 
 
@@ -242,10 +277,11 @@ def _crown_cells(blocks: CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarr
     start = np.cumsum(sizes) - sizes
     crown = np.searchsorted(start + sizes, c, side="right")
     t, i, j = sizes[crown], c - start[crown], d - start[crown]
+    layout = t + t % 2
     cells = np.empty(len(c))
-    for of_order, _, inv in blocks.crown_stacks:
-        mine = t == inv.shape[-1]
-        cells[mine] = inv[np.searchsorted(of_order, crown[mine]), i[mine], j[mine]]
+    for members, _, inv in blocks.crown_stacks:
+        mine = layout == inv.shape[-1]
+        cells[mine] = inv[np.searchsorted(members, crown[mine]), i[mine], j[mine]]
     return cells
 
 
@@ -334,31 +370,24 @@ def crown_eigen_sums(blocks: CoronaBlocks) -> np.ndarray:
     """Per crown of ``blocks``, the sum over its Laplacian spectrum of 1/(mu + 1).
 
     One stacked Jacobi call per layout order t + t % 2, on the Laplacian
-    stacks the blocks already hold: Jacobi pads an odd order with a zero
-    dummy index anyway, so an order-t stack padded with a zero row and
-    column starts from the same layout as alone and shares the call with
-    order t + 1 (stack members never mix).  Every eigenvalue is bit for bit
-    that of the per-order call, and the dummy's is an exact 0.0, which is
-    dropped before the sum.  An empty crown sums to 0.
+    stacks the blocks already hold and ``sym_inverse`` has already checked.
+    Jacobi pads an odd order with a zero dummy index anyway, so an order-t
+    member padded with a zero row and column starts from the same layout
+    as alone and shares the call with order t + 1 (stack members never
+    mix).  Every eigenvalue is bit for bit that of the per-order call, and
+    the dummy's is an exact 0.0, which is dropped before the sum.  An empty
+    crown sums to 0.
     """
     sums = np.zeros(len(blocks.crowns))
-    layouts: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for of_order, laps, _ in blocks.crown_stacks:
-        t = laps.shape[-1]
-        layouts.setdefault(t + t % 2, []).append((of_order, laps))
-    for order, members in layouts.items():
-        stack = np.zeros((sum(len(laps) for _, laps in members), order, order))
-        start = 0
-        for _, laps in members:
-            t = laps.shape[-1]
-            stack[start : start + len(laps), :t, :t] = laps
-            start += len(laps)
-        values = sym_eigendecompose(stack).values
-        for of_order, laps in members:
-            part, values = values[: len(laps)], values[len(laps) :]
-            if laps.shape[-1] < order:
-                part = _drop_dummy_zero(part)
-            sums[of_order] = np.add.reduce(1.0 / (part + 1.0), axis=1)
+    orders = np.array(blocks.sizes, dtype=np.intp)
+    for members, laps, _ in blocks.crown_stacks:
+        values = _jacobi_eigenvalues(laps).values
+        padded = orders[members] < laps.shape[-1]
+        whole = ~padded
+        sums[members[whole]] = np.add.reduce(1.0 / (values[whole] + 1.0), axis=1)
+        if padded.any():
+            part = _drop_dummy_zero(values[padded])
+            sums[members[padded]] = np.add.reduce(1.0 / (part + 1.0), axis=1)
     return sums
 
 
@@ -410,7 +439,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     c = r_n + 0.5 * (np.bincount(eu, r_m, minlength=n) + np.bincount(ev, r_m, minlength=n))
     c -= c.mean()
     d = ls[eu, eu] + ls[ev, ev] + 2.0 * ls[eu, ev]
-    traces, ones = _crown_totals(blocks.crown_stacks, len(blocks.crowns))
+    traces, ones = blocks.crown_totals
     trace_x = (
         (2.0 / 3.0) * float(r_n @ np.diag(ls)) + float(r_m @ (0.5 + d / 6.0)) + float(traces.sum())
     )

@@ -27,7 +27,9 @@ connected Laplacian instead of zeroing an eigenvalue by threshold, and
 takes one step of iterative refinement.  Both kernels share the input
 checks of ``_as_symmetric`` and raise ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
-answer they cannot vouch for.
+answer they cannot vouch for.  Each has an unchecked body behind those
+checks (``_checked_inverse``, ``_jacobi_eigenvalues``) for input that
+has passed them once already.
 """
 
 from __future__ import annotations
@@ -265,7 +267,15 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     any member ran, the total rotations and the worst member's norm.  Any
     member that does not converge raises MatrixError.
     """
-    sym = _as_symmetric(m, stacked=True)
+    return _jacobi_eigenvalues(_as_symmetric(m, stacked=True))
+
+
+def _jacobi_eigenvalues(sym: np.ndarray) -> EigenDecomposition:
+    """``sym_eigendecompose`` of a finite float matrix or stack already exactly symmetric.
+
+    Nothing is checked here: the caller has checked the input once, as the
+    crown spectra are, by the ``sym_inverse`` of L(H) + I on the same stack.
+    """
     n = sym.shape[-1]
     stack = sym if sym.ndim == 3 else sym[None]
     size = len(stack)

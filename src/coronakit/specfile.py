@@ -43,6 +43,29 @@ class CoronaSpec:
         return self.base.n + self.base.m + sum(c.n for c in self.crowns)
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file, with its newlines translated as text mode does.
+
+    The bytes are read in one call and decoded, and ``\r\n`` and a lone
+    ``\r`` both become ``\n``.  Raises ``OSError``, or
+    ``UnicodeDecodeError`` for bytes that are not UTF-8.
+    """
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _unreadable(path: Path, err: OSError | UnicodeDecodeError) -> str:
+    """The ``cannot read`` message for a file that failed to open, read or decode."""
+    if isinstance(err, UnicodeDecodeError):
+        byte = err.object[err.start]
+        where = f"byte {byte:#04x} at offset {err.start}: {err.reason}"
+        return f"cannot read {path}: not valid UTF-8 ({where})"
+    return f"cannot read {path}: {err.strerror}"
+
+
 def _load_graph(root: str, rel: str, context: str) -> Graph:
     """Parse the edge list at ``rel``, relative to the directory ``root``.
 
@@ -51,15 +74,12 @@ def _load_graph(root: str, rel: str, context: str) -> Graph:
     reads (a trailing ``/`` or ``/.`` after a file name) is read there.
     """
     try:
-        with open(os.path.join(root, rel), encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError:
         try:
-            text = Path(root, rel).read_text(encoding="utf-8")
-        except OSError as err:
-            raise SpecFileError(
-                f"{context}: cannot read {Path(root, rel)}: {err.strerror}"
-            ) from err
+            text = _read_text(os.path.join(root, rel))
+        except OSError:
+            text = _read_text(Path(root, rel))
+    except (OSError, UnicodeDecodeError) as err:
+        raise SpecFileError(f"{context}: {_unreadable(Path(root, rel), err)}") from err
     try:
         return parse_edge_list(text)
     except EdgeListError as err:
@@ -70,9 +90,9 @@ def load_corona_spec(path: str | Path) -> CoronaSpec:
     """Parse a corona spec file and load every graph it references."""
     spec_path = Path(path)
     try:
-        text = spec_path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise SpecFileError(f"cannot read {spec_path}: {err.strerror}") from err
+        text = _read_text(spec_path)
+    except (OSError, UnicodeDecodeError) as err:
+        raise SpecFileError(_unreadable(spec_path, err)) from err
     kind: str | None = None
     base_rel: str | None = None
     crown_rel: dict[int, str] = {}

@@ -11,8 +11,10 @@ Closed-form entry points are looked up on the module object at call time,
 so a test harness can monkeypatch a deliberately wrong one and watch the
 verdict flip.  The hooks are ``closed_form.rv_blocks``/``re_blocks``,
 which an instance calls once, and ``closed_form.one_inverse``, which
-assembles the {1}-inverse from those blocks.  Every graph the suite touches
-has its Laplacian group inverse taken once.
+assembles the {1}-inverse from those blocks.  Each case's base graph has
+its Laplacian group inverse taken three times: once for the identity
+battery's ``ls`` and once for ``l_sharp`` in each kind's blocks.  Each
+corona's is taken once, by the oracle.
 """
 
 from __future__ import annotations

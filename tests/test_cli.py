@@ -615,8 +615,10 @@ def test_kf_json_with_terms(rv_spec, capsys):
 
 
 def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
-    # 40 crowns of orders 0-4 on C_40: the crown spectra take one stacked
-    # Jacobi call per nonempty order, not one per crown.
+    # 40 crowns of orders 0-4 on C_40: the crowns are held as one stack per
+    # layout order (orders 1 and 2 in one, 3 and 4 in the other), inverted
+    # by one Cholesky call and swept by one Jacobi call each, not one per
+    # crown or per crown order.
     (tmp_path / "c40.edges").write_text(serialize_edge_list(cycle_graph(40)))
     lines = ["kind = r_vertex", "base = c40.edges"]
     for i in range(40):
@@ -628,13 +630,18 @@ def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
             lines.append(f"crown.{i} = {name}")
     spec = tmp_path / "c40.spec"
     spec.write_text("\n".join(lines) + "\n")
-    eig = mock.Mock(wraps=closed_form.sym_eigendecompose)
-    with mock.patch.object(closed_form, "sym_eigendecompose", eig):
+    eig = mock.Mock(wraps=closed_form._jacobi_eigenvalues)
+    inverse = mock.Mock(wraps=closed_form.sym_inverse)
+    with (
+        mock.patch.object(closed_form, "_jacobi_eigenvalues", eig),
+        mock.patch.object(closed_form, "sym_inverse", inverse),
+    ):
         assert main(["kf", str(spec), "--method", "closed", "--format", "json", "--terms"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["closed"] == pytest.approx(doc["expanded"], rel=1e-9)
-    # Orders 1 and 2 share the order-2 Jacobi layout, 3 and 4 the order-4 one.
+    # Orders 1 and 2 share the order-2 layout, 3 and 4 the order-4 one.
     assert eig.call_count == 2
+    assert [c.args[0].shape[-1] for c in inverse.call_args_list] == [2, 4]
 
 
 def test_r_edge_over_k1_prints_every_term_as_a_float(tmp_path, capsys):

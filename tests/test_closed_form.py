@@ -517,7 +517,8 @@ def test_closed_route_never_calls_the_oracle():
 
 def test_closed_route_inverts_without_the_eigensolver():
     # Every inverse of the closed route is a Cholesky solve; only the
-    # Kirchhoff expansion's crown spectra (crown_eigen_sums) reach Jacobi.
+    # Kirchhoff expansion's crown spectra (crown_eigen_sums) reach Jacobi,
+    # through its unchecked body.
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), Graph(2, ()))
     eig_called = AssertionError("the closed route called the eigensolver")
@@ -526,9 +527,9 @@ def test_closed_route_inverts_without_the_eigensolver():
         for module in vars(coronakit).values()
         if getattr(module, "__name__", "").startswith("coronakit.")
         for name, obj in vars(module).items()
-        if obj is linalg.sym_eigendecompose
+        if obj is linalg.sym_eigendecompose or obj is linalg._jacobi_eigenvalues
     ]
-    assert (cf, "sym_eigendecompose") in bindings
+    assert (cf, "_jacobi_eigenvalues") in bindings
 
     def spectral_sums(blocks):
         return np.array(
@@ -570,8 +571,9 @@ def test_each_crown_laplacian_is_built_once(kind):
 
 def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
     # Orders 1-9 mixed in one corona, edgeless and disconnected crowns
-    # among them: every stack member is laplacian(crown), signed zeros
-    # included.
+    # among them: every stack member's leading t x t block is
+    # laplacian(crown), signed zeros included, and each layout stack holds
+    # the crowns of orders o - 1 and o.
     rng = random.Random(17)
     crowns = [empty_graph(0)]
     for t in range(1, 10):
@@ -581,13 +583,65 @@ def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
     rng.shuffle(crowns)
     crowns = tuple(crowns)
     seen = []
-    for of_order, laps, _ in cf._crown_stacks(crowns):
-        assert laps.shape == (len(of_order), crowns[of_order[0]].n, crowns[of_order[0]].n)
-        for i, lap in zip(of_order, laps):
+    layouts = []
+    for members, laps, _ in cf._crown_stacks(crowns):
+        o = laps.shape[-1]
+        assert laps.shape == (len(members), o, o)
+        assert {crowns[i].n for i in members} <= {o - 1, o}
+        for i, lap in zip(members, laps):
+            t = crowns[i].n
             want = laplacian(crowns[i])
-            assert lap.tobytes() == want.tobytes()
-        seen += of_order.tolist()
+            assert np.ascontiguousarray(lap[:t, :t]).tobytes() == want.tobytes()
+        seen += members.tolist()
+        layouts.append(o)
+    assert layouts == [2, 4, 6, 8, 10]
     assert sorted(seen) == [i for i, c in enumerate(crowns) if c.n]
+
+
+def test_layout_stacks_hold_each_crown_in_its_leading_block():
+    # Orders 1-13 (layouts 2-14): edgeless, complete, path, disconnected and
+    # random crowns.  Each member's leading t x t blocks are laplacian(H)
+    # and the inverse of L(H) + I, bit for bit for every even order and odd
+    # orders up to 9, and the per-crown totals and dense crown corner read
+    # them.  An odd order of 11 and up is swept by the BLAS product at its
+    # padded order, which may round in another order: a few ulps.  (The
+    # crowns were always inverted as stacks; a lone matrix runs the 1-D
+    # body, which agrees with a stack to roundoff only.)
+    rng = random.Random(29)
+    crowns = [empty_graph(0)]
+    for t in range(1, 14):
+        pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
+        split = Graph(t, tuple((u, u + 1) for u in range(t - 1) if u + 1 != t // 2))
+        for _ in range(3):
+            crowns.append(Graph(t, tuple(e for e in pairs if rng.random() < 0.5)))
+        crowns += [Graph(t, ()), complete_graph(t), path_graph(t), split]
+    rng.shuffle(crowns)
+    crowns = tuple(crowns)
+    blocks = cf.rv_blocks(path_graph(len(crowns)), crowns)
+    traces, ones = blocks.crown_totals
+    offsets = np.cumsum(blocks.sizes) - blocks.sizes
+    for members, laps, inv in blocks.crown_stacks:
+        o = laps.shape[-1]
+        for k, i in enumerate(members):
+            t = crowns[i].n
+            lap = laplacian(crowns[i])
+            want = linalg.sym_inverse((lap + np.eye(t))[None], "crown block")[0]
+            got = np.ascontiguousarray(inv[k, :t, :t])
+            assert np.ascontiguousarray(laps[k, :t, :t]).tobytes() == lap.tobytes()
+            if t % 2 == 0 or t <= 9:
+                assert got.tobytes() == want.tobytes(), t
+                assert (traces[i], ones[i]) == (np.trace(want), want.sum())
+            else:
+                assert max_abs(got - want) <= 4 * np.spacing(max_abs(want)), t
+            corner = blocks.grounded[offsets[i] : offsets[i] + t, offsets[i] : offsets[i] + t]
+            assert corner.tobytes() == got.tobytes()
+            # The pad is exact: +0.0 in the Laplacian, the identity in the inverse.
+            if t < o:
+                assert laps[k, t].tobytes() == laps[k, :, t].tobytes() == np.zeros(o).tobytes()
+                unit = np.zeros(o)
+                unit[t] = 1.0
+                assert inv[k, t].tobytes() == inv[k, :, t].tobytes() == unit.tobytes()
+    assert [laps.shape[-1] for _, laps, _ in blocks.crown_stacks] == [2, 4, 6, 8, 10, 12, 14]
 
 
 def test_blocks_take_the_crown_slot_rule_from_corona():
@@ -791,11 +845,13 @@ def test_crown_eigen_sums_take_one_call_per_layout_order():
     crowns = tuple(crowns)
     blocks = cf.rv_blocks(path_graph(len(crowns)), crowns)
     want = np.zeros(len(crowns))
-    for of_order, laps, _ in blocks.crown_stacks:
+    for t in range(1, 10):
+        of_order = [i for i, c in enumerate(crowns) if c.n == t]
+        laps = np.stack([laplacian(crowns[i]) for i in of_order])
         values = linalg.sym_eigendecompose(laps).values
         want[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
-    eig = mock.Mock(wraps=linalg.sym_eigendecompose)
-    with mock.patch.object(cf, "sym_eigendecompose", eig):
+    eig = mock.Mock(wraps=linalg._jacobi_eigenvalues)
+    with mock.patch.object(cf, "_jacobi_eigenvalues", eig):
         got = cf.crown_eigen_sums(blocks)
     assert eig.call_count == 5
     assert [c.args[0].shape[-1] for c in eig.call_args_list] == [2, 4, 6, 8, 10]

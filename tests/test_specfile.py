@@ -213,3 +213,46 @@ def test_crown_paths_are_named_as_pathlib_joins_them(tmp_path):
     write(tmp_path, "s.spec", "kind = r_vertex\nbase = base.edges\ncrown.0 = .//sub/./bad.edges\n")
     with pytest.raises(SpecFileError, match=rf"^{spec_path}: crown\.0: {tmp_path}/sub/bad\.edges: "):
         load_corona_spec(spec_path)
+
+
+def test_files_that_are_not_utf8_name_the_spec_key_and_path(tmp_path):
+    write(tmp_path, "base.edges", serialize_edge_list(path_graph(3)))
+    (tmp_path / "bad.edges").write_bytes(b"2\n0 1\n\xff\n")
+    body = "kind = r_vertex\nbase = base.edges\ncrown.1 = bad.edges\n"
+    spec_path = write(tmp_path, "s.spec", body)
+    with pytest.raises(SpecFileError) as exc:
+        load_corona_spec(spec_path)
+    assert str(exc.value) == (
+        f"{spec_path}: crown.1: cannot read {tmp_path}/bad.edges: "
+        "not valid UTF-8 (byte 0xff at offset 6: invalid start byte)"
+    )
+    bad_spec = tmp_path / "bad.spec"
+    bad_spec.write_bytes(b"kind = r_vertex\nbase = base.edges \xe2\x82")
+    with pytest.raises(SpecFileError) as exc:
+        load_corona_spec(bad_spec)
+    assert str(exc.value) == (
+        f"cannot read {bad_spec}: "
+        "not valid UTF-8 (byte 0xe2 at offset 34: unexpected end of data)"
+    )
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_files_load_as_lf(tmp_path, newline):
+    # Files are read as bytes; their newlines are translated as text mode
+    # translates them, for the spec and every edge list alike.
+    graphs = {"base": path_graph(4), "k3": complete_graph(3), "s3": star_graph(3)}
+    body = "kind = r_vertex  # a comment\nbase = base.edges\n"
+    body += "crown.0 = k3.edges\ncrown.2 = s3.edges\n"
+    specs = []
+    for sep, sub in (("\n", "lf"), (newline, "other")):
+        (tmp_path / sub).mkdir()
+        for name, g in graphs.items():
+            text = "# header\n" + serialize_edge_list(g) + "\n"
+            (tmp_path / sub / f"{name}.edges").write_bytes(text.replace("\n", sep).encode())
+        spec_path = tmp_path / sub / "s.spec"
+        spec_path.write_bytes(body.replace("\n", sep).encode())
+        specs.append(load_corona_spec(spec_path))
+    lf, other = specs
+    assert other == lf
+    assert lf.base == graphs["base"]
+    assert lf.crowns == (graphs["k3"], path_graph(0), graphs["s3"], path_graph(0))
