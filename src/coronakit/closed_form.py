@@ -22,7 +22,8 @@ are inverted as one stack.  No matrix larger than the base graph is
 inverted, and none is pseudo-inverted.  The blocks hold only base- and
 crown-order data.  The Kirchhoff index reads them alone; the map, a
 single pair and the {1}-inverse read skeleton cells through one gather,
-at most two for a pair.  The one eigensolve left is in
+at most two for a pair, and crown cells off the stacks through another
+(``_crown_cells``), at most four for a pair.  The one eigensolve left is in
 ``crown_eigen_sums``: the expanded Kirchhoff index reads the crown
 spectra on purpose, as a second kernel against the Cholesky inverses, on
 the Laplacian stacks the inverses read.
@@ -30,7 +31,6 @@ the Laplacian stacks the inverses read.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +63,15 @@ class CoronaBlocks:
     alike, and the grounded inverses (L(H) + I)^{-1} as another; a crown
     of order t is each member's leading t x t block.  ``crown_totals``
     holds each crown's tr G_k and 1^T G_k 1, read off the inverses once for
-    the defects below and the Kirchhoff index.
+    the defects below and the Kirchhoff index.  Of the crown graphs only
+    their orders, ``sizes``, are kept; everything else is read off the stacks.
     ``schur_defect`` is the distance of the numerically assembled Schur
     complement from (3/2) L(G); ``complement_defect`` is that of the
     edge-block complement from 2I (exactly 0 for R-vertex).
-
-    ``grounded``, the block diagonal of the crown inverses, is built on
-    first use, at most once per blocks object; neither the resistances nor
-    the Kirchhoff index read it.
     """
 
     kind: str
     base: Graph
-    crowns: tuple[Graph, ...]
     sizes: tuple[int, ...]
     l_sharp: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
@@ -85,10 +81,6 @@ class CoronaBlocks:
     crown_totals: tuple[np.ndarray, np.ndarray]
     schur_defect: float
     complement_defect: float
-
-    @functools.cached_property
-    def grounded(self) -> np.ndarray:
-        return _dense_grounded(self.sizes, self.crown_stacks)
 
 
 def _require_closed_form_input(g: Graph) -> None:
@@ -141,26 +133,6 @@ def _crown_stacks(
         laps[padded, :, -1] = 0.0
         stacks.append((members, laps, sym_inverse(laps + np.eye(o), "crown block")))
     return tuple(stacks)
-
-
-def _dense_grounded(
-    sizes: tuple[int, ...],
-    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
-) -> np.ndarray:
-    """Block diagonal of the crown inverses (L(H) + I)^{-1}, in crown layout order."""
-    orders = np.array(sizes, dtype=np.intp)
-    offsets = np.cumsum(orders) - orders
-    total = sum(sizes)
-    grounded = np.zeros((total, total))
-    for members, _, inv in crown_stacks:
-        o = inv.shape[-1]
-        rows = offsets[members][:, None] + np.arange(o)
-        # Each member's leading t x t block; an odd member's pad is no crown's.
-        keep = np.arange(o) < orders[members][:, None]
-        cells = keep[:, :, None] & keep[:, None, :]
-        r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
-        grounded[r[cells], c[cells]] = inv[cells]
-    return grounded
 
 
 def _crown_totals(
@@ -219,7 +191,7 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
     return CoronaBlocks(
-        kind, g, crowns, sizes, l_sharp, ends, hosts, np.repeat(hosts, sizes), crown_stacks,
+        kind, g, sizes, l_sharp, ends, hosts, np.repeat(hosts, sizes), crown_stacks,
         crown_totals, defect, complement_defect,
     )
 
@@ -258,12 +230,15 @@ def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
 
     The one assembler for both kinds, in the builder's vertex order: the
     skeleton corner read through the anchors, X = S[a, a], plus the
-    grounded crown inverses on the crown corner.
+    grounded crown inverses on the crown corner, gathered off the stacks
+    over the same-anchor pairs: each anchor holds one crown, so these are
+    exactly the same-crown pairs, and across crowns the corner is 0.
     """
     nm = len(blocks.ends[0])
     ext = np.concatenate([np.arange(nm), blocks.anchor])
     x = _skeleton_block(blocks, np.arange(nm))[np.ix_(ext, ext)]
-    x[nm:, nm:] += blocks.grounded
+    i, j = np.nonzero(blocks.anchor[:, None] == blocks.anchor[None, :])
+    x[nm + i, nm + j] += _crown_cells(blocks, i, j)
     return x
 
 
@@ -378,7 +353,7 @@ def crown_eigen_sums(blocks: CoronaBlocks) -> np.ndarray:
     the dummy's is an exact 0.0, which is dropped before the sum.  An empty
     crown sums to 0.
     """
-    sums = np.zeros(len(blocks.crowns))
+    sums = np.zeros(len(blocks.sizes))
     orders = np.array(blocks.sizes, dtype=np.intp)
     for members, laps, _ in blocks.crown_stacks:
         values = _jacobi_eigenvalues(laps).values
@@ -464,9 +439,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(
-            (float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)), 0.0
-        ),
+        "trace_crown_eigen": sum((float(v) + shift * t for v, t in zip(sums, blocks.sizes)), 0.0),
         crown_trace: (2.0 / 3.0) * float(tau @ u_diag),
         "ones_edge_const": m / 2.0,
         "ones_degree_quad": (1.0 / 6.0) * float(pi_ls @ pi_c),

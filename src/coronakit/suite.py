@@ -258,9 +258,9 @@ def check_corona_instance(
     between the assembled inverse, the expanded invariant formula, and the
     oracle.
     """
-    built = build(kind, g, crowns)
     if kind not in _KINDS:
-        raise ValueError(f"the suite checks r_vertex and r_edge coronas, got {kind!r}")
+        raise ValueError(f"the suite checks r_vertex and r_edge coronas, got kind {kind!r}")
+    built = build(kind, g, crowns)
     blocks = getattr(closed_form, _KINDS[kind])(g, crowns)
     x = closed_form.one_inverse(blocks)
     closed_r = closed_form.resistance_map(blocks)
@@ -273,12 +273,14 @@ def check_corona_instance(
 
     kf_closed = kirchhoff_from_one_inverse(x)
     kf_oracle = float(built.graph.n * np.trace(oracle_x))
-    # The crown corner of X is the grounded inverse G for both kinds.  The
-    # R-edge terms (trace_crown_edge, ones_crown_shift) are defined on the
-    # shifted corner G + J/2 per crown, so the checks below add shift * t to
-    # each crown's trace and shift * t^2 to its all-ones sum.
+    # The crown corner of X is the grounded inverse G for both kinds, and
+    # the blocks hold each crown's tr G_k and 1^T G_k 1.  The R-edge terms
+    # (trace_crown_edge, ones_crown_shift) are defined on the shifted corner
+    # G + J/2 per crown, so the checks below add shift * t to each crown's
+    # trace and shift * t^2 to its all-ones sum.
     shift = 0.5 if kind == "r_edge" else 0.0
     sizes = np.array(blocks.sizes, dtype=float)
+    traces, ones = blocks.crown_totals
 
     residuals = {
         "one_inverse_scaled": verify_one_inverse(lap_c, x) / max(1.0, max_abs(lap_c)),
@@ -288,14 +290,14 @@ def check_corona_instance(
         "kf_rel_err": abs(kf_closed - kf_oracle) / max(1.0, abs(kf_oracle)),
         "kf_expanded_dev": breakdown.deviation,
         "crown_trace_defect": abs(
-            float(np.trace(blocks.grounded)) + shift * float(sizes.sum())
+            float(traces.sum()) + shift * float(sizes.sum())
             - breakdown.terms["trace_crown_eigen"]
         ),
     }
     if kind == "r_edge":
         residuals["complement_defect"] = blocks.complement_defect
         residuals["ones_shift_defect"] = abs(
-            float(blocks.grounded.sum()) + shift * float(np.sum(sizes**2))
+            float(ones.sum()) + shift * float(np.sum(sizes**2))
             - breakdown.terms["ones_crown_shift"]
         )
 

@@ -39,10 +39,11 @@ K2 = complete_graph(2)
 PAIR_TOL = 1e-8
 
 
-def _shifted_corner(blocks):
-    """The shifted crown corner the R-edge terms are defined on: G plus J/2 per crown."""
-    same_crown = blocks.anchor[:, None] == blocks.anchor[None, :]
-    return blocks.grounded + 0.5 * same_crown
+def _shifted_totals(blocks):
+    """Per crown, tr and 1^T . 1 of the shifted block the R-edge terms are defined on: G_k + J/2."""
+    traces, ones = blocks.crown_totals
+    t = np.array(blocks.sizes, dtype=float)
+    return traces + 0.5 * t, ones + 0.5 * t * t
 
 
 def pendant_pair_example():
@@ -155,22 +156,16 @@ def test_crown_block_spectral_traces():
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
     want = sum(cf.crown_eigen_sums(blocks_v))
-    assert np.trace(blocks_v.grounded) == pytest.approx(want, abs=1e-10)
+    assert blocks_v.crown_totals[0].sum() == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
-    shifted = _shifted_corner(blocks_e)
+    traces, ones = _shifted_totals(blocks_e)
     want_e = sum(cf.crown_eigen_sums(blocks_e) + [c.n / 2.0 for c in crowns])
-    assert np.trace(shifted) == pytest.approx(want_e, abs=1e-10)
+    assert traces.sum() == pytest.approx(want_e, abs=1e-10)
 
     # all-ones quadratic form of each shifted crown inverse is t(2+t)/2
-    off = 0
-    for c in crowns:
-        block = shifted[off : off + c.n, off : off + c.n]
-        ones = np.ones(c.n)
-        assert ones @ block @ ones == pytest.approx(
-            c.n * (2.0 + c.n) / 2.0, abs=1e-10
-        )
-        off += c.n
+    for c, total in zip(crowns, ones):
+        assert total == pytest.approx(c.n * (2.0 + c.n) / 2.0, abs=1e-10)
 
 
 def test_empty_crown_trace_needs_the_shift():
@@ -178,7 +173,7 @@ def test_empty_crown_trace_needs_the_shift():
     # trace of the shifted inverse is 3.
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
-    assert np.trace(_shifted_corner(blocks)) == pytest.approx(3.0, abs=1e-12)
+    assert _shifted_totals(blocks)[0].sum() == pytest.approx(3.0, abs=1e-12)
     assert cf.crown_eigen_sums(blocks)[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -236,13 +231,25 @@ def _skeleton_gathers():
     return mock.patch.object(cf, "_skeleton_block", gather), sizes
 
 
+def _crown_cell_reads():
+    """A wrapper of ``_crown_cells`` and the list of how many crown cells each call read."""
+    sizes = []
+    real = cf._crown_cells
+
+    def read(blocks, c, d):
+        sizes.append(len(c))
+        return real(blocks, c, d)
+
+    return mock.patch.object(cf, "_crown_cells", read), sizes
+
+
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_pair_resistance_is_the_map_cell_bit_for_bit(kind):
     # Pairs within one crown, across two crowns, between skeleton vertices,
     # from a crown to its own anchor, and u == v, over the crown zoo and
     # random coronas with crowns of orders 0-4.  Every cell is read with the
-    # skeleton gather watched and the dense crown corner patched to raise,
-    # so a pair reads at most two skeleton vertices and crown-order data.
+    # skeleton gather and the crown-cell gather watched, so a pair reads at
+    # most two skeleton vertices and four crown cells.
     prefix = "rv" if kind == "r_vertex" else "re"
     make_blocks = getattr(cf, f"{prefix}_blocks")
     rng = random.Random(29)
@@ -255,15 +262,16 @@ def test_pair_resistance_is_the_map_cell_bit_for_bit(kind):
     # last bit; there every pair of skeleton vertices is read.
     g = random_connected_graph(rng, 30, 30)
     cases.append((g, random_crowns(rng, hosts(g), 2), g.n + g.m))
-    built = AssertionError("pair_resistance built a corona-order matrix")
     for g, crowns, span in cases:
         r = cf.resistance_map(make_blocks(g, crowns))[:span, :span]
         blocks = make_blocks(g, crowns)
         watch, gathered = _skeleton_gathers()
-        with watch, mock.patch.object(cf, "_dense_grounded", side_effect=built):
+        watch_crowns, read = _crown_cell_reads()
+        with watch, watch_crowns:
             cells = [cf.pair_resistance(blocks, u, v).hex() for u, v in np.ndindex(r.shape)]
         assert cells == [float(x).hex() for x in r.reshape(-1)]
         assert len(gathered) == r.size and max(gathered) <= 2
+        assert len(read) == r.size and max(read) <= 4
 
 
 @pytest.mark.parametrize("kind", ["rv", "re"])
@@ -383,7 +391,7 @@ def _incidence_reference(blocks):
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(float(v) + shift * c.n for v, c in zip(sums, blocks.crowns)),
+        "trace_crown_eigen": sum(float(v) + shift * t for v, t in zip(sums, blocks.sizes)),
         # diag(U^T Lg U), one column sum per host
         ("trace_crown_edge" if edge else "trace_crown_host"): (2.0 / 3.0)
         * float(tau @ (u * (ls @ u)).sum(axis=0)),
@@ -533,7 +541,7 @@ def test_closed_route_inverts_without_the_eigensolver():
 
     def spectral_sums(blocks):
         return np.array(
-            [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in blocks.crowns]
+            [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in crowns]
         )
 
     for kind, corona_kind in (("rv", "r_vertex"), ("re", "r_edge")):
@@ -602,7 +610,7 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
     # Orders 1-13 (layouts 2-14): edgeless, complete, path, disconnected and
     # random crowns.  Each member's leading t x t blocks are laplacian(H)
     # and the inverse of L(H) + I, bit for bit for every even order and odd
-    # orders up to 9, and the per-crown totals and dense crown corner read
+    # orders up to 9, and the per-crown totals and crown-cell gather read
     # them.  An odd order of 11 and up is swept by the BLAS product at its
     # padded order, which may round in another order: a few ulps.  (The
     # crowns were always inverted as stacks; a lone matrix runs the 1-D
@@ -633,8 +641,8 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
                 assert (traces[i], ones[i]) == (np.trace(want), want.sum())
             else:
                 assert max_abs(got - want) <= 4 * np.spacing(max_abs(want)), t
-            corner = blocks.grounded[offsets[i] : offsets[i] + t, offsets[i] : offsets[i] + t]
-            assert corner.tobytes() == got.tobytes()
+            rows, cols = (offsets[i] + a.reshape(-1) for a in np.indices((t, t)))
+            assert cf._crown_cells(blocks, rows, cols).tobytes() == got.tobytes()
             # The pad is exact: +0.0 in the Laplacian, the identity in the inverse.
             if t < o:
                 assert laps[k, t].tobytes() == laps[k, :, t].tobytes() == np.zeros(o).tobytes()
@@ -642,6 +650,40 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
                 unit[t] = 1.0
                 assert inv[k, t].tobytes() == inv[k, :, t].tobytes() == unit.tobytes()
     assert [laps.shape[-1] for _, laps, _ in blocks.crown_stacks] == [2, 4, 6, 8, 10, 12, 14]
+
+
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_one_inverse_crown_corner_is_the_layout_stacks_bit_for_bit(kind):
+    # Crowns of orders 0-7, so odd orders sit padded in their layout stacks.
+    # With the skeleton cells patched to -0.0, the additive identity for
+    # every float, the crown corner of X is exactly what one_inverse adds:
+    # each crown's leading t x t block of its stack, bit for bit, and 0
+    # across crowns, so no pad row or column reaches X.
+    rng = random.Random(41)
+    g = random_connected_graph(rng, 9, 12)
+    hosts = g.n if kind == "r_vertex" else g.m
+    crowns = [empty_graph(0), K1, Graph(2, ()), path_graph(3), complete_graph(4)]
+    crowns += [Graph(5, ((0, 1), (2, 3))), cycle_graph(6), complete_graph(7)]
+    crowns += random_crowns(rng, hosts - len(crowns), 7)
+    rng.shuffle(crowns)
+    blocks = cf._blocks(kind, g, tuple(crowns))
+    nm = g.n + g.m
+
+    def negative_zeros(blocks, at):
+        return np.full((len(at), len(at)), -0.0)
+
+    with mock.patch.object(cf, "_skeleton_block", negative_zeros):
+        corner = cf.one_inverse(blocks)[nm:, nm:]
+    offsets = np.cumsum(blocks.sizes) - blocks.sizes
+    inside = np.zeros(corner.shape, dtype=bool)
+    for members, _, inv in blocks.crown_stacks:
+        for k, i in enumerate(members):
+            t = crowns[i].n
+            at = slice(offsets[i], offsets[i] + t)
+            assert corner[at, at].tobytes() == np.ascontiguousarray(inv[k, :t, :t]).tobytes()
+            inside[at, at] = True
+    assert sorted({c.n for c in crowns} - {0}) == list(range(1, 8))
+    assert (corner[~inside] == 0.0).all()
 
 
 def test_blocks_take_the_crown_slot_rule_from_corona():
@@ -659,16 +701,16 @@ def test_blocks_take_the_crown_slot_rule_from_corona():
 
 
 def test_apex_resistance_is_the_grounded_inverse_diagonal():
-    # diag((L(H) + I)^{-1}) equals the oracle's apex row on the joined crown,
-    # for the blocks of both kinds
+    # diag((L(H) + I)^{-1}), read off the crown stacks, equals the oracle's
+    # apex row on the joined crown, for the blocks of both kinds
     for prefix, g, crowns in _crown_zoo_instances():
-        grounded = getattr(cf, f"{prefix}_blocks")(g, crowns).grounded
+        blocks = getattr(cf, f"{prefix}_blocks")(g, crowns)
+        c = np.arange(sum(blocks.sizes))
+        diagonal = cf._crown_cells(blocks, c, c)
         off = 0
         for crown in crowns:
             oracle = resistance_matrix(build("r_vertex", Graph(1), (crown,)).graph)[0, 1:]
-            npt.assert_allclose(
-                np.diag(grounded)[off : off + crown.n], oracle, atol=1e-12
-            )
+            npt.assert_allclose(diagonal[off : off + crown.n], oracle, atol=1e-12)
             off += crown.n
 
 
@@ -764,8 +806,8 @@ def test_closed_and_oracle_kirchhoff_agree_at_corona_order_599():
 @pytest.mark.parametrize("kind", ["rv", "re"])
 def test_kirchhoff_terms_build_nothing_of_corona_order(kind):
     # The Kirchhoff value and its terms read l_sharp, the edge endpoints and
-    # the crown stacks; no skeleton cell is gathered and the dense crown
-    # corner is never built on that path.
+    # the crown totals and stacks; neither a skeleton cell nor a crown cell
+    # is gathered on that path.
     rng = random.Random(5)
     cases = [(g, crowns) for prefix, g, crowns in _crown_zoo_instances() if prefix == kind]
     for _ in range(5):
@@ -776,10 +818,9 @@ def test_kirchhoff_terms_build_nothing_of_corona_order(kind):
         blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
         with (
             mock.patch.object(cf, "_skeleton_block", side_effect=built_corner),
-            mock.patch.object(cf, "_dense_grounded", side_effect=built_corner),
+            mock.patch.object(cf, "_crown_cells", side_effect=built_corner),
         ):
             breakdown = cf.kirchhoff_terms(blocks)
-        assert "grounded" not in vars(blocks)
         x = cf.one_inverse(blocks)
         vertices = len(x)
         assert breakdown.value == pytest.approx(
@@ -804,7 +845,8 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
     # only base-order matrices (the group inverse's own work, with the
     # caller's L, is under 5 n^2 floats; the (n + m)-square skeleton corner
     # alone would be about 4.8 n^2).  The Kirchhoff path gathers no skeleton
-    # cell and a pair gathers at most two skeleton vertices.
+    # or crown cell, and a pair gathers at most two skeleton vertices and
+    # four crown cells.
     n = 300
     rng = random.Random(11)
     g = _sparse_base(rng, n, n + n // 5)
@@ -814,12 +856,13 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
     pairs = ((0, 1), (0, nm), (n, total - 1), (total - 1, total - 2))
     make_blocks = getattr(cf, f"{kind}_blocks")
     watch, gathered = _skeleton_gathers()
+    watch_crowns, read = _crown_cell_reads()
     tracemalloc.start()
     try:
-        with watch:
+        with watch, watch_crowns:
             blocks = make_blocks(g, crowns)
             breakdown = cf.kirchhoff_terms(blocks)
-            kf_gathers = len(gathered)
+            kf_gathers, kf_reads = len(gathered), len(read)
             cells = [cf.pair_resistance(blocks, u, v) for u, v in pairs]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -827,7 +870,7 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
     assert breakdown.deviation <= 1e-8 * breakdown.value
     assert all(cell > 0.0 for cell in cells)
     assert kf_gathers == 0 and len(gathered) == len(pairs) and max(gathered) <= 2
-    assert "grounded" not in vars(blocks)
+    assert kf_reads == 0 and len(read) == len(pairs) and max(read) <= 4
     assert peak < 5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2 floats"
 
 
@@ -864,19 +907,23 @@ def test_crown_eigen_sums_take_one_call_per_layout_order():
 def test_blocks_build_each_corona_order_matrix_once(kind):
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), path_graph(2))
+    # Each call gathers the skeleton cells and the same-crown cells it reads
+    # once: all of them for the {1}-inverse and the map, a crown vertex's own
+    # cell for a pair from the skeleton to it, none for the Kirchhoff index.
     blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
     nm = g.n + g.m
+    same = sum(c.n * c.n for c in crowns)
     watch, gathered = _skeleton_gathers()
-    dense = mock.Mock(wraps=cf._dense_grounded)
-    with watch, mock.patch.object(cf, "_dense_grounded", dense):
+    watch_crowns, read = _crown_cell_reads()
+    with watch, watch_crowns:
         x = cf.one_inverse(blocks)
         r = cf.resistance_map(blocks)
-        assert gathered == [nm, nm]
+        assert gathered == [nm, nm] and read == [same, same]
         cf.resistance_map(blocks)
-        assert gathered == [nm, nm, nm]
+        assert gathered == [nm, nm, nm] and read == [same, same, same]
         cell = cf.pair_resistance(blocks, 0, len(x) - 1)
         cf.one_inverse(blocks)
         cf.kirchhoff_terms(blocks)
-    assert dense.call_count == 1
     assert gathered == [nm, nm, nm, 2, nm]
+    assert read == [same, same, same, 1, same]
     assert cell == r[0, -1]

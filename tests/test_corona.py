@@ -152,10 +152,15 @@ RULE_CASES = [
      "r_vertex", 1, "need 3 crowns (one per vertex), got 1"),
     (("build", "build_from_spec", "check_corona_instance", "re_blocks"),
      "r_edge", 3, "need 2 crowns (one per edge), got 3"),
-    (("build", "build_from_spec", "check_corona_instance"),
+    (("build", "build_from_spec"),
      "r_graph", 1, "need 0 crowns (r_graph takes none), got 1"),
-    (("build", "build_from_spec", "check_corona_instance"),
+    (("build", "build_from_spec"),
      "bogus", 0, "unknown corona kind 'bogus'"),
+    # The suite checks two kinds only and rejects any other before it builds.
+    (("check_corona_instance",),
+     "r_graph", 1, "the suite checks r_vertex and r_edge coronas, got kind 'r_graph'"),
+    (("check_corona_instance",),
+     "bogus", 0, "the suite checks r_vertex and r_edge coronas, got kind 'bogus'"),
 ]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coronakit import closed_form, linalg, resistance, suite
-from coronakit.graphs import Graph, complete_graph, is_connected, path_graph
+from coronakit.graphs import Graph, complete_graph, is_connected, laplacian, path_graph
 
 
 def test_random_connected_graph_bounds():
@@ -92,7 +92,25 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert blocks.call_count == 1
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list].count((order, order)) == 1
-    assert [c.args[0].crowns for c in eigen.call_args_list] == [tuple(crowns)]
+    (read,) = [c.args[0] for c in eigen.call_args_list]
+    assert read.sizes == tuple(c.n for c in crowns)
+    for members, laps, _ in read.crown_stacks:
+        for k, i in enumerate(members):
+            t = crowns[i].n
+            assert (laps[k, :t, :t] == laplacian(crowns[i])).all()
+
+
+@pytest.mark.parametrize("kind", ["r_graph", "r_total"])
+def test_instance_checks_the_kind_before_building(kind):
+    # An R-graph is a valid corona but not one the suite checks, and an
+    # unknown kind is no corona at all: both get the suite's message, and
+    # no corona is built first.
+    built = AssertionError("the suite built a corona it does not check")
+    want = f"^the suite checks r_vertex and r_edge coronas, got kind '{kind}'$"
+    with mock.patch.object(suite, "build", side_effect=built) as build:
+        with pytest.raises(ValueError, match=want):
+            suite.check_corona_instance(kind, path_graph(3), ())
+    build.assert_not_called()
 
 
 def test_identity_battery_solves_its_graph_once():
