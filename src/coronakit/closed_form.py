@@ -27,11 +27,19 @@ at most two for a pair, and crown cells off the stacks through another
 ``crown_eigen_sums``: the expanded Kirchhoff index reads the crown
 spectra on purpose, as a second kernel against the Cholesky inverses, on
 the Laplacian stacks the inverses read.
+
+A crown's inverse and spectrum depend on nothing but the crown, so the
+crown side is its own type, ``CrownSet``, and the blocks take the crown
+graphs or a set already built.  A caller that checks many coronas, as
+the suite does, builds one set over all their crowns and hands each
+corona its ``part``: every crown of the run is then inverted, and swept,
+in one stacked call per layout order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +53,70 @@ from .linalg import MatrixError, _jacobi_eigenvalues, laplacian_group_inverse, m
 IDENTITY_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class CrownSet:
+    """The crown side of the closed route, for any tuple of crowns.
+
+    A crown enters the formulas only through its grounded inverse
+    (L(H) + I)^{-1} and its Laplacian spectrum, and neither depends on the
+    base graph or on any other crown.  ``stacks`` holds, per nonempty
+    layout order o = t + t % 2 (crown orders o - 1 and o together), the
+    crowns' indices, their Laplacians as one (k, o, o) stack, built in one
+    scatter and read by the crown inverses and spectra alike, and the
+    grounded inverses as another, from one ``sym_inverse`` call per layout
+    (``_crown_stacks``); a crown of order t is each member's leading t x t
+    block.  ``totals`` holds each crown's tr G_k and 1^T G_k 1, read off
+    the inverses once.  ``eigen_sums`` is each crown's sum of 1/(mu + 1)
+    over its Laplacian spectrum, swept on first read by one Jacobi call per
+    layout and then kept.  Of the crown graphs only their orders,
+    ``sizes``, are kept.
+
+    ``part(lo, hi)`` is crowns lo..hi-1 as a set of their own that reads
+    the same stacks, totals and sums and calls no kernel: its crown k is
+    stack member ``first + k``, and ``whole``, the set it was cut from
+    (None for a whole set), keeps the sums for every part.
+    """
+
+    sizes: tuple[int, ...]
+    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    totals: tuple[np.ndarray, np.ndarray]
+    first: int = 0
+    whole: CrownSet | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, crowns: tuple[Graph, ...]) -> CrownSet:
+        """The set of ``crowns``: one Laplacian stack per layout order, each inverted once."""
+        sizes = tuple(c.n for c in crowns)
+        stacks = _crown_stacks(tuple(crowns))
+        return cls(sizes, stacks, _crown_totals(sizes, stacks))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def part(self, lo: int, hi: int) -> CrownSet:
+        """Crowns lo..hi-1 of this set, reading its stacks, totals and sums."""
+        if not 0 <= lo <= hi <= len(self.sizes):
+            raise IndexError(f"crowns {lo}..{hi} are not a part of a set of {len(self.sizes)}")
+        traces, ones = self.totals
+        whole = self if self.whole is None else self.whole
+        return CrownSet(
+            self.sizes[lo:hi], self.stacks, (traces[lo:hi], ones[lo:hi]), self.first + lo, whole
+        )
+
+    @property
+    def eigen_sums(self) -> np.ndarray:
+        """Per crown, the sum over its Laplacian spectrum of 1/(mu + 1), swept once for the whole set."""
+        whole = self if self.whole is None else self.whole
+        return whole._swept[self.first : self.first + len(self.sizes)]
+
+    @functools.cached_property
+    def _swept(self) -> np.ndarray:
+        # Every part reads views of these sums, so none may write to them.
+        sums = _crown_eigen_sums(self.sizes, self.stacks)
+        sums.setflags(write=False)
+        return sums
+
+
 @dataclass(frozen=True)
 class CoronaBlocks:
     """Ingredients of either corona's structured {1}-inverse.
@@ -56,29 +128,22 @@ class CoronaBlocks:
     each crown's anchor, the skeleton vertex it hangs from: original vertex
     i for R-vertex, edge-vertex n + k for R-edge, as ``corona.crown_anchors``
     gives it; this is the only datum in which the kinds differ.  ``anchor``
-    repeats it for each crown vertex in layout order.  ``crown_stacks``
-    holds, per nonempty layout order o = t + t % 2 (crown orders o - 1 and
-    o together), the crowns' indices, their Laplacians as one (k, o, o)
-    stack, built in one scatter and read by the crown inverses and spectra
-    alike, and the grounded inverses (L(H) + I)^{-1} as another; a crown
-    of order t is each member's leading t x t block.  ``crown_totals``
-    holds each crown's tr G_k and 1^T G_k 1, read off the inverses once for
-    the defects below and the Kirchhoff index.  Of the crown graphs only
-    their orders, ``sizes``, are kept; everything else is read off the stacks.
-    ``schur_defect`` is the distance of the numerically assembled Schur
-    complement from (3/2) L(G); ``complement_defect`` is that of the
-    edge-block complement from 2I (exactly 0 for R-vertex).
+    repeats it for each crown vertex in layout order.  ``crowns`` is the
+    ``CrownSet`` of the corona's crowns, built for these blocks alone or
+    a part of a larger set: every crown datum, its order, its stacked
+    Laplacian and grounded inverse, its totals and its spectral sum, is
+    read off it.  ``schur_defect`` is the distance of the numerically
+    assembled Schur complement from (3/2) L(G); ``complement_defect`` is
+    that of the edge-block complement from 2I (exactly 0 for R-vertex).
     """
 
     kind: str
     base: Graph
-    sizes: tuple[int, ...]
     l_sharp: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
     hosts: np.ndarray
     anchor: np.ndarray
-    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    crown_totals: tuple[np.ndarray, np.ndarray]
+    crowns: CrownSet
     schur_defect: float
     complement_defect: float
 
@@ -106,8 +171,8 @@ def _crown_stacks(
     Each layout is inverted as one stack, whichever kind of corona the
     crowns crown; a member's leading block is the inverse of L(H) + I and
     its pad is exactly the identity.  That one ``sym_inverse`` call checks
-    the Laplacians for both crown kernels: ``crown_eigen_sums`` sweeps them
-    unchecked.
+    the Laplacians for both crown kernels: ``_crown_eigen_sums`` sweeps
+    them unchecked.
     """
     sizes = np.array([c.n for c in crowns], dtype=np.intp)
     layout = sizes + sizes % 2
@@ -159,23 +224,28 @@ def _crown_totals(
     return traces, ones
 
 
-def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
-    """Compute and sanity-check either corona's block ingredients."""
+def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
+    """Compute and sanity-check either corona's block ingredients.
+
+    ``crowns`` is the crown graphs, inverted here as a ``CrownSet`` of
+    their own, or a set already built, such as one corona's part of a
+    larger set; the blocks then make no crown kernel call.
+    """
     _require_closed_form_input(g)
-    crowns = tuple(crowns)
+    crowns = crowns if isinstance(crowns, CrownSet) else tuple(crowns)
     eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
     # Skeleton vertex i joins (i, i), edge-vertex n + k edge k's ends.
     i = np.arange(g.n)
     ends = (np.concatenate([i, eu]), np.concatenate([i, ev]))
     hosts = np.array(crown_anchors(kind, g, crowns), dtype=np.intp)
-    sizes = tuple(c.n for c in crowns)
     l_sharp = laplacian_group_inverse(laplacian(g))
-    crown_stacks = _crown_stacks(crowns)
-    crown_totals = _crown_totals(sizes, crown_stacks)
+    if not isinstance(crowns, CrownSet):
+        crowns = CrownSet.of(crowns)
+    sizes = crowns.sizes
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
     excess = np.zeros(g.n + g.m)
-    excess[hosts] = np.asarray(sizes, dtype=float) - crown_totals[1]
+    excess[hosts] = np.asarray(sizes, dtype=float) - crowns.totals[1]
     # So the edge-block complement 2I + diag(excess) collapses to 2I ...
     complement_defect = max_abs(excess[g.n :])
     if complement_defect > IDENTITY_TOL:
@@ -191,17 +261,16 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
     if defect > IDENTITY_TOL:
         raise MatrixError(f"Schur complement defect {defect:.3e} exceeds {IDENTITY_TOL}")
     return CoronaBlocks(
-        kind, g, sizes, l_sharp, ends, hosts, np.repeat(hosts, sizes), crown_stacks,
-        crown_totals, defect, complement_defect,
+        kind, g, l_sharp, ends, hosts, np.repeat(hosts, sizes), crowns, defect, complement_defect
     )
 
 
-def rv_blocks(g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
+def rv_blocks(g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
     """Compute and sanity-check the R-vertex corona's block ingredients."""
     return _blocks("r_vertex", g, crowns)
 
 
-def re_blocks(g: Graph, crowns: tuple[Graph, ...]) -> CoronaBlocks:
+def re_blocks(g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
     """Compute and sanity-check the R-edge corona's block ingredients."""
     return _blocks("r_edge", g, crowns)
 
@@ -248,15 +317,17 @@ def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
 
 def _crown_cells(blocks: CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Entries (c_i, d_i) of the grounded crown corner, c_i and d_i in one crown, off the stacks."""
-    sizes = np.array(blocks.sizes, dtype=np.intp)
+    crowns = blocks.crowns
+    sizes = np.array(crowns.sizes, dtype=np.intp)
     start = np.cumsum(sizes) - sizes
     crown = np.searchsorted(start + sizes, c, side="right")
     t, i, j = sizes[crown], c - start[crown], d - start[crown]
     layout = t + t % 2
+    member = crowns.first + crown
     cells = np.empty(len(c))
-    for members, _, inv in blocks.crown_stacks:
+    for members, _, inv in crowns.stacks:
         mine = layout == inv.shape[-1]
-        cells[mine] = inv[np.searchsorted(members, crown[mine]), i[mine], j[mine]]
+        cells[mine] = inv[np.searchsorted(members, member[mine]), i[mine], j[mine]]
     return cells
 
 
@@ -344,18 +415,29 @@ class KirchhoffBreakdown:
 def crown_eigen_sums(blocks: CoronaBlocks) -> np.ndarray:
     """Per crown of ``blocks``, the sum over its Laplacian spectrum of 1/(mu + 1).
 
-    One stacked Jacobi call per layout order t + t % 2, on the Laplacian
-    stacks the blocks already hold and ``sym_inverse`` has already checked.
-    Jacobi pads an odd order with a zero dummy index anyway, so an order-t
-    member padded with a zero row and column starts from the same layout
-    as alone and shares the call with order t + 1 (stack members never
-    mix).  Every eigenvalue is bit for bit that of the per-order call, and
-    the dummy's is an exact 0.0, which is dropped before the sum.  An empty
-    crown sums to 0.
+    Read off the blocks' ``CrownSet``, which sweeps its whole set once
+    (``_crown_eigen_sums``) on the first read by any of its parts.
     """
-    sums = np.zeros(len(blocks.sizes))
-    orders = np.array(blocks.sizes, dtype=np.intp)
-    for members, laps, _ in blocks.crown_stacks:
+    return blocks.crowns.eigen_sums
+
+
+def _crown_eigen_sums(
+    sizes: tuple[int, ...],
+    crown_stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
+) -> np.ndarray:
+    """Per crown, the sum over its Laplacian spectrum of 1/(mu + 1), off the layout stacks.
+
+    One stacked Jacobi call per layout order t + t % 2, on the Laplacian
+    stacks that ``sym_inverse`` has already checked.  Jacobi pads an odd
+    order with a zero dummy index anyway, so an order-t member padded with
+    a zero row and column starts from the same layout as alone and shares
+    the call with order t + 1 (stack members never mix).  Every eigenvalue
+    is bit for bit that of the per-order call, and the dummy's is an exact
+    0.0, which is dropped before the sum.  An empty crown sums to 0.
+    """
+    sums = np.zeros(len(sizes))
+    orders = np.array(sizes, dtype=np.intp)
+    for members, laps, _ in crown_stacks:
         values = _jacobi_eigenvalues(laps).values
         padded = orders[members] < laps.shape[-1]
         whole = ~padded
@@ -400,7 +482,8 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     """
     g = blocks.base
     n, m = g.n, g.m
-    st = sum(blocks.sizes)
+    sizes = blocks.crowns.sizes
+    st = sum(sizes)
     edge = blocks.kind == "r_edge"
     ls = blocks.l_sharp
     eu, ev = (e[n:] for e in blocks.ends)
@@ -414,7 +497,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     c = r_n + 0.5 * (np.bincount(eu, r_m, minlength=n) + np.bincount(ev, r_m, minlength=n))
     c -= c.mean()
     d = ls[eu, eu] + ls[ev, ev] + 2.0 * ls[eu, ev]
-    traces, ones = blocks.crown_totals
+    traces, ones = blocks.crowns.totals
     trace_x = (
         (2.0 / 3.0) * float(r_n @ np.diag(ls)) + float(r_m @ (0.5 + d / 6.0)) + float(traces.sum())
     )
@@ -422,7 +505,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     value = (n + m + st) * trace_x - ones_x
     p, q = (e[blocks.hosts] for e in blocks.ends)
     pi = g.degrees().astype(float)
-    tau = np.array(blocks.sizes, dtype=float)
+    tau = np.array(sizes, dtype=float)
     u_tau = 0.5 * (np.bincount(p, tau, minlength=n) + np.bincount(q, tau, minlength=n))
     u_diag = 0.25 * (ls[p, p] + ls[q, q] + 2.0 * ls[p, q])
     # Lg 1 = 0, so the quadratic forms in Lg take the vectors centred: the
@@ -439,7 +522,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum((float(v) + shift * t for v, t in zip(sums, blocks.sizes)), 0.0),
+        "trace_crown_eigen": sum((float(v) + shift * t for v, t in zip(sums, sizes)), 0.0),
         crown_trace: (2.0 / 3.0) * float(tau @ u_diag),
         "ones_edge_const": m / 2.0,
         "ones_degree_quad": (1.0 / 6.0) * float(pi_ls @ pi_c),

@@ -14,6 +14,7 @@ Every matrix computation in this package relies on that layout.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -61,8 +62,12 @@ def crown_slots(kind: str, g: Graph) -> tuple[str | None, range]:
     raise ValueError(f"unknown corona kind {kind!r}")
 
 
-def crown_anchors(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> range:
-    """Each crown's anchor in the ``kind`` corona over g; needs one crown per slot."""
+def crown_anchors(kind: str, g: Graph, crowns: Sized) -> range:
+    """Each crown's anchor in the ``kind`` corona over g; needs one crown per slot.
+
+    Only the number of crowns is read, so ``crowns`` may be the crown
+    graphs or anything holding one entry per crown.
+    """
     unit, anchors = crown_slots(kind, g)
     if len(crowns) != len(anchors):
         per = f"one per {unit}" if unit else f"{kind} takes none"
@@ -90,4 +95,7 @@ def build(kind: str, g: Graph, crowns: tuple[Graph, ...] = ()) -> CoronaResult:
         crown_ids.append(tuple(range(offset, offset + crown.n)))
         offset += crown.n
     part = VertexPartition(tuple(range(g.n)), tuple(range(g.n, g.n + g.m)), tuple(crown_ids))
-    return CoronaResult(Graph(offset, tuple(edges)), part, kind)
+    # Every pair above is (smaller, larger), in range and distinct: g's own
+    # edges, then each skeleton or crown vertex joined to ones numbered
+    # before it, so the edge list needs no second validation.
+    return CoronaResult(Graph._checked(offset, edges), part, kind)

@@ -11,10 +11,19 @@ Closed-form entry points are looked up on the module object at call time,
 so a test harness can monkeypatch a deliberately wrong one and watch the
 verdict flip.  The hooks are ``closed_form.rv_blocks``/``re_blocks``,
 which an instance calls once, and ``closed_form.one_inverse``, which
-assembles the {1}-inverse from those blocks.  Each case's base graph has
-its Laplacian group inverse taken three times: once for the identity
-battery's ``ls`` and once for ``l_sharp`` in each kind's blocks.  Each
-corona's is taken once, by the oracle.
+assembles the {1}-inverse from those blocks.
+
+``run_suite`` draws every case first, in one fixed rng order per case
+(base, identity battery, R-vertex crowns, R-edge crowns), then builds one
+``closed_form.CrownSet`` over every crown of the run and checks each
+instance on its part of that set.  So every crown of the run is inverted
+in one ``sym_inverse`` call per layout order, when the set is built, and
+swept in one Jacobi call per layout order, when the first instance reads
+the crown spectra; ``check_corona_instance`` called alone inverts its
+own crowns.  Each case's base graph has its Laplacian group inverse
+taken three times: once for the identity battery's ``ls`` and once for
+``l_sharp`` in each kind's blocks.  Each corona's is taken once, by the
+oracle.
 """
 
 from __future__ import annotations
@@ -247,7 +256,11 @@ _KINDS = {"r_vertex": "rv_blocks", "r_edge": "re_blocks"}
 
 
 def check_corona_instance(
-    kind: str, g: Graph, crowns: tuple[Graph, ...], case: int = 0
+    kind: str,
+    g: Graph,
+    crowns: tuple[Graph, ...],
+    case: int = 0,
+    part: closed_form.CrownSet | None = None,
 ) -> InstanceReport:
     """Run every closed-form route on one instance and compare to the oracle.
 
@@ -256,12 +269,19 @@ def check_corona_instance(
     closed resistance matrix matches the oracle entrywise, the internal
     Schur and crown-block identities hold, and the Kirchhoff index agrees
     between the assembled inverse, the expanded invariant formula, and the
-    oracle.
+    oracle.  ``part``, when given, is these crowns' part of a larger
+    ``CrownSet``; the blocks read it instead of inverting the crowns again.
+    The oracle always builds the corona from the crown graphs.
     """
     if kind not in _KINDS:
         raise ValueError(f"the suite checks r_vertex and r_edge coronas, got kind {kind!r}")
+    if part is not None and part.sizes != tuple(c.n for c in crowns):
+        raise ValueError(
+            f"crown set part of orders {part.sizes} does not hold crowns of orders "
+            f"{tuple(c.n for c in crowns)}"
+        )
     built = build(kind, g, crowns)
-    blocks = getattr(closed_form, _KINDS[kind])(g, crowns)
+    blocks = getattr(closed_form, _KINDS[kind])(g, crowns if part is None else part)
     x = closed_form.one_inverse(blocks)
     closed_r = closed_form.resistance_map(blocks)
     breakdown = closed_form.kirchhoff_terms(blocks)
@@ -279,8 +299,8 @@ def check_corona_instance(
     # G + J/2 per crown, so the checks below add shift * t to each crown's
     # trace and shift * t^2 to its all-ones sum.
     shift = 0.5 if kind == "r_edge" else 0.0
-    sizes = np.array(blocks.sizes, dtype=float)
-    traces, ones = blocks.crown_totals
+    sizes = np.array(blocks.crowns.sizes, dtype=float)
+    traces, ones = blocks.crowns.totals
 
     residuals = {
         "one_inverse_scaled": verify_one_inverse(lap_c, x) / max(1.0, max_abs(lap_c)),
@@ -407,7 +427,9 @@ def run_suite(
 
     Instance bases are capped at 8 edges to keep the brute-force oracle
     cheap; the verdict is "pass" only if every residual everywhere sits
-    inside its tolerance.
+    inside its tolerance.  Every case is drawn before any instance is
+    checked, so that one ``CrownSet`` holds every crown of the run and
+    each instance reads its part of it.
     """
     if cases < 0:
         raise ValueError("cases must be nonnegative")
@@ -417,17 +439,20 @@ def run_suite(
         raise ValueError("t_max must be nonnegative")
     rng = random.Random(seed)
     identity_worst: dict[str, float] = {}
-    instances: list[InstanceReport] = []
-    for case in range(cases):
+    drawn: list[tuple[Graph, tuple[Graph, ...], tuple[Graph, ...]]] = []
+    for _ in range(cases):
         g = random_connected_graph(rng, 2, n_max, m_max=8)
         for name, value in identity_residuals(g, rng).items():
             identity_worst[name] = max(identity_worst.get(name, 0.0), value)
-        instances.append(
-            check_corona_instance("r_vertex", g, random_crowns(rng, g.n, t_max), case)
-        )
-        instances.append(
-            check_corona_instance("r_edge", g, random_crowns(rng, g.m, t_max), case)
-        )
+        drawn.append((g, random_crowns(rng, g.n, t_max), random_crowns(rng, g.m, t_max)))
+    crown_set = closed_form.CrownSet.of(tuple(c for _, rv, re in drawn for c in rv + re))
+    instances: list[InstanceReport] = []
+    lo = 0
+    for case, (g, rv, re) in enumerate(drawn):
+        for kind, crowns in (("r_vertex", rv), ("r_edge", re)):
+            part = crown_set.part(lo, lo + len(crowns))
+            instances.append(check_corona_instance(kind, g, crowns, case, part))
+            lo += len(crowns)
     return ComparisonReport(
         seed=seed,
         cases=cases,

@@ -318,7 +318,7 @@ def test_criterion_5_kirchhoff_adjudication():
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
     # the shifted crown block is the grounded inverse plus J/2
-    true_trace = float(blocks.crown_totals[0][0]) + crown.n / 2.0
+    true_trace = float(blocks.crowns.totals[0][0]) + crown.n / 2.0
     bare = cf.crown_eigen_sums(blocks)[0]
     if abs(true_trace - 3.0) > 1e-10 or abs(bare - 2.0) > 1e-10:
         problems.append(f"shift counterexample drifted: trace {true_trace}, bare {bare}")

@@ -644,6 +644,18 @@ def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
     assert [c.args[0].shape[-1] for c in inverse.call_args_list] == [2, 4]
 
 
+@pytest.mark.parametrize("fixture", ["rv_spec", "re_spec"])
+def test_closed_resist_sweeps_no_crown_spectrum(fixture, request, capsys):
+    # The crown spectra are swept on first read, and only the Kirchhoff
+    # expansion reads them: resist builds its crown set's inverses alone.
+    spec = str(request.getfixturevalue(fixture))
+    swept = AssertionError("resist swept a crown spectrum")
+    with mock.patch.object(closed_form, "_jacobi_eigenvalues", side_effect=swept):
+        assert main(["resist", spec, "--all", "--method", "closed"]) == 0
+        assert main(["resist", spec, "--pair", "0", "1", "--method", "closed"]) == 0
+    assert capsys.readouterr().out
+
+
 def test_r_edge_over_k1_prints_every_term_as_a_float(tmp_path, capsys):
     # K1 has no edges, so an R-edge corona over it has no crown host; the
     # empty crown spectral sum is 0.0 like every other term, not the int 0.

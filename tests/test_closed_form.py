@@ -41,8 +41,8 @@ PAIR_TOL = 1e-8
 
 def _shifted_totals(blocks):
     """Per crown, tr and 1^T . 1 of the shifted block the R-edge terms are defined on: G_k + J/2."""
-    traces, ones = blocks.crown_totals
-    t = np.array(blocks.sizes, dtype=float)
+    traces, ones = blocks.crowns.totals
+    t = np.array(blocks.crowns.sizes, dtype=float)
     return traces + 0.5 * t, ones + 0.5 * t * t
 
 
@@ -156,7 +156,7 @@ def test_crown_block_spectral_traces():
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
     want = sum(cf.crown_eigen_sums(blocks_v))
-    assert blocks_v.crown_totals[0].sum() == pytest.approx(want, abs=1e-10)
+    assert blocks_v.crowns.totals[0].sum() == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
     traces, ones = _shifted_totals(blocks_e)
@@ -381,7 +381,7 @@ def _incidence_reference(blocks):
     edge = blocks.kind == "r_edge"
     u = 0.5 * b if edge else np.eye(n)
     pi = g.degrees().astype(float)
-    tau = np.array(blocks.sizes, dtype=float)
+    tau = np.array(blocks.crowns.sizes, dtype=float)
     u_tau = u @ tau
     pi_c, u_tau_c = pi - pi.mean(), u_tau - u_tau.mean()
     shift = 0.5 if edge else 0.0
@@ -391,14 +391,14 @@ def _incidence_reference(blocks):
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
         "trace_tree_const": -(n - 1) / 6.0,
-        "trace_crown_eigen": sum(float(v) + shift * t for v, t in zip(sums, blocks.sizes)),
+        "trace_crown_eigen": sum(float(v) + shift * t for v, t in zip(sums, blocks.crowns.sizes)),
         # diag(U^T Lg U), one column sum per host
         ("trace_crown_edge" if edge else "trace_crown_host"): (2.0 / 3.0)
         * float(tau @ (u * (ls @ u)).sum(axis=0)),
         "ones_edge_const": m / 2.0,
         "ones_degree_quad": (1.0 / 6.0) * float(pi_c @ ls @ pi_c),
         "ones_degree_crown": (2.0 / 3.0) * float(pi_c @ ls @ u_tau_c),
-        "ones_crown_count": float(sum(blocks.sizes)),
+        "ones_crown_count": float(sum(blocks.crowns.sizes)),
         "ones_crown_quad": (2.0 / 3.0) * float(u_tau_c @ ls @ u_tau_c),
     }
     if edge:
@@ -626,9 +626,9 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
     rng.shuffle(crowns)
     crowns = tuple(crowns)
     blocks = cf.rv_blocks(path_graph(len(crowns)), crowns)
-    traces, ones = blocks.crown_totals
-    offsets = np.cumsum(blocks.sizes) - blocks.sizes
-    for members, laps, inv in blocks.crown_stacks:
+    traces, ones = blocks.crowns.totals
+    offsets = np.cumsum(blocks.crowns.sizes) - blocks.crowns.sizes
+    for members, laps, inv in blocks.crowns.stacks:
         o = laps.shape[-1]
         for k, i in enumerate(members):
             t = crowns[i].n
@@ -649,7 +649,7 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
                 unit = np.zeros(o)
                 unit[t] = 1.0
                 assert inv[k, t].tobytes() == inv[k, :, t].tobytes() == unit.tobytes()
-    assert [laps.shape[-1] for _, laps, _ in blocks.crown_stacks] == [2, 4, 6, 8, 10, 12, 14]
+    assert [laps.shape[-1] for _, laps, _ in blocks.crowns.stacks] == [2, 4, 6, 8, 10, 12, 14]
 
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
@@ -674,9 +674,9 @@ def test_one_inverse_crown_corner_is_the_layout_stacks_bit_for_bit(kind):
 
     with mock.patch.object(cf, "_skeleton_block", negative_zeros):
         corner = cf.one_inverse(blocks)[nm:, nm:]
-    offsets = np.cumsum(blocks.sizes) - blocks.sizes
+    offsets = np.cumsum(blocks.crowns.sizes) - blocks.crowns.sizes
     inside = np.zeros(corner.shape, dtype=bool)
-    for members, _, inv in blocks.crown_stacks:
+    for members, _, inv in blocks.crowns.stacks:
         for k, i in enumerate(members):
             t = crowns[i].n
             at = slice(offsets[i], offsets[i] + t)
@@ -705,7 +705,7 @@ def test_apex_resistance_is_the_grounded_inverse_diagonal():
     # apex row on the joined crown, for the blocks of both kinds
     for prefix, g, crowns in _crown_zoo_instances():
         blocks = getattr(cf, f"{prefix}_blocks")(g, crowns)
-        c = np.arange(sum(blocks.sizes))
+        c = np.arange(sum(blocks.crowns.sizes))
         diagonal = cf._crown_cells(blocks, c, c)
         off = 0
         for crown in crowns:

@@ -1,5 +1,8 @@
 """Corona construction tests: vertex layout, adjacency, partitions."""
 
+import random
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -130,6 +133,42 @@ def test_apex_join():
     lonely = build("r_vertex", Graph(1), (empty_graph(0),))
     assert lonely.graph.n == 1
     assert lonely.partition.crowns == ((),)
+
+
+@pytest.mark.parametrize("kind", ["r_graph", "r_vertex", "r_edge"])
+def test_build_keeps_the_edges_the_validating_constructor_gives(kind):
+    # build hands its product edge list to Graph._checked, which does not
+    # validate it again: the list is canonical, distinct and in range by
+    # construction.  So the validating constructor, on the same list, must
+    # accept it and keep the same edges.  Bases from K1 up, crowns empty,
+    # order 1 and random up to order 4.
+    rng = random.Random(23)
+    real = Graph._checked
+    lists = []
+
+    def keep(n, pairs):
+        pairs = list(pairs)
+        lists.append((n, pairs))
+        return real(n, pairs)
+
+    orders = set()
+    for _ in range(60):
+        g = suite.random_connected_graph(rng, 1, 7)
+        slots = {"r_graph": 0, "r_vertex": g.n, "r_edge": g.m}[kind]
+        crowns = tuple(
+            rng.choice((empty_graph(0), Graph(1, ()), suite.random_crown(rng, 4)))
+            for _ in range(slots)
+        )
+        orders |= {c.n for c in crowns}
+        with mock.patch.object(Graph, "_checked", side_effect=keep):
+            built = build(kind, g, crowns)
+        n, pairs = lists.pop()
+        assert lists == []
+        checked = Graph(n, tuple(pairs))
+        assert built.graph.n == checked.n == g.n + g.m + sum(c.n for c in crowns)
+        assert built.graph.edges == checked.edges
+    if kind != "r_graph":
+        assert {0, 1, 4} <= orders
 
 
 def test_vertex_partition_total():

@@ -93,8 +93,8 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list].count((order, order)) == 1
     (read,) = [c.args[0] for c in eigen.call_args_list]
-    assert read.sizes == tuple(c.n for c in crowns)
-    for members, laps, _ in read.crown_stacks:
+    assert read.crowns.sizes == tuple(c.n for c in crowns)
+    for members, laps, _ in read.crowns.stacks:
         for k, i in enumerate(members):
             t = crowns[i].n
             assert (laps[k, :t, :t] == laplacian(crowns[i])).all()
@@ -134,6 +134,107 @@ def test_run_suite_passes_and_counts():
     assert len(report.instances) == 8  # one of each kind per case
     kinds = [inst.kind for inst in report.instances]
     assert kinds.count("r_vertex") == 4 and kinds.count("r_edge") == 4
+
+
+def _drawn_instances(seed, cases, n_max, t_max):
+    """The (kind, base, crowns, case) of every instance a run draws, in the run's rng order."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(cases):
+        g = suite.random_connected_graph(rng, 2, n_max, m_max=8)
+        suite.identity_residuals(g, rng)
+        out.append(("r_vertex", g, suite.random_crowns(rng, g.n, t_max), case))
+        out.append(("r_edge", g, suite.random_crowns(rng, g.m, t_max), case))
+    return out
+
+
+def _bits(values):
+    return {name: np.float64(value).tobytes() for name, value in values.items()}
+
+
+@pytest.mark.parametrize("t_max", [0, 3, 6])
+@pytest.mark.parametrize("cases", [0, 1, 7])
+def test_run_suite_reports_what_each_instance_reports_alone(cases, t_max):
+    # A run checks each instance on its part of one run-level crown set; an
+    # instance checked alone inverts and sweeps its own crowns.  Every value
+    # and residual must agree bit for bit.  t_max 0 leaves every crown
+    # empty (no layout at all); t_max 6 puts odd and even orders up to 6 in
+    # the run's stacks.
+    for seed in (0, 17, 404):
+        report = suite.run_suite(seed=seed, cases=cases, t_max=t_max)
+        drawn = _drawn_instances(seed, cases, 5, t_max)
+        assert len(report.instances) == len(drawn) == 2 * cases
+        for got, (kind, g, crowns, case) in zip(report.instances, drawn):
+            alone = suite.check_corona_instance(kind, g, crowns, case)
+            assert got.kind == kind and got.case == case
+            assert got.crown_sizes == alone.crown_sizes
+            assert _bits(got.values) == _bits(alone.values)
+            assert _bits(got.residuals) == _bits(alone.residuals)
+            assert got.passed is alone.passed
+
+
+def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
+    # Every crown of a run is inverted by one sym_inverse call and swept by
+    # one Jacobi call per layout order t + t % 2 present in the run, not
+    # once per instance.
+    inverse = mock.Mock(wraps=closed_form.sym_inverse)
+    eig = mock.Mock(wraps=closed_form._jacobi_eigenvalues)
+    with (
+        mock.patch.object(closed_form, "sym_inverse", inverse),
+        mock.patch.object(closed_form, "_jacobi_eigenvalues", eig),
+    ):
+        report = suite.run_suite(seed=8, cases=5)
+    assert report.verdict == "pass"
+    layouts = sorted({t + t % 2 for inst in report.instances for t in inst.crown_sizes} - {0})
+    assert layouts == [2, 4]
+    assert [c.args[0].shape[-1] for c in inverse.call_args_list] == layouts
+    assert [c.args[0].shape[-1] for c in eig.call_args_list] == layouts
+
+
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_crown_set_part_calls_no_crown_kernel(kind):
+    # Once the whole set is built and swept, a part, the blocks built on it
+    # and everything read off them make no crown inverse or Jacobi call,
+    # and read what a set of the part's crowns alone would hold.
+    rng = random.Random(12)
+    g = suite.random_connected_graph(rng, 3, 5)
+    slots = g.n if kind == "r_vertex" else g.m
+    before = suite.random_crowns(rng, 6, 4)
+    crowns = suite.random_crowns(rng, slots, 4)
+    whole = closed_form.CrownSet.of(before + crowns + suite.random_crowns(rng, 3, 4))
+    whole.eigen_sums
+    called = AssertionError("a part called a crown kernel")
+    with (
+        mock.patch.object(closed_form, "sym_inverse", side_effect=called),
+        mock.patch.object(closed_form, "_jacobi_eigenvalues", side_effect=called),
+    ):
+        part = whole.part(len(before), len(before) + slots)
+        blocks = closed_form._blocks(kind, g, part)
+        x = closed_form.one_inverse(blocks)
+        r = closed_form.resistance_map(blocks)
+        breakdown = closed_form.kirchhoff_terms(blocks)
+    alone = closed_form._blocks(kind, g, crowns)
+    assert blocks.crowns.sizes == alone.crowns.sizes
+    for got, want in zip(blocks.crowns.totals, alone.crowns.totals):
+        assert got.tobytes() == want.tobytes()
+    assert closed_form.crown_eigen_sums(blocks).tobytes() == closed_form.crown_eigen_sums(alone).tobytes()
+    assert x.tobytes() == closed_form.one_inverse(alone).tobytes()
+    assert r.tobytes() == closed_form.resistance_map(alone).tobytes()
+    assert breakdown == closed_form.kirchhoff_terms(alone)
+
+
+def test_crown_set_part_bounds_and_crowns_are_checked():
+    crowns = (complete_graph(2), Graph(1, ()), path_graph(3))
+    whole = closed_form.CrownSet.of(crowns)
+    assert whole.part(1, 3).part(1, 2).sizes == (3,)
+    assert whole.part(1, 3).part(1, 2).first == 2
+    for lo, hi in ((-1, 2), (2, 1), (0, 4)):
+        with pytest.raises(IndexError, match="not a part"):
+            whole.part(lo, hi)
+    # An instance's part must hold that instance's crowns.
+    g = path_graph(2)
+    with pytest.raises(ValueError, match="does not hold crowns"):
+        suite.check_corona_instance("r_vertex", g, crowns[:2], part=whole.part(1, 3))
 
 
 def test_run_suite_zero_cases():
