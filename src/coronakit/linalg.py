@@ -28,14 +28,14 @@ takes one step of iterative refinement.  Both kernels share the input
 checks of ``_as_symmetric`` and raise ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
 answer they cannot vouch for.  Each has an unchecked body behind those
-checks (``_checked_inverse``, ``_jacobi_eigenvalues``) for input that
-has passed them once already.
+checks (``_checked_inverse``, ``_jacobi_eigenvalues``, whose eigenvalues
+stay in index order) for input that has passed them once already.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class SingularMatrixError(MatrixError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending) of a symmetric matrix, with solver diagnostics.
+    """Eigenvalues (descending; unsorted from the Jacobi body) of a symmetric matrix, and diagnostics.
 
     For a stack, ``values`` is (k, t), one row per member.
     """
@@ -267,7 +267,9 @@ def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
     any member ran, the total rotations and the worst member's norm.  Any
     member that does not converge raises MatrixError.
     """
-    return _jacobi_eigenvalues(_as_symmetric(m, stacked=True))
+    dec = _jacobi_eigenvalues(_as_symmetric(m, stacked=True))
+    ranked = (-dec.values).argsort(axis=-1, kind="stable")
+    return replace(dec, values=np.take_along_axis(dec.values, ranked, axis=-1))
 
 
 def _jacobi_eigenvalues(sym: np.ndarray) -> EigenDecomposition:
@@ -275,6 +277,7 @@ def _jacobi_eigenvalues(sym: np.ndarray) -> EigenDecomposition:
 
     Nothing is checked here: the caller has checked the input once, as the
     crown spectra are, by the ``sym_inverse`` of L(H) + I on the same stack.
+    Nor is anything sorted: eigenvalue i is the one index i's slot holds.
     """
     n = sym.shape[-1]
     stack = sym if sym.ndim == 3 else sym[None]
@@ -329,10 +332,8 @@ def _jacobi_eigenvalues(sym: np.ndarray) -> EigenDecomposition:
             f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
             f"(off-diagonal norm {float(done_off.max()):.3e})"
         )
-    values = done_w[:, slot, slot]
-    ranked = (-values).argsort(axis=1, kind="stable")
     return EigenDecomposition(
-        np.take_along_axis(values, ranked, axis=1).reshape(sym.shape[:-1]),
+        done_w[:, slot, slot].reshape(sym.shape[:-1]),
         sweep,
         rotations,
         float(done_off.max()),

@@ -19,8 +19,8 @@ assembles the {1}-inverse from those blocks.
 instance on its part of that set.  So every crown of the run is inverted
 in one ``sym_inverse`` call per layout order, when the set is built, and
 swept in one Jacobi call per layout order, when the first instance reads
-the crown spectra; ``check_corona_instance`` called alone inverts its
-own crowns.  Each case's base graph has its Laplacian group inverse
+the crown spectra; ``check_corona_instance`` called on crown graphs makes
+a set of its own.  Each case's base graph has its Laplacian group inverse
 taken three times: once for the identity battery's ``ls`` and once for
 ``l_sharp`` in each kind's blocks.  Each corona's is taken once, by the
 oracle.
@@ -256,11 +256,7 @@ _KINDS = {"r_vertex": "rv_blocks", "r_edge": "re_blocks"}
 
 
 def check_corona_instance(
-    kind: str,
-    g: Graph,
-    crowns: tuple[Graph, ...],
-    case: int = 0,
-    part: closed_form.CrownSet | None = None,
+    kind: str, g: Graph, crowns: tuple[Graph, ...] | closed_form.CrownSet, case: int = 0
 ) -> InstanceReport:
     """Run every closed-form route on one instance and compare to the oracle.
 
@@ -269,19 +265,16 @@ def check_corona_instance(
     closed resistance matrix matches the oracle entrywise, the internal
     Schur and crown-block identities hold, and the Kirchhoff index agrees
     between the assembled inverse, the expanded invariant formula, and the
-    oracle.  ``part``, when given, is these crowns' part of a larger
-    ``CrownSet``; the blocks read it instead of inverting the crowns again.
-    The oracle always builds the corona from the crown graphs.
+    oracle.  ``crowns`` is the crown graphs or a ``CrownSet`` over them,
+    such as their part of a larger set; the blocks read the set, and the
+    oracle builds the corona from the crown graphs the set keeps.
     """
     if kind not in _KINDS:
         raise ValueError(f"the suite checks r_vertex and r_edge coronas, got kind {kind!r}")
-    if part is not None and part.sizes != tuple(c.n for c in crowns):
-        raise ValueError(
-            f"crown set part of orders {part.sizes} does not hold crowns of orders "
-            f"{tuple(c.n for c in crowns)}"
-        )
-    built = build(kind, g, crowns)
-    blocks = getattr(closed_form, _KINDS[kind])(g, crowns if part is None else part)
+    if not isinstance(crowns, closed_form.CrownSet):
+        crowns = closed_form.CrownSet.of(crowns)
+    built = build(kind, g, crowns.graphs)
+    blocks = getattr(closed_form, _KINDS[kind])(g, crowns)
     x = closed_form.one_inverse(blocks)
     closed_r = closed_form.resistance_map(blocks)
     breakdown = closed_form.kirchhoff_terms(blocks)
@@ -327,7 +320,7 @@ def check_corona_instance(
         base_digest=graph_digest(g),
         n=g.n,
         m=g.m,
-        crown_sizes=tuple(c.n for c in crowns),
+        crown_sizes=crowns.sizes,
         values={
             "kf_closed": kf_closed,
             "kf_expanded": breakdown.expanded,
@@ -451,7 +444,7 @@ def run_suite(
     for case, (g, rv, re) in enumerate(drawn):
         for kind, crowns in (("r_vertex", rv), ("r_edge", re)):
             part = crown_set.part(lo, lo + len(crowns))
-            instances.append(check_corona_instance(kind, g, crowns, case, part))
+            instances.append(check_corona_instance(kind, g, part, case))
             lo += len(crowns)
     return ComparisonReport(
         seed=seed,

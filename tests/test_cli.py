@@ -750,6 +750,21 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     assert "kind must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["r_graph", "r_vertex", "r_edge"])
+@pytest.mark.parametrize("command", [["resist", "--all"], ["kf"]])
+def test_oracle_on_an_empty_base_exits_2(tmp_path, capsys, kind, command):
+    # A base of order 0 builds a corona of order 0, which the oracle cannot
+    # take resistances on: bad input, exit 2, and nothing on stdout.
+    (tmp_path / "e0.edges").write_text("0\n")
+    spec = tmp_path / "e0.spec"
+    spec.write_text(f"kind = {kind}\nbase = e0.edges\n")
+    argv = [command[0], str(spec), *command[1:], "--method", "oracle"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: graph must have at least one vertex\n"
+
+
 def test_internal_matrix_fault_exits_3(rv_spec, capsys):
     # a numerical fault inside the closed route is the program's, not the
     # input's: it must not be reported as exit 2, "bad input"

@@ -155,12 +155,12 @@ def test_crown_block_spectral_traces():
     crowns = (Graph(2, ()), Graph(3, ((0, 1), (0, 2))), K1)
     g = complete_graph(3)
     blocks_v = cf.rv_blocks(g, crowns)
-    want = sum(cf.crown_eigen_sums(blocks_v))
+    want = sum(blocks_v.crowns.eigen_sums)
     assert blocks_v.crowns.totals[0].sum() == pytest.approx(want, abs=1e-10)
 
     blocks_e = cf.re_blocks(g, crowns)
     traces, ones = _shifted_totals(blocks_e)
-    want_e = sum(cf.crown_eigen_sums(blocks_e) + [c.n / 2.0 for c in crowns])
+    want_e = sum(blocks_e.crowns.eigen_sums + [c.n / 2.0 for c in crowns])
     assert traces.sum() == pytest.approx(want_e, abs=1e-10)
 
     # all-ones quadratic form of each shifted crown inverse is t(2+t)/2
@@ -174,7 +174,7 @@ def test_empty_crown_trace_needs_the_shift():
     crown = Graph(2, ())
     blocks = cf.re_blocks(K2, (crown,))
     assert _shifted_totals(blocks)[0].sum() == pytest.approx(3.0, abs=1e-12)
-    assert cf.crown_eigen_sums(blocks)[0] == pytest.approx(2.0, abs=1e-12)
+    assert blocks.crowns.eigen_sums[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_dispatch_matches_oracle_on_structured_instances():
@@ -385,7 +385,7 @@ def _incidence_reference(blocks):
     u_tau = u @ tau
     pi_c, u_tau_c = pi - pi.mean(), u_tau - u_tau.mean()
     shift = 0.5 if edge else 0.0
-    sums = cf.crown_eigen_sums(blocks)
+    sums = blocks.crowns.eigen_sums
     terms = {
         "trace_base": (2.0 / 3.0) * float(np.trace(ls)),
         "trace_edge_const": m / 2.0,
@@ -525,7 +525,7 @@ def test_closed_route_never_calls_the_oracle():
 
 def test_closed_route_inverts_without_the_eigensolver():
     # Every inverse of the closed route is a Cholesky solve; only the
-    # Kirchhoff expansion's crown spectra (crown_eigen_sums) reach Jacobi,
+    # Kirchhoff expansion's crown spectra (_crown_eigen_sums) reach Jacobi,
     # through its unchecked body.
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), Graph(2, ()))
@@ -539,7 +539,7 @@ def test_closed_route_inverts_without_the_eigensolver():
     ]
     assert (cf, "_jacobi_eigenvalues") in bindings
 
-    def spectral_sums(blocks):
+    def spectral_sums(crown_set):
         return np.array(
             [float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(c)) + 1.0))) for c in crowns]
         )
@@ -553,7 +553,7 @@ def test_closed_route_inverts_without_the_eigensolver():
             r = cf.resistance_map(blocks)
             with pytest.raises(AssertionError, match="eigensolver"):
                 cf.kirchhoff_terms(blocks)
-            with mock.patch.object(cf, "crown_eigen_sums", side_effect=spectral_sums):
+            with mock.patch.object(cf, "_crown_eigen_sums", side_effect=spectral_sums):
                 breakdown = cf.kirchhoff_terms(blocks)
         built = build(corona_kind, g, crowns)
         lap = laplacian(built.graph)
@@ -895,12 +895,34 @@ def test_crown_eigen_sums_take_one_call_per_layout_order():
         want[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
     eig = mock.Mock(wraps=linalg._jacobi_eigenvalues)
     with mock.patch.object(cf, "_jacobi_eigenvalues", eig):
-        got = cf.crown_eigen_sums(blocks)
+        got = blocks.crowns.eigen_sums
     assert eig.call_count == 5
     assert [c.args[0].shape[-1] for c in eig.call_args_list] == [2, 4, 6, 8, 10]
     assert (got == want).all()
-    with pytest.raises(linalg.MatrixError, match="exact zero"):
-        cf._drop_dummy_zero(np.array([[2.0, 1.0], [1.0, 0.0]]))
+
+
+def test_a_padded_spectrum_must_read_zero_in_its_pad_slot():
+    # A padded member's last slot is its pad, which no rotation touches, so
+    # the sweep must leave it exactly 0.0; anything else raises instead of
+    # being summed or dropped.  An order-3 crown is padded to layout 4.
+    crowns = cf.CrownSet.of((path_graph(3), complete_graph(4)))
+    ((_, laps, _),) = crowns.stacks
+    honest = linalg._jacobi_eigenvalues(laps)
+    assert honest.values[0, -1] == 0.0
+    for pad in (1e-300, -1e-300, np.nan):
+        values = honest.values.copy()
+        values[0, -1] = pad
+        forged = linalg.EigenDecomposition(values)
+        with mock.patch.object(cf, "_jacobi_eigenvalues", return_value=forged):
+            with pytest.raises(linalg.MatrixError, match="pad slot"):
+                cf._crown_eigen_sums(crowns)
+    # An unpadded member's last slot is a true eigenvalue, and is summed.
+    values = honest.values.copy()
+    values[1] = [4.0, 4.0, 4.0, 1.0]
+    with mock.patch.object(cf, "_jacobi_eigenvalues", return_value=linalg.EigenDecomposition(values)):
+        sums = cf._crown_eigen_sums(crowns)
+    assert sums[0] == pytest.approx(1.0 + 1.0 / 2.0 + 1.0 / 4.0, abs=1e-12)  # P3: 0, 1, 3
+    assert sums[1] == pytest.approx(3.0 / 5.0 + 1.0 / 2.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["rv", "re"])

@@ -185,6 +185,37 @@ def test_stacked_eigendecompose_trivial_shapes():
     npt.assert_array_equal(dec.values, [[4.0], [-1.0], [0.0]])
 
 
+def test_unchecked_jacobi_keeps_index_order_and_a_zero_pad_slot():
+    # _jacobi_eigenvalues leaves each value in its index's slot, so a
+    # member padded with a zero row and column (as the crown layouts pad an
+    # odd order) reads exactly 0.0 in its last slot; sym_eigendecompose
+    # sorts the same values descending, which would move the pad.
+    coupled = np.zeros((4, 4))
+    coupled[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    coupled[2, 2] = -1.0
+    padded_path = np.zeros((4, 4))
+    padded_path[:3, :3] = laplacian(path_graph(3))
+    diagonal = np.diag([1.0, 3.0, 2.0, -4.0])
+    stack = np.stack([coupled, padded_path, diagonal])
+    dec = linalg._jacobi_eigenvalues(stack)
+    assert dec.values.shape == (3, 4)
+    for member in (0, 1):
+        assert dec.values[member, -1].tobytes() == np.float64(0.0).tobytes()
+    assert dec.values[0, 2] == -1.0
+    npt.assert_allclose(np.sort(dec.values[0, :2]), [1.0, 3.0], rtol=0, atol=1e-12)
+    npt.assert_allclose(np.sort(dec.values[1, :3]), [0.0, 1.0, 3.0], rtol=0, atol=1e-12)
+    npt.assert_array_equal(dec.values[2], [1.0, 3.0, 2.0, -4.0])
+    npt.assert_array_equal(linalg._jacobi_eigenvalues(diagonal).values, [1.0, 3.0, 2.0, -4.0])
+    ranked = sym_eigendecompose(stack)
+    npt.assert_array_equal(ranked.values, -np.sort(-dec.values, axis=1))
+    assert ranked.values[0, -1] == -1.0 and ranked.values[2, 0] == 3.0
+    assert (ranked.sweeps, ranked.rotations, ranked.off_norm) == (
+        dec.sweeps,
+        dec.rotations,
+        dec.off_norm,
+    )
+
+
 def test_stacked_eigendecompose_rejects_an_asymmetric_member():
     # (non-finite members are a case of test_non_finite_input_is_rejected)
     stack = np.stack([laplacian(path_graph(3))] * 3)
@@ -469,6 +500,10 @@ def test_shifted_rank_one_inverse_error_paths():
         shifted_rank_one_inverse(lap, 1.0, 3.0)  # b equal to the order
     with pytest.raises(ZeroDivisionError):
         shifted_rank_one_inverse(lap, 1.0, 0.0)
+    # [[2]] is no Laplacian (L J != 0), so the rank-one formula gives 5/6
+    # where the inverse of 2 + 1 - 1/3 is 3/8: the identity check catches it.
+    with pytest.raises(SingularMatrixError, match="did not invert"):
+        shifted_rank_one_inverse(np.array([[2.0]]), 1.0, 3.0)
 
 
 def test_verify_one_inverse_reports_defect():
@@ -476,8 +511,10 @@ def test_verify_one_inverse_reports_defect():
     lg = laplacian_group_inverse(lap)
     assert verify_one_inverse(lap, lg) <= 1e-12
     assert verify_one_inverse(lap, np.zeros((3, 3))) == pytest.approx(2.0)
-    with pytest.raises(MatrixError):
+    with pytest.raises(MatrixError, match="X must match M's shape"):
         verify_one_inverse(lap, np.zeros((2, 2)))
+    with pytest.raises(MatrixError, match="M must be square"):
+        verify_one_inverse(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def _stacked_eigendecompose(a):

@@ -83,6 +83,17 @@ def test_neighbor_recursion_identity():
         assert neighbor_recursion_check(g, resistance_matrix(g), i, j) <= 1e-10
 
 
+def test_neighbor_recursion_needs_two_vertices_and_a_neighbor():
+    # Vertex 0 of this graph is isolated: the recursion would divide by its
+    # degree, 0, so it raises instead.
+    g = Graph(3, ((1, 2),))
+    r = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="^vertex 0 has no neighbors$"):
+        neighbor_recursion_check(g, r, 0, 1)
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        neighbor_recursion_check(g, r, 1, 1)
+
+
 def test_neighbor_recursion_unordered_convention_is_the_valid_one():
     # On the triangle the recursion balances only when the correction term
     # sums r(k, l) over unordered neighbor pairs; doubling it (the ordered

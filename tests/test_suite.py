@@ -18,6 +18,12 @@ def test_random_connected_graph_bounds():
         assert 2 <= g.n <= 6
         assert g.n - 1 <= g.m <= 8
         assert is_connected(g)
+    # An order range with no graph in it is rejected before anything is drawn.
+    state = rng.getstate()
+    for n_min, n_max in ((0, 3), (4, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="need 1 <= n_min <= n_max"):
+            suite.random_connected_graph(rng, n_min, n_max)
+    assert rng.getstate() == state
 
 
 def test_random_crowns_sizes():
@@ -83,7 +89,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
         mock.patch.object(closed_form, "one_inverse", wraps=closed_form.one_inverse) as assemble,
-        mock.patch.object(closed_form, "crown_eigen_sums", wraps=closed_form.crown_eigen_sums) as eigen,
+        mock.patch.object(closed_form, "_crown_eigen_sums", wraps=closed_form._crown_eigen_sums) as eigen,
         mock.patch.object(suite, "laplacian_group_inverse", ginv),
         mock.patch.object(resistance, "laplacian_group_inverse", ginv),
     ):
@@ -93,8 +99,8 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list].count((order, order)) == 1
     (read,) = [c.args[0] for c in eigen.call_args_list]
-    assert read.crowns.sizes == tuple(c.n for c in crowns)
-    for members, laps, _ in read.crowns.stacks:
+    assert read.graphs == crowns
+    for members, laps, _ in read.stacks:
         for k, i in enumerate(members):
             t = crowns[i].n
             assert (laps[k, :t, :t] == laplacian(crowns[i])).all()
@@ -217,7 +223,7 @@ def test_crown_set_part_calls_no_crown_kernel(kind):
     assert blocks.crowns.sizes == alone.crowns.sizes
     for got, want in zip(blocks.crowns.totals, alone.crowns.totals):
         assert got.tobytes() == want.tobytes()
-    assert closed_form.crown_eigen_sums(blocks).tobytes() == closed_form.crown_eigen_sums(alone).tobytes()
+    assert blocks.crowns.eigen_sums.tobytes() == alone.crowns.eigen_sums.tobytes()
     assert x.tobytes() == closed_form.one_inverse(alone).tobytes()
     assert r.tobytes() == closed_form.resistance_map(alone).tobytes()
     assert breakdown == closed_form.kirchhoff_terms(alone)
@@ -226,15 +232,36 @@ def test_crown_set_part_calls_no_crown_kernel(kind):
 def test_crown_set_part_bounds_and_crowns_are_checked():
     crowns = (complete_graph(2), Graph(1, ()), path_graph(3))
     whole = closed_form.CrownSet.of(crowns)
+    assert whole.graphs == crowns and whole.sizes == (2, 1, 3) and len(whole) == 3
+    # A part keeps its own crown graphs, so it cannot disagree with them.
+    assert whole.part(1, 3).graphs == crowns[1:]
+    assert whole.part(1, 3).part(1, 2).graphs == crowns[2:]
     assert whole.part(1, 3).part(1, 2).sizes == (3,)
     assert whole.part(1, 3).part(1, 2).first == 2
     for lo, hi in ((-1, 2), (2, 1), (0, 4)):
         with pytest.raises(IndexError, match="not a part"):
             whole.part(lo, hi)
-    # An instance's part must hold that instance's crowns.
-    g = path_graph(2)
-    with pytest.raises(ValueError, match="does not hold crowns"):
-        suite.check_corona_instance("r_vertex", g, crowns[:2], part=whole.part(1, 3))
+
+
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_instance_on_a_part_reports_what_it_reports_on_the_graphs(kind):
+    # The part is cut from the middle of a larger set, so its stack members
+    # do not start at 0; every value and residual must still be bit for bit
+    # those of the instance checked on the part's crown graphs.
+    rng = random.Random(31)
+    g = suite.random_connected_graph(rng, 3, 5)
+    slots = g.n if kind == "r_vertex" else g.m
+    before = suite.random_crowns(rng, 5, 5)
+    crowns = suite.random_crowns(rng, slots, 5)
+    whole = closed_form.CrownSet.of(before + crowns + suite.random_crowns(rng, 2, 5))
+    part = whole.part(len(before), len(before) + slots)
+    got = suite.check_corona_instance(kind, g, part, case=3)
+    want = suite.check_corona_instance(kind, g, crowns, case=3)
+    assert got.passed and got.passed is want.passed
+    assert got.crown_sizes == want.crown_sizes == tuple(c.n for c in crowns)
+    assert _bits(got.values) == _bits(want.values)
+    assert _bits(got.residuals) == _bits(want.residuals)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_run_suite_zero_cases():
