@@ -17,13 +17,13 @@ assembles the {1}-inverse from those blocks.
 (base, identity battery, R-vertex crowns, R-edge crowns), then builds one
 ``closed_form.CrownSet`` over every crown of the run and checks each
 instance on its part of that set.  So every crown of the run is inverted
-in one ``sym_inverse`` call per layout order, when the set is built, and
-swept in one Jacobi call per layout order, when the first instance reads
-the crown spectra; ``check_corona_instance`` called on crown graphs makes
-a set of its own.  Each case's base graph has its Laplacian group inverse
-taken three times: once for the identity battery's ``ls`` and once for
-``l_sharp`` in each kind's blocks.  Each corona's is taken once, by the
-oracle.
+and checked once, in one ``sym_inverse`` call per layout order when the
+set is built, and swept in one Jacobi call per layout order when the
+first instance reads the crown spectra; ``check_corona_instance`` called
+on crown graphs makes a set of its own.  Each case's base graph has its
+Laplacian group inverse taken three times: once for the identity
+battery's ``ls`` and once for ``l_sharp`` in each kind's blocks.  Each
+corona's is taken once, by the oracle.
 """
 
 from __future__ import annotations
@@ -202,14 +202,12 @@ def identity_residuals(g: Graph, rng: random.Random) -> dict[str, float]:
     return out
 
 
-def run_identity_battery(
-    seed: int, count: int, n_min: int = 2, n_max: int = 10
-) -> tuple[dict[str, float], int]:
-    """Worst residual per identity over ``count`` random connected graphs."""
+def run_identity_battery(seed: int, count: int, n_max: int = 10) -> tuple[dict[str, float], int]:
+    """Worst residual per identity over ``count`` random connected graphs of order 2..n_max."""
     rng = random.Random(seed)
     worst: dict[str, float] = {}
     for _ in range(count):
-        g = random_connected_graph(rng, n_min, n_max)
+        g = random_connected_graph(rng, 2, n_max)
         for name, value in identity_residuals(g, rng).items():
             worst[name] = max(worst.get(name, 0.0), value)
     return worst, count

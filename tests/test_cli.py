@@ -768,11 +768,27 @@ def test_oracle_on_an_empty_base_exits_2(tmp_path, capsys, kind, command):
 def test_internal_matrix_fault_exits_3(rv_spec, capsys):
     # a numerical fault inside the closed route is the program's, not the
     # input's: it must not be reported as exit 2, "bad input"
-    fault = MatrixError("Schur complement defect 1.000e-03 exceeds 1e-12")
+    fault = MatrixError("crown 0 (order 1): |t - 1^T (L(H) + I)^-1 1| = 1.000e-03 exceeds 1.000e-12")
     with mock.patch.object(closed_form, "rv_blocks", side_effect=fault):
         code = main(["resist", str(rv_spec), "--pair", "0", "1", "--method", "closed"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("internal error: Schur complement defect")
+    assert capsys.readouterr().err.startswith("internal error: crown 0 (order 1): ")
+
+
+@pytest.mark.parametrize(
+    "kind, base, t", [("r_vertex", path_graph(2), 65), ("r_edge", complete_graph(2), 90)]
+)
+def test_dense_crowns_past_the_schur_split_exit_0(tmp_path, capsys, kind, base, t):
+    # A valid dense crown is answered, not reported as an internal error:
+    # its G 1 = 1 roundoff grows with its order past 1e-12.
+    (tmp_path / "base.edges").write_text(serialize_edge_list(base))
+    (tmp_path / "kt.edges").write_text(serialize_edge_list(complete_graph(t)))
+    spec = tmp_path / "dense.spec"
+    spec.write_text(f"kind = {kind}\nbase = base.edges\ncrown.0 = kt.edges\n")
+    assert main(["kf", str(spec), "--method", "closed"]) == 0
+    assert main(["resist", str(spec), "--pair", "0", "1", "--method", "closed"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out
 
 
 def test_resist_requires_pair_or_all(rv_spec, capsys):

@@ -32,7 +32,7 @@ from coronakit.resistance import (
     resistance_matrix,
     resistances_from_inverse,
 )
-from coronakit.suite import random_connected_graph, random_crowns
+from coronakit.suite import INSTANCE_TOLERANCES, random_connected_graph, random_crowns
 
 K1 = Graph(1, ())
 K2 = complete_graph(2)
@@ -124,27 +124,76 @@ def test_internal_identities():
     assert blocks_e.complement_defect <= 1e-12
 
 
-def _off_in_one_entry(invert):
-    """Wrap a crown-stack inverse so its first entry comes back 1e-6 off."""
+def _off_in_one_entry(invert, by=1e-6):
+    """Wrap a crown-stack inverse so its first entry comes back ``by`` off."""
 
     def wrapped(*args, **kwargs):
         inv = invert(*args, **kwargs).copy()
-        inv[0, 0, 0] += 1e-6
+        inv[0, 0, 0] += by
         return inv
 
     return wrapped
 
 
 def test_crown_inverse_error_trips_the_identity_checks():
+    # Both kinds invert their crowns through the same kernel, and the one
+    # crown check, in CrownSet.of, names the crown whose G 1 = 1 fails.
     g = path_graph(3)
     crowns = (complete_graph(2), K1, empty_graph(0))
-    with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse)):
-        with pytest.raises(linalg.MatrixError, match="Schur complement defect"):
-            cf.rv_blocks(g, crowns)
-    # Both kinds invert their crowns through the same kernel.
-    with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse)):
-        with pytest.raises(linalg.MatrixError, match="edge-block complement defect"):
-            cf.re_blocks(g, crowns[:2])
+    for blocks, some in ((cf.rv_blocks, crowns), (cf.re_blocks, crowns[:2])):
+        with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse)):
+            with pytest.raises(linalg.MatrixError, match=r"^crown 0 \(order 2\): .* exceeds 1\.000e-12$"):
+                blocks(g, some)
+
+
+def test_crown_identity_bound_is_1e_12_up_to_order_10():
+    # The bound grows only with a crown's own roundoff, 4 eps t^2 (t + 1),
+    # which stays under the 1e-12 floor through order 10: an order-3 crown
+    # whose inverse is 2e-12 off in one entry still raises.
+    with mock.patch.object(cf, "sym_inverse", _off_in_one_entry(cf.sym_inverse, 2e-12)):
+        with pytest.raises(linalg.MatrixError, match=r"^crown 0 \(order 3\): .* exceeds 1\.000e-12$"):
+            cf.CrownSet.of((path_graph(3),))
+    assert 4.0 * np.finfo(float).eps * 10**2 * 11 < cf.IDENTITY_TOL
+
+
+def test_a_part_checks_nothing_and_the_blocks_raise_no_defect():
+    # The crown identity is checked once, when a set is built: a part reads
+    # the set's totals as they are, and the blocks report both complement
+    # defects without raising on them.
+    crowns = cf.CrownSet.of((complete_graph(2), path_graph(3)))
+    traces, ones = crowns.totals
+    forged = cf.CrownSet(crowns.graphs, crowns.stacks, (traces, ones + np.array([0.0, 1e-3])))
+    sym = mock.Mock(wraps=linalg.sym_inverse)
+    with mock.patch.object(cf, "sym_inverse", sym):
+        edge = cf.re_blocks(K2, forged.part(1, 2))
+        vertex = cf.rv_blocks(K2, forged.part(0, 2))
+    assert sym.call_count == 0
+    assert edge.complement_defect == pytest.approx(1e-3, rel=1e-9)
+    assert vertex.schur_defect == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [65, 80, 100, 128])
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_dense_crowns_past_the_schur_split_get_an_answer(kind, t):
+    # 1^T G 1 sums t^2 computed entries, so its roundoff passes 1e-12 past
+    # order 64; the crown check's bound grows with it, and the closed route
+    # answers within the suite's bounds.  R-vertex over P_2 with K_t on
+    # vertex 0, R-edge over K_2.
+    g, crowns = (
+        (path_graph(2), (complete_graph(t), empty_graph(0)))
+        if kind == "r_vertex"
+        else (K2, (complete_graph(t),))
+    )
+    blocks = cf._blocks(kind, g, crowns)
+    built = build(kind, g, crowns).graph
+    breakdown = cf.kirchhoff_terms(blocks)
+    oracle = kirchhoff_index(built)
+    assert abs(breakdown.value - oracle) <= INSTANCE_TOLERANCES["kf_rel_err"] * max(1.0, oracle)
+    worst = max_abs(cf.resistance_map(blocks) - resistance_matrix(built))
+    assert worst <= INSTANCE_TOLERANCES["pair_dispatch_max"]
+    # L(K_t) has 0 once and t with multiplicity t - 1.
+    exact = 1.0 + (t - 1) / (t + 1) + (t / 2.0 if kind == "r_edge" else 0.0)
+    assert breakdown.terms["trace_crown_eigen"] == pytest.approx(exact, rel=1e-11)
 
 
 def test_crown_block_spectral_traces():
@@ -592,7 +641,7 @@ def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
     crowns = tuple(crowns)
     seen = []
     layouts = []
-    for members, laps, _ in cf._crown_stacks(crowns):
+    for members, laps, _ in cf.CrownSet.of(crowns).stacks:
         o = laps.shape[-1]
         assert laps.shape == (len(members), o, o)
         assert {crowns[i].n for i in members} <= {o - 1, o}
