@@ -222,14 +222,19 @@ def _require_closed_form_input(g: Graph) -> None:
         )
 
 
-def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
+def _blocks(
+    kind: str, g: Graph, crowns: tuple[Graph, ...] | CrownSet, l_sharp: np.ndarray | None = None
+) -> CoronaBlocks:
     """Compute either corona's block ingredients for a connected base ``g``.
 
     ``crowns`` is the crown graphs, inverted and checked here as a
     ``CrownSet`` of their own, or a set already built, such as one corona's
-    part of a larger set; the blocks then make no crown kernel call.  The
-    two complement defects are computed as the suite reports them and
-    raise nothing: past the crown identity they are exact integer sums.
+    part of a larger set; the blocks then make no crown kernel call.
+    ``l_sharp`` is the group inverse of L(G), taken here when omitted; a
+    caller that has taken it already, as the suite does once per base for
+    its battery and both kinds, hands it in.  The two complement defects are
+    computed as the suite reports them and raise nothing: past the crown
+    identity they are exact integer sums.
     """
     _require_closed_form_input(g)
     if not isinstance(crowns, CrownSet):
@@ -239,7 +244,10 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> Corona
     i = np.arange(g.n)
     ends = (np.concatenate([i, eu]), np.concatenate([i, ev]))
     hosts = np.array(crown_anchors(kind, g, crowns), dtype=np.intp)
-    l_sharp = laplacian_group_inverse(laplacian(g))
+    if l_sharp is None:
+        l_sharp = laplacian_group_inverse(laplacian(g))
+    elif l_sharp.shape != (g.n, g.n):
+        raise ValueError(f"l_sharp must have shape {(g.n, g.n)}, got {l_sharp.shape}")
     sizes = crowns.sizes
     # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
     # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
@@ -262,14 +270,18 @@ def _blocks(kind: str, g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> Corona
 # patches the four rv_/re_resistance_matrix and rv_/re_kirchhoff_terms and
 # reads rv_/re_blocks, and its tracer keys the dispatch, blocks and Kirchhoff
 # spans on all six names.
-def rv_blocks(g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
+def rv_blocks(
+    g: Graph, crowns: tuple[Graph, ...] | CrownSet, l_sharp: np.ndarray | None = None
+) -> CoronaBlocks:
     """Compute and sanity-check the R-vertex corona's block ingredients."""
-    return _blocks("r_vertex", g, crowns)
+    return _blocks("r_vertex", g, crowns, l_sharp)
 
 
-def re_blocks(g: Graph, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
+def re_blocks(
+    g: Graph, crowns: tuple[Graph, ...] | CrownSet, l_sharp: np.ndarray | None = None
+) -> CoronaBlocks:
     """Compute and sanity-check the R-edge corona's block ingredients."""
-    return _blocks("r_edge", g, crowns)
+    return _blocks("r_edge", g, crowns, l_sharp)
 
 
 def _skeleton_block(blocks: CoronaBlocks, at: np.ndarray) -> np.ndarray:

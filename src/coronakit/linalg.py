@@ -21,20 +21,26 @@ matrix is split in half and inverted through its Schur complement by
 recursion, so most of its work runs as matmuls.  The loop records every
 pivot, and the pivots are checked once the inverse is formed: the first
 row whose pivot is not above its member's floor raises.  Every group
-inverse in the package, the oracle's included, is
-``laplacian_group_inverse``: it deflates the known null vector of a
-connected Laplacian instead of zeroing an eigenvalue by threshold, and
-takes one step of iterative refinement.  Both kernels share the input
-checks of ``_as_symmetric`` and raise ``MatrixError``
-(``SingularMatrixError`` for singular input) instead of returning an
-answer they cannot vouch for.  Each has an unchecked body behind those
-checks (``_checked_inverse``, ``_jacobi_eigenvalues``, whose eigenvalues
-stay in index order) for input that has passed them once already.
+inverse in the package, the oracle's included, deflates the known null
+vector of a connected Laplacian instead of zeroing an eigenvalue by
+threshold, and takes one step of iterative refinement: one matrix through
+``laplacian_group_inverse``, several of any orders through
+``laplacian_group_inverses``, which pads them into one stack for the
+bordered loop (``_bordered_rows``, the loop of the reference body) and
+gives each member's Gram product, refinement and deflation its own
+slice, so a member comes out bit for bit as it would alone.  Both
+kernels share the input checks of ``_as_symmetric`` and raise
+``MatrixError`` (``SingularMatrixError`` for singular input) instead of
+returning an answer they cannot vouch for.  Each has an unchecked body
+behind those checks (``_checked_inverse``, ``_jacobi_eigenvalues``, whose
+eigenvalues stay in index order) for input that has passed them once
+already.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -405,6 +411,12 @@ def _bordered_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _bordered_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_bordered_inverse`` on any leading shape, through ``...`` indexing; the reference body."""
+    w, pivots = _bordered_rows(a)
+    return np.swapaxes(w, -1, -2) @ w, pivots
+
+
+def _bordered_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = L^{-1} and the pivots of ``_bordered_stack``: its row loop, before the Gram product."""
     n = a.shape[-1]
     w = np.zeros_like(a)
     pivots = np.empty(a.shape[:-1])
@@ -417,7 +429,7 @@ def _bordered_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = pivot**-0.5
         w[..., j, :j] = (xt @ head)[..., 0, :] * -r[..., None]
         w[..., j, j] = r
-    return np.swapaxes(w, -1, -2) @ w, pivots
+    return w, pivots
 
 
 def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -444,11 +456,17 @@ def _checked_inverse(a: np.ndarray, what: str) -> np.ndarray:
     """``sym_inverse`` of a float array that is already exactly symmetric."""
     if a.size == 0:
         return a
-    floor = PIVOT_RTOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     # A failed pivot spreads NaN and inf through the rest of the work;
     # the pivot check below reports it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x, pivots = _spd_inverse(a)
+    _check_pivots(a, pivots, what)
+    return 0.5 * (x + np.swapaxes(x, -1, -2))
+
+
+def _check_pivots(a: np.ndarray, pivots: np.ndarray, what: str) -> None:
+    """Raise SingularMatrixError unless every pivot of A is above PIVOT_RTOL * max(1, max|A|) of its member."""
+    floor = PIVOT_RTOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     # NaN compares false, so a pivot fails unless it is above its floor.
     passed = pivots > floor[..., None]
     if not passed.all():
@@ -460,7 +478,29 @@ def _checked_inverse(a: np.ndarray, what: str) -> np.ndarray:
             f"{what} is singular or not positive definite to working precision "
             f"(pivot {float(pivot):.3e} at row {j})"
         )
-    return 0.5 * (x + np.swapaxes(x, -1, -2))
+
+
+def _shifted_laplacian(l: np.ndarray, what: str) -> np.ndarray:
+    """L + J/n as a float copy of a checked Laplacian L, J/n added as the scalar 1/n.
+
+    Every entry is the sum a dense J/n would give, and the sum stays
+    exactly symmetric, so it needs no second check.
+    """
+    lap = _as_symmetric(l, what)
+    n = lap.shape[0]
+    if n and max_abs(lap.sum(axis=1)) > SYMMETRY_RTOL * max(1.0, max_abs(lap)):
+        raise MatrixError(f"{what} rows must sum to zero")
+    if n:
+        lap += 1.0 / n
+    return lap
+
+
+def _refined(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """L# from X ~ A^{-1} and -A X, A = L + J/n: X + X (I - A X), symmetrised, less J/n."""
+    n = len(x)
+    residual.flat[:: n + 1] += 1.0
+    x += x @ residual
+    return 0.5 * (x + x.T) - 1.0 / n
 
 
 def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
@@ -479,23 +519,65 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
     Rows that do not sum to zero raise MatrixError; a disconnected graph
     leaves L + J/n singular and raises SingularMatrixError.
     """
-    lap = _as_symmetric(l, "Laplacian")
-    n = lap.shape[0]
-    if n == 0:
+    # From here lap holds L + J/n, our own copy; it is dropped once the
+    # refinement residual is formed.
+    lap = _shifted_laplacian(l, "Laplacian")
+    if lap.shape[0] == 0:
         return lap
-    if max_abs(lap.sum(axis=1)) > SYMMETRY_RTOL * max(1.0, max_abs(lap)):
-        raise MatrixError("Laplacian rows must sum to zero")
-    # From here lap holds L + J/n: J/n enters only as the scalar 1/n, added
-    # in place to our own copy of L.  Every entry is the sum a dense J/n
-    # would give, and the sum stays exactly symmetric, so it needs no
-    # second check.  It is dropped once the refinement residual is formed.
-    lap += 1.0 / n
     x = _checked_inverse(lap, "L + J/n")
     residual = -(lap @ x)
     del lap
-    residual.flat[:: n + 1] += 1.0
-    x += x @ residual
-    return 0.5 * (x + x.T) - 1.0 / n
+    return _refined(x, residual)
+
+
+def laplacian_group_inverses(laps: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``laplacian_group_inverse`` of connected Laplacians of any orders, in one stacked call.
+
+    Each L + J/n up to SCHUR_LEAF_ORDER is padded after its own block with
+    the identity to the largest such order, and the stack runs one bordered
+    Cholesky loop (``_bordered_rows``).  A pad row meets only zeros above
+    it, so it factors as the identity and leaves its member's rows as they
+    are alone.  Each member's Gram product W^T W, pivot check, refinement
+    step and J/n deflation then run on its own n x n slice, so a member's
+    result is bit for bit what a one-member call returns, whatever its
+    stack-mates.  It agrees with ``laplacian_group_inverse`` to roundoff:
+    a stack takes 1 / sqrt(p) as an array power, one matrix as a scalar
+    power.  A member above SCHUR_LEAF_ORDER is inverted on its own, through
+    the Schur split.  Returns a list in input order (empty for no input).
+    Every member is checked before any is inverted; the errors are those of
+    ``laplacian_group_inverse``, naming the member's position and, for a
+    disconnected member, its order.
+    """
+    shifted = [_shifted_laplacian(l, f"Laplacian {k}") for k, l in enumerate(laps)]
+    small = [k for k, a in enumerate(shifted) if 0 < len(a) <= SCHUR_LEAF_ORDER]
+    factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # A failed pivot spreads NaN and inf through its member's work; the
+    # pivot check below reports it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if small:
+            order = max(len(shifted[k]) for k in small)
+            stack = np.tile(np.eye(order), (len(small), 1, 1))
+            for i, k in enumerate(small):
+                n = len(shifted[k])
+                stack[i, :n, :n] = shifted[k]
+            w, pivots = _bordered_rows(stack)
+            for i, k in enumerate(small):
+                n = len(shifted[k])
+                head = w[i, :n, :n]
+                factors[k] = head.T @ head, pivots[i, :n]
+        for k, a in enumerate(shifted):
+            if len(a) > SCHUR_LEAF_ORDER:
+                factors[k] = _spd_inverse(a)
+    out = []
+    for k, a in enumerate(shifted):
+        if k not in factors:
+            out.append(a)
+            continue
+        x, pivots = factors.pop(k)
+        _check_pivots(a, pivots, f"L + J/n of Laplacian {k} (order {len(a)})")
+        x = 0.5 * (x + x.T)
+        out.append(_refined(x, -(a @ x)))
+    return out
 
 
 def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -21,9 +21,14 @@ and checked once, in one ``sym_inverse`` call per layout order when the
 set is built, and swept in one Jacobi call per layout order when the
 first instance reads the crown spectra; ``check_corona_instance`` called
 on crown graphs makes a set of its own.  Each case's base graph has its
-Laplacian group inverse taken three times: once for the identity
-battery's ``ls`` and once for ``l_sharp`` in each kind's blocks.  Each
-corona's is taken once, by the oracle.
+Laplacian group inverse taken once, as it is drawn, and handed to the
+identity battery as ``ls`` and to both kinds' blocks as ``l_sharp``.
+Each corona's is taken once, by the oracle: the run checks its instances
+in chunks of consecutive ones, and each chunk's coronas go through one
+``laplacian_group_inverses`` call, each member bit for bit as alone, so
+an instance checked alone, a chunk of one, reports what it reports in a
+run.  The battery's Kron-reduced graph and cut-vertex corona are still
+inverted one at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .graphs import Graph, laplacian, serialize_edge_list
 from .linalg import (
     block_one_inverse,
     laplacian_group_inverse,
+    laplacian_group_inverses,
     max_abs,
     shifted_rank_one_inverse,
     verify_one_inverse,
@@ -140,15 +146,20 @@ def random_crowns(rng: random.Random, count: int, t_max: int = 3) -> tuple[Graph
 # Identity battery: identities that hold for every connected graph
 
 
-def identity_residuals(g: Graph, rng: random.Random) -> dict[str, float]:
+def identity_residuals(
+    g: Graph, rng: random.Random, ls: np.ndarray | None = None
+) -> dict[str, float]:
     """Residual per named identity, evaluated on one connected graph.
 
     The block-inverse and shifted-inverse draws use the rng so the battery
-    covers a different split and shift on every graph.
+    covers a different split and shift on every graph.  ``ls`` is the group
+    inverse of L(g), taken here when omitted; ``run_suite`` hands in the
+    one it takes per case and shares with both corona kinds' blocks.
     """
     n = g.n
     lap = laplacian(g)
-    ls = laplacian_group_inverse(lap)
+    if ls is None:
+        ls = laplacian_group_inverse(lap)
     out: dict[str, float] = {}
 
     out["group_inverse_nullvector"] = max_abs(ls @ np.ones(n))
@@ -252,6 +263,18 @@ def _instance_passed(residuals: dict[str, float]) -> bool:
 # Per crowned kind, the name of its closed_form block hook.
 _KINDS = {"r_vertex": "rv_blocks", "r_edge": "re_blocks"}
 
+# A run checks its instances in chunks of at most _CHUNK consecutive ones,
+# and each chunk takes its oracles in one stacked call.  A chunk also closes
+# before its corona Laplacians pass _CHUNK_ENTRIES entries in all (64
+# coronas of the Cholesky leaf order), so large crowns cannot make one
+# chunk hold many large coronas at once; a corona past it is a chunk alone.
+_CHUNK = 64
+_CHUNK_ENTRIES = _CHUNK * 64 * 64
+
+# One instance to check: kind, base, crown set, case, and the base group
+# inverse when it has been taken already (None: the blocks take it).
+_Instance = tuple[str, Graph, closed_form.CrownSet, int, np.ndarray | None]
+
 
 def check_corona_instance(
     kind: str, g: Graph, crowns: tuple[Graph, ...] | closed_form.CrownSet, case: int = 0
@@ -265,25 +288,47 @@ def check_corona_instance(
     between the assembled inverse, the expanded invariant formula, and the
     oracle.  ``crowns`` is the crown graphs or a ``CrownSet`` over them,
     such as their part of a larger set; the blocks read the set, and the
-    oracle builds the corona from the crown graphs the set keeps.
+    oracle builds the corona from the crown graphs the set keeps.  The
+    instance is a chunk of one for the stacked oracle call ``run_suite``
+    makes per chunk, so it reports bit for bit what it reports in a run.
     """
     if kind not in _KINDS:
         raise ValueError(f"the suite checks r_vertex and r_edge coronas, got kind {kind!r}")
     if not isinstance(crowns, closed_form.CrownSet):
         crowns = closed_form.CrownSet.of(crowns)
-    built = build(kind, g, crowns.graphs)
-    blocks = getattr(closed_form, _KINDS[kind])(g, crowns)
+    (report,) = _check_instances([(kind, g, crowns, case, None)])
+    return report
+
+
+def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
+    """Check instances with one oracle call for all of them.
+
+    Each corona is built and its blocks taken; then one
+    ``laplacian_group_inverses`` call takes every corona Laplacian's group
+    inverse, each bit for bit as it would come alone; then each instance is
+    read and compared.
+    """
+    laps = [laplacian(build(kind, g, crowns.graphs).graph) for kind, g, crowns, _, _ in instances]
+    blocks = [
+        getattr(closed_form, _KINDS[kind])(g, crowns, ls) for kind, g, crowns, _, ls in instances
+    ]
+    oracles = laplacian_group_inverses(laps)
+    return [_report(*args) for args in zip(instances, blocks, laps, oracles)]
+
+
+def _report(
+    instance: _Instance, blocks: closed_form.CoronaBlocks, lap_c: np.ndarray, oracle_x: np.ndarray
+) -> InstanceReport:
+    """One instance's report, from its blocks, its corona Laplacian and that Laplacian's group inverse."""
+    kind, g, crowns, case, _ = instance
     x = closed_form.one_inverse(blocks)
     closed_r = closed_form.resistance_map(blocks)
     breakdown = closed_form.kirchhoff_terms(blocks)
-
-    lap_c = laplacian(built.graph)
-    oracle_x = laplacian_group_inverse(lap_c)
     oracle_r = resistances_from_inverse(oracle_x)
     inverse_r = resistances_from_inverse(x)
 
     kf_closed = kirchhoff_from_one_inverse(x)
-    kf_oracle = float(built.graph.n * np.trace(oracle_x))
+    kf_oracle = float(len(lap_c) * np.trace(oracle_x))
     # The crown corner of X is the grounded inverse G for both kinds, and
     # the blocks hold each crown's tr G_k and 1^T G_k 1.  The R-edge terms
     # (trace_crown_edge, ones_crown_shift) are defined on the shifted corner
@@ -420,7 +465,12 @@ def run_suite(
     cheap; the verdict is "pass" only if every residual everywhere sits
     inside its tolerance.  Every case is drawn before any instance is
     checked, so that one ``CrownSet`` holds every crown of the run and
-    each instance reads its part of it.
+    each instance reads its part of it.  Each base's group inverse is
+    taken once, as the case is drawn, and serves its battery and both of
+    its instances.  The instances are checked in order, in chunks of at
+    most ``_CHUNK`` whose corona Laplacians hold at most ``_CHUNK_ENTRIES``
+    entries in all (a larger corona is a chunk alone), and each chunk takes
+    its oracle group inverses in one stacked call.
     """
     if cases < 0:
         raise ValueError("cases must be nonnegative")
@@ -430,20 +480,27 @@ def run_suite(
         raise ValueError("t_max must be nonnegative")
     rng = random.Random(seed)
     identity_worst: dict[str, float] = {}
-    drawn: list[tuple[Graph, tuple[Graph, ...], tuple[Graph, ...]]] = []
+    drawn: list[tuple[Graph, np.ndarray, tuple[Graph, ...], tuple[Graph, ...]]] = []
     for _ in range(cases):
         g = random_connected_graph(rng, 2, n_max, m_max=8)
-        for name, value in identity_residuals(g, rng).items():
+        ls = laplacian_group_inverse(laplacian(g))
+        for name, value in identity_residuals(g, rng, ls).items():
             identity_worst[name] = max(identity_worst.get(name, 0.0), value)
-        drawn.append((g, random_crowns(rng, g.n, t_max), random_crowns(rng, g.m, t_max)))
-    crown_set = closed_form.CrownSet.of(tuple(c for _, rv, re in drawn for c in rv + re))
+        drawn.append((g, ls, random_crowns(rng, g.n, t_max), random_crowns(rng, g.m, t_max)))
+    crown_set = closed_form.CrownSet.of(tuple(c for _, _, rv, re in drawn for c in rv + re))
     instances: list[InstanceReport] = []
-    lo = 0
-    for case, (g, rv, re) in enumerate(drawn):
+    chunk: list[_Instance] = []
+    entries = lo = 0
+    for case, (g, ls, rv, re) in enumerate(drawn):
         for kind, crowns in (("r_vertex", rv), ("r_edge", re)):
-            part = crown_set.part(lo, lo + len(crowns))
-            instances.append(check_corona_instance(kind, g, part, case))
+            order = g.n + g.m + sum(c.n for c in crowns)
+            if chunk and (len(chunk) == _CHUNK or entries + order * order > _CHUNK_ENTRIES):
+                instances.extend(_check_instances(chunk))
+                chunk, entries = [], 0
+            chunk.append((kind, g, crown_set.part(lo, lo + len(crowns)), case, ls))
+            entries += order * order
             lo += len(crowns)
+    instances.extend(_check_instances(chunk))
     return ComparisonReport(
         seed=seed,
         cases=cases,

@@ -450,6 +450,64 @@ def test_laplacian_group_inverse_fails_loudly():
     assert laplacian_group_inverse(np.zeros((0, 0))).shape == (0, 0)
 
 
+def _random_laplacians(seed, orders):
+    rng = np.random.default_rng(seed)
+    laps = []
+    for n in orders:
+        edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+        for _ in range(n // 2):
+            edges.add(tuple(sorted(map(int, rng.choice(n, 2, replace=False)))))
+        laps.append(laplacian(Graph(n, tuple(edges))))
+    return laps
+
+
+def test_stacked_group_inverses_match_one_member_calls_bit_for_bit():
+    # Orders 1-64 share one padded stack, shuffled so that small members sit
+    # among larger ones; 0, 65 and 100 ride along (empty, and on their own
+    # through the Schur split).  Each member is bit for bit its one-member
+    # call, and agrees with laplacian_group_inverse to a bound fixed by the
+    # dtype: the two differ only in how 1 / sqrt(p) is rounded.
+    orders = list(range(0, 65)) + [65, 100]
+    np.random.default_rng(7).shuffle(orders)
+    laps = _random_laplacians(5, orders)
+    got = linalg.laplacian_group_inverses(laps)
+    assert len(got) == len(laps)
+    tol = 2**7 * np.finfo(np.float64).eps
+    for lap, x in zip(laps, got):
+        (alone,) = linalg.laplacian_group_inverses([lap])
+        assert x.shape == lap.shape
+        assert x.tobytes() == alone.tobytes()
+        ref = laplacian_group_inverse(lap)
+        assert max_abs(x - ref) <= tol * max(1.0, max_abs(ref))
+    # Members past the Schur split take the one-matrix route itself.
+    for lap, x in zip(laps, got):
+        if len(lap) > linalg.SCHUR_LEAF_ORDER:
+            assert x.tobytes() == laplacian_group_inverse(lap).tobytes()
+
+
+def test_stacked_group_inverses_of_no_members():
+    assert linalg.laplacian_group_inverses([]) == []
+    assert linalg.laplacian_group_inverses(()) == []
+
+
+def test_stacked_group_inverses_fail_loudly_and_name_the_member():
+    good = laplacian(path_graph(3))
+    with pytest.raises(MatrixError, match="^Laplacian 1 rows must sum to zero$"):
+        linalg.laplacian_group_inverses([good, laplacian(cycle_graph(4)) + np.eye(4)])
+    with pytest.raises(MatrixError, match="^Laplacian 0 is not symmetric$"):
+        linalg.laplacian_group_inverses([np.triu(good), good])
+    disconnected = laplacian(Graph(4, ((0, 1), (2, 3))))
+    for members, k, n in (
+        ([good, complete_graph(5), disconnected], 2, 4),
+        ([disconnected, good], 0, 4),
+        ([good, laplacian(Graph(70, tuple((i, i + 1) for i in range(68))))], 1, 70),
+    ):
+        members = [laplacian(m) if isinstance(m, Graph) else m for m in members]
+        want = f"^L \\+ J/n of Laplacian {k} \\(order {n}\\) is singular or not positive definite"
+        with pytest.raises(SingularMatrixError, match=want):
+            linalg.laplacian_group_inverses(members)
+
+
 def test_block_one_inverse_on_laplacian_splits():
     rng = np.random.default_rng(11)
     for g in (path_graph(6), complete_graph(5), Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)))):

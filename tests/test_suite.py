@@ -78,26 +78,33 @@ def test_instance_report_shape():
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
-    # Blocks once, the {1}-inverse assembled once (the Kirchhoff value reads
-    # the blocks, not X), the corona Laplacian's group inverse taken once, and
-    # the crown spectra in one call.
+    # Blocks once, with the base group inverse taken once inside them, the
+    # {1}-inverse assembled once (the Kirchhoff value reads the blocks, not
+    # X), the corona Laplacian's group inverse taken once, as the one member
+    # of one stacked call, and the crown spectra in one call.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
     order = g.n + g.m + sum(c.n for c in crowns)
     ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
+    stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
         mock.patch.object(closed_form, "one_inverse", wraps=closed_form.one_inverse) as assemble,
         mock.patch.object(closed_form, "_crown_eigen_sums", wraps=closed_form._crown_eigen_sums) as eigen,
+        mock.patch.object(closed_form, "laplacian_group_inverse", ginv),
         mock.patch.object(suite, "laplacian_group_inverse", ginv),
+        mock.patch.object(suite, "laplacian_group_inverses", stacked),
         mock.patch.object(resistance, "laplacian_group_inverse", ginv),
     ):
         report = suite.check_corona_instance(kind, g, crowns)
     assert report.passed
     assert blocks.call_count == 1
+    assert blocks.call_args.args[3] is None
     assert assemble.call_count == 1
-    assert [c.args[0].shape for c in ginv.call_args_list].count((order, order)) == 1
+    assert [c.args[0].shape for c in ginv.call_args_list] == [(g.n, g.n)]
+    assert stacked.call_count == 1
+    assert [lap.shape for lap in stacked.call_args.args[0]] == [(order, order)]
     (read,) = [c.args[0] for c in eigen.call_args_list]
     assert read.graphs == crowns
     for members, laps, _ in read.stacks:
@@ -122,16 +129,23 @@ def test_instance_checks_the_kind_before_building(kind):
 def test_identity_battery_solves_its_graph_once():
     # The edge-sum, neighbor-recursion and cut-vertex checks read resistance
     # matrices already built; only the battery graph's own group inverse is
-    # n x n (the cut-vertex corona is larger).
+    # n x n (the cut-vertex corona is larger), and none is taken when the
+    # caller hands it in, with every residual bit for bit the same.
     g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)))
+    ls = linalg.laplacian_group_inverse(laplacian(g))
     ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
     with (
         mock.patch.object(suite, "laplacian_group_inverse", ginv),
         mock.patch.object(resistance, "laplacian_group_inverse", ginv),
     ):
         out = suite.identity_residuals(g, random.Random(4))
+        taken = [c.args[0].shape for c in ginv.call_args_list]
+        ginv.reset_mock()
+        handed = suite.identity_residuals(g, random.Random(4), ls)
     assert {"edge_resistance_sum", "neighbor_recursion"} <= set(out)
-    assert [c.args[0].shape for c in ginv.call_args_list].count((g.n, g.n)) == 1
+    assert taken.count((g.n, g.n)) == 1
+    assert [c.args[0].shape for c in ginv.call_args_list].count((g.n, g.n)) == 0
+    assert _bits(handed) == _bits(out)
 
 
 def test_run_suite_passes_and_counts():
@@ -195,6 +209,79 @@ def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
     assert layouts == [2, 4]
     assert [c.args[0].shape[-1] for c in inverse.call_args_list] == layouts
     assert [c.args[0].shape[-1] for c in eig.call_args_list] == layouts
+
+
+def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
+    # Per case, one lone group inverse each for the base (shared by the
+    # battery and both kinds' blocks), the battery's Kron-reduced H and its
+    # cut-vertex corona: 15 for 5 cases.  The 10 oracle coronas take theirs
+    # in one stacked call.
+    taken = []
+    real = linalg.laplacian_group_inverse
+
+    def ginv(lap):
+        taken.append(real(lap))
+        return taken[-1]
+
+    stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
+    with (
+        mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
+        mock.patch.object(closed_form, "laplacian_group_inverse", ginv),
+        mock.patch.object(linalg, "laplacian_group_inverse", ginv),
+        mock.patch.object(resistance, "laplacian_group_inverse", ginv),
+        mock.patch.object(suite, "laplacian_group_inverse", ginv),
+        mock.patch.object(suite, "laplacian_group_inverses", stacked),
+    ):
+        report = suite.run_suite(seed=1, cases=5)
+    assert report.verdict == "pass"
+    drawn = _drawn_instances(1, 5, 5, 3)
+    bases = [g for kind, g, _, _ in drawn if kind == "r_vertex"]
+    assert len(taken) == 15
+    for case, g in enumerate(bases):
+        base, kron, cut = taken[3 * case : 3 * case + 3]
+        assert base.shape == (g.n, g.n)
+        assert kron.shape[0] < g.n
+        assert cut.shape == (g.n + g.m + 2,) * 2
+        # Both kinds' blocks read the base inverse the case took.
+        assert all(c.args[3] is base for c in blocks.call_args_list[2 * case : 2 * case + 2])
+    assert stacked.call_count == 1
+    orders = [g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn]
+    assert [lap.shape[0] for lap in stacked.call_args.args[0]] == orders
+
+
+def test_run_suite_checks_its_instances_in_bounded_chunks():
+    # 80 instances make more than one chunk of at most _CHUNK; crowns of
+    # order up to 80 put coronas past the Cholesky leaf order, and a chunk
+    # closes before its Laplacians pass _CHUNK_ENTRIES entries.  Each chunk
+    # takes its oracles in one stacked call, and every instance still
+    # reports bit for bit what it reports alone.
+    for seed, cases, t_max in ((2, 40, 3), (6, 6, 80)):
+        stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
+        with mock.patch.object(suite, "laplacian_group_inverses", stacked):
+            report = suite.run_suite(seed=seed, cases=cases, t_max=t_max)
+        assert report.verdict == "pass"
+        chunks = [[lap.shape[0] for lap in c.args[0]] for c in stacked.call_args_list]
+        drawn = _drawn_instances(seed, cases, 5, t_max)
+        assert [order for chunk in chunks for order in chunk] == [
+            g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn
+        ]
+        assert len(chunks) > 1
+        for chunk, following in zip(chunks, chunks[1:] + [None]):
+            entries = sum(order * order for order in chunk)
+            assert len(chunk) <= suite._CHUNK
+            assert len(chunk) == 1 or entries <= suite._CHUNK_ENTRIES
+            # A chunk closes only when it is full or the next corona would overflow it.
+            if following is not None:
+                full = len(chunk) == suite._CHUNK
+                assert full or entries + following[0] ** 2 > suite._CHUNK_ENTRIES
+        if seed == 2:
+            assert [len(chunk) for chunk in chunks] == [suite._CHUNK, 80 - suite._CHUNK]
+        else:
+            assert max(max(chunk) for chunk in chunks) > linalg.SCHUR_LEAF_ORDER
+        for got, (kind, g, crowns, case) in zip(report.instances, drawn):
+            alone = suite.check_corona_instance(kind, g, crowns, case)
+            assert _bits(got.values) == _bits(alone.values)
+            assert _bits(got.residuals) == _bits(alone.residuals)
 
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
