@@ -32,11 +32,11 @@ A crown's inverse, its identity G 1 = 1 and its spectrum depend on
 nothing but the crown, so the crown side is its own type, ``CrownSet``,
 which keeps the crown graphs, and the blocks take the graphs or a set
 already built.  ``CrownSet.of`` is the one crown pass: it inverts, totals
-and checks each crown once, and the blocks only report the complement
-defects that identity implies.  A caller that checks many coronas, as the
-suite does, builds one set over all their crowns and hands each corona
-its ``part``: every crown of the run is then inverted, checked and swept
-once, in one stacked call per layout order.
+and checks each crown once, and nothing else computes or judges that
+identity.  A caller that checks many coronas, as the suite does, builds
+one set over all their crowns and hands each corona its ``part``: every
+crown of the run is then inverted, checked and swept once, in one stacked
+call per layout order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from . import resistance
 from .corona import crown_anchors
 from .graphs import Graph, is_connected, laplacian
-from .linalg import MatrixError, _jacobi_eigenvalues, laplacian_group_inverse, max_abs, sym_inverse
+from .linalg import MatrixError, _jacobi_eigenvalues, laplacian_group_inverse, sym_inverse
 
 # The one internally asserted identity, each crown's G 1 = 1 for its
 # grounded inverse G = (L(H) + I)^{-1}, is checked as |t - 1^T G 1| <=
@@ -195,11 +195,9 @@ class CoronaBlocks:
     ``CrownSet`` of the corona's crowns, built for these blocks alone or
     a part of a larger set: every crown datum, its graph and order, its
     stacked Laplacian and grounded inverse, its totals and its spectral
-    sum, is read off it.  ``schur_defect`` is the distance of the numerically
-    assembled Schur complement from (3/2) L(G); ``complement_defect`` is
-    that of the edge-block complement from 2I (exactly 0 for R-vertex).
-    Both are reports only: each is the crown identity G 1 = 1, which
-    ``CrownSet.of`` checks, read at that kind's hosts.
+    sum, is read off it.  The crown identity G 1 = 1, which collapses the
+    Schur complement to (3/2) L(G) and the edge-block complement to 2I, is
+    not held here: ``CrownSet.of`` checks it once per crown.
     """
 
     kind: str
@@ -209,8 +207,6 @@ class CoronaBlocks:
     hosts: np.ndarray
     anchor: np.ndarray
     crowns: CrownSet
-    schur_defect: float
-    complement_defect: float
 
 
 def _require_closed_form_input(g: Graph) -> None:
@@ -232,9 +228,9 @@ def _blocks(
     part of a larger set; the blocks then make no crown kernel call.
     ``l_sharp`` is the group inverse of L(G), taken here when omitted; a
     caller that has taken it already, as the suite does once per base for
-    its battery and both kinds, hands it in.  The two complement defects are
-    computed as the suite reports them and raise nothing: past the crown
-    identity they are exact integer sums.
+    its battery and both kinds, hands it in.  The crown identity is checked
+    only when a set is built, by ``CrownSet.of``; the blocks take a set's
+    totals as they are.
     """
     _require_closed_form_input(g)
     if not isinstance(crowns, CrownSet):
@@ -248,22 +244,7 @@ def _blocks(
         l_sharp = laplacian_group_inverse(laplacian(g))
     elif l_sharp.shape != (g.n, g.n):
         raise ValueError(f"l_sharp must have shape {(g.n, g.n)}, got {l_sharp.shape}")
-    sizes = crowns.sizes
-    # Eliminating crown k leaves its anchor a diagonal term t_k - 1^T G_k 1,
-    # which vanishes because each crown block satisfies (L(H) + I)^{-1} 1 = 1.
-    excess = np.zeros(g.n + g.m)
-    excess[hosts] = np.asarray(sizes, dtype=float) - crowns.totals[1]
-    # So the edge-block complement 2I + diag(excess) collapses to 2I ...
-    complement_defect = max_abs(excess[g.n :])
-    # ... and the Schur complement D + diag(excess) + L(G) - BB^T/2 (BB^T = D + A) to 3/2 L(G).
-    # Off the diagonal it is L(G) - A/2 = 3/2 L(G) exactly (-1 - 1/2 on an edge,
-    # 0 elsewhere), so its defect is read on the diagonal, entry by entry as the
-    # dense difference would form it.
-    d = g.degrees().astype(float)
-    defect = max_abs((d + excess[: g.n]) + d - 0.5 * d - 1.5 * d)
-    return CoronaBlocks(
-        kind, g, l_sharp, ends, hosts, np.repeat(hosts, sizes), crowns, defect, complement_defect
-    )
+    return CoronaBlocks(kind, g, l_sharp, ends, hosts, np.repeat(hosts, crowns.sizes), crowns)
 
 
 # The six rv_/re_ wrappers stay until the benchmark is repaired: its selftest

@@ -118,14 +118,17 @@ def _evaluate(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> InstanceEval:
         x = cf.one_inverse(blocks)
         closed = cf.rv_resistance_matrix(g, crowns)
         kf_closed = cf.rv_kirchhoff_terms(g, crowns).value
-        complement_defect = 0.0
     else:
         built = build("r_edge", g, crowns)
         blocks = cf.re_blocks(g, crowns)
         x = cf.one_inverse(blocks)
         closed = cf.re_resistance_matrix(g, crowns)
         kf_closed = cf.re_kirchhoff_terms(g, crowns).value
-        complement_defect = blocks.complement_defect
+    # Eliminating crown k leaves t_k - 1^T G_k 1 on its anchor's diagonal;
+    # on the original vertices that is the Schur complement's distance from
+    # (3/2) L(G), on the edge-vertices the edge block's distance from 2I.
+    excess = np.zeros(g.n + g.m)
+    excess[blocks.hosts] = np.asarray(blocks.crowns.sizes, dtype=float) - blocks.crowns.totals[1]
     oracle = resistance_matrix(built.graph)
     diff = np.abs(closed - oracle)
     counts = {name: 0 for name in CASE_TYPES}
@@ -147,8 +150,8 @@ def _evaluate(kind: str, g: Graph, crowns: tuple[Graph, ...]) -> InstanceEval:
         class_counts=counts,
         class_errs=errs,
         inverse_defect=verify_one_inverse(laplacian(built.graph), x),
-        schur_defect=blocks.schur_defect,
-        complement_defect=complement_defect,
+        schur_defect=max_abs(excess[: g.n]),
+        complement_defect=max_abs(excess[g.n :]),
         kf_closed=kf_closed,
         kf_oracle=kirchhoff_index(built.graph),
     )

@@ -107,11 +107,24 @@ def test_one_inverse_on_named_instances():
         npt.assert_allclose(x, x.T, atol=1e-12)
 
 
+def _host_excess(blocks):
+    """t_k - 1^T G_k 1 on each crown's anchor, 0 on every other skeleton vertex.
+
+    Eliminating crown k leaves this term on its anchor's diagonal, so on the
+    original vertices it is the Schur complement's distance from (3/2) L(G),
+    on the edge-vertices the edge block's distance from 2I.
+    """
+    g = blocks.base
+    excess = np.zeros(g.n + g.m)
+    excess[blocks.hosts] = np.asarray(blocks.crowns.sizes, dtype=float) - blocks.crowns.totals[1]
+    return excess
+
+
 def test_internal_identities():
     g = path_graph(4)
     crowns_v = (K1, Graph(2, ((0, 1),)), empty_graph(0), Graph(3, ()))
     blocks_v = cf.rv_blocks(g, crowns_v)
-    assert blocks_v.schur_defect <= 1e-12
+    assert max_abs(_host_excess(blocks_v)[: g.n]) <= 1e-12
     # the Schur complement of the non-original block, formed on the corona
     lap = laplacian(build("r_vertex", g, crowns_v).graph)
     a, c, rest = lap[: g.n, : g.n], lap[: g.n, g.n :], lap[g.n :, g.n :]
@@ -120,8 +133,8 @@ def test_internal_identities():
 
     crowns_e = (Graph(2, ()), K1, Graph(3, ((0, 1), (1, 2))))
     blocks_e = cf.re_blocks(g, crowns_e)
-    assert blocks_e.schur_defect <= 1e-12
-    assert blocks_e.complement_defect <= 1e-12
+    assert max_abs(_host_excess(blocks_e)[: g.n]) <= 1e-12
+    assert max_abs(_host_excess(blocks_e)[g.n :]) <= 1e-12
 
 
 def _off_in_one_entry(invert, by=1e-6):
@@ -158,8 +171,8 @@ def test_crown_identity_bound_is_1e_12_up_to_order_10():
 
 def test_a_part_checks_nothing_and_the_blocks_raise_no_defect():
     # The crown identity is checked once, when a set is built: a part reads
-    # the set's totals as they are, and the blocks report both complement
-    # defects without raising on them.
+    # the set's totals as they are, and the blocks take them without
+    # raising, so a forged total reaches the complement it would spoil.
     crowns = cf.CrownSet.of((complete_graph(2), path_graph(3)))
     traces, ones = crowns.totals
     forged = cf.CrownSet(crowns.graphs, crowns.stacks, (traces, ones + np.array([0.0, 1e-3])))
@@ -168,8 +181,8 @@ def test_a_part_checks_nothing_and_the_blocks_raise_no_defect():
         edge = cf.re_blocks(K2, forged.part(1, 2))
         vertex = cf.rv_blocks(K2, forged.part(0, 2))
     assert sym.call_count == 0
-    assert edge.complement_defect == pytest.approx(1e-3, rel=1e-9)
-    assert vertex.schur_defect == pytest.approx(1e-3, rel=1e-9)
+    assert max_abs(_host_excess(edge)[K2.n :]) == pytest.approx(1e-3, rel=1e-9)
+    assert max_abs(_host_excess(vertex)[: K2.n]) == pytest.approx(1e-3, rel=1e-9)
 
 
 @pytest.mark.parametrize("t", [65, 80, 100, 128])

@@ -64,9 +64,13 @@ def test_instance_report_shape():
     assert d["base"] == {"digest": suite.graph_digest(g), "n": g.n, "m": g.m}
     assert set(report.residuals) <= set(suite.INSTANCE_TOLERANCES)
 
-    report_e = suite.check_corona_instance("r_edge", g, suite.random_crowns(rng, g.m))
+    crowns_e = closed_form.CrownSet.of(suite.random_crowns(rng, g.m))
+    report_e = suite.check_corona_instance("r_edge", g, crowns_e)
     assert report_e.passed
-    assert "complement_defect" in report_e.residuals
+    # The identity behind the edge-block complement is the crown set's to
+    # check, not the report's.
+    sizes = np.array(crowns_e.sizes, dtype=float)
+    assert linalg.max_abs(sizes - crowns_e.totals[1]) <= 1e-12
     assert "ones_shift_defect" in report_e.residuals
 
     with pytest.raises(ValueError, match="kind"):
@@ -74,6 +78,28 @@ def test_instance_report_shape():
     # A plain R-graph is a valid corona kind but has no crowns to check.
     with pytest.raises(ValueError, match="^the suite checks r_vertex and r_edge coronas"):
         suite.check_corona_instance("r_graph", g, ())
+
+
+def test_every_instance_tolerance_is_read_by_a_report():
+    # A residual dropped from the reports must not leave its tolerance behind.
+    g = path_graph(3)
+    vertex_crowns = (complete_graph(2), Graph(1, ()), Graph(0, ()))
+    vertex = suite.check_corona_instance("r_vertex", g, vertex_crowns)
+    edge = suite.check_corona_instance("r_edge", g, (path_graph(3), Graph(2, ())))
+    assert set(suite.INSTANCE_TOLERANCES) == set(vertex.residuals) | set(edge.residuals)
+
+
+@pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
+def test_a_crown_near_order_300_passes(kind):
+    # An order-245 crown's 1^T G 1 sums 245^2 entries, so its roundoff is
+    # past 1e-12; the crown set checks it against a bound that grows with
+    # the order, and the instance passes on every reported residual.
+    crown = suite.random_crown(random.Random(27), 300)
+    assert crown.n == 245
+    # R-vertex over P_2 has two anchors, R-edge one.
+    crowns = (crown, Graph(0, ())) if kind == "r_vertex" else (crown,)
+    report = suite.check_corona_instance(kind, path_graph(2), crowns)
+    assert report.passed, report.residuals
 
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
