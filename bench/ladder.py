@@ -1,0 +1,212 @@
+"""Size ladder of the closed Kirchhoff index: sparse factor against the dense group inverse.
+
+    python3 bench/ladder.py [--out BENCH_kf_sparse.json] [--sizes 120 480 ...] [--repeats 3]
+
+Run it from anywhere; it imports the package from this checkout's ``src/``.
+Each case is the R-vertex corona with every crown empty, R(G), over a base
+G from one of three families at each size n: the path P_n, a random
+connected graph with m = 1.2 n edges (a random attachment tree plus
+chords, seeded by n), and the square grid of side ceil(sqrt(n)).  Both
+routes run ``closed_form.kirchhoff_terms``:
+
+- sparse: blocks built without ``l_sharp``, so the Kirchhoff index reads
+  the ``GroundedFactor`` of L(G);
+- dense: ``laplacian_group_inverse(laplacian(G))`` taken and handed in as
+  ``l_sharp``, the route the blocks took before the factor.
+
+Each route's time is the best of ``--repeats`` runs (one above n = 1000),
+from the base graph to the breakdown, and its memory is the tracemalloc
+peak of one more run.  Then K_80 and K_200, whose every front is wider
+than ``linalg.DENSE_FRONT`` so the factor is one dense block, and one
+``corona kf --method closed --format json`` run over P_4000 in a child
+process, with its wall time and peak RSS.  Paths are checked against the
+exact Kirchhoff index of R(P_n).  BLAS runs on one thread.  The report is
+one JSON document written to ``--out``.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import math
+import platform
+import random
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coronakit import closed_form, linalg  # noqa: E402
+from coronakit.graphs import Graph, complete_graph, empty_graph, laplacian, path_graph  # noqa: E402
+from coronakit.graphs import serialize_edge_list  # noqa: E402
+
+SIZES = (120, 480, 1000, 2000, 4000)
+
+
+def random_base(n: int) -> Graph:
+    rng = random.Random(n)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n + n // 5:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, tuple(edges))
+
+
+def grid_base(n: int) -> Graph:
+    side = math.ceil(math.sqrt(n))
+    edges = [(v, v + 1) for v in range(side * side) if v % side != side - 1]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    return Graph(side * side, tuple(edges))
+
+
+FAMILIES = {"path": path_graph, "random": random_base, "grid": grid_base}
+
+
+def r_path_kirchhoff(n: int) -> Fraction:
+    """Kf(R(P_n)) exactly: every resistance is 2/3 per triangle crossed."""
+    m = n - 1
+    base = sum(d * (n - d) for d in range(1, n))
+    mixed = sum((k + 1) * (k + 2) // 2 + (n - 1 - k) * (n - k) // 2 for k in range(m))
+    edge = sum((d + 1) * (m - d) for d in range(1, m))
+    return Fraction(2, 3) * (base + mixed + edge)
+
+
+def sparse_route(g: Graph, crowns: tuple[Graph, ...]) -> closed_form.KirchhoffBreakdown:
+    return closed_form.kirchhoff_terms(closed_form.rv_blocks(g, crowns))
+
+
+def dense_route(g: Graph, crowns: tuple[Graph, ...]) -> closed_form.KirchhoffBreakdown:
+    ls = linalg.laplacian_group_inverse(laplacian(g))
+    return closed_form.kirchhoff_terms(closed_form.rv_blocks(g, crowns, ls))
+
+
+def measure(route, g: Graph, repeats: int) -> tuple[float, float, float]:
+    """Best wall time in s, tracemalloc peak in MB, and the Kirchhoff value."""
+    crowns = tuple(empty_graph(0) for _ in range(g.n))
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        value = route(g, crowns).value
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        route(g, crowns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return best, peak / 2**20, value
+
+
+def case(family: str, g: Graph, repeats: int) -> dict:
+    eu, ev = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    factor = linalg.GroundedFactor.of(g.n, eu, ev)
+    sparse_s, sparse_mb, sparse_kf = measure(sparse_route, g, repeats)
+    dense_s, dense_mb, dense_kf = measure(dense_route, g, repeats)
+    row = {
+        "family": family,
+        "n": g.n,
+        "m": g.m,
+        "head": len(factor.head),
+        "tail": len(factor.tail),
+        "fill": sum(map(len, factor.columns)),
+        "sparse_s": sparse_s,
+        "dense_s": dense_s,
+        "speedup": dense_s / sparse_s,
+        "sparse_peak_mb": sparse_mb,
+        "dense_peak_mb": dense_mb,
+        "kf_sparse": sparse_kf,
+        "kf_dense": dense_kf,
+        "rel_diff": abs(sparse_kf - dense_kf) / abs(dense_kf),
+    }
+    if family == "path":
+        exact = r_path_kirchhoff(g.n)
+        row["kf_exact"] = float(exact)
+        row["rel_err_sparse"] = float(abs(Fraction(sparse_kf) - exact) / exact)
+        row["rel_err_dense"] = float(abs(Fraction(dense_kf) - exact) / exact)
+    print(
+        f"{family:6s} n={g.n:5d} m={g.m:5d} head {row['head']:5d} tail {row['tail']:4d}: "
+        f"sparse {sparse_s:8.4f} s {sparse_mb:7.1f} MB, dense {dense_s:8.4f} s {dense_mb:7.1f} MB, "
+        f"x{row['speedup']:.1f}, rel diff {row['rel_diff']:.1e}",
+        file=sys.stderr,
+    )
+    return row
+
+
+def cli_case(n: int) -> dict:
+    """``corona kf --method closed`` over the R-vertex corona of P_n with empty crowns, in a child."""
+    with tempfile.TemporaryDirectory() as folder:
+        base = Path(folder) / "base.edges"
+        base.write_text(serialize_edge_list(path_graph(n)), encoding="ascii")
+        spec = Path(folder) / "corona.spec"
+        spec.write_text("kind = r_vertex\nbase = base.edges\n", encoding="ascii")
+        argv = [sys.executable, "-m", "coronakit.cli", "kf", str(spec), "--method", "closed"]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        start = time.perf_counter()
+        out = subprocess.run(argv + ["--format", "json"], check=True, capture_output=True, env=env)
+        wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    value = json.loads(out.stdout)["closed"]
+    exact = r_path_kirchhoff(n)
+    row = {
+        "command": f"corona kf <R-vertex over P_{n}> --method closed --format json",
+        "n": n,
+        "wall_s": wall,
+        "peak_rss_mb": peak_mb,
+        "kf": value,
+        "rel_err": float(abs(Fraction(value) - exact) / exact),
+    }
+    print(f"cli    P_{n}: {wall:.3f} s, peak RSS {peak_mb:.1f} MB", file=sys.stderr)
+    return row
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_kf_sparse.json"))
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    # The child runs first: a child forked from a parent that has grown
+    # counts the parent's pages in its peak RSS until it execs.
+    cli = cli_case(4000)
+    rows = []
+    for n in args.sizes:
+        for family, make in FAMILIES.items():
+            rows.append(case(family, make(n), args.repeats if n <= 1000 else 1))
+    complete = [case("complete", complete_graph(n), args.repeats) for n in (80, 200)]
+    report = {
+        "schema": "coronakit-bench-kf-sparse/1",
+        "what": "closed Kirchhoff index of R(G) (R-vertex corona, empty crowns): "
+        "sparse grounded factor against the dense group inverse handed in as l_sharp",
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": 1,
+        },
+        "dense_front": linalg.DENSE_FRONT,
+        "ladder": rows,
+        "complete": complete,
+        "cli": cli,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
+    print(f"wrote {args.out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

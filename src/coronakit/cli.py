@@ -9,6 +9,8 @@ Exit codes: 0 on success, 1 when the suite verdict is "fail", 2 on any
 input problem (unreadable files, malformed spec, out-of-range vertices),
 3 on an internal numerical fault (a crown inverse off its G 1 = 1 identity,
 Jacobi non-convergence): those are the program's failures, not the input's.
+141 when the reader of stdout closed it early (``corona resist ... | head``),
+the status a shell reports for a tool killed by SIGPIPE; nothing is printed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -95,14 +99,26 @@ _TEXT_CELLS = {"closed": "closed=%.10g", "oracle": "oracle=%.10g", "abs_diff": "
 _BLOCK_PAIRS = 1 << 16
 
 
+# A %.12g cell whose text is not the repr of the float it reads: integral
+# cells, inf and nan (no "." and no "e"), exponents e+12 to e+15 (repr
+# writes those out in full) and e-308 and below (a subnormal's repr can be
+# shorter).  Cells are NUL-separated.
+_JSON_REDO = re.compile(
+    r"(?<![^\0])(?:-?[0-9]+|-?inf|nan|[^\0]*e(?:\+1[2-5]|-3(?:0[89]|[1-9][0-9])))(?=\0)"
+)
+
+
 def _json_floats(values: list) -> list:
     """How ``json.dumps(round_floats(x))`` prints each float x of ``values``.
 
     The 12-digit rounding, then the JSON encoder's own float text: the
-    ``repr`` of the rounded float, or NaN, Infinity and -Infinity.
+    ``repr`` of the rounded float, or NaN, Infinity and -Infinity.  A
+    ``%.12g`` text of at most 12 digits is already the shortest repr of
+    the float it reads back as, so only the cells ``_JSON_REDO`` finds go
+    through ``json.dumps``; the rest are formatted once.
     """
-    rounded = ("%.12g\0" * len(values) % tuple(values)).split("\0")[:-1]
-    return json.dumps(list(map(float, rounded)))[1:-1].split(", ")
+    text = "%.12g\0" * len(values) % tuple(values)
+    return _JSON_REDO.sub(lambda cell: json.dumps(float(cell[0])), text).split("\0")[:-1]
 
 
 def _distinct_cells(col: np.ndarray, template: str, as_json: bool = False) -> np.ndarray:
@@ -399,7 +415,16 @@ def main(argv: list[str] | None = None) -> int:
     # The handler is looked up at call time, so a patched or wrapped one runs.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        status = handler(args)
+        # Flush here, not at exit, so that a reader gone before the last
+        # buffer went out is met by the arm below as well.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone, which is no fault of the input.  Point stdout
+        # at devnull, so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except MatrixError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

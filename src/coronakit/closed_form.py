@@ -14,16 +14,20 @@ Matrices); within one crown the skeleton part is 0 and the crown's cross
 term is taken off.
 
 Through the pairs its vertices join, every cell of the skeleton corner is
-one gather from the group inverse of L(G), because the Schur complement
+one gather from the group inverse L# of L(G), because the Schur complement
 of the original vertices collapses to (3/2) L(G).  Every inverse is a
-Cholesky solve: the group inverse deflates the all-ones null vector as
+Cholesky solve: the dense L# deflates the all-ones null vector as
 (L(G) + J/n)^{-1} - J/n, and the crowns of each layout order t + t % 2
 are inverted as one stack.  No matrix larger than the base graph is
 inverted, and none is pseudo-inverted.  The blocks hold only base- and
-crown-order data.  The Kirchhoff index reads them alone; the map, a
-single pair and the {1}-inverse read skeleton cells through one gather,
-at most two for a pair, and crown cells off the stacks through another
-(``_crown_cells``), at most four for a pair.  The one eigensolve left is in
+crown-order data, and take the dense L# only when first read.  The
+Kirchhoff index reads L# only on the diagonal, on the base edges and in
+three quadratic forms, so it reads them off a sparse ``GroundedFactor`` of
+L(G) instead, base-order work with nothing n x n formed, unless the
+caller handed the dense L# in; the map, a single pair and the {1}-inverse
+read skeleton cells of the dense L# through one gather, at most two for a
+pair, and crown cells off the stacks through another (``_crown_cells``),
+at most four for a pair.  The one eigensolve left is in
 ``_crown_eigen_sums``: the expanded Kirchhoff index reads the crown
 spectra on purpose, as a second kernel against the Cholesky inverses, on
 the Laplacian stacks the inverses read.
@@ -49,7 +53,13 @@ import numpy as np
 from . import resistance
 from .corona import crown_anchors
 from .graphs import Graph, is_connected, laplacian
-from .linalg import MatrixError, _jacobi_eigenvalues, laplacian_group_inverse, sym_inverse
+from .linalg import (
+    GroundedFactor,
+    MatrixError,
+    _jacobi_eigenvalues,
+    laplacian_group_inverse,
+    sym_inverse,
+)
 
 # The one internally asserted identity, each crown's G 1 = 1 for its
 # grounded inverse G = (L(H) + I)^{-1}, is checked as |t - 1^T G 1| <=
@@ -180,33 +190,48 @@ class CrownSet:
         return sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoronaBlocks:
     """Ingredients of either corona's structured {1}-inverse.
 
-    Everything stored is of base or crown order.  ``l_sharp`` is the group
-    inverse of L(G).  ``ends`` gives, for each of the n + m skeleton
-    vertices, the two base vertices (p, q) it joins: (i, i) for original
-    vertex i, edge k's endpoints for edge-vertex n + k.  ``hosts`` gives
-    each crown's anchor, the skeleton vertex it hangs from: original vertex
-    i for R-vertex, edge-vertex n + k for R-edge, as ``corona.crown_anchors``
-    gives it; this is the only datum in which the kinds differ.  ``anchor``
-    repeats it for each crown vertex in layout order.  ``crowns`` is the
-    ``CrownSet`` of the corona's crowns, built for these blocks alone or
-    a part of a larger set: every crown datum, its graph and order, its
-    stacked Laplacian and grounded inverse, its totals and its spectral
-    sum, is read off it.  The crown identity G 1 = 1, which collapses the
-    Schur complement to (3/2) L(G) and the edge-block complement to 2I, is
-    not held here: ``CrownSet.of`` checks it once per crown.
+    Everything stored is of base or crown order.  ``ends`` gives, for each
+    of the n + m skeleton vertices, the two base vertices (p, q) it joins:
+    (i, i) for original vertex i, edge k's endpoints for edge-vertex n + k.
+    ``hosts`` gives each crown's anchor, the skeleton vertex it hangs from:
+    original vertex i for R-vertex, edge-vertex n + k for R-edge, as
+    ``corona.crown_anchors`` gives it; this is the only datum in which the
+    kinds differ.  ``anchor`` repeats it for each crown vertex in layout
+    order.  ``crowns`` is the ``CrownSet`` of the corona's crowns, built for
+    these blocks alone or a part of a larger set: every crown datum, its
+    graph and order, its stacked Laplacian and grounded inverse, its totals
+    and its spectral sum, is read off it.  The crown identity G 1 = 1, which
+    collapses the Schur complement to (3/2) L(G) and the edge-block
+    complement to 2I, is not held here: ``CrownSet.of`` checks it once per
+    crown.
+
+    The base enters through L(G)'s group inverse.  ``given`` is a dense one
+    the caller handed in, or None.  ``l_sharp`` is the dense n x n one:
+    ``given``, or the dense kernel's on first read and then kept; the map,
+    a pair and the {1}-inverse read it.  ``kirchhoff_terms`` reads
+    ``given`` when it is set and otherwise a sparse ``GroundedFactor`` of
+    L(G) that it takes from the edge list, so the Kirchhoff index of blocks
+    built without one forms nothing of order n x n.
     """
 
     kind: str
     base: Graph
-    l_sharp: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
     hosts: np.ndarray
     anchor: np.ndarray
     crowns: CrownSet
+    given: np.ndarray | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def l_sharp(self) -> np.ndarray:
+        """The dense group inverse of L(G): the one handed in, or taken on first read."""
+        if self.given is not None:
+            return self.given
+        return laplacian_group_inverse(laplacian(self.base))
 
 
 def _require_closed_form_input(g: Graph) -> None:
@@ -226,11 +251,13 @@ def _blocks(
     ``crowns`` is the crown graphs, inverted and checked here as a
     ``CrownSet`` of their own, or a set already built, such as one corona's
     part of a larger set; the blocks then make no crown kernel call.
-    ``l_sharp`` is the group inverse of L(G), taken here when omitted; a
-    caller that has taken it already, as the suite does once per base for
-    its battery and both kinds, hands it in.  The crown identity is checked
-    only when a set is built, by ``CrownSet.of``; the blocks take a set's
-    totals as they are.
+    ``l_sharp`` is the dense group inverse of L(G), if the caller has taken
+    it already, as the suite does once per base for its battery and both
+    kinds; the blocks then read it on every route.  When omitted, the
+    blocks take the dense one only on first read of ``l_sharp``, and the
+    Kirchhoff index reads a sparse ``GroundedFactor`` instead.  The crown
+    identity is checked only when a set is built, by ``CrownSet.of``; the
+    blocks take a set's totals as they are.
     """
     _require_closed_form_input(g)
     if not isinstance(crowns, CrownSet):
@@ -240,11 +267,9 @@ def _blocks(
     i = np.arange(g.n)
     ends = (np.concatenate([i, eu]), np.concatenate([i, ev]))
     hosts = np.array(crown_anchors(kind, g, crowns), dtype=np.intp)
-    if l_sharp is None:
-        l_sharp = laplacian_group_inverse(laplacian(g))
-    elif l_sharp.shape != (g.n, g.n):
+    if l_sharp is not None and l_sharp.shape != (g.n, g.n):
         raise ValueError(f"l_sharp must have shape {(g.n, g.n)}, got {l_sharp.shape}")
-    return CoronaBlocks(kind, g, l_sharp, ends, hosts, np.repeat(hosts, crowns.sizes), crowns)
+    return CoronaBlocks(kind, g, ends, hosts, np.repeat(hosts, crowns.sizes), crowns, l_sharp)
 
 
 # The six rv_/re_ wrappers stay until the benchmark is repaired: its selftest
@@ -429,6 +454,27 @@ def _crown_eigen_sums(crowns: CrownSet) -> np.ndarray:
     return sums
 
 
+class _DenseReads:
+    """What ``kirchhoff_terms`` reads of L#, off a dense L# handed in: ``GroundedFactor``'s reads."""
+
+    def __init__(self, ls: np.ndarray) -> None:
+        self.ls = ls
+        self.diagonal = np.diag(ls)
+        self.trace = float(np.trace(ls))
+
+    def cells(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return self.ls[i, j]
+
+    def gram(self, vectors: tuple[np.ndarray, ...]) -> np.ndarray:
+        # (x^T L#) y for each pair, as the vectors come: the caller centres them.
+        forms = np.empty((len(vectors), len(vectors)))
+        for a, x in enumerate(vectors):
+            row = x @ self.ls
+            for b in range(a, len(vectors)):
+                forms[a, b] = forms[b, a] = row @ vectors[b]
+        return forms
+
+
 def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     """Kirchhoff index with its term breakdown, from blocks already built.
 
@@ -444,14 +490,22 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     moves the all-ones eigenvalue from 1 to 2/(2+t), and the trace of the
     inverse picks up exactly t/2 from that swap; ones_crown_shift is the
     matching all-ones quadratic form.
+
+    Lg is read only as its diagonal and trace, its cells on base edges and
+    at the hosts' ends (each a base edge or a diagonal cell), and three
+    quadratic forms in centred vectors: off the dense L# when the caller
+    handed one in (``blocks.given``), else off a ``GroundedFactor`` of L(G)
+    taken here from the edge list and dropped on return.  That alone picks
+    the route, not whether ``blocks.l_sharp`` has been read.
     """
     g = blocks.base
     n, m = g.n, g.m
     sizes = blocks.crowns.sizes
     st = sum(sizes)
     edge = blocks.kind == "r_edge"
-    ls = blocks.l_sharp
     eu, ev = (e[n:] for e in blocks.ends)
+    ls = GroundedFactor.of(n, eu, ev) if blocks.given is None else _DenseReads(blocks.given)
+    diag = ls.diagonal
     # X = S[a, a] + G holds skeleton vertex j's row and column reps[j]
     # times, and the skeleton corner is S = (2/3) P^T Lg P + diag(0, I/2)
     # with P = [I, B/2].  So tr X and 1^T X 1 are read off Lg through the
@@ -461,43 +515,41 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     r_n, r_m = reps[:n], reps[n:]
     c = r_n + 0.5 * (np.bincount(eu, r_m, minlength=n) + np.bincount(ev, r_m, minlength=n))
     c -= c.mean()
-    d = ls[eu, eu] + ls[ev, ev] + 2.0 * ls[eu, ev]
-    traces, ones = blocks.crowns.totals
-    trace_x = (
-        (2.0 / 3.0) * float(r_n @ np.diag(ls)) + float(r_m @ (0.5 + d / 6.0)) + float(traces.sum())
-    )
-    ones_x = (2.0 / 3.0) * float(c @ ls @ c) + 0.5 * float(r_m @ r_m) + float(ones.sum())
-    value = (n + m + st) * trace_x - ones_x
+    d = diag[eu] + diag[ev] + 2.0 * ls.cells(eu, ev)
     p, q = (e[blocks.hosts] for e in blocks.ends)
     pi = g.degrees().astype(float)
     tau = np.array(sizes, dtype=float)
     u_tau = 0.5 * (np.bincount(p, tau, minlength=n) + np.bincount(q, tau, minlength=n))
-    u_diag = 0.25 * (ls[p, p] + ls[q, q] + 2.0 * ls[p, q])
+    u_diag = 0.25 * (diag[p] + diag[q] + 2.0 * ls.cells(p, q))
     # Lg 1 = 0, so the quadratic forms in Lg take the vectors centred: the
     # same values, and exactly 0 where a vector is constant (pi on a
     # regular base) instead of roundoff.
     pi_c = pi - pi.mean()
     u_tau_c = u_tau - u_tau.mean()
-    pi_ls = pi_c @ ls
+    forms = ls.gram((c, pi_c, u_tau_c))
+    traces, ones = blocks.crowns.totals
+    trace_x = (2.0 / 3.0) * float(r_n @ diag) + float(r_m @ (0.5 + d / 6.0)) + float(traces.sum())
+    ones_x = (2.0 / 3.0) * float(forms[0, 0]) + 0.5 * float(r_m @ r_m) + float(ones.sum())
+    value = (n + m + st) * trace_x - ones_x
     shift = 0.5 if edge else 0.0
     sums = blocks.crowns.eigen_sums
     crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
     terms = {
-        "trace_base": (2.0 / 3.0) * float(np.trace(ls)),
+        "trace_base": (2.0 / 3.0) * ls.trace,
         "trace_edge_const": m / 2.0,
-        "trace_degree": (1.0 / 3.0) * float(pi @ np.diag(ls)),
+        "trace_degree": (1.0 / 3.0) * float(pi @ diag),
         "trace_tree_const": -(n - 1) / 6.0,
         "trace_crown_eigen": sum((float(v) + shift * t for v, t in zip(sums, sizes)), 0.0),
         crown_trace: (2.0 / 3.0) * float(tau @ u_diag),
         "ones_edge_const": m / 2.0,
-        "ones_degree_quad": (1.0 / 6.0) * float(pi_ls @ pi_c),
-        "ones_degree_crown": (2.0 / 3.0) * float(pi_ls @ u_tau_c),
+        "ones_degree_quad": (1.0 / 6.0) * float(forms[1, 1]),
+        "ones_degree_crown": (2.0 / 3.0) * float(forms[1, 2]),
         "ones_crown_count": float(st),
     }
     # Insertion order is summation order below, so keep it fixed per kind.
     if edge:
         terms["ones_crown_shift"] = 0.5 * float(np.sum(tau * (2.0 + tau)))
-    terms["ones_crown_quad"] = (2.0 / 3.0) * float(u_tau_c @ ls @ u_tau_c)
+    terms["ones_crown_quad"] = (2.0 / 3.0) * float(forms[2, 2])
     trace_part = sum(v for k, v in terms.items() if k.startswith("trace_"))
     ones_part = sum(v for k, v in terms.items() if k.startswith("ones_"))
     expanded = (n + m + st) * trace_part - ones_part

@@ -1,7 +1,7 @@
-"""Dense symmetric kernels: a Jacobi eigensolver and a Cholesky inverse.
+"""Symmetric kernels: a Jacobi eigensolver, a Cholesky inverse and a sparse Laplacian factor.
 
-Two kernels, split by what they compute, and both take one matrix or a
-(k, t, t) stack of equal-order ones.  Spectra go through
+Two dense kernels, split by what they compute, and both take one matrix
+or a (k, t, t) stack of equal-order ones.  Spectra go through
 ``sym_eigendecompose``, Jacobi in the round-robin parallel ordering of
 Brent and Luk: each of the n-1 rounds of a sweep rotates n/2 disjoint
 pairs of every stack member at once as one vectorised update, with the
@@ -35,13 +35,25 @@ returning an answer they cannot vouch for.  Each has an unchecked body
 behind those checks (``_checked_inverse``, ``_jacobi_eigenvalues``, whose
 eigenvalues stay in index order) for input that has passed them once
 already.
+
+``GroundedFactor`` reads the group inverse of a connected graph's
+Laplacian without forming it: the L D L^T factor of the Laplacian grounded
+at one vertex, by leaves-first, minimum-degree elimination over the edge
+list in Python floats, with any core whose fronts are all wider than
+DENSE_FRONT inverted as one dense block by ``_checked_inverse``; then the
+grounded inverse on the filled pattern by the Takahashi recurrence, and
+L#'s diagonal, its cells on the pattern and its quadratic forms from
+that and a few triangular solves.  Its work follows the fill, not n^3.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -63,6 +75,15 @@ SYMMETRY_RTOL = 1e-10
 # is split in half through its Schur complement, so that most of its work
 # runs as matmuls.
 SCHUR_LEAF_ORDER = 64
+
+# Widest front that GroundedFactor eliminates one vertex at a time.  Once
+# every vertex left has more neighbours than this, the rest of the grounded
+# Laplacian is one dense Schur block for _checked_inverse, so a dense base
+# (K_n) never enters the elimination loop.  Of 8, 12, 16, 24, 32 and 64 on
+# random (m = 1.2 n) and grid bases with n from 120 to 4096, 8 to 16 were
+# fastest, within 10% of each other on random bases; 16 was fastest on the
+# 64 x 64 grid, and 32 took 1.4-1.7x its time on grids from 22 x 22.
+DENSE_FRONT = 16
 
 
 class MatrixError(ValueError):
@@ -578,6 +599,341 @@ def laplacian_group_inverses(laps: Sequence[np.ndarray]) -> list[np.ndarray]:
         x = 0.5 * (x + x.T)
         out.append(_refined(x, -(a @ x)))
     return out
+
+
+def _pivot_error(d: float, v: int) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"grounded Laplacian is singular to working precision (pivot {d:.3e} at vertex {v})"
+    )
+
+
+def _eliminate(
+    n: int, eu: list[int], ev: list[int], floor: float
+) -> tuple[list[int], list[dict[int, float]], list[float], list[int], list, list[float], list[float]]:
+    """Leaves-first, then minimum-degree elimination of a graph Laplacian in Python floats, up to its dense core.
+
+    The Laplacian is held as one dict of off-diagonal entries per vertex and
+    a list of diagonal entries.  Leaves go first, from a stack that takes
+    each vertex as it becomes one: a leaf makes no fill, so their order
+    does not matter.  Then each step pops the vertex with the fewest
+    neighbours, ties to the lowest id, from a heap that keeps stale entries
+    until they surface.  Eliminating v takes the Schur complement on its
+    neighbours, a_uw -= a_uv a_vw / d; the product a_uv a_vw is the same
+    float whichever end computes it, so the entries stay exactly symmetric.
+    Each pivot d must be above ``floor``, or the step raises
+    SingularMatrixError.  The loop stops with one vertex left, or once the
+    fewest neighbours any vertex has is more than DENSE_FRONT.
+
+    Each step also applies its column to the all-ones vector, so that comes
+    out forward-solved, y = L^{-1} 1, for ``GroundedFactor.of``'s X 1.
+
+    Returns the eliminated vertices in order, each one's column as the
+    dict of its neighbours then to a_uv (column v of the unit lower factor
+    is a_uv / d), the pivots, the vertices left (sorted), the off-diagonal
+    dicts and diagonal of the Schur complement on them, and y.
+    """
+    adj: list = [{} for _ in range(n)]
+    for u, v in zip(eu, ev):
+        adj[u][v] = -1.0
+        adj[v][u] = -1.0
+    diag = [float(len(row)) for row in adj]
+    y = [1.0] * n
+    order: list[int] = []
+    columns: list[dict[int, float]] = []
+    pivots: list[float] = []
+    left = n
+    leaves = [v for v in range(n - 1, -1, -1) if len(adj[v]) == 1]
+    while leaves and left > 1:
+        v = leaves.pop()
+        d = diag[v]
+        if not d > floor:
+            raise _pivot_error(d, v)
+        row = adj[v]
+        adj[v] = None
+        left -= 1
+        ((u, a),) = row.items()
+        au = adj[u]
+        del au[v]
+        diag[u] -= a * a / d
+        y[u] -= a * y[v] / d
+        order.append(v)
+        pivots.append(d)
+        columns.append(row)
+        if len(au) == 1:
+            leaves.append(u)
+    heap = [(len(row), v) for v, row in enumerate(adj) if row is not None]
+    heapq.heapify(heap)
+    while left > 1:
+        width, v = heapq.heappop(heap)
+        row = adj[v]
+        if row is None or width != len(row):
+            continue
+        if width > DENSE_FRONT:
+            break
+        d = diag[v]
+        if not d > floor:
+            raise _pivot_error(d, v)
+        adj[v] = None
+        left -= 1
+        yv = y[v] / d
+        for u, a in row.items():
+            au = adj[u]
+            was = len(au)
+            del au[v]
+            diag[u] -= a * a / d
+            y[u] -= a * yv
+            for w, b in row.items():
+                if w != u:
+                    au[w] = au.get(w, 0.0) - a * b / d
+            if len(au) != was:
+                heapq.heappush(heap, (len(au), u))
+        order.append(v)
+        pivots.append(d)
+        columns.append(row)
+    rest = [v for v in range(n) if adj[v] is not None]
+    return order, columns, pivots, rest, adj, diag, y
+
+
+@dataclass(frozen=True, eq=False)
+class GroundedFactor:
+    """A sparse factor of a connected graph's grounded Laplacian, and the parts of L# it gives.
+
+    Grounding vertex r deletes its row and column from L(G), leaving a
+    positive definite L_r.  ``of`` eliminates the vertices, leaves first
+    and then by minimum degree (George & Liu, Computer Solution of Large
+    Sparse Positive Definite Systems, 1981), in Python floats
+    (``_eliminate``), which gives L_r = L D L^T on the eliminated head:
+    ``head`` in elimination order, ``columns`` each one's column as the
+    dict of its neighbours then to their entries a_uv in the Schur
+    complement it was eliminated from (column v of L is a_uv / D_v), and
+    ``pivots`` D.  The vertex left last is r, ``ground``.  When the fronts
+    grow wider than DENSE_FRONT first, the vertices left are one dense
+    Schur block: r is its last, and the rest, ``tail``, are inverted
+    through ``_checked_inverse`` into ``tail_inverse``.  Eliminating L(G)
+    itself and dropping r's entries afterwards is L_r's factor, since r's
+    entries never reach the others'.
+
+    X = L_r^{-1}, padded with a zero row and column at r, is a symmetric
+    {1}-inverse of L(G), so L# = P X P with P = I - J/n: with g = X 1 and
+    s = 1^T g,
+
+        L#_ij = X_ij - (g_i + g_j)/n + s/n^2,
+
+    and for vectors x, y that sum to 0, x^T L# y = x^T X y.  ``selected``
+    holds X on the filled pattern, per vertex a dict over the vertices it
+    shares a column of L with and itself, taken column by column from the
+    last by the Takahashi recurrence (Takahashi, Fagan & Chen, 1973;
+    Erisman & Tinney, CACM 18(3), 1975): X_ij = -sum_k L_kj X_ik and
+    X_jj = 1/D_j - sum_k L_kj X_kj over k in column j's structure, whose
+    pairs all lie on the pattern.  ``ones`` is g, by a forward solve that
+    rides along the elimination and a back substitution that rides along
+    the recurrence; ``total`` is s, and ``diagonal`` and ``trace`` are
+    L#'s.  A dense tail's entries enter ``selected`` only where a head
+    column reads them; ``cells`` reads the rest off ``tail_inverse``.
+    Nothing of order n x n is formed unless the whole graph is the dense
+    block, as K_n is.
+    """
+
+    n: int
+    ground: int
+    head: list[int]
+    columns: list[dict[int, float]]
+    pivots: list[float]
+    tail: list[int]
+    tail_inverse: np.ndarray
+    selected: list
+    ones: np.ndarray
+    total: float
+    diagonal: np.ndarray
+    trace: float
+
+    @classmethod
+    def of(cls, n: int, eu: np.ndarray, ev: np.ndarray) -> GroundedFactor:
+        """The factor of the Laplacian of the connected graph on n vertices with edges (eu[k], ev[k]).
+
+        Each pivot of the elimination must be above PIVOT_RTOL * max(1,
+        max degree), and the dense block passes ``_checked_inverse``'s
+        pivot check; otherwise, as for a disconnected graph, this raises
+        SingularMatrixError.
+        """
+        if n < 1:
+            raise MatrixError("a grounded Laplacian needs at least one vertex")
+        eu = np.asarray(eu, dtype=np.intp)
+        ev = np.asarray(ev, dtype=np.intp)
+        degrees = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+        if n > 1 and degrees.min() > DENSE_FRONT:
+            # No front is narrow enough, so the whole graph is the dense
+            # block: _eliminate would stop at once, and this builds the same
+            # block without its dicts, which cost K_n more than the inverse.
+            head, columns, pivots, ones = [], [], [], [1.0] * n
+            tail, ground = list(range(n - 1)), n - 1
+            block = np.zeros((n, n))
+            block[eu, ev] = -1.0
+            block[ev, eu] = -1.0
+            np.fill_diagonal(block, degrees)
+            block = block[:-1, :-1]
+        else:
+            floor = PIVOT_RTOL * max(1.0, float(degrees.max(initial=0)))
+            head, columns, pivots, rest, adj, diag, ones = _eliminate(
+                n, eu.tolist(), ev.tolist(), floor
+            )
+            *tail, ground = rest
+            block = _schur_block(tail, adj, diag)
+        for column in columns:
+            column.pop(ground, None)
+        tail_inverse = _checked_inverse(block, "grounded Laplacian block")
+        # ones holds L^{-1} 1; the tail's part of X 1 is the dense block's
+        # solve, and _takahashi back-substitutes the head's in its pass.
+        for v, x in zip(tail, (tail_inverse @ np.array([ones[v] for v in tail])).tolist()):
+            ones[v] = x
+        selected = _takahashi(n, head, columns, pivots, tail, tail_inverse, ones)
+        ones[ground] = 0.0
+        x_diag = [0.0] * n
+        for v in head:
+            x_diag[v] = selected[v][v]
+        for v, x in zip(tail, np.diagonal(tail_inverse).tolist()):
+            x_diag[v] = x
+        s = math.fsum(ones)
+        trace = math.fsum(x_diag) - s / n
+        ones = np.array(ones)
+        diagonal = (np.array(x_diag) - (ones + ones) / n) + s / (n * n)
+        return cls(
+            n, ground, head, columns, pivots, tail, tail_inverse, selected, ones, s, diagonal, trace
+        )
+
+    def cells(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """L#_ij for each pair (i[k], j[k]) on the filled pattern, such as a diagonal cell or an edge.
+
+        Pairs within the dense block are one gather from the tail inverse,
+        the rest are read off ``selected``; an entry off the pattern is
+        not there to read and raises.
+        """
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
+        x = np.zeros(len(i))
+        rest = slice(None)
+        if self.tail:
+            at = np.full(self.n, -1)
+            at[self.tail] = np.arange(len(self.tail))
+            ti, tj = at[i], at[j]
+            dense = (ti >= 0) & (tj >= 0)
+            x[dense] = self.tail_inverse[ti[dense], tj[dense]]
+            rest = np.flatnonzero(~dense)
+        ground, selected = self.ground, self.selected
+        x[rest] = [
+            0.0 if ground in (a, b) else selected[a][b]
+            for a, b in zip(i[rest].tolist(), j[rest].tolist())
+        ]
+        n, ones = self.n, self.ones
+        return (x - (ones[i] + ones[j]) / n) + self.total / (n * n)
+
+    def gram(self, vectors: np.ndarray) -> np.ndarray:
+        """V L# V^T for the rows of V: x^T X y over each pair's forward solves.
+
+        Each row is centred first, so it is L#'s form for any rows.  With
+        z = L^{-1} x and w = L^{-1} y on the head and the tail's parts
+        carried into the dense block, x^T X y = sum_j z_j w_j / D_j +
+        z_T^T (tail inverse) w_T.
+        """
+        vectors = np.asarray(vectors, dtype=float)
+        ys = (vectors - vectors.mean(axis=1, keepdims=True)).tolist()
+        _forward(ys, self.head, self.columns, self.pivots)
+        z = np.array(ys).reshape(len(ys), self.n)
+        heads = z[:, self.head]
+        forms = (heads / self.pivots) @ heads.T
+        if self.tail:
+            tails = z[:, self.tail]
+            forms += tails @ self.tail_inverse @ tails.T
+        return forms
+
+
+def _schur_block(tail: list[int], adj: list, diag: list[float]) -> np.ndarray:
+    """The dense Schur complement on ``tail``, from ``_eliminate``'s dicts; the ground's entries are left out."""
+    if not tail:
+        return np.zeros((0, 0))
+    at = {v: k for k, v in enumerate(tail)}
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    for k, v in enumerate(tail):
+        for w, a in adj[v].items():
+            col = at.get(w)
+            if col is not None:
+                rows.append(k)
+                cols.append(col)
+                values.append(a)
+    block = np.zeros((len(tail), len(tail)))
+    block[rows, cols] = values
+    np.fill_diagonal(block, [diag[v] for v in tail])
+    return block
+
+
+def _takahashi(
+    n: int,
+    head: list[int],
+    columns: list[dict[int, float]],
+    pivots: list[float],
+    tail: list[int],
+    tail_inverse: np.ndarray,
+    g: list[float],
+) -> list:
+    """X on the filled pattern by the Takahashi recurrence, column by column from the last.
+
+    With column j of L read as a_uj / D_j, X_ij = -(sum_k a_kj X_ik) / D_j
+    and X_jj = (1 - sum_k a_kj X_kj) / D_j.  Per vertex, a dict from each
+    vertex it shares a column with, and itself, to that entry of X.  A tail
+    vertex starts with the entries of the tail inverse that a head column
+    reads, those among the column's tail vertices; one that no head column
+    reads gets no dict.
+
+    The same pass finishes X 1 in ``g``, which comes in as L^{-1} 1 on the
+    head and X 1 on the tail: back substitution over the same columns in
+    the same order, g_j = (y_j - sum_k a_kj g_k) / D_j.
+    """
+    selected: list = [None] * n
+    at = {v: k for k, v in enumerate(tail)}
+    for column in columns if tail else ():
+        inner = [u for u in column if u in at]
+        if inner:
+            k = [at[u] for u in inner]
+            for u, row in zip(inner, tail_inverse[np.ix_(k, k)].tolist()):
+                if selected[u] is None:
+                    selected[u] = {}
+                selected[u].update(zip(inner, row))
+    for j, column, d in zip(reversed(head), reversed(columns), reversed(pivots)):
+        if len(column) == 1:
+            # A leaf's column, the commonest (all but one of a path's):
+            # the loop below gives the same bits at about twice the cost.
+            ((u, a),) = column.items()
+            xu = selected[u]
+            xu[j] = x = -a * xu[u] / d
+            selected[j] = {u: x, j: (1.0 - a * x) / d}
+            g[j] = (g[j] - a * g[u]) / d
+            continue
+        entries = column.values()
+        xj = {}
+        for u in column:
+            xj[u] = -sum(map(mul, entries, map(selected[u].__getitem__, column))) / d
+        for u, x in xj.items():
+            selected[u][j] = x
+        xj[j] = (1.0 - sum(map(mul, entries, xj.values()))) / d
+        selected[j] = xj
+        g[j] = (g[j] - sum(map(mul, entries, map(g.__getitem__, column)))) / d
+    return selected
+
+
+def _forward(
+    ys: list[list[float]], head: list[int], columns: list[dict[int, float]], pivots: list[float]
+) -> None:
+    """y := L^{-1} y for each y of ``ys`` over the head columns, in place, in one pass.
+
+    The tail's entries take the head's updates.
+    """
+    for j, column, d in zip(head, columns, pivots):
+        for y in ys:
+            w = y[j] / d
+            for u, a in column.items():
+                y[u] -= a * w
 
 
 def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -305,14 +305,20 @@ def check_corona_instance(
 def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
     """Check instances with one oracle call for all of them.
 
-    Each corona is built and its blocks taken; then one
+    Each corona is built and its blocks taken, on the instance's base
+    group inverse or, when it has none, on one taken here: the blocks then
+    read the dense L# on every route, Kirchhoff index included, so a lone
+    instance and a run read the same one.  Then one
     ``laplacian_group_inverses`` call takes every corona Laplacian's group
     inverse, each bit for bit as it would come alone; then each instance is
     read and compared.
     """
     laps = [laplacian(build(kind, g, crowns.graphs).graph) for kind, g, crowns, _, _ in instances]
     blocks = [
-        getattr(closed_form, _KINDS[kind])(g, crowns, ls) for kind, g, crowns, _, ls in instances
+        getattr(closed_form, _KINDS[kind])(
+            g, crowns, laplacian_group_inverse(laplacian(g)) if ls is None else ls
+        )
+        for kind, g, crowns, _, ls in instances
     ]
     oracles = laplacian_group_inverses(laps)
     return [_report(*args) for args in zip(instances, blocks, laps, oracles)]

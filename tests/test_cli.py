@@ -396,6 +396,32 @@ def test_distinct_cells_keep_bit_distinct_values_apart():
     assert cells[-3] == ',\n  "x": 1234567890120.0'
 
 
+def test_json_floats_are_the_encoders_text():
+    # _json_floats formats each float once with %.12g and sends only the
+    # cells whose text is not already the rounded float's repr through
+    # json.dumps.  Random values of every magnitude and raw bit patterns,
+    # plus the edges: integral values, exponents e+11 to e+16, subnormals
+    # (whose repr can be shorter than 12 digits), signed zeros, inf, nan.
+    rng = np.random.default_rng(99)
+    values = np.concatenate(
+        [
+            rng.uniform(-1e3, 1e3, 4000),
+            rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-40, 40, 4000),
+            rng.integers(-(10**7), 10**7, 1000).astype(float),
+            rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64),
+            rng.integers(0, 2**52, 1000, dtype=np.uint64).view(np.float64),
+            np.round(rng.uniform(0.0, 100.0, 1000), 3),
+        ]
+    ).tolist()
+    values += [
+        0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -3.0, 2.9999999999999,
+        1e11, 999999999999.5, 1e12, 1234567890123.0, 1.5e13, 1e15, 9999999999999998.0,
+        1e16, 1.5e16, 1e-4, 1e-5, 5e-324, 1e-310, 2.2250738585072014e-308,
+        1.7976931348623157e308,
+    ]
+    assert cli._json_floats(values) == [json.dumps(round_floats(x)) for x in values]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 def test_resist_all_table_matches_per_cell_rendering(tmp_path, capsys, fmt):
     # C_30 with a K2 crown on every vertex (N = 120): many crown rows repeat
@@ -796,6 +822,71 @@ def test_resist_requires_pair_or_all(rv_spec, capsys):
         main(["resist", str(rv_spec)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _path_corona_spec(tmp_path, n):
+    """Spec of the R-vertex corona over P_n with a K2 crown per vertex (N = 4n - 1)."""
+    (tmp_path / "path.edges").write_text(serialize_edge_list(path_graph(n)))
+    (tmp_path / "k2.edges").write_text(serialize_edge_list(complete_graph(2)))
+    spec = tmp_path / "path.spec"
+    spec.write_text(
+        "kind = r_vertex\nbase = path.edges\n"
+        + "".join(f"crown.{i} = k2.edges\n" for i in range(n))
+    )
+    return spec
+
+
+def _cli_child(argv, stdout):
+    """``corona`` in a child process, with stdout block-buffered as at a shell prompt."""
+    package_root = str(Path(coronakit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "coronakit.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": path},
+    )
+
+
+def test_a_closed_stdout_is_not_reported_as_bad_input(tmp_path):
+    # "corona resist ... | head -1": the reader closes the pipe after one
+    # line, long before the 28 441 rows of R(P_60) with a K2 crown per
+    # vertex (N = 239) are written.  The tool stops quietly with status 141,
+    # as a shell reports a tool killed by SIGPIPE, and prints no "error:".
+    spec = _path_corona_spec(tmp_path, 60)
+    argv = ["resist", str(spec), "--all", "--method", "closed", "--format", "csv"]
+    proc = _cli_child(argv, subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"u,v,closed\n"
+    assert b"error:" not in err and err == b""
+
+
+def test_a_stdout_closed_before_the_last_buffer_goes_out_exits_quietly(tmp_path, capsys):
+    # The 55 rows of R(P_3) with K2 crowns (N = 11) fit in one stdout
+    # buffer (for a pipe, at least one 4096-byte page), so nothing is
+    # written until the handler has returned.  The pipe's read end is
+    # closed before the child starts, so that last flush is the write that
+    # fails; it still ends in 141 with nothing on stderr, not in
+    # "Exception ignored ... BrokenPipeError" and status 120 at exit.
+    spec = _path_corona_spec(tmp_path, 3)
+    argv = ["resist", str(spec), "--all", "--method", "closed", "--format", "csv"]
+    assert main(argv) == 0
+    assert 0 < len(capsys.readouterr().out) < 4096
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_child(argv, write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_installed_entry_point_reports_version():

@@ -472,13 +472,15 @@ def test_edge_list_gathers_match_the_incidence_matrix():
     # The closed route reads B only through the base edge list.  Random
     # bases, a star, a tree and K1 (no edges at all) against the dense
     # matmuls; R-vertex anchors join (i, i), and the gathers read e_i
-    # exactly, so its terms come out bit for bit.
+    # exactly, so its terms come out bit for bit.  The dense L# is handed
+    # in, so the Kirchhoff terms read it and not the sparse factor.
     rng = random.Random(1313)
     tree = Graph(8, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (0, 7)))
     bases = [random_connected_graph(rng, 2, 9) for _ in range(6)] + [star_graph(7), tree, K1]
     for g in bases:
+        ls = linalg.laplacian_group_inverse(laplacian(g))
         for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
-            blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3))
+            blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3), ls)
             skeleton, want = _incidence_reference(blocks)
             scale = max(1.0, max_abs(blocks.l_sharp))
             nm = len(skeleton)
@@ -628,15 +630,16 @@ def test_closed_route_inverts_without_the_eigensolver():
 def test_each_crown_laplacian_is_built_once(kind):
     # The blocks hold the per-order Laplacian stacks, each built in one
     # scatter over its crowns' edges; the crown inverses and the Kirchhoff
-    # expansion's crown spectra both read them, so a closed Kirchhoff
-    # evaluation calls ``laplacian`` for the base alone.
+    # expansion's crown spectra both read them.  The base enters through
+    # the sparse factor, built from its edge list, so a closed Kirchhoff
+    # evaluation calls ``laplacian`` for nothing at all.
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), path_graph(2))
     lap = mock.Mock(wraps=laplacian)
     with mock.patch.object(cf, "laplacian", lap):
         breakdown = cf.kirchhoff_terms(getattr(cf, f"{kind}_blocks")(g, crowns))
     assert breakdown.deviation <= 1e-9
-    assert lap.call_count == 1
+    assert lap.call_count == 0
 
 
 def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
@@ -898,6 +901,101 @@ def _sparse_base(rng, n, m):
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
     return Graph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 600, 2000, 4000])
+def test_sparse_kirchhoff_of_paths_is_exact(n):
+    # The path factors with unit pivots and integer entries throughout, so
+    # n tr(L#) off the sparse factor is exactly n(n^2 - 1)/6, where the
+    # dense kernel is off by 1.5e-11 at n = 2000; the closed Kirchhoff index
+    # of R(P_n), read off that factor, lands on its exact value to roundoff.
+    g = path_graph(n)
+    eu, ev = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    factor = linalg.GroundedFactor.of(n, eu, ev)
+    assert Fraction(n * factor.trace) == Fraction(n * (n * n - 1), 6)
+    if n <= 2000:
+        blocks = cf.rv_blocks(g, tuple(empty_graph(0) for _ in range(n)))
+        exact = _kirchhoff_of_r_path(n)
+        assert abs(Fraction(cf.kirchhoff_terms(blocks).value) - exact) <= Fraction(1e-15) * exact
+
+
+def _sparse_and_dense(kind, g, crowns):
+    """One corona's Kirchhoff breakdown on the sparse route, and on the dense one by handing in L#."""
+    sparse = cf._blocks(kind, g, crowns)
+    dense = cf._blocks(kind, g, sparse.crowns, linalg.laplacian_group_inverse(laplacian(g)))
+    return cf.kirchhoff_terms(sparse), cf.kirchhoff_terms(dense)
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [
+        ("K1", K1),
+        ("K2", K2),
+        ("K40", complete_graph(40)),
+        ("K80", complete_graph(80)),
+        ("star", star_graph(30)),
+        ("path", path_graph(200)),
+        ("dense random 30", _sparse_base(random.Random(81), 30, 300)),
+        ("dense random 80", _sparse_base(random.Random(82), 80, 2500)),
+        ("K40 with a tail", Graph(43, complete_graph(40).edges + ((39, 40), (40, 41), (41, 42)))),
+    ],
+)
+def test_sparse_kirchhoff_agrees_with_the_dense_route(name, g):
+    # Blocks built without l_sharp read the sparse factor, blocks handed
+    # the dense L# read that; value, expansion and every term agree to
+    # 1e-12 relative.  K_n has every front wider than DENSE_FRONT, so it
+    # runs the dense block alone; "K40 with a tail" eliminates its path
+    # first, then inverts the clique as the dense block.
+    rng = random.Random(sum(map(ord, name)))
+    for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
+        sparse, dense = _sparse_and_dense(kind, g, random_crowns(rng, hosts, 3))
+        for got, want in ((sparse.value, dense.value), (sparse.expanded, dense.expanded)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
+        assert sparse.terms.keys() == dense.terms.keys()
+        for key, want in dense.terms.items():
+            assert abs(sparse.terms[key] - want) <= 1e-12 * max(1.0, abs(want)), (name, key)
+        assert sparse.deviation <= 1e-9 * max(1.0, abs(sparse.value))
+
+
+@pytest.mark.parametrize("kind", ["rv", "re"])
+def test_sparse_kirchhoff_takes_no_dense_group_inverse(kind):
+    # Blocks built without l_sharp give the Kirchhoff index without the
+    # dense kernel, and at n = 2000 hold under a quarter of one n x n float
+    # array at their peak.
+    n = 2000
+    rng = random.Random(71)
+    g = _sparse_base(rng, n, n + n // 5)
+    crowns = random_crowns(rng, g.n if kind == "rv" else g.m, 3)
+    blocks = getattr(cf, f"{kind}_blocks")(g, crowns)
+    dense = AssertionError("the sparse route took the dense group inverse")
+    tracemalloc.start()
+    try:
+        with (
+            mock.patch.object(cf, "laplacian_group_inverse", side_effect=dense),
+            mock.patch.object(linalg, "laplacian_group_inverse", side_effect=dense),
+        ):
+            breakdown = cf.kirchhoff_terms(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4, f"peak {peak / (8 * n * n):.2f} n^2 floats"
+    assert breakdown.deviation <= 1e-9 * breakdown.value
+
+
+def test_kirchhoff_route_follows_the_handed_in_inverse_only():
+    # Reading l_sharp first does not move kirchhoff_terms to the dense
+    # route: blocks built without one give the sparse value, bit for bit,
+    # whether or not the dense L# has been formed since.
+    g = path_graph(30)
+    crowns = random_crowns(random.Random(4), g.n, 3)
+    before = cf.kirchhoff_terms(cf.rv_blocks(g, crowns))
+    blocks = cf.rv_blocks(g, crowns)
+    assert blocks.given is None and blocks.l_sharp.shape == (30, 30)
+    after = cf.kirchhoff_terms(blocks)
+    assert float(after.value).hex() == float(before.value).hex()
+    assert {k: float(v).hex() for k, v in after.terms.items()} == {
+        k: float(v).hex() for k, v in before.terms.items()
+    }
 
 
 @pytest.mark.parametrize("kind", ["rv", "re"])

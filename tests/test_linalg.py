@@ -592,3 +592,78 @@ def _stacked_eigendecompose(a):
 def test_non_finite_input_is_rejected(solver, bad):
     with pytest.raises(MatrixError, match="non-finite"):
         solver(np.array([[bad, 1.0], [1.0, 2.0]]))
+
+
+def _factor(g):
+    eu, ev = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    return linalg.GroundedFactor.of(g.n, eu, ev), eu, ev
+
+
+def _random_graph(rng, n, m):
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((u, v))
+    return Graph(n, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "name, g, head, tail",
+    [
+        ("K1", Graph(1, ()), 0, 0),
+        ("P2", path_graph(2), 1, 0),
+        ("star", star_graph(12), 12, 0),
+        ("cycle", cycle_graph(9), 8, 0),
+        ("K5", complete_graph(5), 4, 0),
+        ("K40", complete_graph(40), 0, 39),
+        ("K40 with a tail", Graph(43, complete_graph(40).edges + ((39, 40), (40, 41), (41, 42))), 3, 39),
+        ("sparse random", _random_graph(np.random.default_rng(3), 120, 150), 119, 0),
+        ("dense random", _random_graph(np.random.default_rng(4), 70, 1400), None, None),
+    ],
+)
+def test_grounded_factor_reads_the_group_inverse(name, g, head, tail):
+    # Against numpy's pseudo-inverse: L# on the diagonal and the edges, its
+    # trace, and its forms in any vectors (each centred inside gram).  The
+    # head and tail sizes show which part of the factor ran.
+    factor, eu, ev = _factor(g)
+    if head is not None:
+        assert (len(factor.head), len(factor.tail)) == (head, tail), name
+    assert len(factor.head) + len(factor.tail) == g.n - 1
+    want = np.linalg.pinv(laplacian(g))
+    scale = max(1.0, max_abs(want))
+    assert max_abs(factor.diagonal - np.diag(want)) <= 1e-12 * scale
+    assert max_abs(factor.cells(eu, ev) - want[eu, ev]) <= 1e-12 * scale
+    assert max_abs(factor.cells(eu[::-1], eu[::-1]) - np.diag(want)[eu[::-1]]) <= 1e-12 * scale
+    assert abs(factor.trace - np.trace(want)) <= 1e-12 * max(1.0, np.trace(want))
+    vectors = np.random.default_rng(5).standard_normal((3, g.n))
+    forms = factor.gram(vectors)
+    assert max_abs(forms - vectors @ want @ vectors.T) <= 1e-11 * scale * max(1.0, max_abs(forms))
+
+
+def test_grounded_factor_pivots_leaves_first_then_by_degree_and_id():
+    # A path is all leaves: each pivot is exactly 1, and the last vertex
+    # left is the ground.  A cycle has none: the lowest id goes first.
+    factor, _, _ = _factor(path_graph(6))
+    assert factor.pivots == [1.0] * 5 and factor.ground not in factor.head
+    factor, _, _ = _factor(cycle_graph(5))
+    assert factor.head[0] == 0 and factor.pivots[0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(4, ((0, 1), (2, 3))),
+        Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4))),
+        Graph(80, complete_graph(40).edges + tuple((40 + u, 40 + v) for u, v in complete_graph(40).edges)),
+    ],
+)
+def test_grounded_factor_of_a_disconnected_graph_raises(g):
+    # A component eliminated down to its last vertex leaves a zero pivot;
+    # two cliques wider than DENSE_FRONT make a singular dense block.
+    with pytest.raises(SingularMatrixError):
+        _factor(g)
+
+
+def test_grounded_factor_needs_a_vertex():
+    with pytest.raises(MatrixError, match="at least one vertex"):
+        linalg.GroundedFactor.of(0, [], [])

@@ -104,15 +104,21 @@ def test_a_crown_near_order_300_passes(kind):
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
-    # Blocks once, with the base group inverse taken once inside them, the
-    # {1}-inverse assembled once (the Kirchhoff value reads the blocks, not
-    # X), the corona Laplacian's group inverse taken once, as the one member
-    # of one stacked call, and the crown spectra in one call.
+    # Blocks once, on the base group inverse the instance takes once and
+    # hands in, the {1}-inverse assembled once (the Kirchhoff value reads the
+    # blocks, not X), the corona Laplacian's group inverse taken once, as the
+    # one member of one stacked call, and the crown spectra in one call.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
     order = g.n + g.m + sum(c.n for c in crowns)
-    ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
+    taken = []
+
+    def take(lap):
+        taken.append(linalg.laplacian_group_inverse(lap))
+        return taken[-1]
+
+    ginv = mock.Mock(side_effect=take)
     stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
@@ -126,9 +132,9 @@ def test_instance_does_each_piece_of_work_once(kind):
         report = suite.check_corona_instance(kind, g, crowns)
     assert report.passed
     assert blocks.call_count == 1
-    assert blocks.call_args.args[3] is None
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list] == [(g.n, g.n)]
+    assert blocks.call_args.args[3] is taken[0]
     assert stacked.call_count == 1
     assert [lap.shape for lap in stacked.call_args.args[0]] == [(order, order)]
     (read,) = [c.args[0] for c in eigen.call_args_list]
