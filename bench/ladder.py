@@ -1,27 +1,23 @@
-"""Size ladder of the closed Kirchhoff index: sparse factor against the dense group inverse.
+"""Size ladder of the closed Kirchhoff index, read off the sparse grounded factor of the base.
 
-    python3 bench/ladder.py [--out BENCH_kf_sparse.json] [--sizes 120 480 ...] [--repeats 3]
+    python3 bench/ladder.py [--out BENCH_kf_ladder.json] [--sizes 120 480 ...] [--repeats 3]
 
 Run it from anywhere; it imports the package from this checkout's ``src/``.
 Each case is the R-vertex corona with every crown empty, R(G), over a base
 G from one of three families at each size n: the path P_n, a random
 connected graph with m = 1.2 n edges (a random attachment tree plus
-chords, seeded by n), and the square grid of side ceil(sqrt(n)).  Both
-routes run ``closed_form.kirchhoff_terms``:
-
-- sparse: blocks built without ``l_sharp``, so the Kirchhoff index reads
-  the ``GroundedFactor`` of L(G);
-- dense: ``laplacian_group_inverse(laplacian(G))`` taken and handed in as
-  ``l_sharp``, the route the blocks took before the factor.
-
-Each route's time is the best of ``--repeats`` runs (one above n = 1000),
-from the base graph to the breakdown, and its memory is the tracemalloc
-peak of one more run.  Then K_80 and K_200, whose every front is wider
-than ``linalg.DENSE_FRONT`` so the factor is one dense block, and one
-``corona kf --method closed --format json`` run over P_4000 in a child
-process, with its wall time and peak RSS.  Paths are checked against the
+chords, seeded by n), and the square grid of side ceil(sqrt(n)).  Each
+case runs ``closed_form.kirchhoff_terms``, which reads the
+``GroundedFactor`` of L(G); its time is the best of ``--repeats`` runs
+(one above n = 1000), from the base graph to the breakdown, and its memory
+is the tracemalloc peak of one more run.  Then K_80 and K_200, whose
+every front is wider than ``linalg.DENSE_FRONT`` so the factor is one
+dense block, and one ``corona kf --method closed --format json`` run over
+P_4000 in a child process, with its wall time and peak RSS.  Paths are checked against the
 exact Kirchhoff index of R(P_n).  BLAS runs on one thread.  The report is
-one JSON document written to ``--out``.
+one JSON document written to ``--out``.  The default is not
+``BENCH_kf_sparse.json``: that file records the sparse route against the
+dense group inverse it replaced, a comparison this ladder no longer runs.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from coronakit import closed_form, linalg  # noqa: E402
-from coronakit.graphs import Graph, complete_graph, empty_graph, laplacian, path_graph  # noqa: E402
+from coronakit.graphs import Graph, complete_graph, empty_graph, path_graph  # noqa: E402
 from coronakit.graphs import serialize_edge_list  # noqa: E402
 
 SIZES = (120, 480, 1000, 2000, 4000)
@@ -85,26 +81,21 @@ def r_path_kirchhoff(n: int) -> Fraction:
     return Fraction(2, 3) * (base + mixed + edge)
 
 
-def sparse_route(g: Graph, crowns: tuple[Graph, ...]) -> closed_form.KirchhoffBreakdown:
-    return closed_form.kirchhoff_terms(closed_form.rv_blocks(g, crowns))
+def kirchhoff(g: Graph, crowns: tuple[Graph, ...]) -> float:
+    return closed_form.kirchhoff_terms(closed_form.rv_blocks(g, crowns)).value
 
 
-def dense_route(g: Graph, crowns: tuple[Graph, ...]) -> closed_form.KirchhoffBreakdown:
-    ls = linalg.laplacian_group_inverse(laplacian(g))
-    return closed_form.kirchhoff_terms(closed_form.rv_blocks(g, crowns, ls))
-
-
-def measure(route, g: Graph, repeats: int) -> tuple[float, float, float]:
+def measure(g: Graph, repeats: int) -> tuple[float, float, float]:
     """Best wall time in s, tracemalloc peak in MB, and the Kirchhoff value."""
     crowns = tuple(empty_graph(0) for _ in range(g.n))
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        value = route(g, crowns).value
+        value = kirchhoff(g, crowns)
         best = min(best, time.perf_counter() - start)
     tracemalloc.start()
     try:
-        route(g, crowns)
+        kirchhoff(g, crowns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -114,8 +105,7 @@ def measure(route, g: Graph, repeats: int) -> tuple[float, float, float]:
 def case(family: str, g: Graph, repeats: int) -> dict:
     eu, ev = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     factor = linalg.GroundedFactor.of(g.n, eu, ev)
-    sparse_s, sparse_mb, sparse_kf = measure(sparse_route, g, repeats)
-    dense_s, dense_mb, dense_kf = measure(dense_route, g, repeats)
+    kf_s, kf_mb, kf = measure(g, repeats)
     row = {
         "family": family,
         "n": g.n,
@@ -123,24 +113,17 @@ def case(family: str, g: Graph, repeats: int) -> dict:
         "head": len(factor.head),
         "tail": len(factor.tail),
         "fill": sum(map(len, factor.columns)),
-        "sparse_s": sparse_s,
-        "dense_s": dense_s,
-        "speedup": dense_s / sparse_s,
-        "sparse_peak_mb": sparse_mb,
-        "dense_peak_mb": dense_mb,
-        "kf_sparse": sparse_kf,
-        "kf_dense": dense_kf,
-        "rel_diff": abs(sparse_kf - dense_kf) / abs(dense_kf),
+        "kf_s": kf_s,
+        "kf_peak_mb": kf_mb,
+        "kf": kf,
     }
     if family == "path":
         exact = r_path_kirchhoff(g.n)
         row["kf_exact"] = float(exact)
-        row["rel_err_sparse"] = float(abs(Fraction(sparse_kf) - exact) / exact)
-        row["rel_err_dense"] = float(abs(Fraction(dense_kf) - exact) / exact)
+        row["rel_err"] = float(abs(Fraction(kf) - exact) / exact)
     print(
         f"{family:6s} n={g.n:5d} m={g.m:5d} head {row['head']:5d} tail {row['tail']:4d}: "
-        f"sparse {sparse_s:8.4f} s {sparse_mb:7.1f} MB, dense {dense_s:8.4f} s {dense_mb:7.1f} MB, "
-        f"x{row['speedup']:.1f}, rel diff {row['rel_diff']:.1e}",
+        f"{kf_s:8.4f} s {kf_mb:7.1f} MB",
         file=sys.stderr,
     )
     return row
@@ -175,7 +158,7 @@ def cli_case(n: int) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_kf_sparse.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_kf_ladder.json"))
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
@@ -188,9 +171,9 @@ def main() -> None:
             rows.append(case(family, make(n), args.repeats if n <= 1000 else 1))
     complete = [case("complete", complete_graph(n), args.repeats) for n in (80, 200)]
     report = {
-        "schema": "coronakit-bench-kf-sparse/1",
-        "what": "closed Kirchhoff index of R(G) (R-vertex corona, empty crowns): "
-        "sparse grounded factor against the dense group inverse handed in as l_sharp",
+        "schema": "coronakit-bench-kf-sparse/2",
+        "what": "closed Kirchhoff index of R(G) (R-vertex corona, empty crowns), "
+        "read off the sparse grounded factor of the base",
         "machine": {
             "python": platform.python_version(),
             "numpy": np.__version__,

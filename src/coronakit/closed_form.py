@@ -20,14 +20,13 @@ Cholesky solve: the dense L# deflates the all-ones null vector as
 (L(G) + J/n)^{-1} - J/n, and the crowns of each layout order t + t % 2
 are inverted as one stack.  No matrix larger than the base graph is
 inverted, and none is pseudo-inverted.  The blocks hold only base- and
-crown-order data, and take the dense L# only when first read.  The
-Kirchhoff index reads L# only on the diagonal, on the base edges and in
-three quadratic forms, so it reads them off a sparse ``GroundedFactor`` of
-L(G) instead, base-order work with nothing n x n formed, unless the
-caller handed the dense L# in; the map, a single pair and the {1}-inverse
-read skeleton cells of the dense L# through one gather, at most two for a
-pair, and crown cells off the stacks through another (``_crown_cells``),
-at most four for a pair.  The one eigensolve left is in
+crown-order data, and take the dense L# only when first read: the map, a
+single pair and the {1}-inverse read skeleton cells of it through one
+gather, at most two for a pair, and crown cells off the stacks through
+another (``_crown_cells``), at most four for a pair.  The Kirchhoff index
+reads L# only on the diagonal, on the base edges and in three quadratic
+forms, so it always reads them off a sparse ``GroundedFactor`` of L(G),
+base-order work with nothing n x n formed.  The one eigensolve left is in
 ``_crown_eigen_sums``: the expanded Kirchhoff index reads the crown
 spectra on purpose, as a second kernel against the Cholesky inverses, on
 the Laplacian stacks the inverses read.
@@ -212,10 +211,8 @@ class CoronaBlocks:
     The base enters through L(G)'s group inverse.  ``given`` is a dense one
     the caller handed in, or None.  ``l_sharp`` is the dense n x n one:
     ``given``, or the dense kernel's on first read and then kept; the map,
-    a pair and the {1}-inverse read it.  ``kirchhoff_terms`` reads
-    ``given`` when it is set and otherwise a sparse ``GroundedFactor`` of
-    L(G) that it takes from the edge list, so the Kirchhoff index of blocks
-    built without one forms nothing of order n x n.
+    a pair and the {1}-inverse read it, and ``kirchhoff_terms`` reads
+    neither.
     """
 
     kind: str
@@ -253,11 +250,10 @@ def _blocks(
     part of a larger set; the blocks then make no crown kernel call.
     ``l_sharp`` is the dense group inverse of L(G), if the caller has taken
     it already, as the suite does once per base for its battery and both
-    kinds; the blocks then read it on every route.  When omitted, the
-    blocks take the dense one only on first read of ``l_sharp``, and the
-    Kirchhoff index reads a sparse ``GroundedFactor`` instead.  The crown
-    identity is checked only when a set is built, by ``CrownSet.of``; the
-    blocks take a set's totals as they are.
+    kinds; when omitted, the blocks take it only on first read of
+    ``l_sharp``.  The Kirchhoff index reads neither.  The crown identity
+    is checked only when a set is built, by ``CrownSet.of``; the blocks
+    take a set's totals as they are.
     """
     _require_closed_form_input(g)
     if not isinstance(crowns, CrownSet):
@@ -454,27 +450,6 @@ def _crown_eigen_sums(crowns: CrownSet) -> np.ndarray:
     return sums
 
 
-class _DenseReads:
-    """What ``kirchhoff_terms`` reads of L#, off a dense L# handed in: ``GroundedFactor``'s reads."""
-
-    def __init__(self, ls: np.ndarray) -> None:
-        self.ls = ls
-        self.diagonal = np.diag(ls)
-        self.trace = float(np.trace(ls))
-
-    def cells(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.ls[i, j]
-
-    def gram(self, vectors: tuple[np.ndarray, ...]) -> np.ndarray:
-        # (x^T L#) y for each pair, as the vectors come: the caller centres them.
-        forms = np.empty((len(vectors), len(vectors)))
-        for a, x in enumerate(vectors):
-            row = x @ self.ls
-            for b in range(a, len(vectors)):
-                forms[a, b] = forms[b, a] = row @ vectors[b]
-        return forms
-
-
 def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     """Kirchhoff index with its term breakdown, from blocks already built.
 
@@ -493,10 +468,8 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
 
     Lg is read only as its diagonal and trace, its cells on base edges and
     at the hosts' ends (each a base edge or a diagonal cell), and three
-    quadratic forms in centred vectors: off the dense L# when the caller
-    handed one in (``blocks.given``), else off a ``GroundedFactor`` of L(G)
-    taken here from the edge list and dropped on return.  That alone picks
-    the route, not whether ``blocks.l_sharp`` has been read.
+    quadratic forms, all off a ``GroundedFactor`` of L(G) taken here from
+    the edge list and dropped on return, never off ``blocks.l_sharp``.
     """
     g = blocks.base
     n, m = g.n, g.m
@@ -504,29 +477,25 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     st = sum(sizes)
     edge = blocks.kind == "r_edge"
     eu, ev = (e[n:] for e in blocks.ends)
-    ls = GroundedFactor.of(n, eu, ev) if blocks.given is None else _DenseReads(blocks.given)
-    diag = ls.diagonal
+    factor = GroundedFactor.of(n, eu, ev)
+    diag = factor.diagonal
     # X = S[a, a] + G holds skeleton vertex j's row and column reps[j]
     # times, and the skeleton corner is S = (2/3) P^T Lg P + diag(0, I/2)
     # with P = [I, B/2].  So tr X and 1^T X 1 are read off Lg through the
     # edge endpoints: diag(B^T Lg B) is d below, and P reps = r_n + B r_m / 2
-    # takes two bincounts (centred, as the quadratic forms below are).
+    # takes two bincounts.
     reps = 1.0 + np.bincount(blocks.anchor, minlength=n + m)
     r_n, r_m = reps[:n], reps[n:]
     c = r_n + 0.5 * (np.bincount(eu, r_m, minlength=n) + np.bincount(ev, r_m, minlength=n))
-    c -= c.mean()
-    d = diag[eu] + diag[ev] + 2.0 * ls.cells(eu, ev)
+    d = diag[eu] + diag[ev] + 2.0 * factor.cells(eu, ev)
     p, q = (e[blocks.hosts] for e in blocks.ends)
     pi = g.degrees().astype(float)
     tau = np.array(sizes, dtype=float)
     u_tau = 0.5 * (np.bincount(p, tau, minlength=n) + np.bincount(q, tau, minlength=n))
-    u_diag = 0.25 * (diag[p] + diag[q] + 2.0 * ls.cells(p, q))
-    # Lg 1 = 0, so the quadratic forms in Lg take the vectors centred: the
-    # same values, and exactly 0 where a vector is constant (pi on a
-    # regular base) instead of roundoff.
-    pi_c = pi - pi.mean()
-    u_tau_c = u_tau - u_tau.mean()
-    forms = ls.gram((c, pi_c, u_tau_c))
+    u_diag = 0.25 * (diag[p] + diag[q] + 2.0 * factor.cells(p, q))
+    # gram centres each vector, so a constant one (pi on a regular base)
+    # gives forms of exactly 0 instead of roundoff.
+    forms = factor.gram((c, pi, u_tau))
     traces, ones = blocks.crowns.totals
     trace_x = (2.0 / 3.0) * float(r_n @ diag) + float(r_m @ (0.5 + d / 6.0)) + float(traces.sum())
     ones_x = (2.0 / 3.0) * float(forms[0, 0]) + 0.5 * float(r_m @ r_m) + float(ones.sum())
@@ -535,7 +504,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     sums = blocks.crowns.eigen_sums
     crown_trace = "trace_crown_edge" if edge else "trace_crown_host"
     terms = {
-        "trace_base": (2.0 / 3.0) * ls.trace,
+        "trace_base": (2.0 / 3.0) * factor.trace,
         "trace_edge_const": m / 2.0,
         "trace_degree": (1.0 / 3.0) * float(pi @ diag),
         "trace_tree_const": -(n - 1) / 6.0,

@@ -22,9 +22,12 @@ set is built, and swept in one Jacobi call per layout order when the
 first instance reads the crown spectra; ``check_corona_instance`` called
 on crown graphs makes a set of its own.  Each case's base graph has its
 Laplacian group inverse taken once, as it is drawn, and handed to the
-identity battery as ``ls`` and to both kinds' blocks as ``l_sharp``.
-Each corona's is taken once, by the oracle: the run checks its instances
-in chunks of consecutive ones, and each chunk's coronas go through one
+identity battery as ``ls`` and to both kinds' blocks as ``l_sharp``, which
+the map and the {1}-inverse read; the Kirchhoff index reads the base
+through the sparse factor, as ``corona kf`` does, and each report checks
+that value against the oracle.  Each corona's group inverse is taken
+once, by the oracle: the run checks its instances in chunks of
+consecutive ones, and each chunk's coronas go through one
 ``laplacian_group_inverses`` call, each member bit for bit as alone, so
 an instance checked alone, a chunk of one, reports what it reports in a
 run.  The battery's Kron-reduced graph and cut-vertex corona are still
@@ -60,7 +63,7 @@ from .resistance import (
     resistances_from_inverse,
 )
 
-SCHEMA = "corona-suite-report/2"
+SCHEMA = "corona-suite-report/3"
 
 # Residual tolerances, one entry per named check.  Identity-level checks
 # are exact linear algebra; pair and Kirchhoff comparisons set two
@@ -85,6 +88,7 @@ INSTANCE_TOLERANCES: dict[str, float] = {
     "crown_trace_defect": 1e-8,
     "ones_shift_defect": 1e-8,
     "kf_rel_err": 1e-6,
+    "kf_terms_rel_err": 1e-8,
     "kf_expanded_dev": 1e-8,
 }
 
@@ -285,8 +289,9 @@ def check_corona_instance(
     resistances read off that inverse match the oracle entrywise, the
     closed resistance matrix matches the oracle entrywise, the crown
     totals agree with the crown spectra and the expanded R-edge term, and
-    the Kirchhoff index agrees between the assembled inverse, the expanded
-    invariant formula, and the oracle.  Each crown's G 1 = 1 is not
+    the Kirchhoff index agrees between the assembled inverse, the value
+    ``kirchhoff_terms`` reads off the blocks, its expanded invariant
+    formula, and the oracle.  Each crown's G 1 = 1 is not
     reported: building the crown set checks it and raises past its bound.
     ``crowns`` is the crown graphs or a ``CrownSet`` over them, such as
     their part of a larger set; the blocks read the set, and the oracle
@@ -306,19 +311,14 @@ def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
     """Check instances with one oracle call for all of them.
 
     Each corona is built and its blocks taken, on the instance's base
-    group inverse or, when it has none, on one taken here: the blocks then
-    read the dense L# on every route, Kirchhoff index included, so a lone
-    instance and a run read the same one.  Then one
-    ``laplacian_group_inverses`` call takes every corona Laplacian's group
-    inverse, each bit for bit as it would come alone; then each instance is
-    read and compared.
+    group inverse or, when it has none, on one the blocks take on first
+    read, with the same bits.  Then one ``laplacian_group_inverses`` call
+    takes every corona Laplacian's group inverse, each bit for bit as it
+    would come alone; then each instance is read and compared.
     """
     laps = [laplacian(build(kind, g, crowns.graphs).graph) for kind, g, crowns, _, _ in instances]
     blocks = [
-        getattr(closed_form, _KINDS[kind])(
-            g, crowns, laplacian_group_inverse(laplacian(g)) if ls is None else ls
-        )
-        for kind, g, crowns, _, ls in instances
+        getattr(closed_form, _KINDS[kind])(g, crowns, ls) for kind, g, crowns, _, ls in instances
     ]
     oracles = laplacian_group_inverses(laps)
     return [_report(*args) for args in zip(instances, blocks, laps, oracles)]
@@ -351,6 +351,7 @@ def _report(
         "pair_dispatch_max": max_abs(closed_r - oracle_r),
         "pair_inverse_max": max_abs(inverse_r - oracle_r),
         "kf_rel_err": abs(kf_closed - kf_oracle) / max(1.0, abs(kf_oracle)),
+        "kf_terms_rel_err": abs(breakdown.value - kf_oracle) / max(1.0, abs(kf_oracle)),
         "kf_expanded_dev": breakdown.deviation,
         "crown_trace_defect": abs(
             float(traces.sum()) + shift * float(sizes.sum())

@@ -28,6 +28,7 @@ from coronakit.graphs import (
 from coronakit.linalg import max_abs, verify_one_inverse
 from coronakit.resistance import (
     DisconnectedGraphError,
+    kirchhoff_from_one_inverse,
     kirchhoff_index,
     resistance_matrix,
     resistances_from_inverse,
@@ -471,9 +472,8 @@ def _incidence_reference(blocks):
 def test_edge_list_gathers_match_the_incidence_matrix():
     # The closed route reads B only through the base edge list.  Random
     # bases, a star, a tree and K1 (no edges at all) against the dense
-    # matmuls; R-vertex anchors join (i, i), and the gathers read e_i
-    # exactly, so its terms come out bit for bit.  The dense L# is handed
-    # in, so the Kirchhoff terms read it and not the sparse factor.
+    # matmuls, which read the dense L# handed in; the Kirchhoff terms read
+    # the sparse factor, so they agree to roundoff, not bit for bit.
     rng = random.Random(1313)
     tree = Graph(8, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (0, 7)))
     bases = [random_connected_graph(rng, 2, 9) for _ in range(6)] + [star_graph(7), tree, K1]
@@ -488,8 +488,6 @@ def test_edge_list_gathers_match_the_incidence_matrix():
             got = cf.kirchhoff_terms(blocks).terms
             assert got.keys() == want.keys()
             for name, value in want.items():
-                if kind == "r_vertex":
-                    assert float(got[name]).hex() == float(value).hex(), name
                 assert abs(got[name] - value) <= 1e-13 * max(1.0, abs(value)), name
 
 
@@ -919,13 +917,6 @@ def test_sparse_kirchhoff_of_paths_is_exact(n):
         assert abs(Fraction(cf.kirchhoff_terms(blocks).value) - exact) <= Fraction(1e-15) * exact
 
 
-def _sparse_and_dense(kind, g, crowns):
-    """One corona's Kirchhoff breakdown on the sparse route, and on the dense one by handing in L#."""
-    sparse = cf._blocks(kind, g, crowns)
-    dense = cf._blocks(kind, g, sparse.crowns, linalg.laplacian_group_inverse(laplacian(g)))
-    return cf.kirchhoff_terms(sparse), cf.kirchhoff_terms(dense)
-
-
 @pytest.mark.parametrize(
     "name, g",
     [
@@ -941,18 +932,22 @@ def _sparse_and_dense(kind, g, crowns):
     ],
 )
 def test_sparse_kirchhoff_agrees_with_the_dense_route(name, g):
-    # Blocks built without l_sharp read the sparse factor, blocks handed
-    # the dense L# read that; value, expansion and every term agree to
-    # 1e-12 relative.  K_n has every front wider than DENSE_FRONT, so it
-    # runs the dense block alone; "K40 with a tail" eliminates its path
-    # first, then inverts the clique as the dense block.
+    # The Kirchhoff terms read the sparse factor; the dense references are
+    # the incidence matmuls over the dense L# for every term, and
+    # N tr X - 1^T X 1 of the assembled {1}-inverse for the value and the
+    # expansion.  All agree to 1e-12 relative.  K_n has every front wider
+    # than DENSE_FRONT, so it runs the dense block alone; "K40 with a tail"
+    # eliminates its path first, then inverts the clique as the dense block.
     rng = random.Random(sum(map(ord, name)))
     for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
-        sparse, dense = _sparse_and_dense(kind, g, random_crowns(rng, hosts, 3))
-        for got, want in ((sparse.value, dense.value), (sparse.expanded, dense.expanded)):
+        blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3))
+        sparse = cf.kirchhoff_terms(blocks)
+        _, terms = _incidence_reference(blocks)
+        want = kirchhoff_from_one_inverse(cf.one_inverse(blocks))
+        for got in (sparse.value, sparse.expanded):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
-        assert sparse.terms.keys() == dense.terms.keys()
-        for key, want in dense.terms.items():
+        assert sparse.terms.keys() == terms.keys()
+        for key, want in terms.items():
             assert abs(sparse.terms[key] - want) <= 1e-12 * max(1.0, abs(want)), (name, key)
         assert sparse.deviation <= 1e-9 * max(1.0, abs(sparse.value))
 
@@ -982,20 +977,25 @@ def test_sparse_kirchhoff_takes_no_dense_group_inverse(kind):
     assert breakdown.deviation <= 1e-9 * breakdown.value
 
 
-def test_kirchhoff_route_follows_the_handed_in_inverse_only():
-    # Reading l_sharp first does not move kirchhoff_terms to the dense
-    # route: blocks built without one give the sparse value, bit for bit,
-    # whether or not the dense L# has been formed since.
+def test_kirchhoff_terms_never_read_l_sharp():
+    # The Kirchhoff index has one route, the sparse factor: blocks handed a
+    # dense L#, or having formed one since, give the same bits as blocks
+    # that never held one.
     g = path_graph(30)
-    crowns = random_crowns(random.Random(4), g.n, 3)
-    before = cf.kirchhoff_terms(cf.rv_blocks(g, crowns))
-    blocks = cf.rv_blocks(g, crowns)
-    assert blocks.given is None and blocks.l_sharp.shape == (30, 30)
-    after = cf.kirchhoff_terms(blocks)
-    assert float(after.value).hex() == float(before.value).hex()
-    assert {k: float(v).hex() for k, v in after.terms.items()} == {
-        k: float(v).hex() for k, v in before.terms.items()
-    }
+    ls = linalg.laplacian_group_inverse(laplacian(g))
+    rng = random.Random(4)
+    for make_blocks, hosts in ((cf.rv_blocks, g.n), (cf.re_blocks, g.m)):
+        crowns = random_crowns(rng, hosts, 3)
+        want = cf.kirchhoff_terms(make_blocks(g, crowns))
+        formed = make_blocks(g, crowns)
+        assert formed.given is None and formed.l_sharp.shape == (30, 30)
+        for blocks in (formed, make_blocks(g, crowns, ls)):
+            got = cf.kirchhoff_terms(blocks)
+            assert float(got.value).hex() == float(want.value).hex()
+            assert float(got.expanded).hex() == float(want.expanded).hex()
+            assert {k: float(v).hex() for k, v in got.terms.items()} == {
+                k: float(v).hex() for k, v in want.terms.items()
+            }
 
 
 @pytest.mark.parametrize("kind", ["rv", "re"])

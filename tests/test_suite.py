@@ -104,10 +104,11 @@ def test_a_crown_near_order_300_passes(kind):
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
-    # Blocks once, on the base group inverse the instance takes once and
-    # hands in, the {1}-inverse assembled once (the Kirchhoff value reads the
-    # blocks, not X), the corona Laplacian's group inverse taken once, as the
-    # one member of one stacked call, and the crown spectra in one call.
+    # Blocks once, handed no base group inverse, which they take once, on
+    # first read; the {1}-inverse assembled once (the Kirchhoff value reads
+    # the base's sparse factor, not X); the corona Laplacian's group inverse
+    # taken once, as the one member of one stacked call; and the crown
+    # spectra in one call.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
@@ -134,7 +135,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert blocks.call_count == 1
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list] == [(g.n, g.n)]
-    assert blocks.call_args.args[3] is taken[0]
+    assert blocks.call_args.args[3] is None
     assert stacked.call_count == 1
     assert [lap.shape for lap in stacked.call_args.args[0]] == [(order, order)]
     (read,) = [c.args[0] for c in eigen.call_args_list]
@@ -445,6 +446,46 @@ def test_tampered_coefficient_flips_verdict():
     # the Kirchhoff breakdown that assembles through the same hook.
     tol = suite.INSTANCE_TOLERANCES["pair_inverse_max"]
     assert any(inst.residuals["pair_inverse_max"] > tol for inst in report.instances)
+    assert suite.run_suite(seed=1, cases=2, n_max=4).verdict == "pass"
+
+
+def test_a_wrong_base_factor_flips_the_verdict():
+    # The report checks the Kirchhoff value that kirchhoff_terms reads off
+    # the base's sparse factor, the value ``corona kf`` prints, against the
+    # oracle.  A factor of the wrong graph, the base plus one edge, fails
+    # that check, and the expansion's, since Foster's theorem no longer holds
+    # over the base's edges, while the map and the assembled {1}-inverse,
+    # which read the dense L#, still pass theirs.  A factor whose quadratic
+    # forms are off fails that check alone: the value and the expansion read
+    # the same forms.
+    real_of, real_gram = linalg.GroundedFactor.of, linalg.GroundedFactor.gram
+
+    def plus_one_edge(n, eu, ev):
+        return real_of(n, np.append(eu, 0), np.append(ev, n - 1))
+
+    def skewed(factor, vectors):
+        return 1.5 * real_gram(factor, vectors)
+
+    g = path_graph(5)
+    cases = (
+        ("r_vertex", (complete_graph(2), Graph(1, ()), Graph(0, ()), path_graph(3), Graph(1, ()))),
+        ("r_edge", (path_graph(3), Graph(0, ()), complete_graph(2), Graph(1, ()))),
+    )
+    tol = suite.INSTANCE_TOLERANCES
+    for kind, crowns in cases:
+        assert suite.check_corona_instance(kind, g, crowns).passed
+        with mock.patch.object(linalg.GroundedFactor, "of", side_effect=plus_one_edge):
+            report = suite.check_corona_instance(kind, g, crowns)
+        caught = {name for name, value in report.residuals.items() if not value <= tol[name]}
+        assert not report.passed
+        assert "kf_terms_rel_err" in caught
+        assert not caught & {"one_inverse_scaled", "pair_dispatch_max", "pair_inverse_max", "kf_rel_err"}
+        with mock.patch.object(linalg.GroundedFactor, "gram", skewed):
+            report = suite.check_corona_instance(kind, g, crowns)
+        caught = {name for name, value in report.residuals.items() if not value <= tol[name]}
+        assert not report.passed and caught == {"kf_terms_rel_err"}
+    with mock.patch.object(linalg.GroundedFactor, "gram", skewed):
+        assert suite.run_suite(seed=1, cases=2, n_max=4).verdict == "fail"
     assert suite.run_suite(seed=1, cases=2, n_max=4).verdict == "pass"
 
 
