@@ -1,6 +1,7 @@
 """Size ladder of the closed Kirchhoff index, read off the sparse grounded factor of the base.
 
     python3 bench/ladder.py [--out BENCH_kf_ladder.json] [--sizes 120 480 ...] [--repeats 3]
+    python3 bench/ladder.py --crowns [--before FILE] [--out BENCH_crown_sums.json]
 
 Run it from anywhere; it imports the package from this checkout's ``src/``.
 Each case is the R-vertex corona with every crown empty, R(G), over a base
@@ -18,6 +19,16 @@ exact Kirchhoff index of R(P_n).  BLAS runs on one thread.  The report is
 one JSON document written to ``--out``.  The default is not
 ``BENCH_kf_sparse.json``: that file records the sparse route against the
 dense group inverse it replaced, a comparison this ladder no longer runs.
+
+With ``--crowns`` only the crown rung runs: the crowns' spectral sums,
+``closed_form._crown_eigen_sums`` over a ``CrownSet`` of eight crowns of
+one order t, for K_t and for random crowns with edge probability 1/2, at t
+in CROWN_ORDERS.  Each row has the best of ``--repeats`` times, the
+tracemalloc peak of one more run, the worst relative gap between a sum and
+the Cholesky trace tr (L(H) + I)^{-1} of the same crown, and for K_t the
+worst relative error against the exact 1 + (t - 1)/(t + 1).  ``--before``
+takes the report of the same command on another checkout and keeps its
+rows, with each row's time there and the speedup, so one file holds both.
 """
 
 from __future__ import annotations
@@ -51,6 +62,8 @@ from coronakit.graphs import Graph, complete_graph, empty_graph, path_graph  # n
 from coronakit.graphs import serialize_edge_list  # noqa: E402
 
 SIZES = (120, 480, 1000, 2000, 4000)
+CROWN_ORDERS = (4, 16, 64, 128, 300)
+CROWNS_PER_ORDER = 8
 
 
 def random_base(n: int) -> Graph:
@@ -156,12 +169,97 @@ def cli_case(n: int) -> dict:
     return row
 
 
+def crowns_of(family: str, t: int) -> tuple[Graph, ...]:
+    if family == "complete":
+        return (complete_graph(t),) * CROWNS_PER_ORDER
+    rng = random.Random(t)
+    pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
+    return tuple(
+        Graph(t, tuple(e for e in pairs if rng.random() < 0.5)) for _ in range(CROWNS_PER_ORDER)
+    )
+
+
+def crown_case(family: str, t: int, repeats: int) -> dict:
+    """The spectral sums of eight crowns of order t, against their Cholesky traces."""
+    crowns = closed_form.CrownSet.of(crowns_of(family, t))
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        sums = closed_form._crown_eigen_sums(crowns)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        closed_form._crown_eigen_sums(crowns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    traces = crowns.totals[0]
+    row = {
+        "family": family,
+        "t": t,
+        "crowns": len(crowns),
+        "s": best,
+        "peak_mb": peak / 2**20,
+        "trace_gap": float(np.max(np.abs(sums - traces) / traces)),
+    }
+    if family == "complete":
+        exact = 1.0 + (t - 1) / (t + 1)
+        row["rel_err"] = float(np.max(np.abs(sums - exact))) / exact
+    print(
+        f"crowns {family:8s} t={t:3d} x{len(crowns)}: {best * 1e3:9.3f} ms {row['peak_mb']:6.2f} MB, "
+        f"trace gap {row['trace_gap']:.1e}",
+        file=sys.stderr,
+    )
+    return row
+
+
+def crown_report(repeats: int, before: str | None) -> dict:
+    rows = [crown_case(f, t, repeats) for f in ("complete", "random") for t in CROWN_ORDERS]
+    report = {
+        "schema": "coronakit-bench-crown-sums/1",
+        "what": "each crown's sum of 1/(mu + 1) over its Laplacian spectrum, "
+        f"closed_form._crown_eigen_sums over {CROWNS_PER_ORDER} crowns of one order",
+        "machine": machine(),
+        "rows": rows,
+    }
+    if before is not None:
+        earlier = json.loads(Path(before).read_text(encoding="ascii"))
+        then = {(r["family"], r["t"]): r for r in earlier["rows"]}
+        for row in rows:
+            row["before_s"] = then[row["family"], row["t"]]["s"]
+            row["speedup"] = row["before_s"] / row["s"]
+        report["before"] = earlier
+    return report
+
+
+def machine() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_kf_ladder.json"))
+    parser.add_argument(
+        "--out", help="report file (default BENCH_kf_ladder.json; BENCH_crown_sums.json with --crowns)"
+    )
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--crowns", action="store_true", help="run only the crown rung")
+    parser.add_argument("--before", help="crown rung report of another checkout to compare with")
     args = parser.parse_args()
+    if args.crowns:
+        out = args.out or str(ROOT / "BENCH_crown_sums.json")
+        report = crown_report(args.repeats, args.before)
+        Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
+        print(f"wrote {out}", file=sys.stderr)
+        return
+    args.out = args.out or str(ROOT / "BENCH_kf_ladder.json")
     # The child runs first: a child forked from a parent that has grown
     # counts the parent's pages in its peak RSS until it execs.
     cli = cli_case(4000)
@@ -174,14 +272,7 @@ def main() -> None:
         "schema": "coronakit-bench-kf-sparse/2",
         "what": "closed Kirchhoff index of R(G) (R-vertex corona, empty crowns), "
         "read off the sparse grounded factor of the base",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": 1,
-        },
+        "machine": machine(),
         "dense_front": linalg.DENSE_FRONT,
         "ladder": rows,
         "complete": complete,

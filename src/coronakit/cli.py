@@ -8,7 +8,8 @@ cross-validation battery.
 Exit codes: 0 on success, 1 when the suite verdict is "fail", 2 on any
 input problem (unreadable files, malformed spec, out-of-range vertices),
 3 on an internal numerical fault (a crown inverse off its G 1 = 1 identity,
-Jacobi non-convergence): those are the program's failures, not the input's.
+a crown spectral sum that fails its own checks): those are the program's
+failures, not the input's.
 141 when the reader of stdout closed it early (``corona resist ... | head``),
 the status a shell reports for a tool killed by SIGPIPE; nothing is printed.
 """

@@ -26,10 +26,10 @@ gather, at most two for a pair, and crown cells off the stacks through
 another (``_crown_cells``), at most four for a pair.  The Kirchhoff index
 reads L# only on the diagonal, on the base edges and in three quadratic
 forms, so it always reads them off a sparse ``GroundedFactor`` of L(G),
-base-order work with nothing n x n formed.  The one eigensolve left is in
-``_crown_eigen_sums``: the expanded Kirchhoff index reads the crown
-spectra on purpose, as a second kernel against the Cholesky inverses, on
-the Laplacian stacks the inverses read.
+base-order work with nothing n x n formed.  The one spectral read is in
+``_crown_eigen_sums``: the expanded Kirchhoff index reads each crown's
+spectral sum on purpose, by a tridiagonal kernel that shares no code with
+the Cholesky inverses, on the Laplacian stacks the inverses read.
 
 A crown's inverse, its identity G 1 = 1 and its spectrum depend on
 nothing but the crown, so the crown side is its own type, ``CrownSet``,
@@ -38,7 +38,7 @@ already built.  ``CrownSet.of`` is the one crown pass: it inverts, totals
 and checks each crown once, and nothing else computes or judges that
 identity.  A caller that checks many coronas, as the suite does, builds
 one set over all their crowns and hands each corona its ``part``: every
-crown of the run is then inverted, checked and swept once, in one stacked
+crown of the run is then inverted, checked and summed once, in one stacked
 call per layout order.
 """
 
@@ -55,7 +55,7 @@ from .graphs import Graph, is_connected, laplacian
 from .linalg import (
     GroundedFactor,
     MatrixError,
-    _jacobi_eigenvalues,
+    _spectral_sums,
     laplacian_group_inverse,
     sym_inverse,
 )
@@ -80,9 +80,9 @@ class CrownSet:
     crown inverses and spectra alike, and the grounded inverses as another;
     a crown of order t is each member's leading t x t block.  ``totals``
     holds each crown's tr G_k and 1^T G_k 1.  ``eigen_sums`` is each
-    crown's sum of 1/(mu + 1) over its Laplacian spectrum, swept on first
-    read by one Jacobi call per layout and then kept.  ``graphs`` are the
-    crowns, ``sizes`` their orders.
+    crown's sum of 1/(mu + 1) over its Laplacian spectrum, read on first
+    use by one ``_spectral_sums`` call per layout and then kept.
+    ``graphs`` are the crowns, ``sizes`` their orders.
 
     ``part(lo, hi)`` is crowns lo..hi-1 as a set of their own that reads
     the same stacks, totals and sums, calls no kernel and checks nothing:
@@ -104,11 +104,11 @@ class CrownSet:
         the crowns' edges, as ``laplacian`` builds one: the adjacency
         negated, then the degrees on the diagonal, so each member's leading
         t x t block is bit for bit ``laplacian(crown)``.  An odd member's
-        pad row and column are +0.0, the zero dummy index that Jacobi pads
-        an odd order with, so L + I is padded with the identity.  One
+        pad row and column are +0.0, so L + I is padded with the identity
+        and the spectral kernel finds the pad decoupled.  One
         ``sym_inverse`` call per layout inverts the stack, whichever kind of
         corona the crowns crown, and is the one input check for both crown
-        kernels: ``_crown_eigen_sums`` sweeps the Laplacians unchecked.
+        kernels: ``_crown_eigen_sums`` reads the Laplacians unchecked.
         Each crown order's leading blocks are then totalled on their own,
         as an order-t stack sums them: numpy's pairwise summation groups
         terms by their count, so a padded block summed whole would round
@@ -177,12 +177,12 @@ class CrownSet:
 
     @property
     def eigen_sums(self) -> np.ndarray:
-        """Per crown, the sum over its Laplacian spectrum of 1/(mu + 1), swept once for the whole set."""
+        """Per crown, the sum over its Laplacian spectrum of 1/(mu + 1), read once for the whole set."""
         whole = self if self.whole is None else self.whole
-        return whole._swept[self.first : self.first + len(self)]
+        return whole._summed[self.first : self.first + len(self)]
 
     @functools.cached_property
-    def _swept(self) -> np.ndarray:
+    def _summed(self) -> np.ndarray:
         # Every part reads views of these sums, so none may write to them.
         sums = _crown_eigen_sums(self)
         sums.setflags(write=False)
@@ -426,27 +426,19 @@ class KirchhoffBreakdown:
 def _crown_eigen_sums(crowns: CrownSet) -> np.ndarray:
     """Per crown of a whole set, the sum over its Laplacian spectrum of 1/(mu + 1), off the stacks.
 
-    One stacked Jacobi call per layout order t + t % 2, on the Laplacian
-    stacks that ``sym_inverse`` has already checked.  Jacobi pads an odd
-    order with a zero dummy index anyway, so an order-t member padded with
-    a zero row and column starts from the same layout as alone and shares
-    the call with order t + 1 (stack members never mix).  Every eigenvalue
-    is bit for bit that of the per-order call; they come in index order,
-    so a padded member's last is its pad's exact 0.0, which no rotation
-    touches and which is dropped before the values are summed, sorted
-    descending as the per-order call sorts them.  An empty crown sums to 0.
+    One stacked ``_spectral_sums`` call per layout order t + t % 2, on the
+    Laplacian stacks that ``sym_inverse`` has already checked: each crown's
+    null vector deflated, the rest tridiagonalised by Householder
+    reflections and tr((T + I)^{-1}) read off T + I's pivots.  It shares no
+    code with the Cholesky inverse whose trace it must equal, so the two
+    Kirchhoff values stay two routes.  An order-t member padded with a zero
+    row and column shares the call with order t + 1 and leaves its pad out.
+    An empty crown sums to 0.
     """
     sums = np.zeros(len(crowns))
     orders = np.array(crowns.sizes, dtype=np.intp)
     for members, laps, _ in crowns.stacks:
-        o = laps.shape[-1]
-        values = _jacobi_eigenvalues(laps).values
-        padded = orders[members] < o
-        if (values[padded, -1] != 0.0).any():
-            raise MatrixError("a padded crown spectrum does not read exactly 0.0 in its pad slot")
-        for part, t in ((~padded, o), (padded, o - 1)):
-            spectra = -np.sort(-values[part, :t], axis=1)
-            sums[members[part]] = np.add.reduce(1.0 / (spectra + 1.0), axis=1)
+        sums[members] = _spectral_sums(laps, orders[members])
     return sums
 
 

@@ -1,15 +1,13 @@
-"""Symmetric kernels: a Jacobi eigensolver, a Cholesky inverse and a sparse Laplacian factor.
+"""Symmetric kernels: Laplacian spectral sums, a Cholesky inverse and a sparse Laplacian factor.
 
-Two dense kernels, split by what they compute, and both take one matrix
-or a (k, t, t) stack of equal-order ones.  Spectra go through
-``sym_eigendecompose``, Jacobi in the round-robin parallel ordering of
-Brent and Luk: each of the n-1 rounds of a sweep rotates n/2 disjoint
-pairs of every stack member at once as one vectorised update, with the
-rotations from ``hypot`` and ``copysign`` and the move and transpose as
-one gather, and each member stops on its own.  It is unconditionally
-stable on symmetric input and deterministic for a fixed input because
-the ordering is fixed; the package asks it only for crown spectra, so it
-returns eigenvalues alone.
+The dense kernels take one matrix or a (k, t, t) stack of equal-order
+ones.  The one spectral question the package asks is, per crown, the sum
+of 1/(mu + 1) over its Laplacian spectrum, and ``_spectral_sums`` answers
+it for a stack without eigenvalues: each member's null vector deflated by
+one Householder reflector, the rest brought to a tridiagonal T by
+Householder reflections, and tr((T + I)^{-1}) read off T + I's forward and
+backward pivots.  It shares no code with the Cholesky inverse, so the
+trace of (L + I)^{-1} comes two ways.
 
 Inverses go through ``sym_inverse``, which requires symmetric positive
 definite input.  Up to SCHUR_LEAF_ORDER it is a bordered Cholesky: one
@@ -28,13 +26,12 @@ threshold, and takes one step of iterative refinement: one matrix through
 ``laplacian_group_inverses``, which pads them into one stack for the
 bordered loop (``_bordered_rows``, the loop of the reference body) and
 gives each member's Gram product, refinement and deflation its own
-slice, so a member comes out bit for bit as it would alone.  Both
-kernels share the input checks of ``_as_symmetric`` and raise
-``MatrixError`` (``SingularMatrixError`` for singular input) instead of
-returning an answer they cannot vouch for.  Each has an unchecked body
-behind those checks (``_checked_inverse``, ``_jacobi_eigenvalues``, whose
-eigenvalues stay in index order) for input that has passed them once
-already.
+slice, so a member comes out bit for bit as it would alone.  Input is
+checked by ``_as_symmetric``, and every kernel raises ``MatrixError``
+(``SingularMatrixError`` for singular input) instead of returning an
+answer it cannot vouch for.  ``_checked_inverse`` is the unchecked body
+behind those checks, for input that has passed them once already; the
+spectral sums only ever read such input.
 
 ``GroundedFactor`` reads the group inverse of a connected graph's
 Laplacian without forming it: the L D L^T factor of the Laplacian grounded
@@ -48,26 +45,20 @@ that and a few triangular solves.  Its work follows the fill, not n^3.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-
-# Off-diagonal Frobenius norm at which a Jacobi sweep loop stops, relative
-# to max(1, ||A||_F) so the threshold survives rescaling.
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 # Cholesky pivot floor: a pivot at or below PIVOT_RTOL * max(1, max|A|)
 # makes sym_inverse raise instead of dividing by a roundoff-sized number.
 PIVOT_RTOL = 1e-10
 
 # A matrix must be symmetric to within this (relative to max(1, ||.||_max))
-# before we will eigendecompose or invert it; float products are allowed
+# before we will invert it; float products are allowed
 # last-ulp slack.
 SYMMETRY_RTOL = 1e-10
 
@@ -87,27 +78,11 @@ DENSE_FRONT = 16
 
 
 class MatrixError(ValueError):
-    """Structural problem with a matrix argument (shape, symmetry, convergence)."""
+    """Structural problem with a matrix argument (shape, symmetry), or a failed internal check."""
 
 
 class SingularMatrixError(MatrixError):
     """A matrix that must be inverted exactly is singular to working precision."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (descending; unsorted from the Jacobi body) of a symmetric matrix, and diagnostics.
-
-    For a stack, ``values`` is (k, t), one row per member.
-    """
-
-    values: np.ndarray
-    # Solver diagnostics: Jacobi sweeps run, rotations applied, and the
-    # off-diagonal Frobenius norm left at exit (for a stack: the most sweeps
-    # any member ran, the total rotations, the worst member's norm).
-    sweeps: int = 0
-    rotations: int = 0
-    off_norm: float = 0.0
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -138,233 +113,103 @@ def _as_symmetric(m: np.ndarray, what: str = "matrix", stacked: bool = False) ->
     return 0.5 * (a + at)
 
 
-def _off_norms(w: np.ndarray, m: int) -> np.ndarray:
-    """Frobenius norm of each member's off-diagonal part, summed directly.
+def _reflect(a: np.ndarray, v: np.ndarray) -> None:
+    """a := P a P in place, per member, for the Householder reflector P = I - 2 v v^T / v^T v.
 
-    w is a sweep layout of _jacobi_sweep.  Subtracting the diagonal's norm
-    from the full norm looks equivalent but cancels catastrophically once
-    the matrix is nearly diagonal, reporting phantom residuals around
-    sqrt(eps * ||A||^2); summing the off-diagonal entries themselves stays
-    accurate all the way down.
+    a is a (k, m, m) stack of symmetric blocks and v a (k, m) stack of
+    vectors; a zero v is the identity.  With p = (2 / v^T v) a v and
+    w = p - (p^T v / v^T v) v, P a P = a - v w^T - w v^T (Golub & Van Loan
+    8.3.1), one matmul over the stacked pairs (v, w).  A row of a that is
+    zero where v is zero stays exactly zero.
     """
-    b = w.reshape(-1, m * m).copy()  # the reshape alone is a view of w
-    b[:, :: m + 1] = 0.0
-    b *= b
-    return np.sqrt(np.add.reduce(b, axis=1))
+    vv = np.add.reduce(v * v, axis=1)
+    beta = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
+    p = beta[:, None] * (a @ v[..., None])[..., 0]
+    w = p - (0.5 * beta * np.add.reduce(p * v, axis=1))[:, None] * v
+    a -= np.stack((v, w), axis=2) @ np.stack((w, v), axis=1)
 
 
-@functools.lru_cache(maxsize=64)
-def _round_robin(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot tables of the round-robin parallel ordering at even order m.
+def _spectral_sums(laps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per member of a (k, o, o) stack of graph Laplacians, the sum of 1/(mu + 1) over its spectrum.
 
-    Jacobi runs on a matrix whose indices are laid out in slots, and each
-    round rotates the disjoint slot pairs (2i, 2i+1).  Between rounds every
-    index except the one in the last slot moves one place along a fixed
-    cycle (the circle method of a round-robin tournament), so the m-1
-    rounds of a sweep pair every two indices exactly once and leave the
-    layout where it started.
+    Member i is a Laplacian of order ``sizes[i]``, o or o - 1 and at least
+    1, in its leading block; one of order o - 1 is padded with a zero row
+    and column.  The sum is tr((L + I)^{-1}), read in three steps, each
+    stacked over the members:
 
-    Returns the slot of each index in the starting layout, the move
-    applied after each round (new slot -> old slot) and the (row, column)
-    slots of the just-rotated pairs' entries after the move.
+    - one Householder reflector P takes the member's null vector 1 to a
+      multiple of e_0, so the first row and column of P L P are zero, that
+      direction adds exactly 1/(0 + 1), and the row is dropped;
+    - the rest is brought to a tridiagonal T, diagonal d and off-diagonal
+      e, by Householder reflections (Golub & Van Loan 8.3.1), each one
+      ``_reflect`` of a trailing block;
+    - the diagonal of (T + I)^{-1} is read off the forward pivots f and the
+      backward pivots g of T + I (Meurant, SIAM J. Matrix Anal. Appl.
+      13(3), 1992): entry i is 1 / (f_i - e_i^2 / g_{i+1}), the Schur
+      complement of the rest onto i.  T is positive semidefinite up to
+      roundoff, so T + I has no eigenvalue below about 1 and neither has
+      any of its pivots.
+
+    Nothing is checked on the way in: the caller has checked the stack
+    once, as the crown stacks are checked by the ``sym_inverse`` of L + I.
+    Two checks follow the work, and each raises MatrixError.  The dropped
+    row is P L P's product with an exact null vector, so it is all roundoff
+    of the reflection: its norm must be at most 4 eps o ||L||_F of its
+    member.  No reflector touches a pad, whose row starts exactly zero, so
+    a padded member's last row must still be exactly zero; its pad slot is
+    then left out of the sum.  Every step is elementwise or a per-member
+    matmul, so a member comes out bit for bit as it would alone.
     """
-    k = m // 2
-    start = [x for i in range(1, k) for x in (i, m - 1 - i)] + [0, m - 1]
-    start = np.array(start, dtype=np.intp)
-    slot = np.argsort(start)
-    after = np.concatenate(((start[:-1] + 1) % (m - 1), [m - 1]))
-    move = slot[after]
-    moved = np.argsort(move)
-    p, q = moved[0::2], moved[1::2]
-    pairs = np.array((np.concatenate((p, q)), np.concatenate((q, p))))
-    tables = (slot, move, pairs)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-@functools.lru_cache(maxsize=256)
-def _sweep_tables(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of _round_robin(m) for the sweep layout of k members.
-
-    Returns the move as row indices; the move followed by the transpose of
-    every member as one flat gather (entry (i, j) of a member's result is
-    entry (move[j], i) of its input); the flat positions of the rotated
-    slot pairs' (p, p), (p, q) and (q, q) entries; and the flat positions
-    of the entries to zero after the move.
-    """
-    _, move, (rows, cols) = _round_robin(m)
-    base = np.arange(k)[:, None] * m
-    firsts = np.arange(0, m, 2)
-    diag = [
-        ((base + firsts + dp) * m + firsts + dq).reshape(-1)
-        for dp, dq in ((0, 0), (0, 1), (1, 1))
-    ]
-    tables = (
-        (base + move).reshape(-1),
-        (base[:, :, None] * m + move * m + np.arange(m)[:, None]).reshape(-1),
-        np.array(diag),
-        ((base + rows) * m + cols).reshape(-1),
-    )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _jacobi_sweep(w: np.ndarray, m: int, zero_negligible: bool) -> tuple[np.ndarray, int]:
-    """One parallel Jacobi sweep over a stack of slot-ordered matrices of even order m.
-
-    w is the sweep layout of k members: a contiguous (k m, m) array whose
-    rows i m to (i + 1) m hold member i's working matrix a in the layout of
-    _round_robin(m).  Each round computes the rotations of the m/2 disjoint
-    pairs of every member together and applies them to the rows of a,
-    moves every index to its next slot and transposes in one gather, does
-    the same rotation to the rows of the transpose (the columns of a, a
-    being symmetric), moves again, and zeroes the rotated pairs' entries.
-    With theta = (a_qq - a_pp) / (2 a_pq), the rotation is
-    t = sign(theta) / (|theta| + hypot(1, theta)), c = 1 / hypot(1, t),
-    s = t c (Golub & Van Loan 8.5.2), with the sign taken by copysign, so
-    a theta of -0.0 takes the other root, t = -1; hypot does not overflow
-    where theta^2 would.  A pair with a_pq == 0, or (with zero_negligible) one
-    whose a_pq is negligible against both its diagonal entries, gets the
-    identity, so it is zeroed without counting as a rotation.  A round
-    that rotates nothing still moves and transposes, so members never mix
-    and each comes out exactly as it would alone.  A member that no round
-    rotates leaves the sweep with every off-diagonal entry zeroed.  Returns
-    the new w and the rotations applied.
-    """
-    size = len(w) // m
-    rows, flip, diag, zero = _sweep_tables(m, size)
-    applied = 0
-    for _ in range(m - 1):
-        pp, apq, qq = w.reshape(-1)[diag]
-        rotate = apq != 0.0
-        if zero_negligible:
-            # Entries already negligible against their diagonal pair are
-            # zeroed outright once the early sweeps have done the bulk work.
-            abs_pp = np.abs(pp)
-            abs_qq = np.abs(qq)
-            g = 100.0 * np.abs(apq)
-            rotate &= (abs_pp + g != abs_pp) | (abs_qq + g != abs_qq)
-        count = int(np.count_nonzero(rotate))
-        if count:
-            applied += count
-            # identity pairs get a_pq := 1 so that nothing divides by zero
-            x = apq if count == rotate.size else np.where(rotate, apq, 1.0)
-            theta = 0.5 * (qq - pp) / x
-            t = np.copysign(1.0 / (np.abs(theta) + np.hypot(1.0, theta)), theta)
-            if count < rotate.size:
-                t[~rotate] = 0.0
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            r = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
-            w = r @ w.reshape(-1, 2, m)
-        # The columns of a, moved, as rows of its transpose.
-        at = w.reshape(-1)[flip].reshape(-1, 2, m)
-        if count:
-            at = r @ at
-        w = at.reshape(-1, m)[rows]
-        w.reshape(-1)[zero] = 0.0
-    return w, applied
-
-
-def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
-    """Eigenvalues of symmetric matrices by parallel-order Jacobi.
-
-    Each sweep visits every off-diagonal pair once in the round-robin
-    parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985;
-    Golub & Van Loan 8.5): n-1 rounds of n/2 disjoint rotations, each round
-    applied as one vectorised update.  An odd order is padded with a zero
-    dummy index whose pairs are always the identity.  Sweeps stop when a
-    sweep applies no rotation, or once the off-diagonal Frobenius norm is
-    under JACOBI_OFF_TOL * max(1, ||A||_F) and one more polishing sweep has
-    run: the diagonal is within the off-diagonal norm of the eigenvalues
-    (Weyl), and Jacobi converges quadratically, so that sweep takes them
-    from up to the tolerance off down to roundoff.  The ordering is fixed,
-    so the result is deterministic.
-
-    Takes one (n, n) matrix or a (k, t, t) stack of equal-order ones.  A
-    stack is swept together, round by round, but every member keeps its own
-    tolerance, polishing sweep and stop; a member that has stopped is taken
-    out of later sweeps, so it comes out bit for bit as it would alone.
-
-    Returns eigenvalues sorted descending (stable in the index order),
-    shaped (..., t), together with the sweeps run, the rotations applied
-    and the final off-diagonal norm; for a stack these are the most sweeps
-    any member ran, the total rotations and the worst member's norm.  Any
-    member that does not converge raises MatrixError.
-    """
-    dec = _jacobi_eigenvalues(_as_symmetric(m, stacked=True))
-    ranked = (-dec.values).argsort(axis=-1, kind="stable")
-    return replace(dec, values=np.take_along_axis(dec.values, ranked, axis=-1))
-
-
-def _jacobi_eigenvalues(sym: np.ndarray) -> EigenDecomposition:
-    """``sym_eigendecompose`` of a finite float matrix or stack already exactly symmetric.
-
-    Nothing is checked here: the caller has checked the input once, as the
-    crown spectra are, by the ``sym_inverse`` of L(H) + I on the same stack.
-    Nor is anything sorted: eigenvalue i is the one index i's slot holds.
-    """
-    n = sym.shape[-1]
-    stack = sym if sym.ndim == 3 else sym[None]
-    size = len(stack)
-    if n < 2 or size == 0:
-        return EigenDecomposition(np.diagonal(sym, axis1=-2, axis2=-1).copy())
-
-    norms = np.sqrt(np.add.reduce((stack * stack).reshape(size, -1), axis=1))
-    tol = JACOBI_OFF_TOL * np.maximum(1.0, norms)
-    order = n + n % 2
-    slot = _round_robin(order)[0][:n]
-    w = np.zeros((size, order, order))
-    w[:, slot[:, None], slot] = stack
-    w = w.reshape(-1, order)
-    # State of the members still sweeping, in ``live`` order.  A member
-    # stops once its norm is at most ``limit``: 0 until the norm first drops
-    # under its tolerance, the tolerance from then on, so that the stop
-    # comes one polishing sweep later.  A sweep that rotates nothing in a
-    # member leaves its norm 0, so that stops it too.  Stopped members are
-    # frozen into done_w and done_off.
-    live = np.arange(size)
-    live_tol = tol
-    off = done_off = _off_norms(w, order)
-    limit = np.zeros(size)
-    done_w = w.reshape(size, order, order)
-    sweep = rotations = 0
-    # theta overflows to inf only for an a_pq far below its diagonal gap;
-    # hypot then gives t = 0, the identity.
-    with np.errstate(over="ignore"):
-        while True:
-            stop = off <= limit
-            if sweep == JACOBI_MAX_SWEEPS:
-                stop[:] = True
-            if stop.any():
-                if live.size == size and stop.all():
-                    done_w, done_off = w.reshape(size, order, order), off
-                    break
-                lay = w.reshape(-1, order, order)
-                done_w[live[stop]], done_off[live[stop]] = lay[stop], off[stop]
-                if stop.all():
-                    break
-                kept = ~stop
-                w = lay[kept].reshape(-1, order)
-                live, off, limit, live_tol = live[kept], off[kept], limit[kept], live_tol[kept]
-            limit = np.where(off <= live_tol, live_tol, limit)
-            w, applied = _jacobi_sweep(w, order, zero_negligible=sweep > 3)
-            sweep += 1
-            rotations += applied
-            off = _off_norms(w, order)
-    if (done_off > tol).any():
+    k, o = laps.shape[0], laps.shape[-1]
+    padded = sizes < o
+    # u = 1 / sqrt(t) on the member's own block; v = u + e_0 reflects it to -e_0.
+    v = np.where(np.arange(o) < sizes[:, None], (1.0 / np.sqrt(sizes))[:, None], 0.0)
+    v[:, 0] += 1.0
+    b = laps.copy()
+    _reflect(b, v)
+    residual = np.sqrt(np.add.reduce(b[:, 0] * b[:, 0], axis=1))
+    scale = np.sqrt(np.add.reduce((laps * laps).reshape(k, -1), axis=1))
+    bound = 4.0 * np.finfo(float).eps * o * scale
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        i = bad[0]
         raise MatrixError(
-            f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {float(done_off.max()):.3e})"
+            f"stack member {i}: the deflated null direction's row has norm "
+            f"{residual[i]:.3e}, over {bound[i]:.3e}"
         )
-    return EigenDecomposition(
-        done_w[:, slot, slot].reshape(sym.shape[:-1]),
-        sweep,
-        rotations,
-        float(done_off.max()),
-    )
+    a = b[:, 1:, 1:]
+    n = o - 1
+    e = np.zeros((k, n))
+    for j in range(n - 2):
+        x = a[:, j + 1 :, j]
+        alpha = -np.copysign(np.sqrt(np.add.reduce(x * x, axis=1)), x[:, 0])
+        h = x.copy()
+        h[:, 0] -= alpha
+        _reflect(a[:, j + 1 :, j + 1 :], h)
+        e[:, j] = alpha
+    if n > 1:
+        e[:, n - 2] = a[:, n - 1, n - 2]
+    if n and (a[padded, -1] != 0.0).any():
+        raise MatrixError("a padded member's pad row is not exactly zero after tridiagonalisation")
+    # Slot 0 is the deflated direction, slot i + 1 is T's row i.
+    inverse = np.ones((k, o))
+    if n:
+        d = np.diagonal(a, axis1=1, axis2=2) + 1.0
+        e2 = e * e
+        f = np.empty((k, n))
+        g = np.empty((k, n))
+        f[:, 0] = d[:, 0]
+        for i in range(1, n):
+            f[:, i] = d[:, i] - e2[:, i - 1] / f[:, i - 1]
+        g[:, -1] = d[:, -1]
+        for i in range(n - 2, -1, -1):
+            g[:, i] = d[:, i] - e2[:, i] / g[:, i + 1]
+        inverse[:, 1:-1] = 1.0 / (f[:, :-1] - e2[:, :-1] / g[:, 1:])
+        inverse[:, -1] = 1.0 / f[:, -1]
+    sums = np.empty(k)
+    for part, t in ((~padded, o), (padded, o - 1)):
+        sums[part] = np.add.reduce(inverse[part, :t], axis=1)
+    return sums
 
 
 def _spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ assembles the {1}-inverse from those blocks.
 ``closed_form.CrownSet`` over every crown of the run and checks each
 instance on its part of that set.  So every crown of the run is inverted
 and checked once, in one ``sym_inverse`` call per layout order when the
-set is built, and swept in one Jacobi call per layout order when the
-first instance reads the crown spectra; ``check_corona_instance`` called
+set is built, and summed in one spectral-sum call per layout order when
+the first instance reads the crown spectra; ``check_corona_instance`` called
 on crown graphs makes a set of its own.  Each case's base graph has its
 Laplacian group inverse taken once, as it is drawn, and handed to the
 identity battery as ``ls`` and to both kinds' blocks as ``l_sharp``, which

@@ -643,8 +643,8 @@ def test_kf_json_with_terms(rv_spec, capsys):
 def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
     # 40 crowns of orders 0-4 on C_40: the crowns are held as one stack per
     # layout order (orders 1 and 2 in one, 3 and 4 in the other), inverted
-    # by one Cholesky call and swept by one Jacobi call each, not one per
-    # crown or per crown order.
+    # by one Cholesky call and read by one spectral-sum call each, not one
+    # per crown or per crown order.
     (tmp_path / "c40.edges").write_text(serialize_edge_list(cycle_graph(40)))
     lines = ["kind = r_vertex", "base = c40.edges"]
     for i in range(40):
@@ -656,10 +656,10 @@ def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
             lines.append(f"crown.{i} = {name}")
     spec = tmp_path / "c40.spec"
     spec.write_text("\n".join(lines) + "\n")
-    eig = mock.Mock(wraps=closed_form._jacobi_eigenvalues)
+    eig = mock.Mock(wraps=closed_form._spectral_sums)
     inverse = mock.Mock(wraps=closed_form.sym_inverse)
     with (
-        mock.patch.object(closed_form, "_jacobi_eigenvalues", eig),
+        mock.patch.object(closed_form, "_spectral_sums", eig),
         mock.patch.object(closed_form, "sym_inverse", inverse),
     ):
         assert main(["kf", str(spec), "--method", "closed", "--format", "json", "--terms"]) == 0
@@ -672,11 +672,11 @@ def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
 
 @pytest.mark.parametrize("fixture", ["rv_spec", "re_spec"])
 def test_closed_resist_sweeps_no_crown_spectrum(fixture, request, capsys):
-    # The crown spectra are swept on first read, and only the Kirchhoff
+    # The crown spectra are summed on first read, and only the Kirchhoff
     # expansion reads them: resist builds its crown set's inverses alone.
     spec = str(request.getfixturevalue(fixture))
     swept = AssertionError("resist swept a crown spectrum")
-    with mock.patch.object(closed_form, "_jacobi_eigenvalues", side_effect=swept):
+    with mock.patch.object(closed_form, "_spectral_sums", side_effect=swept):
         assert main(["resist", spec, "--all", "--method", "closed"]) == 0
         assert main(["resist", spec, "--pair", "0", "1", "--method", "closed"]) == 0
     assert capsys.readouterr().out

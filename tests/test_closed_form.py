@@ -1,6 +1,7 @@
 """Closed-form blocks, dispatch, and Kirchhoff formulas against the oracle."""
 
 import contextlib
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +29,6 @@ from coronakit.graphs import (
 from coronakit.linalg import max_abs, verify_one_inverse
 from coronakit.resistance import (
     DisconnectedGraphError,
-    kirchhoff_from_one_inverse,
     kirchhoff_index,
     resistance_matrix,
     resistances_from_inverse,
@@ -437,10 +437,18 @@ def _incidence_reference(blocks):
     n, m = g.n, g.m
     b = incidence(g)
     lb = ls @ b
+    # Filled block by block in place: at K_80's m = 3160 each (m, m)
+    # temporary is 80 MB.
+    skeleton = np.empty((n + m, n + m))
+    skeleton[:n, :n] = (2.0 / 3.0) * ls
+    skeleton[:n, n:] = lb / 3.0
+    skeleton[n:, :n] = lb.T / 3.0
     btlb = b.T @ lb
-    skeleton = np.block(
-        [[(2.0 / 3.0) * ls, lb / 3.0], [lb.T / 3.0, 0.5 * np.eye(m) + (btlb + btlb.T) / 12.0]]
-    )
+    corner = skeleton[n:, n:]
+    np.add(btlb, btlb.T, out=corner)
+    del btlb
+    corner /= 12.0
+    corner[np.diag_indices(m)] += 0.5
     edge = blocks.kind == "r_edge"
     u = 0.5 * b if edge else np.eye(n)
     pi = g.degrees().astype(float)
@@ -587,8 +595,8 @@ def test_closed_route_never_calls_the_oracle():
 
 def test_closed_route_inverts_without_the_eigensolver():
     # Every inverse of the closed route is a Cholesky solve; only the
-    # Kirchhoff expansion's crown spectra (_crown_eigen_sums) reach Jacobi,
-    # through its unchecked body.
+    # Kirchhoff expansion's crown spectra (_crown_eigen_sums) reach the
+    # package's one spectral kernel, the tridiagonal _spectral_sums.
     g = cycle_graph(4)
     crowns = (complete_graph(2), Graph(3, ((0, 1),)), empty_graph(0), Graph(2, ()))
     eig_called = AssertionError("the closed route called the eigensolver")
@@ -597,9 +605,9 @@ def test_closed_route_inverts_without_the_eigensolver():
         for module in vars(coronakit).values()
         if getattr(module, "__name__", "").startswith("coronakit.")
         for name, obj in vars(module).items()
-        if obj is linalg.sym_eigendecompose or obj is linalg._jacobi_eigenvalues
+        if obj is linalg._spectral_sums
     ]
-    assert (cf, "_jacobi_eigenvalues") in bindings
+    assert (cf, "_spectral_sums") in bindings
 
     def spectral_sums(crown_set):
         return np.array(
@@ -674,7 +682,7 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
     # random crowns.  Each member's leading t x t blocks are laplacian(H)
     # and the inverse of L(H) + I, bit for bit for every even order and odd
     # orders up to 9, and the per-crown totals and crown-cell gather read
-    # them.  An odd order of 11 and up is swept by the BLAS product at its
+    # them.  An odd order of 11 and up is inverted by the BLAS product at its
     # padded order, which may round in another order: a few ulps.  (The
     # crowns were always inverted as stacks; a lone matrix runs the 1-D
     # body, which agrees with a stack to roundoff only.)
@@ -917,6 +925,22 @@ def test_sparse_kirchhoff_of_paths_is_exact(n):
         assert abs(Fraction(cf.kirchhoff_terms(blocks).value) - exact) <= Fraction(1e-15) * exact
 
 
+def _kirchhoff_reference(blocks, skeleton):
+    """N tr X - 1^T X 1 of the blocks' {1}-inverse X, without forming X.
+
+    X is the skeleton corner S read through the anchors plus the grounded
+    crown corner, zero across crowns, so skeleton vertex j's row and column
+    appear reps_j = 1 + (crown vertices anchored at j) times:
+    tr X = reps . diag(S) + sum tr G_k and 1^T X 1 = reps^T S reps +
+    sum 1^T G_k 1.
+    """
+    reps = 1.0 + np.bincount(blocks.anchor, minlength=len(skeleton))
+    traces, ones = blocks.crowns.totals
+    vertices = len(skeleton) + len(blocks.anchor)
+    trace = float(reps @ np.diag(skeleton)) + float(traces.sum())
+    return vertices * trace - (float(reps @ skeleton @ reps) + float(ones.sum()))
+
+
 @pytest.mark.parametrize(
     "name, g",
     [
@@ -934,16 +958,19 @@ def test_sparse_kirchhoff_of_paths_is_exact(n):
 def test_sparse_kirchhoff_agrees_with_the_dense_route(name, g):
     # The Kirchhoff terms read the sparse factor; the dense references are
     # the incidence matmuls over the dense L# for every term, and
-    # N tr X - 1^T X 1 of the assembled {1}-inverse for the value and the
-    # expansion.  All agree to 1e-12 relative.  K_n has every front wider
-    # than DENSE_FRONT, so it runs the dense block alone; "K40 with a tail"
-    # eliminates its path first, then inverts the clique as the dense block.
+    # N tr X - 1^T X 1 of the {1}-inverse X for the value and the expansion,
+    # summed from the incidence skeleton corner and the crown totals at
+    # order n + m, without forming X.  All agree to 1e-12 relative.  K_n has
+    # every front wider than DENSE_FRONT, so it runs the dense block alone;
+    # "K40 with a tail" eliminates its path first, then inverts the clique
+    # as the dense block.
     rng = random.Random(sum(map(ord, name)))
     for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
         blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3))
         sparse = cf.kirchhoff_terms(blocks)
-        _, terms = _incidence_reference(blocks)
-        want = kirchhoff_from_one_inverse(cf.one_inverse(blocks))
+        skeleton, terms = _incidence_reference(blocks)
+        want = _kirchhoff_reference(blocks, skeleton)
+        del skeleton  # (n + m)^2 floats: 84 MB at K_80
         for got in (sparse.value, sparse.expanded):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
         assert sparse.terms.keys() == terms.keys()
@@ -1035,10 +1062,11 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
 
 
 def test_crown_eigen_sums_take_one_call_per_layout_order():
-    # Orders 1-9 share five Jacobi layouts (2, 4, 6, 8, 10): an odd order is
-    # padded with a zero row and column and swept with the next even order.
-    # Every sum is == the per-order call's, including crowns with several
-    # exact zero eigenvalues (edgeless and disconnected crowns).
+    # Orders 1-9 share five layouts (2, 4, 6, 8, 10): an odd order is
+    # padded with a zero row and column and read with the next even order.
+    # Every sum is == that layout's own stacked call, and within roundoff of
+    # the per-order call and of numpy's spectrum, including crowns with
+    # several exact zero eigenvalues (edgeless and disconnected crowns).
     rng = random.Random(3)
     crowns = [empty_graph(0)]
     for t in range(1, 10):
@@ -1048,41 +1076,109 @@ def test_crown_eigen_sums_take_one_call_per_layout_order():
     crowns = tuple(crowns)
     blocks = cf.rv_blocks(path_graph(len(crowns)), crowns)
     want = np.zeros(len(crowns))
+    alone = np.zeros(len(crowns))
+    for o in range(2, 11, 2):
+        of_layout = [i for i, c in enumerate(crowns) if c.n in (o - 1, o)]
+        laps = np.zeros((len(of_layout), o, o))
+        for k, i in enumerate(of_layout):
+            laps[k, : crowns[i].n, : crowns[i].n] = laplacian(crowns[i])
+        sizes = np.array([crowns[i].n for i in of_layout])
+        want[of_layout] = linalg._spectral_sums(laps, sizes)
     for t in range(1, 10):
         of_order = [i for i, c in enumerate(crowns) if c.n == t]
         laps = np.stack([laplacian(crowns[i]) for i in of_order])
-        values = linalg.sym_eigendecompose(laps).values
-        want[of_order] = np.add.reduce(1.0 / (values + 1.0), axis=1)
-    eig = mock.Mock(wraps=linalg._jacobi_eigenvalues)
-    with mock.patch.object(cf, "_jacobi_eigenvalues", eig):
+        alone[of_order] = linalg._spectral_sums(laps, np.full(len(of_order), t))
+    eig = mock.Mock(wraps=linalg._spectral_sums)
+    with mock.patch.object(cf, "_spectral_sums", eig):
         got = blocks.crowns.eigen_sums
     assert eig.call_count == 5
     assert [c.args[0].shape[-1] for c in eig.call_args_list] == [2, 4, 6, 8, 10]
     assert (got == want).all()
+    npt.assert_allclose(got, alone, rtol=1e-15, atol=0)
+    exact = [_eigvalsh_sum(c) for c in crowns]
+    npt.assert_allclose(got, exact, rtol=1e-14, atol=0)
+    assert got[0] == 0.0
+    # The edgeless crown of order t comes first among order t's four.
+    assert [got[4 * t - 3] for t in range(1, 10)] == list(range(1, 10))
+
+
+def _eigvalsh_sum(crown):
+    return float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(crown)) + 1.0))) if crown.n else 0.0
+
+
+def _clique_sum(t):
+    # K_t's spectrum is 0 and t, t - 1 times.
+    return 1.0 + (t - 1) / (t + 1) if t else 0.0
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 64, 65, 128, 299, 300])
+def test_crown_eigen_sums_are_exact_up_to_order_300(t):
+    # Empty, edgeless, disconnected, K_t and P_t crowns, against numpy's
+    # spectrum and against each spectrum's sum in closed form (Mohar, The
+    # Laplacian spectrum of graphs, 1991): two cliques K_h + K_(t - h) sum
+    # as K_h and K_(t - h) do, and P_t's spectrum is 2 - 2 cos(pi k / t).
+    # An edgeless crown sums exactly to t.
+    h = t // 2
+    k = np.arange(t)
+    cliques = complete_graph(h).edges + tuple(
+        (h + u, h + v) for u, v in complete_graph(t - h).edges
+    )
+    cases = [
+        (empty_graph(0), 0.0),
+        (Graph(t, ()), float(t)),
+        (Graph(t, cliques), _clique_sum(h) + _clique_sum(t - h)),
+        (complete_graph(t), _clique_sum(t)),
+        (path_graph(t), float(np.sum(1.0 / (3.0 - 2.0 * np.cos(np.pi * k / t))))),
+    ]
+    sums = cf.CrownSet.of(tuple(c for c, _ in cases)).eigen_sums
+    assert sums[0] == 0.0 and sums[1] == float(t)
+    for (crown, closed), got in zip(cases, sums):
+        assert abs(got - _eigvalsh_sum(crown)) <= 1e-12 * max(1.0, got), crown
+        assert abs(got - closed) <= 1e-12 * max(1.0, closed), crown
 
 
 def test_a_padded_spectrum_must_read_zero_in_its_pad_slot():
-    # A padded member's last slot is its pad, which no rotation touches, so
-    # the sweep must leave it exactly 0.0; anything else raises instead of
-    # being summed or dropped.  An order-3 crown is padded to layout 4.
+    # A padded member's pad row starts exactly zero and no reflector touches
+    # it, so it must end exactly zero; and the deflated row of every member
+    # is roundoff of the reflection, within its own bound.  Anything else
+    # raises instead of being summed or dropped.  An order-3 crown is padded
+    # to layout 4.
     crowns = cf.CrownSet.of((path_graph(3), complete_graph(4)))
-    ((_, laps, _),) = crowns.stacks
-    honest = linalg._jacobi_eigenvalues(laps)
-    assert honest.values[0, -1] == 0.0
-    for pad in (1e-300, -1e-300, np.nan):
-        values = honest.values.copy()
-        values[0, -1] = pad
-        forged = linalg.EigenDecomposition(values)
-        with mock.patch.object(cf, "_jacobi_eigenvalues", return_value=forged):
-            with pytest.raises(linalg.MatrixError, match="pad slot"):
-                cf._crown_eigen_sums(crowns)
-    # An unpadded member's last slot is a true eigenvalue, and is summed.
-    values = honest.values.copy()
-    values[1] = [4.0, 4.0, 4.0, 1.0]
-    with mock.patch.object(cf, "_jacobi_eigenvalues", return_value=linalg.EigenDecomposition(values)):
-        sums = cf._crown_eigen_sums(crowns)
-    assert sums[0] == pytest.approx(1.0 + 1.0 / 2.0 + 1.0 / 4.0, abs=1e-12)  # P3: 0, 1, 3
-    assert sums[1] == pytest.approx(3.0 / 5.0 + 1.0 / 2.0, abs=1e-15)
+    ((members, laps, inv),) = crowns.stacks
+    sums = cf._crown_eigen_sums(crowns)
+    # P3: 0, 1, 3; K4: 0, 4, 4, 4.  The unpadded member's last slot is a
+    # true eigenvalue, and is summed.
+    assert sums[0] == pytest.approx(1.0 + 1.0 / 2.0 + 1.0 / 4.0, abs=1e-15)
+    assert sums[1] == pytest.approx(1.0 + 3.0 / 5.0, abs=1e-15)
+
+    def forged(cells, value):
+        lap = laps.copy()
+        for i, j in cells:
+            lap[0, i, j] = lap[0, j, i] = value
+        return dataclasses.replace(crowns, stacks=((members, lap, inv),))
+
+    # A pad coupled to itself passes the deflation and is caught at the
+    # end; a pad coupled to the crown may be caught by either check.
+    for pad in (1e-300, -1e-300, 0.5):
+        with pytest.raises(linalg.MatrixError, match="pad row"):
+            cf._crown_eigen_sums(forged(((3, 3),), pad))
+        for cells in (((0, 3),), ((1, 3), (3, 3))):
+            with pytest.raises(linalg.MatrixError, match="pad row|deflated null direction"):
+                cf._crown_eigen_sums(forged(cells, pad))
+    with pytest.raises(linalg.MatrixError):
+        cf._crown_eigen_sums(forged(((3, 3),), np.nan))
+    # A row that does not sum to zero leaves a deflated row past its bound,
+    # 4 eps o ||L||_F (about 2.4e-14 for P3 here); one roundoff-sized off is
+    # within it.
+    for off, raises in ((1e-6, True), (1e-12, True), (1e-15, False)):
+        lap = laps.copy()
+        lap[0, 0, 0] += off
+        forged_set = dataclasses.replace(crowns, stacks=((members, lap, inv),))
+        if raises:
+            with pytest.raises(linalg.MatrixError, match="deflated null direction"):
+                cf._crown_eigen_sums(forged_set)
+        else:
+            assert cf._crown_eigen_sums(forged_set) == pytest.approx(sums, abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["rv", "re"])

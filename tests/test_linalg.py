@@ -1,10 +1,9 @@
-"""Eigensolver and structured-inverse tests.
+"""Spectral-sum, inverse and sparse-factor tests.
 
 numpy.linalg serves as the independent oracle here; the library's own code
 never calls it.
 """
 
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy.testing as npt
 import pytest
 
 from coronakit import linalg
-from coronakit.corona import build
 from coronakit.graphs import Graph, complete_graph, cycle_graph, laplacian, path_graph, star_graph
 from coronakit.linalg import (
     MatrixError,
@@ -21,215 +19,73 @@ from coronakit.linalg import (
     laplacian_group_inverse,
     max_abs,
     shifted_rank_one_inverse,
-    sym_eigendecompose,
     sym_inverse,
     verify_one_inverse,
 )
 
 
+def _laplacian_stack(graphs, o):
+    # Each graph's Laplacian in the leading block of an order-o member, the
+    # rest zero, as the crown layouts pad an odd order.
+    laps = np.zeros((len(graphs), o, o))
+    for i, g in enumerate(graphs):
+        laps[i, : g.n, : g.n] = laplacian(g)
+    return laps, np.array([g.n for g in graphs])
+
+
 def test_path3_spectrum_by_hand():
-    # L(P3) has characteristic polynomial x(x-1)(x-3)
-    dec = sym_eigendecompose(laplacian(path_graph(3)))
-    npt.assert_allclose(dec.values, [3.0, 1.0, 0.0], atol=1e-12)
+    # L(P3) has characteristic polynomial x(x-1)(x-3), so its sum of
+    # 1/(mu + 1) is 1 + 1/2 + 1/4, alone and padded to order 4.
+    for o in (3, 4):
+        sums = linalg._spectral_sums(*_laplacian_stack([path_graph(3)], o))
+        npt.assert_allclose(sums, [1.75], rtol=0, atol=1e-15)
 
 
-def _assert_matches_numpy(a):
-    dec = sym_eigendecompose(a)
-    ref = np.linalg.eigvalsh(a)[::-1]
-    npt.assert_allclose(dec.values, ref, atol=1e-10 * max(1.0, max_abs(a)))
-    return dec
-
-
-def test_eigendecompose_matches_numpy():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        n = int(rng.integers(1, 20))
-        a = rng.normal(size=(n, n))
-        a = 0.5 * (a + a.T)
-        _assert_matches_numpy(a)
-    # larger odd and even orders: an odd order runs with one dummy index
-    for n in (60, 61, 120):
-        a = rng.normal(size=(n, n))
-        a = 0.5 * (a + a.T)
-        dec = _assert_matches_numpy(a)
-        assert dec.sweeps >= 2 and dec.rotations > 0
-        assert dec.off_norm <= linalg.JACOBI_OFF_TOL * np.linalg.norm(a)
-
-
-def test_eigendecompose_degenerate_spectra():
-    # K_n: eigenvalue n with multiplicity n-1, plus 0
-    for n in (5, 8):
-        dec = _assert_matches_numpy(laplacian(complete_graph(n)))
-        npt.assert_allclose(dec.values, [float(n)] * (n - 1) + [0.0], atol=1e-12)
-    # already-diagonal input needs no rotation and keeps index order on ties
-    for a in (np.zeros((4, 4)), np.eye(5), np.diag([1.0, 3.0, -2.0, 3.0, 0.0, 1.0, 7.0])):
-        dec = sym_eigendecompose(a)
-        assert (dec.sweeps, dec.rotations, dec.off_norm) == (0, 0, 0.0)
-        order = np.argsort(-np.diag(a), kind="stable")
-        npt.assert_array_equal(dec.values, np.diag(a)[order])
-
-
-def test_eigendecompose_reports_its_work():
-    dec = sym_eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert (dec.sweeps, dec.rotations, dec.off_norm) == (1, 1, 0.0)
-    npt.assert_allclose(dec.values, [3.0, 1.0], atol=1e-15)
-
-
-def test_eigendecompose_is_deterministic():
-    rng = np.random.default_rng(9)
-    for n in (7, 30):
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        first, second = sym_eigendecompose(a), sym_eigendecompose(a.copy())
-        npt.assert_array_equal(first.values, second.values)
-        assert (first.sweeps, first.rotations, first.off_norm) == (
-            second.sweeps,
-            second.rotations,
-            second.off_norm,
-        )
-
-
-def test_eigendecompose_raises_when_sweeps_run_out(monkeypatch):
-    a = np.random.default_rng(4).normal(size=(10, 10))
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(MatrixError, match="did not converge in 1 sweeps"):
-        sym_eigendecompose(a + a.T)
-
-
-def test_eigendecompose_nearly_diagonal_regression():
-    # A corona Laplacian whose iteration converges while the subtractive
-    # form of the off-diagonal norm reports a phantom residual near
-    # sqrt(eps * ||A||_F^2); the solver must not flag non-convergence.
-    base = complete_graph(3)
-    crowns = (
-        Graph(0, ()),
-        Graph(3, ((0, 1), (0, 2))),
-        Graph(3, ((0, 1),)),
-    )
-    lap = laplacian(build("r_edge", base, crowns).graph)
-    dec = sym_eigendecompose(lap)
-    npt.assert_allclose(dec.values, np.linalg.eigvalsh(lap)[::-1], atol=1e-9)
-
-
-def test_eigendecompose_trivial_sizes():
-    dec = sym_eigendecompose(np.zeros((0, 0)))
-    assert dec.values.shape == (0,)
-    dec = sym_eigendecompose(np.array([[4.0]]))
-    npt.assert_allclose(dec.values, [4.0])
-
-
-def test_eigendecompose_rejects_bad_input():
-    with pytest.raises(MatrixError, match="square"):
-        sym_eigendecompose(np.ones((2, 3)))
-    with pytest.raises(MatrixError, match="symmetric"):
-        sym_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def _mixed_stack(t, rng):
-    # Members that finish at different sweeps: a diagonal one (0 sweeps),
-    # K_t, a path and a random weighted symmetric matrix.
-    weighted = rng.normal(size=(t, t))
-    return np.stack(
-        [
-            np.diag(np.arange(t, 0.0, -1.0)),
-            laplacian(complete_graph(t)),
-            laplacian(path_graph(t)),
-            weighted + weighted.T,
-        ]
-    )
-
-
-@pytest.mark.parametrize("t", [5, 6])
-def test_stacked_eigendecompose_matches_single_calls(t):
-    stack = _mixed_stack(t, np.random.default_rng(t))
-    dec = sym_eigendecompose(stack)
-    assert dec.values.shape == (4, t)
-    singles = [sym_eigendecompose(member) for member in stack]
-    assert len({single.sweeps for single in singles}) > 1
-    assert singles[0].sweeps == 0
-    for i, single in enumerate(singles):
-        npt.assert_array_equal(dec.values[i], single.values)
-        npt.assert_allclose(dec.values[i], np.linalg.eigvalsh(stack[i])[::-1], rtol=0, atol=1e-12)
-    assert dec.sweeps == max(single.sweeps for single in singles)
-    assert dec.rotations == sum(single.rotations for single in singles)
-    assert dec.off_norm == max(single.off_norm for single in singles)
-    # a stack of one is the single call
-    one = sym_eigendecompose(stack[3:])
-    npt.assert_array_equal(one.values[0], singles[3].values)
-
-
-@pytest.mark.parametrize("t", range(2, 10))
-def test_stacked_eigendecompose_matches_exact_spectra(t):
+@pytest.mark.parametrize("t", range(1, 10))
+def test_spectral_sums_match_exact_spectra(t):
     # A reference that does not come from numpy.linalg: one stacked call over
     # graphs of order t whose Laplacian spectra are known in closed form
-    # (Mohar, The Laplacian spectrum of graphs, 1991).
+    # (Mohar, The Laplacian spectrum of graphs, 1991), alone at order t and
+    # padded to order t + 1.  An edgeless graph sums exactly to t.
     k = np.arange(t)
     cases = [
+        (Graph(t, ()), [0.0] * t),
         (complete_graph(t), [float(t)] * (t - 1) + [0.0]),
         (path_graph(t), 2.0 - 2.0 * np.cos(np.pi * k / t)),
-        (star_graph(t - 1), [float(t)] + [1.0] * (t - 2) + [0.0]),
     ]
+    if t >= 2:
+        cases.append((star_graph(t - 1), [float(t)] + [1.0] * (t - 2) + [0.0]))
     if t >= 3:
         cases.append((cycle_graph(t), 2.0 - 2.0 * np.cos(2.0 * np.pi * k / t)))
-    dec = sym_eigendecompose(np.stack([laplacian(g) for g, _ in cases]))
-    for values, (_, exact) in zip(dec.values, cases):
-        npt.assert_allclose(values, np.sort(exact)[::-1], rtol=0, atol=1e-12)
+    want = [float(np.sum(1.0 / (np.asarray(exact) + 1.0))) for _, exact in cases]
+    for o in (t, t + 1):
+        sums = linalg._spectral_sums(*_laplacian_stack([g for g, _ in cases], o))
+        assert sums[0] == float(t)
+        npt.assert_allclose(sums, want, rtol=1e-14, atol=0)
 
 
-def test_stacked_eigendecompose_trivial_shapes():
-    for shape in ((0, 3, 3), (4, 0, 0)):
-        dec = sym_eigendecompose(np.zeros(shape))
-        assert dec.values.shape == shape[:-1]
-    stack = np.array([[[4.0]], [[-1.0]], [[0.0]]])
-    dec = sym_eigendecompose(stack)
-    npt.assert_array_equal(dec.values, [[4.0], [-1.0], [0.0]])
-
-
-def test_unchecked_jacobi_keeps_index_order_and_a_zero_pad_slot():
-    # _jacobi_eigenvalues leaves each value in its index's slot, so a
-    # member padded with a zero row and column (as the crown layouts pad an
-    # odd order) reads exactly 0.0 in its last slot; sym_eigendecompose
-    # sorts the same values descending, which would move the pad.
-    coupled = np.zeros((4, 4))
-    coupled[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
-    coupled[2, 2] = -1.0
-    padded_path = np.zeros((4, 4))
-    padded_path[:3, :3] = laplacian(path_graph(3))
-    diagonal = np.diag([1.0, 3.0, 2.0, -4.0])
-    stack = np.stack([coupled, padded_path, diagonal])
-    dec = linalg._jacobi_eigenvalues(stack)
-    assert dec.values.shape == (3, 4)
-    for member in (0, 1):
-        assert dec.values[member, -1].tobytes() == np.float64(0.0).tobytes()
-    assert dec.values[0, 2] == -1.0
-    npt.assert_allclose(np.sort(dec.values[0, :2]), [1.0, 3.0], rtol=0, atol=1e-12)
-    npt.assert_allclose(np.sort(dec.values[1, :3]), [0.0, 1.0, 3.0], rtol=0, atol=1e-12)
-    npt.assert_array_equal(dec.values[2], [1.0, 3.0, 2.0, -4.0])
-    npt.assert_array_equal(linalg._jacobi_eigenvalues(diagonal).values, [1.0, 3.0, 2.0, -4.0])
-    ranked = sym_eigendecompose(stack)
-    npt.assert_array_equal(ranked.values, -np.sort(-dec.values, axis=1))
-    assert ranked.values[0, -1] == -1.0 and ranked.values[2, 0] == 3.0
-    assert (ranked.sweeps, ranked.rotations, ranked.off_norm) == (
-        dec.sweeps,
-        dec.rotations,
-        dec.off_norm,
-    )
-
-
-def test_stacked_eigendecompose_rejects_an_asymmetric_member():
-    # (non-finite members are a case of test_non_finite_input_is_rejected)
-    stack = np.stack([laplacian(path_graph(3))] * 3)
-    stack[1, 0, 2] = 0.5
-    with pytest.raises(MatrixError, match="symmetric"):
-        sym_eigendecompose(stack)
-
-
-def test_stacked_eigendecompose_raises_if_any_member_does_not_converge(monkeypatch):
-    a = np.random.default_rng(4).normal(size=(10, 10))
-    stack = np.stack([np.eye(10), a + a.T])
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(MatrixError, match="did not converge in 1 sweeps"):
-        sym_eigendecompose(stack)
+@pytest.mark.parametrize("o", [5, 6, 40])
+def test_spectral_sums_of_a_member_are_its_bits_alone(o):
+    # Every member comes out bit for bit as a one-member call gives it,
+    # whatever its stack-mates and their order, and the stack is not written.
+    rng = np.random.default_rng(o)
+    pairs = [(u, v) for u in range(o) for v in range(u + 1, o)]
+    graphs = [
+        Graph(o, tuple(e for e, keep in zip(pairs, rng.random(len(pairs)) < p) if keep))
+        for p in (0.2, 0.5, 0.9)
+    ]
+    graphs += [complete_graph(o), path_graph(o), Graph(o, ()), path_graph(o - 1), star_graph(o - 2)]
+    laps, sizes = _laplacian_stack(graphs, o)
+    before = laps.copy()
+    sums = linalg._spectral_sums(laps, sizes)
+    npt.assert_array_equal(laps, before)
+    for i in range(len(graphs)):
+        alone = linalg._spectral_sums(laps[i : i + 1], sizes[i : i + 1])
+        assert alone.tobytes() == sums[i : i + 1].tobytes()
+    assert linalg._spectral_sums(laps[::-1].copy(), sizes[::-1]).tobytes() == sums[::-1].tobytes()
+    for g, got in zip(graphs, sums):
+        want = float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(g)) + 1.0)))
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_group_inverse_of_triangle_is_known():
@@ -418,19 +274,6 @@ def test_singular_input_fails_alike_as_one_matrix_and_as_a_stack(monkeypatch):
             assert _singular_message(a) == one
 
 
-def test_jacobi_rotates_a_tiny_pair_without_warnings():
-    # theta = (a_qq - a_pp) / (2 a_pq) is about 5e299 at a_pq = 1e-300:
-    # its square overflows, hypot does not.  At a subnormal a_pq theta
-    # itself is inf, and the pair gets the identity.
-    for apq in (1e-300, -1e-300, 5e-324):
-        a = np.array([[1.0, apq, 0.0], [apq, 2.0, apq], [0.0, apq, 3.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dec = sym_eigendecompose(a)
-        npt.assert_array_equal(dec.values, [3.0, 2.0, 1.0])
-        assert dec.off_norm == 0.0
-
-
 def test_group_inverse_refinement_does_not_raise_the_residual():
     # One refinement step on L(P_240) + J/n leaves a residual no larger
     # than the kernel's own inverse has.
@@ -575,15 +418,9 @@ def test_verify_one_inverse_reports_defect():
         verify_one_inverse(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
-def _stacked_eigendecompose(a):
-    return sym_eigendecompose(np.stack([np.eye(2), a]))
-
-
 @pytest.mark.parametrize(
     "solver",
     [
-        sym_eigendecompose,
-        _stacked_eigendecompose,
         sym_inverse,
         laplacian_group_inverse,
     ],

@@ -209,7 +209,7 @@ def _bits(values):
 @pytest.mark.parametrize("cases", [0, 1, 7])
 def test_run_suite_reports_what_each_instance_reports_alone(cases, t_max):
     # A run checks each instance on its part of one run-level crown set; an
-    # instance checked alone inverts and sweeps its own crowns.  Every value
+    # instance checked alone inverts and sums its own crowns.  Every value
     # and residual must agree bit for bit.  t_max 0 leaves every crown
     # empty (no layout at all); t_max 6 puts odd and even orders up to 6 in
     # the run's stacks.
@@ -227,14 +227,14 @@ def test_run_suite_reports_what_each_instance_reports_alone(cases, t_max):
 
 
 def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
-    # Every crown of a run is inverted by one sym_inverse call and swept by
-    # one Jacobi call per layout order t + t % 2 present in the run, not
-    # once per instance.
+    # Every crown of a run is inverted by one sym_inverse call and its
+    # spectral sums read by one _spectral_sums call per layout order
+    # t + t % 2 present in the run, not once per instance.
     inverse = mock.Mock(wraps=closed_form.sym_inverse)
-    eig = mock.Mock(wraps=closed_form._jacobi_eigenvalues)
+    eig = mock.Mock(wraps=closed_form._spectral_sums)
     with (
         mock.patch.object(closed_form, "sym_inverse", inverse),
-        mock.patch.object(closed_form, "_jacobi_eigenvalues", eig),
+        mock.patch.object(closed_form, "_spectral_sums", eig),
     ):
         report = suite.run_suite(seed=8, cases=5)
     assert report.verdict == "pass"
@@ -319,8 +319,8 @@ def test_run_suite_checks_its_instances_in_bounded_chunks():
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_crown_set_part_calls_no_crown_kernel(kind):
-    # Once the whole set is built and swept, a part, the blocks built on it
-    # and everything read off them make no crown inverse or Jacobi call,
+    # Once the whole set is built and summed, a part, the blocks built on it
+    # and everything read off them make no crown inverse or spectral-sum call,
     # and read what a set of the part's crowns alone would hold.
     rng = random.Random(12)
     g = suite.random_connected_graph(rng, 3, 5)
@@ -332,7 +332,7 @@ def test_crown_set_part_calls_no_crown_kernel(kind):
     called = AssertionError("a part called a crown kernel")
     with (
         mock.patch.object(closed_form, "sym_inverse", side_effect=called),
-        mock.patch.object(closed_form, "_jacobi_eigenvalues", side_effect=called),
+        mock.patch.object(closed_form, "_spectral_sums", side_effect=called),
     ):
         part = whole.part(len(before), len(before) + slots)
         blocks = closed_form._blocks(kind, g, part)
