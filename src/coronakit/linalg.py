@@ -168,7 +168,7 @@ def _spectral_sums(laps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     b = laps.copy()
     _reflect(b, v)
     residual = np.sqrt(np.add.reduce(b[:, 0] * b[:, 0], axis=1))
-    scale = np.sqrt(np.add.reduce((laps * laps).reshape(k, -1), axis=1))
+    scale = np.sqrt(np.add.reduce((laps * laps).reshape(k, o * o), axis=1))
     bound = 4.0 * np.finfo(float).eps * o * scale
     bad = np.flatnonzero(~(residual <= bound))
     if bad.size:

@@ -4,6 +4,7 @@ numpy.linalg serves as the independent oracle here; the library's own code
 never calls it.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from coronakit import linalg
+from coronakit.corona import build
 from coronakit.graphs import Graph, complete_graph, cycle_graph, laplacian, path_graph, star_graph
 from coronakit.linalg import (
     MatrixError,
@@ -42,7 +44,7 @@ def test_path3_spectrum_by_hand():
 
 
 @pytest.mark.parametrize("t", range(1, 10))
-def test_spectral_sums_match_exact_spectra(t):
+def test_stacked_eigendecompose_matches_exact_spectra(t):
     # A reference that does not come from numpy.linalg: one stacked call over
     # graphs of order t whose Laplacian spectra are known in closed form
     # (Mohar, The Laplacian spectrum of graphs, 1991), alone at order t and
@@ -65,7 +67,7 @@ def test_spectral_sums_match_exact_spectra(t):
 
 
 @pytest.mark.parametrize("o", [5, 6, 40])
-def test_spectral_sums_of_a_member_are_its_bits_alone(o):
+def test_stacked_eigendecompose_matches_single_calls(o):
     # Every member comes out bit for bit as a one-member call gives it,
     # whatever its stack-mates and their order, and the stack is not written.
     rng = np.random.default_rng(o)
@@ -86,6 +88,136 @@ def test_spectral_sums_of_a_member_are_its_bits_alone(o):
     for g, got in zip(graphs, sums):
         want = float(np.sum(1.0 / (np.linalg.eigvalsh(laplacian(g)) + 1.0)))
         assert abs(got - want) <= 1e-13 * want
+
+
+def _eigen_sum(lap):
+    return float(np.sum(1.0 / (np.linalg.eigvalsh(lap) + 1.0)))
+
+
+def _weighted_laplacian(rng, n):
+    # A random graph on n vertices, about half the pairs joined, with
+    # weights in [0, 1): still a Laplacian, with the null vector 1.
+    w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.5), 1)
+    w = w + w.T
+    return np.diag(w.sum(axis=1)) - w
+
+
+def _alone_and_padded(lap):
+    # The sums of one Laplacian as a member of order n and padded to n + 1.
+    n = len(lap)
+    padded = np.zeros((1, n + 1, n + 1))
+    padded[0, :n, :n] = lap
+    sizes = np.array([n])
+    return linalg._spectral_sums(lap[None], sizes), linalg._spectral_sums(padded, sizes)
+
+
+def test_eigendecompose_matches_numpy():
+    # Weighted Laplacians of orders 1-19, 60, 61 and 120, alone and padded,
+    # against the sum over numpy's spectrum.
+    rng = np.random.default_rng(42)
+    for n in [int(n) for n in rng.integers(1, 20, size=25)] + [60, 61, 120]:
+        lap = _weighted_laplacian(rng, n)
+        want = _eigen_sum(lap)
+        for got in _alone_and_padded(lap):
+            assert abs(got[0] - want) <= 1e-14 * want
+
+
+def test_eigendecompose_degenerate_spectra():
+    # K_n: eigenvalue n with multiplicity n - 1, plus 0, so the sum is
+    # 1 + (n - 1)/(n + 1); an edgeless graph has only 0 and sums exactly to n.
+    for n in (5, 8):
+        for got in _alone_and_padded(laplacian(complete_graph(n))):
+            npt.assert_allclose(got, [1.0 + (n - 1) / (n + 1)], rtol=1e-15, atol=0)
+    for n in (1, 4, 5):
+        for got in _alone_and_padded(np.zeros((n, n))):
+            npt.assert_array_equal(got, [float(n)])
+
+
+def test_eigendecompose_is_deterministic():
+    rng = np.random.default_rng(9)
+    for n in (7, 30):
+        laps = np.stack([_weighted_laplacian(rng, n) for _ in range(3)])
+        sizes = np.full(3, n)
+        first = linalg._spectral_sums(laps, sizes)
+        second = linalg._spectral_sums(laps.copy(), sizes.copy())
+        assert first.tobytes() == second.tobytes()
+
+
+def test_eigendecompose_nearly_diagonal_regression():
+    # A whole corona Laplacian: an empty crown, rows of degree 1 to 6 and
+    # mostly zero off the diagonal.  Its deflated row stays within the
+    # roundoff bound, and the sum agrees with numpy's spectrum.
+    base = complete_graph(3)
+    crowns = (
+        Graph(0, ()),
+        Graph(3, ((0, 1), (0, 2))),
+        Graph(3, ((0, 1),)),
+    )
+    lap = laplacian(build("r_edge", base, crowns).graph)
+    want = _eigen_sum(lap)
+    for got in _alone_and_padded(lap):
+        assert abs(got[0] - want) <= 1e-14 * want
+
+
+def test_eigendecompose_trivial_sizes():
+    # An order-1 member has only 0 and sums exactly to 1, alone or padded.
+    for o in (1, 2):
+        npt.assert_array_equal(linalg._spectral_sums(np.zeros((1, o, o)), np.array([1])), [1.0])
+    npt.assert_array_equal(linalg._spectral_sums(np.zeros((2, 2, 2)), np.array([1, 2])), [1.0, 2.0])
+
+
+def test_eigendecompose_rejects_bad_input():
+    # A member that does not have 1 as its null vector leaves a deflated row
+    # far over the roundoff bound, and a pad that is not zero leaves a pad
+    # row that is not zero; either raises and says which check failed.
+    good = laplacian(path_graph(3))
+    with pytest.raises(MatrixError, match="^stack member 0: the deflated null direction's row"):
+        linalg._spectral_sums((good + np.eye(3))[None], np.array([3]))
+    padded = np.zeros((1, 4, 4))
+    padded[0, :3, :3] = good
+    padded[0, 3, 3] = 1.0
+    with pytest.raises(MatrixError, match="pad row is not exactly zero"):
+        linalg._spectral_sums(padded, np.array([3]))
+
+
+def test_stacked_eigendecompose_trivial_shapes():
+    for o in (1, 3, 4):
+        assert linalg._spectral_sums(np.zeros((0, o, o)), np.zeros(0, dtype=np.intp)).shape == (0,)
+    npt.assert_array_equal(linalg._spectral_sums(np.zeros((3, 1, 1)), np.ones(3, dtype=np.intp)), [1.0] * 3)
+
+
+def test_unchecked_jacobi_keeps_index_order_and_a_zero_pad_slot():
+    # The kernel checks nothing on the way in and returns one sum per member
+    # in the members' order.  No reflector touches a pad, so a member padded
+    # with a zero row and column (as the crown layouts pad an odd order)
+    # keeps that row exactly zero, its pad slot is left out, and it sums as
+    # it does unpadded; every step runs without a floating-point warning,
+    # also where a reflector is zero (a column already zero below T).
+    graphs = [path_graph(3), Graph(3, ()), star_graph(2), complete_graph(4), Graph(4, ((0, 1),))]
+    laps, sizes = _laplacian_stack(graphs, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = linalg._spectral_sums(laps, sizes)
+        for i, g in enumerate(graphs):
+            alone = linalg._spectral_sums(laplacian(g)[None], sizes[i : i + 1])
+            assert abs(sums[i] - alone[0]) <= 4 * np.finfo(float).eps * alone[0]
+    assert sums[1] == 3.0
+    npt.assert_allclose(sums[[0, 2]], [1.75, 1.75], rtol=1e-15, atol=0)
+    npt.assert_allclose(sums[3], 1.0 + 3.0 / 5.0, rtol=1e-15, atol=0)
+    order = [4, 2, 0, 3, 1]
+    npt.assert_array_equal(linalg._spectral_sums(laps[order], sizes[order]), sums[order])
+
+
+def test_stacked_eigendecompose_rejects_an_asymmetric_member():
+    # The deflated row is P L P's product with 1, which is roundoff only if
+    # 1 is a null vector on both sides: a member whose row sums are zero
+    # but whose column sums are not is caught and named.
+    stack = np.stack([laplacian(path_graph(3))] * 3)
+    stack[1, 0, 2] += 0.5
+    stack[1, 0, 0] -= 0.5
+    npt.assert_array_equal(stack[1].sum(axis=1), 0.0)
+    with pytest.raises(MatrixError, match="^stack member 1: "):
+        linalg._spectral_sums(stack, np.full(3, 3))
 
 
 def test_group_inverse_of_triangle_is_known():
