@@ -2,6 +2,7 @@
 
     python3 bench/ladder.py [--out BENCH_kf_ladder.json] [--sizes 120 480 ...] [--repeats 3]
     python3 bench/ladder.py --crowns [--before FILE] [--out BENCH_crown_sums.json]
+    python3 bench/ladder.py --suite [--before FILE] [--out BENCH_suite_battery.json]
 
 Run it from anywhere; it imports the package from this checkout's ``src/``.
 Each case is the R-vertex corona with every crown empty, R(G), over a base
@@ -29,6 +30,15 @@ the Cholesky trace tr (L(H) + I)^{-1} of the same crown, and for K_t the
 worst relative error against the exact 1 + (t - 1)/(t + 1).  ``--before``
 takes the report of the same command on another checkout and keeps its
 rows, with each row's time there and the speedup, so one file holds both.
+
+With ``--suite`` only the suite rung runs, in process over the suite
+seeds 0-99: ``suite.run_suite(seed, cases=5)`` and its ``to_json()``, the
+op of ``corona suite --cases 5``, and the identity battery alone as
+``suite.run_identity_battery(seed, 5, n_max=5)``, five graphs of order 2-5
+per seed, each with its own base group inverse.  Each row is the best of
+``--repeats`` passes over the 100 seeds, as the mean time of one seed,
+with the tracemalloc peak of one more pass; ``--before`` works as for the
+crown rung.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from coronakit import closed_form, linalg  # noqa: E402
+from coronakit import closed_form, linalg, suite  # noqa: E402
 from coronakit.graphs import Graph, complete_graph, empty_graph, path_graph  # noqa: E402
 from coronakit.graphs import serialize_edge_list  # noqa: E402
 
@@ -222,12 +232,60 @@ def crown_report(repeats: int, before: str | None) -> dict:
         "machine": machine(),
         "rows": rows,
     }
+    return with_before(report, before, lambda row: (row["family"], row["t"]), "s")
+
+
+SUITE_SEEDS = range(100)
+
+SUITE_ROWS = {
+    "run_suite + to_json": lambda seed: suite.run_suite(seed, cases=5).to_json(),
+    "identity battery": lambda seed: suite.run_identity_battery(seed, 5, n_max=5),
+}
+
+
+def suite_case(what: str, repeats: int) -> dict:
+    """One suite row: the best pass over SUITE_SEEDS as ms per seed, and one more pass's peak."""
+    op = SUITE_ROWS[what]
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for seed in SUITE_SEEDS:
+            op(seed)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        for seed in SUITE_SEEDS:
+            op(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    seeds = len(SUITE_SEEDS)
+    row = {"what": what, "seeds": seeds, "ms": 1e3 * best / seeds, "peak_mb": peak / 2**20}
+    print(f"suite  {what:20s}: {row['ms']:7.3f} ms per seed, {row['peak_mb']:5.2f} MB", file=sys.stderr)
+    return row
+
+
+def suite_report(repeats: int, before: str | None) -> dict:
+    rows = [suite_case(what, repeats) for what in SUITE_ROWS]
+    report = {
+        "schema": "coronakit-bench-suite-battery/1",
+        "what": "in-process corona suite --cases 5 (run_suite and to_json) and the identity "
+        f"battery alone (run_identity_battery, 5 graphs of order 2-5), per seed over seeds "
+        f"{SUITE_SEEDS.start}-{SUITE_SEEDS.stop - 1}",
+        "machine": machine(),
+        "rows": rows,
+    }
+    return with_before(report, before, lambda row: row["what"], "ms")
+
+
+def with_before(report: dict, before: str | None, key, field: str) -> dict:
+    """The report, with another checkout's report of the same rung and each row's time there and speedup."""
     if before is not None:
         earlier = json.loads(Path(before).read_text(encoding="ascii"))
-        then = {(r["family"], r["t"]): r for r in earlier["rows"]}
-        for row in rows:
-            row["before_s"] = then[row["family"], row["t"]]["s"]
-            row["speedup"] = row["before_s"] / row["s"]
+        then = {key(r): r for r in earlier["rows"]}
+        for row in report["rows"]:
+            row[f"before_{field}"] = then[key(row)][field]
+            row["speedup"] = row[f"before_{field}"] / row[field]
         report["before"] = earlier
     return report
 
@@ -246,16 +304,24 @@ def machine() -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
-        "--out", help="report file (default BENCH_kf_ladder.json; BENCH_crown_sums.json with --crowns)"
+        "--out",
+        help="report file (default BENCH_kf_ladder.json; BENCH_crown_sums.json with --crowns, "
+        "BENCH_suite_battery.json with --suite)",
     )
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--crowns", action="store_true", help="run only the crown rung")
-    parser.add_argument("--before", help="crown rung report of another checkout to compare with")
+    rung = parser.add_mutually_exclusive_group()
+    rung.add_argument("--crowns", action="store_true", help="run only the crown rung")
+    rung.add_argument("--suite", action="store_true", help="run only the suite rung")
+    parser.add_argument("--before", help="crown or suite rung report of another checkout to compare with")
     args = parser.parse_args()
-    if args.crowns:
-        out = args.out or str(ROOT / "BENCH_crown_sums.json")
-        report = crown_report(args.repeats, args.before)
+    if args.crowns or args.suite:
+        if args.crowns:
+            name, rung_report = "BENCH_crown_sums.json", crown_report
+        else:
+            name, rung_report = "BENCH_suite_battery.json", suite_report
+        out = args.out or str(ROOT / name)
+        report = rung_report(args.repeats, args.before)
         Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
         print(f"wrote {out}", file=sys.stderr)
         return

@@ -23,10 +23,15 @@ inverse in the package, the oracle's included, deflates the known null
 vector of a connected Laplacian instead of zeroing an eigenvalue by
 threshold, and takes one step of iterative refinement: one matrix through
 ``laplacian_group_inverse``, several of any orders through
-``laplacian_group_inverses``, which pads them into one stack for the
-bordered loop (``_bordered_rows``, the loop of the reference body) and
-gives each member's Gram product, refinement and deflation its own
-slice, so a member comes out bit for bit as it would alone.  Input is
+``laplacian_group_inverses``, which checks them once over one zero-padded
+stack (``_shifted_laplacians``) and inverts them through ``_sym_inverses``.
+That helper pads symmetric matrices of any orders with the identity into
+one stack for the bordered loop (``_bordered_rows``, the loop of the
+reference body) and gives each member's Gram product, pivot check and
+symmetrisation its own slice, so a member comes out bit for bit as it
+would alone; the identity battery of the suite takes its D blocks and
+shifted crown Laplacians through it too, between the steps of
+``block_one_inverse`` and ``shifted_rank_one_inverse``.  Input is
 checked by ``_as_symmetric``, and every kernel raises ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
 answer it cannot vouch for.  ``_checked_inverse`` is the unchecked body
@@ -346,19 +351,115 @@ def _check_pivots(a: np.ndarray, pivots: np.ndarray, what: str) -> None:
         )
 
 
-def _shifted_laplacian(l: np.ndarray, what: str) -> np.ndarray:
-    """L + J/n as a float copy of a checked Laplacian L, J/n added as the scalar 1/n.
+def _shifted_laplacians(laps: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
+    """L + J/n of each Laplacian L as a checked float copy of its own, J/n added as the scalar 1/n.
 
-    Every entry is the sum a dense J/n would give, and the sum stays
-    exactly symmetric, so it needs no second check.
+    The members up to SCHUR_LEAF_ORDER are padded with zeros to the largest
+    such order and checked at once: finite, symmetric to SYMMETRY_RTOL and
+    rows summing to zero, each against max(1, max|L|) of its own.  A zero
+    pad is symmetric, sums to zero and leaves that scale alone, so each
+    member meets the bounds it meets alone.  A larger member is a stack of
+    its own, not copied.  The lowest member that fails a check (square
+    first, then those three in turn) raises MatrixError that names it
+    ``whats[k]``.  Each member is symmetrised exactly and shifted
+    elementwise, so its bits do not depend on its stack-mates; every entry
+    is the sum a dense J/n would give, and the sum stays exactly
+    symmetric, so it needs no second check.
     """
-    lap = _as_symmetric(l, what)
-    n = lap.shape[0]
-    if n and max_abs(lap.sum(axis=1)) > SYMMETRY_RTOL * max(1.0, max_abs(lap)):
-        raise MatrixError(f"{what} rows must sum to zero")
-    if n:
-        lap += 1.0 / n
-    return lap
+    mats = [np.asarray(l, dtype=float) for l in laps]
+    errors: dict[int, str] = {}
+    small: list[int] = []
+    stacks: list[tuple[list[int], np.ndarray]] = []
+    for k, a in enumerate(mats):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            errors[k] = f"must be square, got shape {a.shape}"
+        elif len(a) > SCHUR_LEAF_ORDER:
+            stacks.append(([k], a[None]))
+        elif len(a):
+            small.append(k)
+    if small:
+        order = max(len(mats[k]) for k in small)
+        stack = np.zeros((len(small), order, order))
+        for i, k in enumerate(small):
+            n = len(mats[k])
+            stack[i, :n, :n] = mats[k]
+        stacks.append((small, stack))
+    checked = []
+    for members, stack in stacks:
+        at = np.swapaxes(stack, 1, 2)
+        # NaN and inf fail the finiteness check; the other checks must not warn on them.
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+            asymmetric = np.abs(stack - at).max(axis=(1, 2)) > SYMMETRY_RTOL * scale
+            sym = 0.5 * (stack + at)
+            rows = np.abs(sym.sum(axis=2)).max(axis=1) > SYMMETRY_RTOL * np.maximum(
+                1.0, np.abs(sym).max(axis=(1, 2))
+            )
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        for i, k in enumerate(members):
+            if not finite[i]:
+                errors[k] = "has non-finite entries"
+            elif asymmetric[i]:
+                errors[k] = "is not symmetric"
+            elif rows[i]:
+                errors[k] = "rows must sum to zero"
+        checked.append((members, sym))
+    if errors:
+        k = min(errors)
+        raise MatrixError(f"{whats[k]} {errors[k]}")
+    out = [np.zeros((0, 0)) for _ in mats]
+    for members, sym in checked:
+        for i, k in enumerate(members):
+            n = len(mats[k])
+            block = sym[i, :n, :n]
+            block += 1.0 / n
+            out[k] = np.ascontiguousarray(block)
+    return out
+
+
+def _sym_inverses(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
+    """``_checked_inverse`` of exactly symmetric matrices of any orders, the small ones in one stacked loop.
+
+    Each member up to SCHUR_LEAF_ORDER is padded after its own block with
+    the identity to the largest such order, and the stack runs one bordered
+    Cholesky loop (``_bordered_rows``).  A pad row meets only zeros above
+    it, so it factors as the identity and leaves its member's rows as they
+    are alone.  Each member's Gram product W^T W, pivot check and
+    symmetrisation then run on its own n x n slice, so a member comes out
+    bit for bit as from a one-member call, whatever its stack-mates.  A
+    member above SCHUR_LEAF_ORDER is inverted on its own, through the Schur
+    split, and an empty one comes back as it is.  The pivots are checked in
+    member order once every member is factored: the first member that fails
+    raises SingularMatrixError naming ``whats[k]``.
+    """
+    small = [k for k, a in enumerate(mats) if 0 < len(a) <= SCHUR_LEAF_ORDER]
+    factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # A failed pivot spreads NaN and inf through its member's work; the
+    # pivot check below reports it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if small:
+            order = max(len(mats[k]) for k in small)
+            stack = np.tile(np.eye(order), (len(small), 1, 1))
+            for i, k in enumerate(small):
+                n = len(mats[k])
+                stack[i, :n, :n] = mats[k]
+            w, pivots = _bordered_rows(stack)
+            for i, k in enumerate(small):
+                n = len(mats[k])
+                head = w[i, :n, :n]
+                factors[k] = head.T @ head, pivots[i, :n]
+        for k, a in enumerate(mats):
+            if len(a) > SCHUR_LEAF_ORDER:
+                factors[k] = _spd_inverse(a)
+    out = []
+    for k, a in enumerate(mats):
+        if k not in factors:
+            out.append(a)
+            continue
+        x, pivots = factors.pop(k)
+        _check_pivots(a, pivots, whats[k])
+        out.append(0.5 * (x + x.T))
+    return out
 
 
 def _refined(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -387,7 +488,7 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
     """
     # From here lap holds L + J/n, our own copy; it is dropped once the
     # refinement residual is formed.
-    lap = _shifted_laplacian(l, "Laplacian")
+    (lap,) = _shifted_laplacians([l], ["Laplacian"])
     if lap.shape[0] == 0:
         return lap
     x = _checked_inverse(lap, "L + J/n")
@@ -399,51 +500,23 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
 def laplacian_group_inverses(laps: Sequence[np.ndarray]) -> list[np.ndarray]:
     """``laplacian_group_inverse`` of connected Laplacians of any orders, in one stacked call.
 
-    Each L + J/n up to SCHUR_LEAF_ORDER is padded after its own block with
-    the identity to the largest such order, and the stack runs one bordered
-    Cholesky loop (``_bordered_rows``).  A pad row meets only zeros above
-    it, so it factors as the identity and leaves its member's rows as they
-    are alone.  Each member's Gram product W^T W, pivot check, refinement
-    step and J/n deflation then run on its own n x n slice, so a member's
-    result is bit for bit what a one-member call returns, whatever its
-    stack-mates.  It agrees with ``laplacian_group_inverse`` to roundoff:
-    a stack takes 1 / sqrt(p) as an array power, one matrix as a scalar
-    power.  A member above SCHUR_LEAF_ORDER is inverted on its own, through
-    the Schur split.  Returns a list in input order (empty for no input).
+    The members are checked once, over one zero-padded stack
+    (``_shifted_laplacians``), and their L + J/n inverted by ``_sym_inverses``:
+    the members up to SCHUR_LEAF_ORDER in one identity-padded bordered
+    Cholesky loop, a larger one on its own through the Schur split.  Each
+    member's refinement step and J/n deflation then run on its own slice,
+    so a member's result is bit for bit what a one-member call returns,
+    whatever its stack-mates.  It agrees with ``laplacian_group_inverse`` to
+    roundoff: a stack takes 1 / sqrt(p) as an array power, one matrix as a
+    scalar power.  Returns a list in input order (empty for no input).
     Every member is checked before any is inverted; the errors are those of
-    ``laplacian_group_inverse``, naming the member's position and, for a
-    disconnected member, its order.
+    ``laplacian_group_inverse``, naming the lowest failing member's position
+    and, for a disconnected member, its order.
     """
-    shifted = [_shifted_laplacian(l, f"Laplacian {k}") for k, l in enumerate(laps)]
-    small = [k for k, a in enumerate(shifted) if 0 < len(a) <= SCHUR_LEAF_ORDER]
-    factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    # A failed pivot spreads NaN and inf through its member's work; the
-    # pivot check below reports it.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if small:
-            order = max(len(shifted[k]) for k in small)
-            stack = np.tile(np.eye(order), (len(small), 1, 1))
-            for i, k in enumerate(small):
-                n = len(shifted[k])
-                stack[i, :n, :n] = shifted[k]
-            w, pivots = _bordered_rows(stack)
-            for i, k in enumerate(small):
-                n = len(shifted[k])
-                head = w[i, :n, :n]
-                factors[k] = head.T @ head, pivots[i, :n]
-        for k, a in enumerate(shifted):
-            if len(a) > SCHUR_LEAF_ORDER:
-                factors[k] = _spd_inverse(a)
-    out = []
-    for k, a in enumerate(shifted):
-        if k not in factors:
-            out.append(a)
-            continue
-        x, pivots = factors.pop(k)
-        _check_pivots(a, pivots, f"L + J/n of Laplacian {k} (order {len(a)})")
-        x = 0.5 * (x + x.T)
-        out.append(_refined(x, -(a @ x)))
-    return out
+    shifted = _shifted_laplacians(laps, [f"Laplacian {k}" for k in range(len(laps))])
+    whats = [f"L + J/n of Laplacian {k} (order {len(a)})" for k, a in enumerate(shifted)]
+    inverses = _sym_inverses(shifted, whats)
+    return [_refined(x, -(a @ x)) if len(a) else a for a, x in zip(shifted, inverses)]
 
 
 def _pivot_error(d: float, v: int) -> SingularMatrixError:
@@ -791,13 +864,23 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
          [-D^{-1} B^T Hg, D^{-1} + D^{-1} B^T Hg B D^{-1}]]
 
     which satisfies M X M = M for the full, singular Laplacian M.  D goes
-    through the Cholesky ``sym_inverse``, so it must be symmetric positive
+    through the Cholesky inverse, so it must be symmetric positive
     definite, as every proper trailing block of a connected graph's
     Laplacian is.  H is then the Kron-reduced Laplacian, connected again
     (Dorfler & Bullo, IEEE TCAS-I 60(1), 2013), and Hg is its deflated
     ``laplacian_group_inverse``; a disconnected H raises
-    SingularMatrixError.
+    SingularMatrixError.  The steps around the two inverses are
+    ``_block_split``, ``_kron_reduced`` and ``_block_assembled``, so that a
+    caller with many splits can take their inverses in stacked calls.
     """
+    a, b, d = _block_split(a, b, d)
+    d_inv = _checked_inverse(d, "block D")
+    bd, h = _kron_reduced(a, b, d_inv)
+    return _block_assembled(laplacian_group_inverse(h), bd, d_inv)
+
+
+def _block_split(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``block_one_inverse``'s checked float copies of A, B and D; A and D symmetrised exactly."""
     a = _as_symmetric(a, "block A")
     d = _as_symmetric(d, "block D")
     b = np.asarray(b, dtype=float)
@@ -805,14 +888,20 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
         raise MatrixError(
             f"block B must have shape {(a.shape[0], d.shape[0])}, got {b.shape}"
         )
-    d_inv = sym_inverse(d, "block D")
+    return a, b, d
+
+
+def _kron_reduced(a: np.ndarray, b: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B D^{-1} and the Schur complement H = A - B D^{-1} B^T, from D^{-1}."""
     bd = b @ d_inv
-    h = a - bd @ b.T
-    hg = laplacian_group_inverse(h)
+    return bd, a - bd @ b.T
+
+
+def _block_assembled(hg: np.ndarray, bd: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
+    """``block_one_inverse``'s {1}-inverse from Hg, B D^{-1} and D^{-1}."""
     top_right = -hg @ bd
     bottom_right = d_inv + bd.T @ hg @ bd
-    x = np.block([[hg, top_right], [top_right.T, 0.5 * (bottom_right + bottom_right.T)]])
-    return x
+    return np.block([[hg, top_right], [top_right.T, 0.5 * (bottom_right + bottom_right.T)]])
 
 
 def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -821,25 +910,45 @@ def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
     Because L J = 0, the inverse is (L + aI)^{-1} + (1/(a(b - n)))J with
     n the order of L.  Requires a > 0 and b outside {0, n}; the computed
     product is checked against the identity, and a failure (for instance a
-    non-Laplacian input) raises SingularMatrixError.
+    non-Laplacian input) raises SingularMatrixError.  The steps around the
+    one inverse are ``_rank_one_shift`` and ``_rank_one_inverse``.
     """
+    shifted = _rank_one_shift(l, a, b)
+    x, _ = _rank_one_inverse(shifted, _checked_inverse(shifted, "L + aI"), a, b)
+    return x
+
+
+def _rank_one_shift(l: np.ndarray, a: float, b: float) -> np.ndarray:
+    """L + aI for ``shifted_rank_one_inverse``, once L, a and b pass its checks; exactly symmetric."""
     lap = _as_symmetric(l, "Laplacian")
     n = lap.shape[-1]
     if not a > 0.0:
         raise MatrixError(f"shift a must be positive, got {a}")
     if b == 0.0 or b == float(n):
         raise ZeroDivisionError(f"b = {b} makes the rank-one correction undefined for n = {n}")
+    return lap + a * np.eye(n)
+
+
+def _rank_one_inverse(
+    shifted: np.ndarray, shifted_inv: np.ndarray, a: float, b: float
+) -> tuple[np.ndarray, float]:
+    """X = T^{-1} for T = L + aI - (a/b)J, from L + aI and its inverse, and X's scaled residual.
+
+    The residual is max|T X - I| / max(1, max|T|); over 1e-8 it raises
+    SingularMatrixError.
+    """
+    n = len(shifted)
     ones = np.ones((n, n))
-    shifted_inv = sym_inverse(lap + a * np.eye(n), "L + aI")
     x = shifted_inv + (1.0 / (a * (b - n))) * ones
-    target = lap + a * np.eye(n) - (a / b) * ones
+    target = shifted - (a / b) * ones
+    scale = max(1.0, max_abs(target))
     residual = max_abs(target @ x - np.eye(n))
-    if residual > 1e-8 * max(1.0, max_abs(target)):
+    if residual > 1e-8 * scale:
         raise SingularMatrixError(
             f"shifted matrix did not invert (residual {residual:.3e}); "
             "input is singular or not a graph Laplacian"
         )
-    return x
+    return x, residual / scale
 
 
 def verify_one_inverse(m: np.ndarray, x: np.ndarray) -> float:

@@ -30,8 +30,13 @@ once, by the oracle: the run checks its instances in chunks of
 consecutive ones, and each chunk's coronas go through one
 ``laplacian_group_inverses`` call, each member bit for bit as alone, so
 an instance checked alone, a chunk of one, reports what it reports in a
-run.  The battery's Kron-reduced graph and cut-vertex corona are still
-inverted one at a time.
+run.  The identity battery is drawn per case, in the rng order above,
+and computed in chunks of cases cut by the same rule: per chunk, one
+stacked Cholesky call (``linalg._sym_inverses``) takes every D block of a
+split and every shift's L(H) + aI, and one ``laplacian_group_inverses``
+call every Kron-reduced H and cut-vertex corona, each member bit for bit
+as alone.  So ``identity_residuals``, a chunk of one, reports bit for bit
+what its case reports in a run.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +53,15 @@ from . import closed_form
 from .corona import build
 from .graphs import Graph, laplacian, serialize_edge_list
 from .linalg import (
-    block_one_inverse,
+    _block_assembled,
+    _block_split,
+    _kron_reduced,
+    _rank_one_inverse,
+    _rank_one_shift,
+    _sym_inverses,
     laplacian_group_inverse,
     laplacian_group_inverses,
     max_abs,
-    shifted_rank_one_inverse,
     verify_one_inverse,
 )
 from .resistance import (
@@ -59,7 +69,6 @@ from .resistance import (
     edge_sum_check,
     kirchhoff_from_one_inverse,
     neighbor_recursion_check,
-    resistance_matrix,
     resistances_from_inverse,
 )
 
@@ -150,6 +159,111 @@ def random_crowns(rng: random.Random, count: int, t_max: int = 3) -> tuple[Graph
 # Identity battery: identities that hold for every connected graph
 
 
+@dataclass(frozen=True)
+class _Case:
+    """One battery case: a connected graph, its Laplacian group inverse, and the battery's draws on it.
+
+    ``k`` splits the Laplacian for the block {1}-inverse (0 when the graph
+    has one vertex, and then there are no ``pairs`` or ``hosts`` either),
+    ``pairs`` are the neighbour-recursion pairs, ``hosts`` the two vertices
+    that get a pendant crown vertex for cut-vertex additivity, and
+    ``shift``, ``a`` and ``b`` the rank-one shift's crown and coefficients.
+    """
+
+    g: Graph
+    ls: np.ndarray
+    k: int
+    pairs: frozenset[tuple[int, int]]
+    hosts: tuple[int, ...]
+    shift: Graph
+    a: float
+    b: float
+
+
+def _draw_case(g: Graph, rng: random.Random, ls: np.ndarray | None) -> _Case:
+    """The battery's draws on ``g``, in the battery's rng order; ``ls`` is taken alone when omitted."""
+    if ls is None:
+        ls = laplacian_group_inverse(laplacian(g))
+    n = g.n
+    k, pairs, hosts = 0, frozenset(), ()
+    if n >= 2:
+        k = rng.randint(1, n - 1)
+        pairs = frozenset(tuple(sorted(rng.sample(range(n), 2))) for _ in range(3))
+        hosts = tuple(rng.sample(range(n), 2))
+    shift = random_crown(rng, 4)
+    a = 0.5 + 1.5 * rng.random()
+    b = rng.uniform(0.1, 2.0 * max(shift.n, 1))
+    if abs(b - shift.n) < 0.25:
+        b = shift.n + 0.5
+    return _Case(g, ls, k, pairs, hosts, shift, a, b)
+
+
+def _battery(cases: list[_Case]) -> list[dict[str, float]]:
+    """Residual per named identity for each case, with the cases' inverses in two stacked calls.
+
+    Every D block of a split and every shift's L(H) + aI go through one
+    ``_sym_inverses`` call, and every Kron-reduced H and cut-vertex corona
+    Laplacian through one ``laplacian_group_inverses`` call; each member
+    comes out bit for bit as it would alone, so a case's residuals do not
+    depend on the cases it is computed with.  The algebra around those
+    inverses, and every check of ``block_one_inverse`` and
+    ``shifted_rank_one_inverse``, are the steps those two run through.
+    """
+    laps = [laplacian(c.g) for c in cases]
+    splits = [
+        _block_split(lap[: c.k, : c.k], lap[: c.k, c.k :], lap[c.k :, c.k :])
+        for c, lap in zip(cases, laps)
+        if c.k
+    ]
+    shifts = [_rank_one_shift(laplacian(c.shift), c.a, c.b) for c in cases if c.shift.n]
+    inverses = _sym_inverses(
+        [d for _, _, d in splits] + shifts, ["block D"] * len(splits) + ["L + aI"] * len(shifts)
+    )
+    d_invs = inverses[: len(splits)]
+    reduced = [_kron_reduced(a, b, d_inv) for (a, b, _), d_inv in zip(splits, d_invs)]
+    # Cut-vertex additivity on a corona built from each graph: pendant
+    # crown vertices reach the rest only through their host, so the host
+    # splits the resistance exactly.
+    cuts = [
+        build("r_vertex", c.g, tuple(Graph(1 if v in c.hosts else 0, ()) for v in range(c.g.n)))
+        for c in cases
+        if c.k
+    ]
+    group = laplacian_group_inverses([h for _, h in reduced] + [laplacian(cut.graph) for cut in cuts])
+    hgs, cut_xs = group[: len(reduced)], group[len(reduced) :]
+    kron = iter(zip(d_invs, reduced, hgs, cuts, cut_xs))
+    shifted = iter(zip(shifts, inverses[len(splits) :]))
+
+    out = []
+    for c, lap in zip(cases, laps):
+        n = c.g.n
+        residuals = {"group_inverse_nullvector": max_abs(c.ls @ np.ones(n))}
+        if c.k:
+            d_inv, (bd, _), hg, cut, cut_x = next(kron)
+            x = _block_assembled(hg, bd, d_inv)
+            residuals["block_one_inverse_scaled"] = verify_one_inverse(lap, x) / max(
+                1.0, max_abs(lap)
+            )
+            residuals["kirchhoff_two_routes"] = abs(
+                kirchhoff_from_one_inverse(c.ls) - kirchhoff_from_one_inverse(x)
+            )
+            r = resistances_from_inverse(c.ls)
+            residuals["edge_resistance_sum"] = edge_sum_check(c.g, r)
+            residuals["neighbor_recursion"] = max(
+                neighbor_recursion_check(c.g, r, i, j) for i, j in c.pairs
+            )
+            first, second = sorted(c.hosts)
+            pendant = cut.partition.crowns[first][0]
+            residuals["cut_vertex_additivity"] = cut_vertex_check(
+                resistances_from_inverse(cut_x), pendant, first, second
+            )
+        if c.shift.n:
+            shift, shift_inv = next(shifted)
+            _, residuals["shifted_inverse_scaled"] = _rank_one_inverse(shift, shift_inv, c.a, c.b)
+        out.append(residuals)
+    return out
+
+
 def identity_residuals(
     g: Graph, rng: random.Random, ls: np.ndarray | None = None
 ) -> dict[str, float]:
@@ -158,74 +272,31 @@ def identity_residuals(
     The block-inverse and shifted-inverse draws use the rng so the battery
     covers a different split and shift on every graph.  ``ls`` is the group
     inverse of L(g), taken here when omitted; ``run_suite`` hands in the
-    one it takes per case and shares with both corona kinds' blocks.
+    one it takes per case and shares with both corona kinds' blocks.  This
+    is the battery of one case: ``run_identity_battery`` and ``run_suite``
+    draw their cases the same way and compute them in chunks, with the same
+    bits per case.
     """
-    n = g.n
-    lap = laplacian(g)
-    if ls is None:
-        ls = laplacian_group_inverse(lap)
-    out: dict[str, float] = {}
-
-    out["group_inverse_nullvector"] = max_abs(ls @ np.ones(n))
-
-    if n >= 2:
-        k = rng.randint(1, n - 1)
-        x = block_one_inverse(lap[:k, :k], lap[:k, k:], lap[k:, k:])
-        out["block_one_inverse_scaled"] = verify_one_inverse(lap, x) / max(
-            1.0, max_abs(lap)
-        )
-        out["kirchhoff_two_routes"] = abs(
-            kirchhoff_from_one_inverse(ls) - kirchhoff_from_one_inverse(x)
-        )
-
-        r = resistances_from_inverse(ls)
-        out["edge_resistance_sum"] = edge_sum_check(g, r)
-
-        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3)}
-        out["neighbor_recursion"] = max(
-            neighbor_recursion_check(g, r, i, j) for i, j in pairs
-        )
-
-        # Cut-vertex additivity on a corona built from this graph: pendant
-        # crown vertices reach the rest only through their host, so the
-        # host splits the resistance exactly.
-        hosts = rng.sample(range(n), 2)
-        crowns = tuple(
-            Graph(1, ()) if v in hosts else Graph(0, ()) for v in range(n)
-        )
-        built = build("r_vertex", g, crowns)
-        first, second = sorted(hosts)
-        pendant = built.partition.crowns[first][0]
-        out["cut_vertex_additivity"] = cut_vertex_check(
-            resistance_matrix(built.graph), pendant, first, second
-        )
-
-    shift_h = random_crown(rng, 4)
-    a = 0.5 + 1.5 * rng.random()
-    b = rng.uniform(0.1, 2.0 * max(shift_h.n, 1))
-    if abs(b - shift_h.n) < 0.25:
-        b = shift_h.n + 0.5
-    if shift_h.n > 0:
-        lap_h = laplacian(shift_h)
-        x = shifted_rank_one_inverse(lap_h, a, b)
-        target = lap_h + a * np.eye(shift_h.n) - (a / b) * np.ones(
-            (shift_h.n, shift_h.n)
-        )
-        out["shifted_inverse_scaled"] = max_abs(target @ x - np.eye(shift_h.n)) / max(
-            1.0, max_abs(target)
-        )
+    (out,) = _battery([_draw_case(g, rng, ls)])
     return out
+
+
+def _worst(cases: list[_Case]) -> dict[str, float]:
+    """Worst residual per identity over the cases, computed in chunks as ``_chunks`` cuts them."""
+    worst: dict[str, float] = {}
+    # A case's largest matrix is its cut-vertex corona, of order n + m + 2.
+    for chunk in _chunks(cases, [c.g.n + c.g.m + len(c.hosts) for c in cases]):
+        for residuals in _battery(chunk):
+            for name, value in residuals.items():
+                worst[name] = max(worst.get(name, 0.0), value)
+    return worst
 
 
 def run_identity_battery(seed: int, count: int, n_max: int = 10) -> tuple[dict[str, float], int]:
     """Worst residual per identity over ``count`` random connected graphs of order 2..n_max."""
     rng = random.Random(seed)
-    worst: dict[str, float] = {}
-    for _ in range(count):
-        g = random_connected_graph(rng, 2, n_max)
-        for name, value in identity_residuals(g, rng).items():
-            worst[name] = max(worst.get(name, 0.0), value)
-    return worst, count
+    cases = [_draw_case(random_connected_graph(rng, 2, n_max), rng, None) for _ in range(count)]
+    return _worst(cases), count
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +345,26 @@ _KINDS = {"r_vertex": "rv_blocks", "r_edge": "re_blocks"}
 # chunk hold many large coronas at once; a corona past it is a chunk alone.
 _CHUNK = 64
 _CHUNK_ENTRIES = _CHUNK * 64 * 64
+
+
+def _chunks(items: list, orders: list[int]) -> Iterator[list]:
+    """``items`` in consecutive chunks of at most _CHUNK, by the rule above.
+
+    ``orders[i]`` is the order of the largest matrix item i inverts, and a
+    chunk closes before the squares of its orders pass _CHUNK_ENTRIES; an
+    item past it alone is a chunk alone.
+    """
+    chunk: list = []
+    entries = 0
+    for item, order in zip(items, orders):
+        if chunk and (len(chunk) == _CHUNK or entries + order * order > _CHUNK_ENTRIES):
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(item)
+        entries += order * order
+    if chunk:
+        yield chunk
+
 
 # One instance to check: kind, base, crown set, case, and the base group
 # inverse when it has been taken already (None: the blocks take it).
@@ -486,28 +577,23 @@ def run_suite(
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     rng = random.Random(seed)
-    identity_worst: dict[str, float] = {}
-    drawn: list[tuple[Graph, np.ndarray, tuple[Graph, ...], tuple[Graph, ...]]] = []
+    drawn: list[tuple[_Case, tuple[Graph, ...], tuple[Graph, ...]]] = []
     for _ in range(cases):
         g = random_connected_graph(rng, 2, n_max, m_max=8)
-        ls = laplacian_group_inverse(laplacian(g))
-        for name, value in identity_residuals(g, rng, ls).items():
-            identity_worst[name] = max(identity_worst.get(name, 0.0), value)
-        drawn.append((g, ls, random_crowns(rng, g.n, t_max), random_crowns(rng, g.m, t_max)))
-    crown_set = closed_form.CrownSet.of(tuple(c for _, _, rv, re in drawn for c in rv + re))
-    instances: list[InstanceReport] = []
-    chunk: list[_Instance] = []
-    entries = lo = 0
-    for case, (g, ls, rv, re) in enumerate(drawn):
+        case = _draw_case(g, rng, laplacian_group_inverse(laplacian(g)))
+        drawn.append((case, random_crowns(rng, g.n, t_max), random_crowns(rng, g.m, t_max)))
+    identity_worst = _worst([case for case, _, _ in drawn])
+    crown_set = closed_form.CrownSet.of(tuple(c for _, rv, re in drawn for c in rv + re))
+    todo: list[_Instance] = []
+    orders: list[int] = []
+    lo = 0
+    for number, (case, rv, re) in enumerate(drawn):
+        g = case.g
         for kind, crowns in (("r_vertex", rv), ("r_edge", re)):
-            order = g.n + g.m + sum(c.n for c in crowns)
-            if chunk and (len(chunk) == _CHUNK or entries + order * order > _CHUNK_ENTRIES):
-                instances.extend(_check_instances(chunk))
-                chunk, entries = [], 0
-            chunk.append((kind, g, crown_set.part(lo, lo + len(crowns)), case, ls))
-            entries += order * order
+            todo.append((kind, g, crown_set.part(lo, lo + len(crowns)), number, case.ls))
+            orders.append(g.n + g.m + sum(c.n for c in crowns))
             lo += len(crowns)
-    instances.extend(_check_instances(chunk))
+    instances = [report for chunk in _chunks(todo, orders) for report in _check_instances(chunk)]
     return ComparisonReport(
         seed=seed,
         cases=cases,

@@ -229,16 +229,20 @@ def test_group_inverse_of_triangle_is_known():
 @pytest.mark.parametrize("n", [7, 150])
 def test_group_inverse_checks_its_input_once(monkeypatch, n):
     # L + J/n is exactly symmetric by construction, so only L is checked,
-    # and the result is bit for bit that of checking L + J/n a second time
-    # (n = 150 also runs the Schur split of the Cholesky kernel).
+    # once, by the Laplacian check that stacked calls share, and the result
+    # is bit for bit that of checking L + J/n a second time (n = 150 also
+    # runs the Schur split of the Cholesky kernel).
     rng = np.random.default_rng(n)
     edges = {(i, i + 1) for i in range(n - 1)}
     edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(n // 3)}
     lap = laplacian(Graph(n, tuple(edges)))
-    checks = mock.Mock(wraps=linalg._as_symmetric)
-    monkeypatch.setattr(linalg, "_as_symmetric", checks)
+    checks = mock.Mock(wraps=linalg._shifted_laplacians)
+    second = mock.Mock(wraps=linalg._as_symmetric)
+    monkeypatch.setattr(linalg, "_shifted_laplacians", checks)
+    monkeypatch.setattr(linalg, "_as_symmetric", second)
     got = laplacian_group_inverse(lap)
     assert checks.call_count == 1
+    assert second.call_count == 0
     j = np.full((n, n), 1.0 / n)
     shifted = lap + j
     x = sym_inverse(shifted, "L + J/n")
@@ -458,6 +462,58 @@ def test_stacked_group_inverses_match_one_member_calls_bit_for_bit():
     for lap, x in zip(laps, got):
         if len(lap) > linalg.SCHUR_LEAF_ORDER:
             assert x.tobytes() == laplacian_group_inverse(lap).tobytes()
+
+
+def _one_member_recipe(lap):
+    """A member's group inverse as a stacked call took it with each member checked on its own."""
+    a = linalg._as_symmetric(lap, "Laplacian")
+    n = len(a)
+    if n == 0:
+        return a
+    a += 1.0 / n
+    if n <= linalg.SCHUR_LEAF_ORDER:
+        w, pivots = linalg._bordered_rows(a[None])
+        x, pivots = w[0].T @ w[0], pivots[0]
+    else:
+        x, pivots = linalg._spd_inverse(a)
+    linalg._check_pivots(a, pivots, "L + J/n")
+    x = 0.5 * (x + x.T)
+    return linalg._refined(x, -(a @ x))
+
+
+def test_stacked_group_inverses_checked_once_give_the_per_member_bits():
+    # The members are checked over one padded stack, not one by one; on
+    # mixed orders 0, 1, 64 and 65 among others every member is still bit
+    # for bit the one-member recipe: its own checks, its own loop and tail.
+    orders = [64, 3, 0, 65, 1, 17, 0, 64, 2, 65, 1]
+    laps = _random_laplacians(9, orders)
+    for lap, x in zip(laps, linalg.laplacian_group_inverses(laps)):
+        want = _one_member_recipe(lap)
+        assert x.shape == want.shape == lap.shape
+        assert x.tobytes() == want.tobytes()
+
+
+def test_stacked_group_inverses_name_the_lowest_bad_member():
+    # Each member is checked for shape, then finiteness, symmetry and row
+    # sums; whichever check fails and whichever stack a member is checked
+    # in, the error names the lowest failing member, as one-by-one checks did.
+    good = laplacian(path_graph(3))
+    big = laplacian(path_graph(70))
+    nan = good.copy()
+    nan[0, 0] = np.nan
+    inf = good.copy()
+    inf[0, 1] = np.inf
+    big_asymmetric = np.triu(big)
+    for members, want in (
+        ([good, np.ones((2, 3)), nan], "^Laplacian 1 must be square, got shape \\(2, 3\\)$"),
+        ([good, nan, np.ones(3)], "^Laplacian 1 has non-finite entries$"),
+        ([good, inf, np.triu(good)], "^Laplacian 1 has non-finite entries$"),
+        ([np.triu(good), inf], "^Laplacian 0 is not symmetric$"),
+        ([good, big_asymmetric, nan], "^Laplacian 1 is not symmetric$"),
+        ([big, good + np.eye(3), big_asymmetric], "^Laplacian 1 rows must sum to zero$"),
+    ):
+        with pytest.raises(MatrixError, match=want):
+            linalg.laplacian_group_inverses(members)
 
 
 def test_stacked_group_inverses_of_no_members():

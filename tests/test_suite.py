@@ -160,25 +160,57 @@ def test_instance_checks_the_kind_before_building(kind):
 
 
 def test_identity_battery_solves_its_graph_once():
-    # The edge-sum, neighbor-recursion and cut-vertex checks read resistance
-    # matrices already built; only the battery graph's own group inverse is
-    # n x n (the cut-vertex corona is larger), and none is taken when the
-    # caller hands it in, with every residual bit for bit the same.
+    # The edge-sum and neighbor-recursion checks read the resistances of the
+    # graph's own group inverse, the one lone group inverse the battery
+    # takes, and none when the caller hands it in.  The Kron-reduced H and
+    # the cut-vertex corona (order n + m + 2) go through one stacked group
+    # inverse call, and the D block and the shift's L(H) + aI through one
+    # stacked Cholesky call; nothing goes through the oracle's
+    # resistance_matrix.  Every residual is bit for bit the same either way.
     g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)))
     ls = linalg.laplacian_group_inverse(laplacian(g))
     ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
+    stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
+    cholesky = mock.Mock(wraps=linalg._sym_inverses)
+    oracle = mock.Mock(side_effect=AssertionError("the battery called the oracle"))
     with (
         mock.patch.object(suite, "laplacian_group_inverse", ginv),
-        mock.patch.object(resistance, "laplacian_group_inverse", ginv),
+        mock.patch.object(suite, "laplacian_group_inverses", stacked),
+        mock.patch.object(suite, "_sym_inverses", cholesky),
+        mock.patch.object(resistance, "laplacian_group_inverse", oracle),
     ):
         out = suite.identity_residuals(g, random.Random(4))
         taken = [c.args[0].shape for c in ginv.call_args_list]
         ginv.reset_mock()
         handed = suite.identity_residuals(g, random.Random(4), ls)
-    assert {"edge_resistance_sum", "neighbor_recursion"} <= set(out)
-    assert taken.count((g.n, g.n)) == 1
-    assert [c.args[0].shape for c in ginv.call_args_list].count((g.n, g.n)) == 0
+    assert set(out) == set(suite.IDENTITY_TOLERANCES)
+    assert taken == [(g.n, g.n)]
+    assert ginv.call_count == 0
+    # Random(4) splits at k = 2, so H is 2 x 2 and D is 3 x 3, and draws a
+    # shift crown of order 3.
+    assert stacked.call_count == cholesky.call_count == 2
+    for call in stacked.call_args_list:
+        assert [lap.shape[0] for lap in call.args[0]] == [2, g.n + g.m + 2]
+    for call in cholesky.call_args_list:
+        assert [a.shape[0] for a in call.args[0]] == [3, 3]
+        assert call.args[1] == ["block D", "L + aI"]
     assert _bits(handed) == _bits(out)
+
+
+def test_run_identity_battery_is_the_one_case_battery_in_chunks():
+    # 150 cases make three battery chunks of at most _CHUNK cases; the worst
+    # of each identity is bit for bit the largest of the one-case batteries.
+    with mock.patch.object(suite, "_battery", wraps=suite._battery) as battery:
+        worst, count = suite.run_identity_battery(seed=5, count=150, n_max=10)
+    assert count == 150
+    assert [len(c.args[0]) for c in battery.call_args_list] == [suite._CHUNK, suite._CHUNK, 22]
+    rng = random.Random(5)
+    want: dict[str, float] = {}
+    for _ in range(150):
+        g = suite.random_connected_graph(rng, 2, 10)
+        for name, value in suite.identity_residuals(g, rng).items():
+            want[name] = max(want.get(name, 0.0), value)
+    assert _bits(worst) == _bits(want)
 
 
 def test_run_suite_passes_and_counts():
@@ -244,11 +276,34 @@ def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
     assert [c.args[0].shape[-1] for c in eig.call_args_list] == layouts
 
 
+@pytest.mark.parametrize("cases", [7, 70])
+def test_run_suite_identity_worst_is_the_worst_one_case_battery(cases):
+    # The run computes the battery in chunks of cases, with each stacked
+    # member bit for bit as alone, so each identity's worst is bit for bit
+    # the largest over one-case batteries on the same draws and the same
+    # base group inverses; 70 cases make two battery chunks.
+    for seed in (0, 17, 404):
+        report = suite.run_suite(seed=seed, cases=cases)
+        rng = random.Random(seed)
+        want: dict[str, float] = {}
+        for _ in range(cases):
+            g = suite.random_connected_graph(rng, 2, 5, m_max=8)
+            ls = linalg.laplacian_group_inverse(laplacian(g))
+            for name, value in suite.identity_residuals(g, rng, ls).items():
+                want[name] = max(want.get(name, 0.0), value)
+            suite.random_crowns(rng, g.n, 3)
+            suite.random_crowns(rng, g.m, 3)
+        assert _bits(report.identity_worst) == _bits(want)
+
+
 def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
-    # Per case, one lone group inverse each for the base (shared by the
-    # battery and both kinds' blocks), the battery's Kron-reduced H and its
-    # cut-vertex corona: 15 for 5 cases.  The 10 oracle coronas take theirs
-    # in one stacked call.
+    # Per case, one lone group inverse, the base's (shared by the battery
+    # and both kinds' blocks): 5 for 5 cases, where each case's Kron-reduced
+    # H and cut-vertex corona took two more until they were stacked.  The
+    # battery's 5 H and 5 cut-vertex coronas take theirs in one stacked call,
+    # and the 10 oracle coronas in one more.  No battery inverse is a lone
+    # sym_inverse call: the 5 D blocks and the shifts' L(H) + aI are one
+    # stacked Cholesky call.
     taken = []
     real = linalg.laplacian_group_inverse
 
@@ -257,29 +312,84 @@ def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
         return taken[-1]
 
     stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
+    cholesky = mock.Mock(wraps=linalg._sym_inverses)
+    lone = mock.Mock(wraps=linalg.sym_inverse)
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
         mock.patch.object(closed_form, "laplacian_group_inverse", ginv),
         mock.patch.object(linalg, "laplacian_group_inverse", ginv),
+        mock.patch.object(linalg, "sym_inverse", lone),
         mock.patch.object(resistance, "laplacian_group_inverse", ginv),
         mock.patch.object(suite, "laplacian_group_inverse", ginv),
         mock.patch.object(suite, "laplacian_group_inverses", stacked),
+        mock.patch.object(suite, "_sym_inverses", cholesky),
     ):
         report = suite.run_suite(seed=1, cases=5)
     assert report.verdict == "pass"
     drawn = _drawn_instances(1, 5, 5, 3)
     bases = [g for kind, g, _, _ in drawn if kind == "r_vertex"]
-    assert len(taken) == 15
+    assert len(taken) == 5
     for case, g in enumerate(bases):
-        base, kron, cut = taken[3 * case : 3 * case + 3]
-        assert base.shape == (g.n, g.n)
-        assert kron.shape[0] < g.n
-        assert cut.shape == (g.n + g.m + 2,) * 2
+        assert taken[case].shape == (g.n, g.n)
         # Both kinds' blocks read the base inverse the case took.
-        assert all(c.args[3] is base for c in blocks.call_args_list[2 * case : 2 * case + 2])
-    assert stacked.call_count == 1
-    orders = [g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn]
-    assert [lap.shape[0] for lap in stacked.call_args.args[0]] == orders
+        assert all(c.args[3] is taken[case] for c in blocks.call_args_list[2 * case : 2 * case + 2])
+    assert stacked.call_count == 2
+    battery, oracles = ([lap.shape[0] for lap in c.args[0]] for c in stacked.call_args_list)
+    assert all(0 < k < g.n for k, g in zip(battery[:5], bases))
+    assert battery[5:] == [g.n + g.m + 2 for g in bases]
+    assert oracles == [g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn]
+    assert lone.call_count == 0
+    assert cholesky.call_count == 1
+    members, whats = cholesky.call_args.args
+    assert [a.shape[0] for a in members[:5]] == [g.n - k for g, k in zip(bases, battery)]
+    assert whats[:5] == ["block D"] * 5 and set(whats[5:]) <= {"L + aI"}
+
+
+@pytest.mark.parametrize("member, caught", [(0, "block_one_inverse_scaled"), (-1, "cut_vertex_additivity")])
+def test_a_perturbed_battery_member_flips_the_identities(member, caught):
+    # One member of the battery's stacked group inverse call, a Kron-reduced
+    # H's or a cut-vertex corona's, off by 1e-3 I: that case's residual
+    # fails, and the verdict with it, while every instance still passes.
+    real = linalg.laplacian_group_inverses
+    calls = []
+
+    def perturbed(laps):
+        out = real(laps)
+        calls.append(len(out))
+        if len(calls) == 1:
+            out[member] = out[member] + 1e-3 * np.eye(len(out[member]))
+        return out
+
+    with mock.patch.object(suite, "laplacian_group_inverses", side_effect=perturbed):
+        report = suite.run_suite(seed=1, cases=5)
+    assert not report.identities_passed and report.verdict == "fail"
+    tol = suite.IDENTITY_TOLERANCES
+    assert caught in {name for name, value in report.identity_worst.items() if not value <= tol[name]}
+    assert all(inst.passed for inst in report.instances)
+    assert suite.run_suite(seed=1, cases=5).identities_passed
+
+
+@pytest.mark.parametrize(
+    "member, error, message",
+    [
+        (0, linalg.MatrixError, "^Laplacian 0 rows must sum to zero$"),
+        (-1, linalg.SingularMatrixError, "did not invert"),
+    ],
+)
+def test_a_perturbed_battery_cholesky_member_fails_loudly(member, error, message):
+    # A wrong D block inverse leaves a Kron-reduced H whose rows do not sum
+    # to zero, and a wrong shift inverse fails the residual check of
+    # shifted_rank_one_inverse: either raises rather than reports.
+    real = linalg._sym_inverses
+
+    def perturbed(mats, whats):
+        out = real(mats, whats)
+        out[member] = out[member] + 1e-3 * np.eye(len(out[member]))
+        return out
+
+    with mock.patch.object(suite, "_sym_inverses", side_effect=perturbed):
+        with pytest.raises(error, match=message):
+            suite.run_suite(seed=1, cases=5)
 
 
 def test_run_suite_checks_its_instances_in_bounded_chunks():
@@ -293,7 +403,10 @@ def test_run_suite_checks_its_instances_in_bounded_chunks():
         with mock.patch.object(suite, "laplacian_group_inverses", stacked):
             report = suite.run_suite(seed=seed, cases=cases, t_max=t_max)
         assert report.verdict == "pass"
-        chunks = [[lap.shape[0] for lap in c.args[0]] for c in stacked.call_args_list]
+        # The first call is the battery's one chunk, every case's H and
+        # then every case's cut-vertex corona; the oracle chunks follow.
+        battery, *chunks = ([lap.shape[0] for lap in c.args[0]] for c in stacked.call_args_list)
+        assert len(battery) == 2 * cases
         drawn = _drawn_instances(seed, cases, 5, t_max)
         assert [order for chunk in chunks for order in chunk] == [
             g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn
