@@ -14,25 +14,24 @@ definite input.  Up to SCHUR_LEAF_ORDER it is a bordered Cholesky: one
 loop factors A = L L^T row by row and grows L^{-1} in the same step, so
 there is no back substitution.  A stack runs it on column views, a
 single matrix on 1-D vectors and numpy scalars with half the numpy calls
-per row, and the two bodies agree bit for bit on one matrix.  A larger
-matrix is split in half and inverted through its Schur complement by
-recursion, so most of its work runs as matmuls.  The loop records every
-pivot, and the pivots are checked once the inverse is formed: the first
-row whose pivot is not above its member's floor raises.  Every group
-inverse in the package, the oracle's included, deflates the known null
-vector of a connected Laplacian instead of zeroing an eigenvalue by
-threshold, and takes one step of iterative refinement: one matrix through
-``laplacian_group_inverse``, several of any orders through
-``laplacian_group_inverses``, which checks them once over one zero-padded
-stack (``_shifted_laplacians``) and inverts them through ``_sym_inverses``.
-That helper pads symmetric matrices of any orders with the identity into
-one stack for the bordered loop (``_bordered_rows``, the loop of the
-reference body) and gives each member's Gram product, pivot check and
-symmetrisation its own slice, so a member comes out bit for bit as it
-would alone; the identity battery of the suite takes its D blocks and
-shifted crown Laplacians through it too, between the steps of
-``block_one_inverse`` and ``shifted_rank_one_inverse``.  Input is
-checked by ``_as_symmetric``, and every kernel raises ``MatrixError``
+per row.  A larger matrix is split in half and inverted through its Schur
+complement by recursion, so most of its work runs as matmuls.  The loop
+records every pivot, and the pivots are checked once the inverse is
+formed: the first row whose pivot is not above its member's floor raises.
+Every group inverse in the package, the oracle's included, deflates the
+known null vector of a connected Laplacian instead of zeroing an
+eigenvalue by threshold, and takes one step of iterative refinement, all
+through ``laplacian_group_inverses`` (``laplacian_group_inverse`` is its
+call of one).  Each matrix has one answer: every step is per member, and
+IEEE square root and division round a scalar as they round an array, so a
+member of any stack gets the bits of the matrix alone.  Matrices of any
+orders share stacks by one rule (``_stacks``): up to SCHUR_LEAF_ORDER one
+stack padded to the largest order, a larger or lone matrix alone.  The
+input check pads with zeros; ``_sym_inverses``, behind the group inverses
+and the suite battery's D blocks and shifted crowns, pads with the
+identity for one bordered loop and takes a lone matrix through the
+one-matrix body, for speed only.  Input is checked once, by
+``_as_symmetric``, and every kernel raises ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
 answer it cannot vouch for.  ``_checked_inverse`` is the unchecked body
 behind those checks, for input that has passed them once already; the
@@ -97,25 +96,74 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _as_symmetric(m: np.ndarray, what: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """Float copy of a square symmetric matrix, symmetrised exactly.
+def _stacks(mats: Sequence[np.ndarray], pad: float) -> list[tuple[list[int], np.ndarray]]:
+    """The stacks that square float matrices of any orders are worked in, as (members, stack) pairs.
 
-    With ``stacked``, a (k, t, t) stack of such matrices is accepted too,
-    and every member is checked against its own scale.
+    The members of order 1 to SCHUR_LEAF_ORDER share one stack of the
+    largest such order, each in its leading block, padded with ``pad``
+    times the identity; a larger member, or a lone small one, is a stack of
+    its own, a view that is not copied.  An empty member is in no stack.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim not in ((2, 3) if stacked else (2,)) or a.shape[-1] != a.shape[-2]:
-        raise MatrixError(f"{what} must be square, got shape {a.shape}")
-    # NaN compares false against every bound, so the checks below would let
-    # it through and the solver would return garbage instead of failing.
-    if not np.isfinite(a).all():
-        raise MatrixError(f"{what} has non-finite entries")
-    at = np.swapaxes(a, -1, -2)
-    if a.size:
-        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-        if np.any(np.abs(a - at).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
-            raise MatrixError(f"{what} is not symmetric")
-    return 0.5 * (a + at)
+    small = [k for k, a in enumerate(mats) if 0 < len(a) <= SCHUR_LEAF_ORDER]
+    alone = [k for k, a in enumerate(mats) if len(a) > SCHUR_LEAF_ORDER]
+    if len(small) == 1:
+        alone, small = alone + small, []
+    stacks = [([k], mats[k][None]) for k in alone]
+    if small:
+        order = max(len(mats[k]) for k in small)
+        stack = np.tile(pad * np.eye(order), (len(small), 1, 1))
+        for i, k in enumerate(small):
+            n = len(mats[k])
+            stack[i, :n, :n] = mats[k]
+        stacks.append((small, stack))
+    return stacks
+
+
+def _as_symmetric(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
+    """Float copies of square matrices of any orders, or (k, t, t) stacks of them, finite, symmetric and symmetrised exactly.
+
+    The one input check of the kernels.  A stack is checked as it is and
+    the matrices in the zero-padded stacks of ``_stacks``, each member
+    against max(1, max|A|) of its own: a zero pad is finite and symmetric
+    and leaves that scale alone, so a matrix meets the bounds it meets
+    alone.  The lowest item that fails (square, then finite, then symmetric
+    to SYMMETRY_RTOL, in any member of a stack) raises MatrixError naming
+    ``whats[k]``.
+    """
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    errors: dict[int, str] = {}
+    matrices = []
+    for k, a in enumerate(mats):
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+            errors[k] = f"must be square, got shape {a.shape}"
+        matrices.append(a if a.ndim == 2 and k not in errors else np.zeros((0, 0)))
+    stacks = _stacks(matrices, 0.0)
+    stacks += [([k], a) for k, a in enumerate(mats) if a.ndim == 3 and a.size and k not in errors]
+    out = list(mats)
+    for members, stack in stacks:
+        at = np.swapaxes(stack, 1, 2)
+        # NaN compares false against every bound, so the finiteness check
+        # must catch it; the symmetry check must not warn on it or on inf.
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+            asymmetric = np.abs(stack - at).max(axis=(1, 2)) > SYMMETRY_RTOL * scale
+            sym = 0.5 * (stack + at)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        # A stack of one item holds all of it, a given stack or one matrix;
+        # a shared stack's members are copied out contiguous, as alone.
+        alone = len(members) == 1
+        for i, k in enumerate(members):
+            rows = slice(None) if alone else i
+            if not finite[rows].all():
+                errors[k] = "has non-finite entries"
+            elif asymmetric[rows].any():
+                errors[k] = "is not symmetric"
+            n = mats[k].shape[-1]
+            out[k] = sym.reshape(mats[k].shape) if alone else sym[i, :n, :n].copy()
+    if errors:
+        k = min(errors)
+        raise MatrixError(f"{whats[k]} {errors[k]}")
+    return out
 
 
 def _reflect(a: np.ndarray, v: np.ndarray) -> None:
@@ -255,17 +303,18 @@ def _bordered_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Row j of A = L L^T (Golub & Van Loan 4.2, the up-looking form) reads
     only the leading block already factored: x = W[:j, :j] A[:j, j] is row
     j of L left of the diagonal, the pivot is p = A_jj - x^T x, and row j
-    of L^{-1} is (-(x^T W[:j, :j]) / sqrt(p), 1 / sqrt(p)).  So one loop
+    of L^{-1} is (-(x^T W[:j, :j]) r, r) with r = 1 / sqrt(p).  So one loop
     both factors and inverts, with no back substitution.  A (k, t, t) stack
-    runs ``_bordered_stack``, the loop on (..., j, 1) column views.  A
-    single matrix runs the same row on 1-D vectors and numpy scalars, half
-    the numpy calls per row, and every result is bit for bit that of
-    ``_bordered_stack`` on the same matrix (where a 0-d pivot is a numpy
-    scalar too).  A pivot that is not positive leaves NaN or inf in W and
-    in the later pivots; the caller checks the pivots.
+    runs ``_bordered_rows``, the loop on (..., j, 1) column views.  A single
+    matrix runs the same row on 1-D vectors and numpy scalars, half the
+    numpy calls per row.  IEEE square root and division are correctly
+    rounded whether they act on a scalar or an array, so a matrix gets the
+    same bits from either body.  A pivot that is not positive leaves NaN or
+    inf in W and in the later pivots; the caller checks the pivots.
     """
     if a.ndim != 2:
-        return _bordered_stack(a)
+        w, pivots = _bordered_rows(a)
+        return np.swapaxes(w, -1, -2) @ w, pivots
     n = len(a)
     w = np.zeros_like(a)
     pivots = np.empty(n)
@@ -274,20 +323,14 @@ def _bordered_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = head @ a[:j, j]
         pivot = a[j, j] - x @ x
         pivots[j] = pivot
-        r = pivot**-0.5
+        r = 1.0 / np.sqrt(pivot)
         w[j, :j] = (x @ head) * -r
         w[j, j] = r
     return w.T @ w, pivots
 
 
-def _bordered_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_bordered_inverse`` on any leading shape, through ``...`` indexing; the reference body."""
-    w, pivots = _bordered_rows(a)
-    return np.swapaxes(w, -1, -2) @ w, pivots
-
-
 def _bordered_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W = L^{-1} and the pivots of ``_bordered_stack``: its row loop, before the Gram product."""
+    """W = L^{-1} and the pivots of ``_bordered_inverse`` on a stack: its row loop, before the Gram product."""
     n = a.shape[-1]
     w = np.zeros_like(a)
     pivots = np.empty(a.shape[:-1])
@@ -297,7 +340,7 @@ def _bordered_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xt = np.swapaxes(x, -1, -2)
         pivot = a[..., j, j] - (xt @ x)[..., 0, 0]
         pivots[..., j] = pivot
-        r = pivot**-0.5
+        r = 1.0 / np.sqrt(pivot)
         w[..., j, :j] = (xt @ head)[..., 0, :] * -r[..., None]
         w[..., j, j] = r
     return w, pivots
@@ -320,7 +363,8 @@ def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     raises SingularMatrixError naming ``what``, that row and its pivot;
     nothing is zeroed.
     """
-    return _checked_inverse(_as_symmetric(m, what, stacked=True), what)
+    (a,) = _as_symmetric([m], [what])
+    return _checked_inverse(a, what)
 
 
 def _checked_inverse(a: np.ndarray, what: str) -> np.ndarray:
@@ -352,105 +396,56 @@ def _check_pivots(a: np.ndarray, pivots: np.ndarray, what: str) -> None:
 
 
 def _shifted_laplacians(laps: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
-    """L + J/n of each Laplacian L as a checked float copy of its own, J/n added as the scalar 1/n.
+    """L + J/n of each Laplacian L as a float copy of its own, J/n added as the scalar 1/n.
 
-    The members up to SCHUR_LEAF_ORDER are padded with zeros to the largest
-    such order and checked at once: finite, symmetric to SYMMETRY_RTOL and
-    rows summing to zero, each against max(1, max|L|) of its own.  A zero
-    pad is symmetric, sums to zero and leaves that scale alone, so each
-    member meets the bounds it meets alone.  A larger member is a stack of
-    its own, not copied.  The lowest member that fails a check (square
-    first, then those three in turn) raises MatrixError that names it
-    ``whats[k]``.  Each member is symmetrised exactly and shifted
-    elementwise, so its bits do not depend on its stack-mates; every entry
-    is the sum a dense J/n would give, and the sum stays exactly
-    symmetric, so it needs no second check.
+    ``_as_symmetric`` checks each L, then each must have rows summing to
+    zero to within SYMMETRY_RTOL of its own max(1, max|L|), checked in the
+    zero-padded stacks of ``_stacks``; the lowest member that fails raises
+    MatrixError naming ``whats[k]``.  Every entry of L + J/n is the sum a
+    dense J/n would give, and the sum stays exactly symmetric.
     """
-    mats = [np.asarray(l, dtype=float) for l in laps]
-    errors: dict[int, str] = {}
-    small: list[int] = []
-    stacks: list[tuple[list[int], np.ndarray]] = []
-    for k, a in enumerate(mats):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            errors[k] = f"must be square, got shape {a.shape}"
-        elif len(a) > SCHUR_LEAF_ORDER:
-            stacks.append(([k], a[None]))
-        elif len(a):
-            small.append(k)
-    if small:
-        order = max(len(mats[k]) for k in small)
-        stack = np.zeros((len(small), order, order))
-        for i, k in enumerate(small):
-            n = len(mats[k])
-            stack[i, :n, :n] = mats[k]
-        stacks.append((small, stack))
-    checked = []
-    for members, stack in stacks:
-        at = np.swapaxes(stack, 1, 2)
-        # NaN and inf fail the finiteness check; the other checks must not warn on them.
+    mats = _as_symmetric(laps, whats)
+    bad = []
+    for members, stack in _stacks(mats, 0.0):
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        # Entries near the float range can sum to inf or NaN; what passes
+        # here fails the pivot check.
         with np.errstate(invalid="ignore", over="ignore"):
-            scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-            asymmetric = np.abs(stack - at).max(axis=(1, 2)) > SYMMETRY_RTOL * scale
-            sym = 0.5 * (stack + at)
-            rows = np.abs(sym.sum(axis=2)).max(axis=1) > SYMMETRY_RTOL * np.maximum(
-                1.0, np.abs(sym).max(axis=(1, 2))
-            )
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        for i, k in enumerate(members):
-            if not finite[i]:
-                errors[k] = "has non-finite entries"
-            elif asymmetric[i]:
-                errors[k] = "is not symmetric"
-            elif rows[i]:
-                errors[k] = "rows must sum to zero"
-        checked.append((members, sym))
-    if errors:
-        k = min(errors)
-        raise MatrixError(f"{whats[k]} {errors[k]}")
-    out = [np.zeros((0, 0)) for _ in mats]
-    for members, sym in checked:
-        for i, k in enumerate(members):
-            n = len(mats[k])
-            block = sym[i, :n, :n]
-            block += 1.0 / n
-            out[k] = np.ascontiguousarray(block)
-    return out
+            rows = np.abs(stack.sum(axis=2)).max(axis=1) > SYMMETRY_RTOL * scale
+        bad += [k for k, row in zip(members, rows) if row]
+    if bad:
+        raise MatrixError(f"{whats[min(bad)]} rows must sum to zero")
+    return [a + 1.0 / len(a) if len(a) else a for a in mats]
 
 
 def _sym_inverses(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
-    """``_checked_inverse`` of exactly symmetric matrices of any orders, the small ones in one stacked loop.
+    """``_checked_inverse`` of exactly symmetric matrices of any orders, in the stacks of ``_stacks``.
 
-    Each member up to SCHUR_LEAF_ORDER is padded after its own block with
-    the identity to the largest such order, and the stack runs one bordered
-    Cholesky loop (``_bordered_rows``).  A pad row meets only zeros above
-    it, so it factors as the identity and leaves its member's rows as they
-    are alone.  Each member's Gram product W^T W, pivot check and
-    symmetrisation then run on its own n x n slice, so a member comes out
-    bit for bit as from a one-member call, whatever its stack-mates.  A
-    member above SCHUR_LEAF_ORDER is inverted on its own, through the Schur
-    split, and an empty one comes back as it is.  The pivots are checked in
-    member order once every member is factored: the first member that fails
-    raises SingularMatrixError naming ``whats[k]``.
+    A stack of several members is padded with the identity and runs one
+    bordered Cholesky loop (``_bordered_rows``).  A pad row meets only
+    zeros above it, so it factors as the identity and leaves its member's
+    rows as they are alone; each member's Gram product W^T W, pivot check
+    and symmetrisation then run on its own n x n slice.  A stack of one
+    member inverts it as one matrix, the 2-D body or the Schur split.
+    Either way a member comes out bit for bit as from ``sym_inverse``, so
+    taking the one or the other is only a matter of speed.  An empty member
+    comes back as it is.  The pivots are checked in member order once every
+    member is factored: the first member that fails raises
+    SingularMatrixError naming ``whats[k]``.
     """
-    small = [k for k, a in enumerate(mats) if 0 < len(a) <= SCHUR_LEAF_ORDER]
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # A failed pivot spreads NaN and inf through its member's work; the
     # pivot check below reports it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if small:
-            order = max(len(mats[k]) for k in small)
-            stack = np.tile(np.eye(order), (len(small), 1, 1))
-            for i, k in enumerate(small):
-                n = len(mats[k])
-                stack[i, :n, :n] = mats[k]
+        for members, stack in _stacks(mats, 1.0):
+            if len(members) == 1:
+                factors[members[0]] = _spd_inverse(stack[0])
+                continue
             w, pivots = _bordered_rows(stack)
-            for i, k in enumerate(small):
+            for i, k in enumerate(members):
                 n = len(mats[k])
                 head = w[i, :n, :n]
                 factors[k] = head.T @ head, pivots[i, :n]
-        for k, a in enumerate(mats):
-            if len(a) > SCHUR_LEAF_ORDER:
-                factors[k] = _spd_inverse(a)
     out = []
     for k, a in enumerate(mats):
         if k not in factors:
@@ -471,7 +466,7 @@ def _refined(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
 
 
 def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
-    """Group inverse of a connected graph's Laplacian, by deflation.
+    """Group inverse of a connected graph's Laplacian, by deflation: ``laplacian_group_inverses`` of one.
 
     L 1 = 0, and a connected graph's Laplacian has no other null vector,
     so A = L + J/n is positive definite: it keeps every other eigenpair of
@@ -486,37 +481,40 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
     Rows that do not sum to zero raise MatrixError; a disconnected graph
     leaves L + J/n singular and raises SingularMatrixError.
     """
-    # From here lap holds L + J/n, our own copy; it is dropped once the
-    # refinement residual is formed.
-    (lap,) = _shifted_laplacians([l], ["Laplacian"])
-    if lap.shape[0] == 0:
-        return lap
-    x = _checked_inverse(lap, "L + J/n")
-    residual = -(lap @ x)
-    del lap
-    return _refined(x, residual)
+    (x,) = _group_inverses([l], ["Laplacian"], "L + J/n")
+    return x
 
 
 def laplacian_group_inverses(laps: Sequence[np.ndarray]) -> list[np.ndarray]:
     """``laplacian_group_inverse`` of connected Laplacians of any orders, in one stacked call.
 
-    The members are checked once, over one zero-padded stack
-    (``_shifted_laplacians``), and their L + J/n inverted by ``_sym_inverses``:
-    the members up to SCHUR_LEAF_ORDER in one identity-padded bordered
-    Cholesky loop, a larger one on its own through the Schur split.  Each
-    member's refinement step and J/n deflation then run on its own slice,
-    so a member's result is bit for bit what a one-member call returns,
-    whatever its stack-mates.  It agrees with ``laplacian_group_inverse`` to
-    roundoff: a stack takes 1 / sqrt(p) as an array power, one matrix as a
-    scalar power.  Returns a list in input order (empty for no input).
+    The members are checked once (``_shifted_laplacians``) and their
+    L + J/n inverted by ``_sym_inverses``: the members up to
+    SCHUR_LEAF_ORDER in one identity-padded bordered Cholesky loop, a
+    larger one on its own through the Schur split.  Each member's
+    refinement step and J/n deflation then run on its own slice, so each
+    member is bit for bit ``laplacian_group_inverse`` of it, whatever its
+    stack-mates.  Returns a list in input order (empty for no input).
     Every member is checked before any is inverted; the errors are those of
     ``laplacian_group_inverse``, naming the lowest failing member's position
     and, for a disconnected member, its order.
     """
-    shifted = _shifted_laplacians(laps, [f"Laplacian {k}" for k in range(len(laps))])
-    whats = [f"L + J/n of Laplacian {k} (order {len(a)})" for k, a in enumerate(shifted)]
-    inverses = _sym_inverses(shifted, whats)
-    return [_refined(x, -(a @ x)) if len(a) else a for a, x in zip(shifted, inverses)]
+    whats = [f"Laplacian {k}" for k in range(len(laps))]
+    return _group_inverses(laps, whats, "L + J/n of {} (order {})")
+
+
+def _group_inverses(laps: Sequence[np.ndarray], whats: Sequence[str], singular: str) -> list[np.ndarray]:
+    """The group inverses behind both public names; a failed pivot names ``singular.format(whats[k], n)``."""
+    shifted = _shifted_laplacians(laps, whats)
+    names = [singular.format(what, len(a)) for what, a in zip(whats, shifted)]
+    inverses = _sym_inverses(shifted, names)
+    for k, x in enumerate(inverses):
+        if len(x):
+            # L + J/n is dropped once its residual is formed: one n x n
+            # array fewer at the peak of a large member's refinement.
+            residual, shifted[k] = -(shifted[k] @ x), None
+            inverses[k] = _refined(x, residual)
+    return inverses
 
 
 def _pivot_error(d: float, v: int) -> SingularMatrixError:
@@ -869,26 +867,17 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
     Laplacian is.  H is then the Kron-reduced Laplacian, connected again
     (Dorfler & Bullo, IEEE TCAS-I 60(1), 2013), and Hg is its deflated
     ``laplacian_group_inverse``; a disconnected H raises
-    SingularMatrixError.  The steps around the two inverses are
-    ``_block_split``, ``_kron_reduced`` and ``_block_assembled``, so that a
+    SingularMatrixError.  Past the input checks, the steps around the two
+    inverses are ``_kron_reduced`` and ``_block_assembled``, so that a
     caller with many splits can take their inverses in stacked calls.
     """
-    a, b, d = _block_split(a, b, d)
+    a, d = _as_symmetric([a, d], ["block A", "block D"])
+    b = np.asarray(b, dtype=float)
+    if b.shape != (len(a), len(d)):
+        raise MatrixError(f"block B must have shape {(len(a), len(d))}, got {b.shape}")
     d_inv = _checked_inverse(d, "block D")
     bd, h = _kron_reduced(a, b, d_inv)
     return _block_assembled(laplacian_group_inverse(h), bd, d_inv)
-
-
-def _block_split(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``block_one_inverse``'s checked float copies of A, B and D; A and D symmetrised exactly."""
-    a = _as_symmetric(a, "block A")
-    d = _as_symmetric(d, "block D")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape != (a.shape[0], d.shape[0]):
-        raise MatrixError(
-            f"block B must have shape {(a.shape[0], d.shape[0])}, got {b.shape}"
-        )
-    return a, b, d
 
 
 def _kron_reduced(a: np.ndarray, b: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -910,18 +899,19 @@ def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
     Because L J = 0, the inverse is (L + aI)^{-1} + (1/(a(b - n)))J with
     n the order of L.  Requires a > 0 and b outside {0, n}; the computed
     product is checked against the identity, and a failure (for instance a
-    non-Laplacian input) raises SingularMatrixError.  The steps around the
-    one inverse are ``_rank_one_shift`` and ``_rank_one_inverse``.
+    non-Laplacian input) raises SingularMatrixError.  Past the check of L,
+    the steps around the one inverse are ``_rank_one_shift`` and
+    ``_rank_one_inverse``.
     """
-    shifted = _rank_one_shift(l, a, b)
+    (lap,) = _as_symmetric([l], ["Laplacian"])
+    shifted = _rank_one_shift(lap, a, b)
     x, _ = _rank_one_inverse(shifted, _checked_inverse(shifted, "L + aI"), a, b)
     return x
 
 
-def _rank_one_shift(l: np.ndarray, a: float, b: float) -> np.ndarray:
-    """L + aI for ``shifted_rank_one_inverse``, once L, a and b pass its checks; exactly symmetric."""
-    lap = _as_symmetric(l, "Laplacian")
-    n = lap.shape[-1]
+def _rank_one_shift(lap: np.ndarray, a: float, b: float) -> np.ndarray:
+    """L + aI for ``shifted_rank_one_inverse`` from ``_as_symmetric``'s L, once a and b pass its checks."""
+    n = len(lap)
     if not a > 0.0:
         raise MatrixError(f"shift a must be positive, got {a}")
     if b == 0.0 or b == float(n):

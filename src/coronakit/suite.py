@@ -20,23 +20,25 @@ instance on its part of that set.  So every crown of the run is inverted
 and checked once, in one ``sym_inverse`` call per layout order when the
 set is built, and summed in one spectral-sum call per layout order when
 the first instance reads the crown spectra; ``check_corona_instance`` called
-on crown graphs makes a set of its own.  Each case's base graph has its
-Laplacian group inverse taken once, as it is drawn, and handed to the
-identity battery as ``ls`` and to both kinds' blocks as ``l_sharp``, which
+on crown graphs makes a set of its own.  The identity battery is drawn per
+case, in the rng order above, and computed in the chunks ``_chunks``
+cuts (at most ``_CHUNK`` consecutive cases, fewer when their largest
+matrices would pass ``_CHUNK_ENTRIES`` entries): per chunk, one ``_as_symmetric`` call checks every split's A and D and
+every shift's L(H), one stacked Cholesky call (``linalg._sym_inverses``)
+takes every D block and every shift's L(H) + aI, and one
+``laplacian_group_inverses`` call every Kron-reduced H, base Laplacian and
+cut-vertex corona.  Each case's base group inverse is that call's member:
+the battery reads it, and both kinds' blocks take it as ``l_sharp``, which
 the map and the {1}-inverse read; the Kirchhoff index reads the base
 through the sparse factor, as ``corona kf`` does, and each report checks
-that value against the oracle.  Each corona's group inverse is taken
-once, by the oracle: the run checks its instances in chunks of
-consecutive ones, and each chunk's coronas go through one
-``laplacian_group_inverses`` call, each member bit for bit as alone, so
-an instance checked alone, a chunk of one, reports what it reports in a
-run.  The identity battery is drawn per case, in the rng order above,
-and computed in chunks of cases cut by the same rule: per chunk, one
-stacked Cholesky call (``linalg._sym_inverses``) takes every D block of a
-split and every shift's L(H) + aI, and one ``laplacian_group_inverses``
-call every Kron-reduced H and cut-vertex corona, each member bit for bit
-as alone.  So ``identity_residuals``, a chunk of one, reports bit for bit
-what its case reports in a run.
+that value against the oracle.  Each corona's group inverse is taken once,
+by the oracle: the run checks its instances in chunks cut by the same rule,
+and each chunk's coronas go through one ``laplacian_group_inverses`` call.
+The package's kernels give each matrix one answer, whatever it is stacked
+with, so an instance checked alone, a chunk of one whose blocks take the
+base group inverse themselves, reports bit for bit what it reports in a
+run, and ``identity_residuals``, the battery of one case, reports bit for
+bit what its case reports in a run.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ from . import closed_form
 from .corona import build
 from .graphs import Graph, laplacian, serialize_edge_list
 from .linalg import (
+    SCHUR_LEAF_ORDER,
+    _as_symmetric,
     _block_assembled,
-    _block_split,
     _kron_reduced,
     _rank_one_inverse,
     _rank_one_shift,
     _sym_inverses,
-    laplacian_group_inverse,
     laplacian_group_inverses,
     max_abs,
     verify_one_inverse,
@@ -161,7 +163,7 @@ def random_crowns(rng: random.Random, count: int, t_max: int = 3) -> tuple[Graph
 
 @dataclass(frozen=True)
 class _Case:
-    """One battery case: a connected graph, its Laplacian group inverse, and the battery's draws on it.
+    """One battery case: a connected graph and the battery's draws on it.
 
     ``k`` splits the Laplacian for the block {1}-inverse (0 when the graph
     has one vertex, and then there are no ``pairs`` or ``hosts`` either),
@@ -171,7 +173,6 @@ class _Case:
     """
 
     g: Graph
-    ls: np.ndarray
     k: int
     pairs: frozenset[tuple[int, int]]
     hosts: tuple[int, ...]
@@ -180,10 +181,8 @@ class _Case:
     b: float
 
 
-def _draw_case(g: Graph, rng: random.Random, ls: np.ndarray | None) -> _Case:
-    """The battery's draws on ``g``, in the battery's rng order; ``ls`` is taken alone when omitted."""
-    if ls is None:
-        ls = laplacian_group_inverse(laplacian(g))
+def _draw_case(g: Graph, rng: random.Random) -> _Case:
+    """The battery's draws on ``g``, in the battery's rng order."""
     n = g.n
     k, pairs, hosts = 0, frozenset(), ()
     if n >= 2:
@@ -195,49 +194,56 @@ def _draw_case(g: Graph, rng: random.Random, ls: np.ndarray | None) -> _Case:
     b = rng.uniform(0.1, 2.0 * max(shift.n, 1))
     if abs(b - shift.n) < 0.25:
         b = shift.n + 0.5
-    return _Case(g, ls, k, pairs, hosts, shift, a, b)
+    return _Case(g, k, pairs, hosts, shift, a, b)
 
 
-def _battery(cases: list[_Case]) -> list[dict[str, float]]:
-    """Residual per named identity for each case, with the cases' inverses in two stacked calls.
+def _battery(cases: list[_Case]) -> tuple[list[dict[str, float]], list[np.ndarray]]:
+    """Residual per named identity for each case, and each case's base group inverse L#.
 
-    Every D block of a split and every shift's L(H) + aI go through one
-    ``_sym_inverses`` call, and every Kron-reduced H and cut-vertex corona
-    Laplacian through one ``laplacian_group_inverses`` call; each member
-    comes out bit for bit as it would alone, so a case's residuals do not
-    depend on the cases it is computed with.  The algebra around those
-    inverses, and every check of ``block_one_inverse`` and
-    ``shifted_rank_one_inverse``, are the steps those two run through.
+    Every split's A and D and every shift's L(H) are checked in one
+    ``_as_symmetric`` call.  Every D block and every shift's L(H) + aI go
+    through one ``_sym_inverses`` call, and every Kron-reduced H, base
+    Laplacian and cut-vertex corona Laplacian, in that order, through one
+    ``laplacian_group_inverses`` call; each member comes out bit for bit as
+    it would alone, so a case's residuals do not depend on the cases it is
+    computed with.  The algebra around those inverses is the steps
+    ``block_one_inverse`` and ``shifted_rank_one_inverse`` run through.
     """
     laps = [laplacian(c.g) for c in cases]
-    splits = [
-        _block_split(lap[: c.k, : c.k], lap[: c.k, c.k :], lap[c.k :, c.k :])
-        for c, lap in zip(cases, laps)
-        if c.k
-    ]
-    shifts = [_rank_one_shift(laplacian(c.shift), c.a, c.b) for c in cases if c.shift.n]
-    inverses = _sym_inverses(
-        [d for _, _, d in splits] + shifts, ["block D"] * len(splits) + ["L + aI"] * len(shifts)
+    split = [(c, lap) for c, lap in zip(cases, laps) if c.k]
+    shifted = [c for c in cases if c.shift.n]
+    checked = _as_symmetric(
+        [lap[: c.k, : c.k] for c, lap in split]
+        + [lap[c.k :, c.k :] for c, lap in split]
+        + [laplacian(c.shift) for c in shifted],
+        ["block A"] * len(split) + ["block D"] * len(split) + ["Laplacian"] * len(shifted),
     )
-    d_invs = inverses[: len(splits)]
-    reduced = [_kron_reduced(a, b, d_inv) for (a, b, _), d_inv in zip(splits, d_invs)]
+    s = len(split)
+    shifts = [_rank_one_shift(lap, c.a, c.b) for c, lap in zip(shifted, checked[2 * s :])]
+    inverses = _sym_inverses(checked[s : 2 * s] + shifts, ["block D"] * s + ["L + aI"] * len(shifts))
+    d_invs = inverses[:s]
+    reduced = [
+        _kron_reduced(a, lap[: c.k, c.k :], d_inv)
+        for (c, lap), a, d_inv in zip(split, checked[:s], d_invs)
+    ]
     # Cut-vertex additivity on a corona built from each graph: pendant
     # crown vertices reach the rest only through their host, so the host
     # splits the resistance exactly.
     cuts = [
         build("r_vertex", c.g, tuple(Graph(1 if v in c.hosts else 0, ()) for v in range(c.g.n)))
-        for c in cases
-        if c.k
+        for c, _ in split
     ]
-    group = laplacian_group_inverses([h for _, h in reduced] + [laplacian(cut.graph) for cut in cuts])
-    hgs, cut_xs = group[: len(reduced)], group[len(reduced) :]
-    kron = iter(zip(d_invs, reduced, hgs, cuts, cut_xs))
-    shifted = iter(zip(shifts, inverses[len(splits) :]))
+    group = laplacian_group_inverses(
+        [h for _, h in reduced] + laps + [laplacian(cut.graph) for cut in cuts]
+    )
+    bases = group[s : s + len(cases)]
+    kron = iter(zip(d_invs, reduced, group[:s], cuts, group[s + len(cases) :]))
+    shifted_pairs = iter(zip(shifts, inverses[s:]))
 
     out = []
-    for c, lap in zip(cases, laps):
+    for c, lap, ls in zip(cases, laps, bases):
         n = c.g.n
-        residuals = {"group_inverse_nullvector": max_abs(c.ls @ np.ones(n))}
+        residuals = {"group_inverse_nullvector": max_abs(ls @ np.ones(n))}
         if c.k:
             d_inv, (bd, _), hg, cut, cut_x = next(kron)
             x = _block_assembled(hg, bd, d_inv)
@@ -245,9 +251,9 @@ def _battery(cases: list[_Case]) -> list[dict[str, float]]:
                 1.0, max_abs(lap)
             )
             residuals["kirchhoff_two_routes"] = abs(
-                kirchhoff_from_one_inverse(c.ls) - kirchhoff_from_one_inverse(x)
+                kirchhoff_from_one_inverse(ls) - kirchhoff_from_one_inverse(x)
             )
-            r = resistances_from_inverse(c.ls)
+            r = resistances_from_inverse(ls)
             residuals["edge_resistance_sum"] = edge_sum_check(c.g, r)
             residuals["neighbor_recursion"] = max(
                 neighbor_recursion_check(c.g, r, i, j) for i, j in c.pairs
@@ -258,45 +264,45 @@ def _battery(cases: list[_Case]) -> list[dict[str, float]]:
                 resistances_from_inverse(cut_x), pendant, first, second
             )
         if c.shift.n:
-            shift, shift_inv = next(shifted)
+            shift, shift_inv = next(shifted_pairs)
             _, residuals["shifted_inverse_scaled"] = _rank_one_inverse(shift, shift_inv, c.a, c.b)
         out.append(residuals)
-    return out
+    return out, bases
 
 
-def identity_residuals(
-    g: Graph, rng: random.Random, ls: np.ndarray | None = None
-) -> dict[str, float]:
+def identity_residuals(g: Graph, rng: random.Random) -> dict[str, float]:
     """Residual per named identity, evaluated on one connected graph.
 
     The block-inverse and shifted-inverse draws use the rng so the battery
-    covers a different split and shift on every graph.  ``ls`` is the group
-    inverse of L(g), taken here when omitted; ``run_suite`` hands in the
-    one it takes per case and shares with both corona kinds' blocks.  This
-    is the battery of one case: ``run_identity_battery`` and ``run_suite``
-    draw their cases the same way and compute them in chunks, with the same
-    bits per case.
+    covers a different split and shift on every graph.  This is the battery
+    of one case: ``run_identity_battery`` and ``run_suite`` draw their
+    cases the same way and compute them in chunks, with the same bits per
+    case.
     """
-    (out,) = _battery([_draw_case(g, rng, ls)])
+    (out,), _ = _battery([_draw_case(g, rng)])
     return out
 
 
-def _worst(cases: list[_Case]) -> dict[str, float]:
-    """Worst residual per identity over the cases, computed in chunks as ``_chunks`` cuts them."""
+def _worst(cases: list[_Case]) -> tuple[dict[str, float], list[np.ndarray]]:
+    """Worst residual per identity over the cases, and each case's base L#, in chunks as ``_chunks`` cuts them."""
     worst: dict[str, float] = {}
+    bases: list[np.ndarray] = []
     # A case's largest matrix is its cut-vertex corona, of order n + m + 2.
     for chunk in _chunks(cases, [c.g.n + c.g.m + len(c.hosts) for c in cases]):
-        for residuals in _battery(chunk):
+        out, ls = _battery(chunk)
+        bases += ls
+        for residuals in out:
             for name, value in residuals.items():
                 worst[name] = max(worst.get(name, 0.0), value)
-    return worst
+    return worst, bases
 
 
 def run_identity_battery(seed: int, count: int, n_max: int = 10) -> tuple[dict[str, float], int]:
     """Worst residual per identity over ``count`` random connected graphs of order 2..n_max."""
     rng = random.Random(seed)
-    cases = [_draw_case(random_connected_graph(rng, 2, n_max), rng, None) for _ in range(count)]
-    return _worst(cases), count
+    cases = [_draw_case(random_connected_graph(rng, 2, n_max), rng) for _ in range(count)]
+    worst, _ = _worst(cases)
+    return worst, count
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +350,7 @@ _KINDS = {"r_vertex": "rv_blocks", "r_edge": "re_blocks"}
 # coronas of the Cholesky leaf order), so large crowns cannot make one
 # chunk hold many large coronas at once; a corona past it is a chunk alone.
 _CHUNK = 64
-_CHUNK_ENTRIES = _CHUNK * 64 * 64
+_CHUNK_ENTRIES = _CHUNK * SCHUR_LEAF_ORDER**2
 
 
 def _chunks(items: list, orders: list[int]) -> Iterator[list]:
@@ -564,8 +570,8 @@ def run_suite(
     inside its tolerance.  Every case is drawn before any instance is
     checked, so that one ``CrownSet`` holds every crown of the run and
     each instance reads its part of it.  Each base's group inverse is
-    taken once, as the case is drawn, and serves its battery and both of
-    its instances.  The instances are checked in order, in chunks of at
+    taken once, in its battery chunk's stacked call, and serves its battery
+    and both of its instances.  The instances are checked in order, in chunks of at
     most ``_CHUNK`` whose corona Laplacians hold at most ``_CHUNK_ENTRIES``
     entries in all (a larger corona is a chunk alone), and each chunk takes
     its oracle group inverses in one stacked call.
@@ -580,17 +586,17 @@ def run_suite(
     drawn: list[tuple[_Case, tuple[Graph, ...], tuple[Graph, ...]]] = []
     for _ in range(cases):
         g = random_connected_graph(rng, 2, n_max, m_max=8)
-        case = _draw_case(g, rng, laplacian_group_inverse(laplacian(g)))
+        case = _draw_case(g, rng)
         drawn.append((case, random_crowns(rng, g.n, t_max), random_crowns(rng, g.m, t_max)))
-    identity_worst = _worst([case for case, _, _ in drawn])
+    identity_worst, bases = _worst([case for case, _, _ in drawn])
     crown_set = closed_form.CrownSet.of(tuple(c for _, rv, re in drawn for c in rv + re))
     todo: list[_Instance] = []
     orders: list[int] = []
     lo = 0
-    for number, (case, rv, re) in enumerate(drawn):
+    for number, ((case, rv, re), ls) in enumerate(zip(drawn, bases)):
         g = case.g
         for kind, crowns in (("r_vertex", rv), ("r_edge", re)):
-            todo.append((kind, g, crown_set.part(lo, lo + len(crowns)), number, case.ls))
+            todo.append((kind, g, crown_set.part(lo, lo + len(crowns)), number, ls))
             orders.append(g.n + g.m + sum(c.n for c in crowns))
             lo += len(crowns)
     instances = [report for chunk in _chunks(todo, orders) for report in _check_instances(chunk)]

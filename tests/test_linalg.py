@@ -229,9 +229,10 @@ def test_group_inverse_of_triangle_is_known():
 @pytest.mark.parametrize("n", [7, 150])
 def test_group_inverse_checks_its_input_once(monkeypatch, n):
     # L + J/n is exactly symmetric by construction, so only L is checked,
-    # once, by the Laplacian check that stacked calls share, and the result
-    # is bit for bit that of checking L + J/n a second time (n = 150 also
-    # runs the Schur split of the Cholesky kernel).
+    # once: one ``_shifted_laplacians`` call, whose one ``_as_symmetric``
+    # call is the finite and symmetric check.  The result is bit for bit
+    # that of checking L + J/n a second time (n = 150 also runs the Schur
+    # split of the Cholesky kernel).
     rng = np.random.default_rng(n)
     edges = {(i, i + 1) for i in range(n - 1)}
     edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(n // 3)}
@@ -242,7 +243,8 @@ def test_group_inverse_checks_its_input_once(monkeypatch, n):
     monkeypatch.setattr(linalg, "_as_symmetric", second)
     got = laplacian_group_inverse(lap)
     assert checks.call_count == 1
-    assert second.call_count == 0
+    assert second.call_count == 1
+    assert [a.shape for a in second.call_args.args[0]] == [(n, n)]
     j = np.full((n, n), 1.0 / n)
     shifted = lap + j
     x = sym_inverse(shifted, "L + J/n")
@@ -364,23 +366,17 @@ def _spd(rng, n):
 
 
 @pytest.mark.parametrize("orders", [range(1, 65), range(65, 131)], ids=["leaf", "schur"])
-def test_one_matrix_rows_match_the_reference_body(orders, monkeypatch):
+def test_one_matrix_rows_match_the_reference_body(orders):
     # A single matrix runs its Cholesky rows on 1-D vectors and numpy
-    # scalars; every inverse and pivot is bit for bit what the (..., j, 1)
-    # body gives on the same matrix, through the Schur split too.  A
-    # 1-member stack agrees to roundoff: its 1 / sqrt(p) is an array power,
-    # which numpy may round differently from the scalar power.
+    # scalars; every inverse and pivot is bit for bit what
+    # ``_bordered_inverse`` gives on the same matrix as a (1, n, n) stack,
+    # through the (..., j, 1) rows, and through the Schur split too.
     rng = np.random.default_rng(23)
-    mats = [_spd(rng, n) for n in orders]
-    got = [linalg._spd_inverse(a) for a in mats]
-    stacked = [linalg._spd_inverse(a[None]) for a in mats]
-    monkeypatch.setattr(linalg, "_bordered_inverse", linalg._bordered_stack)
-    for a, (x, pivots), (xs, ps) in zip(mats, got, stacked):
-        ref_x, ref_pivots = linalg._spd_inverse(a)
-        npt.assert_array_equal(x, ref_x)
-        npt.assert_array_equal(pivots, ref_pivots)
-        npt.assert_allclose(xs[0], x, rtol=0, atol=1e-14 * max_abs(x))
-        npt.assert_allclose(ps[0], pivots, rtol=1e-13)
+    for a in (_spd(rng, n) for n in orders):
+        x, pivots = linalg._spd_inverse(a)
+        xs, ps = linalg._spd_inverse(a[None])
+        assert x.tobytes() == xs[0].tobytes()
+        assert pivots.tobytes() == ps[0].tobytes()
 
 
 def _singular_message(m):
@@ -389,10 +385,10 @@ def _singular_message(m):
     return str(err.value)
 
 
-def test_singular_input_fails_alike_as_one_matrix_and_as_a_stack(monkeypatch):
+def test_singular_input_fails_alike_as_one_matrix_and_as_a_stack():
     # The first failing row and its pivot (exact here) are reported the
-    # same for one matrix, a 1-member stack and the reference body, below
-    # and past the Schur split.
+    # same for one matrix and for a 1-member stack, which runs the
+    # reference body, below and past the Schur split.
     cases = []
     for n, row in ((5, 2), (100, 70)):
         a = np.diag(np.arange(1.0, n + 1.0))
@@ -405,9 +401,6 @@ def test_singular_input_fails_alike_as_one_matrix_and_as_a_stack(monkeypatch):
         one = _singular_message(a)
         assert one.endswith(f"(pivot {pivot} at row {row})")
         assert _singular_message(a[None]) == one
-        with monkeypatch.context() as patched:
-            patched.setattr(linalg, "_bordered_inverse", linalg._bordered_stack)
-            assert _singular_message(a) == one
 
 
 def test_group_inverse_refinement_does_not_raise_the_residual():
@@ -444,29 +437,38 @@ def test_stacked_group_inverses_match_one_member_calls_bit_for_bit():
     # Orders 1-64 share one padded stack, shuffled so that small members sit
     # among larger ones; 0, 65 and 100 ride along (empty, and on their own
     # through the Schur split).  Each member is bit for bit its one-member
-    # call, and agrees with laplacian_group_inverse to a bound fixed by the
-    # dtype: the two differ only in how 1 / sqrt(p) is rounded.
+    # call, which is laplacian_group_inverse.
     orders = list(range(0, 65)) + [65, 100]
     np.random.default_rng(7).shuffle(orders)
     laps = _random_laplacians(5, orders)
     got = linalg.laplacian_group_inverses(laps)
     assert len(got) == len(laps)
-    tol = 2**7 * np.finfo(np.float64).eps
     for lap, x in zip(laps, got):
         (alone,) = linalg.laplacian_group_inverses([lap])
         assert x.shape == lap.shape
-        assert x.tobytes() == alone.tobytes()
-        ref = laplacian_group_inverse(lap)
-        assert max_abs(x - ref) <= tol * max(1.0, max_abs(ref))
-    # Members past the Schur split take the one-matrix route itself.
-    for lap, x in zip(laps, got):
-        if len(lap) > linalg.SCHUR_LEAF_ORDER:
+        assert x.tobytes() == alone.tobytes() == laplacian_group_inverse(lap).tobytes()
+
+
+def test_stacked_members_are_the_lone_inverse_bit_for_bit():
+    # One answer per matrix: on random mixes of orders 1-80, members on both
+    # sides of SCHUR_LEAF_ORDER, every member of a stacked call is bit for
+    # bit the lone call on the same matrix, whether its stack-mates share
+    # its padded Cholesky loop or it is inverted on its own.
+    rng = np.random.default_rng(31)
+    for seed in range(6):
+        orders = [int(n) for n in rng.integers(1, 81, size=int(rng.integers(2, 12)))]
+        laps = _random_laplacians(seed, orders)
+        for lap, x in zip(laps, linalg.laplacian_group_inverses(laps)):
             assert x.tobytes() == laplacian_group_inverse(lap).tobytes()
+        mats = [_spd(rng, n) for n in orders]
+        whats = ["member"] * len(mats)
+        for a, x in zip(mats, linalg._sym_inverses(mats, whats)):
+            assert x.tobytes() == sym_inverse(a).tobytes()
 
 
 def _one_member_recipe(lap):
     """A member's group inverse as a stacked call took it with each member checked on its own."""
-    a = linalg._as_symmetric(lap, "Laplacian")
+    (a,) = linalg._as_symmetric([lap], ["Laplacian"])
     n = len(a)
     if n == 0:
         return a
@@ -494,9 +496,9 @@ def test_stacked_group_inverses_checked_once_give_the_per_member_bits():
 
 
 def test_stacked_group_inverses_name_the_lowest_bad_member():
-    # Each member is checked for shape, then finiteness, symmetry and row
-    # sums; whichever check fails and whichever stack a member is checked
-    # in, the error names the lowest failing member, as one-by-one checks did.
+    # Every member is checked for shape, finiteness and symmetry before any
+    # row sum is; whichever stack a member is checked in, the error names
+    # the lowest member that fails the first check any member fails.
     good = laplacian(path_graph(3))
     big = laplacian(path_graph(70))
     nan = good.copy()
@@ -510,7 +512,8 @@ def test_stacked_group_inverses_name_the_lowest_bad_member():
         ([good, inf, np.triu(good)], "^Laplacian 1 has non-finite entries$"),
         ([np.triu(good), inf], "^Laplacian 0 is not symmetric$"),
         ([good, big_asymmetric, nan], "^Laplacian 1 is not symmetric$"),
-        ([big, good + np.eye(3), big_asymmetric], "^Laplacian 1 rows must sum to zero$"),
+        ([big, good + np.eye(3), big_asymmetric], "^Laplacian 2 is not symmetric$"),
+        ([big, big + np.eye(70), good + np.eye(3)], "^Laplacian 1 rows must sum to zero$"),
     ):
         with pytest.raises(MatrixError, match=want):
             linalg.laplacian_group_inverses(members)

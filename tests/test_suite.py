@@ -126,7 +126,6 @@ def test_instance_does_each_piece_of_work_once(kind):
         mock.patch.object(closed_form, "one_inverse", wraps=closed_form.one_inverse) as assemble,
         mock.patch.object(closed_form, "_crown_eigen_sums", wraps=closed_form._crown_eigen_sums) as eigen,
         mock.patch.object(closed_form, "laplacian_group_inverse", ginv),
-        mock.patch.object(suite, "laplacian_group_inverse", ginv),
         mock.patch.object(suite, "laplacian_group_inverses", stacked),
         mock.patch.object(resistance, "laplacian_group_inverse", ginv),
     ):
@@ -161,40 +160,38 @@ def test_instance_checks_the_kind_before_building(kind):
 
 def test_identity_battery_solves_its_graph_once():
     # The edge-sum and neighbor-recursion checks read the resistances of the
-    # graph's own group inverse, the one lone group inverse the battery
-    # takes, and none when the caller hands it in.  The Kron-reduced H and
-    # the cut-vertex corona (order n + m + 2) go through one stacked group
-    # inverse call, and the D block and the shift's L(H) + aI through one
-    # stacked Cholesky call; nothing goes through the oracle's
-    # resistance_matrix.  Every residual is bit for bit the same either way.
+    # graph's own group inverse, taken in the battery's one stacked group
+    # inverse call with the Kron-reduced H and the cut-vertex corona (order
+    # n + m + 2), and bit for bit the lone call's; no group inverse is a
+    # lone call.  The split's A and D and the shift's L(H) are checked in one
+    # _as_symmetric call, and the D block and the shift's L(H) + aI inverted
+    # in one stacked Cholesky call; nothing goes through the oracle's
+    # resistance_matrix.
     g = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)))
-    ls = linalg.laplacian_group_inverse(laplacian(g))
-    ginv = mock.Mock(wraps=linalg.laplacian_group_inverse)
+    lone = mock.Mock(side_effect=AssertionError("the battery took a lone group inverse"))
     stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
     cholesky = mock.Mock(wraps=linalg._sym_inverses)
+    checks = mock.Mock(wraps=linalg._as_symmetric)
     oracle = mock.Mock(side_effect=AssertionError("the battery called the oracle"))
     with (
-        mock.patch.object(suite, "laplacian_group_inverse", ginv),
+        mock.patch.object(linalg, "laplacian_group_inverse", lone),
         mock.patch.object(suite, "laplacian_group_inverses", stacked),
         mock.patch.object(suite, "_sym_inverses", cholesky),
+        mock.patch.object(suite, "_as_symmetric", checks),
         mock.patch.object(resistance, "laplacian_group_inverse", oracle),
     ):
         out = suite.identity_residuals(g, random.Random(4))
-        taken = [c.args[0].shape for c in ginv.call_args_list]
-        ginv.reset_mock()
-        handed = suite.identity_residuals(g, random.Random(4), ls)
     assert set(out) == set(suite.IDENTITY_TOLERANCES)
-    assert taken == [(g.n, g.n)]
-    assert ginv.call_count == 0
-    # Random(4) splits at k = 2, so H is 2 x 2 and D is 3 x 3, and draws a
-    # shift crown of order 3.
-    assert stacked.call_count == cholesky.call_count == 2
-    for call in stacked.call_args_list:
-        assert [lap.shape[0] for lap in call.args[0]] == [2, g.n + g.m + 2]
-    for call in cholesky.call_args_list:
-        assert [a.shape[0] for a in call.args[0]] == [3, 3]
-        assert call.args[1] == ["block D", "L + aI"]
-    assert _bits(handed) == _bits(out)
+    # Random(4) splits at k = 2, so A and H are 2 x 2 and D is 3 x 3, and
+    # draws a shift crown of order 3.
+    assert stacked.call_count == cholesky.call_count == checks.call_count == 1
+    assert [lap.shape[0] for lap in stacked.call_args.args[0]] == [2, g.n, g.n + g.m + 2]
+    assert [a.shape[0] for a in cholesky.call_args.args[0]] == [3, 3]
+    assert cholesky.call_args.args[1] == ["block D", "L + aI"]
+    assert [a.shape[0] for a in checks.call_args.args[0]] == [2, 3, 3]
+    assert checks.call_args.args[1] == ["block A", "block D", "Laplacian"]
+    ls = linalg.laplacian_group_inverse(laplacian(g))
+    assert _bits(out)["group_inverse_nullvector"] == np.float64(linalg.max_abs(ls @ np.ones(g.n))).tobytes()
 
 
 def test_run_identity_battery_is_the_one_case_battery_in_chunks():
@@ -280,16 +277,15 @@ def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
 def test_run_suite_identity_worst_is_the_worst_one_case_battery(cases):
     # The run computes the battery in chunks of cases, with each stacked
     # member bit for bit as alone, so each identity's worst is bit for bit
-    # the largest over one-case batteries on the same draws and the same
-    # base group inverses; 70 cases make two battery chunks.
+    # the largest over one-case batteries on the same draws; 70 cases make
+    # two battery chunks.
     for seed in (0, 17, 404):
         report = suite.run_suite(seed=seed, cases=cases)
         rng = random.Random(seed)
         want: dict[str, float] = {}
         for _ in range(cases):
             g = suite.random_connected_graph(rng, 2, 5, m_max=8)
-            ls = linalg.laplacian_group_inverse(laplacian(g))
-            for name, value in suite.identity_residuals(g, rng, ls).items():
+            for name, value in suite.identity_residuals(g, rng).items():
                 want[name] = max(want.get(name, 0.0), value)
             suite.random_crowns(rng, g.n, 3)
             suite.random_crowns(rng, g.m, 3)
@@ -297,30 +293,28 @@ def test_run_suite_identity_worst_is_the_worst_one_case_battery(cases):
 
 
 def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
-    # Per case, one lone group inverse, the base's (shared by the battery
-    # and both kinds' blocks): 5 for 5 cases, where each case's Kron-reduced
-    # H and cut-vertex corona took two more until they were stacked.  The
-    # battery's 5 H and 5 cut-vertex coronas take theirs in one stacked call,
-    # and the 10 oracle coronas in one more.  No battery inverse is a lone
-    # sym_inverse call: the 5 D blocks and the shifts' L(H) + aI are one
-    # stacked Cholesky call.
-    taken = []
-    real = linalg.laplacian_group_inverse
+    # No lone group inverse: each case's base L# is taken once, as a member
+    # of the battery's one stacked call, after the 5 Kron-reduced H and
+    # before the 5 cut-vertex coronas, and both kinds' blocks read that
+    # member; the 10 oracle coronas take theirs in one more stacked call.
+    # No battery inverse is a lone sym_inverse call: the 5 D blocks and the
+    # shifts' L(H) + aI are one stacked Cholesky call.
+    returned = []
 
-    def ginv(lap):
-        taken.append(real(lap))
-        return taken[-1]
+    def take(laps):
+        returned.append(linalg.laplacian_group_inverses(laps))
+        return returned[-1]
 
-    stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
+    lone = mock.Mock(side_effect=AssertionError("a lone group inverse"))
+    stacked = mock.Mock(side_effect=take)
     cholesky = mock.Mock(wraps=linalg._sym_inverses)
-    lone = mock.Mock(wraps=linalg.sym_inverse)
+    sym = mock.Mock(wraps=linalg.sym_inverse)
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
-        mock.patch.object(closed_form, "laplacian_group_inverse", ginv),
-        mock.patch.object(linalg, "laplacian_group_inverse", ginv),
-        mock.patch.object(linalg, "sym_inverse", lone),
-        mock.patch.object(resistance, "laplacian_group_inverse", ginv),
-        mock.patch.object(suite, "laplacian_group_inverse", ginv),
+        mock.patch.object(closed_form, "laplacian_group_inverse", lone),
+        mock.patch.object(linalg, "laplacian_group_inverse", lone),
+        mock.patch.object(linalg, "sym_inverse", sym),
+        mock.patch.object(resistance, "laplacian_group_inverse", lone),
         mock.patch.object(suite, "laplacian_group_inverses", stacked),
         mock.patch.object(suite, "_sym_inverses", cholesky),
     ):
@@ -328,17 +322,17 @@ def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
     assert report.verdict == "pass"
     drawn = _drawn_instances(1, 5, 5, 3)
     bases = [g for kind, g, _, _ in drawn if kind == "r_vertex"]
-    assert len(taken) == 5
-    for case, g in enumerate(bases):
-        assert taken[case].shape == (g.n, g.n)
-        # Both kinds' blocks read the base inverse the case took.
-        assert all(c.args[3] is taken[case] for c in blocks.call_args_list[2 * case : 2 * case + 2])
     assert stacked.call_count == 2
     battery, oracles = ([lap.shape[0] for lap in c.args[0]] for c in stacked.call_args_list)
     assert all(0 < k < g.n for k, g in zip(battery[:5], bases))
-    assert battery[5:] == [g.n + g.m + 2 for g in bases]
+    assert battery[5:10] == [g.n for g in bases]
+    assert battery[10:] == [g.n + g.m + 2 for g in bases]
     assert oracles == [g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn]
-    assert lone.call_count == 0
+    # Both kinds' blocks read the base inverse the battery took.
+    for case in range(5):
+        base = returned[0][5 + case]
+        assert all(c.args[3] is base for c in blocks.call_args_list[2 * case : 2 * case + 2])
+    assert sym.call_count == 0
     assert cholesky.call_count == 1
     members, whats = cholesky.call_args.args
     assert [a.shape[0] for a in members[:5]] == [g.n - k for g, k in zip(bases, battery)]
@@ -403,10 +397,11 @@ def test_run_suite_checks_its_instances_in_bounded_chunks():
         with mock.patch.object(suite, "laplacian_group_inverses", stacked):
             report = suite.run_suite(seed=seed, cases=cases, t_max=t_max)
         assert report.verdict == "pass"
-        # The first call is the battery's one chunk, every case's H and
-        # then every case's cut-vertex corona; the oracle chunks follow.
+        # The first call is the battery's one chunk, every case's H, then
+        # every case's base and then every case's cut-vertex corona; the
+        # oracle chunks follow.
         battery, *chunks = ([lap.shape[0] for lap in c.args[0]] for c in stacked.call_args_list)
-        assert len(battery) == 2 * cases
+        assert len(battery) == 3 * cases
         drawn = _drawn_instances(seed, cases, 5, t_max)
         assert [order for chunk in chunks for order in chunk] == [
             g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn
