@@ -20,7 +20,7 @@ Cholesky solve: the dense L# deflates the all-ones null vector as
 (L(G) + J/n)^{-1} - J/n, and the crowns of each layout order t + t % 2
 are inverted as one stack.  No matrix larger than the base graph is
 inverted, and none is pseudo-inverted.  The blocks hold only base- and
-crown-order data, and take the dense L# only when first read: the map, a
+crown-order data, and the dense L# is taken only when first read: the map, a
 single pair and the {1}-inverse read skeleton cells of it through one
 gather, at most two for a pair, and crown cells off the stacks through
 another (``_crown_cells``), at most four for a pair.  The Kirchhoff index
@@ -31,12 +31,19 @@ base-order work with nothing n x n formed.  The one spectral read is in
 spectral sum on purpose, by a tridiagonal kernel that shares no code with
 the Cholesky inverses, on the Laplacian stacks the inverses read.
 
-A crown's inverse, its identity G 1 = 1 and its spectrum depend on
-nothing but the crown, so the crown side is its own type, ``CrownSet``,
-which keeps the crown graphs, and the blocks take the graphs or a set
-already built.  ``CrownSet.of`` is the one crown pass: it inverts, totals
-and checks each crown once, and nothing else computes or judges that
-identity.  A caller that checks many coronas, as the suite does, builds
+Everything read of the base, its connectivity, its skeleton ends, the
+dense L# and the sparse factor, depends on nothing but G, so the base side
+is its own type, ``BaseSide``, which checks G once and takes each inverse
+at most once, on first read; the blocks take the graph or a side already
+built.  A caller that checks both kinds over one base, as the suite does,
+builds one side and hands it to both: the base is then checked and
+factored once, and a dense L# the caller has taken already is handed to
+``BaseSide.of``.  Likewise, a crown's inverse, its identity G 1 = 1 and
+its spectrum depend on nothing but the crown, so the crown side is its own
+type, ``CrownSet``, which keeps the crown graphs, and the blocks take the
+graphs or a set already built.  ``CrownSet.of`` is the one crown pass: it
+inverts, totals and checks each crown once, and nothing else computes or
+judges that identity.  A caller that checks many coronas, as the suite does, builds
 one set over all their crowns and hands each corona its ``part``: every
 crown of the run is then inverted, checked and summed once, in one stacked
 call per layout order.
@@ -190,12 +197,68 @@ class CrownSet:
 
 
 @dataclass(frozen=True, eq=False)
+class BaseSide:
+    """The base side of the closed route: everything it reads of a connected base G.
+
+    Both corona kinds are the skeleton R(G) with crowns hung off it, so
+    what the closed route reads of the base depends on G alone.  ``of``
+    checks G once, nonempty and connected, and keeps ``ends``: for each of
+    the n + m skeleton vertices, the two base vertices (p, q) it joins,
+    (i, i) for original vertex i and edge k's endpoints for edge-vertex
+    n + k.  The base's group inverse is read two ways, each taken at most
+    once: ``l_sharp``, the dense n x n L# that the map, a pair and the
+    {1}-inverse read, handed in or taken on first read; and ``factor``, the
+    sparse ``GroundedFactor`` of L(G) that the Kirchhoff index reads, taken
+    from the edge list on first read.  The (n + m)-square skeleton corner
+    is not kept: each read gathers what it needs of it from ``l_sharp``.
+    """
+
+    graph: Graph
+    ends: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, g: Graph, l_sharp: np.ndarray | None = None) -> BaseSide:
+        """The base side of a connected ``g``, holding ``l_sharp`` as its dense L# if given.
+
+        A base with no vertex or a disconnected one raises, as does an
+        ``l_sharp`` not of shape (n, n).
+        """
+        if g.n < 1:
+            raise ValueError("base graph must have at least one vertex")
+        if not is_connected(g):
+            raise resistance.DisconnectedGraphError("closed forms need a connected base graph")
+        if l_sharp is not None and l_sharp.shape != (g.n, g.n):
+            raise ValueError(f"l_sharp must have shape {(g.n, g.n)}, got {l_sharp.shape}")
+        eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+        # Skeleton vertex i joins (i, i), edge-vertex n + k edge k's ends.
+        i = np.arange(g.n)
+        side = cls(g, (np.concatenate([i, eu]), np.concatenate([i, ev])))
+        if l_sharp is not None:
+            # The cached property's slot: a handed-in L# is read as if taken.
+            vars(side)["l_sharp"] = l_sharp
+        return side
+
+    @functools.cached_property
+    def l_sharp(self) -> np.ndarray:
+        """The dense group inverse of L(G): the one handed in, or taken on first read."""
+        return laplacian_group_inverse(laplacian(self.graph))
+
+    @functools.cached_property
+    def factor(self) -> GroundedFactor:
+        """The sparse factor of L(G) over the base edge list, taken on first read."""
+        n = self.graph.n
+        return GroundedFactor.of(n, *(e[n:] for e in self.ends))
+
+
+@dataclass(frozen=True, eq=False)
 class CoronaBlocks:
     """Ingredients of either corona's structured {1}-inverse.
 
-    Everything stored is of base or crown order.  ``ends`` gives, for each
-    of the n + m skeleton vertices, the two base vertices (p, q) it joins:
-    (i, i) for original vertex i, edge k's endpoints for edge-vertex n + k.
+    Everything stored is of base or crown order.  ``side`` is the
+    ``BaseSide`` of the base, built for these blocks alone or shared by
+    every corona over the same base, as the suite shares it between both
+    kinds: ``base``, ``ends`` and ``l_sharp`` read its graph, its skeleton
+    ends and its dense L#, and the Kirchhoff index reads its sparse factor.
     ``hosts`` gives each crown's anchor, the skeleton vertex it hangs from:
     original vertex i for R-vertex, edge-vertex n + k for R-edge, as
     ``corona.crown_anchors`` gives it; this is the only datum in which the
@@ -207,83 +270,59 @@ class CoronaBlocks:
     collapses the Schur complement to (3/2) L(G) and the edge-block
     complement to 2I, is not held here: ``CrownSet.of`` checks it once per
     crown.
-
-    The base enters through L(G)'s group inverse.  ``given`` is a dense one
-    the caller handed in, or None.  ``l_sharp`` is the dense n x n one:
-    ``given``, or the dense kernel's on first read and then kept; the map,
-    a pair and the {1}-inverse read it, and ``kirchhoff_terms`` reads
-    neither.
     """
 
     kind: str
-    base: Graph
-    ends: tuple[np.ndarray, np.ndarray]
+    side: BaseSide
     hosts: np.ndarray
     anchor: np.ndarray
     crowns: CrownSet
-    given: np.ndarray | None = field(default=None, repr=False)
 
-    @functools.cached_property
+    @property
+    def base(self) -> Graph:
+        return self.side.graph
+
+    @property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.side.ends
+
+    @property
     def l_sharp(self) -> np.ndarray:
-        """The dense group inverse of L(G): the one handed in, or taken on first read."""
-        if self.given is not None:
-            return self.given
-        return laplacian_group_inverse(laplacian(self.base))
+        """The base side's dense group inverse of L(G), taken on first read if it was not handed in."""
+        return self.side.l_sharp
 
 
-def _require_closed_form_input(g: Graph) -> None:
-    if g.n < 1:
-        raise ValueError("base graph must have at least one vertex")
-    if not is_connected(g):
-        raise resistance.DisconnectedGraphError(
-            "closed forms need a connected base graph"
-        )
+def _blocks(kind: str, base: Graph | BaseSide, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
+    """Compute either corona's block ingredients for a connected base.
 
-
-def _blocks(
-    kind: str, g: Graph, crowns: tuple[Graph, ...] | CrownSet, l_sharp: np.ndarray | None = None
-) -> CoronaBlocks:
-    """Compute either corona's block ingredients for a connected base ``g``.
-
+    ``base`` is the base graph, checked here as a ``BaseSide`` of its own,
+    or a side already built, such as the one the suite shares between both
+    kinds over one base; the blocks then check nothing of the base.
     ``crowns`` is the crown graphs, inverted and checked here as a
     ``CrownSet`` of their own, or a set already built, such as one corona's
-    part of a larger set; the blocks then make no crown kernel call.
-    ``l_sharp`` is the dense group inverse of L(G), if the caller has taken
-    it already, as the suite does once per base for its battery and both
-    kinds; when omitted, the blocks take it only on first read of
-    ``l_sharp``.  The Kirchhoff index reads neither.  The crown identity
-    is checked only when a set is built, by ``CrownSet.of``; the blocks
-    take a set's totals as they are.
+    part of a larger set; the blocks then make no crown kernel call.  The
+    crown identity is checked only when a set is built, by ``CrownSet.of``;
+    the blocks take a set's totals as they are.
     """
-    _require_closed_form_input(g)
+    side = base if isinstance(base, BaseSide) else BaseSide.of(base)
     if not isinstance(crowns, CrownSet):
         crowns = CrownSet.of(crowns)
-    eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
-    # Skeleton vertex i joins (i, i), edge-vertex n + k edge k's ends.
-    i = np.arange(g.n)
-    ends = (np.concatenate([i, eu]), np.concatenate([i, ev]))
-    hosts = np.array(crown_anchors(kind, g, crowns), dtype=np.intp)
-    if l_sharp is not None and l_sharp.shape != (g.n, g.n):
-        raise ValueError(f"l_sharp must have shape {(g.n, g.n)}, got {l_sharp.shape}")
-    return CoronaBlocks(kind, g, ends, hosts, np.repeat(hosts, crowns.sizes), crowns, l_sharp)
+    hosts = np.array(crown_anchors(kind, side.graph, crowns), dtype=np.intp)
+    return CoronaBlocks(kind, side, hosts, np.repeat(hosts, crowns.sizes), crowns)
 
 
 # The six rv_/re_ wrappers stay until the benchmark is repaired: its selftest
 # patches the four rv_/re_resistance_matrix and rv_/re_kirchhoff_terms and
 # reads rv_/re_blocks, and its tracer keys the dispatch, blocks and Kirchhoff
 # spans on all six names.
-def rv_blocks(
-    g: Graph, crowns: tuple[Graph, ...] | CrownSet, l_sharp: np.ndarray | None = None
-) -> CoronaBlocks:
+def rv_blocks(g: Graph | BaseSide, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
     """Compute and sanity-check the R-vertex corona's block ingredients."""
-    return _blocks("r_vertex", g, crowns, l_sharp)
+    return _blocks("r_vertex", g, crowns)
 
 
-def re_blocks(
-    g: Graph, crowns: tuple[Graph, ...] | CrownSet, l_sharp: np.ndarray | None = None
-) -> CoronaBlocks:
+def re_blocks(g: Graph | BaseSide, crowns: tuple[Graph, ...] | CrownSet) -> CoronaBlocks:
     """Compute and sanity-check the R-edge corona's block ingredients."""
-    return _blocks("r_edge", g, crowns, l_sharp)
+    return _blocks("r_edge", g, crowns)
 
 
 def _skeleton_block(blocks: CoronaBlocks, at: np.ndarray) -> np.ndarray:
@@ -460,8 +499,9 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
 
     Lg is read only as its diagonal and trace, its cells on base edges and
     at the hosts' ends (each a base edge or a diagonal cell), and three
-    quadratic forms, all off a ``GroundedFactor`` of L(G) taken here from
-    the edge list and dropped on return, never off ``blocks.l_sharp``.
+    quadratic forms, all off the base side's ``GroundedFactor`` of L(G),
+    taken from the edge list on the side's first Kirchhoff read and kept
+    with it, never off ``blocks.l_sharp``.
     """
     g = blocks.base
     n, m = g.n, g.m
@@ -469,7 +509,7 @@ def kirchhoff_terms(blocks: CoronaBlocks) -> KirchhoffBreakdown:
     st = sum(sizes)
     edge = blocks.kind == "r_edge"
     eu, ev = (e[n:] for e in blocks.ends)
-    factor = GroundedFactor.of(n, eu, ev)
+    factor = blocks.side.factor
     diag = factor.diagonal
     # X = S[a, a] + G holds skeleton vertex j's row and column reps[j]
     # times, and the skeleton corner is S = (2/3) P^T Lg P + diag(0, I/2)

@@ -27,10 +27,12 @@ IEEE square root and division round a scalar as they round an array, so a
 member of any stack gets the bits of the matrix alone.  Matrices of any
 orders share stacks by one rule (``_stacks``): up to SCHUR_LEAF_ORDER one
 stack padded to the largest order, a larger or lone matrix alone.  The
-input check pads with zeros; ``_sym_inverses``, behind the group inverses
-and the suite battery's D blocks and shifted crowns, pads with the
-identity for one bordered loop and takes a lone matrix through the
-one-matrix body, for speed only.  Input is checked once, by
+input check pads with zeros and checks a Laplacian's row sums on the same
+stacks, so a group inverse's member is padded twice, for the check and
+for its Cholesky loop; ``_sym_inverses``, behind the group inverses and
+the suite battery's D blocks and shifted crowns, pads with the identity
+for one bordered loop and takes a lone matrix through the one-matrix
+body, for speed only.  Input is checked once, by
 ``_as_symmetric``, and every kernel raises ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
 answer it cannot vouch for.  ``_checked_inverse`` is the unchecked body
@@ -119,7 +121,9 @@ def _stacks(mats: Sequence[np.ndarray], pad: float) -> list[tuple[list[int], np.
     return stacks
 
 
-def _as_symmetric(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
+def _as_symmetric(
+    mats: Sequence[np.ndarray], whats: Sequence[str], zero_rows: bool = False
+) -> list[np.ndarray]:
     """Float copies of square matrices of any orders, or (k, t, t) stacks of them, finite, symmetric and symmetrised exactly.
 
     The one input check of the kernels.  A stack is checked as it is and
@@ -128,7 +132,10 @@ def _as_symmetric(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.n
     and leaves that scale alone, so a matrix meets the bounds it meets
     alone.  The lowest item that fails (square, then finite, then symmetric
     to SYMMETRY_RTOL, in any member of a stack) raises MatrixError naming
-    ``whats[k]``.
+    ``whats[k]``.  With ``zero_rows``, as for a Laplacian, each symmetrised
+    member's rows must then also sum to zero to within SYMMETRY_RTOL of its
+    own max(1, max|A|), checked on the same stacks; when every item passes
+    the checks above, the lowest one that fails this raises.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     errors: dict[int, str] = {}
@@ -140,6 +147,7 @@ def _as_symmetric(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.n
     stacks = _stacks(matrices, 0.0)
     stacks += [([k], a) for k, a in enumerate(mats) if a.ndim == 3 and a.size and k not in errors]
     out = list(mats)
+    unbalanced = []
     for members, stack in stacks:
         at = np.swapaxes(stack, 1, 2)
         # NaN compares false against every bound, so the finiteness check
@@ -148,6 +156,9 @@ def _as_symmetric(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.n
             scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
             asymmetric = np.abs(stack - at).max(axis=(1, 2)) > SYMMETRY_RTOL * scale
             sym = 0.5 * (stack + at)
+            if zero_rows:
+                bound = SYMMETRY_RTOL * np.maximum(1.0, np.abs(sym).max(axis=(1, 2)))
+                rowsums = np.abs(sym.sum(axis=2)).max(axis=1) > bound
         finite = np.isfinite(stack).all(axis=(1, 2))
         # A stack of one item holds all of it, a given stack or one matrix;
         # a shared stack's members are copied out contiguous, as alone.
@@ -158,11 +169,15 @@ def _as_symmetric(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.n
                 errors[k] = "has non-finite entries"
             elif asymmetric[rows].any():
                 errors[k] = "is not symmetric"
+            elif zero_rows and rowsums[rows].any():
+                unbalanced.append(k)
             n = mats[k].shape[-1]
             out[k] = sym.reshape(mats[k].shape) if alone else sym[i, :n, :n].copy()
     if errors:
         k = min(errors)
         raise MatrixError(f"{whats[k]} {errors[k]}")
+    if unbalanced:
+        raise MatrixError(f"{whats[min(unbalanced)]} rows must sum to zero")
     return out
 
 
@@ -398,23 +413,12 @@ def _check_pivots(a: np.ndarray, pivots: np.ndarray, what: str) -> None:
 def _shifted_laplacians(laps: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
     """L + J/n of each Laplacian L as a float copy of its own, J/n added as the scalar 1/n.
 
-    ``_as_symmetric`` checks each L, then each must have rows summing to
-    zero to within SYMMETRY_RTOL of its own max(1, max|L|), checked in the
-    zero-padded stacks of ``_stacks``; the lowest member that fails raises
+    ``_as_symmetric`` checks each L, its rows summing to zero included, on
+    the one set of zero-padded stacks; the lowest member that fails raises
     MatrixError naming ``whats[k]``.  Every entry of L + J/n is the sum a
     dense J/n would give, and the sum stays exactly symmetric.
     """
-    mats = _as_symmetric(laps, whats)
-    bad = []
-    for members, stack in _stacks(mats, 0.0):
-        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-        # Entries near the float range can sum to inf or NaN; what passes
-        # here fails the pivot check.
-        with np.errstate(invalid="ignore", over="ignore"):
-            rows = np.abs(stack.sum(axis=2)).max(axis=1) > SYMMETRY_RTOL * scale
-        bad += [k for k, row in zip(members, rows) if row]
-    if bad:
-        raise MatrixError(f"{whats[min(bad)]} rows must sum to zero")
+    mats = _as_symmetric(laps, whats, zero_rows=True)
     return [a + 1.0 / len(a) if len(a) else a for a in mats]
 
 

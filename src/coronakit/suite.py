@@ -10,35 +10,39 @@ for a given parameter set.
 Closed-form entry points are looked up on the module object at call time,
 so a test harness can monkeypatch a deliberately wrong one and watch the
 verdict flip.  The hooks are ``closed_form.rv_blocks``/``re_blocks``,
-which an instance calls once, and ``closed_form.one_inverse``, which
-assembles the {1}-inverse from those blocks.
+which an instance calls once on its base side and crown set, and
+``closed_form.one_inverse``, which assembles the {1}-inverse from those
+blocks.
 
 ``run_suite`` draws every case first, in one fixed rng order per case
-(base, identity battery, R-vertex crowns, R-edge crowns), then builds one
-``closed_form.CrownSet`` over every crown of the run and checks each
+(base, identity battery, R-vertex crowns, R-edge crowns), then builds
+one ``closed_form.CrownSet`` over every crown of the run and checks each
 instance on its part of that set.  So every crown of the run is inverted
 and checked once, in one ``sym_inverse`` call per layout order when the
 set is built, and summed in one spectral-sum call per layout order when
-the first instance reads the crown spectra; ``check_corona_instance`` called
-on crown graphs makes a set of its own.  The identity battery is drawn per
-case, in the rng order above, and computed in the chunks ``_chunks``
-cuts (at most ``_CHUNK`` consecutive cases, fewer when their largest
-matrices would pass ``_CHUNK_ENTRIES`` entries): per chunk, one ``_as_symmetric`` call checks every split's A and D and
-every shift's L(H), one stacked Cholesky call (``linalg._sym_inverses``)
-takes every D block and every shift's L(H) + aI, and one
-``laplacian_group_inverses`` call every Kron-reduced H, base Laplacian and
-cut-vertex corona.  Each case's base group inverse is that call's member:
-the battery reads it, and both kinds' blocks take it as ``l_sharp``, which
-the map and the {1}-inverse read; the Kirchhoff index reads the base
-through the sparse factor, as ``corona kf`` does, and each report checks
-that value against the oracle.  Each corona's group inverse is taken once,
-by the oracle: the run checks its instances in chunks cut by the same rule,
-and each chunk's coronas go through one ``laplacian_group_inverses`` call.
-The package's kernels give each matrix one answer, whatever it is stacked
-with, so an instance checked alone, a chunk of one whose blocks take the
-base group inverse themselves, reports bit for bit what it reports in a
-run, and ``identity_residuals``, the battery of one case, reports bit for
-bit what its case reports in a run.
+the first instance reads the crown spectra; ``check_corona_instance``
+called on crown graphs makes a set of its own.  The identity battery is
+drawn per case, in the rng order above, and computed in the chunks
+``_chunks`` cuts (at most ``_CHUNK`` consecutive cases, fewer when their
+largest matrices would pass ``_CHUNK_ENTRIES`` entries): per chunk, one
+``_as_symmetric`` call checks every split's A and D and every shift's
+L(H), one stacked Cholesky call (``linalg._sym_inverses``) takes every D
+block and every shift's L(H) + aI, and one ``laplacian_group_inverses``
+call every Kron-reduced H, base Laplacian and cut-vertex corona.  Each
+case's base group inverse is that call's member: the battery reads it,
+and the case's one ``closed_form.BaseSide`` holds it for both kinds'
+blocks, whose map and {1}-inverse read it.  That side checks the base's
+connectivity once and takes the base's sparse factor once, which the
+Kirchhoff index of both kinds reads, as ``corona kf`` does, and each
+report checks that value against the oracle; the base's digest is taken
+once per case too.  Each corona's group inverse is taken once, by the
+oracle: the run checks its instances in chunks cut by the same rule, and
+each chunk's coronas go through one ``laplacian_group_inverses`` call.
+The package's kernels give each matrix one answer, whatever it is
+stacked with, so an instance checked alone, a chunk of one whose base
+side takes the base group inverse itself, reports bit for bit what it
+reports in a run, and ``identity_residuals``, the battery of one case,
+reports bit for bit what its case reports in a run.
 """
 
 from __future__ import annotations
@@ -372,9 +376,9 @@ def _chunks(items: list, orders: list[int]) -> Iterator[list]:
         yield chunk
 
 
-# One instance to check: kind, base, crown set, case, and the base group
-# inverse when it has been taken already (None: the blocks take it).
-_Instance = tuple[str, Graph, closed_form.CrownSet, int, np.ndarray | None]
+# One instance to check: kind, base side, crown set, case, and the base's
+# digest.  Both instances of a case share its base side and digest.
+_Instance = tuple[str, closed_form.BaseSide, closed_form.CrownSet, int, str]
 
 
 def check_corona_instance(
@@ -400,22 +404,27 @@ def check_corona_instance(
         raise ValueError(f"the suite checks r_vertex and r_edge coronas, got kind {kind!r}")
     if not isinstance(crowns, closed_form.CrownSet):
         crowns = closed_form.CrownSet.of(crowns)
-    (report,) = _check_instances([(kind, g, crowns, case, None)])
+    side = closed_form.BaseSide.of(g)
+    (report,) = _check_instances([(kind, side, crowns, case, graph_digest(g))])
     return report
 
 
 def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
     """Check instances with one oracle call for all of them.
 
-    Each corona is built and its blocks taken, on the instance's base
-    group inverse or, when it has none, on one the blocks take on first
-    read, with the same bits.  Then one ``laplacian_group_inverses`` call
-    takes every corona Laplacian's group inverse, each bit for bit as it
-    would come alone; then each instance is read and compared.
+    Each corona is built and its blocks taken on the instance's base
+    side, which holds the base group inverse or, when it was handed none,
+    takes one on first read, with the same bits.  Then one
+    ``laplacian_group_inverses`` call takes every corona Laplacian's group
+    inverse, each bit for bit as it would come alone; then each instance is
+    read and compared.
     """
-    laps = [laplacian(build(kind, g, crowns.graphs).graph) for kind, g, crowns, _, _ in instances]
+    laps = [
+        laplacian(build(kind, side.graph, crowns.graphs).graph)
+        for kind, side, crowns, _, _ in instances
+    ]
     blocks = [
-        getattr(closed_form, _KINDS[kind])(g, crowns, ls) for kind, g, crowns, _, ls in instances
+        getattr(closed_form, _KINDS[kind])(side, crowns) for kind, side, crowns, _, _ in instances
     ]
     oracles = laplacian_group_inverses(laps)
     return [_report(*args) for args in zip(instances, blocks, laps, oracles)]
@@ -425,7 +434,7 @@ def _report(
     instance: _Instance, blocks: closed_form.CoronaBlocks, lap_c: np.ndarray, oracle_x: np.ndarray
 ) -> InstanceReport:
     """One instance's report, from its blocks, its corona Laplacian and that Laplacian's group inverse."""
-    kind, g, crowns, case, _ = instance
+    kind, side, crowns, case, digest = instance
     x = closed_form.one_inverse(blocks)
     closed_r = closed_form.resistance_map(blocks)
     breakdown = closed_form.kirchhoff_terms(blocks)
@@ -464,9 +473,9 @@ def _report(
     return InstanceReport(
         kind=kind,
         case=case,
-        base_digest=graph_digest(g),
-        n=g.n,
-        m=g.m,
+        base_digest=digest,
+        n=side.graph.n,
+        m=side.graph.m,
         crown_sizes=crowns.sizes,
         values={
             "kf_closed": kf_closed,
@@ -571,7 +580,9 @@ def run_suite(
     checked, so that one ``CrownSet`` holds every crown of the run and
     each instance reads its part of it.  Each base's group inverse is
     taken once, in its battery chunk's stacked call, and serves its battery
-    and both of its instances.  The instances are checked in order, in chunks of at
+    and, through the case's one ``closed_form.BaseSide``, both of its
+    instances, which also share that side's connectivity check and sparse
+    factor and the case's digest.  The instances are checked in order, in chunks of at
     most ``_CHUNK`` whose corona Laplacians hold at most ``_CHUNK_ENTRIES``
     entries in all (a larger corona is a chunk alone), and each chunk takes
     its oracle group inverses in one stacked call.
@@ -595,8 +606,9 @@ def run_suite(
     lo = 0
     for number, ((case, rv, re), ls) in enumerate(zip(drawn, bases)):
         g = case.g
+        side, digest = closed_form.BaseSide.of(g, ls), graph_digest(g)
         for kind, crowns in (("r_vertex", rv), ("r_edge", re)):
-            todo.append((kind, g, crown_set.part(lo, lo + len(crowns)), number, ls))
+            todo.append((kind, side, crown_set.part(lo, lo + len(crowns)), number, digest))
             orders.append(g.n + g.m + sum(c.n for c in crowns))
             lo += len(crowns)
     instances = [report for chunk in _chunks(todo, orders) for report in _check_instances(chunk)]

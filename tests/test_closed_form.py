@@ -480,15 +480,16 @@ def _incidence_reference(blocks):
 def test_edge_list_gathers_match_the_incidence_matrix():
     # The closed route reads B only through the base edge list.  Random
     # bases, a star, a tree and K1 (no edges at all) against the dense
-    # matmuls, which read the dense L# handed in; the Kirchhoff terms read
-    # the sparse factor, so they agree to roundoff, not bit for bit.
+    # matmuls, which read the dense L# handed to the one base side both
+    # kinds share; the Kirchhoff terms read the side's sparse factor, so
+    # they agree to roundoff, not bit for bit.
     rng = random.Random(1313)
     tree = Graph(8, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (0, 7)))
     bases = [random_connected_graph(rng, 2, 9) for _ in range(6)] + [star_graph(7), tree, K1]
     for g in bases:
-        ls = linalg.laplacian_group_inverse(laplacian(g))
+        side = cf.BaseSide.of(g, linalg.laplacian_group_inverse(laplacian(g)))
         for kind, hosts in (("r_vertex", g.n), ("r_edge", g.m)):
-            blocks = cf._blocks(kind, g, random_crowns(rng, hosts, 3), ls)
+            blocks = cf._blocks(kind, side, random_crowns(rng, hosts, 3))
             skeleton, want = _incidence_reference(blocks)
             scale = max(1.0, max_abs(blocks.l_sharp))
             nm = len(skeleton)
@@ -569,6 +570,32 @@ def test_input_validation():
         cf.re_blocks(path_graph(3), (K1,) * 3)
     with pytest.raises(ValueError):
         cf.rv_blocks(empty_graph(0), ())
+
+
+def test_base_side_checks_its_base_and_takes_each_inverse_once():
+    # A base side rejects a handed-in L# of any shape but (n, n), as the
+    # blocks did.  Handed none, it takes the dense L# and the sparse factor
+    # each once, on first read, whichever blocks read them.
+    g = path_graph(4)
+    for shape in ((5, 5), (4, 3), (4,), (3, 4, 4)):
+        with pytest.raises(ValueError, match=r"^l_sharp must have shape \(4, 4\), got "):
+            cf.BaseSide.of(g, np.zeros(shape))
+    with pytest.raises(DisconnectedGraphError):
+        cf.BaseSide.of(Graph(4, ((0, 1), (2, 3))), np.zeros((4, 4)))
+    dense = mock.Mock(wraps=cf.laplacian_group_inverse)
+    sparse = mock.Mock(wraps=linalg.GroundedFactor.of)
+    with (
+        mock.patch.object(cf, "laplacian_group_inverse", dense),
+        mock.patch.object(linalg.GroundedFactor, "of", sparse),
+    ):
+        side = cf.BaseSide.of(g)
+        assert dense.call_count == sparse.call_count == 0
+        for make_blocks, hosts in ((cf.rv_blocks, g.n), (cf.re_blocks, g.m)):
+            blocks = make_blocks(side, (K1,) * hosts)
+            cf.resistance_map(blocks)
+            cf.kirchhoff_terms(blocks)
+            assert blocks.base is g and blocks.l_sharp is side.l_sharp
+    assert dense.call_count == sparse.call_count == 1
 
 
 def _crown_zoo_instances():
@@ -1005,9 +1032,9 @@ def test_sparse_kirchhoff_takes_no_dense_group_inverse(kind):
 
 
 def test_kirchhoff_terms_never_read_l_sharp():
-    # The Kirchhoff index has one route, the sparse factor: blocks handed a
-    # dense L#, or having formed one since, give the same bits as blocks
-    # that never held one.
+    # The Kirchhoff index has one route, the sparse factor: blocks on a base
+    # side handed a dense L#, or having formed one since, give the same bits
+    # as blocks whose side never held one.
     g = path_graph(30)
     ls = linalg.laplacian_group_inverse(laplacian(g))
     rng = random.Random(4)
@@ -1015,8 +1042,10 @@ def test_kirchhoff_terms_never_read_l_sharp():
         crowns = random_crowns(rng, hosts, 3)
         want = cf.kirchhoff_terms(make_blocks(g, crowns))
         formed = make_blocks(g, crowns)
-        assert formed.given is None and formed.l_sharp.shape == (30, 30)
-        for blocks in (formed, make_blocks(g, crowns, ls)):
+        assert "l_sharp" not in vars(formed.side) and formed.l_sharp.shape == (30, 30)
+        handed = make_blocks(cf.BaseSide.of(g, ls), crowns)
+        assert handed.l_sharp is ls
+        for blocks in (formed, handed):
             got = cf.kirchhoff_terms(blocks)
             assert float(got.value).hex() == float(want.value).hex()
             assert float(got.expanded).hex() == float(want.expanded).hex()

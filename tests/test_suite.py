@@ -104,11 +104,11 @@ def test_a_crown_near_order_300_passes(kind):
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
-    # Blocks once, handed no base group inverse, which they take once, on
-    # first read; the {1}-inverse assembled once (the Kirchhoff value reads
-    # the base's sparse factor, not X); the corona Laplacian's group inverse
-    # taken once, as the one member of one stacked call; and the crown
-    # spectra in one call.
+    # Blocks once, on a base side handed no base group inverse, which the
+    # side takes once, on first read; the {1}-inverse assembled once (the
+    # Kirchhoff value reads the base's sparse factor, not X); the corona
+    # Laplacian's group inverse taken once, as the one member of one stacked
+    # call; and the crown spectra in one call.
     g = path_graph(4)
     hosts = g.n if kind == "r_vertex" else g.m
     crowns = (complete_graph(2), Graph(0, ()), path_graph(3), Graph(1, ()))[:hosts]
@@ -134,7 +134,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert blocks.call_count == 1
     assert assemble.call_count == 1
     assert [c.args[0].shape for c in ginv.call_args_list] == [(g.n, g.n)]
-    assert blocks.call_args.args[3] is None
+    assert blocks.call_args.args[1].l_sharp is taken[0]
     assert stacked.call_count == 1
     assert [lap.shape for lap in stacked.call_args.args[0]] == [(order, order)]
     (read,) = [c.args[0] for c in eigen.call_args_list]
@@ -328,15 +328,41 @@ def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
     assert battery[5:10] == [g.n for g in bases]
     assert battery[10:] == [g.n + g.m + 2 for g in bases]
     assert oracles == [g.n + g.m + sum(c.n for c in crowns) for _, g, crowns, _ in drawn]
-    # Both kinds' blocks read the base inverse the battery took.
+    # Both kinds' blocks share one base side, which holds the base inverse
+    # the battery took.
+    sides = [c.args[1] for c in blocks.call_args_list]
     for case in range(5):
-        base = returned[0][5 + case]
-        assert all(c.args[3] is base for c in blocks.call_args_list[2 * case : 2 * case + 2])
+        assert sides[2 * case] is sides[2 * case + 1]
+        assert sides[2 * case].l_sharp is returned[0][5 + case]
     assert sym.call_count == 0
     assert cholesky.call_count == 1
     members, whats = cholesky.call_args.args
     assert [a.shape[0] for a in members[:5]] == [g.n - k for g, k in zip(bases, battery)]
     assert whats[:5] == ["block D"] * 5 and set(whats[5:]) <= {"L + aI"}
+
+
+@pytest.mark.parametrize("seed, cases", [(1, 5), (47, 6)])
+def test_run_suite_builds_each_base_side_once(seed, cases):
+    # Both kinds over one base share its base side: a run checks each
+    # case's base for connectivity once, factors it once for both Kirchhoff
+    # readouts and takes its digest once, over the base's own edge list.
+    connected = mock.Mock(wraps=closed_form.is_connected)
+    factor = mock.Mock(wraps=linalg.GroundedFactor.of)
+    digest = mock.Mock(wraps=suite.graph_digest)
+    with (
+        mock.patch.object(closed_form, "is_connected", connected),
+        mock.patch.object(linalg.GroundedFactor, "of", factor),
+        mock.patch.object(suite, "graph_digest", digest),
+    ):
+        report = suite.run_suite(seed=seed, cases=cases)
+    assert report.verdict == "pass" and len(report.instances) == 2 * cases
+    bases = [g for kind, g, _, _ in _drawn_instances(seed, cases, 5, 3) if kind == "r_vertex"]
+    assert [c.args[0] for c in connected.call_args_list] == bases
+    assert [c.args[0] for c in digest.call_args_list] == bases
+    assert [
+        (n, [tuple(e) for e in zip(eu.tolist(), ev.tolist())])
+        for n, eu, ev in (c.args for c in factor.call_args_list)
+    ] == [(g.n, list(g.edges)) for g in bases]
 
 
 @pytest.mark.parametrize("member, caught", [(0, "block_one_inverse_scaled"), (-1, "cut_vertex_additivity")])
