@@ -58,7 +58,7 @@ import numpy as np
 
 from . import resistance
 from .corona import crown_anchors
-from .graphs import Graph, is_connected, laplacian
+from .graphs import Graph, laplacian
 from .linalg import (
     GroundedFactor,
     MatrixError,
@@ -220,13 +220,11 @@ class BaseSide:
     def of(cls, g: Graph, l_sharp: np.ndarray | None = None) -> BaseSide:
         """The base side of a connected ``g``, holding ``l_sharp`` as its dense L# if given.
 
-        A base with no vertex or a disconnected one raises, as does an
-        ``l_sharp`` not of shape (n, n).
+        A base with no vertex or a disconnected one fails the oracle's own
+        check (``resistance._require_connected``); an ``l_sharp`` not of
+        shape (n, n) raises ValueError.
         """
-        if g.n < 1:
-            raise ValueError("base graph must have at least one vertex")
-        if not is_connected(g):
-            raise resistance.DisconnectedGraphError("closed forms need a connected base graph")
+        resistance._require_connected(g)
         if l_sharp is not None and l_sharp.shape != (g.n, g.n):
             raise ValueError(f"l_sharp must have shape {(g.n, g.n)}, got {l_sharp.shape}")
         eu, ev = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T

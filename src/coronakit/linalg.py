@@ -26,24 +26,19 @@ call of one).  Each matrix has one answer: every step is per member, and
 IEEE square root and division round a scalar as they round an array, so a
 member of any stack gets the bits of the matrix alone.  Matrices of any
 orders share stacks by one rule (``_stacks``): up to SCHUR_LEAF_ORDER one
-stack padded to the largest order, a larger or lone matrix alone.  The
-input check pads with zeros and checks a Laplacian's row sums on the same
-stacks, so a group inverse's member is padded twice, for the check and
-for its Cholesky loop; ``_sym_inverses``, behind the group inverses and
-the suite battery's D blocks and shifted crowns, pads with the identity
-for one bordered loop and takes a lone matrix through the one-matrix
-body, for speed only.  Input is checked once, by
-``_as_symmetric``, and every kernel raises ``MatrixError``
+stack padded to the largest order; a larger or lone matrix, or a given
+stack, alone.  Input is checked once, by ``_as_symmetric``, which pads
+with zeros, and every Cholesky inverse is ``_sym_inverses`` of checked
+input, which pads with the identity; every kernel raises ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
-answer it cannot vouch for.  ``_checked_inverse`` is the unchecked body
-behind those checks, for input that has passed them once already; the
-spectral sums only ever read such input.
+answer it cannot vouch for.  The spectral sums read only input that an
+inverse has checked.
 
 ``GroundedFactor`` reads the group inverse of a connected graph's
 Laplacian without forming it: the L D L^T factor of the Laplacian grounded
 at one vertex, by leaves-first, minimum-degree elimination over the edge
 list in Python floats, with any core whose fronts are all wider than
-DENSE_FRONT inverted as one dense block by ``_checked_inverse``; then the
+DENSE_FRONT inverted as one dense block by ``_sym_inverses``; then the
 grounded inverse on the filled pattern by the Takahashi recurrence, and
 L#'s diagonal, its cells on the pattern and its quadratic forms from
 that and a few triangular solves.  Its work follows the fill, not n^3.
@@ -75,7 +70,7 @@ SCHUR_LEAF_ORDER = 64
 
 # Widest front that GroundedFactor eliminates one vertex at a time.  Once
 # every vertex left has more neighbours than this, the rest of the grounded
-# Laplacian is one dense Schur block for _checked_inverse, so a dense base
+# Laplacian is one dense Schur block for _sym_inverses, so a dense base
 # (K_n) never enters the elimination loop.  Of 8, 12, 16, 24, 32 and 64 on
 # random (m = 1.2 n) and grid bases with n from 120 to 4096, 8 to 16 were
 # fastest, within 10% of each other on random bases; 16 was fastest on the
@@ -99,18 +94,19 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def _stacks(mats: Sequence[np.ndarray], pad: float) -> list[tuple[list[int], np.ndarray]]:
-    """The stacks that square float matrices of any orders are worked in, as (members, stack) pairs.
+    """The stacks that square float matrices of any orders, or given (k, t, t) stacks, are worked in, as (members, stack) pairs.
 
-    The members of order 1 to SCHUR_LEAF_ORDER share one stack of the
+    The matrices of order 1 to SCHUR_LEAF_ORDER share one stack of the
     largest such order, each in its leading block, padded with ``pad``
-    times the identity; a larger member, or a lone small one, is a stack of
-    its own, a view that is not copied.  An empty member is in no stack.
+    times the identity.  A larger matrix, a lone small one or a given stack
+    is a stack of its own, a view that is not copied.  An empty item is in
+    no stack.
     """
-    small = [k for k, a in enumerate(mats) if 0 < len(a) <= SCHUR_LEAF_ORDER]
-    alone = [k for k, a in enumerate(mats) if len(a) > SCHUR_LEAF_ORDER]
+    small = [k for k, a in enumerate(mats) if a.ndim == 2 and 0 < len(a) <= SCHUR_LEAF_ORDER]
+    alone = [k for k, a in enumerate(mats) if a.size and (a.ndim == 3 or len(a) > SCHUR_LEAF_ORDER)]
     if len(small) == 1:
         alone, small = alone + small, []
-    stacks = [([k], mats[k][None]) for k in alone]
+    stacks = [([k], mats[k] if mats[k].ndim == 3 else mats[k][None]) for k in alone]
     if small:
         order = max(len(mats[k]) for k in small)
         stack = np.tile(pad * np.eye(order), (len(small), 1, 1))
@@ -126,26 +122,23 @@ def _as_symmetric(
 ) -> list[np.ndarray]:
     """Float copies of square matrices of any orders, or (k, t, t) stacks of them, finite, symmetric and symmetrised exactly.
 
-    The one input check of the kernels.  A stack is checked as it is and
-    the matrices in the zero-padded stacks of ``_stacks``, each member
-    against max(1, max|A|) of its own: a zero pad is finite and symmetric
-    and leaves that scale alone, so a matrix meets the bounds it meets
-    alone.  The lowest item that fails (square, then finite, then symmetric
-    to SYMMETRY_RTOL, in any member of a stack) raises MatrixError naming
-    ``whats[k]``.  With ``zero_rows``, as for a Laplacian, each symmetrised
-    member's rows must then also sum to zero to within SYMMETRY_RTOL of its
-    own max(1, max|A|), checked on the same stacks; when every item passes
-    the checks above, the lowest one that fails this raises.
+    The one input check of the kernels, run on the stacks of ``_stacks``
+    padded with zeros, each member against max(1, max|A|) of its own: a pad
+    is finite and symmetric and leaves that scale alone, so a matrix meets
+    the bounds it meets alone.  The lowest item that fails (square, then
+    finite, then symmetric to SYMMETRY_RTOL, in any member of a stack)
+    raises MatrixError naming ``whats[k]``.  With ``zero_rows``, as for a
+    Laplacian, each symmetrised member's rows must then also sum to zero to
+    within SYMMETRY_RTOL of its own max(1, max|A|), checked on the same
+    stacks; when every item passes the checks above, the lowest one that
+    fails this raises.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     errors: dict[int, str] = {}
-    matrices = []
     for k, a in enumerate(mats):
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             errors[k] = f"must be square, got shape {a.shape}"
-        matrices.append(a if a.ndim == 2 and k not in errors else np.zeros((0, 0)))
-    stacks = _stacks(matrices, 0.0)
-    stacks += [([k], a) for k, a in enumerate(mats) if a.ndim == 3 and a.size and k not in errors]
+    stacks = _stacks([np.zeros((0, 0)) if k in errors else a for k, a in enumerate(mats)], 0.0)
     out = list(mats)
     unbalanced = []
     for members, stack in stacks:
@@ -370,28 +363,16 @@ def sym_inverse(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     step, vectorised across the stack, and the inverse is
     L^{-T} L^{-1}.  Above it the matrix is split in half and inverted
     through its Schur complement, by recursion down to that order, so
-    most of the work runs as matmuls (``_spd_inverse``).  Every member
-    gets the square, finite and symmetric checks of a single matrix.  The
-    Cholesky pivots are checked once the inverse is formed: the first row
-    whose pivot is not above PIVOT_RTOL * max(1, max|A|) of its member
-    means A is singular or not positive definite to working precision, and
-    raises SingularMatrixError naming ``what``, that row and its pivot;
-    nothing is zeroed.
+    most of the work runs as matmuls (``_spd_inverse``).  It is
+    ``_sym_inverses`` of the one item that ``_as_symmetric`` has checked,
+    so every member gets the square, finite and symmetric checks of a
+    single matrix.  The Cholesky pivots are checked once the inverse is
+    formed: the first row whose pivot is not above PIVOT_RTOL * max(1,
+    max|A|) of its member means A is singular or not positive definite to
+    working precision, and raises SingularMatrixError naming ``what``, that
+    row and its pivot; nothing is zeroed.
     """
-    (a,) = _as_symmetric([m], [what])
-    return _checked_inverse(a, what)
-
-
-def _checked_inverse(a: np.ndarray, what: str) -> np.ndarray:
-    """``sym_inverse`` of a float array that is already exactly symmetric."""
-    if a.size == 0:
-        return a
-    # A failed pivot spreads NaN and inf through the rest of the work;
-    # the pivot check below reports it.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x, pivots = _spd_inverse(a)
-    _check_pivots(a, pivots, what)
-    return 0.5 * (x + np.swapaxes(x, -1, -2))
+    return _sym_inverses(_as_symmetric([m], [what]), [what])[0]
 
 
 def _check_pivots(a: np.ndarray, pivots: np.ndarray, what: str) -> None:
@@ -410,32 +391,22 @@ def _check_pivots(a: np.ndarray, pivots: np.ndarray, what: str) -> None:
         )
 
 
-def _shifted_laplacians(laps: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
-    """L + J/n of each Laplacian L as a float copy of its own, J/n added as the scalar 1/n.
-
-    ``_as_symmetric`` checks each L, its rows summing to zero included, on
-    the one set of zero-padded stacks; the lowest member that fails raises
-    MatrixError naming ``whats[k]``.  Every entry of L + J/n is the sum a
-    dense J/n would give, and the sum stays exactly symmetric.
-    """
-    mats = _as_symmetric(laps, whats, zero_rows=True)
-    return [a + 1.0 / len(a) if len(a) else a for a in mats]
-
-
 def _sym_inverses(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.ndarray]:
-    """``_checked_inverse`` of exactly symmetric matrices of any orders, in the stacks of ``_stacks``.
+    """Inverses of exactly symmetric matrices of any orders, or (k, t, t) stacks of them, in the stacks of ``_stacks``.
 
-    A stack of several members is padded with the identity and runs one
-    bordered Cholesky loop (``_bordered_rows``).  A pad row meets only
-    zeros above it, so it factors as the identity and leaves its member's
-    rows as they are alone; each member's Gram product W^T W, pivot check
-    and symmetrisation then run on its own n x n slice.  A stack of one
-    member inverts it as one matrix, the 2-D body or the Schur split.
-    Either way a member comes out bit for bit as from ``sym_inverse``, so
-    taking the one or the other is only a matter of speed.  An empty member
-    comes back as it is.  The pivots are checked in member order once every
-    member is factored: the first member that fails raises
-    SingularMatrixError naming ``whats[k]``.
+    The one body of every Cholesky inverse, for input that ``_as_symmetric``
+    has checked or that is symmetric by construction.  A stack of several
+    matrices is padded with the identity and runs one bordered Cholesky loop
+    (``_bordered_rows``).  A pad row meets only zeros above it, so it
+    factors as the identity and leaves its member's rows as they are alone;
+    each member's Gram product W^T W, pivot check and symmetrisation then
+    run on its own n x n slice.  An item alone, a matrix or a given stack,
+    goes to ``_spd_inverse`` as it is: the 2-D body, the stacked loop or the
+    Schur split.  Either way a matrix comes out with the bits it has alone,
+    so sharing a stack is only a matter of speed.  An empty item comes back
+    as it is.  The pivots are checked in item order once every item is
+    factored: the first item that fails raises SingularMatrixError naming
+    ``whats[k]``, its first failing row and that row's lowest pivot.
     """
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # A failed pivot spreads NaN and inf through its member's work; the
@@ -443,7 +414,8 @@ def _sym_inverses(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for members, stack in _stacks(mats, 1.0):
             if len(members) == 1:
-                factors[members[0]] = _spd_inverse(stack[0])
+                (k,) = members
+                factors[k] = _spd_inverse(mats[k])
                 continue
             w, pivots = _bordered_rows(stack)
             for i, k in enumerate(members):
@@ -457,7 +429,7 @@ def _sym_inverses(mats: Sequence[np.ndarray], whats: Sequence[str]) -> list[np.n
             continue
         x, pivots = factors.pop(k)
         _check_pivots(a, pivots, whats[k])
-        out.append(0.5 * (x + x.T))
+        out.append(0.5 * (x + x.swapaxes(-1, -2)))
     return out
 
 
@@ -483,35 +455,31 @@ def laplacian_group_inverse(l: np.ndarray) -> np.ndarray:
     at the ill-conditioned end: on the path P_2000 it takes n tr(L#) from
     6e-9 to 1.5e-11 relative error against the exact n(n^2 - 1)/6.
     Rows that do not sum to zero raise MatrixError; a disconnected graph
-    leaves L + J/n singular and raises SingularMatrixError.
+    leaves L + J/n singular and raises SingularMatrixError.  The errors are
+    those of member 0.
     """
-    (x,) = _group_inverses([l], ["Laplacian"], "L + J/n")
-    return x
+    return laplacian_group_inverses([l])[0]
 
 
 def laplacian_group_inverses(laps: Sequence[np.ndarray]) -> list[np.ndarray]:
     """``laplacian_group_inverse`` of connected Laplacians of any orders, in one stacked call.
 
-    The members are checked once (``_shifted_laplacians``) and their
-    L + J/n inverted by ``_sym_inverses``: the members up to
+    Each L is checked once, its rows summing to zero included, by one
+    ``_as_symmetric`` call, and J/n is added as the scalar 1/n: every entry
+    of L + J/n is the sum a dense J/n would give, and the sum stays exactly
+    symmetric.  One ``_sym_inverses`` call inverts them: the members up to
     SCHUR_LEAF_ORDER in one identity-padded bordered Cholesky loop, a
-    larger one on its own through the Schur split.  Each member's
+    larger or lone one on its own.  Each member's
     refinement step and J/n deflation then run on its own slice, so each
     member is bit for bit ``laplacian_group_inverse`` of it, whatever its
     stack-mates.  Returns a list in input order (empty for no input).
-    Every member is checked before any is inverted; the errors are those of
-    ``laplacian_group_inverse``, naming the lowest failing member's position
-    and, for a disconnected member, its order.
+    Every member is checked before any is inverted; a check error names the
+    lowest failing member's position as ``Laplacian k``, a pivot error as
+    ``L + J/n of Laplacian k (order n)``.
     """
     whats = [f"Laplacian {k}" for k in range(len(laps))]
-    return _group_inverses(laps, whats, "L + J/n of {} (order {})")
-
-
-def _group_inverses(laps: Sequence[np.ndarray], whats: Sequence[str], singular: str) -> list[np.ndarray]:
-    """The group inverses behind both public names; a failed pivot names ``singular.format(whats[k], n)``."""
-    shifted = _shifted_laplacians(laps, whats)
-    names = [singular.format(what, len(a)) for what, a in zip(whats, shifted)]
-    inverses = _sym_inverses(shifted, names)
+    shifted = [a + 1.0 / len(a) if len(a) else a for a in _as_symmetric(laps, whats, zero_rows=True)]
+    inverses = _sym_inverses(shifted, [f"L + J/n of {w} (order {len(a)})" for w, a in zip(whats, shifted)])
     for k, x in enumerate(inverses):
         if len(x):
             # L + J/n is dropped once its residual is formed: one n x n
@@ -629,7 +597,7 @@ class GroundedFactor:
     ``pivots`` D.  The vertex left last is r, ``ground``.  When the fronts
     grow wider than DENSE_FRONT first, the vertices left are one dense
     Schur block: r is its last, and the rest, ``tail``, are inverted
-    through ``_checked_inverse`` into ``tail_inverse``.  Eliminating L(G)
+    through ``_sym_inverses`` into ``tail_inverse``.  Eliminating L(G)
     itself and dropping r's entries afterwards is L_r's factor, since r's
     entries never reach the others'.
 
@@ -672,8 +640,8 @@ class GroundedFactor:
         """The factor of the Laplacian of the connected graph on n vertices with edges (eu[k], ev[k]).
 
         Each pivot of the elimination must be above PIVOT_RTOL * max(1,
-        max degree), and the dense block passes ``_checked_inverse``'s
-        pivot check; otherwise, as for a disconnected graph, this raises
+        max degree), and the dense block passes ``_sym_inverses``' pivot
+        check; otherwise, as for a disconnected graph, this raises
         SingularMatrixError.
         """
         if n < 1:
@@ -701,7 +669,7 @@ class GroundedFactor:
             block = _schur_block(tail, adj, diag)
         for column in columns:
             column.pop(ground, None)
-        tail_inverse = _checked_inverse(block, "grounded Laplacian block")
+        (tail_inverse,) = _sym_inverses([block], ["grounded Laplacian block"])
         # ones holds L^{-1} 1; the tail's part of X 1 is the dense block's
         # solve, and _takahashi back-substitutes the head's in its pass.
         for v, x in zip(tail, (tail_inverse @ np.array([ones[v] for v in tail])).tolist()):
@@ -879,7 +847,7 @@ def block_one_inverse(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray
     b = np.asarray(b, dtype=float)
     if b.shape != (len(a), len(d)):
         raise MatrixError(f"block B must have shape {(len(a), len(d))}, got {b.shape}")
-    d_inv = _checked_inverse(d, "block D")
+    (d_inv,) = _sym_inverses([d], ["block D"])
     bd, h = _kron_reduced(a, b, d_inv)
     return _block_assembled(laplacian_group_inverse(h), bd, d_inv)
 
@@ -909,7 +877,8 @@ def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
     """
     (lap,) = _as_symmetric([l], ["Laplacian"])
     shifted = _rank_one_shift(lap, a, b)
-    x, _ = _rank_one_inverse(shifted, _checked_inverse(shifted, "L + aI"), a, b)
+    (shifted_inv,) = _sym_inverses([shifted], ["L + aI"])
+    x, _ = _rank_one_inverse(shifted, shifted_inv, a, b)
     return x
 
 

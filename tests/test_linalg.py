@@ -229,22 +229,20 @@ def test_group_inverse_of_triangle_is_known():
 @pytest.mark.parametrize("n", [7, 150])
 def test_group_inverse_checks_its_input_once(monkeypatch, n):
     # L + J/n is exactly symmetric by construction, so only L is checked,
-    # once: one ``_shifted_laplacians`` call, whose one ``_as_symmetric``
-    # call is the finite and symmetric check.  The result is bit for bit
-    # that of checking L + J/n a second time (n = 150 also runs the Schur
-    # split of the Cholesky kernel).
+    # once: one ``_as_symmetric(..., zero_rows=True)`` call is the finite,
+    # symmetric and row-sum check.  The result is bit for bit that of
+    # checking L + J/n a second time (n = 150 also runs the Schur split of
+    # the Cholesky kernel).
     rng = np.random.default_rng(n)
     edges = {(i, i + 1) for i in range(n - 1)}
     edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(n // 3)}
     lap = laplacian(Graph(n, tuple(edges)))
-    checks = mock.Mock(wraps=linalg._shifted_laplacians)
-    second = mock.Mock(wraps=linalg._as_symmetric)
-    monkeypatch.setattr(linalg, "_shifted_laplacians", checks)
-    monkeypatch.setattr(linalg, "_as_symmetric", second)
+    checks = mock.Mock(wraps=linalg._as_symmetric)
+    monkeypatch.setattr(linalg, "_as_symmetric", checks)
     got = laplacian_group_inverse(lap)
     assert checks.call_count == 1
-    assert second.call_count == 1
-    assert [a.shape for a in second.call_args.args[0]] == [(n, n)]
+    assert checks.call_args.kwargs == {"zero_rows": True}
+    assert [a.shape for a in checks.call_args.args[0]] == [(n, n)]
     j = np.full((n, n), 1.0 / n)
     shifted = lap + j
     x = sym_inverse(shifted, "L + J/n")
@@ -464,6 +462,40 @@ def test_stacked_members_are_the_lone_inverse_bit_for_bit():
         whats = ["member"] * len(mats)
         for a, x in zip(mats, linalg._sym_inverses(mats, whats)):
             assert x.tobytes() == sym_inverse(a).tobytes()
+
+
+def test_every_cholesky_inverse_is_one_sym_inverses_call(monkeypatch):
+    # One body behind every Cholesky inverse: each public inverse makes one
+    # ``_sym_inverses`` call, the block {1}-inverse two (D, then the group
+    # inverse of H).  A given stack inverted among matrices in one call
+    # gives each item the bits it has alone, below and past the Schur split.
+    rng = np.random.default_rng(41)
+    stacks = [np.stack([_spd(rng, t) for _ in range(3)]) for t in (4, 70)]
+    lap = laplacian(path_graph(6))
+    eu, ev = np.array(complete_graph(20).edges).T
+    assert len(linalg.GroundedFactor.of(20, eu, ev).tail) == 19
+    calls = mock.Mock(wraps=linalg._sym_inverses)
+    monkeypatch.setattr(linalg, "_sym_inverses", calls)
+    for run, whats in (
+        (lambda: sym_inverse(_spd(rng, 6)), [["matrix"]]),
+        (lambda: sym_inverse(stacks[0], "crown block"), [["crown block"]]),
+        (lambda: sym_inverse(stacks[1], "crown block"), [["crown block"]]),
+        (lambda: linalg.GroundedFactor.of(20, eu, ev), [["grounded Laplacian block"]]),
+        (lambda: shifted_rank_one_inverse(lap, 1.0, 2.0), [["L + aI"]]),
+        (lambda: laplacian_group_inverse(lap), [["L + J/n of Laplacian 0 (order 6)"]]),
+        (
+            lambda: block_one_inverse(lap[:2, :2], lap[:2, 2:], lap[2:, 2:]),
+            [["block D"], ["L + J/n of Laplacian 0 (order 2)"]],
+        ),
+    ):
+        calls.reset_mock()
+        run()
+        assert [c.args[1] for c in calls.call_args_list] == whats
+    mats = [stacks[0], _spd(rng, 5), stacks[1], _spd(rng, 3), _spd(rng, 70), np.zeros((0, 0))]
+    mats = [0.5 * (a + np.swapaxes(a, -1, -2)) for a in mats]
+    for a, x in zip(mats, linalg._sym_inverses(mats, ["item"] * len(mats))):
+        assert x.shape == a.shape
+        assert x.tobytes() == sym_inverse(a).tobytes()
 
 
 def _one_member_recipe(lap):

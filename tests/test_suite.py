@@ -344,13 +344,14 @@ def test_run_suite_takes_each_base_inverse_once_and_stacks_its_oracles():
 @pytest.mark.parametrize("seed, cases", [(1, 5), (47, 6)])
 def test_run_suite_builds_each_base_side_once(seed, cases):
     # Both kinds over one base share its base side: a run checks each
-    # case's base for connectivity once, factors it once for both Kirchhoff
-    # readouts and takes its digest once, over the base's own edge list.
-    connected = mock.Mock(wraps=closed_form.is_connected)
+    # case's base for connectivity once, through the oracle's check,
+    # factors it once for both Kirchhoff readouts and takes its digest
+    # once, over the base's own edge list.
+    connected = mock.Mock(wraps=resistance.is_connected)
     factor = mock.Mock(wraps=linalg.GroundedFactor.of)
     digest = mock.Mock(wraps=suite.graph_digest)
     with (
-        mock.patch.object(closed_form, "is_connected", connected),
+        mock.patch.object(resistance, "is_connected", connected),
         mock.patch.object(linalg.GroundedFactor, "of", factor),
         mock.patch.object(suite, "graph_digest", digest),
     ):
