@@ -27,9 +27,14 @@ one order t, for K_t and for random crowns with edge probability 1/2, at t
 in CROWN_ORDERS.  Each row has the best of ``--repeats`` times, the
 tracemalloc peak of one more run, the worst relative gap between a sum and
 the Cholesky trace tr (L(H) + I)^{-1} of the same crown, and for K_t the
-worst relative error against the exact 1 + (t - 1)/(t + 1).  ``--before``
-takes the report of the same command on another checkout and keeps its
-rows, with each row's time there and the speedup, so one file holds both.
+worst relative error against the exact 1 + (t - 1)/(t + 1).  One more row,
+family ``mixed`` with t = 4, is the crown pass of one ``corona kf`` op of
+perfbench's kf_closed workload: ``CrownSet.of`` and ``eigen_sums`` over 60
+crowns whose orders cycle 0..4, shuffled, with edges at 1/2, as that
+workload draws them; its time is the best of ``--repeats`` passes of
+MIXED_OPS such ops, per op.  ``--before`` takes the report of the same
+command on another checkout and keeps its rows, with each row's time there
+and the speedup, so one file holds both.
 
 With ``--suite`` only the suite rung runs, in process over the suite
 seeds 0-99: ``suite.run_suite(seed, cases=5)`` and its ``to_json()``, the
@@ -74,6 +79,7 @@ from coronakit.graphs import serialize_edge_list  # noqa: E402
 SIZES = (120, 480, 1000, 2000, 4000)
 CROWN_ORDERS = (4, 16, 64, 128, 300)
 CROWNS_PER_ORDER = 8
+MIXED_CROWNS, MIXED_T_MAX, MIXED_OPS = 60, 4, 100
 
 
 def random_base(n: int) -> Graph:
@@ -189,28 +195,57 @@ def crowns_of(family: str, t: int) -> tuple[Graph, ...]:
     )
 
 
-def crown_case(family: str, t: int, repeats: int) -> dict:
-    """The spectral sums of eight crowns of order t, against their Cholesky traces."""
-    crowns = closed_form.CrownSet.of(crowns_of(family, t))
+def mixed_crowns() -> tuple[Graph, ...]:
+    """MIXED_CROWNS crowns whose orders cycle 0..MIXED_T_MAX, shuffled, with edges at 1/2, as kf_closed draws them."""
+    rng = random.Random(MIXED_CROWNS)
+    sizes = [k % (MIXED_T_MAX + 1) for k in range(MIXED_CROWNS)]
+    rng.shuffle(sizes)
+    return tuple(
+        Graph(t, tuple((u, v) for u in range(t) for v in range(u + 1, t) if rng.random() < 0.5))
+        for t in sizes
+    )
+
+
+def timed(op, repeats: int, per: int = 1):
+    """The best of ``repeats`` passes of ``per`` calls of ``op``, per call; the tracemalloc peak of one more call; its result."""
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        sums = closed_form._crown_eigen_sums(crowns)
-        best = min(best, time.perf_counter() - start)
+        for _ in range(per):
+            op()
+        best = min(best, (time.perf_counter() - start) / per)
     tracemalloc.start()
     try:
-        closed_form._crown_eigen_sums(crowns)
+        result = op()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return best, peak, result
+
+
+def crown_case(family: str, t: int, repeats: int) -> dict:
+    """The spectral sums of eight crowns of order t (or the mixed crowns), against their Cholesky traces."""
+    if family == "mixed":
+        graphs = mixed_crowns()
+
+        def op():
+            crowns = closed_form.CrownSet.of(graphs)
+            return crowns, crowns.eigen_sums
+
+        best, peak, (crowns, sums) = timed(op, repeats, MIXED_OPS)
+    else:
+        crowns = closed_form.CrownSet.of(crowns_of(family, t))
+        best, peak, sums = timed(lambda: closed_form._crown_eigen_sums(crowns), repeats)
     traces = crowns.totals[0]
+    # An empty crown sums to exactly 0, as its trace does.
+    full = traces > 0.0
     row = {
         "family": family,
         "t": t,
         "crowns": len(crowns),
         "s": best,
         "peak_mb": peak / 2**20,
-        "trace_gap": float(np.max(np.abs(sums - traces) / traces)),
+        "trace_gap": float(np.max(np.abs(sums - traces)[full] / traces[full])),
     }
     if family == "complete":
         exact = 1.0 + (t - 1) / (t + 1)
@@ -225,10 +260,13 @@ def crown_case(family: str, t: int, repeats: int) -> dict:
 
 def crown_report(repeats: int, before: str | None) -> dict:
     rows = [crown_case(f, t, repeats) for f in ("complete", "random") for t in CROWN_ORDERS]
+    rows.append(crown_case("mixed", MIXED_T_MAX, repeats))
     report = {
         "schema": "coronakit-bench-crown-sums/1",
         "what": "each crown's sum of 1/(mu + 1) over its Laplacian spectrum, "
-        f"closed_form._crown_eigen_sums over {CROWNS_PER_ORDER} crowns of one order",
+        f"closed_form._crown_eigen_sums over {CROWNS_PER_ORDER} crowns of one order; "
+        f"the mixed row is CrownSet.of and eigen_sums over {MIXED_CROWNS} crowns of orders "
+        f"0-{MIXED_T_MAX}, per op",
         "machine": machine(),
         "rows": rows,
     }

@@ -17,9 +17,10 @@ Through the pairs its vertices join, every cell of the skeleton corner is
 one gather from the group inverse L# of L(G), because the Schur complement
 of the original vertices collapses to (3/2) L(G).  Every inverse is a
 Cholesky solve: the dense L# deflates the all-ones null vector as
-(L(G) + J/n)^{-1} - J/n, and the crowns of each layout order t + t % 2
-are inverted as one stack.  No matrix larger than the base graph is
-inverted, and none is pseudo-inverted.  The blocks hold only base- and
+(L(G) + J/n)^{-1} - J/n, and the crowns of each band, the stack order
+``_band`` gives a crown of order t (orders 1-4 share order 4, 5-8 order
+8, and so on), are inverted as one stack.  No matrix larger than the base
+graph is inverted, and none is pseudo-inverted.  The blocks hold only base- and
 crown-order data, and the dense L# is taken only when first read: the map, a
 single pair and the {1}-inverse read skeleton cells of it through one
 gather, at most two for a pair, and crown cells off the stacks through
@@ -46,7 +47,7 @@ inverts, totals and checks each crown once, and nothing else computes or
 judges that identity.  A caller that checks many coronas, as the suite does, builds
 one set over all their crowns and hands each corona its ``part``: every
 crown of the run is then inverted, checked and summed once, in one stacked
-call per layout order.
+call per band.
 """
 
 from __future__ import annotations
@@ -74,6 +75,21 @@ from .linalg import (
 # so the floor holds up to order 10 and the bound then grows with t.
 IDENTITY_TOL = 1e-12
 
+# Crowns share a stack by band: a crown of order t is the leading block of
+# a member of order 4 ceil(t / 4), padded with up to three zero rows and
+# columns.  The crown kernels cost about the same per stack whatever its
+# members, so fewer stacks are faster.  On the kf_closed benchmark (crowns
+# of orders 0-4), one stack per exact order was 13% slower than pairs of
+# orders (1-2, 3-4, ...), and bands of 4 are 9% faster than pairs.  Bands
+# of 8 would run crowns of order 4 or less through 8-row loops, more numpy
+# calls than one 4-row stack.
+CROWN_BAND = 4
+
+
+def _band(t):
+    """The order of the stack that holds a crown of order t (an int or an array of them): 0 for 0."""
+    return t + (-t) % CROWN_BAND
+
 
 @dataclass(frozen=True, eq=False)
 class CrownSet:
@@ -82,13 +98,13 @@ class CrownSet:
     A crown enters the formulas only through its grounded inverse
     G = (L(H) + I)^{-1} and its Laplacian spectrum, and neither depends on
     the base graph or on any other crown.  ``stacks`` holds, per nonempty
-    layout order o = t + t % 2 (crown orders o - 1 and o together), the
-    crowns' indices, their Laplacians as one (k, o, o) stack, read by the
-    crown inverses and spectra alike, and the grounded inverses as another;
-    a crown of order t is each member's leading t x t block.  ``totals``
+    band o = ``_band(t)`` (crown orders o - 3 to o together), the crowns'
+    indices, their Laplacians as one (k, o, o) stack, read by the crown
+    inverses and spectra alike, and the grounded inverses as another; a
+    crown of order t is its member's leading t x t block.  ``totals``
     holds each crown's tr G_k and 1^T G_k 1.  ``eigen_sums`` is each
     crown's sum of 1/(mu + 1) over its Laplacian spectrum, read on first
-    use by one ``_spectral_sums`` call per layout and then kept.
+    use by one ``_spectral_sums`` call per band and then kept.
     ``graphs`` are the crowns, ``sizes`` their orders.
 
     ``part(lo, hi)`` is crowns lo..hi-1 as a set of their own that reads
@@ -107,13 +123,13 @@ class CrownSet:
     def of(cls, crowns: tuple[Graph, ...]) -> CrownSet:
         """The set of ``crowns``, each inverted, totalled and checked once.
 
-        Per layout order the Laplacian stack is built in one scatter over
-        the crowns' edges, as ``laplacian`` builds one: the adjacency
-        negated, then the degrees on the diagonal, so each member's leading
-        t x t block is bit for bit ``laplacian(crown)``.  An odd member's
-        pad row and column are +0.0, so L + I is padded with the identity
-        and the spectral kernel finds the pad decoupled.  One
-        ``sym_inverse`` call per layout inverts the stack, whichever kind of
+        Per band the Laplacian stack is built in one scatter over the
+        crowns' edges, as ``laplacian`` builds one: the adjacency negated,
+        then the degrees on the diagonal, so each member's leading t x t
+        block is bit for bit ``laplacian(crown)``.  A member's up to three
+        pad rows and columns are then set to +0.0, so L + I is padded with
+        the identity and the spectral kernel finds the pads decoupled.  One
+        ``sym_inverse`` call per band inverts the stack, whichever kind of
         corona the crowns crown, and is the one input check for both crown
         kernels: ``_crown_eigen_sums`` reads the Laplacians unchecked.
         Each crown order's leading blocks are then totalled on their own,
@@ -125,15 +141,15 @@ class CrownSet:
         """
         crowns = tuple(crowns)
         sizes = np.array([c.n for c in crowns], dtype=np.intp)
-        layout = sizes + sizes % 2
+        bands = _band(sizes)
         owner = np.repeat(np.arange(len(crowns)), [c.m for c in crowns])
         ends = np.array([e for c in crowns for e in c.edges], dtype=np.intp).reshape(-1, 2)
         traces = np.zeros(len(crowns))
         ones = np.zeros(len(crowns))
         stacks = []
-        for o in sorted(set(layout.tolist()) - {0}):
-            members = np.flatnonzero(layout == o)
-            mine = layout[owner] == o
+        for o in sorted(set(bands.tolist()) - {0}):
+            members = np.flatnonzero(bands == o)
+            mine = bands[owner] == o
             # Flat positions of (member, u, v) and (member, v, u) in the stack.
             at = np.searchsorted(members, owner[mine]) * (o * o)
             u, v = ends[mine].T
@@ -144,15 +160,17 @@ class CrownSet:
             laps = -adjacency
             diag = np.arange(o)
             laps[:, diag, diag] = adjacency.sum(axis=2)
-            # Negated, the pad reads -0.0.
-            padded = sizes[members] < o
-            laps[padded, -1] = 0.0
-            laps[padded, :, -1] = 0.0
+            # Negated, a pad reads -0.0.
+            orders = sizes[members]
+            pad = diag >= orders[:, None]
+            laps[pad[:, :, None] | pad[:, None, :]] = 0.0
             inv = sym_inverse(laps + np.eye(o), "crown block")
-            for part, t in ((~padded, o), (padded, o - 1)):
-                block = inv[part, :t, :t]
-                traces[members[part]] = np.trace(block, axis1=1, axis2=2)
-                ones[members[part]] = block.sum(axis=(1, 2))
+            for t in range(o - CROWN_BAND + 1, o + 1):
+                part = orders == t
+                if part.any():
+                    block = inv[part, :t, :t]
+                    traces[members[part]] = np.trace(block, axis1=1, axis2=2)
+                    ones[members[part]] = block.sum(axis=(1, 2))
             stacks.append((members, laps, inv))
         defect = np.abs(sizes - ones)
         bound = np.maximum(IDENTITY_TOL, 4.0 * np.finfo(float).eps * sizes**2 * (sizes + 1.0))
@@ -370,11 +388,11 @@ def _crown_cells(blocks: CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarr
     start = np.cumsum(sizes) - sizes
     crown = np.searchsorted(start + sizes, c, side="right")
     t, i, j = sizes[crown], c - start[crown], d - start[crown]
-    layout = t + t % 2
+    bands = _band(t)
     member = crowns.first + crown
     cells = np.empty(len(c))
     for members, _, inv in crowns.stacks:
-        mine = layout == inv.shape[-1]
+        mine = bands == inv.shape[-1]
         cells[mine] = inv[np.searchsorted(members, member[mine]), i[mine], j[mine]]
     return cells
 
@@ -463,14 +481,15 @@ class KirchhoffBreakdown:
 def _crown_eigen_sums(crowns: CrownSet) -> np.ndarray:
     """Per crown of a whole set, the sum over its Laplacian spectrum of 1/(mu + 1), off the stacks.
 
-    One stacked ``_spectral_sums`` call per layout order t + t % 2, on the
+    One stacked ``_spectral_sums`` call per band ``_band(t)``, on the
     Laplacian stacks that ``sym_inverse`` has already checked: each crown's
     null vector deflated, the rest tridiagonalised by Householder
     reflections and tr((T + I)^{-1}) read off T + I's pivots.  It shares no
     code with the Cholesky inverse whose trace it must equal, so the two
-    Kirchhoff values stay two routes.  An order-t member padded with a zero
-    row and column shares the call with order t + 1 and leaves its pad out.
-    An empty crown sums to 0.
+    Kirchhoff values stay two routes.  A member of order t below its band
+    o, padded with o - t zero rows and columns, shares the call with the
+    other orders of its band and leaves its pads out.  An empty crown sums
+    to 0.
     """
     sums = np.zeros(len(crowns))
     orders = np.array(crowns.sizes, dtype=np.intp)

@@ -128,15 +128,18 @@ def _as_symmetric(
     the bounds it meets alone.  The lowest item that fails (square, then
     finite, then symmetric to SYMMETRY_RTOL, in any member of a stack)
     raises MatrixError naming ``whats[k]``.  With ``zero_rows``, as for a
-    Laplacian, each symmetrised member's rows must then also sum to zero to
-    within SYMMETRY_RTOL of its own max(1, max|A|), checked on the same
-    stacks; when every item passes the checks above, the lowest one that
-    fails this raises.
+    Laplacian, each item must be one matrix, not a stack (a group inverse
+    deflates one matrix's null vector), and each symmetrised member's rows
+    must then also sum to zero to within SYMMETRY_RTOL of its own
+    max(1, max|A|), checked on the same stacks; when every item passes the
+    checks above, the lowest one that fails this raises.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     errors: dict[int, str] = {}
     for k, a in enumerate(mats):
-        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        if zero_rows and a.ndim == 3:
+            errors[k] = f"must be a matrix, not a stack of shape {a.shape}"
+        elif a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             errors[k] = f"must be square, got shape {a.shape}"
     stacks = _stacks([np.zeros((0, 0)) if k in errors else a for k, a in enumerate(mats)], 0.0)
     out = list(mats)
@@ -193,10 +196,10 @@ def _reflect(a: np.ndarray, v: np.ndarray) -> None:
 def _spectral_sums(laps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per member of a (k, o, o) stack of graph Laplacians, the sum of 1/(mu + 1) over its spectrum.
 
-    Member i is a Laplacian of order ``sizes[i]``, o or o - 1 and at least
-    1, in its leading block; one of order o - 1 is padded with a zero row
-    and column.  The sum is tr((L + I)^{-1}), read in three steps, each
-    stacked over the members:
+    Member i is a Laplacian of order ``sizes[i]``, from o - 3 to o and at
+    least 1, in its leading block; one of order t < o is padded with o - t
+    zero rows and columns.  The sum is tr((L + I)^{-1}), read in three
+    steps, each stacked over the members:
 
     - one Householder reflector P takes the member's null vector 1 to a
       multiple of e_0, so the first row and column of P L P are zero, that
@@ -217,14 +220,14 @@ def _spectral_sums(laps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     row is P L P's product with an exact null vector, so it is all roundoff
     of the reflection: its norm must be at most 4 eps o ||L||_F of its
     member.  No reflector touches a pad, whose row starts exactly zero, so
-    a padded member's last row must still be exactly zero; its pad slot is
-    then left out of the sum.  Every step is elementwise or a per-member
-    matmul, so a member comes out bit for bit as it would alone.
+    every pad row of a padded member must still be exactly zero; its pad
+    slots are then left out of the sum.  Every step is elementwise or a
+    per-member matmul, so a member comes out bit for bit as it would alone.
     """
     k, o = laps.shape[0], laps.shape[-1]
-    padded = sizes < o
+    pad = np.arange(o) >= sizes[:, None]
     # u = 1 / sqrt(t) on the member's own block; v = u + e_0 reflects it to -e_0.
-    v = np.where(np.arange(o) < sizes[:, None], (1.0 / np.sqrt(sizes))[:, None], 0.0)
+    v = np.where(pad, 0.0, (1.0 / np.sqrt(sizes))[:, None])
     v[:, 0] += 1.0
     b = laps.copy()
     _reflect(b, v)
@@ -250,7 +253,7 @@ def _spectral_sums(laps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         e[:, j] = alpha
     if n > 1:
         e[:, n - 2] = a[:, n - 1, n - 2]
-    if n and (a[padded, -1] != 0.0).any():
+    if n and (a[pad[:, 1:]] != 0.0).any():
         raise MatrixError("a padded member's pad row is not exactly zero after tridiagonalisation")
     # Slot 0 is the deflated direction, slot i + 1 is T's row i.
     inverse = np.ones((k, o))
@@ -267,10 +270,8 @@ def _spectral_sums(laps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
             g[:, i] = d[:, i] - e2[:, i] / g[:, i + 1]
         inverse[:, 1:-1] = 1.0 / (f[:, :-1] - e2[:, :-1] / g[:, 1:])
         inverse[:, -1] = 1.0 / f[:, -1]
-    sums = np.empty(k)
-    for part, t in ((~padded, o), (padded, o - 1)):
-        sums[part] = np.add.reduce(inverse[part, :t], axis=1)
-    return sums
+    inverse[pad] = 0.0
+    return np.add.reduce(inverse, axis=1)
 
 
 def _spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -473,9 +474,9 @@ def laplacian_group_inverses(laps: Sequence[np.ndarray]) -> list[np.ndarray]:
     refinement step and J/n deflation then run on its own slice, so each
     member is bit for bit ``laplacian_group_inverse`` of it, whatever its
     stack-mates.  Returns a list in input order (empty for no input).
-    Every member is checked before any is inverted; a check error names the
-    lowest failing member's position as ``Laplacian k``, a pivot error as
-    ``L + J/n of Laplacian k (order n)``.
+    Every member is checked before any is inverted, and a stack is no
+    Laplacian: a check error names the lowest failing member's position as
+    ``Laplacian k``, a pivot error as ``L + J/n of Laplacian k (order n)``.
     """
     whats = [f"Laplacian {k}" for k in range(len(laps))]
     shifted = [a + 1.0 / len(a) if len(a) else a for a in _as_symmetric(laps, whats, zero_rows=True)]

@@ -18,10 +18,10 @@ blocks.
 (base, identity battery, R-vertex crowns, R-edge crowns), then builds
 one ``closed_form.CrownSet`` over every crown of the run and checks each
 instance on its part of that set.  So every crown of the run is inverted
-and checked once, in one ``sym_inverse`` call per layout order when the
-set is built, and summed in one spectral-sum call per layout order when
-the first instance reads the crown spectra; ``check_corona_instance``
-called on crown graphs makes a set of its own.  The identity battery is
+and checked once, in one ``sym_inverse`` call per band of crown orders
+(1-4, 5-8, ...) when the set is built, and summed in one spectral-sum
+call per band when the first instance reads the crown spectra;
+``check_corona_instance`` called on crown graphs makes a set of its own.  The identity battery is
 drawn per case, in the rng order above, and computed in the chunks
 ``_chunks`` cuts (at most ``_CHUNK`` consecutive cases, fewer when their
 largest matrices would pass ``_CHUNK_ENTRIES`` entries): per chunk, one

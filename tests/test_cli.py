@@ -642,9 +642,9 @@ def test_kf_json_with_terms(rv_spec, capsys):
 
 def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
     # 40 crowns of orders 0-4 on C_40: the crowns are held as one stack per
-    # layout order (orders 1 and 2 in one, 3 and 4 in the other), inverted
-    # by one Cholesky call and read by one spectral-sum call each, not one
-    # per crown or per crown order.
+    # band, and orders 1-4 share the band of order 4, so they are inverted
+    # by one Cholesky call and read by one spectral-sum call, not one per
+    # crown or per crown order.
     (tmp_path / "c40.edges").write_text(serialize_edge_list(cycle_graph(40)))
     lines = ["kind = r_vertex", "base = c40.edges"]
     for i in range(40):
@@ -665,9 +665,8 @@ def test_closed_kf_eigensolves_once_per_crown_order(tmp_path, capsys):
         assert main(["kf", str(spec), "--method", "closed", "--format", "json", "--terms"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["closed"] == pytest.approx(doc["expanded"], rel=1e-9)
-    # Orders 1 and 2 share the order-2 layout, 3 and 4 the order-4 one.
-    assert eig.call_count == 2
-    assert [c.args[0].shape[-1] for c in inverse.call_args_list] == [2, 4]
+    assert [c.args[0].shape[-1] for c in eig.call_args_list] == [4]
+    assert [c.args[0].shape[-1] for c in inverse.call_args_list] == [4]
 
 
 @pytest.mark.parametrize("fixture", ["rv_spec", "re_spec"])

@@ -678,8 +678,8 @@ def test_each_crown_laplacian_is_built_once(kind):
 def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
     # Orders 1-9 mixed in one corona, edgeless and disconnected crowns
     # among them: every stack member's leading t x t block is
-    # laplacian(crown), signed zeros included, and each layout stack holds
-    # the crowns of orders o - 1 and o.
+    # laplacian(crown), signed zeros included, and each band's stack holds
+    # the crowns of orders o - 3 to o.
     rng = random.Random(17)
     crowns = [empty_graph(0)]
     for t in range(1, 10):
@@ -693,26 +693,26 @@ def test_crown_laplacian_stacks_are_laplacian_bit_for_bit():
     for members, laps, _ in cf.CrownSet.of(crowns).stacks:
         o = laps.shape[-1]
         assert laps.shape == (len(members), o, o)
-        assert {crowns[i].n for i in members} <= {o - 1, o}
+        assert {crowns[i].n for i in members} <= {o - 3, o - 2, o - 1, o}
         for i, lap in zip(members, laps):
             t = crowns[i].n
             want = laplacian(crowns[i])
             assert np.ascontiguousarray(lap[:t, :t]).tobytes() == want.tobytes()
         seen += members.tolist()
         layouts.append(o)
-    assert layouts == [2, 4, 6, 8, 10]
+    assert layouts == [4, 8, 12]
     assert sorted(seen) == [i for i, c in enumerate(crowns) if c.n]
 
 
 def test_layout_stacks_hold_each_crown_in_its_leading_block():
-    # Orders 1-13 (layouts 2-14): edgeless, complete, path, disconnected and
+    # Orders 1-13 (bands 4-16): edgeless, complete, path, disconnected and
     # random crowns.  Each member's leading t x t blocks are laplacian(H)
-    # and the inverse of L(H) + I, bit for bit for every even order and odd
-    # orders up to 9, and the per-crown totals and crown-cell gather read
-    # them.  An odd order of 11 and up is inverted by the BLAS product at its
-    # padded order, which may round in another order: a few ulps.  (The
-    # crowns were always inverted as stacks; a lone matrix runs the 1-D
-    # body, which agrees with a stack to roundoff only.)
+    # and the inverse of L(H) + I, bit for bit for orders up to 9 and 12,
+    # and the per-crown totals and crown-cell gather read them.  Orders 10,
+    # 11 and 13 are inverted by BLAS products at the padded order 12 or 16,
+    # which may round in another order: a few ulps.  (The crowns were always
+    # inverted as stacks; a lone matrix runs the 1-D body, which agrees with
+    # a stack to roundoff only.)
     rng = random.Random(29)
     crowns = [empty_graph(0)]
     for t in range(1, 14):
@@ -734,25 +734,25 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
             want = linalg.sym_inverse((lap + np.eye(t))[None], "crown block")[0]
             got = np.ascontiguousarray(inv[k, :t, :t])
             assert np.ascontiguousarray(laps[k, :t, :t]).tobytes() == lap.tobytes()
-            if t % 2 == 0 or t <= 9:
+            if t <= 9 or t == 12:
                 assert got.tobytes() == want.tobytes(), t
                 assert (traces[i], ones[i]) == (np.trace(want), want.sum())
             else:
                 assert max_abs(got - want) <= 4 * np.spacing(max_abs(want)), t
             rows, cols = (offsets[i] + a.reshape(-1) for a in np.indices((t, t)))
             assert cf._crown_cells(blocks, rows, cols).tobytes() == got.tobytes()
-            # The pad is exact: +0.0 in the Laplacian, the identity in the inverse.
-            if t < o:
-                assert laps[k, t].tobytes() == laps[k, :, t].tobytes() == np.zeros(o).tobytes()
+            # Each pad is exact: +0.0 in the Laplacian, the identity in the inverse.
+            for p in range(t, o):
+                assert laps[k, p].tobytes() == laps[k, :, p].tobytes() == np.zeros(o).tobytes()
                 unit = np.zeros(o)
-                unit[t] = 1.0
-                assert inv[k, t].tobytes() == inv[k, :, t].tobytes() == unit.tobytes()
-    assert [laps.shape[-1] for _, laps, _ in blocks.crowns.stacks] == [2, 4, 6, 8, 10, 12, 14]
+                unit[p] = 1.0
+                assert inv[k, p].tobytes() == inv[k, :, p].tobytes() == unit.tobytes()
+    assert [laps.shape[-1] for _, laps, _ in blocks.crowns.stacks] == [4, 8, 12, 16]
 
 
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_one_inverse_crown_corner_is_the_layout_stacks_bit_for_bit(kind):
-    # Crowns of orders 0-7, so odd orders sit padded in their layout stacks.
+    # Crowns of orders 0-7, so orders 1-3 and 5-7 sit padded in their bands.
     # With the skeleton cells patched to -0.0, the additive identity for
     # every float, the crown corner of X is exactly what one_inverse adds:
     # each crown's leading t x t block of its stack, bit for bit, and 0
@@ -1091,9 +1091,9 @@ def test_kirchhoff_peak_memory_stays_at_base_order(kind):
 
 
 def test_crown_eigen_sums_take_one_call_per_layout_order():
-    # Orders 1-9 share five layouts (2, 4, 6, 8, 10): an odd order is
-    # padded with a zero row and column and read with the next even order.
-    # Every sum is == that layout's own stacked call, and within roundoff of
+    # Orders 1-9 share three bands (4, 8, 12): an order t below its band o
+    # is padded with o - t zero rows and columns and read with the band.
+    # Every sum is == that band's own stacked call, and within roundoff of
     # the per-order call and of numpy's spectrum, including crowns with
     # several exact zero eigenvalues (edgeless and disconnected crowns).
     rng = random.Random(3)
@@ -1106,8 +1106,8 @@ def test_crown_eigen_sums_take_one_call_per_layout_order():
     blocks = cf.rv_blocks(path_graph(len(crowns)), crowns)
     want = np.zeros(len(crowns))
     alone = np.zeros(len(crowns))
-    for o in range(2, 11, 2):
-        of_layout = [i for i, c in enumerate(crowns) if c.n in (o - 1, o)]
+    for o in (4, 8, 12):
+        of_layout = [i for i, c in enumerate(crowns) if o - 4 < c.n <= o]
         laps = np.zeros((len(of_layout), o, o))
         for k, i in enumerate(of_layout):
             laps[k, : crowns[i].n, : crowns[i].n] = laplacian(crowns[i])
@@ -1120,8 +1120,8 @@ def test_crown_eigen_sums_take_one_call_per_layout_order():
     eig = mock.Mock(wraps=linalg._spectral_sums)
     with mock.patch.object(cf, "_spectral_sums", eig):
         got = blocks.crowns.eigen_sums
-    assert eig.call_count == 5
-    assert [c.args[0].shape[-1] for c in eig.call_args_list] == [2, 4, 6, 8, 10]
+    assert eig.call_count == 3
+    assert [c.args[0].shape[-1] for c in eig.call_args_list] == [4, 8, 12]
     assert (got == want).all()
     npt.assert_allclose(got, alone, rtol=1e-15, atol=0)
     exact = [_eigvalsh_sum(c) for c in crowns]
@@ -1171,7 +1171,7 @@ def test_a_padded_spectrum_must_read_zero_in_its_pad_slot():
     # it, so it must end exactly zero; and the deflated row of every member
     # is roundoff of the reflection, within its own bound.  Anything else
     # raises instead of being summed or dropped.  An order-3 crown is padded
-    # to layout 4.
+    # to band 4.
     crowns = cf.CrownSet.of((path_graph(3), complete_graph(4)))
     ((members, laps, inv),) = crowns.stacks
     sums = cf._crown_eigen_sums(crowns)

@@ -28,7 +28,7 @@ from coronakit.linalg import (
 
 def _laplacian_stack(graphs, o):
     # Each graph's Laplacian in the leading block of an order-o member, the
-    # rest zero, as the crown layouts pad an odd order.
+    # rest zero, as a crown band pads a smaller order.
     laps = np.zeros((len(graphs), o, o))
     for i, g in enumerate(graphs):
         laps[i, : g.n, : g.n] = laplacian(g)
@@ -189,7 +189,7 @@ def test_stacked_eigendecompose_trivial_shapes():
 def test_unchecked_jacobi_keeps_index_order_and_a_zero_pad_slot():
     # The kernel checks nothing on the way in and returns one sum per member
     # in the members' order.  No reflector touches a pad, so a member padded
-    # with a zero row and column (as the crown layouts pad an odd order)
+    # with a zero row and column (as a crown band pads a smaller order)
     # keeps that row exactly zero, its pad slot is left out, and it sums as
     # it does unpadded; every step runs without a floating-point warning,
     # also where a reflector is zero (a column already zero below T).
@@ -549,6 +549,28 @@ def test_stacked_group_inverses_name_the_lowest_bad_member():
     ):
         with pytest.raises(MatrixError, match=want):
             linalg.laplacian_group_inverses(members)
+
+
+def test_group_inverses_reject_a_stack():
+    # A group inverse deflates one matrix's null vector, so a (k, t, t)
+    # stack is no Laplacian, whether k differs from t or not: it raises
+    # MatrixError naming its position before anything is inverted, and the
+    # lowest failing member is named as for any other check.
+    lap = laplacian(path_graph(3))
+    nan = lap.copy()
+    nan[0, 0] = np.nan
+    inverses = mock.Mock(wraps=linalg._sym_inverses)
+    with mock.patch.object(linalg, "_sym_inverses", inverses):
+        for k in (2, 3):
+            stack = np.stack([lap] * k)
+            want = f"must be a matrix, not a stack of shape \\({k}, 3, 3\\)$"
+            with pytest.raises(MatrixError, match="^Laplacian 0 " + want):
+                laplacian_group_inverse(stack)
+            with pytest.raises(MatrixError, match="^Laplacian 1 " + want):
+                linalg.laplacian_group_inverses([lap, stack, nan])
+            with pytest.raises(MatrixError, match="^Laplacian 0 has non-finite entries$"):
+                linalg.laplacian_group_inverses([nan, stack])
+    assert inverses.call_count == 0
 
 
 def test_stacked_group_inverses_of_no_members():

@@ -240,8 +240,8 @@ def test_run_suite_reports_what_each_instance_reports_alone(cases, t_max):
     # A run checks each instance on its part of one run-level crown set; an
     # instance checked alone inverts and sums its own crowns.  Every value
     # and residual must agree bit for bit.  t_max 0 leaves every crown
-    # empty (no layout at all); t_max 6 puts odd and even orders up to 6 in
-    # the run's stacks.
+    # empty (no band at all); t_max 6 puts orders up to 6 in the run's
+    # stacks, with one to three pad rows in a member.
     for seed in (0, 17, 404):
         report = suite.run_suite(seed=seed, cases=cases, t_max=t_max)
         drawn = _drawn_instances(seed, cases, 5, t_max)
@@ -257,8 +257,8 @@ def test_run_suite_reports_what_each_instance_reports_alone(cases, t_max):
 
 def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
     # Every crown of a run is inverted by one sym_inverse call and its
-    # spectral sums read by one _spectral_sums call per layout order
-    # t + t % 2 present in the run, not once per instance.
+    # spectral sums read by one _spectral_sums call per band 4 ceil(t / 4)
+    # present in the run, not once per instance.
     inverse = mock.Mock(wraps=closed_form.sym_inverse)
     eig = mock.Mock(wraps=closed_form._spectral_sums)
     with (
@@ -267,10 +267,11 @@ def test_run_suite_inverts_and_sweeps_its_crowns_once_per_layout_order():
     ):
         report = suite.run_suite(seed=8, cases=5)
     assert report.verdict == "pass"
-    layouts = sorted({t + t % 2 for inst in report.instances for t in inst.crown_sizes} - {0})
-    assert layouts == [2, 4]
-    assert [c.args[0].shape[-1] for c in inverse.call_args_list] == layouts
-    assert [c.args[0].shape[-1] for c in eig.call_args_list] == layouts
+    orders = {t for inst in report.instances for t in inst.crown_sizes}
+    bands = sorted({t + (-t) % 4 for t in orders} - {0})
+    assert orders == {0, 1, 2, 3} and bands == [4]
+    assert [c.args[0].shape[-1] for c in inverse.call_args_list] == bands
+    assert [c.args[0].shape[-1] for c in eig.call_args_list] == bands
 
 
 @pytest.mark.parametrize("cases", [7, 70])
