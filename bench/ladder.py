@@ -2,7 +2,7 @@
 
     python3 bench/ladder.py [--out BENCH_kf_ladder.json] [--sizes 120 480 ...] [--repeats 3]
     python3 bench/ladder.py --crowns [--before FILE] [--out BENCH_crown_sums.json]
-    python3 bench/ladder.py --suite [--before FILE] [--out BENCH_suite_battery.json]
+    python3 bench/ladder.py --suite [--before FILE | --before CHECKOUT] [--out BENCH_suite_battery.json]
 
 Run it from anywhere; it imports the package from this checkout's ``src/``.
 Each case is the R-vertex corona with every crown empty, R(G), over a base
@@ -42,8 +42,17 @@ op of ``corona suite --cases 5``, and the identity battery alone as
 ``suite.run_identity_battery(seed, 5, n_max=5)``, five graphs of order 2-5
 per seed, each with its own base group inverse.  Each row is the best of
 ``--repeats`` passes over the 100 seeds, as the mean time of one seed,
-with the tracemalloc peak of one more pass; ``--before`` works as for the
-crown rung.
+with the tracemalloc peak of one more pass; ``--before FILE`` works as for
+the crown rung.  Passes of one tree in a row can differ by more than the
+change being measured (on a shared 2-vCPU guest, 8.1 and 10.7 ms per seed
+in two runs of one tree), so ``--before CHECKOUT``, the root of another
+checkout of the package, compares the two trees pass by pass instead:
+``--repeats`` pairs of passes, each pass a fresh process that imports the
+package from one tree's ``src/``, warms up on five seeds and times one
+pass over the 100, the two trees alternating which goes first.  Each
+row's ``ms`` and ``before_ms`` are then the medians over the pairs,
+``passes`` holds every pass, and ``faster`` counts the pairs in which
+this tree was the faster.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ import math
 import platform
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -70,7 +80,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# A pass of the suite rung for another checkout (``--src``) imports the
+# package from that checkout instead.
+SRC = Path(sys.argv[sys.argv.index("--src") + 1]) if "--src" in sys.argv else ROOT / "src"
+sys.path.insert(0, str(SRC))
 
 from coronakit import closed_form, linalg, suite  # noqa: E402
 from coronakit.graphs import Graph, complete_graph, empty_graph, path_graph  # noqa: E402
@@ -303,8 +316,41 @@ def suite_case(what: str, repeats: int) -> dict:
     return row
 
 
+def suite_pass() -> dict:
+    """One pass of every suite row, after a warm-up on five seeds, as ms per seed."""
+    out = {}
+    for what, op in SUITE_ROWS.items():
+        for seed in SUITE_SEEDS[:5]:
+            op(seed)
+        start = time.perf_counter()
+        for seed in SUITE_SEEDS:
+            op(seed)
+        out[what] = 1e3 * (time.perf_counter() - start) / len(SUITE_SEEDS)
+    return out
+
+
+def alternating_passes(before: Path, pairs: int) -> tuple[list[dict], list[dict]]:
+    """``pairs`` pairs of ``suite_pass`` in fresh processes, this tree's and ``before``'s, alternating which goes first."""
+    def one(tree: Path) -> dict:
+        argv = [sys.executable, __file__, "--suite", "--pass", "--src", str(tree / "src")]
+        return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+
+    mine, theirs = [], []
+    for k in range(pairs):
+        if k % 2:
+            theirs.append(one(before))
+            mine.append(one(ROOT))
+        else:
+            mine.append(one(ROOT))
+            theirs.append(one(before))
+        print(f"suite  pair {k + 1}: {mine[-1]} against {theirs[-1]}", file=sys.stderr)
+    return mine, theirs
+
+
 def suite_report(repeats: int, before: str | None) -> dict:
-    rows = [suite_case(what, repeats) for what in SUITE_ROWS]
+    alternate = before is not None and Path(before).is_dir()
+    # Alternating, the pairs give the times and one pass here the peaks.
+    rows = [suite_case(what, 1 if alternate else repeats) for what in SUITE_ROWS]
     report = {
         "schema": "coronakit-bench-suite-battery/1",
         "what": "in-process corona suite --cases 5 (run_suite and to_json) and the identity "
@@ -313,7 +359,23 @@ def suite_report(repeats: int, before: str | None) -> dict:
         "machine": machine(),
         "rows": rows,
     }
-    return with_before(report, before, lambda row: row["what"], "ms")
+    if not alternate:
+        return with_before(report, before, lambda row: row["what"], "ms")
+    mine, theirs = alternating_passes(Path(before), repeats)
+    report["what"] += f"; medians of {repeats} alternating pairs of passes against another checkout"
+    for row in rows:
+        what = row["what"]
+        ms = [p[what] for p in mine]
+        before_ms = [p[what] for p in theirs]
+        row.update(
+            ms=statistics.median(ms),
+            before_ms=statistics.median(before_ms),
+            speedup=statistics.median(before_ms) / statistics.median(ms),
+            faster=sum(a < b for a, b in zip(ms, before_ms)),
+            pairs=repeats,
+            passes={"ms": ms, "before_ms": before_ms},
+        )
+    return report
 
 
 def with_before(report: dict, before: str | None, key, field: str) -> dict:
@@ -351,8 +413,17 @@ def main() -> None:
     rung = parser.add_mutually_exclusive_group()
     rung.add_argument("--crowns", action="store_true", help="run only the crown rung")
     rung.add_argument("--suite", action="store_true", help="run only the suite rung")
-    parser.add_argument("--before", help="crown or suite rung report of another checkout to compare with")
+    parser.add_argument(
+        "--before",
+        help="crown or suite rung report of another checkout to compare with; for the suite "
+        "rung, also the root of another checkout, to alternate passes with",
+    )
+    parser.add_argument("--src", help=argparse.SUPPRESS)
+    parser.add_argument("--pass", dest="one_pass", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.suite and args.one_pass:
+        print(json.dumps(suite_pass()))
+        return
     if args.crowns or args.suite:
         if args.crowns:
             name, rung_report = "BENCH_crown_sums.json", crown_report

@@ -13,24 +13,34 @@ resistance, the diagonal of its grounded inverse (Bapat, Graphs and
 Matrices); within one crown the skeleton part is 0 and the crown's cross
 term is taken off.
 
-Through the pairs its vertices join, every cell of the skeleton corner is
-one gather from the group inverse L# of L(G), because the Schur complement
-of the original vertices collapses to (3/2) L(G).  Every inverse is a
-Cholesky solve: the dense L# deflates the all-ones null vector as
-(L(G) + J/n)^{-1} - J/n, and the crowns of each band, the stack order
-``_band`` gives a crown of order t (orders 1-4 share order 4, 5-8 order
-8, and so on), are inverted as one stack.  No matrix larger than the base
-graph is inverted, and none is pseudo-inverted.  The blocks hold only base- and
-crown-order data, and the dense L# is taken only when first read: the map, a
-single pair and the {1}-inverse read skeleton cells of it through one
-gather, at most two for a pair, and crown cells off the stacks through
-another (``_crown_cells``), at most four for a pair.  The Kirchhoff index
-reads L# only on the diagonal, on the base edges and in three quadratic
-forms, so it always reads them off a sparse ``GroundedFactor`` of L(G),
-base-order work with nothing n x n formed.  The one spectral read is in
-``_crown_eigen_sums``: the expanded Kirchhoff index reads each crown's
-spectral sum on purpose, by a tridiagonal kernel that shares no code with
-the Cholesky inverses, on the Laplacian stacks the inverses read.
+Through the pairs its vertices join, every cell of the skeleton corner
+is one gather from the group inverse L# of L(G), because the Schur
+complement of the original vertices collapses to (3/2) L(G).  Every
+inverse is a Cholesky solve: the dense L# deflates the all-ones null
+vector as (L(G) + J/n)^{-1} - J/n, and the crowns of each band, the
+stack order ``_band`` gives a crown of order t (orders 1-4 share order
+4, 5-8 order 8, and so on), are inverted as one stack.  No matrix larger
+than the base graph is inverted, and none is pseudo-inverted.  The
+blocks hold only base- and crown-order data, and the dense L# is taken
+only when first read.  Every readout of X or of resistances, the
+{1}-inverse, the map and a single pair, is one body, ``_readouts``, over
+any number of coronas at once, each with the vertices w it reads:
+``one_inverse``, ``resistance_map`` and ``pair_resistance`` are its
+calls of one (w every vertex, or [u, v]), and ``one_inverses`` and
+``resistance_maps`` read a chunk, as the suite does.  Per corona, the
+skeleton cells come at its anchors through one gather off L#
+(``_skeleton_block``), at most two anchors for a pair; the crown cells
+of every corona come off the crown stacks through another
+(``_crown_cells``), at most four for a pair.  The coronas of a chunk
+share stacks padded to one order, so each stage is one numpy call for
+all of them, and each corona's answer is the bits it has alone.  The
+Kirchhoff index reads L# only on the diagonal, on the base edges and in
+three quadratic forms, so it always reads them off a sparse
+``GroundedFactor`` of L(G), base-order work with nothing n x n formed.
+The one spectral read is in ``_crown_eigen_sums``: the expanded
+Kirchhoff index reads each crown's spectral sum on purpose, by a
+tridiagonal kernel that shares no code with the Cholesky inverses, on
+the Laplacian stacks the inverses read.
 
 Everything read of the base, its connectivity, its skeleton ends, the
 dense L# and the sparse factor, depends on nothing but G, so the base side
@@ -54,6 +64,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,6 +74,7 @@ from .graphs import Graph, laplacian
 from .linalg import (
     GroundedFactor,
     MatrixError,
+    _groups,
     _spectral_sums,
     laplacian_group_inverse,
     sym_inverse,
@@ -355,77 +367,240 @@ def _skeleton_block(blocks: CoronaBlocks, at: np.ndarray) -> np.ndarray:
     c = blocks.l_sharp[:, p] + blocks.l_sharp[:, q]
     four = c[p] + c[q]
     s = (1.0 / 6.0) * (0.5 * (four + four.T))
-    edge = np.flatnonzero(at >= blocks.base.n)
+    (edge,) = (at >= blocks.base.n).nonzero()
     s[edge, edge] += 0.5
     return s
 
 
-def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
-    """Symmetric {1}-inverse of the corona Laplacian ``blocks`` describe.
+def _crown_cells(crowns: CrownSet | CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Entries (c_i, d_i) of the grounded crown corner, c_i and d_i in one crown, off the stacks.
 
-    The one assembler for both kinds, in the builder's vertex order: the
-    skeleton corner read through the anchors, X = S[a, a], plus the
-    grounded crown inverses on the crown corner, gathered off the stacks
-    over the same-anchor pairs: each anchor holds one crown, so these are
-    exactly the same-crown pairs, and across crowns the corner is 0.
+    ``crowns`` is a crown set, or the blocks whose set it is; c and d count
+    the set's crown vertices in layout order.
     """
-    nm = len(blocks.ends[0])
-    ext = np.concatenate([np.arange(nm), blocks.anchor])
-    x = _skeleton_block(blocks, np.arange(nm))[np.ix_(ext, ext)]
-    i, j = np.nonzero(blocks.anchor[:, None] == blocks.anchor[None, :])
-    x[nm + i, nm + j] += _crown_cells(blocks, i, j)
-    return x
+    if isinstance(crowns, CoronaBlocks):
+        crowns = crowns.crowns
+    sizes = np.array(crowns.sizes, dtype=np.intp)
+    ends = sizes.cumsum()
+    crown = ends.searchsorted(c, side="right")
+    first = ends[crown] - sizes[crown]
+    i, j, member = c - first, d - first, crowns.first + crown
+    if len(crowns.stacks) == 1:
+        # One band holds every crown with a vertex.
+        ((members, _, inv),) = crowns.stacks
+        return inv[members.searchsorted(member), i, j]
+    bands = _band(sizes[crown])
+    cells = np.empty(len(c))
+    for members, _, inv in crowns.stacks:
+        mine = bands == inv.shape[-1]
+        cells[mine] = inv[members.searchsorted(member[mine]), i[mine], j[mine]]
+    return cells
+
+
+def _crown_runs(sets: list[CrownSet]) -> list[tuple[int, int, CrownSet]]:
+    """Consecutive members lo..hi-1 whose crown sets are adjacent parts of one set, with the part that joins them.
+
+    A suite chunk's members are one run: each instance's crowns are the
+    part of the run's set that follows the instance before it.  A run of
+    one member is read through its own set.
+    """
+    runs = []
+    lo = 0
+    while lo < len(sets):
+        first = sets[lo]
+        whole = first if first.whole is None else first.whole
+        hi, end = lo + 1, first.first + len(first)
+        while hi < len(sets):
+            nxt = sets[hi]
+            if (nxt if nxt.whole is None else nxt.whole) is not whole or nxt.first != end:
+                break
+            hi, end = hi + 1, end + len(nxt)
+        runs.append((lo, hi, first if hi == lo + 1 else whole.part(first.first, end)))
+        lo = hi
+    return runs
+
+
+def _same_key_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b) of positions with key[a] == key[b], each position with itself included.
+
+    One sort groups equal keys, so the work and memory follow the number of
+    pairs, not the square of the number of keys, which across a chunk of
+    coronas would compare every crown vertex with every other corona's.
+    """
+    order = key.argsort(kind="stable")
+    ranked = key[order]
+    # Per ranked position, where its group starts and how many it holds;
+    # each position then pairs with every position of its group.
+    lo = ranked.searchsorted(ranked)
+    count = ranked.searchsorted(ranked, side="right") - lo
+    a = np.arange(len(key)).repeat(count)
+    b = np.arange(len(a)) - (count.cumsum() - count - lo).repeat(count)
+    return order[a], order[b]
+
+
+def _readouts(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) -> list[np.ndarray]:
+    """Per (blocks, w) member, the {1}-inverse X, or the resistances, among corona vertices w.
+
+    The one body of every closed readout, for any number of members.  The
+    members share stacks by ``linalg._groups`` of their orders len(w), and
+    each stack is read by ``_read_stack``: a shared stack is padded to its
+    largest order, a lone member is not.  Returns one array per member, in
+    order: its block of a shared stack, a view, or its own stack's only
+    member.
+    """
+    out: list[np.ndarray] = [np.empty((0, 0))] * len(members)
+    for group in _groups([len(w) for _, w in members]):
+        for g, read in zip(group, _read_stack([members[g] for g in group], resist)):
+            out[g] = read
+    return out
+
+
+def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) -> list[np.ndarray]:
+    """``_readouts`` of members that share one stack, each stage one call for all of them.
+
+    The members' vertices w are taken together.  A crown vertex reads as
+    its anchor, so each member's distinct anchors are its skeleton
+    vertices, and its skeleton corner S is gathered there, at skeleton
+    order, by ``_skeleton_block``, once per base side and anchor set: the
+    two kinds over one base read one S.  The S are padded into one stack,
+    read as resistances there if asked, and gathered out to every member's
+    w through its anchors in one gather.  The same-crown pairs of w are the
+    same-anchor pairs among its crown vertices, each crown vertex with
+    itself included, since each anchor holds one crown; all members' cells
+    at those pairs come off the crown stacks in one ``_crown_cells`` call
+    per run of adjacent crown parts (``_crown_runs``).  X then adds them on
+    the same-crown pairs, and across crowns its crown corner is 0.  The
+    resistances add each crown vertex's apex value, its own cell, to its
+    row and column, and take the cross term 2 G_uv off each same-crown
+    pair: within one crown the skeleton part is exactly 0, leaving
+    G_uu + G_vv - 2 G_uv.  Pad rows and columns read 0.  Every step is per
+    member and elementwise, so a member reads the bits it reads alone.
+    """
+    k = len(members)
+    orders = [len(w) for _, w in members]
+    nms = [len(blocks.ends[0]) for blocks, _ in members]
+    firsts = list(accumulate(orders, initial=0))
+    skeleton_firsts = list(accumulate(nms, initial=0))
+    crown_firsts = list(accumulate((len(blocks.anchor) for blocks, _ in members), initial=0))
+    shifts = [h - nm for h, nm in zip(crown_firsts, nms)]
+    # Per vertex of every w in turn: its member, where the member's w
+    # starts, where its skeleton vertices start among every member's, its
+    # skeleton order, and the shift that takes a crown vertex of the member
+    # to its place among every member's crown vertices.  For a lone member
+    # each is one number.
+    if k == 1:
+        member, start, skeleton_first, nm, shift = 0, 0, 0, nms[0], shifts[0]
+    else:
+        table = np.array([*range(k), *firsts[:-1], *skeleton_firsts[:-1], *nms, *shifts]).reshape(5, k)
+        member, start, skeleton_first, nm, shift = table.repeat(orders, axis=1)
+    w = np.concatenate([w for _, w in members])
+    pos = np.arange(len(w)) - start
+    (crown,) = (w >= nm).nonzero()
+    c = (w + shift)[crown]
+    # Each vertex's anchor among every member's skeleton vertices.
+    anchors = w.copy()
+    anchors[crown] = np.concatenate([blocks.anchor for blocks, _ in members])[c]
+    anchors += skeleton_first
+    (at,) = np.bincount(anchors).nonzero()
+    back = at.searchsorted(anchors)
+    bounds = at.searchsorted(skeleton_firsts).tolist()
+
+    corners: dict[tuple[BaseSide, bytes], np.ndarray] = {}
+    skeletons = []
+    for (blocks, _), lo, hi, first in zip(members, bounds, bounds[1:], skeleton_firsts):
+        mine = at[lo:hi] - first
+        seen = (blocks.side, mine.tobytes())
+        if seen not in corners:
+            corners[seen] = _skeleton_block(blocks, mine)
+        skeletons.append(corners[seen])
+    o = max(orders)
+    if k == 1:
+        s = skeletons[0]
+        stack = (resistance.resistances_from_inverse(s) if resist else s)[np.ix_(back, back)][None]
+    else:
+        a = max(len(s) for s in skeletons)
+        stack = np.zeros((k, a, a))
+        for m, s in enumerate(skeletons):
+            stack[m, : len(s), : len(s)] = s
+        if resist:
+            stack = resistance.resistances_from_inverse(stack)
+        # One gather through flat positions: member m's cell (back_u, back_v).
+        back -= np.array(bounds)[member]
+        rows = np.zeros((k, o), dtype=np.intp)
+        rows[member, pos] = (member * a + back) * a
+        cols = np.zeros((k, o), dtype=np.intp)
+        cols[member, pos] = back
+        stack = stack.reshape(-1)[rows[:, :, None] + cols[:, None, :]]
+
+    i, j = _same_key_pairs(anchors[crown])
+    slots = member if k == 1 else member[crown[i]]
+    rows, cols = pos[crown[i]], pos[crown[j]]
+    runs = _crown_runs([blocks.crowns for blocks, _ in members])
+    if len(runs) == 1:
+        cells = _crown_cells(runs[0][2], c[i], c[j])
+    else:
+        cells = np.empty(len(i))
+        for lo, hi, crowns in runs:
+            mine = (slots >= lo) & (slots < hi)
+            cells[mine] = _crown_cells(crowns, c[i][mine] - crown_firsts[lo], c[j][mine] - crown_firsts[lo])
+    if resist:
+        own = i == j
+        apex = np.zeros((k, o))
+        apex.reshape(-1)[(slots * o + rows)[own]] = cells[own]
+        stack += apex[:, :, None] + apex[:, None, :]
+        stack[slots, rows, cols] -= 2.0 * cells
+    else:
+        stack[slots, rows, cols] += cells
+    if k == 1:
+        return [stack[0]]
+    pad = np.arange(o) >= np.array(orders)[:, None]
+    stack[pad[:, :, None] | pad[:, None, :]] = 0.0
+    return [stack[m, :n, :n] for m, n in enumerate(orders)]
+
+
+def _vertices(blocks: CoronaBlocks) -> np.ndarray:
+    """Every corona vertex of ``blocks``, in the builder's order."""
+    return np.arange(len(blocks.ends[0]) + len(blocks.anchor))
+
+
+def one_inverses(blocks: list[CoronaBlocks]) -> list[np.ndarray]:
+    """Symmetric {1}-inverse of each corona Laplacian ``blocks`` describe, in one chunk.
+
+    The one assembler for both kinds, in the builder's vertex order:
+    ``_readouts`` of every vertex, the skeleton corner read through the
+    anchors, X = S[a, a], plus the grounded crown inverses on the crown
+    corner, gathered off the stacks over the same-crown pairs.  Members of
+    several orders share one padded stack, so a member of a chunk is its
+    block of that stack, a view; each comes out bit for bit as it would
+    alone.
+    """
+    return _readouts([(b, _vertices(b)) for b in blocks], resist=False)
+
+
+def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
+    """Symmetric {1}-inverse of the corona Laplacian ``blocks`` describe: ``one_inverses`` of one."""
+    return one_inverses([blocks])[0]
 
 
 # ---------------------------------------------------------------------------
 # Resistances
 
 
-def _crown_cells(blocks: CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Entries (c_i, d_i) of the grounded crown corner, c_i and d_i in one crown, off the stacks."""
-    crowns = blocks.crowns
-    sizes = np.array(crowns.sizes, dtype=np.intp)
-    start = np.cumsum(sizes) - sizes
-    crown = np.searchsorted(start + sizes, c, side="right")
-    t, i, j = sizes[crown], c - start[crown], d - start[crown]
-    bands = _band(t)
-    member = crowns.first + crown
-    cells = np.empty(len(c))
-    for members, _, inv in crowns.stacks:
-        mine = bands == inv.shape[-1]
-        cells[mine] = inv[np.searchsorted(members, member[mine]), i[mine], j[mine]]
-    return cells
+def resistance_maps(blocks: list[CoronaBlocks]) -> list[np.ndarray]:
+    """All pairwise resistances of each corona ``blocks`` describe, in one chunk.
 
-
-def _resistances(blocks: CoronaBlocks, w: np.ndarray) -> np.ndarray:
-    """Resistances among corona vertices ``w``: the map's rows and columns at w.
-
-    The skeleton resistance between the anchors, from the skeleton cells
-    of w's distinct anchors, plus each crown vertex's apex value off the
-    crown stacks; within one crown the skeleton part is exactly 0 and the
-    cross term 2 G_uv is taken off, leaving G_uu + G_vv - 2 G_uv.
+    ``_readouts`` of every vertex: the skeleton resistance between the
+    anchors, read at skeleton order, plus each crown vertex's apex value,
+    less the cross term within one crown.  A member of a chunk is its
+    block of a shared padded stack, as for ``one_inverses``, with the bits
+    it has alone.
     """
-    nm = len(blocks.ends[0])
-    crown = np.flatnonzero(w >= nm)
-    c = w[crown] - nm
-    anchors = w.copy()
-    anchors[crown] = hung = blocks.anchor[c]
-    at = np.flatnonzero(np.bincount(anchors))
-    back = np.searchsorted(at, anchors)
-    r = resistance.resistances_from_inverse(_skeleton_block(blocks, at))[np.ix_(back, back)]
-    # Every same-crown pair, each crown vertex with itself included.
-    i, j = np.nonzero(hung[:, None] == hung[None, :])
-    cells = _crown_cells(blocks, c[i], c[j])
-    apex = np.zeros(len(w))
-    apex[crown] = cells[i == j]
-    r += apex[:, None] + apex[None, :]
-    r[crown[i], crown[j]] -= 2.0 * cells
-    return r
+    return _readouts([(b, _vertices(b)) for b in blocks], resist=True)
 
 
 def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
-    """All pairwise resistances of the corona ``blocks`` describe, from blocks already built."""
-    return _resistances(blocks, np.arange(len(blocks.ends[0]) + len(blocks.anchor)))
+    """All pairwise resistances of the corona ``blocks`` describe: ``resistance_maps`` of one."""
+    return resistance_maps([blocks])[0]
 
 
 def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
@@ -439,7 +614,7 @@ def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
     for w in (u, v):
         if not 0 <= w < total:
             raise IndexError(f"vertex {w} is out of range for a corona of {total} vertices")
-    return float(_resistances(blocks, np.array([u, v], dtype=np.intp))[0, 1])
+    return float(_readouts([(blocks, np.array([u, v], dtype=np.intp))], resist=True)[0][0, 1])
 
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:

@@ -25,11 +25,12 @@ through ``laplacian_group_inverses`` (``laplacian_group_inverse`` is its
 call of one).  Each matrix has one answer: every step is per member, and
 IEEE square root and division round a scalar as they round an array, so a
 member of any stack gets the bits of the matrix alone.  Matrices of any
-orders share stacks by one rule (``_stacks``): up to SCHUR_LEAF_ORDER one
-stack padded to the largest order; a larger or lone matrix, or a given
-stack, alone.  Input is checked once, by ``_as_symmetric``, which pads
-with zeros, and every Cholesky inverse is ``_sym_inverses`` of checked
-input, which pads with the identity; every kernel raises ``MatrixError``
+orders share stacks by one rule, ``_groups``, which ``_stacks`` and the
+closed route's readouts follow: up to SCHUR_LEAF_ORDER one stack padded
+to the largest order; a larger or lone matrix, or a given stack, alone.
+Input is checked once, by ``_as_symmetric``, which pads with zeros, and
+every Cholesky inverse is ``_sym_inverses`` of checked input, which pads
+with the identity; every kernel raises ``MatrixError``
 (``SingularMatrixError`` for singular input) instead of returning an
 answer it cannot vouch for.  The spectral sums read only input that an
 inverse has checked.
@@ -93,32 +94,48 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _groups(orders: Sequence[int]) -> list[list[int]]:
+    """Which items of these orders share a stack, as lists of item positions: the one rule of every stacked call.
+
+    The items of order 1 to SCHUR_LEAF_ORDER share one stack, padded to
+    the largest such order, unless only one item has such an order.  An
+    item of a larger order, or a lone small one, is a stack of its own,
+    and an item of order 0 is in none.
+    """
+    small = [k for k, n in enumerate(orders) if 0 < n <= SCHUR_LEAF_ORDER]
+    alone = [k for k, n in enumerate(orders) if n > SCHUR_LEAF_ORDER]
+    if len(small) == 1:
+        alone, small = alone + small, []
+    return [[k] for k in alone] + ([small] if small else [])
+
+
 def _stacks(mats: Sequence[np.ndarray], pad: float) -> list[tuple[list[int], np.ndarray]]:
     """The stacks that square float matrices of any orders, or given (k, t, t) stacks, are worked in, as (members, stack) pairs.
 
-    The matrices of order 1 to SCHUR_LEAF_ORDER share one stack of the
-    largest such order, each in its leading block, padded with ``pad``
-    times the identity.  A larger matrix, a lone small one or a given stack
-    is a stack of its own, a view that is not copied.  An empty item is in
-    no stack.
+    The matrices share stacks by ``_groups``: each in its leading block of
+    a shared stack, padded with ``pad`` times the identity.  A stack of one
+    item, a matrix or a given stack, is a view that is not copied.  A
+    given stack is read as larger than SCHUR_LEAF_ORDER, so it is always
+    alone.  An empty item is in no stack.
     """
-    small = [k for k, a in enumerate(mats) if a.ndim == 2 and 0 < len(a) <= SCHUR_LEAF_ORDER]
-    alone = [k for k, a in enumerate(mats) if a.size and (a.ndim == 3 or len(a) > SCHUR_LEAF_ORDER)]
-    if len(small) == 1:
-        alone, small = alone + small, []
-    stacks = [([k], mats[k] if mats[k].ndim == 3 else mats[k][None]) for k in alone]
-    if small:
-        order = max(len(mats[k]) for k in small)
-        stack = np.tile(pad * np.eye(order), (len(small), 1, 1))
-        for i, k in enumerate(small):
-            n = len(mats[k])
+    orders = [len(a) if a.ndim == 2 else (SCHUR_LEAF_ORDER + 1) * (a.size > 0) for a in mats]
+    stacks = []
+    for members in _groups(orders):
+        if len(members) == 1:
+            (k,) = members
+            stacks.append((members, mats[k] if mats[k].ndim == 3 else mats[k][None]))
+            continue
+        order = max(orders[k] for k in members)
+        stack = np.tile(pad * np.eye(order), (len(members), 1, 1))
+        for i, k in enumerate(members):
+            n = orders[k]
             stack[i, :n, :n] = mats[k]
-        stacks.append((small, stack))
+        stacks.append((members, stack))
     return stacks
 
 
 def _as_symmetric(
-    mats: Sequence[np.ndarray], whats: Sequence[str], zero_rows: bool = False
+    mats: Sequence[np.ndarray], whats: Sequence[str], zero_rows: bool = False, matrices: bool = False
 ) -> list[np.ndarray]:
     """Float copies of square matrices of any orders, or (k, t, t) stacks of them, finite, symmetric and symmetrised exactly.
 
@@ -127,17 +144,19 @@ def _as_symmetric(
     is finite and symmetric and leaves that scale alone, so a matrix meets
     the bounds it meets alone.  The lowest item that fails (square, then
     finite, then symmetric to SYMMETRY_RTOL, in any member of a stack)
-    raises MatrixError naming ``whats[k]``.  With ``zero_rows``, as for a
-    Laplacian, each item must be one matrix, not a stack (a group inverse
-    deflates one matrix's null vector), and each symmetrised member's rows
-    must then also sum to zero to within SYMMETRY_RTOL of its own
-    max(1, max|A|), checked on the same stacks; when every item passes the
-    checks above, the lowest one that fails this raises.
+    raises MatrixError naming ``whats[k]``.  With ``matrices``, each item
+    must be one matrix, not a stack, first of all, for a kernel that reads
+    the order of one matrix.  With ``zero_rows``, as for a Laplacian, the
+    same holds (a group inverse deflates one matrix's null vector), and
+    each symmetrised member's rows must then also sum to zero to within
+    SYMMETRY_RTOL of its own max(1, max|A|), checked on the same stacks;
+    when every item passes the checks above, the lowest one that fails this
+    raises.
     """
     mats = [np.asarray(m, dtype=float) for m in mats]
     errors: dict[int, str] = {}
     for k, a in enumerate(mats):
-        if zero_rows and a.ndim == 3:
+        if (zero_rows or matrices) and a.ndim == 3:
             errors[k] = f"must be a matrix, not a stack of shape {a.shape}"
         elif a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             errors[k] = f"must be square, got shape {a.shape}"
@@ -874,9 +893,10 @@ def shifted_rank_one_inverse(l: np.ndarray, a: float, b: float) -> np.ndarray:
     product is checked against the identity, and a failure (for instance a
     non-Laplacian input) raises SingularMatrixError.  Past the check of L,
     the steps around the one inverse are ``_rank_one_shift`` and
-    ``_rank_one_inverse``.
+    ``_rank_one_inverse``.  L must be one matrix: a (k, t, t) stack raises
+    MatrixError before anything is inverted.
     """
-    (lap,) = _as_symmetric([l], ["Laplacian"])
+    (lap,) = _as_symmetric([l], ["Laplacian"], matrices=True)
     shifted = _rank_one_shift(lap, a, b)
     (shifted_inv,) = _sym_inverses([shifted], ["L + aI"])
     x, _ = _rank_one_inverse(shifted, shifted_inv, a, b)

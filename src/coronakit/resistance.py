@@ -42,13 +42,18 @@ def resistances_from_inverse(x: np.ndarray) -> np.ndarray:
     """Every pairwise resistance read out of X: X_uu + X_vv - X_uv - X_vu.
 
     X may be any {1}-inverse of a connected graph's Laplacian, or a
-    grounded-Laplacian inverse for resistances within the grounded graph.
-    The result is symmetric with a zero diagonal.
+    grounded-Laplacian inverse for resistances within the grounded graph,
+    or a (k, n, n) stack of them, read member by member.  Every step is
+    elementwise, so a member of a stack reads the bits it reads alone.  The
+    result is symmetric with a zero diagonal.
     """
-    d = np.diag(x)
-    r = d[:, None] + d[None, :] - 2.0 * x
-    r = 0.5 * (r + r.T)
-    np.fill_diagonal(r, 0.0)
+    d = x.diagonal(0, -2, -1)
+    r = d[..., :, None] + d[..., None, :] - 2.0 * x
+    r = 0.5 * (r + r.swapaxes(-1, -2))
+    # r is a new contiguous array, so its flat view holds each diagonal
+    # every n + 1 entries.
+    n = r.shape[-1]
+    r.reshape(r.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0
     return r
 
 

@@ -11,8 +11,8 @@ Closed-form entry points are looked up on the module object at call time,
 so a test harness can monkeypatch a deliberately wrong one and watch the
 verdict flip.  The hooks are ``closed_form.rv_blocks``/``re_blocks``,
 which an instance calls once on its base side and crown set, and
-``closed_form.one_inverse``, which assembles the {1}-inverse from those
-blocks.
+``closed_form.one_inverses``, which assembles every {1}-inverse of a chunk
+from those blocks in one call.
 
 ``run_suite`` draws every case first, in one fixed rng order per case
 (base, identity battery, R-vertex crowns, R-edge crowns), then builds
@@ -38,11 +38,17 @@ report checks that value against the oracle; the base's digest is taken
 once per case too.  Each corona's group inverse is taken once, by the
 oracle: the run checks its instances in chunks cut by the same rule, and
 each chunk's coronas go through one ``laplacian_group_inverses`` call.
-The package's kernels give each matrix one answer, whatever it is
-stacked with, so an instance checked alone, a chunk of one whose base
-side takes the base group inverse itself, reports bit for bit what it
-reports in a run, and ``identity_residuals``, the battery of one case,
-reports bit for bit what its case reports in a run.
+The closed readouts are taken per chunk too: one ``closed_form.one_inverses``
+and one ``closed_form.resistance_maps`` call, and the oracle's and X's
+resistances are read and compared with the closed map on stacks padded to
+one order (``_pair_maxima``); only the Kirchhoff values and the
+{1}-inverse check run instance by instance.  The package's kernels and
+readouts give each matrix one answer, whatever it is stacked with, so an
+instance checked alone, a chunk of one whose base side takes the base
+group inverse itself, reports bit for bit what it reports in a run, a run
+reports the same bytes whatever its chunk size, and
+``identity_residuals``, the battery of one case, reports bit for bit what
+its case reports in a run.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from .linalg import (
     _kron_reduced,
     _rank_one_inverse,
     _rank_one_shift,
+    _stacks,
     _sym_inverses,
     laplacian_group_inverses,
     max_abs,
@@ -397,8 +404,10 @@ def check_corona_instance(
     ``crowns`` is the crown graphs or a ``CrownSet`` over them, such as
     their part of a larger set; the blocks read the set, and the oracle
     builds the corona from the crown graphs the set keeps.  The instance is
-    a chunk of one for the stacked oracle call ``run_suite`` makes per
-    chunk, so it reports bit for bit what it reports in a run.
+    a chunk of one for the stacked calls ``run_suite`` makes per chunk, the
+    oracle's, ``closed_form.one_inverses`` and
+    ``closed_form.resistance_maps``, and a chunk of one is read unpadded, so
+    it reports bit for bit what it reports in a run.
     """
     if kind not in _KINDS:
         raise ValueError(f"the suite checks r_vertex and r_edge coronas, got kind {kind!r}")
@@ -410,14 +419,17 @@ def check_corona_instance(
 
 
 def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
-    """Check instances with one oracle call for all of them.
+    """Check a chunk of instances, each stage in one call for all of them.
 
     Each corona is built and its blocks taken on the instance's base
     side, which holds the base group inverse or, when it was handed none,
     takes one on first read, with the same bits.  Then one
     ``laplacian_group_inverses`` call takes every corona Laplacian's group
-    inverse, each bit for bit as it would come alone; then each instance is
-    read and compared.
+    inverse, one ``closed_form.one_inverses`` call every {1}-inverse X and
+    one ``closed_form.resistance_maps`` call every closed map, each member
+    bit for bit as it would come alone.  ``_pair_maxima`` reads the
+    oracle's and X's resistances on padded stacks and compares all three
+    maps there; then each instance is read and compared.
     """
     laps = [
         laplacian(build(kind, side.graph, crowns.graphs).graph)
@@ -427,19 +439,57 @@ def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
         getattr(closed_form, _KINDS[kind])(side, crowns) for kind, side, crowns, _, _ in instances
     ]
     oracles = laplacian_group_inverses(laps)
-    return [_report(*args) for args in zip(instances, blocks, laps, oracles)]
+    xs = closed_form.one_inverses(blocks)
+    maxima = _pair_maxima(closed_form.resistance_maps(blocks), xs, oracles)
+    return [_report(*args) for args in zip(instances, blocks, laps, oracles, xs, maxima)]
+
+
+def _pair_maxima(
+    maps: list[np.ndarray], xs: list[np.ndarray], oracles: list[np.ndarray]
+) -> list[tuple[float, float]]:
+    """Per instance, max |closed map - oracle's| and max |X's map - oracle's|, over its own block.
+
+    The three lists hold one matrix per instance, all of the instance's
+    corona order, so ``linalg._stacks`` puts them in the same stacks, padded
+    with zeros.  The resistances of X and of the oracle are read per stack,
+    and each member's pad rows and columns, where they read a diagonal
+    entry, are set to 0, as the closed map's pads read; so a member's
+    maxima over its padded block are those over its own block.
+    """
+    out = [(0.0, 0.0)] * len(maps)
+    for (members, closed), (_, x), (_, oracle) in zip(*(_stacks(m, 0.0) for m in (maps, xs, oracles))):
+        oracle_r = resistances_from_inverse(oracle)
+        inverse_r = resistances_from_inverse(x)
+        if len(members) > 1:
+            sizes = np.array([len(maps[k]) for k in members])
+            pad = np.arange(closed.shape[-1]) >= sizes[:, None]
+            pad = pad[:, :, None] | pad[:, None, :]
+            oracle_r[pad] = 0.0
+            inverse_r[pad] = 0.0
+        dispatch = np.max(np.abs(closed - oracle_r), axis=(1, 2))
+        inverse = np.max(np.abs(inverse_r - oracle_r), axis=(1, 2))
+        for k, a, b in zip(members, dispatch.tolist(), inverse.tolist()):
+            out[k] = (a, b)
+    return out
 
 
 def _report(
-    instance: _Instance, blocks: closed_form.CoronaBlocks, lap_c: np.ndarray, oracle_x: np.ndarray
+    instance: _Instance,
+    blocks: closed_form.CoronaBlocks,
+    lap_c: np.ndarray,
+    oracle_x: np.ndarray,
+    x: np.ndarray,
+    maxima: tuple[float, float],
 ) -> InstanceReport:
-    """One instance's report, from its blocks, its corona Laplacian and that Laplacian's group inverse."""
+    """One instance's report, from its blocks, its corona Laplacian, that Laplacian's group inverse, X and its pair maxima.
+
+    X may be a block of a padded stack; the Kirchhoff value and the
+    {1}-inverse check read a contiguous copy of it, so their matrix
+    products see the bits of X alone.
+    """
     kind, side, crowns, case, digest = instance
-    x = closed_form.one_inverse(blocks)
-    closed_r = closed_form.resistance_map(blocks)
+    x = np.ascontiguousarray(x)
     breakdown = closed_form.kirchhoff_terms(blocks)
-    oracle_r = resistances_from_inverse(oracle_x)
-    inverse_r = resistances_from_inverse(x)
 
     kf_closed = kirchhoff_from_one_inverse(x)
     kf_oracle = float(len(lap_c) * np.trace(oracle_x))
@@ -454,8 +504,8 @@ def _report(
 
     residuals = {
         "one_inverse_scaled": verify_one_inverse(lap_c, x) / max(1.0, max_abs(lap_c)),
-        "pair_dispatch_max": max_abs(closed_r - oracle_r),
-        "pair_inverse_max": max_abs(inverse_r - oracle_r),
+        "pair_dispatch_max": maxima[0],
+        "pair_inverse_max": maxima[1],
         "kf_rel_err": abs(kf_closed - kf_oracle) / max(1.0, abs(kf_oracle)),
         "kf_terms_rel_err": abs(breakdown.value - kf_oracle) / max(1.0, abs(kf_oracle)),
         "kf_expanded_dev": breakdown.deviation,
@@ -585,7 +635,8 @@ def run_suite(
     factor and the case's digest.  The instances are checked in order, in chunks of at
     most ``_CHUNK`` whose corona Laplacians hold at most ``_CHUNK_ENTRIES``
     entries in all (a larger corona is a chunk alone), and each chunk takes
-    its oracle group inverses in one stacked call.
+    its oracle group inverses, its {1}-inverses and its closed maps in one
+    stacked call each.
     """
     if cases < 0:
         raise ValueError("cases must be nonnegative")

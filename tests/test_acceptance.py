@@ -396,19 +396,26 @@ def test_criterion_7_mutation_sensitivity(capsys):
     suite_args = ["suite", "--seed", "0", "--cases", "8", "--nmax", "5"]
     problems = []
 
-    # Each mutant wraps the one assembler and moves one coefficient of the
-    # corona kind it targets, leaving the other kind's inverse untouched.
-    real = cf.one_inverse
+    # Each mutant wraps the one assembler, which the suite calls once per
+    # chunk, and moves one coefficient of each member of the corona kind it
+    # targets, leaving the other kind's inverses untouched.
+    real = cf.one_inverses
 
-    def corner_two_thirds_to_half(blocks):
-        x = real(blocks).copy()
+    def per_member(mutate):
+        def mutant(members):
+            return [mutate(blocks, x) for blocks, x in zip(members, real(members))]
+
+        return mutant
+
+    def corner_two_thirds_to_half(blocks, x):
+        x = x.copy()
         if blocks.kind == "r_vertex":
             n = blocks.base.n
             x[:n, :n] += (0.5 - 2.0 / 3.0) * blocks.l_sharp
         return x
 
-    def crown_quarter_to_sixth(blocks):
-        x = real(blocks).copy()
+    def crown_quarter_to_sixth(blocks, x):
+        x = x.copy()
         if blocks.kind == "r_edge":
             n = blocks.base.n
             nm = n + blocks.base.m
@@ -419,8 +426,8 @@ def test_criterion_7_mutation_sensitivity(capsys):
             x[nm:, nm:] += delta
         return x
 
-    def edge_quad_sixth_to_quarter(blocks):
-        x = real(blocks).copy()
+    def edge_quad_sixth_to_quarter(blocks, x):
+        x = x.copy()
         if blocks.kind == "r_vertex":
             n, m = blocks.base.n, blocks.base.m
             b = incidence(blocks.base)
@@ -438,7 +445,7 @@ def test_criterion_7_mutation_sensitivity(capsys):
         problems.append("clean suite run did not pass")
     capsys.readouterr()
     for mutant, label in mutations:
-        with mock.patch.object(cf, "one_inverse", side_effect=mutant):
+        with mock.patch.object(cf, "one_inverses", side_effect=per_member(mutant)):
             code = cli_main(list(suite_args))
         out = capsys.readouterr().out
         if code != 1:

@@ -745,16 +745,19 @@ def test_suite_json_output_is_deterministic(tmp_path, capsys):
 
 
 def test_suite_failure_exit_code(capsys):
-    real = closed_form.one_inverse
+    real = closed_form.one_inverses
 
-    def skewed(blocks):
-        x = real(blocks).copy()
-        if blocks.kind == "r_vertex":
-            n = blocks.base.n
-            x[:n, :n] *= 0.75
-        return x
+    def skewed(members):
+        out = []
+        for blocks, x in zip(members, real(members)):
+            x = x.copy()
+            if blocks.kind == "r_vertex":
+                n = blocks.base.n
+                x[:n, :n] *= 0.75
+            out.append(x)
+        return out
 
-    with mock.patch.object(closed_form, "one_inverse", side_effect=skewed):
+    with mock.patch.object(closed_form, "one_inverses", side_effect=skewed):
         code = main(["suite", "--seed", "4", "--cases", "2", "--nmax", "4"])
     out = capsys.readouterr().out
     assert code == 1

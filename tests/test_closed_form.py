@@ -1208,6 +1208,59 @@ def test_a_padded_spectrum_must_read_zero_in_its_pad_slot():
             assert cf._crown_eigen_sums(forged_set) == pytest.approx(sums, abs=1e-14)
 
 
+def test_chunk_readouts_are_each_member_alone_bit_for_bit():
+    # One chunk of both kinds over shared base sides, on adjacent parts of
+    # one crown set (one run), then a part that skips a crown, a repeated
+    # member and a set of its own (three more runs), and a corona past the
+    # Cholesky leaf order, which is a stack of its own.  Each member's X and
+    # map are its bits alone, its pad cells never reach it, and the crown
+    # cells take one gather per run.
+    rng = random.Random(8)
+    bases = [random_connected_graph(rng, 3, 6) for _ in range(3)]
+    sides = [cf.BaseSide.of(g) for g in bases]
+    slots = [n for g in bases for n in (g.n, g.m)]
+    whole = cf.CrownSet.of(random_crowns(rng, sum(slots) + 1, 5))
+    members, lo = [], 0
+    for g, side in zip(bases, sides):
+        for kind, count in (("r_vertex", g.n), ("r_edge", g.m)):
+            members.append(cf._blocks(kind, side, whole.part(lo, lo + count)))
+            lo += count
+    skipped = cf._blocks("r_vertex", sides[0], whole.part(lo + 1 - bases[0].n, lo + 1))
+    big = random_connected_graph(rng, 30, 30)
+    members += [skipped, members[0], cf.rv_blocks(bases[1], random_crowns(rng, bases[1].n, 3))]
+    members.append(cf.rv_blocks(big, random_crowns(rng, big.n, 2)))
+    watch, read = _crown_cell_reads()
+    with watch:
+        xs = cf.one_inverses(members)
+        maps = cf.resistance_maps(members)
+    assert len(read) == 2 * 5
+    assert len(maps[-1]) > linalg.SCHUR_LEAF_ORDER >= max(len(r) for r in maps[:-1])
+    assert len({len(x) for x in xs[:-1]}) > 1
+    for blocks, x, r in zip(members, xs, maps):
+        assert x.tobytes() == cf.one_inverse(blocks).tobytes()
+        assert r.tobytes() == cf.resistance_map(blocks).tobytes()
+    assert cf.one_inverses([]) == cf.resistance_maps([]) == []
+
+
+def test_every_pad_row_of_a_padded_spectrum_must_read_zero():
+    # Crowns of orders 1 and 2 sit in band 4 with three and two pad rows.
+    # A pad coupled to itself in a row that is not the member's last passes
+    # the deflation, since no reflector touches it, and must still be
+    # caught: every pad row is checked, not only the last.
+    crowns = cf.CrownSet.of((K1, K2))
+    ((members, laps, inv),) = crowns.stacks
+    assert laps.shape == (2, 4, 4)
+    assert cf._crown_eigen_sums(crowns) == pytest.approx([1.0, 1.0 + 1.0 / 3.0], abs=1e-15)
+    for member, rows in ((0, (1, 2)), (1, (2,))):
+        for row in rows:
+            for value in (1e-300, 0.5):
+                lap = laps.copy()
+                lap[member, row, row] = value
+                forged = dataclasses.replace(crowns, stacks=((members, lap, inv),))
+                with pytest.raises(linalg.MatrixError, match="pad row"):
+                    cf._crown_eigen_sums(forged)
+
+
 @pytest.mark.parametrize("kind", ["rv", "re"])
 def test_blocks_build_each_corona_order_matrix_once(kind):
     g = cycle_graph(4)

@@ -652,6 +652,21 @@ def test_shifted_rank_one_inverse_error_paths():
         shifted_rank_one_inverse(np.array([[2.0]]), 1.0, 3.0)
 
 
+def test_shifted_rank_one_inverse_rejects_a_stack():
+    # The rank-one correction reads n as the order of one matrix, so a
+    # (k, t, t) stack is rejected before anything is inverted, whether k
+    # differs from t (it once read n = k and raised ZeroDivisionError for
+    # b = k) or not (it once returned a (3, 3, 3) array).
+    lap = laplacian(path_graph(3))
+    inverses = mock.Mock(wraps=linalg._sym_inverses)
+    with mock.patch.object(linalg, "_sym_inverses", inverses):
+        for k in (2, 3):
+            want = f"^Laplacian must be a matrix, not a stack of shape \\({k}, 3, 3\\)$"
+            with pytest.raises(MatrixError, match=want):
+                shifted_rank_one_inverse(np.stack([lap] * k), 1.0, 2.0)
+    assert inverses.call_count == 0
+
+
 def test_verify_one_inverse_reports_defect():
     lap = laplacian(path_graph(3))
     lg = laplacian_group_inverse(lap)

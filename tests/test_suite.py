@@ -105,8 +105,9 @@ def test_a_crown_near_order_300_passes(kind):
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_instance_does_each_piece_of_work_once(kind):
     # Blocks once, on a base side handed no base group inverse, which the
-    # side takes once, on first read; the {1}-inverse assembled once (the
-    # Kirchhoff value reads the base's sparse factor, not X); the corona
+    # side takes once, on first read; the {1}-inverse assembled once, in the
+    # chunk's one ``one_inverses`` call (the Kirchhoff value reads the base's
+    # sparse factor, not X); the corona
     # Laplacian's group inverse taken once, as the one member of one stacked
     # call; and the crown spectra in one call.
     g = path_graph(4)
@@ -123,7 +124,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     stacked = mock.Mock(wraps=linalg.laplacian_group_inverses)
     with (
         mock.patch.object(closed_form, "_blocks", wraps=closed_form._blocks) as blocks,
-        mock.patch.object(closed_form, "one_inverse", wraps=closed_form.one_inverse) as assemble,
+        mock.patch.object(closed_form, "one_inverses", wraps=closed_form.one_inverses) as assemble,
         mock.patch.object(closed_form, "_crown_eigen_sums", wraps=closed_form._crown_eigen_sums) as eigen,
         mock.patch.object(closed_form, "laplacian_group_inverse", ginv),
         mock.patch.object(suite, "laplacian_group_inverses", stacked),
@@ -133,6 +134,7 @@ def test_instance_does_each_piece_of_work_once(kind):
     assert report.passed
     assert blocks.call_count == 1
     assert assemble.call_count == 1
+    assert len(assemble.call_args.args[0]) == 1
     assert [c.args[0].shape for c in ginv.call_args_list] == [(g.n, g.n)]
     assert blocks.call_args.args[1].l_sharp is taken[0]
     assert stacked.call_count == 1
@@ -453,6 +455,24 @@ def test_run_suite_checks_its_instances_in_bounded_chunks():
             assert _bits(got.residuals) == _bits(alone.residuals)
 
 
+def test_run_suite_report_does_not_depend_on_chunk_size(monkeypatch):
+    # Chunks of 1, 3 and 64 instances: every instance alone, short chunks
+    # whose members are padded to the largest order among them, and the
+    # default.  Crowns up to order 12 put coronas on both sides of the
+    # Cholesky leaf order, so a chunk also holds members alone.  The report
+    # is the same bytes each way.
+    reports = []
+    for chunk in (1, 3, 64):
+        monkeypatch.setattr(suite, "_CHUNK", chunk)
+        reports.append(suite.run_suite(seed=3, cases=12, n_max=8, t_max=12).to_json())
+    assert reports[0] == reports[1] == reports[2]
+    orders = [
+        i["base"]["n"] + i["base"]["m"] + sum(i["crown_sizes"])
+        for i in json.loads(reports[0])["instances"]
+    ]
+    assert min(orders) <= linalg.SCHUR_LEAF_ORDER < max(orders)
+
+
 @pytest.mark.parametrize("kind", ["r_vertex", "r_edge"])
 def test_crown_set_part_calls_no_crown_kernel(kind):
     # Once the whole set is built and summed, a part, the blocks built on it
@@ -566,16 +586,19 @@ def test_round_floats_normalizes_numpy_scalars():
 def test_tampered_coefficient_flips_verdict():
     # scaling the original-vertex block of the {1}-inverse emulates getting
     # the leading 2/3 coefficient wrong; the suite must notice.
-    real = closed_form.one_inverse
+    real = closed_form.one_inverses
 
-    def skewed(blocks):
-        x = real(blocks).copy()
-        if blocks.kind == "r_vertex":
-            n = blocks.base.n
-            x[:n, :n] *= 0.75
-        return x
+    def skewed(members):
+        out = []
+        for blocks, x in zip(members, real(members)):
+            x = x.copy()
+            if blocks.kind == "r_vertex":
+                n = blocks.base.n
+                x[:n, :n] *= 0.75
+            out.append(x)
+        return out
 
-    with mock.patch.object(closed_form, "one_inverse", side_effect=skewed):
+    with mock.patch.object(closed_form, "one_inverses", side_effect=skewed):
         report = suite.run_suite(seed=1, cases=2, n_max=4)
     assert report.verdict == "fail"
     # The suite's own readout of the hooked inverse must catch it, not only
