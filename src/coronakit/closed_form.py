@@ -25,17 +25,18 @@ blocks hold only base- and crown-order data, and the dense L# is taken
 only when first read.  Every readout of X or of resistances, the
 {1}-inverse, the map and a single pair, is one body, ``_readouts``, over
 any number of coronas at once, each with the vertices w it reads:
-``one_inverse``, ``resistance_map`` and ``pair_resistance`` are its
-calls of one (w every vertex, or [u, v]), and ``one_inverses`` and
-``resistance_maps`` read a chunk, as the suite does.  Per corona, the
-skeleton cells come at its anchors through one gather off L#
-(``_skeleton_block``), at most two anchors for a pair; the crown cells
-of every corona come off the crown stacks through another
-(``_crown_cells``), at most four for a pair.  The coronas of a chunk
-share stacks padded to one order, so each stage is one numpy call for
-all of them, and each corona's answer is the bits it has alone.  The
-Kirchhoff index reads L# only on the diagonal, on the base edges and in
-three quadratic forms, so it always reads them off a sparse
+``one_inverses`` and ``resistance_maps`` read a chunk, as the suite
+does, on the stacks of ``linalg._stacks``, and ``one_inverse``,
+``resistance_map`` and ``pair_resistance`` are its calls of one (w every
+vertex, or [u, v]), unpadded.  Per corona, the skeleton cells come at
+its anchors through one gather off L# (``_skeleton_block``), at most two
+anchors for a pair; the crown cells of every corona come off the crown
+stacks through another (``_crown_cells``), at most four for a pair.  The
+coronas of a chunk share stacks padded to one order, so the resistance
+read, the gather out to the vertices and the crown reads are one numpy
+call each for all of them, and each corona's answer is the bits it has
+alone.  The Kirchhoff index reads L# only on the diagonal, on the base
+edges and in three quadratic forms, so it always reads them off a sparse
 ``GroundedFactor`` of L(G), base-order work with nothing n x n formed.
 The one spectral read is in ``_crown_eigen_sums``: the expanded
 Kirchhoff index reads each crown's spectral sum on purpose, by a
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from .linalg import (
     MatrixError,
     _groups,
     _spectral_sums,
+    _stacks,
     laplacian_group_inverse,
     sym_inverse,
 )
@@ -117,7 +118,8 @@ class CrownSet:
     holds each crown's tr G_k and 1^T G_k 1.  ``eigen_sums`` is each
     crown's sum of 1/(mu + 1) over its Laplacian spectrum, read on first
     use by one ``_spectral_sums`` call per band and then kept.
-    ``graphs`` are the crowns, ``sizes`` their orders.
+    ``graphs`` are the crowns, ``sizes`` their orders; ``layout`` holds
+    the orders and where each crown's vertices end, as arrays taken once.
 
     ``part(lo, hi)`` is crowns lo..hi-1 as a set of their own that reads
     the same stacks, totals and sums, calls no kernel and checks nothing:
@@ -201,6 +203,12 @@ class CrownSet:
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each crown's order, and where its vertices end among the set's crown vertices in layout order."""
+        sizes = np.array(self.sizes, dtype=np.intp)
+        return sizes, sizes.cumsum()
 
     def part(self, lo: int, hi: int) -> CrownSet:
         """Crowns lo..hi-1 of this set, reading its stacks, totals and sums."""
@@ -372,29 +380,114 @@ def _skeleton_block(blocks: CoronaBlocks, at: np.ndarray) -> np.ndarray:
     return s
 
 
-def _crown_cells(crowns: CrownSet | CoronaBlocks, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _crown_cells(crowns: CrownSet, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Entries (c_i, d_i) of the grounded crown corner, c_i and d_i in one crown, off the stacks.
 
-    ``crowns`` is a crown set, or the blocks whose set it is; c and d count
-    the set's crown vertices in layout order.
+    c and d count the set's crown vertices in layout order.
     """
-    if isinstance(crowns, CoronaBlocks):
-        crowns = crowns.crowns
-    sizes = np.array(crowns.sizes, dtype=np.intp)
-    ends = sizes.cumsum()
+    sizes, ends = crowns.layout
     crown = ends.searchsorted(c, side="right")
     first = ends[crown] - sizes[crown]
     i, j, member = c - first, d - first, crowns.first + crown
-    if len(crowns.stacks) == 1:
-        # One band holds every crown with a vertex.
-        ((members, _, inv),) = crowns.stacks
-        return inv[members.searchsorted(member), i, j]
     bands = _band(sizes[crown])
     cells = np.empty(len(c))
     for members, _, inv in crowns.stacks:
         mine = bands == inv.shape[-1]
         cells[mine] = inv[members.searchsorted(member[mine]), i[mine], j[mine]]
     return cells
+
+
+def _readouts(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) -> list[tuple[list[int], np.ndarray]]:
+    """Per (blocks, w) member, the {1}-inverse X, or the resistances, among corona vertices w, on stacks.
+
+    The one body of every closed readout, for any number of members.  The
+    members share stacks by ``linalg._groups`` of their orders len(w), and
+    each stack is read by ``_read_stack``.  Returns (members, stack) pairs
+    as ``linalg._stacks`` gives them: member k of a pair's list is the
+    stack's k-th, read in its leading len(w) x len(w) block.  A shared
+    stack is padded to its largest order, and its pad cells hold no value
+    a caller may read; a lone member is its own stack, unpadded.
+    """
+    return [
+        (group, _read_stack([members[g] for g in group], resist))
+        for group in _groups([len(w) for _, w in members])
+    ]
+
+
+def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) -> np.ndarray:
+    """``_readouts`` of members that share one stack: the resistance read, the gather and the crown reads one call for all of them.
+
+    Per member, a crown vertex reads as its anchor, so the distinct
+    anchors of w are its skeleton vertices, and its skeleton corner S is
+    gathered there, at skeleton order, by ``_skeleton_block``.  The S are
+    padded into one stack by ``linalg._stacks``, read as resistances there
+    if asked, and gathered out to every member's w through its anchors in
+    one gather.  The same-crown pairs of w are the same-anchor pairs among
+    its crown vertices, each crown vertex with itself included, since each
+    anchor holds one crown; all members' cells at those pairs come off the
+    crown stacks in one ``_crown_cells`` call per run of members whose
+    crown sets are adjacent parts of one set (``_crown_runs``; a suite
+    chunk is one run).  X then adds them on the same-crown pairs, and
+    across crowns its crown corner is 0.  The resistances add each crown
+    vertex's apex value, its own cell, to its row and column, and take the
+    cross term 2 G_uv off each same-crown pair: within one crown the
+    skeleton part is exactly 0, leaving G_uu + G_vv - 2 G_uv.  Every step
+    is per member and elementwise, so a member reads the bits it reads
+    alone.
+    """
+    k = len(members)
+    runs = _crown_runs([blocks.crowns for blocks, _ in members])
+    starts = {lo for lo, _, _ in runs}
+    backs = np.zeros((k, max(len(w) for _, w in members)), dtype=np.intp)
+    skeletons, sites, counts, firsts = [], [], [], [0]
+    for m, (blocks, w) in enumerate(members):
+        nm = len(blocks.ends[0])
+        (crown,) = (w >= nm).nonzero()
+        c = w[crown] - nm
+        anchors = w.copy()
+        anchors[crown] = hung = blocks.anchor[c]
+        (at,) = np.bincount(anchors).nonzero()
+        backs[m, : len(w)] = at.searchsorted(anchors)
+        skeletons.append(_skeleton_block(blocks, at))
+        i, j = (hung[:, None] == hung[None, :]).nonzero()
+        # Crown vertex c of the member is vertex shift + c of its run's set.
+        shift = 0 if m in starts else shift + len(members[m - 1][0].anchor)
+        c += shift
+        # Per same-crown pair: its row, its crown cell's, its column, its crown cell's.
+        site = np.array((crown, c))
+        sites.append(np.concatenate((site[:, i], site[:, j])))
+        counts.append(len(i))
+        firsts.append(firsts[-1] + len(i))
+    ((_, stack),) = _stacks(skeletons, 0.0)
+    # A lone S is its stack, and is let go once read as resistances.
+    del skeletons
+    if resist:
+        stack = resistance.resistances_from_inverse(stack)
+    # Two row gathers, each letting go of what it read: member m's rows
+    # S[back], transposed, then their rows at back again.  That is
+    # S[back][:, back] transposed, and each S, and so each stack member,
+    # is exactly symmetric.  Up to order about 1600 this is 2.5-4x faster
+    # than one broadcast gather; past about 2000 its strided second read is
+    # about 2x slower.
+    slot = np.arange(k)[:, None]
+    stack = stack[slot, backs]
+    stack = stack.transpose(0, 2, 1)[slot, backs]
+
+    rows, c, cols, d = np.concatenate(sites, axis=1)
+    slots = slot.repeat(counts)
+    # A run's same-crown pairs follow those of the runs before it.
+    cells = np.concatenate(
+        [_crown_cells(crowns, c[firsts[lo] : firsts[hi]], d[firsts[lo] : firsts[hi]]) for lo, hi, crowns in runs]
+    )
+    if resist:
+        own = rows == cols
+        apex = np.zeros(backs.shape)
+        apex[slots[own], rows[own]] = cells[own]
+        stack += apex[:, :, None] + apex[:, None, :]
+        stack[slots, rows, cols] -= 2.0 * cells
+    else:
+        stack[slots, rows, cols] += cells
+    return stack
 
 
 def _crown_runs(sets: list[CrownSet]) -> list[tuple[int, int, CrownSet]]:
@@ -420,187 +513,50 @@ def _crown_runs(sets: list[CrownSet]) -> list[tuple[int, int, CrownSet]]:
     return runs
 
 
-def _same_key_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (a, b) of positions with key[a] == key[b], each position with itself included.
-
-    One sort groups equal keys, so the work and memory follow the number of
-    pairs, not the square of the number of keys, which across a chunk of
-    coronas would compare every crown vertex with every other corona's.
-    """
-    order = key.argsort(kind="stable")
-    ranked = key[order]
-    # Per ranked position, where its group starts and how many it holds;
-    # each position then pairs with every position of its group.
-    lo = ranked.searchsorted(ranked)
-    count = ranked.searchsorted(ranked, side="right") - lo
-    a = np.arange(len(key)).repeat(count)
-    b = np.arange(len(a)) - (count.cumsum() - count - lo).repeat(count)
-    return order[a], order[b]
-
-
-def _readouts(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) -> list[np.ndarray]:
-    """Per (blocks, w) member, the {1}-inverse X, or the resistances, among corona vertices w.
-
-    The one body of every closed readout, for any number of members.  The
-    members share stacks by ``linalg._groups`` of their orders len(w), and
-    each stack is read by ``_read_stack``: a shared stack is padded to its
-    largest order, a lone member is not.  Returns one array per member, in
-    order: its block of a shared stack, a view, or its own stack's only
-    member.
-    """
-    out: list[np.ndarray] = [np.empty((0, 0))] * len(members)
-    for group in _groups([len(w) for _, w in members]):
-        for g, read in zip(group, _read_stack([members[g] for g in group], resist)):
-            out[g] = read
-    return out
-
-
-def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) -> list[np.ndarray]:
-    """``_readouts`` of members that share one stack, each stage one call for all of them.
-
-    The members' vertices w are taken together.  A crown vertex reads as
-    its anchor, so each member's distinct anchors are its skeleton
-    vertices, and its skeleton corner S is gathered there, at skeleton
-    order, by ``_skeleton_block``, once per base side and anchor set: the
-    two kinds over one base read one S.  The S are padded into one stack,
-    read as resistances there if asked, and gathered out to every member's
-    w through its anchors in one gather.  The same-crown pairs of w are the
-    same-anchor pairs among its crown vertices, each crown vertex with
-    itself included, since each anchor holds one crown; all members' cells
-    at those pairs come off the crown stacks in one ``_crown_cells`` call
-    per run of adjacent crown parts (``_crown_runs``).  X then adds them on
-    the same-crown pairs, and across crowns its crown corner is 0.  The
-    resistances add each crown vertex's apex value, its own cell, to its
-    row and column, and take the cross term 2 G_uv off each same-crown
-    pair: within one crown the skeleton part is exactly 0, leaving
-    G_uu + G_vv - 2 G_uv.  Pad rows and columns read 0.  Every step is per
-    member and elementwise, so a member reads the bits it reads alone.
-    """
-    k = len(members)
-    orders = [len(w) for _, w in members]
-    nms = [len(blocks.ends[0]) for blocks, _ in members]
-    firsts = list(accumulate(orders, initial=0))
-    skeleton_firsts = list(accumulate(nms, initial=0))
-    crown_firsts = list(accumulate((len(blocks.anchor) for blocks, _ in members), initial=0))
-    shifts = [h - nm for h, nm in zip(crown_firsts, nms)]
-    # Per vertex of every w in turn: its member, where the member's w
-    # starts, where its skeleton vertices start among every member's, its
-    # skeleton order, and the shift that takes a crown vertex of the member
-    # to its place among every member's crown vertices.  For a lone member
-    # each is one number.
-    if k == 1:
-        member, start, skeleton_first, nm, shift = 0, 0, 0, nms[0], shifts[0]
-    else:
-        table = np.array([*range(k), *firsts[:-1], *skeleton_firsts[:-1], *nms, *shifts]).reshape(5, k)
-        member, start, skeleton_first, nm, shift = table.repeat(orders, axis=1)
-    w = np.concatenate([w for _, w in members])
-    pos = np.arange(len(w)) - start
-    (crown,) = (w >= nm).nonzero()
-    c = (w + shift)[crown]
-    # Each vertex's anchor among every member's skeleton vertices.
-    anchors = w.copy()
-    anchors[crown] = np.concatenate([blocks.anchor for blocks, _ in members])[c]
-    anchors += skeleton_first
-    (at,) = np.bincount(anchors).nonzero()
-    back = at.searchsorted(anchors)
-    bounds = at.searchsorted(skeleton_firsts).tolist()
-
-    corners: dict[tuple[BaseSide, bytes], np.ndarray] = {}
-    skeletons = []
-    for (blocks, _), lo, hi, first in zip(members, bounds, bounds[1:], skeleton_firsts):
-        mine = at[lo:hi] - first
-        seen = (blocks.side, mine.tobytes())
-        if seen not in corners:
-            corners[seen] = _skeleton_block(blocks, mine)
-        skeletons.append(corners[seen])
-    o = max(orders)
-    if k == 1:
-        s = skeletons[0]
-        stack = (resistance.resistances_from_inverse(s) if resist else s)[np.ix_(back, back)][None]
-    else:
-        a = max(len(s) for s in skeletons)
-        stack = np.zeros((k, a, a))
-        for m, s in enumerate(skeletons):
-            stack[m, : len(s), : len(s)] = s
-        if resist:
-            stack = resistance.resistances_from_inverse(stack)
-        # One gather through flat positions: member m's cell (back_u, back_v).
-        back -= np.array(bounds)[member]
-        rows = np.zeros((k, o), dtype=np.intp)
-        rows[member, pos] = (member * a + back) * a
-        cols = np.zeros((k, o), dtype=np.intp)
-        cols[member, pos] = back
-        stack = stack.reshape(-1)[rows[:, :, None] + cols[:, None, :]]
-
-    i, j = _same_key_pairs(anchors[crown])
-    slots = member if k == 1 else member[crown[i]]
-    rows, cols = pos[crown[i]], pos[crown[j]]
-    runs = _crown_runs([blocks.crowns for blocks, _ in members])
-    if len(runs) == 1:
-        cells = _crown_cells(runs[0][2], c[i], c[j])
-    else:
-        cells = np.empty(len(i))
-        for lo, hi, crowns in runs:
-            mine = (slots >= lo) & (slots < hi)
-            cells[mine] = _crown_cells(crowns, c[i][mine] - crown_firsts[lo], c[j][mine] - crown_firsts[lo])
-    if resist:
-        own = i == j
-        apex = np.zeros((k, o))
-        apex.reshape(-1)[(slots * o + rows)[own]] = cells[own]
-        stack += apex[:, :, None] + apex[:, None, :]
-        stack[slots, rows, cols] -= 2.0 * cells
-    else:
-        stack[slots, rows, cols] += cells
-    if k == 1:
-        return [stack[0]]
-    pad = np.arange(o) >= np.array(orders)[:, None]
-    stack[pad[:, :, None] | pad[:, None, :]] = 0.0
-    return [stack[m, :n, :n] for m, n in enumerate(orders)]
-
-
 def _vertices(blocks: CoronaBlocks) -> np.ndarray:
     """Every corona vertex of ``blocks``, in the builder's order."""
     return np.arange(len(blocks.ends[0]) + len(blocks.anchor))
 
 
-def one_inverses(blocks: list[CoronaBlocks]) -> list[np.ndarray]:
-    """Symmetric {1}-inverse of each corona Laplacian ``blocks`` describe, in one chunk.
+def one_inverses(blocks: list[CoronaBlocks]) -> list[tuple[list[int], np.ndarray]]:
+    """Symmetric {1}-inverse of each corona Laplacian ``blocks`` describe, in one chunk, on stacks.
 
     The one assembler for both kinds, in the builder's vertex order:
     ``_readouts`` of every vertex, the skeleton corner read through the
     anchors, X = S[a, a], plus the grounded crown inverses on the crown
-    corner, gathered off the stacks over the same-crown pairs.  Members of
-    several orders share one padded stack, so a member of a chunk is its
-    block of that stack, a view; each comes out bit for bit as it would
-    alone.
+    corner, gathered off the stacks over the same-crown pairs.  Returns
+    (members, stack) pairs, as ``linalg._stacks`` gives them: coronas of
+    several orders share one stack padded to the largest, and each is its
+    leading block, bit for bit as it would come alone.
     """
     return _readouts([(b, _vertices(b)) for b in blocks], resist=False)
 
 
 def one_inverse(blocks: CoronaBlocks) -> np.ndarray:
     """Symmetric {1}-inverse of the corona Laplacian ``blocks`` describe: ``one_inverses`` of one."""
-    return one_inverses([blocks])[0]
+    ((_, stack),) = one_inverses([blocks])
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
 # Resistances
 
 
-def resistance_maps(blocks: list[CoronaBlocks]) -> list[np.ndarray]:
-    """All pairwise resistances of each corona ``blocks`` describe, in one chunk.
+def resistance_maps(blocks: list[CoronaBlocks]) -> list[tuple[list[int], np.ndarray]]:
+    """All pairwise resistances of each corona ``blocks`` describe, in one chunk, on stacks.
 
     ``_readouts`` of every vertex: the skeleton resistance between the
     anchors, read at skeleton order, plus each crown vertex's apex value,
-    less the cross term within one crown.  A member of a chunk is its
-    block of a shared padded stack, as for ``one_inverses``, with the bits
-    it has alone.
+    less the cross term within one crown.  Returns (members, stack) pairs,
+    as ``one_inverses`` does, each corona with the bits it has alone.
     """
     return _readouts([(b, _vertices(b)) for b in blocks], resist=True)
 
 
 def resistance_map(blocks: CoronaBlocks) -> np.ndarray:
     """All pairwise resistances of the corona ``blocks`` describe: ``resistance_maps`` of one."""
-    return resistance_maps([blocks])[0]
+    ((_, stack),) = resistance_maps([blocks])
+    return stack[0]
 
 
 def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
@@ -614,7 +570,8 @@ def pair_resistance(blocks: CoronaBlocks, u: int, v: int) -> float:
     for w in (u, v):
         if not 0 <= w < total:
             raise IndexError(f"vertex {w} is out of range for a corona of {total} vertices")
-    return float(_readouts([(blocks, np.array([u, v], dtype=np.intp))], resist=True)[0][0, 1])
+    ((_, stack),) = _readouts([(blocks, np.array([u, v], dtype=np.intp))], resist=True)
+    return float(stack[0, 0, 1])
 
 
 def rv_resistance_matrix(g: Graph, crowns: tuple[Graph, ...]) -> np.ndarray:

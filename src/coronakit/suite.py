@@ -12,7 +12,8 @@ so a test harness can monkeypatch a deliberately wrong one and watch the
 verdict flip.  The hooks are ``closed_form.rv_blocks``/``re_blocks``,
 which an instance calls once on its base side and crown set, and
 ``closed_form.one_inverses``, which assembles every {1}-inverse of a chunk
-from those blocks in one call.
+from those blocks in one call and gives them as (members, stack) pairs; a
+wrong one changes an instance's X in its block of its stack.
 
 ``run_suite`` draws every case first, in one fixed rng order per case
 (base, identity battery, R-vertex crowns, R-edge crowns), then builds
@@ -39,16 +40,16 @@ once per case too.  Each corona's group inverse is taken once, by the
 oracle: the run checks its instances in chunks cut by the same rule, and
 each chunk's coronas go through one ``laplacian_group_inverses`` call.
 The closed readouts are taken per chunk too: one ``closed_form.one_inverses``
-and one ``closed_form.resistance_maps`` call, and the oracle's and X's
-resistances are read and compared with the closed map on stacks padded to
-one order (``_pair_maxima``); only the Kirchhoff values and the
-{1}-inverse check run instance by instance.  The package's kernels and
-readouts give each matrix one answer, whatever it is stacked with, so an
-instance checked alone, a chunk of one whose base side takes the base
-group inverse itself, reports bit for bit what it reports in a run, a run
-reports the same bytes whatever its chunk size, and
-``identity_residuals``, the battery of one case, reports bit for bit what
-its case reports in a run.
+and one ``closed_form.resistance_maps`` call, each giving its stacks; the
+oracles are put in the same stacks, and the oracle's and X's resistances
+are read and compared with the closed map there (``_pair_maxima``); only
+the Kirchhoff values and the {1}-inverse check run instance by instance.
+The package's kernels and readouts give each matrix one answer, whatever
+it is stacked with, so an instance checked alone, a chunk of one whose
+base side takes the base group inverse itself, reports bit for bit what it
+reports in a run, a run reports the same bytes whatever its chunk size,
+and ``identity_residuals``, the battery of one case, reports bit for bit
+what its case reports in a run.
 """
 
 from __future__ import annotations
@@ -427,9 +428,10 @@ def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
     ``laplacian_group_inverses`` call takes every corona Laplacian's group
     inverse, one ``closed_form.one_inverses`` call every {1}-inverse X and
     one ``closed_form.resistance_maps`` call every closed map, each member
-    bit for bit as it would come alone.  ``_pair_maxima`` reads the
-    oracle's and X's resistances on padded stacks and compares all three
-    maps there; then each instance is read and compared.
+    bit for bit as it would come alone, as a block of the stacks those
+    calls give.  ``_pair_maxima`` reads the oracle's and X's resistances
+    on the same stacks and compares all three maps there; then each
+    instance is read and compared, on a contiguous copy of its X.
     """
     laps = [
         laplacian(build(kind, side.graph, crowns.graphs).graph)
@@ -441,34 +443,43 @@ def _check_instances(instances: list[_Instance]) -> list[InstanceReport]:
     oracles = laplacian_group_inverses(laps)
     xs = closed_form.one_inverses(blocks)
     maxima = _pair_maxima(closed_form.resistance_maps(blocks), xs, oracles)
-    return [_report(*args) for args in zip(instances, blocks, laps, oracles, xs, maxima)]
+    # Each X is read on its own from here: a contiguous copy of its block,
+    # so the Kirchhoff value's and the {1}-inverse check's matrix products
+    # see the bits of X alone.
+    mine = [np.empty((0, 0))] * len(instances)
+    for members, stack in xs:
+        for slot, k in enumerate(members):
+            n = len(laps[k])
+            mine[k] = np.ascontiguousarray(stack[slot, :n, :n])
+    return [_report(*args) for args in zip(instances, blocks, laps, oracles, mine, maxima)]
 
 
 def _pair_maxima(
-    maps: list[np.ndarray], xs: list[np.ndarray], oracles: list[np.ndarray]
+    maps: list[tuple[list[int], np.ndarray]],
+    xs: list[tuple[list[int], np.ndarray]],
+    oracles: list[np.ndarray],
 ) -> list[tuple[float, float]]:
     """Per instance, max |closed map - oracle's| and max |X's map - oracle's|, over its own block.
 
-    The three lists hold one matrix per instance, all of the instance's
-    corona order, so ``linalg._stacks`` puts them in the same stacks, padded
-    with zeros.  The resistances of X and of the oracle are read per stack,
-    and each member's pad rows and columns, where they read a diagonal
-    entry, are set to 0, as the closed map's pads read; so a member's
-    maxima over its padded block are those over its own block.
+    ``maps`` and ``xs`` are the closed maps and the {1}-inverses on the
+    stacks the chunk readouts give, and the oracles are put in the same
+    stacks by ``linalg._stacks``: all three follow ``linalg._groups`` of
+    the instances' corona orders.  The resistances of X and of the oracle
+    are read per stack, and the differences are set to 0 on each member's
+    pad rows and columns, where no stack holds a value of the member; so a
+    member's maxima over its padded block are those over its own block.
     """
-    out = [(0.0, 0.0)] * len(maps)
-    for (members, closed), (_, x), (_, oracle) in zip(*(_stacks(m, 0.0) for m in (maps, xs, oracles))):
+    out = [(0.0, 0.0)] * len(oracles)
+    for (members, closed), (_, x), (_, oracle) in zip(maps, xs, _stacks(oracles, 0.0)):
         oracle_r = resistances_from_inverse(oracle)
-        inverse_r = resistances_from_inverse(x)
-        if len(members) > 1:
-            sizes = np.array([len(maps[k]) for k in members])
-            pad = np.arange(closed.shape[-1]) >= sizes[:, None]
-            pad = pad[:, :, None] | pad[:, None, :]
-            oracle_r[pad] = 0.0
-            inverse_r[pad] = 0.0
-        dispatch = np.max(np.abs(closed - oracle_r), axis=(1, 2))
-        inverse = np.max(np.abs(inverse_r - oracle_r), axis=(1, 2))
-        for k, a, b in zip(members, dispatch.tolist(), inverse.tolist()):
+        dispatch = np.abs(closed - oracle_r)
+        inverse = np.abs(resistances_from_inverse(x) - oracle_r)
+        sizes = np.array([len(oracles[k]) for k in members])
+        pad = np.arange(closed.shape[-1]) >= sizes[:, None]
+        pad = pad[:, :, None] | pad[:, None, :]
+        dispatch[pad] = 0.0
+        inverse[pad] = 0.0
+        for k, a, b in zip(members, dispatch.max(axis=(1, 2)).tolist(), inverse.max(axis=(1, 2)).tolist()):
             out[k] = (a, b)
     return out
 
@@ -481,14 +492,8 @@ def _report(
     x: np.ndarray,
     maxima: tuple[float, float],
 ) -> InstanceReport:
-    """One instance's report, from its blocks, its corona Laplacian, that Laplacian's group inverse, X and its pair maxima.
-
-    X may be a block of a padded stack; the Kirchhoff value and the
-    {1}-inverse check read a contiguous copy of it, so their matrix
-    products see the bits of X alone.
-    """
+    """One instance's report, from its blocks, its corona Laplacian, that Laplacian's group inverse, X and its pair maxima."""
     kind, side, crowns, case, digest = instance
-    x = np.ascontiguousarray(x)
     breakdown = closed_form.kirchhoff_terms(blocks)
 
     kf_closed = kirchhoff_from_one_inverse(x)

@@ -403,7 +403,12 @@ def test_criterion_7_mutation_sensitivity(capsys):
 
     def per_member(mutate):
         def mutant(members):
-            return [mutate(blocks, x) for blocks, x in zip(members, real(members))]
+            stacks = real(members)
+            for group, stack in stacks:
+                for slot, k in enumerate(group):
+                    n = len(cf._vertices(members[k]))
+                    stack[slot, :n, :n] = mutate(members[k], stack[slot, :n, :n])
+            return stacks
 
         return mutant
 

@@ -740,7 +740,7 @@ def test_layout_stacks_hold_each_crown_in_its_leading_block():
             else:
                 assert max_abs(got - want) <= 4 * np.spacing(max_abs(want)), t
             rows, cols = (offsets[i] + a.reshape(-1) for a in np.indices((t, t)))
-            assert cf._crown_cells(blocks, rows, cols).tobytes() == got.tobytes()
+            assert cf._crown_cells(blocks.crowns, rows, cols).tobytes() == got.tobytes()
             # Each pad is exact: +0.0 in the Laplacian, the identity in the inverse.
             for p in range(t, o):
                 assert laps[k, p].tobytes() == laps[k, :, p].tobytes() == np.zeros(o).tobytes()
@@ -804,7 +804,7 @@ def test_apex_resistance_is_the_grounded_inverse_diagonal():
     for prefix, g, crowns in _crown_zoo_instances():
         blocks = getattr(cf, f"{prefix}_blocks")(g, crowns)
         c = np.arange(sum(blocks.crowns.sizes))
-        diagonal = cf._crown_cells(blocks, c, c)
+        diagonal = cf._crown_cells(blocks.crowns, c, c)
         off = 0
         for crown in crowns:
             oracle = resistance_matrix(build("r_vertex", Graph(1), (crown,)).graph)[0, 1:]
@@ -1208,6 +1208,16 @@ def test_a_padded_spectrum_must_read_zero_in_its_pad_slot():
             assert cf._crown_eigen_sums(forged_set) == pytest.approx(sums, abs=1e-14)
 
 
+def _members(stacks, blocks):
+    """Each corona's block of the (members, stack) pairs a chunk readout gives, in input order."""
+    out = [None] * len(blocks)
+    for group, stack in stacks:
+        for slot, k in enumerate(group):
+            n = len(cf._vertices(blocks[k]))
+            out[k] = np.ascontiguousarray(stack[slot, :n, :n])
+    return out
+
+
 def test_chunk_readouts_are_each_member_alone_bit_for_bit():
     # One chunk of both kinds over shared base sides, on adjacent parts of
     # one crown set (one run), then a part that skips a crown, a repeated
@@ -1231,8 +1241,8 @@ def test_chunk_readouts_are_each_member_alone_bit_for_bit():
     members.append(cf.rv_blocks(big, random_crowns(rng, big.n, 2)))
     watch, read = _crown_cell_reads()
     with watch:
-        xs = cf.one_inverses(members)
-        maps = cf.resistance_maps(members)
+        xs = _members(cf.one_inverses(members), members)
+        maps = _members(cf.resistance_maps(members), members)
     assert len(read) == 2 * 5
     assert len(maps[-1]) > linalg.SCHUR_LEAF_ORDER >= max(len(r) for r in maps[:-1])
     assert len({len(x) for x in xs[:-1]}) > 1

@@ -589,14 +589,13 @@ def test_tampered_coefficient_flips_verdict():
     real = closed_form.one_inverses
 
     def skewed(members):
-        out = []
-        for blocks, x in zip(members, real(members)):
-            x = x.copy()
-            if blocks.kind == "r_vertex":
-                n = blocks.base.n
-                x[:n, :n] *= 0.75
-            out.append(x)
-        return out
+        stacks = real(members)
+        for group, stack in stacks:
+            for slot, k in enumerate(group):
+                if members[k].kind == "r_vertex":
+                    n = members[k].base.n
+                    stack[slot, :n, :n] *= 0.75
+        return stacks
 
     with mock.patch.object(closed_form, "one_inverses", side_effect=skewed):
         report = suite.run_suite(seed=1, cases=2, n_max=4)
