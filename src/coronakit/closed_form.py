@@ -383,17 +383,18 @@ def _skeleton_block(blocks: CoronaBlocks, at: np.ndarray) -> np.ndarray:
 def _crown_cells(crowns: CrownSet, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Entries (c_i, d_i) of the grounded crown corner, c_i and d_i in one crown, off the stacks.
 
-    c and d count the set's crown vertices in layout order.
+    ``crowns`` is a whole set, and c and d count the whole set's crown
+    vertices in layout order.
     """
     sizes, ends = crowns.layout
     crown = ends.searchsorted(c, side="right")
     first = ends[crown] - sizes[crown]
-    i, j, member = c - first, d - first, crowns.first + crown
+    i, j = c - first, d - first
     bands = _band(sizes[crown])
     cells = np.empty(len(c))
     for members, _, inv in crowns.stacks:
         mine = bands == inv.shape[-1]
-        cells[mine] = inv[members.searchsorted(member[mine]), i[mine], j[mine]]
+        cells[mine] = inv[members.searchsorted(crown[mine]), i[mine], j[mine]]
     return cells
 
 
@@ -424,22 +425,21 @@ def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) ->
     if asked, and gathered out to every member's w through its anchors in
     one gather.  The same-crown pairs of w are the same-anchor pairs among
     its crown vertices, each crown vertex with itself included, since each
-    anchor holds one crown; all members' cells at those pairs come off the
-    crown stacks in one ``_crown_cells`` call per run of members whose
-    crown sets are adjacent parts of one set (``_crown_runs``; a suite
-    chunk is one run).  X then adds them on the same-crown pairs, and
-    across crowns its crown corner is 0.  The resistances add each crown
-    vertex's apex value, its own cell, to its row and column, and take the
-    cross term 2 G_uv off each same-crown pair: within one crown the
-    skeleton part is exactly 0, leaving G_uu + G_vv - 2 G_uv.  Every step
-    is per member and elementwise, so a member reads the bits it reads
-    alone.
+    anchor holds one crown.  A member's crowns are a part of one whole
+    ``CrownSet``, its crown k the whole set's crown ``first + k``, so its
+    pairs are filed under that whole set, counted among its crown vertices,
+    and all members' cells over one whole set, adjacent parts or not, come
+    off the crown stacks in one ``_crown_cells`` call (a suite chunk makes
+    one).  X then adds them on the same-crown pairs, and across crowns its
+    crown corner is 0.  The resistances add each crown vertex's apex value,
+    its own cell, to its row and column, and take the cross term 2 G_uv off
+    each same-crown pair: within one crown the skeleton part is exactly 0,
+    leaving G_uu + G_vv - 2 G_uv.  Every step is per member and
+    elementwise, so a member reads the bits it reads alone.
     """
     k = len(members)
-    runs = _crown_runs([blocks.crowns for blocks, _ in members])
-    starts = {lo for lo, _, _ in runs}
     backs = np.zeros((k, max(len(w) for _, w in members)), dtype=np.intp)
-    skeletons, sites, counts, firsts = [], [], [], [0]
+    skeletons, filed = [], {}
     for m, (blocks, w) in enumerate(members):
         nm = len(blocks.ends[0])
         (crown,) = (w >= nm).nonzero()
@@ -450,14 +450,14 @@ def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) ->
         backs[m, : len(w)] = at.searchsorted(anchors)
         skeletons.append(_skeleton_block(blocks, at))
         i, j = (hung[:, None] == hung[None, :]).nonzero()
-        # Crown vertex c of the member is vertex shift + c of its run's set.
-        shift = 0 if m in starts else shift + len(members[m - 1][0].anchor)
-        c += shift
-        # Per same-crown pair: its row, its crown cell's, its column, its crown cell's.
+        crowns = blocks.crowns
+        whole = crowns if crowns.whole is None else crowns.whole
+        # Crown vertex c of the member is vertex c + (where crown first starts) of its whole set.
+        if crowns.first:
+            c += whole.layout[1][crowns.first - 1]
+        # Per same-crown pair: its member, its row, its crown cell's, its column, its crown cell's.
         site = np.array((crown, c))
-        sites.append(np.concatenate((site[:, i], site[:, j])))
-        counts.append(len(i))
-        firsts.append(firsts[-1] + len(i))
+        filed.setdefault(whole, []).append(np.concatenate(([np.full(len(i), m)], site[:, i], site[:, j])))
     ((_, stack),) = _stacks(skeletons, 0.0)
     # A lone S is its stack, and is let go once read as resistances.
     del skeletons
@@ -473,12 +473,10 @@ def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) ->
     stack = stack[slot, backs]
     stack = stack.transpose(0, 2, 1)[slot, backs]
 
-    rows, c, cols, d = np.concatenate(sites, axis=1)
-    slots = slot.repeat(counts)
-    # A run's same-crown pairs follow those of the runs before it.
-    cells = np.concatenate(
-        [_crown_cells(crowns, c[firsts[lo] : firsts[hi]], d[firsts[lo] : firsts[hi]]) for lo, hi, crowns in runs]
-    )
+    sites = {whole: np.concatenate(s, axis=1) for whole, s in filed.items()}
+    slots, rows, _, cols, _ = np.concatenate(list(sites.values()), axis=1)
+    # One gather per whole set, its cells in the order its sites are filed.
+    cells = np.concatenate([_crown_cells(whole, s[2], s[4]) for whole, s in sites.items()])
     if resist:
         own = rows == cols
         apex = np.zeros(backs.shape)
@@ -488,29 +486,6 @@ def _read_stack(members: list[tuple[CoronaBlocks, np.ndarray]], resist: bool) ->
     else:
         stack[slots, rows, cols] += cells
     return stack
-
-
-def _crown_runs(sets: list[CrownSet]) -> list[tuple[int, int, CrownSet]]:
-    """Consecutive members lo..hi-1 whose crown sets are adjacent parts of one set, with the part that joins them.
-
-    A suite chunk's members are one run: each instance's crowns are the
-    part of the run's set that follows the instance before it.  A run of
-    one member is read through its own set.
-    """
-    runs = []
-    lo = 0
-    while lo < len(sets):
-        first = sets[lo]
-        whole = first if first.whole is None else first.whole
-        hi, end = lo + 1, first.first + len(first)
-        while hi < len(sets):
-            nxt = sets[hi]
-            if (nxt if nxt.whole is None else nxt.whole) is not whole or nxt.first != end:
-                break
-            hi, end = hi + 1, end + len(nxt)
-        runs.append((lo, hi, first if hi == lo + 1 else whole.part(first.first, end)))
-        lo = hi
-    return runs
 
 
 def _vertices(blocks: CoronaBlocks) -> np.ndarray:

@@ -468,12 +468,15 @@ def _pair_maxima(
     are read per stack, and the differences are set to 0 on each member's
     pad rows and columns, where no stack holds a value of the member; so a
     member's maxima over its padded block are those over its own block.
+    Both differences are taken in place, so the stacks of ``maps`` hold the
+    closed differences afterwards.
     """
     out = [(0.0, 0.0)] * len(oracles)
     for (members, closed), (_, x), (_, oracle) in zip(maps, xs, _stacks(oracles, 0.0)):
         oracle_r = resistances_from_inverse(oracle)
-        dispatch = np.abs(closed - oracle_r)
-        inverse = np.abs(resistances_from_inverse(x) - oracle_r)
+        dispatch = np.abs(np.subtract(closed, oracle_r, out=closed), out=closed)
+        inverse = resistances_from_inverse(x)
+        inverse = np.abs(np.subtract(inverse, oracle_r, out=inverse), out=inverse)
         sizes = np.array([len(oracles[k]) for k in members])
         pad = np.arange(closed.shape[-1]) >= sizes[:, None]
         pad = pad[:, :, None] | pad[:, None, :]

@@ -1220,11 +1220,14 @@ def _members(stacks, blocks):
 
 def test_chunk_readouts_are_each_member_alone_bit_for_bit():
     # One chunk of both kinds over shared base sides, on adjacent parts of
-    # one crown set (one run), then a part that skips a crown, a repeated
-    # member and a set of its own (three more runs), and a corona past the
-    # Cholesky leaf order, which is a stack of its own.  Each member's X and
-    # map are its bits alone, its pad cells never reach it, and the crown
-    # cells take one gather per run.
+    # one crown set, then a part that skips a crown, a set of its own and a
+    # repeated member of the first set, so that parts of one set are split
+    # by another set inside one stack, and a corona past the Cholesky leaf
+    # order, which is a stack of its own.  Each member's X and map are its
+    # bits alone, its pad cells never reach it, and the crown cells take
+    # one gather per whole crown set of a stack: per readout, the shared
+    # set and the set of its own in the chunk's stack, and the large
+    # corona's set in its own.
     rng = random.Random(8)
     bases = [random_connected_graph(rng, 3, 6) for _ in range(3)]
     sides = [cf.BaseSide.of(g) for g in bases]
@@ -1237,13 +1240,13 @@ def test_chunk_readouts_are_each_member_alone_bit_for_bit():
             lo += count
     skipped = cf._blocks("r_vertex", sides[0], whole.part(lo + 1 - bases[0].n, lo + 1))
     big = random_connected_graph(rng, 30, 30)
-    members += [skipped, members[0], cf.rv_blocks(bases[1], random_crowns(rng, bases[1].n, 3))]
+    members += [skipped, cf.rv_blocks(bases[1], random_crowns(rng, bases[1].n, 3)), members[0]]
     members.append(cf.rv_blocks(big, random_crowns(rng, big.n, 2)))
     watch, read = _crown_cell_reads()
     with watch:
         xs = _members(cf.one_inverses(members), members)
         maps = _members(cf.resistance_maps(members), members)
-    assert len(read) == 2 * 5
+    assert len(read) == 2 * 3
     assert len(maps[-1]) > linalg.SCHUR_LEAF_ORDER >= max(len(r) for r in maps[:-1])
     assert len({len(x) for x in xs[:-1]}) > 1
     for blocks, x, r in zip(members, xs, maps):
